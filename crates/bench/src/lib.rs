@@ -4,9 +4,10 @@
 //! repo root is the crate-by-crate tour showing where this crate sits in
 //! the pipeline.
 //!
-//! The benchmark harness of the SCOUT reproduction: one binary per table and
-//! figure of the paper's evaluation (§VI), plus micro-benchmarks for
-//! the core data structures.
+//! The paper reproduction: one binary per table and figure of the paper's
+//! evaluation (§VI), plus the seeded golden-threshold sweeps CI runs. How
+//! fast the system is gets measured elsewhere — by the stand-alone
+//! `benchmark/` package declared in `BENCHMARK.json`.
 //!
 //! | target | reproduces |
 //! |--------|------------|
@@ -17,16 +18,15 @@
 //! | `fig10_testbed` | Figure 10 — end-to-end accuracy on the testbed |
 //! | `scalability` | §VI-B scalability — localization time vs. switch count |
 //! | `ablation_changelog` | §IV-C — contribution of SCOUT's change-log stage |
+//! | `campaign`, `soak`, `hostile` | seeded sweeps with golden accuracy thresholds |
 //!
-//! The reusable experiment logic lives in [`experiments`] so that the binaries,
-//! the integration tests and the micro-benches all exercise the same code.
+//! The reusable experiment logic lives in [`experiments`], where the crate's
+//! unit tests exercise the same code the binaries run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod harness;
-pub mod json;
 
 pub use experiments::{
     accuracy_sweep, accuracy_table, gamma_table, object_sharing, scalability, scalability_table,

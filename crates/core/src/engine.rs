@@ -79,7 +79,7 @@ impl OracleCadence {
 ///
 /// Sessions register in the shard of their fabric id, so concurrent drivers
 /// monitoring different fabrics contend on different locks. 16 stripes keep
-/// contention negligible well past the thread counts the benches exercise
+/// contention negligible well past the thread counts the suites exercise
 /// while costing a few hundred bytes per engine.
 pub const DEFAULT_REGISTRY_SHARDS: usize = 16;
 
@@ -385,6 +385,10 @@ const _: () = {
     assert_send_sync::<ScoutEngine>();
     assert_send_sync::<EngineShared>();
     assert_send_sync::<crate::session::AnalysisSession>();
+    // Sessions are long-lived: their stats must stay fixed-size counters, so
+    // a per-ingest growing field (a `Vec`, a series) cannot return unnoticed.
+    const fn assert_copy<T: Copy>() {}
+    assert_copy::<crate::session::SessionStats>();
 };
 
 /// The long-lived SCOUT service facade.

@@ -25,13 +25,11 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 use scout_equiv::{EquivalenceChecker, NetworkCheckResult};
 use scout_fabric::{
     ApplyError, EventBatch, Fabric, FabricEvent, FabricProbe, FabricView, FullSync,
 };
-use scout_metrics::TimeSeries;
 use scout_policy::{LogicalRule, ObjectId, SwitchEpgPair, SwitchId};
 
 use crate::correlation::PartialDiagnosis;
@@ -278,8 +276,8 @@ impl ReportDelta {
     }
 }
 
-/// Running counters and latency series of one session.
-#[derive(Debug, Clone, PartialEq)]
+/// Running counters of one session.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionStats {
     /// Successful `ingest` calls (rejected batches are not counted).
     pub ingests: usize,
@@ -291,22 +289,6 @@ pub struct SessionStats {
     pub rechecked_switches: usize,
     /// Gap recoveries via [`AnalysisSession::resync`].
     pub resyncs: usize,
-    /// Per-ingest latency in nanoseconds, one sample per successful ingest
-    /// (resyncs included: they are the expensive tail of the distribution).
-    pub ingest_latency: TimeSeries,
-}
-
-impl Default for SessionStats {
-    fn default() -> Self {
-        Self {
-            ingests: 0,
-            events: 0,
-            empty_batches: 0,
-            rechecked_switches: 0,
-            resyncs: 0,
-            ingest_latency: TimeSeries::new("per-ingest latency (ns)"),
-        }
-    }
 }
 
 /// A long-lived analysis session monitoring one fabric.
@@ -486,7 +468,7 @@ impl AnalysisSession {
         self.report.is_consistent()
     }
 
-    /// The session's running counters and per-ingest latency series.
+    /// The session's running counters.
     pub fn stats(&self) -> &SessionStats {
         &self.stats
     }
@@ -507,14 +489,10 @@ impl AnalysisSession {
         // All-or-nothing: validate the whole batch before mutating anything.
         self.validate_batch(&batch)?;
         let expected = self.epoch + 1;
-        let start = Instant::now();
         if batch.is_empty() {
             self.epoch = expected;
             self.stats.ingests += 1;
             self.stats.empty_batches += 1;
-            self.stats
-                .ingest_latency
-                .push(start.elapsed().as_nanos() as f64);
             return Ok(ReportDelta::noop(expected, self.report.is_consistent()));
         }
 
@@ -563,9 +541,6 @@ impl AnalysisSession {
         self.stats.ingests += 1;
         self.stats.events += batch.len();
         self.stats.rechecked_switches += delta.rechecked.len();
-        self.stats
-            .ingest_latency
-            .push(start.elapsed().as_nanos() as f64);
         Ok(delta)
     }
 
@@ -641,7 +616,6 @@ impl AnalysisSession {
                 got: epoch,
             });
         }
-        let start = Instant::now();
         self.view = sync.into_view();
         let check = self
             .checker
@@ -667,9 +641,6 @@ impl AnalysisSession {
         self.stats.ingests += 1;
         self.stats.resyncs += 1;
         self.stats.rechecked_switches += delta.rechecked.len();
-        self.stats
-            .ingest_latency
-            .push(start.elapsed().as_nanos() as f64);
         Ok(delta)
     }
 
@@ -921,7 +892,6 @@ mod tests {
         assert_eq!(stats.empty_batches, 1);
         assert_eq!(stats.events, 0);
         assert_eq!(stats.rechecked_switches, 0);
-        assert_eq!(stats.ingest_latency.len(), 1);
     }
 
     #[test]
@@ -1282,7 +1252,5 @@ mod tests {
         assert_eq!(stats.empty_batches, 1);
         assert_eq!(stats.events, 1);
         assert_eq!(stats.rechecked_switches, 1);
-        assert_eq!(stats.ingest_latency.len(), 2);
-        assert!(stats.ingest_latency.values().iter().all(|&v| v >= 0.0));
     }
 }

@@ -67,7 +67,7 @@
 use std::fmt;
 
 use scout_equiv::{NetworkCheckResult, SwitchCheckResult};
-use scout_fabric::wire::{Wire, WireError, WireReader, WireWriter};
+use scout_fabric::wire::{crc32, Wire, WireError, WireReader, WireWriter};
 use scout_fabric::{EventBatch, FabricView, Timestamp};
 use scout_policy::SwitchId;
 
@@ -82,23 +82,6 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// The 4-byte magic prefix of every encoded snapshot.
 const SNAPSHOT_MAGIC: [u8; 4] = *b"SCSN";
-
-/// CRC-32 (IEEE 802.3, reflected polynomial) over `bytes` — the payload
-/// integrity check of the snapshot frame. The wire layer only catches
-/// *structural* damage (truncation, bad tags); a flipped bit inside an
-/// in-range integer would otherwise decode cleanly into a silently wrong
-/// session, and a durable format must fail loudly instead.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in bytes {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Why a byte buffer could not be decoded into a [`Snapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

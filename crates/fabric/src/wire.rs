@@ -379,6 +379,26 @@ pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
     Ok(value)
 }
 
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes` — the
+/// one checksum of every durable frame built on this codec (`SCSN`
+/// snapshots, `SCJL` journal segments and records, `SCSA` anchors). The wire
+/// layer only catches *structural* damage (truncation, bad tags); a flipped
+/// bit inside an in-range integer would otherwise decode cleanly into a
+/// silently wrong value, and a durable format must fail loudly instead.
+/// Public so byte-surgery tooling (the fuzz generators) can restamp frames
+/// it has deliberately damaged.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &byte in bytes {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
+}
+
 // ---------------------------------------------------------------------------
 // Primitives and containers
 // ---------------------------------------------------------------------------
@@ -990,6 +1010,12 @@ mod tests {
         // decoded value re-encodes to the exact bytes it arrived as, so no
         // two byte strings alias one value.
         assert_eq!(to_bytes(&decoded), bytes, "encoding is not a fixpoint");
+    }
+
+    #[test]
+    fn checksum_matches_the_ieee_check_value() {
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use scout_core::{CorrelationReport, Hypothesis, Snapshot, SnapshotError};
-use scout_fabric::wire::{from_bytes, to_bytes, Wire, WireError, WireReader, WireWriter};
+use scout_fabric::wire::{crc32, from_bytes, to_bytes, Wire, WireError, WireReader, WireWriter};
 use scout_fabric::{EventBatch, Fabric, FabricView};
 use scout_fuzz::gen::{restamp_journal, restamp_snapshot_crc};
 use scout_fuzz::oracle::{self, Surface, Verdict};
@@ -33,8 +33,8 @@ use scout_policy::{
 };
 use scout_server::ServerRequest;
 use scout_store::journal::{
-    crc32 as journal_crc32, decode_segment, encode_record, JournalError, SegmentHeader,
-    MAX_RECORD_PAYLOAD, RECORD_HEADER_LEN, SEGMENT_HEADER_LEN,
+    decode_segment, encode_record, JournalError, SegmentHeader, MAX_RECORD_PAYLOAD,
+    RECORD_HEADER_LEN, SEGMENT_HEADER_LEN,
 };
 use scout_store::sha256;
 
@@ -543,7 +543,7 @@ fn journal_cases(dir: &Path) {
     frame.extend_from_slice(&huge.to_le_bytes());
     frame.extend_from_slice(&[0u8; 4]); // payload crc (never reached)
     frame.extend_from_slice(&[0u8; 32]); // chain (never reached)
-    let frame_crc = journal_crc32(&frame[0..40]);
+    let frame_crc = crc32(&frame[0..40]);
     frame.extend_from_slice(&frame_crc.to_le_bytes());
     oversized.extend_from_slice(&frame);
     assert_eq!(

@@ -9,6 +9,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use scout_fabric::wire::crc32;
 use scout_store::chain_next;
 use scout_store::journal::{JOURNAL_VERSION, RECORD_HEADER_LEN, SEGMENT_HEADER_LEN, SEGMENT_MAGIC};
 use scout_store::Digest;
@@ -20,20 +21,6 @@ use crate::oracle::Surface;
 const SNAPSHOT_CRC_OFFSET: usize = 8;
 /// Total snapshot header length: magic, version, CRC.
 const SNAPSHOT_HEADER_LEN: usize = 12;
-
-/// CRC-32 (IEEE 802.3, reflected polynomial) — must match the snapshot
-/// frame's checksum in `scout-core` so mutated payloads can be restamped.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in bytes {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Rewrites a snapshot frame's checksum to match its (possibly mutated)
 /// payload, so the mutant penetrates past [`ChecksumMismatch`] into the
@@ -185,7 +172,7 @@ mod tests {
     #[test]
     fn crc_matches_the_snapshot_frame() {
         // Restamping an untouched valid snapshot must be a no-op: the
-        // local crc32 agrees with the one scout-core stamps.
+        // restamp offsets agree with the frame scout-core stamps.
         let seed = crate::seeds::for_surface(Surface::Snapshot)[0].clone();
         let mut restamped = seed.clone();
         restamp_snapshot_crc(&mut restamped);

@@ -19,7 +19,7 @@
 //!   them deterministically.
 //!
 //! The `fuzz` binary (`cargo run --release -p scout-fuzz --bin fuzz`) is the
-//! CLI over [`harness::run`] used by CI's `fuzz-smoke` job.
+//! CLI over [`harness::run`] used by CI's `fuzz` smoke row.
 //!
 //! Linking this crate installs [`alloc::TrackingAlloc`] as the global
 //! allocator so the allocation oracle is always armed.

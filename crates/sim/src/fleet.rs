@@ -6,23 +6,25 @@
 //! `scout-server` front door — wire-encoded [`ServerRequest`]s through
 //! [`ScoutServer::handle_bytes`], past admission control (token quotas,
 //! bounded FIFO queues, shed-and-retry), into per-tenant sessions on **one**
-//! shared [`ScoutEngine`]. The soak records per-request latencies, queue and
-//! shed counts, and the full per-tenant delta stream, so the enforced root
-//! suite `tests/server.rs` can pin the serving layer's headline contract:
+//! shared [`ScoutEngine`]. The soak records queue and shed counts and the
+//! full per-tenant delta stream, so the enforced root suite `tests/server.rs`
+//! can pin the serving layer's headline contract:
 //!
 //! * front-door results are **bit-identical** to a direct single-threaded
 //!   engine replay of the same recorded batches ([`FleetSoak::direct_replay`]);
-//! * the thread count changes wall-clock time and nothing else;
+//! * the thread count changes no result;
 //! * back-pressure (queue, shed, retry) never loses or reorders an accepted
 //!   batch.
+//!
+//! It is a correctness driver only: how fast the front door is gets measured
+//! by the `benchmark/` package, with workload generation outside the timed
+//! window.
 //!
 //! Each worker thread owns its own [`ScoutServer`] node (sessions are
 //! single-owner, exactly like a sharded deployment) while all nodes share the
 //! engine — the same worker-strided layout as the multi-tenant soak.
 //!
 //! [`AnalysisSession`]: scout_core::AnalysisSession
-
-use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -31,7 +33,6 @@ use rand::{Rng, SeedableRng};
 use scout_core::{EngineConfig, ReportDelta, ScoutEngine, ScoutReport};
 use scout_fabric::wire::{from_bytes, to_bytes};
 use scout_fabric::{EventBatch, Fabric, FabricProbe};
-use scout_metrics::{fmt3, Table};
 use scout_server::{
     AdmissionConfig, ScoutServer, ServerConfig, ServerRequest, ServerResponse, TenantId,
 };
@@ -56,12 +57,6 @@ pub struct FleetSoak {
     /// Number of serving threads (clamped to the tenant count; at least 1).
     /// Each thread runs its own [`ScoutServer`] node.
     pub threads: usize,
-    /// When `true` (the default) tenant `i` seeds from `base_seed + i`, so
-    /// every tenant is a distinct workload. When `false` every tenant runs
-    /// the **same** universe and batch stream — the uniform-load shape the
-    /// fairness bench uses, so max/min tenant throughput measures the
-    /// scheduler and not workload variance.
-    pub distinct_seeds: bool,
     /// The admission policy every node applies in front of its tenants.
     pub admission: AdmissionConfig,
     /// The shared engine's configuration.
@@ -78,25 +73,14 @@ impl FleetSoak {
             epochs,
             base_seed,
             threads: tenants.max(1),
-            distinct_seeds: true,
             admission: AdmissionConfig::default(),
             engine: EngineConfig::default(),
         }
     }
 
-    /// The seed offset tenant `index` derives its universe and churn from.
-    fn seed_index(&self, index: usize) -> u64 {
-        if self.distinct_seeds {
-            index as u64
-        } else {
-            0
-        }
-    }
-
     /// Tenant `index`'s policy universe.
     pub fn tenant_universe(&self, index: usize) -> scout_policy::PolicyUniverse {
-        self.workload
-            .generate(self.base_seed + self.seed_index(index))
+        self.workload.generate(self.base_seed + index as u64)
     }
 
     /// Tenant `index`'s pristine deployed fabric — the one its server session
@@ -113,8 +97,7 @@ impl FleetSoak {
     pub fn tenant_batches(&self, index: usize) -> Vec<EventBatch> {
         let mut fabric = self.tenant_fabric(index);
         let mut probe = FabricProbe::new(&fabric);
-        let mut rng =
-            StdRng::seed_from_u64(self.base_seed ^ 0xF1EE_7500 ^ (self.seed_index(index) << 17));
+        let mut rng = StdRng::seed_from_u64(self.base_seed ^ 0xF1EE_7500 ^ ((index as u64) << 17));
         (1..=self.epochs as u64)
             .map(|epoch| {
                 let switch_ids = fabric.universe().switch_ids();
@@ -167,7 +150,6 @@ impl FleetSoak {
     /// Runs the fleet: every tenant's batches through the wire API of a
     /// per-worker server node, one shared engine underneath.
     pub fn run(&self) -> FleetRun {
-        let start = Instant::now();
         let engine = ScoutEngine::from_config(self.engine)
             .expect("fleet engine config is degenerate (see EngineConfig::validate)");
         let threads = self.threads.clamp(1, self.tenants.max(1));
@@ -210,7 +192,6 @@ impl FleetSoak {
                 .map(|slot| slot.expect("every tenant index is covered"))
                 .collect(),
             threads,
-            elapsed: start.elapsed(),
         }
     }
 
@@ -222,9 +203,8 @@ impl FleetSoak {
         let mut outcome = TenantOutcome::default();
 
         let universe = self.tenant_universe(tenant);
-        match self.request(
+        match request(
             server,
-            &mut outcome,
             ServerRequest::OpenSession {
                 tenant: id,
                 universe,
@@ -237,11 +217,11 @@ impl FleetSoak {
         for batch in self.tenant_batches(tenant) {
             let mut attempts = 0usize;
             loop {
-                let request = ServerRequest::Ingest {
+                let ingest = ServerRequest::Ingest {
                     tenant: id,
                     batch: batch.clone(),
                 };
-                match self.request(server, &mut outcome, request) {
+                match request(server, ingest) {
                     ServerResponse::Ingested { delta, .. } => {
                         outcome.deltas.push(delta);
                         break;
@@ -274,33 +254,15 @@ impl FleetSoak {
             self.drain_tick(server, &mut outcome, id);
         }
 
-        match self.request(server, &mut outcome, ServerRequest::Query { tenant: id }) {
+        match request(server, ServerRequest::Query { tenant: id }) {
             ServerResponse::Report { report, .. } => outcome.report = Some(report),
             other => panic!("tenant {tenant}: query failed: {other:?}"),
         }
-        match self.request(
-            server,
-            &mut outcome,
-            ServerRequest::CloseSession { tenant: id },
-        ) {
+        match request(server, ServerRequest::CloseSession { tenant: id }) {
             ServerResponse::Closed { .. } => {}
             other => panic!("tenant {tenant}: close failed: {other:?}"),
         }
         outcome
-    }
-
-    /// One timed round-trip through the wire funnel: encode, handle, decode.
-    fn request(
-        &self,
-        server: &mut ScoutServer,
-        outcome: &mut TenantOutcome,
-        request: ServerRequest,
-    ) -> ServerResponse {
-        let bytes = to_bytes(&request);
-        let clock = Instant::now();
-        let reply = server.handle_bytes(&bytes);
-        outcome.latencies_ns.push(clock.elapsed().as_nanos() as u64);
-        from_bytes::<ServerResponse>(&reply).expect("server responses always decode")
     }
 
     /// One scheduling tick, folding any drained `Ingested` deltas for
@@ -317,6 +279,12 @@ impl FleetSoak {
     }
 }
 
+/// One round-trip through the wire funnel: encode, handle, decode.
+fn request(server: &mut ScoutServer, request: ServerRequest) -> ServerResponse {
+    let reply = server.handle_bytes(&to_bytes(&request));
+    from_bytes::<ServerResponse>(&reply).expect("server responses always decode")
+}
+
 /// Everything one tenant's trip through the fleet produced.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantOutcome {
@@ -325,8 +293,6 @@ pub struct TenantOutcome {
     pub deltas: Vec<ReportDelta>,
     /// The final full report answered by `Query`.
     pub report: Option<ScoutReport>,
-    /// Wall-clock nanoseconds of every wire round-trip this tenant issued.
-    pub latencies_ns: Vec<u64>,
     /// Batches the admission controller parked (answered `Queued`).
     pub queued: usize,
     /// Ingest attempts refused with a typed `Shed` error (each was retried).
@@ -336,50 +302,20 @@ pub struct TenantOutcome {
 impl TenantOutcome {
     /// The deterministic analysis result: deltas plus final report. This —
     /// and only this — must be bit-identical to
-    /// [`FleetSoak::direct_replay`]; latencies and back-pressure counts are
-    /// scheduling artifacts.
+    /// [`FleetSoak::direct_replay`]; back-pressure counts are scheduling
+    /// artifacts.
     pub fn analysis(&self) -> (&[ReportDelta], Option<&ScoutReport>) {
         (&self.deltas, self.report.as_ref())
     }
-
-    /// Latency percentile in nanoseconds (`p` in 0..=100) over this tenant's
-    /// round-trips.
-    pub fn latency_p(&self, p: f64) -> u64 {
-        percentile(&self.latencies_ns, p)
-    }
-
-    /// Time this tenant spent being served, in seconds (sum of round-trips).
-    pub fn busy_secs(&self) -> f64 {
-        self.latencies_ns.iter().sum::<u64>() as f64 / 1e9
-    }
-
-    /// Accepted-batch throughput against this tenant's own serving time.
-    pub fn throughput_per_sec(&self) -> f64 {
-        self.deltas.len() as f64 / self.busy_secs().max(1e-12)
-    }
 }
 
-/// Nearest-rank percentile over an unsorted sample (0 for an empty one).
-fn percentile(sample: &[u64], p: f64) -> u64 {
-    if sample.is_empty() {
-        return 0;
-    }
-    let mut sorted = sample.to_vec();
-    sorted.sort_unstable();
-    let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-/// The result of one fleet soak: per-tenant outcomes plus the aggregate
-/// wall-clock cost of serving them with the configured thread count.
+/// The result of one fleet soak: per-tenant outcomes.
 #[derive(Debug)]
 pub struct FleetRun {
     /// One [`TenantOutcome`] per tenant, in tenant order.
     pub outcomes: Vec<TenantOutcome>,
     /// The number of serving threads actually used.
     pub threads: usize,
-    /// Wall-clock time of the whole fleet (engine build included).
-    pub elapsed: Duration,
 }
 
 impl FleetRun {
@@ -396,57 +332,6 @@ impl FleetRun {
     /// Total typed sheds across the fleet.
     pub fn total_shed(&self) -> usize {
         self.outcomes.iter().map(|o| o.shed).sum()
-    }
-
-    /// Aggregate accepted-ingest throughput against wall-clock time.
-    pub fn ingests_per_sec(&self) -> f64 {
-        self.total_ingests() as f64 / self.elapsed.as_secs_f64().max(1e-12)
-    }
-
-    /// Latency percentile in nanoseconds over **every** round-trip in the
-    /// fleet.
-    pub fn latency_p(&self, p: f64) -> u64 {
-        let all: Vec<u64> = self
-            .outcomes
-            .iter()
-            .flat_map(|o| o.latencies_ns.iter().copied())
-            .collect();
-        percentile(&all, p)
-    }
-
-    /// Max-over-min per-tenant throughput — the fleet's fairness number. A
-    /// perfectly fair scheduler serves every tenant at the same rate
-    /// (ratio 1.0); the serving-layer bench asserts this stays ≤ 2.0.
-    pub fn fairness_ratio(&self) -> f64 {
-        let rates: Vec<f64> = self
-            .outcomes
-            .iter()
-            .map(TenantOutcome::throughput_per_sec)
-            .collect();
-        let max = rates.iter().copied().fold(f64::MIN, f64::max);
-        let min = rates.iter().copied().fold(f64::MAX, f64::min);
-        if rates.is_empty() || min <= 0.0 {
-            return f64::INFINITY;
-        }
-        max / min
-    }
-
-    /// Renders the fleet summary as an aligned table.
-    pub fn table(&self) -> Table {
-        let mut table = Table::new("Fleet soak — serving layer", &["metric", "value"]);
-        table.row(["tenants".into(), self.outcomes.len().to_string()]);
-        table.row(["threads".into(), self.threads.to_string()]);
-        table.row(["ingests".into(), self.total_ingests().to_string()]);
-        table.row(["queued".into(), self.total_queued().to_string()]);
-        table.row(["shed".into(), self.total_shed().to_string()]);
-        table.row(["p50 latency".into(), format!("{} ns", self.latency_p(50.0))]);
-        table.row(["p99 latency".into(), format!("{} ns", self.latency_p(99.0))]);
-        table.row(["fairness max/min".into(), fmt3(self.fairness_ratio())]);
-        table.row([
-            "throughput".into(),
-            format!("{} ingests/s", fmt3(self.ingests_per_sec())),
-        ]);
-        table
     }
 }
 
@@ -492,9 +377,6 @@ mod tests {
             );
         }
         assert_eq!(concurrent.total_ingests(), 3 * 12);
-        assert!(concurrent.ingests_per_sec() > 0.0);
-        let table = concurrent.table().to_string();
-        assert!(table.contains("fairness max/min"));
     }
 
     #[test]
@@ -522,18 +404,6 @@ mod tests {
                 .collect();
             assert_eq!(epochs, (1..=12).collect::<Vec<u64>>(), "FIFO order held");
         }
-    }
-
-    #[test]
-    fn uniform_fleet_serves_identical_tenants() {
-        let mut fleet = small_fleet(2, 1);
-        fleet.distinct_seeds = false;
-        let run = fleet.run();
-        assert_eq!(
-            run.outcomes[0].analysis(),
-            run.outcomes[1].analysis(),
-            "uniform seeding must erase tenant-to-tenant workload variance"
-        );
     }
 
     #[test]

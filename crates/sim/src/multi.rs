@@ -16,13 +16,10 @@
 //! `i`'s [`SoakOutcome`] is **bit-identical** whether it runs alone on a
 //! private engine, sequentially on the shared engine, or concurrently next
 //! to M−1 other tenants (enforced by the root test `tests/multi_tenant.rs`).
-//! What changes with the thread count is only the wall-clock time, which is
-//! exactly what the scale-sweep bench measures.
+//! What changes with the thread count is only the wall-clock time, which the
+//! `benchmark/` package measures through the serving layer.
 
-use std::time::{Duration, Instant};
-
-use scout_core::{EngineConfig, OracleCadence, ScoutEngine};
-use scout_metrics::{fmt3, Table};
+use scout_core::{EngineConfig, ScoutEngine};
 
 use crate::scenario::WorkloadKind;
 use crate::soak::{SoakOutcome, SoakRun, Timeline};
@@ -61,13 +58,6 @@ impl MultiTenantSoak {
         }
     }
 
-    /// Switches the oracle off — the pure-throughput shape the scale-sweep
-    /// bench uses.
-    pub fn without_oracle(mut self) -> Self {
-        self.engine.oracle = OracleCadence::Never;
-        self
-    }
-
     /// The timeline tenant `index` runs (exposed so tests can replay a single
     /// tenant in isolation and compare outcomes).
     pub fn tenant_timeline(&self, index: usize) -> Timeline {
@@ -79,7 +69,6 @@ impl MultiTenantSoak {
     /// Runs every tenant timeline against one shared engine and collects the
     /// per-tenant runs in tenant order.
     pub fn run(&self) -> MultiTenantRun {
-        let start = Instant::now();
         let engine = ScoutEngine::from_config(self.engine)
             .expect("multi-tenant engine config is degenerate (see EngineConfig::validate)");
         let threads = self.threads.clamp(1, self.tenants.max(1));
@@ -118,21 +107,17 @@ impl MultiTenantSoak {
                 .map(|slot| slot.expect("every tenant index is covered"))
                 .collect(),
             threads,
-            elapsed: start.elapsed(),
         }
     }
 }
 
-/// The result of one multi-tenant soak: per-tenant runs plus the aggregate
-/// wall-clock cost of driving them with the configured thread count.
+/// The result of one multi-tenant soak: per-tenant runs.
 #[derive(Debug)]
 pub struct MultiTenantRun {
     /// One [`SoakRun`] per tenant, in tenant order.
     pub runs: Vec<SoakRun>,
     /// The number of driver threads actually used.
     pub threads: usize,
-    /// Wall-clock time of the whole sweep (engine build included).
-    pub elapsed: Duration,
 }
 
 impl MultiTenantRun {
@@ -151,13 +136,6 @@ impl MultiTenantRun {
         self.runs.iter().map(|run| run.session_stats.events).sum()
     }
 
-    /// Aggregate ingest throughput: batches ingested across every tenant per
-    /// second of wall-clock time — the quantity that must scale with the
-    /// driver thread count on a multi-core host.
-    pub fn ingests_per_sec(&self) -> f64 {
-        self.total_ingests() as f64 / self.elapsed.as_secs_f64().max(1e-12)
-    }
-
     /// Epochs at which any tenant's differential oracle disagreed with its
     /// monitor, as `(tenant, epoch)` pairs (must be empty).
     pub fn oracle_disagreements(&self) -> Vec<(usize, usize)> {
@@ -171,45 +149,6 @@ impl MultiTenantRun {
                     .map(move |epoch| (tenant, epoch))
             })
             .collect()
-    }
-
-    /// Renders the per-tenant summary as an aligned table.
-    pub fn table(&self) -> Table {
-        let mut table = Table::new(
-            "Multi-tenant soak — per tenant",
-            &[
-                "tenant",
-                "epochs",
-                "ingests",
-                "events",
-                "injections",
-                "oracle",
-            ],
-        );
-        for (tenant, run) in self.runs.iter().enumerate() {
-            let disagreements = run.outcome.oracle_disagreements().len();
-            table.row([
-                tenant.to_string(),
-                run.outcome.epochs.len().to_string(),
-                run.session_stats.ingests.to_string(),
-                run.session_stats.events.to_string(),
-                run.outcome.faults.len().to_string(),
-                if disagreements == 0 {
-                    "ok".to_string()
-                } else {
-                    format!("{disagreements} DISAGREEMENTS")
-                },
-            ]);
-        }
-        table.row([
-            "total".to_string(),
-            String::new(),
-            self.total_ingests().to_string(),
-            self.total_events().to_string(),
-            String::new(),
-            format!("{} ingests/s", fmt3(self.ingests_per_sec())),
-        ]);
-        table
     }
 }
 
@@ -251,7 +190,6 @@ mod tests {
         }
         assert!(concurrent.oracle_disagreements().is_empty());
         assert!(concurrent.total_ingests() >= 75, "one ingest per epoch");
-        assert!(concurrent.ingests_per_sec() > 0.0);
     }
 
     #[test]
@@ -261,9 +199,6 @@ mod tests {
             run.runs[0].outcome, run.runs[1].outcome,
             "tenant seeds must differ"
         );
-        let table = run.table().to_string();
-        assert!(table.contains("ingests/s"));
-        assert!(!table.contains("DISAGREEMENTS"));
     }
 
     #[test]
@@ -271,14 +206,5 @@ mod tests {
         let run = small_soak(2, 9).run();
         assert_eq!(run.threads, 2);
         assert_eq!(run.runs.len(), 2);
-    }
-
-    #[test]
-    fn without_oracle_disables_scratch_analysis() {
-        let run = small_soak(2, 2).without_oracle().run();
-        for tenant_run in &run.runs {
-            assert!(tenant_run.scratch_cost.is_empty());
-            assert!(tenant_run.outcome.epochs.iter().all(|e| !e.oracle_checked));
-        }
     }
 }

@@ -29,9 +29,9 @@
 use std::fmt;
 
 use scout_core::{Snapshot, SnapshotError};
+use scout_fabric::wire::crc32;
 
 use crate::digest::{sha256, Digest, Sha256};
-use crate::journal::crc32;
 
 /// Magic bytes opening every anchor file.
 pub const ANCHOR_MAGIC: [u8; 4] = *b"SCSA";

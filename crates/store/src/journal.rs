@@ -50,7 +50,7 @@
 
 use std::fmt;
 
-use scout_fabric::wire::{self, WireError};
+use scout_fabric::wire::{self, crc32, WireError};
 use scout_fabric::EventBatch;
 
 use crate::digest::{chain_next, Digest, DIGEST_LEN};
@@ -70,21 +70,6 @@ pub const RECORD_HEADER_LEN: usize = 4 + 4 + DIGEST_LEN + 4;
 /// Sanity cap on a single record payload (64 MiB). A frame that *validly*
 /// promises more was never written by this crate.
 pub const MAX_RECORD_PAYLOAD: u64 = 1 << 26;
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — same parameters as
-/// the `scout-core` snapshot frame. Public so byte-surgery tooling (the fuzz
-/// corpus generator) can restamp frames it has deliberately damaged.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in bytes {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Why segment bytes could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

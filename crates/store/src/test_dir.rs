@@ -1,12 +1,12 @@
-//! Self-cleaning temporary store directories for tests, benches and soaks.
+//! Self-cleaning temporary store directories for tests and soaks.
 //!
 //! The workspace is registry-free (no `tempfile`), so the handful of
 //! consumers that need a scratch store directory — the store's own tests,
-//! the root `tests/store.rs` suite, the crash soak in `scout-sim` and the
-//! recovery bench — share this minimal helper instead of each reinventing
-//! it. Uniqueness comes from the process id plus a process-wide counter, so
-//! parallel test threads never collide; the directory tree is removed on
-//! drop.
+//! the root `tests/store.rs` suite, the serving-layer tests and the crash
+//! soak in `scout-sim` — share this minimal helper instead of each
+//! reinventing it. Uniqueness comes from the process id plus a process-wide
+//! counter, so parallel test threads never collide; the directory tree is
+//! removed on drop.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

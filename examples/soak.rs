@@ -63,19 +63,19 @@ fn main() {
     println!("\n{}", report.table());
     println!("{}", report.timeline_table(40));
 
-    // The monitor session's own telemetry: one ingest per epoch, with the
-    // per-ingest latency recorded as a time series.
+    // The monitor session's own counters, and what each epoch cost the driver
+    // (probe + ingest).
     let stats = &run.session_stats;
-    let latency = stats.ingest_latency.summary();
+    let cost = run.incremental_cost.summary();
     println!(
         "session: {} ingests ({} events, {} empty batches), {} switches re-checked",
         stats.ingests, stats.events, stats.empty_batches, stats.rechecked_switches
     );
     println!(
-        "ingest latency: mean {:.1} µs, max {:.1} µs  {}",
-        latency.mean / 1e3,
-        latency.max / 1e3,
-        stats.ingest_latency.sparkline(40)
+        "epoch cost: mean {:.1} µs, max {:.1} µs  {}",
+        cost.mean / 1e3,
+        cost.max / 1e3,
+        run.incremental_cost.sparkline(40)
     );
 
     assert!(

@@ -49,6 +49,57 @@ fn single_switch_mutation_rechecks_identically() {
     assert_eq!(incremental.inconsistent_switches(), vec![victim]);
 }
 
+/// The host-independent form of "an incremental recheck is at least 5× cheaper
+/// than a full check": BDD op-cache lookups are a pure function of the inputs
+/// on a sequential checker, so the ratio is asserted on counts, not seconds.
+#[test]
+fn one_dirty_switch_costs_a_fifth_of_a_full_check_in_cache_lookups() {
+    fn lookups(checker: &EquivalenceChecker) -> u64 {
+        let stats = checker.cache_stats();
+        stats.hits + stats.misses
+    }
+
+    let mut fabric = deployed_scale_fabric(32);
+    let checker = EquivalenceChecker::with_parallelism(Parallelism::Sequential);
+    let baseline = checker.check_network(fabric.logical_rules(), &fabric.collect_tcam());
+    let cold = lookups(&checker);
+
+    // The count is determined by the inputs alone: a second fresh checker
+    // reproduces it exactly.
+    let fresh = EquivalenceChecker::with_parallelism(Parallelism::Sequential);
+    fresh.check_network(fabric.logical_rules(), &fabric.collect_tcam());
+    assert_eq!(
+        lookups(&fresh),
+        cold,
+        "cold-check lookups are not deterministic"
+    );
+
+    let checkpoint = fabric.epoch();
+    let victim = fabric.universe().switch_ids()[5];
+    fabric.remove_tcam_rules_where(victim, |r| r.matcher.ports.start % 2 == 0);
+    let dirty = fabric.dirty_switches_since(checkpoint);
+    assert_eq!(dirty, BTreeSet::from([victim]));
+    let tcam = fabric.collect_tcam();
+
+    // Incremental first, so the full check — not the recheck — is the one
+    // that finds the victim's new TCAM already warm.
+    let before = lookups(&checker);
+    let incremental_result =
+        checker.recheck_dirty(&baseline, fabric.logical_rules(), &tcam, &dirty);
+    let incremental = lookups(&checker) - before;
+    let before = lookups(&checker);
+    let full_result = checker.check_network(fabric.logical_rules(), &tcam);
+    let full = lookups(&checker) - before;
+
+    assert_eq!(full_result, incremental_result);
+    assert!(incremental > 0, "the recheck must have done BDD work");
+    assert!(
+        full >= 5 * incremental,
+        "1 dirty switch of 32 must cost at most a fifth of a warm full check: \
+         cold {cold}, warm full {full}, incremental {incremental} lookups"
+    );
+}
+
 #[test]
 fn multi_switch_mutations_recheck_identically() {
     let mut fabric = deployed_scale_fabric(16);

@@ -145,7 +145,6 @@ fn session_replay_of_200_epoch_soak_timeline_is_bit_identical() {
     assert_eq!(session.epoch(), 200);
     let stats = session.stats();
     assert_eq!(stats.ingests, 200);
-    assert_eq!(stats.ingest_latency.len(), 200);
     // The timeline actually exercised the machinery: most epochs carried
     // events, and plenty of deltas were visible to the operator.
     assert!(stats.events >= 200, "events: {}", stats.events);
