@@ -20,8 +20,8 @@
 
 use std::time::Instant;
 
-use scout_bench::{arg_value, has_flag};
-use scout_sim::{AnalysisMode, Campaign, Concurrency, WorkloadKind};
+use scout_bench::{arg_value, has_flag, threads_arg};
+use scout_sim::{AnalysisMode, Campaign, WorkloadKind};
 use scout_workload::{ClusterSpec, ScaleSpec, TestbedSpec};
 
 fn main() {
@@ -29,7 +29,6 @@ fn main() {
     let scenarios = arg_value(&args, "--scenarios", 200usize);
     let seed = arg_value(&args, "--seed", 42u64);
     let max_faults = arg_value(&args, "--max-faults", 3usize);
-    let threads = arg_value(&args, "--threads", 0usize);
     let workload_name: String = arg_value(&args, "--workload", "cluster".to_string());
     let golden = !has_flag(&args, "--no-golden");
 
@@ -43,11 +42,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let concurrency = match threads {
-        0 => Concurrency::Auto,
-        1 => Concurrency::Sequential,
-        n => Concurrency::Threads(n),
-    };
+    let concurrency = threads_arg(&args);
     let campaign = Campaign {
         max_faults,
         concurrency,

@@ -21,8 +21,8 @@
 
 use std::time::Instant;
 
-use scout_bench::{arg_value, has_flag};
-use scout_sim::{Concurrency, HostileCampaign, HostileKind, WorkloadKind};
+use scout_bench::{arg_value, has_flag, threads_arg};
+use scout_sim::{HostileCampaign, HostileKind, WorkloadKind};
 use scout_workload::{ClusterSpec, TestbedSpec};
 
 fn main() {
@@ -30,7 +30,6 @@ fn main() {
     let per_class = arg_value(&args, "--per-class", 100usize);
     let seed = arg_value(&args, "--seed", 42u64);
     let max_faults = arg_value(&args, "--max-faults", 3usize);
-    let threads = arg_value(&args, "--threads", 0usize);
     let workload_name: String = arg_value(&args, "--workload", "testbed".to_string());
     let golden = !has_flag(&args, "--no-golden");
 
@@ -42,11 +41,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let concurrency = match threads {
-        0 => Concurrency::Auto,
-        1 => Concurrency::Sequential,
-        n => Concurrency::Threads(n),
-    };
+    let concurrency = threads_arg(&args);
     let campaign = HostileCampaign {
         max_faults,
         concurrency,

@@ -28,6 +28,8 @@
 
 pub mod experiments;
 
+use scout_core::Parallelism;
+
 pub use experiments::{
     accuracy_sweep, accuracy_table, gamma_table, object_sharing, scalability, scalability_table,
     sharing_table, suspect_reduction, testbed_accuracy, testbed_suspect_reduction, AccuracyRow,
@@ -42,6 +44,16 @@ pub fn arg_value<T: std::str::FromStr>(args: &[String], flag: &str, default: T) 
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// Parses `--threads N` into the workspace's thread policy: 0 (or no flag)
+/// lets the machine decide, 1 is sequential, `n` asks for `n` workers.
+pub fn threads_arg(args: &[String]) -> Parallelism {
+    match arg_value(args, "--threads", 0usize) {
+        0 => Parallelism::Auto,
+        1 => Parallelism::Sequential,
+        n => Parallelism::Fixed(n),
+    }
 }
 
 /// Returns `true` if the flag is present among the CLI arguments.
@@ -76,5 +88,14 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert_eq!(arg_value(&args, "--runs", 30usize), 30);
+    }
+
+    #[test]
+    fn threads_arg_maps_zero_one_and_n() {
+        let parse = |value: &str| threads_arg(&["--threads".to_string(), value.to_string()]);
+        assert_eq!(threads_arg(&[]), Parallelism::Auto);
+        assert_eq!(parse("0"), Parallelism::Auto);
+        assert_eq!(parse("1"), Parallelism::Sequential);
+        assert_eq!(parse("4"), Parallelism::Fixed(4));
     }
 }

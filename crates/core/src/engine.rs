@@ -9,8 +9,8 @@
 //!   cache budgets, differential-oracle cadence, correlation library) so
 //!   every driver — campaigns, soak timelines, examples, tests — shares one
 //!   configuration surface with one default;
-//! * it owns a registry of [`AnalysisSession`]s, one per monitored fabric;
-//!   a session is opened from a fabric snapshot and thereafter driven by
+//! * it opens [`AnalysisSession`]s, one per monitored fabric; a session is
+//!   opened from a fabric snapshot and thereafter driven by
 //!   typed [`FabricEvent`](scout_fabric::FabricEvent) batches, each returning
 //!   a [`ReportDelta`](crate::ReportDelta);
 //! * for one-shot work it offers [`ScoutEngine::analyze`], the reference
@@ -23,8 +23,8 @@
 //! bit-identical to from-scratch analyses of the same fabric state.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use scout_equiv::{
     EquivalenceChecker, NetworkCheckResult, NodeTableKind, Parallelism, SwitchCheckResult,
@@ -75,14 +75,6 @@ impl OracleCadence {
     }
 }
 
-/// Number of lock-striped session-registry shards an engine uses by default.
-///
-/// Sessions register in the shard of their fabric id, so concurrent drivers
-/// monitoring different fabrics contend on different locks. 16 stripes keep
-/// contention negligible well past the thread counts the suites exercise
-/// while costing a few hundred bytes per engine.
-pub const DEFAULT_REGISTRY_SHARDS: usize = 16;
-
 /// The plain-data configuration of a [`ScoutEngine`].
 ///
 /// This is the one struct drivers embed (campaigns, timelines, bench bins all
@@ -99,8 +91,7 @@ pub const DEFAULT_REGISTRY_SHARDS: usize = 16;
 ///   worker after every check, silently discarding the caches the whole
 ///   incremental design depends on);
 /// * `parallelism` must not be [`Parallelism::Fixed`]`(0)` — ask for
-///   [`Parallelism::Sequential`] explicitly instead of a zero-thread pool;
-/// * `registry_shards` must be at least 1.
+///   [`Parallelism::Sequential`] explicitly instead of a zero-thread pool.
 ///
 /// Use [`EngineConfig::validate`] to check a configuration up front.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,10 +112,6 @@ pub struct EngineConfig {
     /// Differential-oracle cadence for drivers that cross-check incremental
     /// sessions against from-scratch analysis.
     pub oracle: OracleCadence,
-    /// Number of lock stripes in the engine's session registry (sessions are
-    /// sharded by fabric id). Must be at least 1; defaults to
-    /// [`DEFAULT_REGISTRY_SHARDS`].
-    pub registry_shards: usize,
 }
 
 impl Default for EngineConfig {
@@ -135,7 +122,6 @@ impl Default for EngineConfig {
             node_budget: DEFAULT_NODE_BUDGET,
             node_table: NodeTableKind::default(),
             oracle: OracleCadence::EveryEpoch,
-            registry_shards: DEFAULT_REGISTRY_SHARDS,
         }
     }
 }
@@ -167,9 +153,6 @@ impl EngineConfig {
         if self.parallelism == Parallelism::Fixed(0) {
             return Err(EngineBuildError::ZeroWorkerThreads);
         }
-        if self.registry_shards == 0 {
-            return Err(EngineBuildError::ZeroRegistryShards);
-        }
         Ok(())
     }
 }
@@ -186,9 +169,6 @@ pub enum EngineBuildError {
     /// `parallelism` was [`Parallelism::Fixed`]`(0)` — a zero-thread worker
     /// pool. Use [`Parallelism::Sequential`] for single-threaded checking.
     ZeroWorkerThreads,
-    /// `registry_shards` was 0 — the session registry needs at least one
-    /// stripe.
-    ZeroRegistryShards,
 }
 
 impl std::fmt::Display for EngineBuildError {
@@ -200,9 +180,6 @@ impl std::fmt::Display for EngineBuildError {
             EngineBuildError::ZeroWorkerThreads => f.write_str(
                 "parallelism Fixed(0) is a zero-thread pool; use Parallelism::Sequential",
             ),
-            EngineBuildError::ZeroRegistryShards => {
-                f.write_str("registry_shards must be at least 1")
-            }
         }
     }
 }
@@ -265,13 +242,6 @@ impl ScoutEngineBuilder {
         self
     }
 
-    /// Sets the number of lock stripes of the session registry (must be at
-    /// least 1; see [`EngineConfig::registry_shards`]).
-    pub fn registry_shards(mut self, shards: usize) -> Self {
-        self.config.registry_shards = shards;
-        self
-    }
-
     /// Sets the differential-oracle cadence.
     pub fn oracle(mut self, oracle: OracleCadence) -> Self {
         self.config.oracle = oracle;
@@ -298,45 +268,17 @@ impl ScoutEngineBuilder {
         let mut checker = EquivalenceChecker::with_parallelism(self.config.parallelism);
         checker.set_node_budget(self.config.node_budget);
         checker.set_node_table(self.config.node_table);
-        let shards: Vec<RegistryShard> = (0..self.config.registry_shards)
-            .map(|_| Mutex::new(BTreeMap::new()))
-            .collect();
         Ok(ScoutEngine {
             shared: Arc::new(EngineShared {
                 config: self.config,
                 correlation: self.correlation,
                 checker,
-                shards: shards.into_boxed_slice(),
-                next_session: AtomicU64::new(1),
+                open_sessions: AtomicUsize::new(0),
                 gauges: ServiceGauges::new(),
             }),
         })
     }
 }
-
-/// A process-unique handle to an open [`AnalysisSession`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SessionId(u64);
-
-impl std::fmt::Display for SessionId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "session-{}", self.0)
-    }
-}
-
-/// Registry metadata of one open session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionInfo {
-    /// The session's id.
-    pub id: SessionId,
-    /// The [`Fabric::id`] of the monitored fabric.
-    pub fabric_id: u64,
-    /// The fabric's change epoch at the moment the session was opened.
-    pub opened_at_epoch: u64,
-}
-
-/// One lock stripe of the sharded session registry.
-type RegistryShard = Mutex<BTreeMap<SessionId, SessionInfo>>;
 
 /// The engine state shared by the facade handle and every session it opened.
 #[derive(Debug)]
@@ -346,38 +288,17 @@ pub(crate) struct EngineShared {
     /// The warm checker behind the one-shot [`ScoutEngine::analyze`] path
     /// (sessions own private checkers so they never contend with it).
     checker: EquivalenceChecker,
-    /// The session registry, lock-striped by fabric id: concurrent drivers
-    /// monitoring different fabrics register and deregister on different
-    /// locks.
-    shards: Box<[RegistryShard]>,
-    next_session: AtomicU64,
+    /// Number of live sessions: a session counts itself in when it is built
+    /// and out when it drops. `Relaxed` suffices — the count publishes no
+    /// other data, and readers that need an exact value (leak checks) read it
+    /// after joining the threads that owned the sessions.
+    pub(crate) open_sessions: AtomicUsize,
     /// Admission counters shared by every serving thread fronting this
     /// engine (see [`ServiceGauges`]).
     gauges: ServiceGauges,
 }
 
-impl EngineShared {
-    /// The registry stripe responsible for `fabric_id`.
-    fn lock_shard(
-        &self,
-        fabric_id: u64,
-    ) -> std::sync::MutexGuard<'_, BTreeMap<SessionId, SessionInfo>> {
-        let index = (fabric_id % self.shards.len() as u64) as usize;
-        self.shards[index].lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub(crate) fn register(&self, info: SessionInfo) {
-        self.lock_shard(info.fabric_id).insert(info.id, info);
-    }
-
-    /// Removes a session from its fabric's stripe (recovering from a
-    /// poisoned lock, like every other registry access).
-    pub(crate) fn deregister(&self, fabric_id: u64, id: SessionId) {
-        self.lock_shard(fabric_id).remove(&id);
-    }
-}
-
-// The whole point of the sharded engine: one `Arc<ScoutEngine>` (or cheap
+// The whole point of the shared engine: one `Arc<ScoutEngine>` (or cheap
 // clones of the handle) can be driven from many threads at once. Compile-time
 // proof, so a non-Sync field can never sneak in unnoticed.
 const _: () = {
@@ -394,14 +315,13 @@ const _: () = {
 /// The long-lived SCOUT service facade.
 ///
 /// Cloning the handle is cheap and shares the same engine (configuration,
-/// session registry, warm one-shot checker); the handle is `Send + Sync`
+/// session count, warm one-shot checker); the handle is `Send + Sync`
 /// (checked at compile time), so an `Arc<ScoutEngine>` — or plain clones of
-/// the handle — can be driven from many threads at once. The session
-/// registry is lock-striped by fabric id ([`EngineConfig::registry_shards`]),
-/// so multi-tenant drivers that open, drop and restore sessions for
-/// different fabrics concurrently contend on different locks; per-session
-/// ingestion itself stays serialized (a session is `&mut self`-driven) and
-/// bit-identical to the sequential path.
+/// the handle — can be driven from many threads at once. Sessions share no
+/// mutable analysis state, so multi-tenant drivers open, drop and restore
+/// them concurrently without contention; per-session ingestion itself stays
+/// serialized (a session is `&mut self`-driven) and bit-identical to the
+/// sequential path.
 ///
 /// # Example
 ///
@@ -463,96 +383,38 @@ impl ScoutEngine {
     }
 
     /// Opens an [`AnalysisSession`] on a snapshot of `fabric`: the session
-    /// runs the full pipeline once, registers itself, and is thereafter
-    /// driven by [`AnalysisSession::ingest`] (event deltas) and/or
+    /// runs the full pipeline once and is thereafter driven by
+    /// [`AnalysisSession::ingest`] (event deltas) and/or
     /// [`AnalysisSession::analyze_clone`] (mutated clones of the snapshot).
     pub fn open_session(&self, fabric: &Fabric) -> AnalysisSession {
-        let id = SessionId(self.shared.next_session.fetch_add(1, Ordering::Relaxed));
-        let info = SessionInfo {
-            id,
-            fabric_id: fabric.id(),
-            opened_at_epoch: fabric.epoch(),
-        };
-        self.shared.register(info);
-        AnalysisSession::open(Arc::clone(&self.shared), id, fabric)
+        AnalysisSession::open(Arc::clone(&self.shared), fabric)
     }
 
     /// Restores an [`AnalysisSession`] from a checkpoint: rebuilds the
-    /// session around the snapshot's fabric-view mirror and report, registers
-    /// it under a fresh [`SessionId`], and replays the snapshot's tail of
-    /// post-checkpoint [`EventBatch`](scout_fabric::EventBatch)es through the
-    /// ordinary ingest path.
+    /// session around the snapshot's fabric-view mirror and report and
+    /// replays the snapshot's tail of post-checkpoint
+    /// [`EventBatch`](scout_fabric::EventBatch)es through the ordinary ingest
+    /// path.
     ///
     /// The restored session is bit-identical to one that never stopped —
     /// same `full_report()`, same future [`ReportDelta`](crate::ReportDelta)s
     /// for the same batches. A tail batch that fails to ingest (e.g. a
     /// sequencing gap introduced by a buggy producer) aborts the restore with
-    /// the session error; no session is left registered.
+    /// the session error; no session is left open.
     pub fn restore(
         &self,
         snapshot: &crate::snapshot::Snapshot,
     ) -> Result<AnalysisSession, crate::session::SessionError> {
-        let id = SessionId(self.shared.next_session.fetch_add(1, Ordering::Relaxed));
-        let info = SessionInfo {
-            id,
-            fabric_id: snapshot.fabric_id(),
-            opened_at_epoch: snapshot.open_epoch(),
-        };
-        self.shared.register(info);
-        let mut session = AnalysisSession::resume(Arc::clone(&self.shared), id, snapshot);
+        let mut session = AnalysisSession::resume(Arc::clone(&self.shared), snapshot);
         for batch in snapshot.tail() {
             session.ingest(batch.clone())?;
         }
         Ok(session)
     }
 
-    /// Registry metadata of every currently-open session, in id order.
-    ///
-    /// Shards are visited one at a time (never holding two stripe locks), so
-    /// a snapshot taken while sessions open and close concurrently is a
-    /// consistent-per-shard, possibly slightly stale union — fine for the
-    /// observability purpose it serves.
-    pub fn sessions(&self) -> Vec<SessionInfo> {
-        let mut infos: Vec<SessionInfo> = self
-            .shared
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                shard
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .values()
-                    .copied()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        infos.sort_by_key(|info| info.id);
-        infos
-    }
-
-    /// Registry metadata of the open sessions monitoring `fabric_id`, in id
-    /// order — a single-stripe read.
-    pub fn sessions_for_fabric(&self, fabric_id: u64) -> Vec<SessionInfo> {
-        self.shared
-            .lock_shard(fabric_id)
-            .values()
-            .copied()
-            .filter(|info| info.fabric_id == fabric_id)
-            .collect()
-    }
-
     /// Number of currently-open sessions.
     pub fn session_count(&self) -> usize {
-        self.shared
-            .shards
-            .iter()
-            .map(|shard| shard.lock().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
-    }
-
-    /// Number of lock stripes in the session registry.
-    pub fn shard_count(&self) -> usize {
-        self.shared.shards.len()
+        self.shared.open_sessions.load(Ordering::Relaxed)
     }
 
     /// The admission counters shared by every handle cloned from this
@@ -796,18 +658,10 @@ mod tests {
         let sa = engine.open_session(&a);
         let sb = engine.open_session(&b);
         assert_eq!(engine.session_count(), 2);
-        let infos = engine.sessions();
-        assert_eq!(infos.len(), 2);
-        assert_eq!(infos[0].id, sa.id());
-        assert_eq!(infos[0].fabric_id, a.id());
-        assert_eq!(infos[1].id, sb.id());
-        assert_ne!(sa.id(), sb.id());
-        // A cloned handle sees the same registry; dropping a session
-        // deregisters it.
+        // A cloned handle sees the same count; dropping a session lowers it.
         let handle = engine.clone();
         drop(sa);
         assert_eq!(handle.session_count(), 1);
-        assert_eq!(handle.sessions()[0].fabric_id, b.id());
         drop(sb);
         assert_eq!(engine.session_count(), 0);
     }
@@ -818,7 +672,6 @@ mod tests {
             .parallelism(Parallelism::Fixed(2))
             .node_budget(1 << 10)
             .oracle(OracleCadence::Never)
-            .registry_shards(4)
             .scout(ScoutConfig {
                 recent_window: None,
             })
@@ -829,8 +682,6 @@ mod tests {
         assert_eq!(config.node_budget, 1 << 10);
         assert_eq!(config.oracle, OracleCadence::Never);
         assert_eq!(config.scout.recent_window, None);
-        assert_eq!(config.registry_shards, 4);
-        assert_eq!(engine.shard_count(), 4);
         // Round-trip through the plain-data config.
         let copied = ScoutEngine::from_config(*config).unwrap();
         assert_eq!(copied.config(), config);
@@ -849,13 +700,6 @@ mod tests {
                 .unwrap_err(),
             EngineBuildError::ZeroWorkerThreads
         );
-        assert_eq!(
-            ScoutEngine::builder()
-                .registry_shards(0)
-                .build()
-                .unwrap_err(),
-            EngineBuildError::ZeroRegistryShards
-        );
         // The errors render actionable messages.
         assert!(EngineBuildError::ZeroNodeBudget
             .to_string()
@@ -863,9 +707,6 @@ mod tests {
         assert!(EngineBuildError::ZeroWorkerThreads
             .to_string()
             .contains("Sequential"));
-        assert!(EngineBuildError::ZeroRegistryShards
-            .to_string()
-            .contains("shard"));
         // Fixed(1) and Sequential remain valid single-threaded settings.
         assert!(ScoutEngine::builder()
             .parallelism(Parallelism::Fixed(1))
@@ -875,30 +716,6 @@ mod tests {
             .parallelism(Parallelism::Sequential)
             .build()
             .is_ok());
-    }
-
-    #[test]
-    fn sessions_land_in_fabric_shards() {
-        let mut a = Fabric::new(sample::three_tier());
-        a.deploy();
-        let b = a.clone();
-        let engine = ScoutEngine::builder().registry_shards(2).build().unwrap();
-        let sa = engine.open_session(&a);
-        let sb = engine.open_session(&b);
-        let sa2 = engine.open_session(&a);
-        assert_eq!(engine.session_count(), 3);
-        let for_a = engine.sessions_for_fabric(a.id());
-        assert_eq!(for_a.len(), 2);
-        assert!(for_a.iter().all(|info| info.fabric_id == a.id()));
-        assert_eq!(engine.sessions_for_fabric(b.id()).len(), 1);
-        assert_eq!(engine.sessions_for_fabric(0xDEAD_BEEF).len(), 0);
-        // The global listing is id-ordered across shards.
-        let ids: Vec<SessionId> = engine.sessions().iter().map(|i| i.id).collect();
-        assert_eq!(ids, vec![sa.id(), sb.id(), sa2.id()]);
-        drop(sa);
-        drop(sb);
-        drop(sa2);
-        assert_eq!(engine.session_count(), 0);
     }
 
     #[test]

@@ -72,7 +72,6 @@ pub use correlation::{
 };
 pub use engine::{
     EngineBuildError, EngineConfig, OracleCadence, ScoutEngine, ScoutEngineBuilder, ScoutReport,
-    SessionId, SessionInfo, DEFAULT_REGISTRY_SHARDS,
 };
 pub use gauges::{ServiceGauges, ServiceStats};
 pub use localization::{score_localize, scout_localize, Evidence, Hypothesis, ScoutConfig};
@@ -83,6 +82,9 @@ pub use risk::{
 };
 pub use session::{AnalysisSession, ReportDelta, ResyncRequest, SessionError, SessionStats};
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};
+// The thread policy every parallel stage resolves through, re-exported so
+// drivers that already depend on this crate can name it.
+pub use scout_equiv::Parallelism;
 
 #[cfg(test)]
 mod proptests {

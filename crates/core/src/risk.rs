@@ -15,7 +15,6 @@
 //! rule's provenance are marked as failed (§III-C).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::thread;
 
 use scout_equiv::Parallelism;
 use scout_policy::{EpgPair, LogicalRule, ObjectId, PolicyUniverse, SwitchEpgPair, SwitchId};
@@ -468,8 +467,8 @@ fn controller_risk_shard(
 }
 
 /// Like [`controller_risk_model`], but shards the derivation by switch across
-/// worker threads (resolved by [`Parallelism::worker_count`], the same policy
-/// the equivalence checker uses) and merges the per-shard models.
+/// worker threads ([`Parallelism::fan_out`], the same policy the equivalence
+/// checker uses) and merges the per-shard models in switch order.
 ///
 /// The `(switch, pair)` elements of the controller model partition cleanly by
 /// switch, so shards never contend over an element and the merged model is
@@ -481,21 +480,16 @@ pub fn controller_risk_model_sharded(
     parallelism: Parallelism,
 ) -> RiskModel<SwitchEpgPair> {
     let switches: Vec<SwitchId> = universe.switches().map(|s| s.id).collect();
-    let threads = parallelism.worker_count(switches.len());
-    if threads <= 1 {
+    if parallelism.worker_count(switches.len()) == 1 {
         return controller_risk_model(universe);
     }
-    let chunk_size = switches.len().div_ceil(threads);
-    let mut model = RiskModel::new();
-    thread::scope(|scope| {
-        let handles: Vec<_> = switches
-            .chunks(chunk_size)
-            .map(|chunk| scope.spawn(move || controller_risk_shard(universe, chunk)))
-            .collect();
-        for handle in handles {
-            model.merge(handle.join().expect("risk shard thread panicked"));
-        }
+    let shards = parallelism.fan_out(switches.len(), |_, range| {
+        controller_risk_shard(universe, &switches[range])
     });
+    let mut model = RiskModel::new();
+    for shard in shards {
+        model.merge(shard);
+    }
     model
 }
 

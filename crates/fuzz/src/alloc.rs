@@ -125,6 +125,10 @@ mod tests {
     }
 
     #[test]
+    // A raw scope on purpose: the forced interleaving needs exactly THREADS
+    // live threads at the barrier — a property of this test, not a work split
+    // for a thread policy to resolve.
+    #[allow(clippy::disallowed_methods)]
     fn concurrent_measurements_do_not_see_each_other() {
         const THREADS: usize = 4;
         const ITERATIONS: usize = 200;

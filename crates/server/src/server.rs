@@ -48,17 +48,11 @@ enum TenantBackend {
 }
 
 impl TenantBackend {
-    fn next_epoch(&self) -> u64 {
+    /// The analysis session either backend wraps — every read goes here.
+    fn session(&self) -> &AnalysisSession {
         match self {
-            TenantBackend::Memory(session) => session.next_epoch(),
-            TenantBackend::Durable(session) => session.next_epoch(),
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        match self {
-            TenantBackend::Memory(session) => session.epoch(),
-            TenantBackend::Durable(session) => session.epoch(),
+            TenantBackend::Memory(session) => session,
+            TenantBackend::Durable(session) => session.session(),
         }
     }
 
@@ -183,10 +177,9 @@ impl ScoutServer {
 
     /// `tenant`'s current full report, if open.
     pub fn full_report(&self, tenant: TenantId) -> Option<&scout_core::ScoutReport> {
-        self.tenants.get(&tenant).map(|backend| match backend {
-            TenantBackend::Memory(session) => session.full_report(),
-            TenantBackend::Durable(session) => session.full_report(),
-        })
+        self.tenants
+            .get(&tenant)
+            .map(|backend| backend.session().full_report())
     }
 
     /// Handles one wire-encoded request, always answering with a
@@ -243,7 +236,7 @@ impl ScoutServer {
                 }
             },
         };
-        let epoch = backend.epoch();
+        let epoch = backend.session().epoch();
         self.tenants.insert(tenant, backend);
         self.admission.register(tenant);
         ServerResponse::Opened { tenant, epoch }
@@ -256,7 +249,7 @@ impl ScoutServer {
         // Sequence check *before* admission: a mis-sequenced batch must not
         // poison the queue (drained batches are applied blind). The expected
         // epoch accounts for batches already parked ahead of this one.
-        let expected = backend.next_epoch() + self.admission.queue_depth(tenant) as u64;
+        let expected = backend.session().next_epoch() + self.admission.queue_depth(tenant) as u64;
         if batch.epoch != expected {
             let error = if batch.epoch < expected {
                 SessionError::EpochOutOfOrder {
@@ -314,18 +307,20 @@ impl ScoutServer {
             return ServerResponse::Error(ServerError::UnknownTenant { tenant });
         };
         match backend {
-            TenantBackend::Memory(session) => {
-                // Anything still parked is pre-gap traffic the resync
-                // supersedes; drop it before jumping the session forward.
-                for _ in self.admission.deregister(tenant) {
-                    self.engine.gauges().record_dequeued();
+            TenantBackend::Memory(session) => match session.resync(epoch, sync) {
+                Ok(delta) => {
+                    // Anything still parked is pre-gap traffic the resync
+                    // superseded. Flushed only now that the session has
+                    // accepted the resync: a rejected one (stale epoch) must
+                    // leave acknowledged batches and the quota untouched.
+                    for _ in self.admission.deregister(tenant) {
+                        self.engine.gauges().record_dequeued();
+                    }
+                    self.admission.register(tenant);
+                    ServerResponse::Resynced { tenant, delta }
                 }
-                self.admission.register(tenant);
-                match session.resync(epoch, sync) {
-                    Ok(delta) => ServerResponse::Resynced { tenant, delta },
-                    Err(error) => ServerResponse::Error(ServerError::Session { tenant, error }),
-                }
-            }
+                Err(error) => ServerResponse::Error(ServerError::Session { tenant, error }),
+            },
             TenantBackend::Durable(_) => ServerResponse::Error(ServerError::BadRequest {
                 reason: "resync is not supported for durable tenants: the journal must stay \
                          the complete epoch history"
@@ -364,21 +359,11 @@ impl ScoutServer {
     fn query(&self, tenant: TenantId) -> ServerResponse {
         match self.tenants.get(&tenant) {
             None => ServerResponse::Error(ServerError::UnknownTenant { tenant }),
-            Some(backend) => {
-                let (epoch, report) = match backend {
-                    TenantBackend::Memory(session) => {
-                        (session.epoch(), session.full_report().clone())
-                    }
-                    TenantBackend::Durable(session) => {
-                        (session.epoch(), session.full_report().clone())
-                    }
-                };
-                ServerResponse::Report {
-                    tenant,
-                    epoch,
-                    report,
-                }
-            }
+            Some(backend) => ServerResponse::Report {
+                tenant,
+                epoch: backend.session().epoch(),
+                report: backend.session().full_report().clone(),
+            },
         }
     }
 
@@ -406,7 +391,7 @@ impl ScoutServer {
                 });
             }
         }
-        let epoch = backend.epoch();
+        let epoch = backend.session().epoch();
         self.tenants.remove(&tenant);
         self.admission.deregister(tenant);
         ServerResponse::Closed { tenant, epoch }
@@ -698,6 +683,51 @@ mod tests {
             }),
             ServerResponse::Ingested { .. }
         ));
+    }
+
+    #[test]
+    fn rejected_resync_keeps_parked_batches_and_quota() {
+        let admission = AdmissionConfig {
+            quota_tokens: 1,
+            refill_per_tick: 0,
+            queue_capacity: 4,
+            policy: OverloadPolicy::Queue,
+        };
+        let mut srv = ScoutServer::new(ScoutEngine::new(), ServerConfig::in_memory(admission));
+        srv.handle(ServerRequest::OpenSession {
+            tenant: 1,
+            universe: sample::three_tier(),
+        });
+        let ingest = |srv: &mut ScoutServer, epoch| {
+            srv.handle(ServerRequest::Ingest {
+                tenant: 1,
+                batch: EventBatch::empty(epoch),
+            })
+        };
+        assert!(matches!(
+            ingest(&mut srv, 1),
+            ServerResponse::Ingested { .. }
+        ));
+        assert!(matches!(ingest(&mut srv, 2), ServerResponse::Queued { .. }));
+
+        // A stale resync (epoch 1 is already applied) is refused …
+        let mut fabric = Fabric::new(sample::three_tier());
+        fabric.deploy();
+        match srv.handle(ServerRequest::Resync {
+            tenant: 1,
+            epoch: 1,
+            sync: FullSync::of(&fabric),
+        }) {
+            ServerResponse::Error(ServerError::Session {
+                error: SessionError::EpochOutOfOrder { expected, got },
+                ..
+            }) => assert_eq!((expected, got), (2, 1)),
+            other => panic!("expected EpochOutOfOrder, got {other:?}"),
+        }
+        // … so the batch answered `Queued` is still owned, the spent token
+        // stays spent, and the shared gauge still matches the real queue.
+        assert_eq!((srv.queue_depth(1), srv.quota_tokens(1)), (1, 0));
+        assert_eq!(srv.engine().gauges().snapshot().queued, 1);
     }
 
     #[test]

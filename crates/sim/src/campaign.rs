@@ -3,33 +3,22 @@
 //!
 //! A [`Campaign`] fixes a workload, a scenario count, a disturbance mix and a
 //! seed; [`Campaign::run`] builds one [`ScoutEngine`] from the campaign's
-//! [`EngineConfig`], deploys the reference fabric once, opens an
-//! [`AnalysisSession`](scout_core::AnalysisSession) on it per worker thread,
-//! and drives every scenario through the full pipeline. Scenario `i` depends
-//! only on `mix_seed(campaign_seed, i)`, so the outcome vector — and the
+//! [`EngineConfig`], deploys the reference fabric once, fans the scenarios
+//! out over [`Campaign::concurrency`] with one
+//! [`AnalysisSession`](scout_core::AnalysisSession) per worker, and drives
+//! every scenario through the full pipeline. Scenario `i` depends only on
+//! `scenario_seed(campaign_seed, i)`, so the outcome vector — and the
 //! aggregate [`CampaignReport`] — is identical regardless of thread count or
 //! analysis mode.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use scout_core::{EngineConfig, ScoutEngine};
+use scout_core::{EngineConfig, Parallelism, ScoutEngine};
 use scout_fabric::Fabric;
 use scout_metrics::{fmt3, fmt_mean, Cdf, Summary, Table};
 
 use crate::scenario::{run_scenario, ScenarioKind, ScenarioMix, ScenarioOutcome, WorkloadKind};
-
-/// How many worker threads a campaign uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Concurrency {
-    /// One worker per available core, capped by the scenario count.
-    #[default]
-    Auto,
-    /// Single-threaded execution.
-    Sequential,
-    /// Exactly this many workers (at least 1).
-    Threads(usize),
-}
 
 /// Whether scenario analyses reuse the per-worker session snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -57,7 +46,7 @@ pub struct Campaign {
     /// The campaign seed; scenario `i` derives its own seed from it.
     pub seed: u64,
     /// Worker-thread policy.
-    pub concurrency: Concurrency,
+    pub concurrency: Parallelism,
     /// Session reuse policy.
     pub analysis: AnalysisMode,
     /// The analysis-engine configuration (localization knobs, checker
@@ -75,19 +64,9 @@ impl Campaign {
             max_faults: 3,
             mix: ScenarioMix::default(),
             seed,
-            concurrency: Concurrency::Auto,
+            concurrency: Parallelism::Auto,
             analysis: AnalysisMode::Incremental,
             engine: EngineConfig::default(),
-        }
-    }
-
-    fn thread_count(&self) -> usize {
-        match self.concurrency {
-            Concurrency::Sequential => 1,
-            Concurrency::Threads(n) => n.max(1),
-            Concurrency::Auto => std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .min(self.scenarios.max(1)),
         }
     }
 
@@ -112,67 +91,35 @@ impl Campaign {
         let mut base = Fabric::new(self.workload.generate(self.seed));
         base.deploy();
 
-        let threads = self.thread_count();
-        let outcomes = if threads <= 1 {
-            self.worker(engine, &base, 0, 1)
-                .into_iter()
-                .map(|(_, outcome)| outcome)
-                .collect()
-        } else {
-            let mut slots: Vec<Option<ScenarioOutcome>> = vec![None; self.scenarios];
-            std::thread::scope(|scope| {
-                let base = &base;
-                let handles: Vec<_> = (0..threads)
-                    .map(|worker| scope.spawn(move || self.worker(engine, base, worker, threads)))
-                    .collect();
-                for handle in handles {
-                    for (index, outcome) in handle.join().expect("campaign worker panicked") {
-                        slots[index] = Some(outcome);
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every scenario index is covered"))
-                .collect()
-        };
+        // Each worker opens a private session on the shared engine, so the
+        // warm BDD caches and the pristine risk model are reused across its
+        // scenarios without any cross-thread synchronization.
+        let outcomes = self
+            .concurrency
+            .fan_out(self.scenarios, |_, range| {
+                let mut session = engine.open_session(&base);
+                range
+                    .map(|index| {
+                        run_scenario(
+                            &mut session,
+                            self.analysis,
+                            &base,
+                            index,
+                            scenario_seed(self.seed, index),
+                            self.max_faults,
+                            &self.mix,
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
 
         CampaignRun {
             outcomes,
             elapsed: start.elapsed(),
         }
-    }
-
-    /// Runs the scenario indices `worker, worker + stride, …` on one thread.
-    ///
-    /// Each worker opens a private [`AnalysisSession`](scout_core::AnalysisSession)
-    /// on the shared engine, so the warm BDD caches and the pristine risk
-    /// model are reused across its scenarios without any cross-thread
-    /// synchronization.
-    fn worker(
-        &self,
-        engine: &ScoutEngine,
-        base: &Fabric,
-        worker: usize,
-        stride: usize,
-    ) -> Vec<(usize, ScenarioOutcome)> {
-        let mut session = engine.open_session(base);
-        (worker..self.scenarios)
-            .step_by(stride.max(1))
-            .map(|index| {
-                let seed = scenario_seed(self.seed, index);
-                let outcome = run_scenario(
-                    &mut session,
-                    self.analysis,
-                    base,
-                    index,
-                    seed,
-                    self.max_faults,
-                    &self.mix,
-                );
-                (index, outcome)
-            })
-            .collect()
     }
 }
 
@@ -405,11 +352,11 @@ mod tests {
     #[test]
     fn campaign_is_deterministic_across_thread_counts() {
         let sequential = Campaign {
-            concurrency: Concurrency::Sequential,
+            concurrency: Parallelism::Sequential,
             ..small_campaign(42)
         };
         let threaded = Campaign {
-            concurrency: Concurrency::Threads(4),
+            concurrency: Parallelism::Fixed(4),
             ..small_campaign(42)
         };
         let a = sequential.run();
@@ -418,7 +365,7 @@ mod tests {
         assert_eq!(a.report(), b.report());
         // A different seed produces a different campaign.
         let c = Campaign {
-            concurrency: Concurrency::Sequential,
+            concurrency: Parallelism::Sequential,
             ..small_campaign(43)
         }
         .run();
@@ -454,7 +401,7 @@ mod tests {
     fn single_scenario_report_is_well_formed() {
         let campaign = Campaign {
             scenarios: 1,
-            concurrency: Concurrency::Sequential,
+            concurrency: Parallelism::Sequential,
             mix: ScenarioMix::object_faults_only(),
             ..small_campaign(3)
         };

@@ -22,15 +22,14 @@
 //! suite pins this soak as a regression test.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 
 use scout_core::{ScoutEngine, ScoutReport};
-use scout_fabric::{CorruptionKind, EventBatch, Fabric, FabricProbe};
+use scout_fabric::{EventBatch, Fabric, FabricProbe};
 use scout_store::test_dir::TestDir;
 use scout_store::{CrashPlan, DurableEngine, DurableSession, StoreConfig, StoreError};
-use scout_workload::{add_random_filter, random_policy_edit};
 
+use crate::churn::soak_step;
 use crate::scenario::WorkloadKind;
 
 /// A seeded kill-and-recover soak against one durable session.
@@ -73,53 +72,6 @@ pub struct CrashSoakReport {
     pub segments_removed: u64,
     /// The session's final epoch (equals `epochs`).
     pub final_epoch: u64,
-}
-
-/// One epoch of soak-style churn — the same disturbance mix the enforced
-/// checkpoint/session replays use.
-fn disturb(fabric: &mut Fabric, rng: &mut StdRng) {
-    let switch_ids = fabric.universe().switch_ids();
-    let &switch = switch_ids.choose(rng).expect("workloads have switches");
-    match rng.gen_range(0u32..8) {
-        0 => {
-            let port = rng.gen_range(0u16..7);
-            fabric.remove_tcam_rules_where(switch, |r| r.matcher.ports.start % 7 == port);
-        }
-        1 => {
-            let kind = *[
-                CorruptionKind::VrfBit,
-                CorruptionKind::SrcEpgBit,
-                CorruptionKind::ActionFlip,
-            ]
-            .choose(rng)
-            .unwrap();
-            fabric.corrupt_tcam(switch, rng.gen_range(0usize..8), kind);
-        }
-        2 => {
-            fabric.evict_tcam(switch, rng.gen_range(1usize..3), rng.gen_bool(0.5));
-        }
-        3 => {
-            fabric.disconnect_switch(switch);
-        }
-        4 => {
-            fabric.crash_agent(switch);
-        }
-        5 => {
-            fabric.repair_switch(switch);
-        }
-        6 => {
-            let universe = fabric.universe().clone();
-            if let Some(edit) = add_random_filter(&universe, rng) {
-                fabric.update_policy(edit.universe);
-            }
-        }
-        _ => {
-            let universe = fabric.universe().clone();
-            if let Some(edit) = random_policy_edit(&universe, rng) {
-                fabric.update_policy(edit.universe);
-            }
-        }
-    }
 }
 
 impl CrashSoak {
@@ -205,7 +157,7 @@ impl CrashSoak {
         };
 
         for epoch in 1..=self.epochs as u64 {
-            disturb(&mut fabric, &mut rng);
+            soak_step(&mut fabric, &mut rng);
             let batch = EventBatch::new(epoch, probe.observe(&fabric));
             batches.push(batch.clone());
             reference

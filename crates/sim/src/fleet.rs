@@ -1,14 +1,13 @@
-//! Fleet soak: many tenants through the **serving layer**, not the library.
+//! Fleet soak: many tenants through the **serving layer**, not the library —
+//! the workspace's one M-tenants × T-threads driver.
 //!
-//! [`MultiTenantSoak`](crate::multi::MultiTenantSoak) proves the engine's
-//! concurrency contract by driving [`AnalysisSession`]s directly.
-//! [`FleetSoak`] raises the bar one layer: every batch now crosses the
-//! `scout-server` front door — wire-encoded [`ServerRequest`]s through
-//! [`ScoutServer::handle_bytes`], past admission control (token quotas,
-//! bounded FIFO queues, shed-and-retry), into per-tenant sessions on **one**
-//! shared [`ScoutEngine`]. The soak records queue and shed counts and the
-//! full per-tenant delta stream, so the enforced root suite `tests/server.rs`
-//! can pin the serving layer's headline contract:
+//! Every batch crosses the `scout-server` front door — wire-encoded
+//! [`ServerRequest`]s through [`ScoutServer::handle_bytes`], past admission
+//! control (token quotas, bounded FIFO queues, shed-and-retry), into
+//! per-tenant sessions on **one** shared [`ScoutEngine`]. The soak records
+//! queue and shed counts and the full per-tenant delta stream, so the
+//! enforced root suite `tests/server.rs` can pin the serving layer's
+//! headline contract:
 //!
 //! * front-door results are **bit-identical** to a direct single-threaded
 //!   engine replay of the same recorded batches ([`FleetSoak::direct_replay`]);
@@ -20,24 +19,21 @@
 //! by the `benchmark/` package, with workload generation outside the timed
 //! window.
 //!
-//! Each worker thread owns its own [`ScoutServer`] node (sessions are
-//! single-owner, exactly like a sharded deployment) while all nodes share the
-//! engine — the same worker-strided layout as the multi-tenant soak.
-//!
-//! [`AnalysisSession`]: scout_core::AnalysisSession
+//! Tenants fan out over [`FleetSoak::threads`]; each worker owns its own
+//! [`ScoutServer`] node (sessions are single-owner, exactly like a sharded
+//! deployment) while all nodes share the engine.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-use scout_core::{EngineConfig, ReportDelta, ScoutEngine, ScoutReport};
+use scout_core::{EngineConfig, Parallelism, ReportDelta, ScoutEngine, ScoutReport};
 use scout_fabric::wire::{from_bytes, to_bytes};
 use scout_fabric::{EventBatch, Fabric, FabricProbe};
 use scout_server::{
     AdmissionConfig, ScoutServer, ServerConfig, ServerRequest, ServerResponse, TenantId,
 };
-use scout_workload::random_policy_edit;
 
+use crate::churn::fleet_step;
 use crate::scenario::WorkloadKind;
 
 /// A fleet soak configuration: M tenants through wire-encoded server requests
@@ -54,9 +50,8 @@ pub struct FleetSoak {
     pub epochs: usize,
     /// The base seed for both policy generation and fabric churn.
     pub base_seed: u64,
-    /// Number of serving threads (clamped to the tenant count; at least 1).
-    /// Each thread runs its own [`ScoutServer`] node.
-    pub threads: usize,
+    /// Serving-thread policy; each worker runs its own [`ScoutServer`] node.
+    pub threads: Parallelism,
     /// The admission policy every node applies in front of its tenants.
     pub admission: AdmissionConfig,
     /// The shared engine's configuration.
@@ -64,15 +59,15 @@ pub struct FleetSoak {
 }
 
 impl FleetSoak {
-    /// A fleet soak with the default admission policy and engine
-    /// configuration.
+    /// A fleet soak with one serving thread per tenant and the default
+    /// admission policy and engine configuration.
     pub fn new(workload: WorkloadKind, tenants: usize, epochs: usize, base_seed: u64) -> Self {
         Self {
             workload,
             tenants,
             epochs,
             base_seed,
-            threads: tenants.max(1),
+            threads: Parallelism::Fixed(tenants),
             admission: AdmissionConfig::default(),
             engine: EngineConfig::default(),
         }
@@ -100,28 +95,7 @@ impl FleetSoak {
         let mut rng = StdRng::seed_from_u64(self.base_seed ^ 0xF1EE_7500 ^ ((index as u64) << 17));
         (1..=self.epochs as u64)
             .map(|epoch| {
-                let switch_ids = fabric.universe().switch_ids();
-                let &switch = switch_ids.choose(&mut rng).unwrap();
-                match rng.gen_range(0u32..5) {
-                    0 => {
-                        let port = rng.gen_range(0u16..7);
-                        fabric
-                            .remove_tcam_rules_where(switch, |r| r.matcher.ports.start % 7 == port);
-                    }
-                    1 => {
-                        fabric.evict_tcam(switch, rng.gen_range(1usize..3), true);
-                    }
-                    2 => {
-                        fabric.repair_switch(switch);
-                    }
-                    3 => {
-                        let universe = fabric.universe().clone();
-                        if let Some(edit) = random_policy_edit(&universe, &mut rng) {
-                            fabric.update_policy(edit.universe);
-                        }
-                    }
-                    _ => {}
-                }
+                fleet_step(&mut fabric, &mut rng);
                 EventBatch::new(epoch, probe.observe(&fabric))
             })
             .collect()
@@ -152,46 +126,21 @@ impl FleetSoak {
     pub fn run(&self) -> FleetRun {
         let engine = ScoutEngine::from_config(self.engine)
             .expect("fleet engine config is degenerate (see EngineConfig::validate)");
-        let threads = self.threads.clamp(1, self.tenants.max(1));
-
-        let mut outcomes: Vec<Option<TenantOutcome>> = (0..self.tenants).map(|_| None).collect();
-        if threads <= 1 {
-            let mut server =
-                ScoutServer::new(engine.clone(), ServerConfig::in_memory(self.admission));
-            for (tenant, slot) in outcomes.iter_mut().enumerate() {
-                *slot = Some(self.serve_tenant(&mut server, tenant));
-            }
-        } else {
-            std::thread::scope(|scope| {
-                let engine = &engine;
-                let handles: Vec<_> = (0..threads)
-                    .map(|worker| {
-                        scope.spawn(move || {
-                            let mut server = ScoutServer::new(
-                                engine.clone(),
-                                ServerConfig::in_memory(self.admission),
-                            );
-                            (worker..self.tenants)
-                                .step_by(threads)
-                                .map(|tenant| (tenant, self.serve_tenant(&mut server, tenant)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    for (tenant, outcome) in handle.join().expect("serving thread panicked") {
-                        outcomes[tenant] = Some(outcome);
-                    }
-                }
-            });
-        }
-
+        let outcomes = self
+            .threads
+            .fan_out(self.tenants, |_, range| {
+                let mut server =
+                    ScoutServer::new(engine.clone(), ServerConfig::in_memory(self.admission));
+                range
+                    .map(|tenant| self.serve_tenant(&mut server, tenant))
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
         FleetRun {
-            outcomes: outcomes
-                .into_iter()
-                .map(|slot| slot.expect("every tenant index is covered"))
-                .collect(),
-            threads,
+            outcomes,
+            threads: self.threads.worker_count(self.tenants),
         }
     }
 
@@ -351,7 +300,7 @@ mod tests {
             tcam_capacity: 1024,
         };
         FleetSoak {
-            threads,
+            threads: Parallelism::Fixed(threads),
             ..FleetSoak::new(WorkloadKind::Testbed(spec), tenants, 12, 29)
         }
     }

@@ -28,15 +28,14 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use scout_core::{
-    score_localize, AnalysisSession, EngineConfig, PartialDiagnosis, ScoutEngine, ScoutReport,
-    SessionError,
+    score_localize, AnalysisSession, EngineConfig, Parallelism, PartialDiagnosis, ScoutEngine,
+    ScoutReport, SessionError,
 };
 use scout_fabric::{EventBatch, Fabric, FabricEvent, FabricProbe, FaultKind, FaultLog, Severity};
 use scout_faults::{FaultInjector, ObjectFaultKind};
 use scout_metrics::{fmt_mean, Accuracy, RankQuality, Summary, Table};
 use scout_policy::{ObjectId, SwitchId, TcamRule};
 
-use crate::campaign::Concurrency;
 use crate::scenario::WorkloadKind;
 
 /// The hostile disturbance classes, in report order.
@@ -114,7 +113,7 @@ pub struct HostileCampaign {
     /// The campaign seed; scenario `i` of each class derives its own seed.
     pub seed: u64,
     /// Worker-thread policy.
-    pub concurrency: Concurrency,
+    pub concurrency: Parallelism,
     /// The analysis-engine configuration every scenario runs under.
     pub engine: EngineConfig,
 }
@@ -128,23 +127,13 @@ impl HostileCampaign {
             per_class,
             max_faults: 3,
             seed,
-            concurrency: Concurrency::Auto,
+            concurrency: Parallelism::Auto,
             engine: EngineConfig::default(),
         }
     }
 
     fn total(&self) -> usize {
         self.per_class * HostileKind::ALL.len()
-    }
-
-    fn thread_count(&self) -> usize {
-        match self.concurrency {
-            Concurrency::Sequential => 1,
-            Concurrency::Threads(n) => n.max(1),
-            Concurrency::Auto => std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .min(self.total().max(1)),
-        }
     }
 
     /// Deploys the reference fabric and runs every scenario of every class
@@ -165,66 +154,36 @@ impl HostileCampaign {
         let mut base = Fabric::new(self.workload.generate(self.seed));
         base.deploy();
 
-        let threads = self.thread_count();
-        let outcomes = if threads <= 1 {
-            self.worker(engine, &base, 0, 1)
-                .into_iter()
-                .map(|(_, outcome)| outcome)
-                .collect()
-        } else {
-            let mut slots: Vec<Option<HostileOutcome>> = vec![None; self.total()];
-            std::thread::scope(|scope| {
-                let base = &base;
-                let handles: Vec<_> = (0..threads)
-                    .map(|worker| scope.spawn(move || self.worker(engine, base, worker, threads)))
-                    .collect();
-                for handle in handles {
-                    for (index, outcome) in handle.join().expect("hostile worker panicked") {
-                        slots[index] = Some(outcome);
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every scenario index is covered"))
-                .collect()
-        };
+        // One-shot classes share their worker's base session (the campaign
+        // pattern); streaming classes open a private session per scenario,
+        // since each one drives its own epoch sequence.
+        let outcomes = self
+            .concurrency
+            .fan_out(self.total(), |_, range| {
+                let mut base_session = engine.open_session(&base);
+                range
+                    .map(|index| {
+                        let kind = HostileKind::ALL[index / self.per_class];
+                        run_hostile_scenario(
+                            engine,
+                            &mut base_session,
+                            &base,
+                            index,
+                            hostile_seed(self.seed, kind, index % self.per_class),
+                            kind,
+                            self.max_faults,
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
 
         HostileRun {
             outcomes,
             elapsed: start.elapsed(),
         }
-    }
-
-    /// Runs the scenario indices `worker, worker + stride, …` on one thread.
-    /// One-shot classes share the worker's base session (the campaign
-    /// pattern); streaming classes open a private session per scenario, since
-    /// each one drives its own epoch sequence.
-    fn worker(
-        &self,
-        engine: &ScoutEngine,
-        base: &Fabric,
-        worker: usize,
-        stride: usize,
-    ) -> Vec<(usize, HostileOutcome)> {
-        let mut base_session = engine.open_session(base);
-        (worker..self.total())
-            .step_by(stride.max(1))
-            .map(|index| {
-                let kind = HostileKind::ALL[index / self.per_class];
-                let seed = hostile_seed(self.seed, kind, index % self.per_class);
-                let outcome = run_hostile_scenario(
-                    engine,
-                    &mut base_session,
-                    base,
-                    index,
-                    seed,
-                    kind,
-                    self.max_faults,
-                );
-                (index, outcome)
-            })
-            .collect()
     }
 }
 
@@ -839,7 +798,7 @@ mod tests {
     fn small_campaign(seed: u64) -> HostileCampaign {
         HostileCampaign {
             max_faults: 2,
-            concurrency: Concurrency::Sequential,
+            concurrency: Parallelism::Sequential,
             ..HostileCampaign::new(WorkloadKind::Testbed(TestbedSpec::paper()), 6, seed)
         }
     }
@@ -848,7 +807,7 @@ mod tests {
     fn hostile_campaign_is_deterministic_across_thread_counts() {
         let sequential = small_campaign(42);
         let threaded = HostileCampaign {
-            concurrency: Concurrency::Threads(4),
+            concurrency: Parallelism::Fixed(4),
             ..small_campaign(42)
         };
         let a = sequential.run();

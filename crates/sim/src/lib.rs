@@ -38,15 +38,22 @@
 //! [`EngineConfig`](scout_core::EngineConfig) carried by [`Campaign::engine`]
 //! and [`Timeline::engine`].
 //!
+//! Each recurring piece exists once: every driver that spreads independent
+//! items over threads ([`Campaign`], [`HostileCampaign`], [`FleetSoak`])
+//! takes a [`Parallelism`] and fans out through
+//! [`Parallelism::fan_out`]; [`FleetSoak`] is the one M-tenants × T-threads
+//! driver; and the seeded churn steps the differential suites replay live in
+//! [`churn`].
+//!
 //! # Example
 //!
 //! ```
-//! use scout_sim::{Campaign, Concurrency, WorkloadKind};
+//! use scout_sim::{Campaign, Parallelism, WorkloadKind};
 //! use scout_workload::TestbedSpec;
 //!
 //! let campaign = Campaign {
 //!     scenarios: 8,
-//!     concurrency: Concurrency::Sequential,
+//!     concurrency: Parallelism::Sequential,
 //!     ..Campaign::new(WorkloadKind::Testbed(TestbedSpec::paper()), 8, 42)
 //! };
 //! let run = campaign.run();
@@ -60,28 +67,25 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+pub mod churn;
 pub mod crash;
 pub mod fleet;
 pub mod hostile;
-pub mod multi;
 pub mod scenario;
 pub mod soak;
 
-pub use campaign::{
-    scenario_seed, AnalysisMode, Campaign, CampaignReport, CampaignRun, Concurrency, KindStats,
-};
+pub use campaign::{scenario_seed, AnalysisMode, Campaign, CampaignReport, CampaignRun, KindStats};
 pub use crash::{CrashSoak, CrashSoakReport};
 pub use fleet::{FleetRun, FleetSoak, TenantOutcome};
 pub use hostile::{
     hostile_seed, HostileCampaign, HostileClassStats, HostileKind, HostileOutcome, HostileReport,
     HostileRun,
 };
-pub use multi::{MultiTenantRun, MultiTenantSoak};
 pub use scenario::{run_scenario, ScenarioKind, ScenarioMix, ScenarioOutcome, WorkloadKind};
 pub use soak::{
     EpochRecord, FaultRecord, SoakFaultKind, SoakOutcome, SoakReport, SoakRun, Timeline,
 };
 
-// The oracle cadence is engine configuration now; re-exported here because
-// soak drivers are its main consumers.
-pub use scout_core::OracleCadence;
+// The oracle cadence and the thread policy are defined below this crate;
+// re-exported here because the drivers' config structs carry them.
+pub use scout_core::{OracleCadence, Parallelism};

@@ -461,7 +461,7 @@ impl Timeline {
     ///
     /// This is the multi-tenant path: a `ScoutEngine` is `Send + Sync`, so
     /// many timelines can run concurrently against one engine, each opening
-    /// its own monitor session (see [`MultiTenantSoak`](crate::MultiTenantSoak)).
+    /// its own monitor session (`tests/multi_tenant.rs` does exactly that).
     /// The engine's configuration governs the analysis and the oracle
     /// cadence; [`Timeline::engine`] is consulted only by [`Timeline::run`].
     /// For a given seed the outcome is bit-identical whether the engine is

@@ -21,11 +21,11 @@
 //! | [`equiv`] | `scout-equiv` | L–T equivalence checker (missing-rule detection) |
 //! | [`faults`] | `scout-faults` | object-level and physical-level fault injection |
 //! | [`workload`] | `scout-workload` | cluster / testbed / scaling policy generators |
-//! | [`core`] | `scout-core` | risk models, SCOUT & SCORE localization, correlation engine, sharded `Send + Sync` service engine with delta-driven sessions and checkpoint/restore snapshots |
+//! | [`core`] | `scout-core` | risk models, SCOUT & SCORE localization, correlation engine, shared `Send + Sync` service engine with delta-driven sessions and checkpoint/restore snapshots |
 //! | [`metrics`] | `scout-metrics` | precision/recall/γ, CDFs, run statistics |
 //! | [`store`] | `scout-store` | durable hash-chained event journal + snapshot anchor store with tamper-evident crash recovery |
 //! | [`server`] | `scout-server` | the serving layer: typed wire API, per-tenant admission control, and a simulated multi-node cluster with leader-driven failover |
-//! | [`sim`] | `scout-sim` | randomized fault campaigns, soak timelines, multi-tenant and fleet soaks, and crash-injection soaks against one shared engine |
+//! | [`sim`] | `scout-sim` | randomized fault campaigns, soak timelines, the fleet soak through the serving layer, and crash-injection soaks against one shared engine |
 //!
 //! `ARCHITECTURE.md` at the repo root walks the whole pipeline crate by
 //! crate, including the session/delta data flow and where sharding and
@@ -91,8 +91,8 @@ pub mod prelude {
         ServerError, ServerRequest, ServerResponse,
     };
     pub use scout_sim::{
-        Campaign, CampaignReport, CrashSoak, CrashSoakReport, FleetSoak, MultiTenantSoak,
-        ScenarioKind, ScenarioMix, SoakReport, Timeline, WorkloadKind,
+        Campaign, CampaignReport, CrashSoak, CrashSoakReport, FleetSoak, ScenarioKind, ScenarioMix,
+        SoakReport, Timeline, WorkloadKind,
     };
     pub use scout_store::{
         verify_dir, CrashPlan, DurableEngine, DurableSession, StoreConfig, StoreError, StoreSummary,

@@ -5,7 +5,7 @@
 
 use scout::core::ScoutEngine;
 use scout::fabric::Fabric;
-use scout::sim::{AnalysisMode, Campaign, Concurrency, ScenarioMix, WorkloadKind};
+use scout::sim::{AnalysisMode, Campaign, Parallelism, ScenarioMix, WorkloadKind};
 use scout::workload::{ClusterSpec, ScaleSpec, TestbedSpec};
 
 fn small_testbed() -> WorkloadKind {
@@ -92,18 +92,18 @@ fn campaign_outcomes_satisfy_localization_invariants() {
 fn campaigns_are_deterministic_per_seed() {
     let base = Campaign {
         max_faults: 3,
-        concurrency: Concurrency::Sequential,
+        concurrency: Parallelism::Sequential,
         ..Campaign::new(small_testbed(), 24, 99)
     };
     let reference = base.run();
     let threaded = Campaign {
-        concurrency: Concurrency::Threads(4),
+        concurrency: Parallelism::Fixed(4),
         ..base
     }
     .run();
     let scratch = Campaign {
         analysis: AnalysisMode::FromScratch,
-        concurrency: Concurrency::Threads(2),
+        concurrency: Parallelism::Fixed(2),
         ..base
     }
     .run();

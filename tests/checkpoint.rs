@@ -16,12 +16,12 @@
 //!   and the oracle must agree bit-for-bit at every epoch.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use scout::core::{ScoutEngine, Snapshot};
-use scout::fabric::{CorruptionKind, EventBatch, Fabric, FabricProbe};
-use scout::workload::{add_random_filter, random_policy_edit, TestbedSpec};
+use scout::fabric::{EventBatch, Fabric, FabricProbe};
+use scout::sim::churn::soak_step;
+use scout::workload::TestbedSpec;
 
 fn testbed_fabric(seed: u64) -> Fabric {
     let spec = TestbedSpec {
@@ -35,52 +35,6 @@ fn testbed_fabric(seed: u64) -> Fabric {
     let mut fabric = Fabric::new(spec.generate(seed));
     fabric.deploy();
     fabric
-}
-
-/// One epoch of soak-style churn (same mix as the enforced session replay).
-fn disturb(fabric: &mut Fabric, rng: &mut StdRng) {
-    let switch_ids = fabric.universe().switch_ids();
-    let &switch = switch_ids.choose(rng).expect("workloads have switches");
-    match rng.gen_range(0u32..8) {
-        0 => {
-            let port = rng.gen_range(0u16..7);
-            fabric.remove_tcam_rules_where(switch, |r| r.matcher.ports.start % 7 == port);
-        }
-        1 => {
-            let kind = *[
-                CorruptionKind::VrfBit,
-                CorruptionKind::SrcEpgBit,
-                CorruptionKind::ActionFlip,
-            ]
-            .choose(rng)
-            .unwrap();
-            fabric.corrupt_tcam(switch, rng.gen_range(0usize..8), kind);
-        }
-        2 => {
-            fabric.evict_tcam(switch, rng.gen_range(1usize..3), rng.gen_bool(0.5));
-        }
-        3 => {
-            fabric.disconnect_switch(switch);
-        }
-        4 => {
-            fabric.crash_agent(switch);
-        }
-        5 => {
-            fabric.repair_switch(switch);
-        }
-        6 => {
-            let universe = fabric.universe().clone();
-            if let Some(edit) = add_random_filter(&universe, rng) {
-                fabric.update_policy(edit.universe);
-            }
-        }
-        _ => {
-            let universe = fabric.universe().clone();
-            if let Some(edit) = random_policy_edit(&universe, rng) {
-                fabric.update_policy(edit.universe);
-            }
-        }
-    }
 }
 
 #[test]
@@ -100,7 +54,7 @@ fn checkpoint_restore_mid_soak_is_bit_identical_to_uninterrupted_session() {
     let mut restored: Option<scout::core::AnalysisSession> = None;
 
     for epoch in 1..=EPOCHS {
-        disturb(&mut fabric, &mut rng);
+        soak_step(&mut fabric, &mut rng);
         let batch = EventBatch::new(live.next_epoch(), probe.observe(&fabric));
 
         // The crash window: batches delivered after the checkpoint also land

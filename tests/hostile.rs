@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use scout::core::{ScoutEngine, SessionError};
 use scout::fabric::{Fabric, FabricProbe};
-use scout::sim::{Concurrency, HostileCampaign, HostileKind, WorkloadKind};
+use scout::sim::{HostileCampaign, HostileKind, Parallelism, WorkloadKind};
 use scout::workload::TestbedSpec;
 
 /// The committed hostile sweep: the paper's testbed workload, seed 42,
@@ -101,12 +101,12 @@ fn hostile_sweep_meets_the_committed_accuracy_floors() {
 #[test]
 fn hostile_campaigns_are_deterministic_across_thread_counts() {
     let base = HostileCampaign {
-        concurrency: Concurrency::Sequential,
+        concurrency: Parallelism::Sequential,
         ..HostileCampaign::new(WorkloadKind::Testbed(TestbedSpec::paper()), 6, 1337)
     };
     let reference = base.run();
     let threaded = HostileCampaign {
-        concurrency: Concurrency::Threads(4),
+        concurrency: Parallelism::Fixed(4),
         ..base
     }
     .run();

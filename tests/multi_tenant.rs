@@ -4,30 +4,31 @@
 //! changes wall-clock time, never results.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use scout::core::{ReportDelta, ScoutEngine, ScoutReport};
 use scout::fabric::{EventBatch, Fabric, FabricProbe};
 use scout::server::{
     AdmissionConfig, OverloadPolicy, ScoutServer, ServerConfig, ServerRequest, ServerResponse,
 };
-use scout::sim::{MultiTenantSoak, WorkloadKind};
-use scout::workload::{random_policy_edit, TestbedSpec};
+use scout::sim::churn::fleet_step;
+use scout::sim::{Parallelism, SoakRun, Timeline, WorkloadKind};
+use scout::workload::TestbedSpec;
 
 const TENANTS: usize = 4;
 const EPOCHS: usize = 30;
 
+const SPEC: TestbedSpec = TestbedSpec {
+    epgs: 10,
+    contracts: 6,
+    filters: 4,
+    target_pairs: 14,
+    switches: 3,
+    tcam_capacity: 1024,
+};
+
 fn tenant_fabric(tenant: usize) -> Fabric {
-    let spec = TestbedSpec {
-        epgs: 10,
-        contracts: 6,
-        filters: 4,
-        target_pairs: 14,
-        switches: 3,
-        tcam_capacity: 1024,
-    };
-    let mut fabric = Fabric::new(spec.generate(1000 + tenant as u64));
+    let mut fabric = Fabric::new(SPEC.generate(1000 + tenant as u64));
     fabric.deploy();
     fabric
 }
@@ -40,30 +41,16 @@ fn tenant_batches(tenant: usize) -> Vec<EventBatch> {
     let mut rng = StdRng::seed_from_u64(77 + tenant as u64);
     (1..=EPOCHS as u64)
         .map(|epoch| {
-            let switch_ids = fabric.universe().switch_ids();
-            let &switch = switch_ids.choose(&mut rng).unwrap();
-            match rng.gen_range(0u32..5) {
-                0 => {
-                    let port = rng.gen_range(0u16..7);
-                    fabric.remove_tcam_rules_where(switch, |r| r.matcher.ports.start % 7 == port);
-                }
-                1 => {
-                    fabric.evict_tcam(switch, rng.gen_range(1usize..3), true);
-                }
-                2 => {
-                    fabric.repair_switch(switch);
-                }
-                3 => {
-                    let universe = fabric.universe().clone();
-                    if let Some(edit) = random_policy_edit(&universe, &mut rng) {
-                        fabric.update_policy(edit.universe);
-                    }
-                }
-                _ => {}
-            }
+            fleet_step(&mut fabric, &mut rng);
             EventBatch::new(epoch, probe.observe(&fabric))
         })
         .collect()
+}
+
+/// Runs `work` for every tenant on its own thread, results in tenant order.
+fn per_tenant_thread<T: Send>(work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    // As many workers as tenants: every range is the single tenant it starts at.
+    Parallelism::Fixed(TENANTS).fan_out(TENANTS, |_, range| work(range.start))
 }
 
 /// Drives one tenant's batches through a session of `engine`, returning every
@@ -98,28 +85,16 @@ fn concurrent_sessions_on_a_shared_engine_match_sequential_replay() {
 
     // Concurrent run: M threads, M sessions, one shared engine.
     let shared = ScoutEngine::new();
-    let mut concurrent: Vec<Option<(Vec<ReportDelta>, ScoutReport)>> =
-        (0..TENANTS).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let shared = &shared;
-        let batches = &batches;
-        let handles: Vec<_> = (0..TENANTS)
-            .map(|tenant| scope.spawn(move || (tenant, drive(shared, tenant, &batches[tenant]))))
-            .collect();
-        for handle in handles {
-            let (tenant, result) = handle.join().expect("tenant thread panicked");
-            concurrent[tenant] = Some(result);
-        }
-    });
+    let concurrent = per_tenant_thread(|tenant| drive(&shared, tenant, &batches[tenant]));
     assert_eq!(
         shared.session_count(),
         0,
-        "every session deregistered from its shard on drop"
+        "every session counted itself out on drop"
     );
 
     for tenant in 0..TENANTS {
         let (seq_deltas, seq_report) = &sequential[tenant];
-        let (con_deltas, con_report) = concurrent[tenant].as_ref().unwrap();
+        let (con_deltas, con_report) = &concurrent[tenant];
         assert_eq!(
             seq_deltas, con_deltas,
             "tenant {tenant}: concurrent ingestion changed a ReportDelta"
@@ -197,35 +172,17 @@ fn concurrent_front_doors_on_a_shared_engine_match_sequential_replay() {
         .collect();
 
     let shared = ScoutEngine::new();
-    let mut served: Vec<Option<(Vec<ReportDelta>, ScoutReport)>> =
-        (0..TENANTS).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let shared = &shared;
-        let batches = &batches;
-        let handles: Vec<_> = (0..TENANTS)
-            .map(|tenant| {
-                scope.spawn(move || {
-                    (
-                        tenant,
-                        drive_via_front_door(shared, tenant, &batches[tenant]),
-                    )
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (tenant, result) = handle.join().expect("tenant thread panicked");
-            served[tenant] = Some(result);
-        }
-    });
+    let served =
+        per_tenant_thread(|tenant| drive_via_front_door(&shared, tenant, &batches[tenant]));
     assert_eq!(
         shared.session_count(),
         0,
-        "every CloseSession deregistered its session from the shared engine"
+        "every CloseSession dropped its session from the shared engine"
     );
 
     for tenant in 0..TENANTS {
         let (seq_deltas, seq_report) = &sequential[tenant];
-        let (srv_deltas, srv_report) = served[tenant].as_ref().unwrap();
+        let (srv_deltas, srv_report) = &served[tenant];
         assert_eq!(
             seq_deltas, srv_deltas,
             "tenant {tenant}: the front door changed a ReportDelta"
@@ -237,33 +194,47 @@ fn concurrent_front_doors_on_a_shared_engine_match_sequential_replay() {
     }
 }
 
+/// M independent soak timelines (tenant `i` runs seed `5 + i`, every-epoch
+/// differential oracle) against **one shared engine**: each tenant's outcome
+/// is the same whether the timelines run on M threads, one after another, or
+/// alone on a private engine.
 #[test]
 fn multi_tenant_soak_outcomes_are_thread_count_invariant() {
-    let spec = TestbedSpec {
-        epgs: 10,
-        contracts: 6,
-        filters: 4,
-        target_pairs: 14,
-        switches: 3,
-        tcam_capacity: 1024,
+    let timeline =
+        |tenant: usize| Timeline::new(WorkloadKind::Testbed(SPEC), 20, 5 + tenant as u64);
+    let run_all = |threads: Parallelism| -> Vec<SoakRun> {
+        let engine = ScoutEngine::new();
+        threads
+            .fan_out(TENANTS, |_, range| {
+                range
+                    .map(|tenant| timeline(tenant).run_with_engine(&engine))
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
     };
-    let base = MultiTenantSoak::new(WorkloadKind::Testbed(spec), TENANTS, 20, 5);
+    let concurrent = run_all(Parallelism::Fixed(TENANTS));
+    let sequential = run_all(Parallelism::Sequential);
 
-    let concurrent = MultiTenantSoak {
-        threads: TENANTS,
-        ..base
-    }
-    .run();
-    let sequential = MultiTenantSoak { threads: 1, ..base }.run();
-
-    assert_eq!(concurrent.runs.len(), TENANTS);
+    assert_eq!(concurrent.len(), TENANTS);
     for tenant in 0..TENANTS {
         assert_eq!(
-            concurrent.runs[tenant].outcome, sequential.runs[tenant].outcome,
+            concurrent[tenant].outcome, sequential[tenant].outcome,
             "tenant {tenant}: thread count changed the soak outcome"
         );
+        assert_eq!(
+            concurrent[tenant].outcome,
+            timeline(tenant).run().outcome,
+            "tenant {tenant}: sharing the engine changed the soak outcome"
+        );
+        // Every tenant's differential oracle agreed at every epoch, concurrently.
+        assert!(concurrent[tenant].outcome.oracle_disagreements().is_empty());
     }
-    // Every tenant's differential oracle agreed at every epoch, concurrently.
-    assert!(concurrent.oracle_disagreements().is_empty());
-    assert_eq!(concurrent.total_ingests(), TENANTS * 20);
+    assert_ne!(
+        concurrent[0].outcome, concurrent[1].outcome,
+        "tenant seeds must differ"
+    );
+    let ingests: usize = concurrent.iter().map(|run| run.session_stats.ingests).sum();
+    assert_eq!(ingests, TENANTS * 20);
 }

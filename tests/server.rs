@@ -25,7 +25,7 @@ use scout::server::{
     AdmissionConfig, Cluster, ClusterConfig, OverloadPolicy, ScoutServer, ServerConfig,
     ServerError, ServerRequest, ServerResponse, TenantId,
 };
-use scout::sim::{FleetSoak, WorkloadKind};
+use scout::sim::{FleetSoak, Parallelism, WorkloadKind};
 use scout::store::test_dir::TestDir;
 use scout::workload::TestbedSpec;
 
@@ -45,7 +45,7 @@ fn fleet(threads: usize) -> FleetSoak {
         tcam_capacity: 1024,
     };
     FleetSoak {
-        threads,
+        threads: Parallelism::Fixed(threads),
         ..FleetSoak::new(WorkloadKind::Testbed(spec), TENANTS, EPOCHS, SEED)
     }
 }

@@ -10,13 +10,13 @@
 //! of the whole fabric would.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use scout::core::{ScoutEngine, SessionError};
-use scout::fabric::{CorruptionKind, EventBatch, Fabric, FabricEvent, FabricProbe};
+use scout::fabric::{EventBatch, Fabric, FabricEvent, FabricProbe};
 use scout::policy::{LogicalRule, SwitchId};
-use scout::workload::{add_random_filter, random_policy_edit, TestbedSpec};
+use scout::sim::churn::soak_step;
+use scout::workload::TestbedSpec;
 
 use std::collections::BTreeSet;
 
@@ -32,53 +32,6 @@ fn testbed_fabric(seed: u64) -> Fabric {
     let mut fabric = Fabric::new(spec.generate(seed));
     fabric.deploy();
     fabric
-}
-
-/// One epoch of soak-style churn: faults, repairs and concurrent policy
-/// edits, all decided by the seeded rng.
-fn disturb(fabric: &mut Fabric, rng: &mut StdRng) {
-    let switch_ids = fabric.universe().switch_ids();
-    let &switch = switch_ids.choose(rng).expect("workloads have switches");
-    match rng.gen_range(0u32..8) {
-        0 => {
-            let port = rng.gen_range(0u16..7);
-            fabric.remove_tcam_rules_where(switch, |r| r.matcher.ports.start % 7 == port);
-        }
-        1 => {
-            let kind = *[
-                CorruptionKind::VrfBit,
-                CorruptionKind::SrcEpgBit,
-                CorruptionKind::ActionFlip,
-            ]
-            .choose(rng)
-            .unwrap();
-            fabric.corrupt_tcam(switch, rng.gen_range(0usize..8), kind);
-        }
-        2 => {
-            fabric.evict_tcam(switch, rng.gen_range(1usize..3), rng.gen_bool(0.5));
-        }
-        3 => {
-            fabric.disconnect_switch(switch);
-        }
-        4 => {
-            fabric.crash_agent(switch);
-        }
-        5 => {
-            fabric.repair_switch(switch);
-        }
-        6 => {
-            let universe = fabric.universe().clone();
-            if let Some(edit) = add_random_filter(&universe, rng) {
-                fabric.update_policy(edit.universe);
-            }
-        }
-        _ => {
-            let universe = fabric.universe().clone();
-            if let Some(edit) = random_policy_edit(&universe, rng) {
-                fabric.update_policy(edit.universe);
-            }
-        }
-    }
 }
 
 /// The committed differential replay: 200 epochs, seed 42. At every epoch the
@@ -101,7 +54,7 @@ fn session_replay_of_200_epoch_soak_timeline_is_bit_identical() {
     let mut non_noop_deltas = 0usize;
 
     for epoch in 0..200usize {
-        disturb(&mut fabric, &mut rng);
+        soak_step(&mut fabric, &mut rng);
 
         let delta = session
             .ingest_observation(&mut probe, &fabric)

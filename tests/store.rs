@@ -19,15 +19,15 @@
 //! regression pin: its report (crash sites included) is deterministic.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use scout::core::{ScoutEngine, ScoutReport};
-use scout::fabric::{CorruptionKind, EventBatch, Fabric, FabricProbe};
+use scout::fabric::{EventBatch, Fabric, FabricProbe};
+use scout::sim::churn::soak_step;
 use scout::sim::{CrashSoak, WorkloadKind};
 use scout::store::test_dir::TestDir;
 use scout::store::{verify_dir, CrashPlan, DurableEngine, StoreConfig, StoreError};
-use scout::workload::{add_random_filter, random_policy_edit, TestbedSpec};
+use scout::workload::TestbedSpec;
 
 fn testbed_fabric(seed: u64) -> Fabric {
     let spec = TestbedSpec {
@@ -41,52 +41,6 @@ fn testbed_fabric(seed: u64) -> Fabric {
     let mut fabric = Fabric::new(spec.generate(seed));
     fabric.deploy();
     fabric
-}
-
-/// One epoch of soak-style churn (same mix as the enforced session replay).
-fn disturb(fabric: &mut Fabric, rng: &mut StdRng) {
-    let switch_ids = fabric.universe().switch_ids();
-    let &switch = switch_ids.choose(rng).expect("workloads have switches");
-    match rng.gen_range(0u32..8) {
-        0 => {
-            let port = rng.gen_range(0u16..7);
-            fabric.remove_tcam_rules_where(switch, |r| r.matcher.ports.start % 7 == port);
-        }
-        1 => {
-            let kind = *[
-                CorruptionKind::VrfBit,
-                CorruptionKind::SrcEpgBit,
-                CorruptionKind::ActionFlip,
-            ]
-            .choose(rng)
-            .unwrap();
-            fabric.corrupt_tcam(switch, rng.gen_range(0usize..8), kind);
-        }
-        2 => {
-            fabric.evict_tcam(switch, rng.gen_range(1usize..3), rng.gen_bool(0.5));
-        }
-        3 => {
-            fabric.disconnect_switch(switch);
-        }
-        4 => {
-            fabric.crash_agent(switch);
-        }
-        5 => {
-            fabric.repair_switch(switch);
-        }
-        6 => {
-            let universe = fabric.universe().clone();
-            if let Some(edit) = add_random_filter(&universe, rng) {
-                fabric.update_policy(edit.universe);
-            }
-        }
-        _ => {
-            let universe = fabric.universe().clone();
-            if let Some(edit) = random_policy_edit(&universe, rng) {
-                fabric.update_policy(edit.universe);
-            }
-        }
-    }
 }
 
 /// Small store knobs so short runs still cross segment rolls, anchors and
@@ -163,7 +117,7 @@ fn kill_and_recover_at_a_random_epoch_is_bit_identical() {
     let mut crashed_at = None;
 
     for epoch in 1..=EPOCHS {
-        disturb(&mut fabric, &mut rng);
+        soak_step(&mut fabric, &mut rng);
         let batch = EventBatch::new(epoch, probe.observe(&fabric));
         batches.push(batch.clone());
         reference.ingest(batch).expect("reference ingests");
@@ -332,7 +286,7 @@ fn compaction_preserves_recovery_and_retention_invariants() {
     let mut probe = FabricProbe::new(&fabric);
 
     for epoch in 1..=30u64 {
-        disturb(&mut fabric, &mut rng);
+        soak_step(&mut fabric, &mut rng);
         let batch = EventBatch::new(epoch, probe.observe(&fabric));
         reference.ingest(batch.clone()).expect("reference ingests");
         durable.ingest(batch).expect("durable ingests");
@@ -403,7 +357,7 @@ fn torn_tails_truncate_but_damaged_suffixes_are_errors() {
         .expect("store opens");
     let mut probe = FabricProbe::new(&fabric);
     for epoch in 1..=5 {
-        disturb(&mut fabric, &mut rng);
+        soak_step(&mut fabric, &mut rng);
         durable
             .ingest(EventBatch::new(epoch, probe.observe(&fabric)))
             .expect("epochs ingest");
@@ -458,7 +412,7 @@ fn forged_zero_epoch_segment_is_a_typed_error() {
         .expect("store opens");
     let mut probe = FabricProbe::new(&fabric);
     for epoch in 1..=5 {
-        disturb(&mut fabric, &mut rng);
+        soak_step(&mut fabric, &mut rng);
         durable
             .ingest(EventBatch::new(epoch, probe.observe(&fabric)))
             .expect("epochs ingest");
