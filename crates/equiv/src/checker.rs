@@ -13,11 +13,24 @@
 //! The checker is built for production-scale fabrics (thousands of switches,
 //! continuous re-checking after every change):
 //!
+//! * **Class slicing** — VRF, source EPG and destination EPG are exact-match
+//!   fields, so a switch's rules are grouped by that key (full `u32` ids) and
+//!   each group is folded on its own over the 24-variable (protocol, port)
+//!   sub-space of [`HeaderSpace`]. This is exact, not an approximation: rules
+//!   with different keys match disjoint sets of packets; a packet's first
+//!   matching rule is therefore always one of its own key's rules, in the
+//!   order they appear in the list; so the allowed space is the disjoint
+//!   union of the per-key allowed spaces, and both equality and `⊆` between
+//!   two such unions hold iff they hold key by key. A switch is equivalent
+//!   iff every key's L and T sub-spaces are the same diagram (a key present
+//!   on one side only compares against `FALSE`), and a one-rule drift
+//!   re-folds only the handful of rules sharing its key.
 //! * **Persistent caches** — the checker's BDD workers (one for sequential
-//!   checking plus a pool for threaded checking) survive across calls, so a
-//!   rule appearing on many switches (or across many checks) is encoded into
-//!   the header space once per worker and every apply/implies result stays
-//!   memoized.
+//!   checking plus a pool for threaded checking) survive across calls. A
+//!   worker memoizes one diagram per distinct `(protocol, port range)` — the
+//!   key is not part of the diagrams, so every class, switch and tenant
+//!   shares them — and the manager's apply/implies caches keep every fold
+//!   step, so re-checking an unchanged class costs cache hits only.
 //! * **Indexed logical rules** — [`EquivalenceChecker::check_network`] groups
 //!   the logical rules by switch once (`O(total rules)`) instead of re-scanning
 //!   the full rule list per switch (`O(switches × total rules)`).
@@ -36,7 +49,9 @@ use std::sync::Mutex;
 use std::thread;
 
 use scout_bdd::{Bdd, BddManager, CacheStats, NodeTableKind};
-use scout_policy::{Action, EpgPair, LogicalRule, SwitchId, TcamRule};
+use scout_policy::{
+    Action, EpgId, EpgPair, LogicalRule, PortRange, Protocol, SwitchId, TcamRule, VrfId,
+};
 
 use crate::header::HeaderSpace;
 
@@ -139,17 +154,47 @@ fn cache_limit_for(node_budget: usize) -> usize {
     (node_budget / 4).max(1)
 }
 
-/// A BDD manager plus the memoized per-rule encodings built on top of it.
+/// The exact-match class of a rule: `(VRF, source EPG, destination EPG)` as
+/// full `u32` ids. Rules of different classes match disjoint traffic, so a
+/// switch is checked one class at a time (see the module docs).
+type ClassKey = (VrfId, EpgId, EpgId);
+
+fn class_of(rule: &TcamRule) -> ClassKey {
+    let m = &rule.matcher;
+    (m.vrf, m.src_epg, m.dst_epg)
+}
+
+/// One side (L or T) of a switch, folded class by class.
+struct SlicedSpace {
+    /// Allowed sub-space of every class that allows anything, ascending by
+    /// class; a class that is absent (or all-deny) is `FALSE` and not listed,
+    /// so two sides allow the same traffic iff their lists are equal.
+    allowed: Vec<(ClassKey, Bdd)>,
+    /// Every rule's own sub-space match diagram, in input order.
+    matches: Vec<Bdd>,
+}
+
+impl SlicedSpace {
+    fn allowed_in(&self, class: ClassKey) -> Bdd {
+        self.allowed
+            .binary_search_by_key(&class, |&(class, _)| class)
+            .map_or(Bdd::FALSE, |found| self.allowed[found].1)
+    }
+}
+
+/// A BDD manager over the 24-variable (protocol, port) sub-space plus the
+/// memoized match encodings built on top of it.
 ///
 /// This is the unit of state the checker keeps per thread: the manager's
 /// hash-consed node table and operation caches persist across switches and
-/// across calls, and `rule_cache` maps every [`TcamRule`] ever encoded to its
-/// diagram so shared rules (the common case — the compiler renders the same
-/// contract onto many switches) are encoded once.
+/// across calls, and `match_cache` maps every `(protocol, port range)` ever
+/// encoded to its diagram. Nothing in it depends on a VRF, an EPG or a
+/// switch, so every class of every switch (and every tenant sharing the
+/// checker) reuses the same few diagrams and fold results.
 #[derive(Debug, Clone)]
 struct CheckWorker {
     manager: BddManager,
-    rule_cache: HashMap<TcamRule, Bdd>,
+    match_cache: HashMap<(Protocol, PortRange), Bdd>,
     /// Node-table backend the manager was (and any rebuild will be) created
     /// on.
     kind: NodeTableKind,
@@ -157,43 +202,60 @@ struct CheckWorker {
 
 impl CheckWorker {
     fn new(header_space: &HeaderSpace, kind: NodeTableKind, node_budget: usize) -> Self {
-        let mut manager = header_space.manager_with(kind);
+        let mut manager = header_space.sub_manager_with(kind);
         manager.set_cache_limit(cache_limit_for(node_budget));
         Self {
             manager,
-            rule_cache: HashMap::new(),
+            match_cache: HashMap::new(),
             kind,
         }
     }
 
-    /// Allowed space of an ordered rule set under first-match semantics plus
-    /// each rule's own match diagram (input order), built from cached
-    /// per-rule encodings in one pass. The fold itself lives in
-    /// [`crate::header::allowed_space_traced_with`]; only the memoizing
-    /// encoder is supplied here.
-    fn allowed_space_traced(
-        &mut self,
-        header_space: &HeaderSpace,
-        rules: &[TcamRule],
-    ) -> (Bdd, Vec<Bdd>) {
+    /// Folds an ordered rule set class by class: rules are grouped by
+    /// [`ClassKey`] (keeping list order inside a class, which is all the
+    /// first-match tie-break can see) and each group goes through
+    /// [`crate::header::allowed_space_traced_with`] — the single home of the
+    /// priority semantics — with the memoizing sub-space encoder.
+    fn sliced_space(&mut self, header_space: &HeaderSpace, rules: &[TcamRule]) -> SlicedSpace {
         let Self {
             manager,
-            rule_cache,
+            match_cache,
             ..
         } = self;
-        crate::header::allowed_space_traced_with(manager, rules, |m, rule| {
-            *rule_cache
-                .entry(*rule)
-                .or_insert_with(|| header_space.rule_match(m, rule))
-        })
+        let mut order: Vec<usize> = (0..rules.len()).collect();
+        order.sort_by_key(|&i| class_of(&rules[i]));
+        let grouped: Vec<TcamRule> = order.iter().map(|&i| rules[i]).collect();
+
+        let mut allowed = Vec::new();
+        let mut matches = vec![Bdd::FALSE; rules.len()];
+        let mut done = 0; // rules of `grouped` (and positions of `order`) already folded
+        for class in grouped.chunk_by(|a, b| class_of(a) == class_of(b)) {
+            let (class_allowed, class_matches) =
+                crate::header::allowed_space_traced_with(manager, class, |m, rule| {
+                    *match_cache
+                        .entry((rule.matcher.protocol, rule.matcher.ports))
+                        .or_insert_with(|| {
+                            header_space.sub_match(m, rule.matcher.protocol, rule.matcher.ports)
+                        })
+                });
+            if !class_allowed.is_false() {
+                allowed.push((class_of(&class[0]), class_allowed));
+            }
+            for (&position, matched) in order[done..].iter().zip(class_matches) {
+                matches[position] = matched;
+            }
+            done += class.len();
+        }
+        SlicedSpace { allowed, matches }
     }
 
     /// Checks one switch given its (pre-filtered) logical rules.
     ///
-    /// Both rule sets are encoded in one batched pass each; the
-    /// missing/unexpected classification below reuses the returned per-rule
-    /// diagrams instead of going back to the manager (or even the rule cache)
-    /// once per rule.
+    /// Each side is folded once, class by class; the switch is equivalent iff
+    /// every class allows the same sub-space on both sides. The
+    /// missing/unexpected classification runs only for an inequivalent switch
+    /// and then visits every rule of the switch against its own class,
+    /// reusing the per-rule diagrams of the fold.
     fn check_switch(
         &mut self,
         header_space: &HeaderSpace,
@@ -202,29 +264,34 @@ impl CheckWorker {
         tcam: &[TcamRule],
     ) -> SwitchCheckResult {
         let logical_rules: Vec<TcamRule> = logical.iter().map(|l| l.rule).collect();
-        let (l_allowed, l_matches) = self.allowed_space_traced(header_space, &logical_rules);
-        let (t_allowed, t_matches) = self.allowed_space_traced(header_space, tcam);
+        let l_space = self.sliced_space(header_space, &logical_rules);
+        let t_space = self.sliced_space(header_space, tcam);
 
-        let equivalent = self.manager.equivalent(l_allowed, t_allowed);
+        let equivalent = l_space.allowed == t_space.allowed;
         let mut missing_rules = Vec::new();
         let mut unexpected_rules = Vec::new();
 
         if !equivalent {
             // A logical rule is missing if part of its traffic is not allowed
             // by the deployed TCAM.
-            for (l, &space) in logical.iter().zip(&l_matches) {
+            for (l, &space) in logical.iter().zip(&l_space.matches) {
+                let t_allowed = t_space.allowed_in(class_of(&l.rule));
                 if !self.manager.implies(space, t_allowed) {
                     missing_rules.push(*l);
                 }
             }
             // A deployed rule is unexpected if it allows traffic the policy
             // does not allow.
-            for (t, &space) in tcam.iter().zip(&t_matches) {
+            for (t, &space) in tcam.iter().zip(&t_space.matches) {
                 if t.action != Action::Allow {
                     continue;
                 }
-                let effectively_allowed = self.manager.and(space, t_allowed);
-                if !self.manager.implies(effectively_allowed, l_allowed) {
+                let class = class_of(t);
+                let effectively_allowed = self.manager.and(space, t_space.allowed_in(class));
+                if !self
+                    .manager
+                    .implies(effectively_allowed, l_space.allowed_in(class))
+                {
                     unexpected_rules.push(*t);
                 }
             }
@@ -243,10 +310,8 @@ impl CheckWorker {
     fn maybe_shrink(&mut self, header_space: &HeaderSpace, budget: usize) {
         if self.manager.node_count() > budget {
             let stats = self.manager.cache_stats();
-            self.manager = header_space.manager_with(self.kind);
-            self.manager.set_cache_limit(cache_limit_for(budget));
+            *self = Self::new(header_space, self.kind, budget);
             self.manager.absorb_cache_stats(stats);
-            self.rule_cache.clear();
         }
     }
 }
@@ -366,7 +431,7 @@ pub struct EquivalenceChecker {
     /// The sequential worker, warm across calls.
     worker: Mutex<CheckWorker>,
     /// Parallel workers, returned to this pool after every threaded check so
-    /// their managers and rule caches stay warm across calls too.
+    /// their managers and match caches stay warm across calls too.
     pool: Mutex<Vec<CheckWorker>>,
 }
 
@@ -578,15 +643,31 @@ impl EquivalenceChecker {
     where
         F: FnMut(SwitchId) -> Vec<TcamRule>,
     {
-        let index = Self::index_by_switch(logical);
-        let mut current = current_switches.clone();
-        current.extend(index.keys().copied());
+        let rechecked = |s: &SwitchId| dirty.contains(s) || !previous.per_switch.contains_key(s);
 
-        let to_check: Vec<SwitchId> = current
-            .iter()
-            .copied()
-            .filter(|s| dirty.contains(s) || !previous.per_switch.contains_key(s))
-            .collect();
+        // One pass over the logical rules: note every switch they mention and
+        // index only the rules of switches that will be re-checked. The
+        // verdict is remembered for the current run of same-switch rules (the
+        // compiler emits them grouped), so the common rule costs one compare.
+        let mut current = current_switches.clone();
+        let mut index: BTreeMap<SwitchId, Vec<LogicalRule>> = BTreeMap::new();
+        let mut run: Option<(SwitchId, bool)> = None;
+        for &rule in logical {
+            let keep = match run {
+                Some((switch, keep)) if switch == rule.switch => keep,
+                _ => {
+                    current.insert(rule.switch);
+                    let keep = rechecked(&rule.switch);
+                    run = Some((rule.switch, keep));
+                    keep
+                }
+            };
+            if keep {
+                index.entry(rule.switch).or_default().push(rule);
+            }
+        }
+
+        let to_check: Vec<SwitchId> = current.iter().copied().filter(rechecked).collect();
         let tcam: BTreeMap<SwitchId, Vec<TcamRule>> =
             to_check.iter().map(|&s| (s, tcam_of(s))).collect();
 
@@ -805,7 +886,16 @@ mod tests {
         let first = checker.check_network(fabric.logical_rules(), &tcam);
         let cached_nodes = {
             let worker = checker.lock_worker();
-            assert!(!worker.rule_cache.is_empty(), "rule cache must be warm");
+            // One diagram per distinct (protocol, port range), however many
+            // switches and EPG pairs carry it.
+            let distinct: BTreeSet<_> = fabric
+                .logical_rules()
+                .iter()
+                .map(|l| (l.rule.matcher.protocol, l.rule.matcher.ports))
+                .collect();
+            let cached: BTreeSet<_> = worker.match_cache.keys().copied().collect();
+            assert_eq!(cached, distinct, "match cache must be warm and minimal");
+            assert!(distinct.len() < fabric.logical_rules().len());
             worker.manager.node_count()
         };
         let second = checker.check_network(fabric.logical_rules(), &tcam);

@@ -1,13 +1,26 @@
 //! Header-space encoding of TCAM rules as BDDs.
 //!
 //! The equivalence checker of the paper compares two ROBDDs, one built from the
-//! logical (L-type) rules and one from the deployed TCAM (T-type) rules. The
-//! encoding here maps the five match fields of a [`TcamRule`] onto a fixed
-//! layout of BDD variables: VRF id, source EPG, destination EPG, protocol and
-//! destination port.
+//! logical (L-type) rules and one from the deployed TCAM (T-type) rules. A
+//! [`TcamRule`] matches on five fields — VRF id, source EPG, destination EPG,
+//! protocol and destination port — and [`HeaderSpace`] knows two layouts of
+//! them over BDD variables:
+//!
+//! * **The sub-space (24 variables: protocol 8 + port 16)** is what the
+//!   checker runs on. VRF and both EPGs are *exact-match* fields, so the
+//!   checker keys rules by them (full `u32` ids, no encoding at all) and only
+//!   the protocol/port part of a match becomes a diagram:
+//!   [`HeaderSpace::sub_match`], on a manager from
+//!   [`HeaderSpace::sub_manager_with`].
+//! * **The full space (72 variables: VRF 16 + src EPG 16 + dst EPG 16 +
+//!   protocol 8 + port 16)** is the reference: [`HeaderSpace::rule_match`]
+//!   encodes a whole rule and [`HeaderSpace::allowed_space`] folds a whole
+//!   rule list into one diagram, exactly the paper's formulation. Nothing on
+//!   the checker's path uses it; the differential tests check the sliced
+//!   checker against it.
 
-use scout_bdd::{Bdd, BddManager, FieldLayout, NodeTableKind};
-use scout_policy::{Action, Protocol, TcamRule};
+use scout_bdd::{Bdd, BddManager, FieldEncoder, FieldLayout, NodeTableKind};
+use scout_policy::{Action, PortRange, Protocol, TcamRule};
 
 /// Bit width of the VRF id field.
 pub const VRF_BITS: u32 = 16;
@@ -18,17 +31,24 @@ pub const PROTO_BITS: u32 = 8;
 /// Bit width of the destination-port field.
 pub const PORT_BITS: u32 = 16;
 
-/// Field indexes within the layout.
+/// Field indexes within the full layout.
 const F_VRF: usize = 0;
 const F_SRC: usize = 1;
 const F_DST: usize = 2;
 const F_PROTO: usize = 3;
 const F_PORT: usize = 4;
 
-/// The header space used for L–T equivalence checking.
+/// Field indexes within the sub-space layout.
+const SUB_PROTO: usize = 0;
+const SUB_PORT: usize = 1;
+
+/// The header space used for L–T equivalence checking: the 72-variable
+/// reference layout plus the 24-variable sub-space the checker runs on (see
+/// the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct HeaderSpace {
     layout: FieldLayout,
+    sub_layout: FieldLayout,
 }
 
 impl Default for HeaderSpace {
@@ -38,60 +58,74 @@ impl Default for HeaderSpace {
 }
 
 impl HeaderSpace {
-    /// Creates the standard 72-bit header space (VRF, src EPG, dst EPG,
-    /// protocol, port).
+    /// Creates the standard header space: the full 72-bit layout (VRF, src
+    /// EPG, dst EPG, protocol, port) and its 24-bit (protocol, port)
+    /// sub-space.
     pub fn new() -> Self {
         Self {
             layout: FieldLayout::new(&[VRF_BITS, EPG_BITS, EPG_BITS, PROTO_BITS, PORT_BITS]),
+            sub_layout: FieldLayout::new(&[PROTO_BITS, PORT_BITS]),
         }
     }
 
-    /// Creates a BDD manager sized for this header space.
+    /// Creates a BDD manager sized for the full (reference) layout.
     pub fn manager(&self) -> BddManager {
         self.layout.manager()
     }
 
-    /// Creates a manager sized for this header space on an explicit node-table
-    /// backend (the checker's baseline-vs-arena toggle routes through here).
-    pub fn manager_with(&self, kind: NodeTableKind) -> BddManager {
-        BddManager::with_backend(self.total_vars(), kind)
-    }
-
-    /// Total number of BDD variables of the encoding.
+    /// Total number of BDD variables of the full (reference) layout.
     pub fn total_vars(&self) -> u32 {
         self.layout.total_vars()
     }
 
-    /// Encodes the match portion of one rule as the set of packets it covers.
-    pub fn rule_match(&self, manager: &mut BddManager, rule: &TcamRule) -> Bdd {
-        let vrf = self
-            .layout
-            .field(F_VRF)
-            .exact(manager, u64::from(rule.matcher.vrf.raw() & 0xffff));
-        let src = self
-            .layout
-            .field(F_SRC)
-            .exact(manager, u64::from(rule.matcher.src_epg.raw() & 0xffff));
-        let dst = self
-            .layout
-            .field(F_DST)
-            .exact(manager, u64::from(rule.matcher.dst_epg.raw() & 0xffff));
-        let proto = match rule.matcher.protocol {
-            Protocol::Any => Bdd::TRUE,
-            p => self
-                .layout
-                .field(F_PROTO)
-                .exact(manager, u64::from(p.code())),
-        };
-        let port = self.layout.field(F_PORT).range(
+    /// Creates a manager sized for the sub-space on an explicit node-table
+    /// backend (the checker's baseline-vs-arena toggle routes through here).
+    pub fn sub_manager_with(&self, kind: NodeTableKind) -> BddManager {
+        BddManager::with_backend(self.sub_layout.total_vars(), kind)
+    }
+
+    /// Encodes the non-exact part of a match — protocol and destination-port
+    /// range — as the set of (protocol, port) points it covers, on a
+    /// sub-space manager.
+    pub fn sub_match(&self, manager: &mut BddManager, protocol: Protocol, ports: PortRange) -> Bdd {
+        proto_port(
             manager,
-            u64::from(rule.matcher.ports.start),
-            u64::from(rule.matcher.ports.end),
+            self.sub_layout.field(SUB_PROTO),
+            self.sub_layout.field(SUB_PORT),
+            protocol,
+            ports,
+        )
+    }
+
+    /// Encodes the match portion of one rule as the set of packets it covers,
+    /// on a full-layout manager.
+    ///
+    /// This is the reference encoding, not the checker's. It is only faithful
+    /// for VRF and EPG ids below 2¹⁶: the three id fields are 16 bits wide
+    /// and larger ids are truncated, so VRF 65 537 aliases VRF 1. The checker
+    /// keys on the full `u32` ids instead.
+    pub fn rule_match(&self, manager: &mut BddManager, rule: &TcamRule) -> Bdd {
+        let m = &rule.matcher;
+        let mut acc = Bdd::TRUE;
+        for (field, id) in [
+            (F_VRF, m.vrf.raw()),
+            (F_SRC, m.src_epg.raw()),
+            (F_DST, m.dst_epg.raw()),
+        ] {
+            let exact = self
+                .layout
+                .field(field)
+                .exact(manager, u64::from(id & 0xffff));
+            acc = manager.and(acc, exact);
+        }
+        let rest = proto_port(
+            manager,
+            self.layout.field(F_PROTO),
+            self.layout.field(F_PORT),
+            m.protocol,
+            m.ports,
         );
-        let mut acc = manager.and(vrf, src);
-        acc = manager.and(acc, dst);
-        acc = manager.and(acc, proto);
-        manager.and(acc, port)
+        manager.and(acc, rest)
     }
 
     /// Encodes the *allowed space* of an ordered rule set under first-match,
@@ -105,9 +139,26 @@ impl HeaderSpace {
     }
 }
 
+/// `protocol ∧ ports` over the given field encoders — the part of a match
+/// both layouts encode the same way.
+fn proto_port(
+    manager: &mut BddManager,
+    proto_field: FieldEncoder,
+    port_field: FieldEncoder,
+    protocol: Protocol,
+    ports: PortRange,
+) -> Bdd {
+    let proto = match protocol {
+        Protocol::Any => Bdd::TRUE,
+        p => proto_field.exact(manager, u64::from(p.code())),
+    };
+    let port = port_field.range(manager, u64::from(ports.start), u64::from(ports.end));
+    manager.and(proto, port)
+}
+
 /// The first-match, deny-by-default allowed-space fold, parameterized over the
 /// per-rule encoder so callers can plug in a memoizing one (see the checker's
-/// rule cache). This is the single home of the priority/tie-break semantics.
+/// match cache). This is the single home of the priority/tie-break semantics.
 pub fn allowed_space_with<F>(manager: &mut BddManager, rules: &[TcamRule], encode: F) -> Bdd
 where
     F: FnMut(&mut BddManager, &TcamRule) -> Bdd,
