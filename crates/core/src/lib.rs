@@ -78,7 +78,8 @@ pub use localization::{score_localize, scout_localize, Evidence, Hypothesis, Sco
 pub use risk::{
     augment_controller_model, augment_controller_model_tracked, augment_switch_model,
     augment_switch_model_tracked, controller_risk_model, controller_risk_model_sharded,
-    switch_risk_model, EdgeStatus, FailureMarks, RiskModel,
+    patch_controller_risk_model, switch_risk_model, EdgeStatus, FailureMarks, ModelPatch,
+    RiskModel,
 };
 pub use session::{AnalysisSession, ReportDelta, ResyncRequest, SessionError, SessionStats};
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};

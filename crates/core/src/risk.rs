@@ -420,13 +420,31 @@ impl<E: Ord + Copy> RiskModel<E> {
 /// edges to every policy object it relies on (Figure 4(a) of the paper).
 pub fn switch_risk_model(universe: &PolicyUniverse, switch: SwitchId) -> RiskModel<EpgPair> {
     let mut model = RiskModel::new();
-    for pair in universe.pairs_on_switch(switch) {
+    for &pair in universe.pairs_on_switch(switch) {
         model.add_element(pair);
-        for risk in universe.objects_for_pair(pair) {
+        for &risk in universe.objects_for_bound_pair(pair).into_iter().flatten() {
             model.add_edge(pair, risk);
         }
     }
     model
+}
+
+/// Adds one controller-model element: success edges to its pair's policy
+/// objects plus its switch.
+fn add_controller_element(
+    model: &mut RiskModel<SwitchEpgPair>,
+    universe: &PolicyUniverse,
+    element: SwitchEpgPair,
+) {
+    model.add_element(element);
+    for &risk in universe
+        .objects_for_bound_pair(element.pair)
+        .into_iter()
+        .flatten()
+    {
+        model.add_edge(element, risk);
+    }
+    model.add_edge(element, ObjectId::Switch(element.switch));
 }
 
 /// Builds the (un-augmented) controller risk model for the whole network.
@@ -434,17 +452,7 @@ pub fn switch_risk_model(universe: &PolicyUniverse, switch: SwitchId) -> RiskMod
 /// Elements are `(switch, EPG pair)` triplets; each triplet has success edges
 /// to the pair's policy objects plus the switch itself (Figure 4(b)).
 pub fn controller_risk_model(universe: &PolicyUniverse) -> RiskModel<SwitchEpgPair> {
-    let mut model = RiskModel::new();
-    for pair in universe.epg_pairs() {
-        for switch in universe.switches_for_pair(pair) {
-            let element = SwitchEpgPair::new(switch, pair);
-            model.add_element(element);
-            for risk in universe.objects_for_pair_on_switch(pair, switch) {
-                model.add_edge(element, risk);
-            }
-        }
-    }
-    model
+    controller_risk_shard(universe, &universe.switch_ids())
 }
 
 /// Derives the controller-model edges of one switch subset — the unit of work
@@ -455,12 +463,8 @@ fn controller_risk_shard(
 ) -> RiskModel<SwitchEpgPair> {
     let mut model = RiskModel::new();
     for &switch in switches {
-        for pair in universe.pairs_on_switch(switch) {
-            let element = SwitchEpgPair::new(switch, pair);
-            model.add_element(element);
-            for risk in universe.objects_for_pair_on_switch(pair, switch) {
-                model.add_edge(element, risk);
-            }
+        for &pair in universe.pairs_on_switch(switch) {
+            add_controller_element(&mut model, universe, SwitchEpgPair::new(switch, pair));
         }
     }
     model
@@ -473,8 +477,9 @@ fn controller_risk_shard(
 /// The `(switch, pair)` elements of the controller model partition cleanly by
 /// switch, so shards never contend over an element and the merged model is
 /// **identical** to the sequential one — the pipeline swaps freely between
-/// the two (sessions pass their configured parallelism here when rebuilding
-/// the model after a policy change at fabric scale).
+/// the two. Sessions build their model here on open, resume and resync, where
+/// no previous model exists; a policy change on a live session patches the
+/// model it has instead ([`patch_controller_risk_model`]).
 pub fn controller_risk_model_sharded(
     universe: &PolicyUniverse,
     parallelism: Parallelism,
@@ -491,6 +496,81 @@ pub fn controller_risk_model_sharded(
         model.merge(shard);
     }
     model
+}
+
+/// How many elements one [`patch_controller_risk_model`] call touched — the
+/// host-independent measure of its work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ModelPatch {
+    /// Elements removed: their `(switch, pair)` left the policy, or their
+    /// closure changed (those are re-added).
+    pub pruned: usize,
+    /// Elements (re-)derived from the new universe.
+    pub added: usize,
+}
+
+/// Turns the pristine controller risk model of `old` into that of `new` by
+/// touching only what the policy change touched.
+///
+/// An element `(switch, pair)` and its edges are a function of two indexes:
+/// the pair's membership in [`PolicyUniverse::pairs_on_switch`] and the
+/// pair's dependency closure. The patch diffs exactly those — one ordered
+/// walk over both universes' pair closures, one over their per-switch pair
+/// sets — prunes the elements that left or whose closure changed, and
+/// re-derives the changed and new ones. A one-filter edit therefore costs the
+/// edited contract's pairs, not the fabric.
+///
+/// `model` must be `controller_risk_model(old)` with no failure marks; on
+/// return it equals `controller_risk_model(new)` field for field (the
+/// differential test `tests/policy_edit.rs` asserts it along seeded edit
+/// sequences, switch churn included).
+pub fn patch_controller_risk_model(
+    model: &mut RiskModel<SwitchEpgPair>,
+    old: &PolicyUniverse,
+    new: &PolicyUniverse,
+) -> ModelPatch {
+    // Pairs bound on both sides whose closure differs.
+    let mut changed: BTreeSet<EpgPair> = BTreeSet::new();
+    let mut old_closures = old.pair_closures().peekable();
+    for (pair, closure) in new.pair_closures() {
+        while old_closures.next_if(|&(p, _)| p < pair).is_some() {}
+        if let Some((_, old_closure)) = old_closures.next_if(|&(p, _)| p == pair) {
+            if old_closure != closure {
+                changed.insert(pair);
+            }
+        }
+    }
+
+    // Elements to drop and to derive: membership changes switch by switch,
+    // then the changed pairs wherever they stay deployed.
+    let mut stale: BTreeSet<SwitchEpgPair> = BTreeSet::new();
+    let mut fresh: BTreeSet<SwitchEpgPair> = BTreeSet::new();
+    let switches: BTreeSet<SwitchId> = old.switches().chain(new.switches()).map(|s| s.id).collect();
+    for switch in switches {
+        let (old_pairs, new_pairs) = (old.pairs_on_switch(switch), new.pairs_on_switch(switch));
+        if old_pairs != new_pairs {
+            let element = |&pair: &EpgPair| SwitchEpgPair::new(switch, pair);
+            stale.extend(old_pairs.difference(new_pairs).map(element));
+            fresh.extend(new_pairs.difference(old_pairs).map(element));
+        }
+    }
+    for &pair in &changed {
+        for switch in old.switches_for_pair(pair) {
+            if new.pairs_on_switch(switch).contains(&pair) {
+                stale.insert(SwitchEpgPair::new(switch, pair));
+                fresh.insert(SwitchEpgPair::new(switch, pair));
+            }
+        }
+    }
+
+    model.prune_elements(&stale);
+    for &element in &fresh {
+        add_controller_element(model, new, element);
+    }
+    ModelPatch {
+        pruned: stale.len(),
+        added: fresh.len(),
+    }
 }
 
 // ----------------------------------------------------------------------

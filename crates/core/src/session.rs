@@ -6,9 +6,10 @@
 //! sequencing: each [`AnalysisSession::ingest`] applies the deltas to the
 //! session's [`FabricView`] mirror, re-checks only the switches the batch
 //! dirtied (through the same incremental machinery as everything else in the
-//! codebase), re-derives only the failed edges on the cached pristine risk
-//! model, and returns a [`ReportDelta`] — what changed since the previous
-//! epoch — while [`AnalysisSession::full_report`] stays available on demand.
+//! codebase), patches the cached pristine risk model when the policy changed
+//! and re-derives only the failed edges on it, and returns a [`ReportDelta`]
+//! — what changed since the previous epoch — while
+//! [`AnalysisSession::full_report`] stays available on demand.
 //!
 //! The contract: provided the event stream is faithful (e.g. produced by a
 //! [`FabricProbe`]), every `full_report()` is
@@ -38,7 +39,7 @@ use crate::correlation::PartialDiagnosis;
 use crate::engine::{report_from_model, EngineShared, ScoutReport};
 use crate::risk::{
     augment_controller_model, augment_controller_model_tracked, controller_risk_model,
-    controller_risk_model_sharded, RiskModel,
+    controller_risk_model_sharded, patch_controller_risk_model, RiskModel,
 };
 
 /// What an [`AnalysisSession`] needs after it detects an epoch gap: the
@@ -340,7 +341,9 @@ pub struct AnalysisSession {
     /// The session epoch: number of batches ingested so far.
     epoch: u64,
     /// The pristine (un-augmented) controller risk model of the mirrored
-    /// universe; each analysis applies and rolls back only the failed edges.
+    /// universe: built on open/resume/resync, patched in place by every
+    /// ingested policy update; each analysis applies and rolls back only the
+    /// failed edges.
     model: RiskModel<SwitchEpgPair>,
     /// The current full report (owns the current equivalence check).
     report: ScoutReport,
@@ -514,9 +517,12 @@ impl AnalysisSession {
         }
 
         let mut dirty: BTreeSet<SwitchId> = BTreeSet::new();
-        let mut policy_changed = false;
         for event in &batch.events {
-            policy_changed |= matches!(event, FabricEvent::PolicyUpdate { .. });
+            // Risk model: a policy change patches the pristine model while
+            // the view still holds the universe it was derived from.
+            if let FabricEvent::PolicyUpdate { universe, .. } = event {
+                patch_controller_risk_model(&mut self.model, self.view.universe(), universe);
+            }
             dirty.extend(
                 self.view
                     .apply(event)
@@ -534,12 +540,8 @@ impl AnalysisSession {
             |s| view.tcam_of(s),
         );
 
-        // Risk model: rebuild only on a policy change, otherwise re-derive
-        // (and roll back) just the failed edges of the new check.
-        if policy_changed {
-            self.model =
-                controller_risk_model_sharded(self.view.universe(), self.shared.config.parallelism);
-        }
+        // Risk model: re-derive (and roll back) just the failed edges of the
+        // new check.
         let (report, ()) = Self::report_on(
             &self.shared,
             &mut self.model,

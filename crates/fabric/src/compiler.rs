@@ -6,33 +6,54 @@
 //! each rule to every switch that hosts at least one endpoint of either EPG
 //! (e.g. switch S2 in Figure 1 receives the rules of both the Web–App and
 //! App–DB pairs).
+//!
+//! # Order guarantee
+//!
+//! [`compile`] emits rules grouped by ascending switch; inside a switch by
+//! binding (in [`PolicyUniverse::bindings`] order, i.e. sorted), then filter
+//! (in the contract's list order), then entry, then direction
+//! (consumer → provider first). Snapshot bytes, TCAM install order and every
+//! committed figure depend on it.
+//!
+//! A switch's bindings come from the universe's indexes
+//! ([`PolicyUniverse::bindings_on_switch`]: switch → pairs → binding indices),
+//! not from a scan of every binding, so a compile costs the rules it emits
+//! rather than switches × bindings. The index walk preserves the order
+//! because each binding belongs to exactly one pair — the gathered indices are
+//! distinct — and they are sorted ascending before use, which is precisely the
+//! order a filtering scan over the sorted binding list visits them in. (The
+//! scan itself survives only as the reference in `tests/compile.rs`.)
+//!
+//! Because of the grouping, two compiled vectors can be compared one switch
+//! run at a time: [`diff_rules`] is the single rule diff behind both
+//! [`FabricView::apply`](crate::FabricView::apply) and
+//! [`Fabric::update_policy`](crate::Fabric::update_policy).
 
 use std::collections::BTreeSet;
 
 use scout_policy::{
-    Action, EpgId, LogicalRule, PolicyUniverse, RuleMatch, RuleProvenance, SwitchId, TcamRule,
+    Action, LogicalRule, PolicyUniverse, RuleMatch, RuleProvenance, SwitchId, TcamRule,
 };
 
-/// Compiles the whole universe into logical rules for every switch.
-///
-/// The output is deterministic: rules are ordered by switch, then binding,
-/// then filter, then entry, then direction.
+/// Compiles the whole universe into logical rules for every switch, in the
+/// order the [module docs](self) guarantee.
 pub fn compile(universe: &PolicyUniverse) -> Vec<LogicalRule> {
     let mut rules = Vec::new();
-    for switch in universe.switch_ids() {
-        rules.extend(compile_for_switch(universe, switch));
+    for switch in universe.switches() {
+        compile_switch_into(universe, switch.id, &mut rules);
     }
     rules
 }
 
 /// Compiles the logical rules that must be present on one switch.
 pub fn compile_for_switch(universe: &PolicyUniverse, switch: SwitchId) -> Vec<LogicalRule> {
-    let local_epgs: BTreeSet<EpgId> = universe.epgs_on_switch(switch);
     let mut rules = Vec::new();
-    for binding in universe.bindings() {
-        if !local_epgs.contains(&binding.consumer) && !local_epgs.contains(&binding.provider) {
-            continue;
-        }
+    compile_switch_into(universe, switch, &mut rules);
+    rules
+}
+
+fn compile_switch_into(universe: &PolicyUniverse, switch: SwitchId, rules: &mut Vec<LogicalRule>) {
+    for binding in universe.bindings_on_switch(switch) {
         let Some(consumer_epg) = universe.epg(binding.consumer) else {
             continue;
         };
@@ -71,12 +92,68 @@ pub fn compile_for_switch(universe: &PolicyUniverse, switch: SwitchId) -> Vec<Lo
             }
         }
     }
-    rules
 }
 
 /// Number of TCAM entries the full policy requires on `switch`.
 pub fn rule_count_for_switch(universe: &PolicyUniverse, switch: SwitchId) -> usize {
     compile_for_switch(universe, switch).len()
+}
+
+/// What changed between two compiled rule vectors (see [`diff_rules`]).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct RuleDiff {
+    /// Switches whose expected rule *set* differs, including switches present
+    /// on one side only.
+    pub dirty: BTreeSet<SwitchId>,
+    /// Rules of `old` that `new` no longer holds, in [`LogicalRule`] order.
+    pub removed: Vec<LogicalRule>,
+    /// Rules of `new` that `old` did not hold, in [`LogicalRule`] order.
+    pub added: Vec<LogicalRule>,
+}
+
+/// Splits the leading run of `switch`'s rules off `rules`.
+fn take_run<'a>(rules: &mut &'a [LogicalRule], switch: SwitchId) -> &'a [LogicalRule] {
+    let len = rules.iter().take_while(|r| r.switch == switch).count();
+    let (run, rest) = rules.split_at(len);
+    *rules = rest;
+    run
+}
+
+/// Diffs two compiled rule vectors switch by switch.
+///
+/// Both inputs must be grouped by ascending switch, as [`compile`] emits them
+/// (an empty vector — nothing deployed yet — qualifies). The two vectors are
+/// walked one switch run at a time: equal slices mean the switch is clean
+/// without building anything; unequal slices are compared as *sets*, so a
+/// switch whose rules were merely reordered (a contract's filter list
+/// permuted) stays clean. The result equals the symmetric difference of the
+/// two vectors collected into whole-network `BTreeSet`s — `switch` is
+/// [`LogicalRule`]'s leading sort key, so per-switch differences concatenated
+/// in switch order are already in global order — at a cost proportional to
+/// the vectors plus the changed switches' rules.
+pub fn diff_rules(mut old: &[LogicalRule], mut new: &[LogicalRule]) -> RuleDiff {
+    debug_assert!(old.windows(2).all(|w| w[0].switch <= w[1].switch));
+    debug_assert!(new.windows(2).all(|w| w[0].switch <= w[1].switch));
+    let mut diff = RuleDiff::default();
+    loop {
+        let switch = match (old.first(), new.first()) {
+            (Some(o), Some(n)) => o.switch.min(n.switch),
+            (Some(r), None) | (None, Some(r)) => r.switch,
+            (None, None) => return diff,
+        };
+        let old_run = take_run(&mut old, switch);
+        let new_run = take_run(&mut new, switch);
+        if old_run == new_run {
+            continue;
+        }
+        let old_set: BTreeSet<LogicalRule> = old_run.iter().copied().collect();
+        let new_set: BTreeSet<LogicalRule> = new_run.iter().copied().collect();
+        if old_set != new_set {
+            diff.dirty.insert(switch);
+            diff.removed.extend(old_set.difference(&new_set));
+            diff.added.extend(new_set.difference(&old_set));
+        }
+    }
 }
 
 #[cfg(test)]

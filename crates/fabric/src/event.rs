@@ -7,7 +7,9 @@
 //! that stream:
 //!
 //! * [`FabricEvent`] — one typed delta: a policy-universe installation (which
-//!   also carries switch churn, since switches are universe objects), a TCAM
+//!   also carries switch churn, since switches are universe objects; the
+//!   universe travels as a shared `Arc`, so fabric, event and every view that
+//!   applies it hold one allocation), a TCAM
 //!   snapshot collected from one switch, appended controller change-log
 //!   entries, or raised/cleared device fault-log entries.
 //! * [`EventBatch`] — the unit of ingestion: the events of one epoch, with an
@@ -34,6 +36,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use scout_policy::{LogicalRule, PolicyUniverse, SwitchId, TcamRule};
 
@@ -53,9 +56,12 @@ pub enum FabricEvent {
     PolicyUpdate {
         /// The new policy-universe version.
         version: u64,
-        /// The new policy universe (boxed: a universe with its dependency
-        /// indexes dwarfs every other event variant).
-        universe: Box<PolicyUniverse>,
+        /// The new policy universe, *shared*: a universe is immutable, so the
+        /// producer ([`FabricProbe::observe`] or the wire decoder), the event
+        /// and every [`FabricView`] that applies it hold the same allocation —
+        /// applying the event bumps a refcount instead of deep-cloning tens
+        /// of thousands of named objects and their dependency indexes.
+        universe: Arc<PolicyUniverse>,
     },
     /// Telemetry from one switch: the full TCAM contents as collected. Sent
     /// for every switch whose deployed state may have changed since the last
@@ -205,7 +211,9 @@ impl std::error::Error for ApplyError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricView {
     universe_version: u64,
-    universe: PolicyUniverse,
+    /// Shared with the fabric or event it came from (see
+    /// [`FabricEvent::PolicyUpdate`]); cloning a view never copies it.
+    universe: Arc<PolicyUniverse>,
     /// Switch ids of `universe`, cached for O(log n) membership checks.
     switches: BTreeSet<SwitchId>,
     logical_rules: Vec<LogicalRule>,
@@ -220,7 +228,7 @@ impl FabricView {
     pub fn of(fabric: &Fabric) -> Self {
         Self {
             universe_version: fabric.universe_version(),
-            universe: fabric.universe().clone(),
+            universe: Arc::clone(fabric.shared_universe()),
             switches: fabric.universe().switch_ids().into_iter().collect(),
             logical_rules: fabric.logical_rules().to_vec(),
             tcam: fabric.collect_tcam(),
@@ -245,7 +253,7 @@ impl FabricView {
             universe_version,
             switches: universe.switch_ids().into_iter().collect(),
             logical_rules: compiler::compile(&universe),
-            universe,
+            universe: Arc::new(universe),
             tcam,
             change_log,
             fault_log,
@@ -297,7 +305,7 @@ impl FabricView {
     /// — the invariant a faithfully-delivered event stream maintains.
     pub fn matches(&self, fabric: &Fabric) -> bool {
         self.universe_version == fabric.universe_version()
-            && self.universe == *fabric.universe()
+            && self.universe == *fabric.shared_universe()
             && self.logical_rules == fabric.logical_rules()
             && self.tcam == fabric.collect_tcam()
             && self.change_log == *fabric.change_log()
@@ -309,12 +317,15 @@ impl FabricView {
     /// whole batch first so a mid-batch error never leaves a half-applied
     /// mirror.
     pub fn validate(&self, events: &[FabricEvent]) -> Result<(), ApplyError> {
-        let mut switches = self.switches.clone();
+        // Borrowed until a policy update earlier in the batch replaces it.
+        let mut switches = &self.switches;
+        let mut updated: BTreeSet<SwitchId>;
         let mut fault_len = self.fault_log.len();
         for event in events {
             match event {
                 FabricEvent::PolicyUpdate { universe, .. } => {
-                    switches = universe.switch_ids().into_iter().collect();
+                    updated = universe.switch_ids().into_iter().collect();
+                    switches = &updated;
                 }
                 FabricEvent::TcamSync { switch, .. } => {
                     if !switches.contains(switch) {
@@ -348,26 +359,21 @@ impl FabricView {
         let mut dirty = BTreeSet::new();
         match event {
             FabricEvent::PolicyUpdate { version, universe } => {
-                let old_rules: BTreeSet<LogicalRule> = self.logical_rules.iter().copied().collect();
-                let new_rules_vec = compiler::compile(universe);
-                let new_rules: BTreeSet<LogicalRule> = new_rules_vec.iter().copied().collect();
+                let new_rules = compiler::compile(universe);
                 let new_switches: BTreeSet<SwitchId> = universe.switch_ids().into_iter().collect();
                 // A switch needs re-checking iff its expected rule set
                 // changed; switches that left the network drop out of the
                 // current set instead.
-                dirty = old_rules
-                    .symmetric_difference(&new_rules)
-                    .map(|r| r.switch)
-                    .filter(|s| new_switches.contains(s))
-                    .collect();
+                dirty = compiler::diff_rules(&self.logical_rules, &new_rules).dirty;
+                dirty.retain(|s| new_switches.contains(s));
                 self.tcam.retain(|s, _| new_switches.contains(s));
                 for &switch in &new_switches {
                     self.tcam.entry(switch).or_default();
                 }
                 self.universe_version = *version;
-                self.universe = (**universe).clone();
+                self.universe = Arc::clone(universe);
                 self.switches = new_switches;
-                self.logical_rules = new_rules_vec;
+                self.logical_rules = new_rules;
             }
             FabricEvent::TcamSync { switch, rules } => {
                 if !self.switches.contains(switch) {
@@ -541,7 +547,7 @@ impl FabricProbe {
             self.universe_version = fabric.universe_version();
             events.push(FabricEvent::PolicyUpdate {
                 version: self.universe_version,
-                universe: Box::new(fabric.universe().clone()),
+                universe: Arc::clone(fabric.shared_universe()),
             });
         }
 

@@ -8,6 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchId, TcamRule};
 
@@ -89,7 +90,11 @@ pub struct Fabric {
     /// Process-unique version of the installed policy universe (see
     /// [`Fabric::universe_version`]).
     universe_version: u64,
-    universe: PolicyUniverse,
+    /// Shared with every [`FabricView`](crate::FabricView) snapshot and
+    /// [`FabricEvent::PolicyUpdate`](crate::FabricEvent::PolicyUpdate) taken
+    /// of this fabric: a universe is immutable, so observers bump a refcount
+    /// instead of deep-cloning it.
+    universe: Arc<PolicyUniverse>,
     clock: SimClock,
     agents: BTreeMap<SwitchId, SwitchAgent>,
     channels: BTreeMap<SwitchId, ControlChannel>,
@@ -144,7 +149,7 @@ impl Fabric {
             id: NEXT_FABRIC_ID.fetch_add(1, Ordering::Relaxed),
             parent: None,
             universe_version: NEXT_UNIVERSE_VERSION.fetch_add(1, Ordering::Relaxed),
-            universe,
+            universe: Arc::new(universe),
             clock: SimClock::new(),
             agents,
             channels,
@@ -234,6 +239,12 @@ impl Fabric {
 
     /// The current policy universe (desired state).
     pub fn universe(&self) -> &PolicyUniverse {
+        &self.universe
+    }
+
+    /// The shared handle behind [`Fabric::universe`], for observers that keep
+    /// the universe.
+    pub(crate) fn shared_universe(&self) -> &Arc<PolicyUniverse> {
         &self.universe
     }
 
@@ -375,35 +386,29 @@ impl Fabric {
         // set; keeping their versions around would only leak entries.
         self.tcam_versions.retain(|id, _| new_switches.contains(id));
 
-        let old_rules: BTreeSet<LogicalRule> = self.logical_rules.iter().copied().collect();
-        let new_rules_vec = compiler::compile(&new_universe);
-        let new_rules: BTreeSet<LogicalRule> = new_rules_vec.iter().copied().collect();
-
-        let mut instructions = Vec::new();
-        for &removed in old_rules.difference(&new_rules) {
-            instructions.push(Instruction::remove(removed));
-        }
-        for &added in new_rules.difference(&old_rules) {
-            instructions.push(Instruction::install(added));
-        }
-
-        // A switch's expected rule set changed iff some rule in the symmetric
-        // difference targets it; those switches need re-checking even when the
-        // corresponding instruction never reaches the hardware. Switches that
-        // left the network are excluded — they were pruned from the version
-        // map above and must not be re-inserted as ghosts.
-        let changed: BTreeSet<SwitchId> = old_rules
-            .symmetric_difference(&new_rules)
-            .map(|r| r.switch)
-            .filter(|s| new_switches.contains(s))
+        let new_rules = compiler::compile(&new_universe);
+        let diff = compiler::diff_rules(&self.logical_rules, &new_rules);
+        let instructions: Vec<Instruction> = diff
+            .removed
+            .iter()
+            .map(|&rule| Instruction::remove(rule))
+            .chain(diff.added.iter().map(|&rule| Instruction::install(rule)))
             .collect();
-        for switch in changed {
-            self.mark_dirty(switch);
+
+        // A switch's expected rule set changed iff the diff names it; those
+        // switches need re-checking even when the corresponding instruction
+        // never reaches the hardware. Switches that left the network are
+        // excluded — they were pruned from the version map above and must not
+        // be re-inserted as ghosts.
+        for switch in diff.dirty {
+            if new_switches.contains(&switch) {
+                self.mark_dirty(switch);
+            }
         }
 
-        self.universe = new_universe;
+        self.universe = Arc::new(new_universe);
         self.universe_version = NEXT_UNIVERSE_VERSION.fetch_add(1, Ordering::Relaxed);
-        self.logical_rules = new_rules_vec;
+        self.logical_rules = new_rules;
         self.push(&instructions)
     }
 

@@ -66,6 +66,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use scout_policy::{
     Action, Contract, ContractBinding, ContractId, Endpoint, EndpointId, Epg, EpgId, EpgPair,
@@ -921,7 +922,7 @@ impl Wire for FabricEvent {
         match r.get_u8()? {
             0 => Ok(FabricEvent::PolicyUpdate {
                 version: u64::decode(r)?,
-                universe: Box::new(PolicyUniverse::decode(r)?),
+                universe: Arc::new(PolicyUniverse::decode(r)?),
             }),
             1 => Ok(FabricEvent::TcamSync {
                 switch: SwitchId::decode(r)?,

@@ -1,7 +1,10 @@
-//! Regenerates the committed regression corpus under `tests/corpus/`.
+//! Regenerates the committed regression corpus under `tests/corpus/`, or
+//! checks that it still would.
 //!
 //! ```text
-//! gen-corpus [DIR]
+//! gen-corpus [DIR]            write every case into DIR (default tests/corpus)
+//! gen-corpus --check DIR      write nothing; exit 1 unless DIR holds exactly
+//!                             the cases this generator produces, byte for byte
 //! ```
 //!
 //! Every case is built deterministically — from the fuzzer's own seeds, from
@@ -15,11 +18,20 @@
 //! The committed `.bin` files are the contract, not this generator: the
 //! `snapshot__v1` fixture in particular pins the `SNAPSHOT_VERSION = 1`
 //! byte layout, and must never be silently regenerated after a version bump
-//! — that is exactly the migration break the fixture exists to catch.
+//! — that is exactly the migration break the fixture exists to catch. CI runs
+//! `--check` so generator and corpus cannot drift apart unnoticed.
+//!
+//! Reproducibility: a live [`Fabric`] draws its `universe_version` from a
+//! process-wide counter, i.e. from how many fabrics the process built before
+//! it. The view cases built here therefore stamp the version the committed
+//! files froze ([`FABRIC_VIEW_VERSION`], [`RESYNC_VIEW_VERSION`]) instead of
+//! whatever the counter says; the seed-derived cases inherit the fixed build
+//! order of [`seeds::for_surface`].
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fs;
 use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use scout_core::{CorrelationReport, Hypothesis, Snapshot, SnapshotError};
@@ -38,19 +50,101 @@ use scout_store::journal::{
 };
 use scout_store::sha256;
 
-/// Checks `bytes` against the oracles, asserts the expected fate, and
-/// freezes the case.
-fn freeze(dir: &Path, surface: Surface, name: &str, bytes: &[u8], expect_accept: bool) {
-    match oracle::check(surface, bytes) {
-        Verdict::Accepted => assert!(expect_accept, "{surface}__{name}: unexpectedly accepted"),
-        Verdict::Rejected(err) => assert!(
-            !expect_accept,
-            "{surface}__{name}: unexpectedly rejected: {err}"
-        ),
-        Verdict::Violation(violation) => panic!("{surface}__{name}: oracle violation: {violation}"),
+/// The universe version frozen into `fabricview__{valid,stray_tcam}`.
+const FABRIC_VIEW_VERSION: u64 = 0x14;
+/// The universe version frozen into `server__resync_stray_tcam`.
+const RESYNC_VIEW_VERSION: u64 = 0x18;
+
+/// Where finished cases go: written into `dir`, or (`--check`) compared with
+/// the files already there.
+struct Corpus {
+    dir: PathBuf,
+    check: bool,
+    /// File names of the cases produced so far.
+    produced: BTreeSet<String>,
+    /// `--check` findings, one line each.
+    differences: Vec<String>,
+}
+
+impl Corpus {
+    /// Checks `bytes` against the oracles, asserts the expected fate, and
+    /// freezes (or, under `--check`, compares) the case.
+    fn freeze(&mut self, surface: Surface, name: &str, bytes: &[u8], expect_accept: bool) {
+        match oracle::check(surface, bytes) {
+            Verdict::Accepted => {
+                assert!(expect_accept, "{surface}__{name}: unexpectedly accepted")
+            }
+            Verdict::Rejected(err) => assert!(
+                !expect_accept,
+                "{surface}__{name}: unexpectedly rejected: {err}"
+            ),
+            Verdict::Violation(violation) => {
+                panic!("{surface}__{name}: oracle violation: {violation}")
+            }
+        }
+        let file = format!("{}__{name}.bin", surface.name());
+        if self.check {
+            match fs::read(self.dir.join(&file)) {
+                Ok(committed) if committed == bytes => {}
+                Ok(committed) => {
+                    let at = committed
+                        .iter()
+                        .zip(bytes)
+                        .take_while(|(a, b)| a == b)
+                        .count();
+                    self.differences.push(format!(
+                        "{file}: differs from the generated case at byte {at} \
+                         ({} bytes committed, {} generated)",
+                        committed.len(),
+                        bytes.len()
+                    ));
+                }
+                Err(err) => self.differences.push(format!("{file}: {err}")),
+            }
+        } else {
+            let path = corpus::write_case(&self.dir, surface, name, bytes).expect("case written");
+            println!("wrote {} ({} bytes)", path.display(), bytes.len());
+        }
+        self.produced.insert(file);
     }
-    let path = corpus::write_case(dir, surface, name, bytes).expect("corpus case written");
-    println!("wrote {} ({} bytes)", path.display(), bytes.len());
+
+    /// `--check` only: `.bin` files in the directory this generator no
+    /// longer (or never) produces.
+    fn note_unproduced_files(&mut self) {
+        let mut names: Vec<String> = fs::read_dir(&self.dir)
+            .expect("corpus directory readable")
+            .map(|entry| entry.expect("directory entry").file_name())
+            .filter_map(|name| name.into_string().ok())
+            .filter(|name| name.ends_with(".bin") && !self.produced.contains(name))
+            .collect();
+        names.sort();
+        for name in names {
+            self.differences
+                .push(format!("{name}: not produced by this generator"));
+        }
+    }
+}
+
+/// Encodes `view` the way [`FabricView`]'s codec does, with a pinned
+/// universe version and `tcam` standing in for the mirrored tables.
+fn encode_view(
+    w: &mut WireWriter,
+    version: u64,
+    view: &FabricView,
+    tcam: &BTreeMap<SwitchId, Vec<TcamRule>>,
+) {
+    w.put_u64(version);
+    view.universe().encode(w);
+    tcam.encode(w);
+    view.change_log().encode(w);
+    view.fault_log().encode(w);
+}
+
+/// `view`'s tables plus one for a switch the universe has never heard of.
+fn with_stray_switch(view: &FabricView) -> BTreeMap<SwitchId, Vec<TcamRule>> {
+    let mut tcam = view.tcam().clone();
+    tcam.insert(SwitchId::new(9999), Vec::new());
+    tcam
 }
 
 /// Byte offsets inside a valid snapshot frame, recovered by re-walking the
@@ -126,11 +220,11 @@ fn snapshot_offsets(bytes: &[u8]) -> SnapshotOffsets {
     }
 }
 
-fn event_batch_cases(dir: &Path) {
+fn event_batch_cases(out: &mut Corpus) {
     let surface = Surface::EventBatch;
     let seed = seeds::for_surface(surface)[0].clone();
-    freeze(dir, surface, "valid", &seed, true);
-    freeze(dir, surface, "truncated", &seed[..seed.len() - 1], false);
+    out.freeze(surface, "valid", &seed, true);
+    out.freeze(surface, "truncated", &seed[..seed.len() - 1], false);
 
     let mut trailing = seed.clone();
     trailing.extend([0xA5; 3]);
@@ -138,7 +232,7 @@ fn event_batch_cases(dir: &Path) {
         from_bytes::<EventBatch>(&trailing),
         Err(WireError::TrailingBytes { remaining: 3 })
     );
-    freeze(dir, surface, "trailing_garbage", &trailing, false);
+    out.freeze(surface, "trailing_garbage", &trailing, false);
 
     // epoch 1, then an event count of u64::MAX: a decoder that trusted the
     // prefix would pre-allocate ~2^64 entries before reading a single byte.
@@ -150,7 +244,7 @@ fn event_batch_cases(dir: &Path) {
         from_bytes::<EventBatch>(&huge),
         Err(WireError::UnexpectedEof { .. })
     ));
-    freeze(dir, surface, "huge_len_prefix", &huge, false);
+    out.freeze(surface, "huge_len_prefix", &huge, false);
 
     let mut w = WireWriter::new();
     w.put_u64(1); // epoch
@@ -164,38 +258,45 @@ fn event_batch_cases(dir: &Path) {
             tag: 0xFF,
         })
     );
-    freeze(dir, surface, "bad_tag", &bad_tag, false);
+    out.freeze(surface, "bad_tag", &bad_tag, false);
 }
 
-fn fabric_view_cases(dir: &Path) {
+fn fabric_view_cases(out: &mut Corpus) {
     let surface = Surface::FabricView;
     let mut fabric = Fabric::new(sample::three_tier());
     fabric.deploy();
     let view = FabricView::of(&fabric);
-    freeze(dir, surface, "valid", &to_bytes(&view), true);
+    let mut w = WireWriter::new();
+    encode_view(&mut w, FABRIC_VIEW_VERSION, &view, view.tcam());
+    let valid = w.into_bytes();
+    assert_eq!(
+        valid[8..],
+        to_bytes(&view)[8..],
+        "only the version is pinned"
+    );
+    out.freeze(surface, "valid", &valid, true);
 
     // Same view, plus a mirrored TCAM table for a switch the universe has
     // never heard of.
     let mut w = WireWriter::new();
-    w.put_u64(view.universe_version());
-    view.universe().encode(&mut w);
-    let mut tcam = view.tcam().clone();
-    tcam.insert(SwitchId::new(9999), Vec::new());
-    tcam.encode(&mut w);
-    view.change_log().encode(&mut w);
-    view.fault_log().encode(&mut w);
+    encode_view(
+        &mut w,
+        FABRIC_VIEW_VERSION,
+        &view,
+        &with_stray_switch(&view),
+    );
     let stray = w.into_bytes();
     assert_eq!(
         from_bytes::<FabricView>(&stray),
         Err(WireError::Invalid { what: "FabricView" })
     );
-    freeze(dir, surface, "stray_tcam", &stray, false);
+    out.freeze(surface, "stray_tcam", &stray, false);
 }
 
-fn policy_universe_cases(dir: &Path) {
+fn policy_universe_cases(out: &mut Corpus) {
     let surface = Surface::PolicyUniverse;
     let universe = sample::three_tier();
-    freeze(dir, surface, "valid", &to_bytes(&universe), true);
+    out.freeze(surface, "valid", &to_bytes(&universe), true);
 
     let encode_with = |mutate: &dyn Fn(&mut Vec<Epg>, &mut Vec<ContractBinding>)| {
         let mut epgs: Vec<Epg> = universe.epgs().cloned().collect();
@@ -241,7 +342,7 @@ fn policy_universe_cases(dir: &Path) {
             what: "PolicyUniverse.epgs"
         })
     );
-    freeze(dir, surface, "unsorted_epgs", &unsorted, false);
+    out.freeze(surface, "unsorted_epgs", &unsorted, false);
 
     assert!(!universe.bindings().is_empty());
     let dup = encode_with(&|_, bindings| bindings.insert(0, bindings[0]));
@@ -251,16 +352,16 @@ fn policy_universe_cases(dir: &Path) {
             what: "PolicyUniverse.bindings"
         })
     );
-    freeze(dir, surface, "dup_binding", &dup, false);
+    out.freeze(surface, "dup_binding", &dup, false);
 }
 
-fn tcam_cases(dir: &Path) {
+fn tcam_cases(out: &mut Corpus) {
     let surface = Surface::Tcam;
     let mut fabric = Fabric::new(sample::three_tier());
     fabric.deploy();
     let tcam = fabric.collect_tcam();
     assert!(tcam.len() >= 2, "need >= 2 switches to unsort the map");
-    freeze(dir, surface, "valid", &to_bytes(&tcam), true);
+    out.freeze(surface, "valid", &to_bytes(&tcam), true);
 
     let mut w = WireWriter::new();
     w.put_usize(tcam.len());
@@ -273,17 +374,17 @@ fn tcam_cases(dir: &Path) {
         from_bytes::<std::collections::BTreeMap<SwitchId, Vec<TcamRule>>>(&unsorted),
         Err(WireError::NonCanonical { what: "BTreeMap" })
     );
-    freeze(dir, surface, "unsorted_keys", &unsorted, false);
+    out.freeze(surface, "unsorted_keys", &unsorted, false);
 }
 
-fn log_cases(dir: &Path) {
+fn log_cases(out: &mut Corpus) {
     let changelog = seeds::for_surface(Surface::ChangeLog)[0].clone();
-    freeze(dir, Surface::ChangeLog, "valid", &changelog, true);
+    out.freeze(Surface::ChangeLog, "valid", &changelog, true);
     let faultlog = seeds::for_surface(Surface::FaultLog)[0].clone();
-    freeze(dir, Surface::FaultLog, "valid", &faultlog, true);
+    out.freeze(Surface::FaultLog, "valid", &faultlog, true);
 }
 
-fn snapshot_cases(dir: &Path) {
+fn snapshot_cases(out: &mut Corpus) {
     let surface = Surface::Snapshot;
     let snap_seeds = seeds::for_surface(surface);
     let bare = snap_seeds[0].clone();
@@ -295,7 +396,7 @@ fn snapshot_cases(dir: &Path) {
             .is_empty(),
         "the v1 fixture must pin tail replay, not just the checkpoint"
     );
-    freeze(dir, surface, "v1", &tailed, true);
+    out.freeze(surface, "v1", &tailed, true);
 
     let mut bad_magic = tailed.clone();
     bad_magic[..4].copy_from_slice(b"XXXX");
@@ -303,7 +404,7 @@ fn snapshot_cases(dir: &Path) {
         Snapshot::from_bytes(&bad_magic),
         Err(SnapshotError::BadMagic)
     );
-    freeze(dir, surface, "bad_magic", &bad_magic, false);
+    out.freeze(surface, "bad_magic", &bad_magic, false);
 
     let mut wrong_version = tailed.clone();
     wrong_version[4..8].copy_from_slice(&99u32.to_le_bytes());
@@ -311,7 +412,7 @@ fn snapshot_cases(dir: &Path) {
         Snapshot::from_bytes(&wrong_version),
         Err(SnapshotError::UnsupportedVersion { found: 99, .. })
     ));
-    freeze(dir, surface, "wrong_version", &wrong_version, false);
+    out.freeze(surface, "wrong_version", &wrong_version, false);
 
     // One flipped payload bit, checksum left stale.
     let mut bad_crc = tailed.clone();
@@ -320,7 +421,7 @@ fn snapshot_cases(dir: &Path) {
         Snapshot::from_bytes(&bad_crc),
         Err(SnapshotError::ChecksumMismatch { .. })
     ));
-    freeze(dir, surface, "bad_crc", &bad_crc, false);
+    out.freeze(surface, "bad_crc", &bad_crc, false);
 
     // Checkpoint epoch forged to u64::MAX: accepting it would make the very
     // next `next_epoch()` overflow. The epoch is the third payload u64.
@@ -331,7 +432,7 @@ fn snapshot_cases(dir: &Path) {
         Snapshot::from_bytes(&overflow),
         Err(SnapshotError::EpochOverflow { epoch: u64::MAX })
     );
-    freeze(dir, surface, "epoch_overflow", &overflow, false);
+    out.freeze(surface, "epoch_overflow", &overflow, false);
 
     // Checkpoint epoch shifted forward: the tail batches no longer continue
     // it in +1 sequence.
@@ -346,7 +447,7 @@ fn snapshot_cases(dir: &Path) {
             got: epoch + 1,
         })
     );
-    freeze(dir, surface, "gapped_tail", &gapped, false);
+    out.freeze(surface, "gapped_tail", &gapped, false);
 
     let offsets = snapshot_offsets(&tailed);
 
@@ -367,7 +468,7 @@ fn snapshot_cases(dir: &Path) {
             what: "NetworkCheckResult"
         }))
     );
-    freeze(dir, surface, "dup_check_switch", &dup, false);
+    out.freeze(surface, "dup_check_switch", &dup, false);
 
     // An observation's EPG pair with its members swapped: decodes to the
     // same normalized value, so the bytes are non-canonical.
@@ -387,7 +488,7 @@ fn snapshot_cases(dir: &Path) {
             what: "EpgPair"
         }))
     );
-    freeze(dir, surface, "denorm_epgpair", &denorm, false);
+    out.freeze(surface, "denorm_epgpair", &denorm, false);
 
     // Replay-tail count saturated to u64::MAX with a freshly stamped CRC —
     // the snapshot-surface twin of `eventbatch__huge_len_prefix`.
@@ -398,10 +499,10 @@ fn snapshot_cases(dir: &Path) {
         Snapshot::from_bytes(&huge_tail),
         Err(SnapshotError::Wire(WireError::UnexpectedEof { .. }))
     ));
-    freeze(dir, surface, "huge_tail_len", &huge_tail, false);
+    out.freeze(surface, "huge_tail_len", &huge_tail, false);
 }
 
-fn journal_cases(dir: &Path) {
+fn journal_cases(out: &mut Corpus) {
     let surface = Surface::Journal;
     let journal_seeds = seeds::for_surface(surface);
     let sealed = journal_seeds[0].clone();
@@ -410,8 +511,8 @@ fn journal_cases(dir: &Path) {
         decode_segment(&sealed).expect("seed decodes").records.len() >= 3,
         "the journal seed must pin a multi-record chain, not a trivial segment"
     );
-    freeze(dir, surface, "valid", &sealed, true);
-    freeze(dir, surface, "empty__valid", &empty, true);
+    out.freeze(surface, "valid", &sealed, true);
+    out.freeze(surface, "empty__valid", &empty, true);
 
     // Torn mid-record: strict decode (the fuzz surface) rejects what
     // recovery's lenient decoder would truncate.
@@ -419,24 +520,18 @@ fn journal_cases(dir: &Path) {
         decode_segment(&sealed[..sealed.len() - 1]),
         Err(JournalError::TruncatedRecord { .. })
     ));
-    freeze(
-        dir,
-        surface,
-        "truncated",
-        &sealed[..sealed.len() - 1],
-        false,
-    );
+    out.freeze(surface, "truncated", &sealed[..sealed.len() - 1], false);
 
     assert_eq!(
         decode_segment(&sealed[..30]),
         Err(JournalError::TruncatedHeader { len: 30 })
     );
-    freeze(dir, surface, "truncated_header", &sealed[..30], false);
+    out.freeze(surface, "truncated_header", &sealed[..30], false);
 
     let mut bad_magic = sealed.clone();
     bad_magic[..4].copy_from_slice(b"XXXX");
     assert_eq!(decode_segment(&bad_magic), Err(JournalError::BadMagic));
-    freeze(dir, surface, "bad_magic", &bad_magic, false);
+    out.freeze(surface, "bad_magic", &bad_magic, false);
 
     let mut wrong_version = sealed.clone();
     wrong_version[4..8].copy_from_slice(&9u32.to_le_bytes());
@@ -444,7 +539,7 @@ fn journal_cases(dir: &Path) {
         decode_segment(&wrong_version),
         Err(JournalError::UnsupportedVersion { version: 9 })
     );
-    freeze(dir, surface, "wrong_version", &wrong_version, false);
+    out.freeze(surface, "wrong_version", &wrong_version, false);
 
     // One flipped payload byte, stamps left stale — the single-bit-flip
     // tamper case recovery must catch.
@@ -454,7 +549,7 @@ fn journal_cases(dir: &Path) {
         decode_segment(&flipped),
         Err(JournalError::PayloadCrc { epoch: 1 })
     );
-    freeze(dir, surface, "flipped_payload", &flipped, false);
+    out.freeze(surface, "flipped_payload", &flipped, false);
 
     // The first two record frames swapped wholesale: each frame is
     // internally consistent but the chain no longer links.
@@ -479,7 +574,7 @@ fn journal_cases(dir: &Path) {
         decode_segment(&spliced),
         Err(JournalError::ChainMismatch { epoch: 1 })
     );
-    freeze(dir, surface, "spliced_records", &spliced, false);
+    out.freeze(surface, "spliced_records", &spliced, false);
 
     // A freshly stamped record (valid CRCs, valid chain) whose batch claims
     // the wrong epoch for its journal position.
@@ -500,7 +595,7 @@ fn journal_cases(dir: &Path) {
             found: 9,
         })
     );
-    freeze(dir, surface, "epoch_gap", &epoch_gap, false);
+    out.freeze(surface, "epoch_gap", &epoch_gap, false);
 
     // A header-only segment claiming first_epoch = 0 with a valid CRC: epoch
     // 0 is the genesis anchor, never a journal record — and an unguarded
@@ -515,7 +610,7 @@ fn journal_cases(dir: &Path) {
         decode_segment(&zero_epoch),
         Err(JournalError::FirstEpochZero)
     );
-    freeze(dir, surface, "zero_first_epoch", &zero_epoch, false);
+    out.freeze(surface, "zero_first_epoch", &zero_epoch, false);
 
     // Payload replaced with non-wire bytes and every stamp recomputed: the
     // frame passes all CRC and chain gates and dies in the batch decode.
@@ -528,7 +623,7 @@ fn journal_cases(dir: &Path) {
         decode_segment(&garbage),
         Err(JournalError::Batch { epoch: 1, .. })
     ));
-    freeze(dir, surface, "garbage_payload", &garbage, false);
+    out.freeze(surface, "garbage_payload", &garbage, false);
 
     // A frame header validly promising a payload past the sanity cap — a
     // decoder that trusted it would pre-allocate 64 MiB from a 96-byte file.
@@ -553,14 +648,14 @@ fn journal_cases(dir: &Path) {
             len: u64::from(huge),
         })
     );
-    freeze(dir, surface, "oversized_record", &oversized, false);
+    out.freeze(surface, "oversized_record", &oversized, false);
 }
 
-fn server_cases(dir: &Path) {
+fn server_cases(out: &mut Corpus) {
     let surface = Surface::Server;
     let seed = seeds::for_surface(surface)[0].clone(); // OpenSession
-    freeze(dir, surface, "open_session__valid", &seed, true);
-    freeze(dir, surface, "truncated", &seed[..seed.len() - 1], false);
+    out.freeze(surface, "open_session__valid", &seed, true);
+    out.freeze(surface, "truncated", &seed[..seed.len() - 1], false);
 
     let mut trailing = seed.clone();
     trailing.extend([0x5A; 2]);
@@ -568,7 +663,7 @@ fn server_cases(dir: &Path) {
         from_bytes::<ServerRequest>(&trailing),
         Err(WireError::TrailingBytes { remaining: 2 })
     );
-    freeze(dir, surface, "trailing_garbage", &trailing, false);
+    out.freeze(surface, "trailing_garbage", &trailing, false);
 
     // Tag 6: one past the last request variant.
     let mut w = WireWriter::new();
@@ -582,7 +677,7 @@ fn server_cases(dir: &Path) {
             tag: 6,
         })
     );
-    freeze(dir, surface, "bad_tag", &bad_tag, false);
+    out.freeze(surface, "bad_tag", &bad_tag, false);
 
     // An Ingest whose batch claims u64::MAX events: the serving twin of
     // `eventbatch__huge_len_prefix` — a front door that trusted the prefix
@@ -597,7 +692,7 @@ fn server_cases(dir: &Path) {
         from_bytes::<ServerRequest>(&huge),
         Err(WireError::UnexpectedEof { .. })
     ));
-    freeze(dir, surface, "huge_len_prefix", &huge, false);
+    out.freeze(surface, "huge_len_prefix", &huge, false);
 
     // A Resync carrying a fabric view with a mirrored TCAM table for a
     // switch the universe has never heard of — every frame is well-formed,
@@ -609,38 +704,70 @@ fn server_cases(dir: &Path) {
     w.put_u8(2); // Resync
     w.put_u64(7); // tenant
     w.put_u64(4); // epoch
-    w.put_u64(view.universe_version());
-    view.universe().encode(&mut w);
-    let mut tcam = view.tcam().clone();
-    tcam.insert(SwitchId::new(9999), Vec::new());
-    tcam.encode(&mut w);
-    view.change_log().encode(&mut w);
-    view.fault_log().encode(&mut w);
+    encode_view(
+        &mut w,
+        RESYNC_VIEW_VERSION,
+        &view,
+        &with_stray_switch(&view),
+    );
     let stray = w.into_bytes();
     assert_eq!(
         from_bytes::<ServerRequest>(&stray),
         Err(WireError::Invalid { what: "FabricView" })
     );
-    freeze(dir, surface, "resync_stray_tcam", &stray, false);
+    out.freeze(surface, "resync_stray_tcam", &stray, false);
 }
 
 fn main() -> ExitCode {
-    let dir = std::env::args()
-        .nth(1)
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("tests/corpus"));
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let check = args.first().is_some_and(|a| a == "--check");
+    if check {
+        args.remove(0);
+    }
+    let dir = match (args.pop(), args.is_empty(), check) {
+        (Some(dir), true, _) => PathBuf::from(dir),
+        (None, _, false) => PathBuf::from("tests/corpus"),
+        _ => {
+            eprintln!("usage: gen-corpus [DIR] | gen-corpus --check DIR");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut out = Corpus {
+        dir,
+        check,
+        produced: BTreeSet::new(),
+        differences: Vec::new(),
+    };
 
-    event_batch_cases(&dir);
-    fabric_view_cases(&dir);
-    policy_universe_cases(&dir);
-    tcam_cases(&dir);
-    log_cases(&dir);
-    snapshot_cases(&dir);
-    journal_cases(&dir);
-    server_cases(&dir);
+    event_batch_cases(&mut out);
+    fabric_view_cases(&mut out);
+    policy_universe_cases(&mut out);
+    tcam_cases(&mut out);
+    log_cases(&mut out);
+    snapshot_cases(&mut out);
+    journal_cases(&mut out);
+    server_cases(&mut out);
+
+    if out.check {
+        out.note_unproduced_files();
+        for difference in &out.differences {
+            eprintln!("DIFFERS {difference}");
+        }
+        println!(
+            "corpus {}: {} cases checked, {} differences",
+            out.dir.display(),
+            out.produced.len(),
+            out.differences.len()
+        );
+        return if out.differences.is_empty() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        };
+    }
 
     // Final gate: the directory as a whole replays clean.
-    let results = corpus::replay_dir(&dir).expect("corpus replay");
+    let results = corpus::replay_dir(&out.dir).expect("corpus replay");
     let violations: Vec<_> = results
         .iter()
         .filter(|c| matches!(c.verdict, Verdict::Violation(_)))
@@ -650,7 +777,7 @@ fn main() -> ExitCode {
     }
     println!(
         "corpus {}: {} cases, {} violations",
-        dir.display(),
+        out.dir.display(),
         results.len(),
         violations.len()
     );

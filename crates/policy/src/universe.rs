@@ -246,6 +246,30 @@ impl PolicyUniverse {
             .unwrap_or_default()
     }
 
+    /// The contract bindings whose rules must be deployed on `switch` — every
+    /// binding with at least one member EPG hosted there — in the order they
+    /// appear in [`bindings`](Self::bindings).
+    ///
+    /// Gathered from the `switch → pairs → binding indices` indexes (each
+    /// binding belongs to exactly one pair, so the indices are distinct) and
+    /// sorted ascending, which is the order a filtering scan over the sorted
+    /// binding list would visit them in; the cost is the switch's own
+    /// bindings, not the universe's.
+    pub fn bindings_on_switch(
+        &self,
+        switch: SwitchId,
+    ) -> impl Iterator<Item = &ContractBinding> + '_ {
+        let mut idxs: Vec<usize> = self
+            .pairs_on_switch(switch)
+            .iter()
+            .filter_map(|pair| self.pair_bindings.get(pair))
+            .flatten()
+            .copied()
+            .collect();
+        idxs.sort_unstable();
+        idxs.into_iter().map(|i| &self.bindings[i])
+    }
+
     /// Switches on which rules for `pair` must be deployed: every switch that
     /// hosts an endpoint of either member EPG.
     pub fn switches_for_pair(&self, pair: EpgPair) -> BTreeSet<SwitchId> {
@@ -257,9 +281,25 @@ impl PolicyUniverse {
     }
 
     /// EPG pairs whose rules must be deployed on `switch`: every bound pair
-    /// with at least one member EPG hosted on the switch.
-    pub fn pairs_on_switch(&self, switch: SwitchId) -> BTreeSet<EpgPair> {
-        self.switch_pairs.get(&switch).cloned().unwrap_or_default()
+    /// with at least one member EPG hosted on the switch (empty for a switch
+    /// without endpoints or an unknown one). Borrowed from the index.
+    pub fn pairs_on_switch(&self, switch: SwitchId) -> &BTreeSet<EpgPair> {
+        static NO_PAIRS: BTreeSet<EpgPair> = BTreeSet::new();
+        self.switch_pairs.get(&switch).unwrap_or(&NO_PAIRS)
+    }
+
+    /// Every bound pair with its dependency closure (see
+    /// [`objects_for_bound_pair`](Self::objects_for_bound_pair)), in pair
+    /// order.
+    pub fn pair_closures(&self) -> impl Iterator<Item = (EpgPair, &BTreeSet<ObjectId>)> {
+        self.pair_objects.iter().map(|(&pair, objs)| (pair, objs))
+    }
+
+    /// The dependency closure of a *bound* pair, borrowed from the index:
+    /// what [`objects_for_pair`](Self::objects_for_pair) returns, without the
+    /// clone. `None` for pairs no binding governs.
+    pub fn objects_for_bound_pair(&self, pair: EpgPair) -> Option<&BTreeSet<ObjectId>> {
+        self.pair_objects.get(&pair)
     }
 
     /// The policy objects `pair` relies on: the VRF, both EPGs, every contract
@@ -268,11 +308,10 @@ impl PolicyUniverse {
     /// This is the dependency closure used to build risk-model edges and to
     /// compute the suspect set for the γ metric.
     pub fn objects_for_pair(&self, pair: EpgPair) -> BTreeSet<ObjectId> {
-        if let Some(objs) = self.pair_objects.get(&pair) {
-            return objs.clone();
-        }
         // Unbound pairs are not indexed; derive their (binding-free) closure.
-        Self::pair_closure(&self.epgs, &self.contracts, &[], pair)
+        self.objects_for_bound_pair(pair)
+            .cloned()
+            .unwrap_or_else(|| Self::pair_closure(&self.epgs, &self.contracts, &[], pair))
     }
 
     /// The dependency closure of `pair` given the bindings that govern it
@@ -696,6 +735,41 @@ mod tests {
         let s3 = u.pairs_on_switch(sample::S3);
         assert_eq!(s3.len(), 1);
         assert!(s3.contains(&EpgPair::new(sample::APP, sample::DB)));
+    }
+
+    #[test]
+    fn bindings_on_switch_is_the_filtered_binding_list() {
+        let u = three_tier();
+        for switch in [sample::S1, sample::S2, sample::S3, SwitchId::new(99)] {
+            let local = u.epgs_on_switch(switch);
+            let scanned: Vec<&ContractBinding> = u
+                .bindings()
+                .iter()
+                .filter(|b| local.contains(&b.consumer) || local.contains(&b.provider))
+                .collect();
+            let indexed: Vec<&ContractBinding> = u.bindings_on_switch(switch).collect();
+            assert_eq!(indexed, scanned, "{switch}");
+        }
+        assert_eq!(u.bindings_on_switch(sample::S2).count(), 2);
+        assert!(u.pairs_on_switch(SwitchId::new(99)).is_empty());
+    }
+
+    #[test]
+    fn borrowed_closures_cover_exactly_the_bound_pairs() {
+        let u = three_tier();
+        let app_db = EpgPair::new(sample::APP, sample::DB);
+        assert_eq!(
+            u.objects_for_bound_pair(app_db),
+            Some(&u.objects_for_pair(app_db))
+        );
+        // Web-DB is not bound: no indexed closure, but a derived one.
+        let web_db = EpgPair::new(sample::WEB, sample::DB);
+        assert_eq!(u.objects_for_bound_pair(web_db), None);
+        assert!(u
+            .objects_for_pair(web_db)
+            .contains(&ObjectId::Epg(sample::WEB)));
+        let indexed: BTreeSet<EpgPair> = u.pair_closures().map(|(pair, _)| pair).collect();
+        assert_eq!(indexed, u.epg_pairs());
     }
 
     #[test]

@@ -27,6 +27,11 @@ use std::fmt;
 pub type TenantId = u64;
 
 /// One request from a tenant to the front door.
+// `OpenSession` holds its universe inline (callers build the variant from a
+// plain `PolicyUniverse`) while `Resync`'s view shares its own behind an `Arc`.
+// A request is decoded, moved into `handle` and consumed — never stored in
+// bulk — so the size gap between the variants costs nothing.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServerRequest {
     /// Registers `tenant` and opens an analysis session over a pristine
