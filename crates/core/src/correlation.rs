@@ -229,14 +229,6 @@ impl PartialDiagnosis {
         &self.candidates[..n.min(self.candidates.len())]
     }
 
-    /// The 1-based rank of `object`, if it was ranked at all.
-    pub fn rank_of(&self, object: ObjectId) -> Option<usize> {
-        self.candidates
-            .iter()
-            .position(|c| c.object == object)
-            .map(|i| i + 1)
-    }
-
     /// The best (lowest) 1-based rank across `objects` — how high the
     /// ranking places *any* member of a ground-truth set.
     pub fn rank_of_any(&self, objects: &BTreeSet<ObjectId>) -> Option<usize> {

@@ -27,13 +27,14 @@
 //!
 //! Snapshots use the in-house wire format of [`scout_fabric::wire`] — no
 //! registry dependencies, consistent with the repo's `rand`-shim approach —
-//! framed by a 4-byte magic, a version word and a CRC-32 of the payload, so
-//! schema changes and on-disk corruption both fail loudly
+//! [`seal`]ed behind a 4-byte magic, a version word and a CRC-32 of the
+//! payload, so schema changes and on-disk corruption both fail loudly
 //! ([`SnapshotError::UnsupportedVersion`],
-//! [`SnapshotError::ChecksumMismatch`]) instead of decoding garbage. Pristine risk models and BDD caches are *not* serialized: both
-//! are pure functions of the view (and analysis results never depend on
-//! cache state), so [`ScoutEngine::restore`](crate::ScoutEngine::restore)
-//! rebuilds them, keeping snapshots proportional to the monitored state.
+//! [`SnapshotError::ChecksumMismatch`]) instead of decoding garbage.
+//! Pristine risk models and BDD caches are *not* serialized: both are pure
+//! functions of the view (and analysis results never depend on cache
+//! state), so [`ScoutEngine::restore`](crate::ScoutEngine::restore) rebuilds
+//! them, keeping snapshots proportional to the monitored state.
 //!
 //! # Example
 //!
@@ -67,8 +68,8 @@
 use std::fmt;
 
 use scout_equiv::{NetworkCheckResult, SwitchCheckResult};
-use scout_fabric::wire::{crc32, Wire, WireError, WireReader, WireWriter};
-use scout_fabric::{EventBatch, FabricView, Timestamp};
+use scout_fabric::wire::{open_sealed, seal, SealError, Wire, WireError, WireReader, WireWriter};
+use scout_fabric::{wire_enum, wire_struct, EventBatch, FabricView};
 use scout_policy::SwitchId;
 
 use crate::correlation::{CorrelationReport, ObjectDiagnosis, RootCause};
@@ -241,66 +242,41 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Encodes the snapshot: a magic/version/CRC-32 header followed by the
-    /// wire-encoded payload.
+    /// Encodes the snapshot: the wire-encoded payload, [`seal`]ed behind a
+    /// magic/version/CRC-32 prologue.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = WireWriter::new();
-        payload.put_u64(self.fabric_id);
-        payload.put_u64(self.open_epoch);
-        payload.put_u64(self.epoch);
-        self.view.encode(&mut payload);
-        put_report(&mut payload, &self.report);
-        payload.put_usize(self.tail.len());
-        for batch in &self.tail {
-            batch.encode(&mut payload);
-        }
-        let payload = payload.into_bytes();
-
-        let mut w = WireWriter::new();
-        for byte in SNAPSHOT_MAGIC {
-            w.put_u8(byte);
-        }
-        w.put_u32(SNAPSHOT_VERSION);
-        w.put_u32(crc32(&payload));
-        let mut bytes = w.into_bytes();
-        bytes.extend_from_slice(&payload);
-        bytes
+        seal(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, |w| {
+            w.put_u64(self.fabric_id);
+            w.put_u64(self.open_epoch);
+            w.put_u64(self.epoch);
+            self.view.encode(w);
+            self.report.encode(w);
+            self.tail.encode(w);
+        })
     }
 
     /// Decodes a snapshot, checking the magic, version and payload checksum
     /// and requiring the whole buffer to be consumed.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = WireReader::new(bytes);
-        for expected in SNAPSHOT_MAGIC {
-            if r.get_u8().map_err(|_| SnapshotError::BadMagic)? != expected {
-                return Err(SnapshotError::BadMagic);
-            }
-        }
-        let found = r.get_u32()?;
-        if found != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                found,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        let expected_crc = r.get_u32()?;
-        let found_crc = crc32(&bytes[bytes.len() - r.remaining()..]);
-        if found_crc != expected_crc {
-            return Err(SnapshotError::ChecksumMismatch {
-                expected: expected_crc,
-                found: found_crc,
-            });
-        }
+        let payload =
+            open_sealed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, bytes).map_err(|err| match err {
+                SealError::BadMagic => SnapshotError::BadMagic,
+                SealError::Truncated(err) => SnapshotError::Wire(err),
+                SealError::UnsupportedVersion { found } => SnapshotError::UnsupportedVersion {
+                    found,
+                    supported: SNAPSHOT_VERSION,
+                },
+                SealError::ChecksumMismatch { expected, found } => {
+                    SnapshotError::ChecksumMismatch { expected, found }
+                }
+            })?;
+        let mut r = WireReader::new(payload);
         let fabric_id = r.get_u64()?;
         let open_epoch = r.get_u64()?;
         let epoch = r.get_u64()?;
         let view = FabricView::decode(&mut r)?;
-        let report = get_report(&mut r)?;
-        let tail_len = r.get_usize()?;
-        let mut tail = Vec::with_capacity(tail_len.min(r.remaining()));
-        for _ in 0..tail_len {
-            tail.push(EventBatch::decode(&mut r)?);
-        }
+        let report = ScoutReport::decode(&mut r)?;
+        let tail = Vec::<EventBatch>::decode(&mut r)?;
         r.finish()?;
         // Semantic validation the wire layer cannot see: the tail must
         // continue the checkpoint epoch in strict +1 sequence (the same
@@ -349,13 +325,79 @@ impl Snapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Report codec
+// Report and session codecs
 //
+// The serving layer (`scout-server`) ships reports, deltas and session errors
+// back to remote tenants, so the session-facing result types are wire
+// citizens next to the snapshot that embeds a report. Their impls live in
+// this crate because `Wire` is a `scout-fabric` trait and the orphan rule
+// keeps downstream crates from implementing it for core's types. Layouts are
+// declared once with `wire_struct!`/`wire_enum!`; `ScoutReport` and
+// `ResyncRequest` are hand-written because their decode validates more than
+// their fields.
+// ---------------------------------------------------------------------------
+
+wire_enum!(Evidence {
+    0 => FullCover,
+    1 => RecentChange { changed_at },
+    2 => ScoreCover,
+});
+wire_struct!(Hypothesis {
+    objects,
+    observations,
+    explained_by_cover,
+    explained_by_changelog,
+    unexplained,
+});
+wire_enum!(RootCause {
+    0 => Physical { kind, switch, observed_at, message },
+    1 => Unknown,
+});
+wire_struct!(ObjectDiagnosis { object, causes });
+wire_struct!(CorrelationReport { diagnoses });
+wire_struct!(ReportDelta {
+    epoch,
+    rechecked,
+    newly_missing,
+    restored,
+    hypothesis_added,
+    hypothesis_removed,
+    diagnosis_changed,
+    consistent,
+});
+wire_enum!(SessionError {
+    0 => EpochOutOfOrder { expected, got },
+    1 => EpochGap { resync },
+    2 => UnknownSwitch { epoch, switch },
+    3 => FaultIndexOutOfRange { epoch, index, len },
+});
+
+/// Decoding admits only the shape [`AnalysisSession::validate_batch`]
+/// produces, `1 <= from_epoch < observed_epoch`: anything else is forged, and
+/// would make [`ResyncRequest::missing_epochs`] overflow.
+impl Wire for ResyncRequest {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_u64(self.from_epoch);
+        w.put_u64(self.observed_epoch);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let from_epoch = r.get_u64()?;
+        let observed_epoch = r.get_u64()?;
+        if from_epoch == 0 || from_epoch >= observed_epoch {
+            return Err(WireError::Invalid {
+                what: "ResyncRequest",
+            });
+        }
+        Ok(ResyncRequest {
+            from_epoch,
+            observed_epoch,
+        })
+    }
+}
+
 // `NetworkCheckResult`/`SwitchCheckResult` live in `scout-equiv`, which the
 // `Wire` trait (defined in `scout-fabric`) cannot be implemented for from
-// here; they get free-function codecs instead. The core-local report types
-// implement `Wire` directly.
-// ---------------------------------------------------------------------------
+// here; they get free-function codecs that `ScoutReport`'s impl calls.
 
 fn put_switch_check(w: &mut WireWriter, check: &SwitchCheckResult) {
     check.switch.encode(w);
@@ -408,230 +450,22 @@ fn get_check(r: &mut WireReader<'_>) -> Result<NetworkCheckResult, WireError> {
     Ok(check)
 }
 
-impl Wire for Evidence {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            Evidence::FullCover => w.put_u8(0),
-            Evidence::RecentChange { changed_at } => {
-                w.put_u8(1);
-                changed_at.encode(w);
-            }
-            Evidence::ScoreCover => w.put_u8(2),
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(Evidence::FullCover),
-            1 => Ok(Evidence::RecentChange {
-                changed_at: Timestamp::decode(r)?,
-            }),
-            2 => Ok(Evidence::ScoreCover),
-            tag => Err(WireError::InvalidTag {
-                what: "Evidence",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for Hypothesis {
-    fn encode(&self, w: &mut WireWriter) {
-        self.objects.encode(w);
-        w.put_usize(self.observations);
-        w.put_usize(self.explained_by_cover);
-        w.put_usize(self.explained_by_changelog);
-        w.put_usize(self.unexplained);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Hypothesis {
-            objects: Wire::decode(r)?,
-            observations: r.get_usize()?,
-            explained_by_cover: r.get_usize()?,
-            explained_by_changelog: r.get_usize()?,
-            unexplained: r.get_usize()?,
-        })
-    }
-}
-
-impl Wire for RootCause {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            RootCause::Physical {
-                kind,
-                switch,
-                observed_at,
-                message,
-            } => {
-                w.put_u8(0);
-                kind.encode(w);
-                switch.encode(w);
-                observed_at.encode(w);
-                message.encode(w);
-            }
-            RootCause::Unknown => w.put_u8(1),
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(RootCause::Physical {
-                kind: Wire::decode(r)?,
-                switch: Wire::decode(r)?,
-                observed_at: Wire::decode(r)?,
-                message: Wire::decode(r)?,
-            }),
-            1 => Ok(RootCause::Unknown),
-            tag => Err(WireError::InvalidTag {
-                what: "RootCause",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for ObjectDiagnosis {
-    fn encode(&self, w: &mut WireWriter) {
-        self.object.encode(w);
-        self.causes.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ObjectDiagnosis {
-            object: Wire::decode(r)?,
-            causes: Wire::decode(r)?,
-        })
-    }
-}
-
-impl Wire for CorrelationReport {
-    fn encode(&self, w: &mut WireWriter) {
-        self.diagnoses.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(CorrelationReport {
-            diagnoses: Wire::decode(r)?,
-        })
-    }
-}
-
-fn put_report(w: &mut WireWriter, report: &ScoutReport) {
-    put_check(w, &report.check);
-    report.observations.encode(w);
-    report.suspect_objects.encode(w);
-    report.hypothesis.encode(w);
-    report.diagnosis.encode(w);
-}
-
-fn get_report(r: &mut WireReader<'_>) -> Result<ScoutReport, WireError> {
-    Ok(ScoutReport {
-        check: get_check(r)?,
-        observations: Wire::decode(r)?,
-        suspect_objects: Wire::decode(r)?,
-        hypothesis: Wire::decode(r)?,
-        diagnosis: Wire::decode(r)?,
-    })
-}
-
-// The serving layer (`scout-server`) ships reports, deltas and session errors
-// back to remote tenants, so the session-facing result types are first-class
-// wire citizens too. The impls live here — next to the snapshot codec they
-// share `put_report`/`get_report` with — because `Wire` is a `scout-fabric`
-// trait and the orphan rule keeps downstream crates from implementing it for
-// core's types.
-
 impl Wire for ScoutReport {
     fn encode(&self, w: &mut WireWriter) {
-        put_report(w, self);
+        put_check(w, &self.check);
+        self.observations.encode(w);
+        self.suspect_objects.encode(w);
+        self.hypothesis.encode(w);
+        self.diagnosis.encode(w);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        get_report(r)
-    }
-}
-
-impl Wire for ReportDelta {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.epoch);
-        self.rechecked.encode(w);
-        self.newly_missing.encode(w);
-        self.restored.encode(w);
-        self.hypothesis_added.encode(w);
-        self.hypothesis_removed.encode(w);
-        self.diagnosis_changed.encode(w);
-        w.put_bool(self.consistent);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ReportDelta {
-            epoch: r.get_u64()?,
-            rechecked: Wire::decode(r)?,
-            newly_missing: Wire::decode(r)?,
-            restored: Wire::decode(r)?,
-            hypothesis_added: Wire::decode(r)?,
-            hypothesis_removed: Wire::decode(r)?,
-            diagnosis_changed: Wire::decode(r)?,
-            consistent: r.get_bool()?,
+        Ok(ScoutReport {
+            check: get_check(r)?,
+            observations: Wire::decode(r)?,
+            suspect_objects: Wire::decode(r)?,
+            hypothesis: Wire::decode(r)?,
+            diagnosis: Wire::decode(r)?,
         })
-    }
-}
-
-impl Wire for ResyncRequest {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.from_epoch);
-        w.put_u64(self.observed_epoch);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ResyncRequest {
-            from_epoch: r.get_u64()?,
-            observed_epoch: r.get_u64()?,
-        })
-    }
-}
-
-impl Wire for SessionError {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            SessionError::EpochOutOfOrder { expected, got } => {
-                w.put_u8(0);
-                w.put_u64(*expected);
-                w.put_u64(*got);
-            }
-            SessionError::EpochGap { resync } => {
-                w.put_u8(1);
-                resync.encode(w);
-            }
-            SessionError::UnknownSwitch { epoch, switch } => {
-                w.put_u8(2);
-                w.put_u64(*epoch);
-                switch.encode(w);
-            }
-            SessionError::FaultIndexOutOfRange { epoch, index, len } => {
-                w.put_u8(3);
-                w.put_u64(*epoch);
-                w.put_usize(*index);
-                w.put_usize(*len);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(SessionError::EpochOutOfOrder {
-                expected: r.get_u64()?,
-                got: r.get_u64()?,
-            }),
-            1 => Ok(SessionError::EpochGap {
-                resync: ResyncRequest::decode(r)?,
-            }),
-            2 => Ok(SessionError::UnknownSwitch {
-                epoch: r.get_u64()?,
-                switch: Wire::decode(r)?,
-            }),
-            3 => Ok(SessionError::FaultIndexOutOfRange {
-                epoch: r.get_u64()?,
-                index: r.get_usize()?,
-                len: r.get_usize()?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                what: "SessionError",
-                tag,
-            }),
-        }
     }
 }
 

@@ -485,11 +485,6 @@ impl EquivalenceChecker {
         }
     }
 
-    /// Changes the parallelism policy.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
-    }
-
     /// Switches every worker manager to the given node-table backend.
     ///
     /// Results never depend on the backend (the differential tests in

@@ -4,14 +4,17 @@
 //! The build environment is registry-free, so durable state (engine
 //! checkpoints, replayable event logs) cannot lean on serde. This module is
 //! the repo's own encoder, in the same spirit as the `rand` shim: a small
-//! [`Wire`] trait with hand-written, deterministic implementations for every
-//! type that crosses a durability boundary —
+//! [`Wire`] trait with deterministic implementations for every type that
+//! crosses a durability or trust boundary —
 //!
 //! * the policy layer ([`PolicyUniverse`] and everything inside it),
 //! * the telemetry stream ([`FabricEvent`], [`EventBatch`]), so a checkpoint
 //!   can carry a *replay tail* of post-checkpoint batches, and
 //! * the monitor mirror ([`FabricView`]), the durable core of an analysis
-//!   session.
+//!   session
+//!
+//! — and, downstream, `scout-core`'s reports and session errors and
+//! `scout-server`'s requests and responses.
 //!
 //! # Format
 //!
@@ -19,8 +22,21 @@
 //! fixed-width, collections are a `u64` element count followed by the
 //! elements, enums are a one-byte tag followed by the variant's fields.
 //! There is no self-description — both sides must agree on the type — which
-//! is why consumers (e.g. `scout-core`'s `Snapshot`) prepend a magic/version
-//! header and refuse to decode anything else.
+//! is why durable frames (`scout-core`'s `Snapshot`, `scout-store`'s anchors)
+//! are [`seal`]ed behind a magic/version/CRC prologue and refuse to decode
+//! anything else.
+//!
+//! # Declaring a layout
+//!
+//! A type's layout — its tag byte per variant and its fields in order — is
+//! written **once**, with [`wire_struct!`](crate::wire_struct) for structs
+//! and [`wire_enum!`](crate::wire_enum) for enums; both macros emit the
+//! encoder and the decoder from that one declaration, so the two cannot
+//! drift apart. An `impl Wire` is hand-written only where decoding checks
+//! more than the fields' own decoders do (a port range's order, a
+//! normalized pair, a universe's referential integrity, …). Enum tag spaces
+//! are append-only: a new variant takes the next free tag, and a retired
+//! tag is never reused.
 //!
 //! Encoding is total; decoding is validated: truncated input, unknown enum
 //! tags, malformed UTF-8 and semantically invalid payloads (a policy universe
@@ -220,7 +236,13 @@ impl WireWriter {
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) {
         self.put_usize(v.len());
-        self.buf.extend_from_slice(v.as_bytes());
+        self.put_raw(v.as_bytes());
+    }
+
+    /// Appends `bytes` verbatim, with no length prefix — for fixed-width
+    /// fields and frames embedded whole in another frame.
+    pub fn put_raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 }
 
@@ -400,6 +422,77 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// Byte length of a sealed frame's prologue: the 4-byte magic, the `u32`
+/// version and the `u32` CRC-32 of the body.
+pub const SEAL_PROLOGUE_LEN: usize = 12;
+
+/// Why [`open_sealed`] refused a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SealError {
+    /// The frame does not open with the expected magic (or is shorter than
+    /// it).
+    BadMagic,
+    /// The frame ends inside its version or checksum word.
+    Truncated(WireError),
+    /// The frame was written by a different version.
+    UnsupportedVersion {
+        /// The version found in the prologue.
+        found: u32,
+    },
+    /// The body does not match the checksum in the prologue.
+    ChecksumMismatch {
+        /// The checksum the prologue promised.
+        expected: u32,
+        /// The checksum of the body as read.
+        found: u32,
+    },
+}
+
+/// Seals the body `write` appends into the durable frame shared by `SCSN`
+/// snapshots and `SCSA` anchors: `magic ∥ u32 version ∥ u32 crc32(body) ∥
+/// body`.
+pub fn seal(magic: [u8; 4], version: u32, write: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_raw(&magic);
+    w.put_u32(version);
+    w.put_u32(0); // stamped once the body is written
+    write(&mut w);
+    let mut frame = w.into_bytes();
+    restamp_sealed(&mut frame);
+    frame
+}
+
+/// Checks a [`seal`]ed frame's magic, version and checksum, in that order,
+/// and returns its body.
+pub fn open_sealed(magic: [u8; 4], version: u32, frame: &[u8]) -> Result<&[u8], SealError> {
+    if frame.get(..4) != Some(&magic[..]) {
+        return Err(SealError::BadMagic);
+    }
+    let mut r = WireReader::new(&frame[4..]);
+    let found = r.get_u32().map_err(SealError::Truncated)?;
+    if found != version {
+        return Err(SealError::UnsupportedVersion { found });
+    }
+    let expected = r.get_u32().map_err(SealError::Truncated)?;
+    let body = &frame[SEAL_PROLOGUE_LEN..];
+    let found = crc32(body);
+    if found != expected {
+        return Err(SealError::ChecksumMismatch { expected, found });
+    }
+    Ok(body)
+}
+
+/// Rewrites a [`seal`]ed frame's checksum to match its (possibly mutated)
+/// body, so byte-surgery tooling can push a damaged body past the checksum
+/// gate. A frame shorter than the prologue is left as it is.
+pub fn restamp_sealed(frame: &mut [u8]) {
+    if frame.len() < SEAL_PROLOGUE_LEN {
+        return;
+    }
+    let crc = crc32(&frame[SEAL_PROLOGUE_LEN..]);
+    frame[8..SEAL_PROLOGUE_LEN].copy_from_slice(&crc.to_le_bytes());
+}
+
 // ---------------------------------------------------------------------------
 // Primitives and containers
 // ---------------------------------------------------------------------------
@@ -539,6 +632,130 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
 }
 
+/// Sharing is not part of the layout: an `Arc<T>` is encoded as its `T`.
+impl<T: Wire> Wire for Arc<T> {
+    fn encode(&self, w: &mut WireWriter) {
+        (**self).encode(w);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        T::decode(r).map(Arc::new)
+    }
+}
+
+/// Declares a struct's wire layout: its fields, encoded in the listed order.
+///
+/// Emits the [`Wire`](crate::wire::Wire) impl from that one list — the
+/// encoder writes each field with its own `Wire` impl, the decoder reads
+/// them back in the same order (one [`WireReader::nested`] level for the
+/// struct). Every field must be listed. Write `impl Wire` by hand instead
+/// only when decoding must validate more than the fields do.
+///
+/// ```
+/// use scout_fabric::wire::{from_bytes, to_bytes};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Lease {
+///     holder: u64,
+///     renewals: Vec<u32>,
+/// }
+/// scout_fabric::wire_struct!(Lease { holder, renewals });
+///
+/// let lease = Lease { holder: 7, renewals: vec![1, 2] };
+/// assert_eq!(from_bytes::<Lease>(&to_bytes(&lease)), Ok(lease));
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, w: &mut $crate::wire::WireWriter) {
+                $($crate::wire::Wire::encode(&self.$field, w);)*
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::WireError> {
+                r.nested(|r| {
+                    ::core::result::Result::Ok($ty {
+                        $($field: $crate::wire::Wire::decode(r)?,)*
+                    })
+                })
+            }
+        }
+    };
+}
+
+/// Declares an enum's wire layout: one `tag => Variant` entry per variant,
+/// the tag byte first, then the variant's fields in the listed order.
+///
+/// Variants may be unit (`0 => Idle`), tuple (`1 => Busy(id)`, naming each
+/// field) or struct-like (`2 => Done { id, code }`). The tags are written
+/// out so the append-only tag space stays visible at the declaration: a new
+/// variant takes the next free tag, a retired tag is never reused. Decoding
+/// any other tag fails with
+/// [`WireError::InvalidTag`](crate::wire::WireError::InvalidTag) naming the
+/// type. Like [`wire_struct!`](crate::wire_struct), this is only for layouts
+/// whose decode is a plain field walk.
+///
+/// ```
+/// use scout_fabric::wire::{from_bytes, to_bytes, WireError};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Job {
+///     Idle,
+///     Busy(u64),
+///     Done { id: u64, code: u8 },
+/// }
+/// scout_fabric::wire_enum!(Job {
+///     0 => Idle,
+///     1 => Busy(id),
+///     2 => Done { id, code },
+/// });
+///
+/// assert_eq!(to_bytes(&Job::Busy(7)), [1, 7, 0, 0, 0, 0, 0, 0, 0]);
+/// let done = Job::Done { id: 7, code: 2 };
+/// assert_eq!(from_bytes::<Job>(&to_bytes(&done)), Ok(done));
+/// assert_eq!(
+///     from_bytes::<Job>(&[3]),
+///     Err(WireError::InvalidTag { what: "Job", tag: 3 })
+/// );
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident {
+        $($tag:literal => $variant:ident
+            $(( $($tuple:ident),+ $(,)? ))?
+            $({ $($field:ident),+ $(,)? })?),+ $(,)?
+    }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, w: &mut $crate::wire::WireWriter) {
+                match self {
+                    $($ty::$variant $(( $($tuple),+ ))? $({ $($field),+ })? => {
+                        w.put_u8($tag);
+                        $($($crate::wire::Wire::encode($tuple, w);)+)?
+                        $($($crate::wire::Wire::encode($field, w);)+)?
+                    })+
+                }
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::WireError> {
+                r.nested(|r| match r.get_u8()? {
+                    $($tag => {
+                        $($(let $tuple = $crate::wire::Wire::decode(r)?;)+)?
+                        $($(let $field = $crate::wire::Wire::decode(r)?;)+)?
+                        ::core::result::Result::Ok(
+                            $ty::$variant $(( $($tuple),+ ))? $({ $($field),+ })?
+                        )
+                    })+
+                    tag => ::core::result::Result::Err($crate::wire::WireError::InvalidTag {
+                        what: ::core::stringify!($ty),
+                        tag,
+                    }),
+                })
+            }
+        }
+    };
+}
+
 // ---------------------------------------------------------------------------
 // Policy-layer types
 // ---------------------------------------------------------------------------
@@ -560,33 +777,11 @@ macro_rules! wire_id {
 
 wire_id!(TenantId, VrfId, EpgId, EndpointId, ContractId, FilterId, SwitchId);
 
-macro_rules! wire_tagged {
-    ($ty:ident { $($tag:literal => $variant:ident),* $(,)? }) => {
-        impl Wire for $ty {
-            fn encode(&self, w: &mut WireWriter) {
-                let tag: u8 = match self {
-                    $($ty::$variant => $tag,)*
-                };
-                w.put_u8(tag);
-            }
-            fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-                match r.get_u8()? {
-                    $($tag => Ok($ty::$variant),)*
-                    tag => Err(WireError::InvalidTag {
-                        what: stringify!($ty),
-                        tag,
-                    }),
-                }
-            }
-        }
-    };
-}
-
-wire_tagged!(Protocol { 0 => Any, 1 => Tcp, 2 => Udp, 3 => Icmp });
-wire_tagged!(Action { 0 => Allow, 1 => Deny });
-wire_tagged!(ChangeAction { 0 => Create, 1 => Modify, 2 => Delete });
-wire_tagged!(Severity { 0 => Info, 1 => Warning, 2 => Critical });
-wire_tagged!(FaultKind {
+wire_enum!(Protocol { 0 => Any, 1 => Tcp, 2 => Udp, 3 => Icmp });
+wire_enum!(Action { 0 => Allow, 1 => Deny });
+wire_enum!(ChangeAction { 0 => Create, 1 => Modify, 2 => Delete });
+wire_enum!(Severity { 0 => Info, 1 => Warning, 2 => Critical });
+wire_enum!(FaultKind {
     0 => TcamOverflow,
     1 => SwitchUnreachable,
     2 => AgentCrash,
@@ -596,46 +791,13 @@ wire_tagged!(FaultKind {
     6 => Repair,
     7 => Unknown,
 });
-
-impl Wire for ObjectId {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            ObjectId::Vrf(id) => {
-                w.put_u8(0);
-                id.encode(w);
-            }
-            ObjectId::Epg(id) => {
-                w.put_u8(1);
-                id.encode(w);
-            }
-            ObjectId::Contract(id) => {
-                w.put_u8(2);
-                id.encode(w);
-            }
-            ObjectId::Filter(id) => {
-                w.put_u8(3);
-                id.encode(w);
-            }
-            ObjectId::Switch(id) => {
-                w.put_u8(4);
-                id.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(ObjectId::Vrf(r.nested(VrfId::decode)?)),
-            1 => Ok(ObjectId::Epg(r.nested(EpgId::decode)?)),
-            2 => Ok(ObjectId::Contract(r.nested(ContractId::decode)?)),
-            3 => Ok(ObjectId::Filter(r.nested(FilterId::decode)?)),
-            4 => Ok(ObjectId::Switch(r.nested(SwitchId::decode)?)),
-            tag => Err(WireError::InvalidTag {
-                what: "ObjectId",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(ObjectId {
+    0 => Vrf(id),
+    1 => Epg(id),
+    2 => Contract(id),
+    3 => Filter(id),
+    4 => Switch(id),
+});
 
 impl Wire for PortRange {
     fn encode(&self, w: &mut WireWriter) {
@@ -672,35 +834,7 @@ impl Wire for EpgPair {
     }
 }
 
-impl Wire for SwitchEpgPair {
-    fn encode(&self, w: &mut WireWriter) {
-        self.switch.encode(w);
-        self.pair.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let switch = SwitchId::decode(r)?;
-        let pair = r.nested(EpgPair::decode)?;
-        Ok(SwitchEpgPair::new(switch, pair))
-    }
-}
-
-macro_rules! wire_struct {
-    ($ty:ident { $($field:ident),* $(,)? }) => {
-        impl Wire for $ty {
-            fn encode(&self, w: &mut WireWriter) {
-                $(self.$field.encode(w);)*
-            }
-            fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-                r.nested(|r| {
-                    Ok($ty {
-                        $($field: Wire::decode(r)?,)*
-                    })
-                })
-            }
-        }
-    };
-}
-
+wire_struct!(SwitchEpgPair { switch, pair });
 wire_struct!(RuleMatch {
     vrf,
     src_epg,
@@ -894,53 +1028,12 @@ impl Wire for FaultLog {
     }
 }
 
-impl Wire for FabricEvent {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            FabricEvent::PolicyUpdate { version, universe } => {
-                w.put_u8(0);
-                version.encode(w);
-                universe.encode(w);
-            }
-            FabricEvent::TcamSync { switch, rules } => {
-                w.put_u8(1);
-                switch.encode(w);
-                rules.encode(w);
-            }
-            FabricEvent::ChangeEvents(entries) => {
-                w.put_u8(2);
-                entries.encode(w);
-            }
-            FabricEvent::FaultEvents { raised, cleared } => {
-                w.put_u8(3);
-                raised.encode(w);
-                cleared.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(FabricEvent::PolicyUpdate {
-                version: u64::decode(r)?,
-                universe: Arc::new(PolicyUniverse::decode(r)?),
-            }),
-            1 => Ok(FabricEvent::TcamSync {
-                switch: SwitchId::decode(r)?,
-                rules: Vec::decode(r)?,
-            }),
-            2 => Ok(FabricEvent::ChangeEvents(Vec::decode(r)?)),
-            3 => Ok(FabricEvent::FaultEvents {
-                raised: Vec::decode(r)?,
-                cleared: Vec::decode(r)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                what: "FabricEvent",
-                tag,
-            }),
-        }
-    }
-}
-
+wire_enum!(FabricEvent {
+    0 => PolicyUpdate { version, universe },
+    1 => TcamSync { switch, rules },
+    2 => ChangeEvents(entries),
+    3 => FaultEvents { raised, cleared },
+});
 wire_struct!(EventBatch { epoch, events });
 
 impl Wire for FabricView {
@@ -1017,6 +1110,32 @@ mod tests {
     fn checksum_matches_the_ieee_check_value() {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn sealed_frames_check_magic_version_and_checksum_in_order() {
+        let frame = seal(*b"TEST", 3, |w| w.put_u32(7));
+        assert_eq!(frame.len(), SEAL_PROLOGUE_LEN + 4);
+        assert_eq!(open_sealed(*b"TEST", 3, &frame), Ok(&[7u8, 0, 0, 0][..]));
+        assert_eq!(open_sealed(*b"NOPE", 3, &frame), Err(SealError::BadMagic));
+        assert_eq!(open_sealed(*b"TEST", 3, b"TE"), Err(SealError::BadMagic));
+        assert_eq!(
+            open_sealed(*b"TEST", 4, &frame),
+            Err(SealError::UnsupportedVersion { found: 3 })
+        );
+        assert!(matches!(
+            open_sealed(*b"TEST", 3, &frame[..10]),
+            Err(SealError::Truncated(WireError::UnexpectedEof { .. }))
+        ));
+        // A damaged body fails the checksum until it is restamped.
+        let mut damaged = frame.clone();
+        damaged[SEAL_PROLOGUE_LEN] ^= 1;
+        assert!(matches!(
+            open_sealed(*b"TEST", 3, &damaged),
+            Err(SealError::ChecksumMismatch { .. })
+        ));
+        restamp_sealed(&mut damaged);
+        assert_eq!(open_sealed(*b"TEST", 3, &damaged), Ok(&[6u8, 0, 0, 0][..]));
     }
 
     #[test]

@@ -35,9 +35,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use scout_core::{CorrelationReport, Hypothesis, Snapshot, SnapshotError};
-use scout_fabric::wire::{crc32, from_bytes, to_bytes, Wire, WireError, WireReader, WireWriter};
+use scout_fabric::wire::{
+    crc32, from_bytes, restamp_sealed, to_bytes, Wire, WireError, WireReader, WireWriter,
+    SEAL_PROLOGUE_LEN,
+};
 use scout_fabric::{EventBatch, Fabric, FabricView};
-use scout_fuzz::gen::{restamp_journal, restamp_snapshot_crc};
+use scout_fuzz::gen::restamp_journal;
 use scout_fuzz::oracle::{self, Surface, Verdict};
 use scout_fuzz::{corpus, seeds};
 use scout_policy::{
@@ -166,9 +169,9 @@ struct SnapshotOffsets {
 }
 
 fn snapshot_offsets(bytes: &[u8]) -> SnapshotOffsets {
-    let payload = &bytes[12..];
+    let payload = &bytes[SEAL_PROLOGUE_LEN..];
     let mut r = WireReader::new(payload);
-    let at = |r: &WireReader<'_>| 12 + payload.len() - r.remaining();
+    let at = |r: &WireReader<'_>| SEAL_PROLOGUE_LEN + payload.len() - r.remaining();
 
     for _ in 0..3 {
         r.get_u64().expect("snapshot header fields"); // fabric_id, open_epoch, epoch
@@ -427,7 +430,7 @@ fn snapshot_cases(out: &mut Corpus) {
     // next `next_epoch()` overflow. The epoch is the third payload u64.
     let mut overflow = bare.clone();
     overflow[28..36].copy_from_slice(&u64::MAX.to_le_bytes());
-    restamp_snapshot_crc(&mut overflow);
+    restamp_sealed(&mut overflow);
     assert_eq!(
         Snapshot::from_bytes(&overflow),
         Err(SnapshotError::EpochOverflow { epoch: u64::MAX })
@@ -439,7 +442,7 @@ fn snapshot_cases(out: &mut Corpus) {
     let epoch = u64::from_le_bytes(tailed[28..36].try_into().expect("8 bytes"));
     let mut gapped = tailed.clone();
     gapped[28..36].copy_from_slice(&(epoch + 5).to_le_bytes());
-    restamp_snapshot_crc(&mut gapped);
+    restamp_sealed(&mut gapped);
     assert_eq!(
         Snapshot::from_bytes(&gapped),
         Err(SnapshotError::TailOutOfOrder {
@@ -461,7 +464,7 @@ fn snapshot_cases(out: &mut Corpus) {
     dup.extend_from_slice(&tailed[offsets.first_check.clone()]);
     dup.extend_from_slice(&tailed[offsets.first_check.clone()]);
     dup.extend_from_slice(&tailed[offsets.checks_end..]);
-    restamp_snapshot_crc(&mut dup);
+    restamp_sealed(&mut dup);
     assert_eq!(
         Snapshot::from_bytes(&dup),
         Err(SnapshotError::Wire(WireError::NonCanonical {
@@ -481,7 +484,7 @@ fn snapshot_cases(out: &mut Corpus) {
     let b_bytes = tailed[b_span.clone()].to_vec();
     denorm[a_span].copy_from_slice(&b_bytes);
     denorm[b_span].copy_from_slice(&a_bytes);
-    restamp_snapshot_crc(&mut denorm);
+    restamp_sealed(&mut denorm);
     assert_eq!(
         Snapshot::from_bytes(&denorm),
         Err(SnapshotError::Wire(WireError::NonCanonical {
@@ -494,7 +497,7 @@ fn snapshot_cases(out: &mut Corpus) {
     // the snapshot-surface twin of `eventbatch__huge_len_prefix`.
     let mut huge_tail = tailed.clone();
     huge_tail[offsets.tail_count_offset..offsets.tail_count_offset + 8].fill(0xFF);
-    restamp_snapshot_crc(&mut huge_tail);
+    restamp_sealed(&mut huge_tail);
     assert!(matches!(
         Snapshot::from_bytes(&huge_tail),
         Err(SnapshotError::Wire(WireError::UnexpectedEof { .. }))

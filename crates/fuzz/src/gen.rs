@@ -9,31 +9,12 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use scout_fabric::wire::crc32;
+use scout_fabric::wire::{crc32, restamp_sealed, SEAL_PROLOGUE_LEN};
 use scout_store::chain_next;
 use scout_store::journal::{JOURNAL_VERSION, RECORD_HEADER_LEN, SEGMENT_HEADER_LEN, SEGMENT_MAGIC};
 use scout_store::Digest;
 
 use crate::oracle::Surface;
-
-/// Byte offset of the CRC-32 word in a snapshot frame (after the 4-byte
-/// magic and the 4-byte version).
-const SNAPSHOT_CRC_OFFSET: usize = 8;
-/// Total snapshot header length: magic, version, CRC.
-const SNAPSHOT_HEADER_LEN: usize = 12;
-
-/// Rewrites a snapshot frame's checksum to match its (possibly mutated)
-/// payload, so the mutant penetrates past [`ChecksumMismatch`] into the
-/// structural and semantic decode layers under test.
-///
-/// [`ChecksumMismatch`]: scout_core::SnapshotError::ChecksumMismatch
-pub fn restamp_snapshot_crc(bytes: &mut [u8]) {
-    if bytes.len() < SNAPSHOT_HEADER_LEN {
-        return;
-    }
-    let crc = crc32(&bytes[SNAPSHOT_HEADER_LEN..]);
-    bytes[SNAPSHOT_CRC_OFFSET..SNAPSHOT_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
-}
 
 /// Rewrites a journal segment's checksums and hash chain to match its
 /// (possibly mutated) bytes: the header CRC, then every complete record
@@ -128,12 +109,12 @@ pub fn next_input(rng: &mut StdRng, surface: Surface, seeds: &[Vec<u8>]) -> Vec<
     if seeds.is_empty() || rng.gen_range(0u8..8) == 0 {
         let len = rng.gen_range(0usize..2048);
         let mut soup: Vec<u8> = (0..len).map(|_| rng.gen_range(0u8..=255)).collect();
-        if surface == Surface::Snapshot && rng.gen_bool(0.5) && soup.len() >= SNAPSHOT_HEADER_LEN {
+        if surface == Surface::Snapshot && rng.gen_bool(0.5) && soup.len() >= SEAL_PROLOGUE_LEN {
             // Give half the soup a valid frame so it reaches the payload
             // decoder instead of dying at BadMagic.
             soup[..4].copy_from_slice(b"SCSN");
             soup[4..8].copy_from_slice(&scout_core::SNAPSHOT_VERSION.to_le_bytes());
-            restamp_snapshot_crc(&mut soup);
+            restamp_sealed(&mut soup);
         }
         if surface == Surface::Journal && rng.gen_bool(0.5) && soup.len() >= SEGMENT_HEADER_LEN {
             // Likewise: half the journal soup gets a valid header prologue
@@ -152,7 +133,7 @@ pub fn next_input(rng: &mut StdRng, surface: Surface, seeds: &[Vec<u8>]) -> Vec<
     if surface == Surface::Snapshot && rng.gen_bool(0.75) {
         // Most snapshot mutants get a fresh checksum; the rest keep the
         // stale one to exercise the ChecksumMismatch path itself.
-        restamp_snapshot_crc(&mut input);
+        restamp_sealed(&mut input);
     }
     if surface == Surface::Journal && rng.gen_bool(0.75) {
         // Most journal mutants get fresh CRCs and a recomputed chain so they
@@ -175,7 +156,7 @@ mod tests {
         // restamp offsets agree with the frame scout-core stamps.
         let seed = crate::seeds::for_surface(Surface::Snapshot)[0].clone();
         let mut restamped = seed.clone();
-        restamp_snapshot_crc(&mut restamped);
+        restamp_sealed(&mut restamped);
         assert_eq!(restamped, seed);
         assert!(Snapshot::from_bytes(&restamped).is_ok());
     }
@@ -184,9 +165,9 @@ mod tests {
     fn restamped_payload_mutants_pass_the_checksum_gate() {
         let seed = crate::seeds::for_surface(Surface::Snapshot)[0].clone();
         let mut mutant = seed.clone();
-        let mid = SNAPSHOT_HEADER_LEN + (mutant.len() - SNAPSHOT_HEADER_LEN) / 2;
+        let mid = SEAL_PROLOGUE_LEN + (mutant.len() - SEAL_PROLOGUE_LEN) / 2;
         mutant[mid] ^= 0x01;
-        restamp_snapshot_crc(&mut mutant);
+        restamp_sealed(&mut mutant);
         // Whatever the decode outcome, it must not be ChecksumMismatch.
         match Snapshot::from_bytes(&mutant) {
             Ok(_) => {}

@@ -218,11 +218,6 @@ impl PolicyUniverse {
     // Dependency queries
     // ------------------------------------------------------------------
 
-    /// Endpoints that belong to `epg`.
-    pub fn endpoints_in_epg(&self, epg: EpgId) -> Vec<&Endpoint> {
-        self.endpoints.values().filter(|ep| ep.epg == epg).collect()
-    }
-
     /// Switches that host at least one endpoint of `epg`.
     pub fn switches_hosting_epg(&self, epg: EpgId) -> BTreeSet<SwitchId> {
         self.epg_hosts.get(&epg).cloned().unwrap_or_default()
@@ -236,14 +231,6 @@ impl PolicyUniverse {
     /// All distinct EPG pairs allowed to communicate by at least one binding.
     pub fn epg_pairs(&self) -> BTreeSet<EpgPair> {
         self.pair_bindings.keys().copied().collect()
-    }
-
-    /// The contract bindings that govern `pair`.
-    pub fn bindings_for_pair(&self, pair: EpgPair) -> Vec<&ContractBinding> {
-        self.pair_bindings
-            .get(&pair)
-            .map(|idxs| idxs.iter().map(|&i| &self.bindings[i]).collect())
-            .unwrap_or_default()
     }
 
     /// The contract bindings whose rules must be deployed on `switch` — every

@@ -8,13 +8,15 @@
 //! decoded cleanly *means* anything — tenant existence, epoch ordering and
 //! quota state are all re-checked behind the decode.
 //!
-//! Tag spaces are append-only: new variants take the next free tag, existing
-//! tags are never reused, so old captures replay against newer decoders with
-//! typed errors instead of misparses.
+//! Each message's layout is declared once, with `scout_fabric::wire_enum!`
+//! at the bottom of this module: the tag byte of every variant and its fields
+//! in order. The tag spaces are append-only — a new variant takes the next
+//! free tag, an existing tag is never reused — so old captures replay
+//! against newer decoders with typed errors instead of misparses; the root
+//! test `tests/wire_layout.rs` pins every variant's bytes.
 
 use scout_core::{ReportDelta, ScoutReport, SessionError};
-use scout_fabric::wire::{Wire, WireError, WireReader, WireWriter};
-use scout_fabric::{EventBatch, FullSync};
+use scout_fabric::{wire_enum, EventBatch, FullSync};
 use scout_policy::PolicyUniverse;
 use std::fmt;
 
@@ -233,241 +235,39 @@ impl fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
-impl Wire for ServerRequest {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            ServerRequest::OpenSession { tenant, universe } => {
-                w.put_u8(0);
-                w.put_u64(*tenant);
-                universe.encode(w);
-            }
-            ServerRequest::Ingest { tenant, batch } => {
-                w.put_u8(1);
-                w.put_u64(*tenant);
-                batch.encode(w);
-            }
-            ServerRequest::Resync {
-                tenant,
-                epoch,
-                sync,
-            } => {
-                w.put_u8(2);
-                w.put_u64(*tenant);
-                w.put_u64(*epoch);
-                sync.encode(w);
-            }
-            ServerRequest::Checkpoint { tenant } => {
-                w.put_u8(3);
-                w.put_u64(*tenant);
-            }
-            ServerRequest::Query { tenant } => {
-                w.put_u8(4);
-                w.put_u64(*tenant);
-            }
-            ServerRequest::CloseSession { tenant } => {
-                w.put_u8(5);
-                w.put_u64(*tenant);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(ServerRequest::OpenSession {
-                tenant: r.get_u64()?,
-                universe: Wire::decode(r)?,
-            }),
-            1 => Ok(ServerRequest::Ingest {
-                tenant: r.get_u64()?,
-                batch: Wire::decode(r)?,
-            }),
-            2 => Ok(ServerRequest::Resync {
-                tenant: r.get_u64()?,
-                epoch: r.get_u64()?,
-                sync: Wire::decode(r)?,
-            }),
-            3 => Ok(ServerRequest::Checkpoint {
-                tenant: r.get_u64()?,
-            }),
-            4 => Ok(ServerRequest::Query {
-                tenant: r.get_u64()?,
-            }),
-            5 => Ok(ServerRequest::CloseSession {
-                tenant: r.get_u64()?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                what: "ServerRequest",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for ServerResponse {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            ServerResponse::Opened { tenant, epoch } => {
-                w.put_u8(0);
-                w.put_u64(*tenant);
-                w.put_u64(*epoch);
-            }
-            ServerResponse::Ingested { tenant, delta } => {
-                w.put_u8(1);
-                w.put_u64(*tenant);
-                delta.encode(w);
-            }
-            ServerResponse::Queued { tenant, depth } => {
-                w.put_u8(2);
-                w.put_u64(*tenant);
-                w.put_u64(*depth);
-            }
-            ServerResponse::Resynced { tenant, delta } => {
-                w.put_u8(3);
-                w.put_u64(*tenant);
-                delta.encode(w);
-            }
-            ServerResponse::Checkpointed { tenant, epoch } => {
-                w.put_u8(4);
-                w.put_u64(*tenant);
-                w.put_u64(*epoch);
-            }
-            ServerResponse::Report {
-                tenant,
-                epoch,
-                report,
-            } => {
-                w.put_u8(5);
-                w.put_u64(*tenant);
-                w.put_u64(*epoch);
-                report.encode(w);
-            }
-            ServerResponse::Closed { tenant, epoch } => {
-                w.put_u8(6);
-                w.put_u64(*tenant);
-                w.put_u64(*epoch);
-            }
-            ServerResponse::Error(error) => {
-                w.put_u8(7);
-                error.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(ServerResponse::Opened {
-                tenant: r.get_u64()?,
-                epoch: r.get_u64()?,
-            }),
-            1 => Ok(ServerResponse::Ingested {
-                tenant: r.get_u64()?,
-                delta: Wire::decode(r)?,
-            }),
-            2 => Ok(ServerResponse::Queued {
-                tenant: r.get_u64()?,
-                depth: r.get_u64()?,
-            }),
-            3 => Ok(ServerResponse::Resynced {
-                tenant: r.get_u64()?,
-                delta: Wire::decode(r)?,
-            }),
-            4 => Ok(ServerResponse::Checkpointed {
-                tenant: r.get_u64()?,
-                epoch: r.get_u64()?,
-            }),
-            5 => Ok(ServerResponse::Report {
-                tenant: r.get_u64()?,
-                epoch: r.get_u64()?,
-                report: Wire::decode(r)?,
-            }),
-            6 => Ok(ServerResponse::Closed {
-                tenant: r.get_u64()?,
-                epoch: r.get_u64()?,
-            }),
-            7 => Ok(ServerResponse::Error(Wire::decode(r)?)),
-            tag => Err(WireError::InvalidTag {
-                what: "ServerResponse",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for ServerError {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            ServerError::Shed { tenant, retry_hint } => {
-                w.put_u8(0);
-                w.put_u64(*tenant);
-                w.put_u64(*retry_hint);
-            }
-            ServerError::UnknownTenant { tenant } => {
-                w.put_u8(1);
-                w.put_u64(*tenant);
-            }
-            ServerError::TenantExists { tenant } => {
-                w.put_u8(2);
-                w.put_u64(*tenant);
-            }
-            ServerError::Session { tenant, error } => {
-                w.put_u8(3);
-                w.put_u64(*tenant);
-                error.encode(w);
-            }
-            ServerError::WrongOwner { tenant, owner } => {
-                w.put_u8(4);
-                w.put_u64(*tenant);
-                w.put_u64(*owner);
-            }
-            ServerError::BadRequest { reason } => {
-                w.put_u8(5);
-                w.put_str(reason);
-            }
-            ServerError::Storage { tenant, reason } => {
-                w.put_u8(6);
-                w.put_u64(*tenant);
-                w.put_str(reason);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(ServerError::Shed {
-                tenant: r.get_u64()?,
-                retry_hint: r.get_u64()?,
-            }),
-            1 => Ok(ServerError::UnknownTenant {
-                tenant: r.get_u64()?,
-            }),
-            2 => Ok(ServerError::TenantExists {
-                tenant: r.get_u64()?,
-            }),
-            3 => Ok(ServerError::Session {
-                tenant: r.get_u64()?,
-                error: Wire::decode(r)?,
-            }),
-            4 => Ok(ServerError::WrongOwner {
-                tenant: r.get_u64()?,
-                owner: r.get_u64()?,
-            }),
-            5 => Ok(ServerError::BadRequest {
-                reason: String::decode(r)?,
-            }),
-            6 => Ok(ServerError::Storage {
-                tenant: r.get_u64()?,
-                reason: String::decode(r)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                what: "ServerError",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(ServerRequest {
+    0 => OpenSession { tenant, universe },
+    1 => Ingest { tenant, batch },
+    2 => Resync { tenant, epoch, sync },
+    3 => Checkpoint { tenant },
+    4 => Query { tenant },
+    5 => CloseSession { tenant },
+});
+wire_enum!(ServerResponse {
+    0 => Opened { tenant, epoch },
+    1 => Ingested { tenant, delta },
+    2 => Queued { tenant, depth },
+    3 => Resynced { tenant, delta },
+    4 => Checkpointed { tenant, epoch },
+    5 => Report { tenant, epoch, report },
+    6 => Closed { tenant, epoch },
+    7 => Error(error),
+});
+wire_enum!(ServerError {
+    0 => Shed { tenant, retry_hint },
+    1 => UnknownTenant { tenant },
+    2 => TenantExists { tenant },
+    3 => Session { tenant, error },
+    4 => WrongOwner { tenant, owner },
+    5 => BadRequest { reason },
+    6 => Storage { tenant, reason },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use scout_core::{ResyncRequest, ScoutEngine};
-    use scout_fabric::wire::{from_bytes, to_bytes};
+    use scout_fabric::wire::{from_bytes, to_bytes, Wire, WireError, WireWriter};
     use scout_fabric::{Fabric, FabricProbe};
     use scout_policy::sample;
 
@@ -624,6 +424,41 @@ mod tests {
                 tag: 7
             })
         );
+    }
+
+    /// A resync range no session can produce would overflow
+    /// `missing_epochs()` (a panic in debug builds), so decode admits only
+    /// `1 <= from_epoch < observed_epoch`.
+    #[test]
+    fn forged_resync_ranges_are_rejected_at_decode() {
+        let gap = |from_epoch, observed_epoch| {
+            ServerResponse::Error(ServerError::Session {
+                tenant: 1,
+                error: SessionError::EpochGap {
+                    resync: ResyncRequest {
+                        from_epoch,
+                        observed_epoch,
+                    },
+                },
+            })
+        };
+        for (from, observed) in [(5, 2), (4, 4), (0, 3), (u64::MAX, 0)] {
+            assert_eq!(
+                from_bytes::<ServerResponse>(&to_bytes(&gap(from, observed))),
+                Err(WireError::Invalid {
+                    what: "ResyncRequest"
+                }),
+                "({from}, {observed})"
+            );
+        }
+        let ServerResponse::Error(ServerError::Session {
+            error: SessionError::EpochGap { resync },
+            ..
+        }) = from_bytes(&to_bytes(&gap(1, 2))).unwrap()
+        else {
+            panic!("a valid gap decodes");
+        };
+        assert_eq!(resync.missing_epochs(), 2);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!           ∥ epoch u64 (8) ∥ chain (32) ∥ snapshot bytes (rest)
 //! ```
 //!
-//! `crc` covers everything after the 12-byte prologue. The snapshot bytes
-//! are the ordinary `Snapshot::to_bytes` frame, which carries its own magic,
+//! The 12-byte prologue is `scout_fabric::wire::seal`'s, the one snapshot
+//! frames use too: `crc` covers everything after it. The snapshot bytes are
+//! the ordinary `Snapshot::to_bytes` frame, which carries its own magic,
 //! version and checksum — an anchor file therefore has no byte outside a
 //! checksum's reach.
 //!
@@ -29,7 +30,7 @@
 use std::fmt;
 
 use scout_core::{Snapshot, SnapshotError};
-use scout_fabric::wire::crc32;
+use scout_fabric::wire::{open_sealed, seal, SealError, SEAL_PROLOGUE_LEN};
 
 use crate::digest::{sha256, Digest, Sha256};
 
@@ -38,9 +39,6 @@ pub const ANCHOR_MAGIC: [u8; 4] = *b"SCSA";
 
 /// Current anchor format version.
 pub const ANCHOR_VERSION: u32 = 1;
-
-/// Byte length of the anchor prologue (magic, version, crc).
-pub const ANCHOR_PROLOGUE_LEN: usize = 12;
 
 /// Why anchor bytes could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,38 +123,29 @@ impl Anchor {
 
     /// Encodes the anchor, stamping its checksum.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let snap = self.snapshot.to_bytes();
-        let mut out = Vec::with_capacity(ANCHOR_PROLOGUE_LEN + 40 + snap.len());
-        out.extend_from_slice(&ANCHOR_MAGIC);
-        out.extend_from_slice(&ANCHOR_VERSION.to_le_bytes());
-        out.extend_from_slice(&[0u8; 4]); // crc placeholder
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.chain);
-        out.extend_from_slice(&snap);
-        let crc = crc32(&out[ANCHOR_PROLOGUE_LEN..]);
-        out[8..12].copy_from_slice(&crc.to_le_bytes());
-        out
+        seal(ANCHOR_MAGIC, ANCHOR_VERSION, |w| {
+            w.put_u64(self.epoch);
+            w.put_raw(&self.chain);
+            w.put_raw(&self.snapshot.to_bytes());
+        })
     }
 
     /// Decodes and fully validates an anchor frame.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, AnchorError> {
-        if bytes.len() < ANCHOR_PROLOGUE_LEN + 40 {
+        if bytes.len() < SEAL_PROLOGUE_LEN + 40 {
             return Err(AnchorError::Truncated);
         }
-        if bytes[0..4] != ANCHOR_MAGIC {
-            return Err(AnchorError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != ANCHOR_VERSION {
-            return Err(AnchorError::UnsupportedVersion { version });
-        }
-        let stored_crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if crc32(&bytes[ANCHOR_PROLOGUE_LEN..]) != stored_crc {
-            return Err(AnchorError::ChecksumMismatch);
-        }
-        let epoch = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-        let chain: Digest = bytes[20..52].try_into().expect("32 bytes");
-        let snapshot = Snapshot::from_bytes(&bytes[52..]).map_err(AnchorError::Snapshot)?;
+        let body = open_sealed(ANCHOR_MAGIC, ANCHOR_VERSION, bytes).map_err(|err| match err {
+            SealError::BadMagic => AnchorError::BadMagic,
+            SealError::Truncated(_) => AnchorError::Truncated,
+            SealError::UnsupportedVersion { found } => {
+                AnchorError::UnsupportedVersion { version: found }
+            }
+            SealError::ChecksumMismatch { .. } => AnchorError::ChecksumMismatch,
+        })?;
+        let epoch = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
+        let chain: Digest = body[8..40].try_into().expect("32 bytes");
+        let snapshot = Snapshot::from_bytes(&body[40..]).map_err(AnchorError::Snapshot)?;
         if snapshot.epoch() != epoch {
             return Err(AnchorError::EpochMismatch {
                 frame: epoch,
