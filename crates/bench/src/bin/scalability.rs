@@ -28,5 +28,14 @@ fn main() {
         switch_counts
     );
     let points = scalability(&switch_counts, faults, seed);
+    // Wall-clock varies run to run: stderr, so stdout stays reproducible.
+    for p in &points {
+        eprintln!(
+            "{} switches: build {:.1} ms, localize {:.1} ms",
+            p.switches,
+            p.build_time.as_secs_f64() * 1e3,
+            p.localize_time.as_secs_f64() * 1e3
+        );
+    }
     println!("{}", scalability_table(&points));
 }

@@ -517,25 +517,19 @@ pub struct ScalabilityPoint {
     pub localize_time: Duration,
 }
 
-/// Renders the scalability points as a table.
+/// Renders the deterministic part of the scalability points (model sizes) as
+/// a table; the wall-clock columns vary run to run, so the `scalability` bin
+/// prints them on stderr instead.
 pub fn scalability_table(points: &[ScalabilityPoint]) -> Table {
     let mut table = Table::new(
-        "Scalability — controller risk model localization time vs. fabric size",
-        &[
-            "switches",
-            "elements",
-            "risks",
-            "build (ms)",
-            "localize (ms)",
-        ],
+        "Scalability — controller risk model size vs. fabric size",
+        &["switches", "elements", "risks"],
     );
     for p in points {
         table.row([
             p.switches.to_string(),
             p.elements.to_string(),
             p.risks.to_string(),
-            format!("{:.1}", p.build_time.as_secs_f64() * 1e3),
-            format!("{:.1}", p.localize_time.as_secs_f64() * 1e3),
         ]);
     }
     table
