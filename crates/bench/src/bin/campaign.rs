@@ -8,8 +8,9 @@
 //!
 //! * **determinism** — a second run with the same seed produces an identical
 //!   aggregate report;
-//! * **mode equivalence** — the incremental (baseline-reusing) analysis is
-//!   bit-identical to from-scratch rebuilds, scenario by scenario;
+//! * **the oracle** — under the engine's default cadence every scenario's
+//!   session analysis is compared against a from-scratch one: at least one
+//!   must be checked and none may disagree;
 //! * **golden accuracy** — SCOUT's precision/recall on object faults and its
 //!   recall lead over SCORE-1.0 on partial faults stay above the committed
 //!   thresholds (the claims of the paper's Figures 7–9).
@@ -18,10 +19,8 @@
 //! cargo run --release -p scout-bench --bin campaign -- --scenarios 200
 //! ```
 
-use std::time::Instant;
-
 use scout_bench::{arg_value, has_flag, threads_arg};
-use scout_sim::{AnalysisMode, Campaign, WorkloadKind};
+use scout_sim::{Campaign, WorkloadKind};
 use scout_workload::{ClusterSpec, ScaleSpec, TestbedSpec};
 
 fn main() {
@@ -53,13 +52,11 @@ fn main() {
         "campaign: {scenarios} scenarios on {workload_name}, seed {seed}, \
          max {max_faults} faults, {concurrency:?}"
     );
-    let start = Instant::now();
     let run = campaign.run();
-    let incremental_wall = start.elapsed();
     let report = run.report();
     println!("\n{}", report.table());
     println!("{}", report.headline_table());
-    println!("incremental analysis wall time: {incremental_wall:?}");
+    println!("campaign wall time: {:?}", run.elapsed);
 
     if !golden {
         return;
@@ -70,22 +67,18 @@ fn main() {
     assert_eq!(rerun, report, "same seed must reproduce the same report");
     println!("determinism: second run identical ✓");
 
-    // Mode equivalence: from-scratch rebuilds agree scenario by scenario.
-    let start = Instant::now();
-    let scratch = Campaign {
-        analysis: AnalysisMode::FromScratch,
-        ..campaign
-    }
-    .run();
-    let scratch_wall = start.elapsed();
-    assert_eq!(
-        scratch.outcomes, run.outcomes,
-        "incremental and from-scratch analyses must agree bit for bit"
+    // The oracle: session analyses agree with from-scratch ones.
+    let checked = run
+        .outcomes
+        .iter()
+        .filter(|o| o.oracle_agrees.is_some())
+        .count();
+    assert!(checked > 0, "the oracle checked no scenario");
+    assert!(
+        run.outcomes.iter().all(|o| o.oracle_agrees != Some(false)),
+        "session and from-scratch analyses disagree"
     );
-    println!(
-        "mode equivalence: from-scratch identical ✓ (wall {scratch_wall:?}, \
-         incremental {incremental_wall:?})"
-    );
+    println!("oracle: {checked} scenarios checked, 0 disagreements ✓");
 
     // Golden accuracy thresholds: calibrated (with margin) on the cluster and
     // testbed workloads only — the scale workload replicates its policy per

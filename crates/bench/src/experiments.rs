@@ -27,8 +27,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use scout_core::{
-    augment_controller_model, controller_risk_model, score_localize, scout_localize,
-    switch_risk_model, RiskModel, ScoutConfig, ScoutEngine,
+    controller_risk_model, score_localize, scout_localize, switch_risk_model, RiskModel,
+    ScoutConfig, ScoutEngine,
 };
 use scout_fabric::Fabric;
 use scout_faults::{
@@ -320,6 +320,7 @@ pub fn testbed_accuracy(
     let mut base_fabric = Fabric::new(universe);
     base_fabric.deploy();
     let engine = ScoutEngine::new();
+    let mut session = engine.open_session(&base_fabric);
 
     let mut rows = Vec::new();
     for &faults in fault_counts {
@@ -333,15 +334,14 @@ pub fn testbed_accuracy(
                 FaultInjector::new(StdRng::seed_from_u64(mix_seed(base_seed, faults, run)));
             let truth = injector.inject_object_faults(&mut fabric, faults).objects();
 
-            let report = engine.analyze(&fabric);
+            let report = session.analyze_clone(&fabric);
             let scout_acc = Accuracy::of(&truth, &report.hypothesis.objects());
             scout_p.push(scout_acc.precision);
             scout_r.push(scout_acc.recall);
 
             // SCORE baseline on the same augmented controller risk model.
-            let mut model = controller_risk_model(fabric.universe());
-            augment_controller_model(&mut model, report.check.missing_rules());
-            let score = score_localize(&model, 1.0);
+            let score =
+                session.with_augmented_model(&fabric, &report.check, |m| score_localize(m, 1.0));
             let score_acc = Accuracy::of(&truth, &score.objects());
             score_p.push(score_acc.precision);
             score_r.push(score_acc.recall);

@@ -22,7 +22,7 @@
 //! check → risk model → localization → correlation), so session reports are
 //! bit-identical to from-scratch analyses of the same fabric state.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -37,12 +37,10 @@ use crate::correlation::{CorrelationEngine, CorrelationReport};
 use crate::gauges::ServiceGauges;
 use crate::localization::{scout_localize, Hypothesis, ScoutConfig};
 use crate::risk::{
-    augment_controller_model, augment_switch_model, controller_risk_model_sharded,
+    augment_controller_model_tracked, augment_switch_model, controller_risk_model_sharded,
     switch_risk_model, RiskModel,
 };
 use crate::session::AnalysisSession;
-
-use std::collections::BTreeSet;
 
 /// How often a driver's differential oracle re-analyzes a monitored fabric
 /// from scratch and compares against the incremental session report.
@@ -155,6 +153,15 @@ impl EngineConfig {
         }
         Ok(())
     }
+
+    /// A cold equivalence checker under this configuration — the engine's
+    /// one-shot checker and every session's private one are built here.
+    pub(crate) fn checker(&self) -> EquivalenceChecker {
+        let mut checker = EquivalenceChecker::with_parallelism(self.parallelism);
+        checker.set_node_budget(self.node_budget);
+        checker.set_node_table(self.node_table);
+        checker
+    }
 }
 
 /// Why a [`ScoutEngineBuilder`] refused to build an engine.
@@ -265,14 +272,11 @@ impl ScoutEngineBuilder {
     /// error (see the valid ranges on [`EngineConfig`]).
     pub fn build(self) -> Result<ScoutEngine, EngineBuildError> {
         self.config.validate()?;
-        let mut checker = EquivalenceChecker::with_parallelism(self.config.parallelism);
-        checker.set_node_budget(self.config.node_budget);
-        checker.set_node_table(self.config.node_table);
         Ok(ScoutEngine {
             shared: Arc::new(EngineShared {
+                checker: self.config.checker(),
                 config: self.config,
                 correlation: self.correlation,
-                checker,
                 open_sessions: AtomicUsize::new(0),
                 gauges: ServiceGauges::new(),
             }),
@@ -296,6 +300,55 @@ pub(crate) struct EngineShared {
     /// Admission counters shared by every serving thread fronting this
     /// engine (see [`ServiceGauges`]).
     gauges: ServiceGauges,
+}
+
+impl EngineShared {
+    /// The one from-scratch pipeline: a full equivalence check through
+    /// `checker`, a fresh pristine controller risk model, and
+    /// [`EngineShared::report_on`]. Returns the pristine model (sessions keep
+    /// it) and the report.
+    pub(crate) fn analyze_from_scratch(
+        &self,
+        checker: &EquivalenceChecker,
+        universe: &PolicyUniverse,
+        logical_rules: &[LogicalRule],
+        tcam: &BTreeMap<SwitchId, Vec<TcamRule>>,
+        change_log: &ChangeLog,
+        fault_log: &FaultLog,
+    ) -> (RiskModel<SwitchEpgPair>, ScoutReport) {
+        let check = checker.check_network(logical_rules, tcam);
+        let mut model = controller_risk_model_sharded(universe, self.config.parallelism);
+        let report = self.report_on(&mut model, check, universe, change_log, fault_log);
+        (model, report)
+    }
+
+    /// The stages after the equivalence check, shared by every path: marks
+    /// the failures of `check` on the pristine `model`, localizes and
+    /// correlates, and rolls the marks back so `model` leaves pristine.
+    pub(crate) fn report_on(
+        &self,
+        model: &mut RiskModel<SwitchEpgPair>,
+        check: NetworkCheckResult,
+        universe: &PolicyUniverse,
+        change_log: &ChangeLog,
+        fault_log: &FaultLog,
+    ) -> ScoutReport {
+        let marks = augment_controller_model_tracked(model, check.missing_rules());
+        let observations = model.failure_signature();
+        let suspect_objects = model.suspect_set(&observations);
+        let hypothesis = scout_localize(model, change_log, self.config.scout);
+        let diagnosis = self
+            .correlation
+            .correlate(&hypothesis, universe, change_log, fault_log);
+        model.undo_failures(marks);
+        ScoutReport {
+            check,
+            observations,
+            suspect_objects,
+            hypothesis,
+            diagnosis,
+        }
+    }
 }
 
 // The whole point of the shared engine: one `Arc<ScoutEngine>` (or cheap
@@ -433,37 +486,16 @@ impl ScoutEngine {
     /// one-shot analyses reuse BDD encodings; results never depend on cache
     /// state.
     pub fn analyze(&self, fabric: &Fabric) -> ScoutReport {
-        self.analyze_artifacts(
+        let shared = &self.shared;
+        let (_, report) = shared.analyze_from_scratch(
+            &shared.checker,
             fabric.universe(),
             fabric.logical_rules(),
             &fabric.collect_tcam(),
             fabric.change_log(),
             fabric.fault_log(),
-        )
-    }
-
-    /// One-shot analysis from the four raw artifacts: the policy (universe),
-    /// the logical rules, the collected TCAM rules, and the two logs.
-    pub fn analyze_artifacts(
-        &self,
-        universe: &PolicyUniverse,
-        logical_rules: &[LogicalRule],
-        tcam: &BTreeMap<SwitchId, Vec<TcamRule>>,
-        change_log: &ChangeLog,
-        fault_log: &FaultLog,
-    ) -> ScoutReport {
-        let check = self.shared.checker.check_network(logical_rules, tcam);
-        let mut model = controller_risk_model_sharded(universe, self.shared.config.parallelism);
-        augment_controller_model(&mut model, check.missing_rules());
-        report_from_model(
-            check,
-            &model,
-            universe,
-            change_log,
-            fault_log,
-            self.shared.config.scout,
-            &self.shared.correlation,
-        )
+        );
+        report
     }
 
     /// Runs the equivalence check and localization against the *switch risk
@@ -526,33 +558,6 @@ impl ScoutReport {
         } else {
             self.hypothesis.len() as f64 / self.suspect_objects.len() as f64
         }
-    }
-}
-
-/// Builds the localization/diagnosis stages of a report from an equivalence
-/// check and an *already augmented* controller risk model — the single
-/// assembly point shared by the one-shot and session paths.
-pub(crate) fn report_from_model(
-    check: NetworkCheckResult,
-    model: &RiskModel<SwitchEpgPair>,
-    universe: &PolicyUniverse,
-    change_log: &ChangeLog,
-    fault_log: &FaultLog,
-    scout: ScoutConfig,
-    correlation: &CorrelationEngine,
-) -> ScoutReport {
-    let observations = model.failure_signature();
-    let suspect_objects = model.suspect_set(&observations);
-
-    let hypothesis = scout_localize(model, change_log, scout);
-    let diagnosis = correlation.correlate(&hypothesis, universe, change_log, fault_log);
-
-    ScoutReport {
-        check,
-        observations,
-        suspect_objects,
-        hypothesis,
-        diagnosis,
     }
 }
 

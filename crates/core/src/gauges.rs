@@ -107,13 +107,6 @@ pub struct ServiceStats {
     pub shed: u64,
 }
 
-impl ServiceStats {
-    /// Every batch the serving layer answered, whatever the answer was.
-    pub fn total_decisions(&self) -> u64 {
-        self.admitted + self.queued + self.shed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,7 +127,6 @@ mod tests {
         assert_eq!(stats.queued, 3);
         assert_eq!(stats.queue_peak, 3);
         assert_eq!(stats.shed, 1);
-        assert_eq!(stats.total_decisions(), 5);
     }
 
     #[test]

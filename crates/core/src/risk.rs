@@ -613,27 +613,6 @@ where
     }
 }
 
-/// Tracked variant of [`augment_switch_model`]: returns the journal needed to
-/// roll the augmentation back with [`RiskModel::undo_failures`], so one
-/// pristine switch model can serve many analyses.
-pub fn augment_switch_model_tracked<I>(
-    model: &mut RiskModel<EpgPair>,
-    switch: SwitchId,
-    missing_rules: I,
-) -> FailureMarks<EpgPair>
-where
-    I: IntoIterator<Item = LogicalRule>,
-{
-    let mut marks = FailureMarks::new();
-    for rule in missing_rules.into_iter().filter(|r| r.switch == switch) {
-        let pair = rule.pair();
-        for risk in rule.provenance.policy_objects() {
-            model.mark_failed_tracked(pair, risk, &mut marks);
-        }
-    }
-    marks
-}
-
 /// Tracked variant of [`augment_controller_model`]: returns the journal needed
 /// to roll the augmentation back with [`RiskModel::undo_failures`], so one
 /// pristine controller model can serve many analyses (the incremental
@@ -948,7 +927,12 @@ mod tests {
             .collect();
         let pristine = switch_risk_model(&u, sample::S2);
         let mut model = pristine.clone();
-        let marks = augment_switch_model_tracked(&mut model, sample::S2, missing.iter().copied());
+        let mut marks = FailureMarks::new();
+        for rule in &missing {
+            for risk in rule.provenance.policy_objects() {
+                model.mark_failed_tracked(rule.pair(), risk, &mut marks);
+            }
+        }
         let mut reference = pristine.clone();
         augment_switch_model(&mut reference, sample::S2, missing.iter().copied());
         assert_eq!(model, reference);

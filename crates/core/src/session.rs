@@ -21,7 +21,14 @@
 //! Sessions also serve the campaign pattern — many mutated clones of one
 //! snapshot — via [`AnalysisSession::analyze_clone`], which reuses the
 //! session's equivalence check for clean switches and its pristine risk
-//! model for localization.
+//! model for localization. A baseline algorithm (SCORE) reads the same
+//! augmented model through [`AnalysisSession::with_augmented_model`], the
+//! only hook into the failure evidence.
+//!
+//! Open and [`AnalysisSession::resync`] run the engine's one from-scratch
+//! pipeline (the same one behind
+//! [`ScoutEngine::analyze`](crate::ScoutEngine::analyze)); ingest and clone
+//! analyses re-check only what changed and share its risk-model stages.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -30,16 +37,15 @@ use std::sync::Arc;
 
 use scout_equiv::{EquivalenceChecker, NetworkCheckResult};
 use scout_fabric::{
-    ApplyError, ChangeLog, EventBatch, Fabric, FabricEvent, FabricProbe, FabricView, FaultLog,
-    FullSync,
+    ApplyError, EventBatch, Fabric, FabricEvent, FabricProbe, FabricView, FullSync,
 };
-use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchEpgPair, SwitchId};
+use scout_policy::{LogicalRule, ObjectId, SwitchEpgPair, SwitchId};
 
 use crate::correlation::PartialDiagnosis;
-use crate::engine::{report_from_model, EngineShared, ScoutReport};
+use crate::engine::{EngineShared, ScoutReport};
 use crate::risk::{
-    augment_controller_model, augment_controller_model_tracked, controller_risk_model,
-    controller_risk_model_sharded, patch_controller_risk_model, RiskModel,
+    augment_controller_model_tracked, controller_risk_model, controller_risk_model_sharded,
+    patch_controller_risk_model, RiskModel,
 };
 
 /// What an [`AnalysisSession`] needs after it detects an epoch gap: the
@@ -353,20 +359,15 @@ pub struct AnalysisSession {
 impl AnalysisSession {
     /// Opens a session: snapshots `fabric` and runs the full pipeline once.
     pub(crate) fn open(shared: Arc<EngineShared>, fabric: &Fabric) -> Self {
-        let mut checker = EquivalenceChecker::with_parallelism(shared.config.parallelism);
-        checker.set_node_budget(shared.config.node_budget);
-        checker.set_node_table(shared.config.node_table);
+        let checker = shared.config.checker();
         let view = FabricView::of(fabric);
-        let check = checker.check_network(view.logical_rules(), view.tcam());
-        let mut model = controller_risk_model_sharded(view.universe(), shared.config.parallelism);
-        let (report, ()) = Self::report_on(
-            &shared,
-            &mut model,
-            check,
+        let (model, report) = shared.analyze_from_scratch(
+            &checker,
             view.universe(),
+            view.logical_rules(),
+            view.tcam(),
             view.change_log(),
             view.fault_log(),
-            |_| (),
         );
         shared.open_sessions.fetch_add(1, Ordering::Relaxed);
         Self {
@@ -391,15 +392,12 @@ impl AnalysisSession {
     /// the checkpointed one stood; the caller replays the snapshot's tail
     /// through the ordinary [`AnalysisSession::ingest`] path.
     pub(crate) fn resume(shared: Arc<EngineShared>, snapshot: &crate::snapshot::Snapshot) -> Self {
-        let mut checker = EquivalenceChecker::with_parallelism(shared.config.parallelism);
-        checker.set_node_budget(shared.config.node_budget);
-        checker.set_node_table(shared.config.node_table);
         let view = snapshot.view().clone();
         let model = controller_risk_model_sharded(view.universe(), shared.config.parallelism);
         shared.open_sessions.fetch_add(1, Ordering::Relaxed);
         Self {
+            checker: shared.config.checker(),
             shared,
-            checker,
             fabric_id: snapshot.fabric_id(),
             open_epoch: snapshot.open_epoch(),
             epoch: snapshot.epoch(),
@@ -408,34 +406,6 @@ impl AnalysisSession {
             view,
             stats: SessionStats::default(),
         }
-    }
-
-    /// The session half of the one analysis pipeline: augments the pristine
-    /// `model` with the failures of `check`, assembles the report through
-    /// [`report_from_model`], lets `extra` read the still-augmented model, and
-    /// rolls the augmentation back.
-    fn report_on<T>(
-        shared: &EngineShared,
-        model: &mut RiskModel<SwitchEpgPair>,
-        check: NetworkCheckResult,
-        universe: &PolicyUniverse,
-        change_log: &ChangeLog,
-        fault_log: &FaultLog,
-        extra: impl FnOnce(&RiskModel<SwitchEpgPair>) -> T,
-    ) -> (ScoutReport, T) {
-        let marks = augment_controller_model_tracked(model, check.missing_rules());
-        let report = report_from_model(
-            check,
-            model,
-            universe,
-            change_log,
-            fault_log,
-            shared.config.scout,
-            &shared.correlation,
-        );
-        let extra_out = extra(model);
-        model.undo_failures(marks);
-        (report, extra_out)
     }
 
     /// The [`Fabric::id`](scout_fabric::Fabric::id) of the monitored fabric.
@@ -542,14 +512,12 @@ impl AnalysisSession {
 
         // Risk model: re-derive (and roll back) just the failed edges of the
         // new check.
-        let (report, ()) = Self::report_on(
-            &self.shared,
+        let report = self.shared.report_on(
             &mut self.model,
             check,
-            self.view.universe(),
-            self.view.change_log(),
-            self.view.fault_log(),
-            |_| (),
+            view.universe(),
+            view.change_log(),
+            view.fault_log(),
         );
 
         let delta = ReportDelta::between(expected, dirty, &self.report, &report);
@@ -634,20 +602,16 @@ impl AnalysisSession {
             });
         }
         self.view = sync.into_view();
-        let check = self
-            .checker
-            .check_network(self.view.logical_rules(), self.view.tcam());
-        self.model =
-            controller_risk_model_sharded(self.view.universe(), self.shared.config.parallelism);
-        let (report, ()) = Self::report_on(
-            &self.shared,
-            &mut self.model,
-            check,
-            self.view.universe(),
-            self.view.change_log(),
-            self.view.fault_log(),
-            |_| (),
+        let view = &self.view;
+        let (model, report) = self.shared.analyze_from_scratch(
+            &self.checker,
+            view.universe(),
+            view.logical_rules(),
+            view.tcam(),
+            view.change_log(),
+            view.fault_log(),
         );
+        self.model = model;
 
         let delta =
             ReportDelta::between(epoch, self.view.switch_set().clone(), &self.report, &report);
@@ -706,20 +670,10 @@ impl AnalysisSession {
     /// model, when the policy universe is unchanged; otherwise the method
     /// transparently falls back to the from-scratch pipeline for the affected
     /// stage.
+    ///
+    /// A baseline algorithm (SCORE) reads the same evidence through
+    /// [`AnalysisSession::with_augmented_model`] on the report's check.
     pub fn analyze_clone(&mut self, fabric: &Fabric) -> ScoutReport {
-        self.analyze_clone_with(fabric, |_| ()).0
-    }
-
-    /// Like [`AnalysisSession::analyze_clone`], but additionally runs `extra`
-    /// against the same augmented controller risk model — e.g. a baseline
-    /// algorithm being compared on identical evidence — so the model is
-    /// augmented (and rolled back) once per analysis instead of once per
-    /// consumer.
-    pub fn analyze_clone_with<T>(
-        &mut self,
-        fabric: &Fabric,
-        extra: impl FnOnce(&RiskModel<SwitchEpgPair>) -> T,
-    ) -> (ScoutReport, T) {
         let check = if self.covers(fabric) {
             let dirty = fabric.dirty_switches_since(self.open_epoch);
             let current: BTreeSet<SwitchId> = fabric.universe().switch_ids().into_iter().collect();
@@ -734,73 +688,50 @@ impl AnalysisSession {
             self.checker
                 .check_network(fabric.logical_rules(), &fabric.collect_tcam())
         };
-        // The cached pristine model serves the clone while it still holds the
-        // mirrored policy; otherwise the model is rebuilt from its universe.
-        let mut rebuilt;
-        let model = if fabric.universe_version() == self.view.universe_version() {
-            &mut self.model
-        } else {
-            rebuilt = controller_risk_model(fabric.universe());
-            &mut rebuilt
-        };
-        Self::report_on(
-            &self.shared,
+        let mut rebuilt = None;
+        let model = Self::pristine_model(&mut self.model, &self.view, fabric, &mut rebuilt);
+        self.shared.report_on(
             model,
             check,
             fabric.universe(),
             fabric.change_log(),
             fabric.fault_log(),
-            extra,
         )
     }
 
-    /// The reference from-scratch analysis of a clone, through the session's
-    /// private checker: full network check, fresh risk model. Used by
-    /// differential drivers to validate [`AnalysisSession::analyze_clone`];
-    /// both produce bit-identical reports.
-    pub fn analyze_scratch_with<T>(
-        &mut self,
-        fabric: &Fabric,
-        extra: impl FnOnce(&RiskModel<SwitchEpgPair>) -> T,
-    ) -> (ScoutReport, T) {
-        let check = self
-            .checker
-            .check_network(fabric.logical_rules(), &fabric.collect_tcam());
-        let mut model = controller_risk_model(fabric.universe());
-        augment_controller_model(&mut model, check.missing_rules());
-        let report = report_from_model(
-            check,
-            &model,
-            fabric.universe(),
-            fabric.change_log(),
-            fabric.fault_log(),
-            self.shared.config.scout,
-            &self.shared.correlation,
-        );
-        let extra_out = extra(&model);
-        (report, extra_out)
-    }
-
     /// Runs `f` against the controller risk model augmented with the missing
-    /// rules of `check`, re-deriving only the failed edges when `fabric`
-    /// still holds the mirrored policy (and rebuilding the model from the
-    /// fabric's universe otherwise). The cached model is always restored to
-    /// its pristine state before returning.
+    /// rules of `check` — the one hook through which a baseline algorithm
+    /// (SCORE) reads the evidence SCOUT localized on. Only the failed edges
+    /// are marked, on the same pristine model
+    /// [`AnalysisSession::analyze_clone`] uses for `fabric`, and rolled back
+    /// before returning.
     pub fn with_augmented_model<T>(
         &mut self,
         fabric: &Fabric,
         check: &NetworkCheckResult,
         f: impl FnOnce(&RiskModel<SwitchEpgPair>) -> T,
     ) -> T {
-        if fabric.universe_version() == self.view.universe_version() {
-            let marks = augment_controller_model_tracked(&mut self.model, check.missing_rules());
-            let out = f(&self.model);
-            self.model.undo_failures(marks);
-            out
+        let mut rebuilt = None;
+        let model = Self::pristine_model(&mut self.model, &self.view, fabric, &mut rebuilt);
+        let marks = augment_controller_model_tracked(model, check.missing_rules());
+        let out = f(model);
+        model.undo_failures(marks);
+        out
+    }
+
+    /// The pristine model serving `fabric`: the cached `model` while the
+    /// fabric still holds the mirrored policy, otherwise one rebuilt from its
+    /// universe into `rebuilt`.
+    fn pristine_model<'a>(
+        model: &'a mut RiskModel<SwitchEpgPair>,
+        view: &FabricView,
+        fabric: &Fabric,
+        rebuilt: &'a mut Option<RiskModel<SwitchEpgPair>>,
+    ) -> &'a mut RiskModel<SwitchEpgPair> {
+        if fabric.universe_version() == view.universe_version() {
+            model
         } else {
-            let mut model = controller_risk_model(fabric.universe());
-            augment_controller_model(&mut model, check.missing_rules());
-            f(&model)
+            rebuilt.insert(controller_risk_model(fabric.universe()))
         }
     }
 }
@@ -1090,10 +1021,6 @@ mod tests {
         other.remove_tcam_rules_where(sample::S2, |_| true);
         let derived = session.analyze_clone(&other);
         assert_eq!(derived, engine.analyze(&other));
-
-        // And the reference from-scratch path through the session agrees.
-        let (scratch, _) = session.analyze_scratch_with(&other, |_| ());
-        assert_eq!(scratch, derived);
     }
 
     #[test]

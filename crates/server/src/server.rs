@@ -29,7 +29,7 @@
 
 use scout_core::{AnalysisSession, ReportDelta, ScoutEngine, SessionError};
 use scout_fabric::wire::{from_bytes, to_bytes};
-use scout_fabric::Fabric;
+use scout_fabric::{EventBatch, Fabric};
 use scout_store::store::{DurableSession, StoreConfig};
 use scout_store::DurableEngine;
 use std::collections::BTreeMap;
@@ -56,11 +56,7 @@ impl TenantBackend {
         }
     }
 
-    fn ingest(
-        &mut self,
-        tenant: TenantId,
-        batch: scout_fabric::EventBatch,
-    ) -> Result<ReportDelta, ServerError> {
+    fn ingest(&mut self, tenant: TenantId, batch: EventBatch) -> Result<ReportDelta, ServerError> {
         match self {
             TenantBackend::Memory(session) => session
                 .ingest(batch)
@@ -242,7 +238,7 @@ impl ScoutServer {
         ServerResponse::Opened { tenant, epoch }
     }
 
-    fn ingest(&mut self, tenant: TenantId, batch: scout_fabric::EventBatch) -> ServerResponse {
+    fn ingest(&mut self, tenant: TenantId, batch: EventBatch) -> ServerResponse {
         let Some(backend) = self.tenants.get(&tenant) else {
             return ServerResponse::Error(ServerError::UnknownTenant { tenant });
         };
@@ -334,15 +330,11 @@ impl ScoutServer {
             return ServerResponse::Error(ServerError::UnknownTenant { tenant });
         };
         match backend {
-            TenantBackend::Memory(session) => {
-                // The snapshot is taken (exercising the full codec) and
-                // dropped: an in-memory node has nowhere durable to put it.
-                let snapshot = session.checkpoint();
-                ServerResponse::Checkpointed {
-                    tenant,
-                    epoch: snapshot.epoch(),
-                }
-            }
+            // An in-memory node has nowhere durable to put a snapshot.
+            TenantBackend::Memory(session) => ServerResponse::Checkpointed {
+                tenant,
+                epoch: session.epoch(),
+            },
             TenantBackend::Durable(session) => match session.commit() {
                 Ok(()) => ServerResponse::Checkpointed {
                     tenant,
@@ -399,21 +391,36 @@ impl ScoutServer {
 
     /// One scheduling round: refill every tenant's tokens and apply queued
     /// batches in FIFO order, returning one `Ingested` (or error) response
-    /// per drained batch, in the deterministic drain order.
+    /// per applied (or failed) batch, in the deterministic drain order.
+    ///
+    /// Accepted means owned here too: when a batch fails to apply, it and
+    /// the tenant's later batches released in the same round go back to the
+    /// head of its queue, in order, with their tokens refunded.
     pub fn tick(&mut self) -> Vec<ServerResponse> {
         let mut responses = Vec::new();
+        let mut held: BTreeMap<TenantId, Vec<EventBatch>> = BTreeMap::new();
         for (tenant, batch) in self.admission.tick() {
-            self.engine.gauges().record_dequeued();
+            if let Some(batches) = held.get_mut(&tenant) {
+                batches.push(batch);
+                continue;
+            }
             let Some(backend) = self.tenants.get_mut(&tenant) else {
                 continue; // session closed under a non-empty lane: unreachable
             };
-            match backend.ingest(tenant, batch) {
+            match backend.ingest(tenant, batch.clone()) {
                 Ok(delta) => {
+                    self.engine.gauges().record_dequeued();
                     self.engine.gauges().record_admitted();
                     responses.push(ServerResponse::Ingested { tenant, delta });
                 }
-                Err(error) => responses.push(ServerResponse::Error(error)),
+                Err(error) => {
+                    held.insert(tenant, vec![batch]);
+                    responses.push(ServerResponse::Error(error));
+                }
             }
+        }
+        for (tenant, batches) in held {
+            self.admission.requeue(tenant, batches);
         }
         responses
     }
@@ -452,7 +459,7 @@ impl ScoutServer {
 mod tests {
     use super::*;
     use crate::admission::OverloadPolicy;
-    use scout_fabric::{EventBatch, FabricProbe, FullSync};
+    use scout_fabric::{FabricProbe, FullSync};
     use scout_policy::sample;
     use scout_store::test_dir::TestDir;
 
@@ -900,6 +907,71 @@ mod tests {
             break;
         }
         assert!(hit, "no abort point landed inside close_session");
+    }
+
+    #[test]
+    fn failed_tick_drain_keeps_the_parked_batch_owned() {
+        use scout_store::store::CrashPlan;
+        let admission = AdmissionConfig {
+            quota_tokens: 1,
+            refill_per_tick: 1,
+            queue_capacity: 4,
+            policy: OverloadPolicy::Queue,
+        };
+        // Scan crash abort points for one where open + the admitted ingest
+        // succeed and the crash fires while a tick drains the parked batch.
+        let mut hit = false;
+        for abort_after_ops in 0..64 {
+            let dir = TestDir::new(&format!("server-tick-crash-{abort_after_ops}"));
+            let store = StoreConfig {
+                crash_plan: Some(CrashPlan {
+                    abort_after_ops,
+                    partial_seed: 5,
+                }),
+                ..StoreConfig::default()
+            };
+            let config = ServerConfig::durable(admission, dir.path().to_path_buf(), store);
+            let mut srv = ScoutServer::new(ScoutEngine::new(), config);
+            if !matches!(
+                srv.handle(ServerRequest::OpenSession {
+                    tenant: 1,
+                    universe: sample::three_tier(),
+                }),
+                ServerResponse::Opened { .. }
+            ) {
+                continue;
+            }
+            let mut ingest = |epoch| {
+                srv.handle(ServerRequest::Ingest {
+                    tenant: 1,
+                    batch: EventBatch::empty(epoch),
+                })
+            };
+            if !matches!(ingest(1), ServerResponse::Ingested { .. }) {
+                continue;
+            }
+            assert!(matches!(ingest(2), ServerResponse::Queued { .. }));
+            match srv.tick().as_slice() {
+                [ServerResponse::Error(_)] => {}
+                [ServerResponse::Ingested { .. }] => continue, // crash fired later/never
+                other => panic!("unexpected tick responses: {other:?}"),
+            }
+            hit = true;
+            let epoch = match srv.handle(ServerRequest::Query { tenant: 1 }) {
+                ServerResponse::Report { epoch, .. } => epoch,
+                other => panic!("expected Report, got {other:?}"),
+            };
+            // The failed batch is parked again, not dropped with its token …
+            assert_eq!(epoch + srv.queue_depth(1) as u64, 2);
+            assert_eq!(srv.quota_tokens(1), 1);
+            // … and the shared queue gauge still matches the real queue.
+            assert_eq!(
+                srv.engine().gauges().snapshot().queued,
+                srv.queue_depth(1) as u64
+            );
+            break;
+        }
+        assert!(hit, "no abort point landed inside the tick's drain");
     }
 
     #[test]

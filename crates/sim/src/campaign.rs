@@ -8,8 +8,7 @@
 //! [`AnalysisSession`](scout_core::AnalysisSession) per worker, and drives
 //! every scenario through the full pipeline. Scenario `i` depends only on
 //! `scenario_seed(campaign_seed, i)`, so the outcome vector — and the
-//! aggregate [`CampaignReport`] — is identical regardless of thread count or
-//! analysis mode.
+//! aggregate [`CampaignReport`] — is identical regardless of thread count.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -19,18 +18,6 @@ use scout_fabric::Fabric;
 use scout_metrics::{fmt3, fmt_mean, Cdf, Summary, Table};
 
 use crate::scenario::{run_scenario, ScenarioKind, ScenarioMix, ScenarioOutcome, WorkloadKind};
-
-/// Whether scenario analyses reuse the per-worker session snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AnalysisMode {
-    /// Reuse the session's equivalence check and pristine risk model;
-    /// per-scenario cost is proportional to the disturbance.
-    #[default]
-    Incremental,
-    /// Rebuild the full check and the risk model for every scenario — the
-    /// reference the incremental mode is validated (and benchmarked) against.
-    FromScratch,
-}
 
 /// Configuration of one fault campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,16 +34,14 @@ pub struct Campaign {
     pub seed: u64,
     /// Worker-thread policy.
     pub concurrency: Parallelism,
-    /// Session reuse policy.
-    pub analysis: AnalysisMode,
     /// The analysis-engine configuration (localization knobs, checker
-    /// parallelism, cache budgets) every scenario runs under.
+    /// parallelism, cache budgets, oracle cadence) every scenario runs under.
     pub engine: EngineConfig,
 }
 
 impl Campaign {
-    /// A campaign with the default mix, fault bound, parallelism, incremental
-    /// analysis and engine configuration.
+    /// A campaign with the default mix, fault bound, parallelism and engine
+    /// configuration (the oracle checks every scenario).
     pub fn new(workload: WorkloadKind, scenarios: usize, seed: u64) -> Self {
         Self {
             workload,
@@ -65,7 +50,6 @@ impl Campaign {
             mix: ScenarioMix::default(),
             seed,
             concurrency: Parallelism::Auto,
-            analysis: AnalysisMode::Incremental,
             engine: EngineConfig::default(),
         }
     }
@@ -74,7 +58,7 @@ impl Campaign {
     /// private engine built from [`Campaign::engine`].
     ///
     /// The outcome vector is deterministic for a given configuration (thread
-    /// count and analysis mode change only the wall-clock time).
+    /// count changes only the wall-clock time).
     pub fn run(&self) -> CampaignRun {
         let engine = ScoutEngine::from_config(self.engine)
             .expect("campaign engine config is degenerate (see EngineConfig::validate)");
@@ -86,8 +70,14 @@ impl Campaign {
     /// [`AnalysisSession`](scout_core::AnalysisSession) on it, so several
     /// campaigns (or campaigns next to soak timelines) can share one engine.
     /// Outcomes are bit-identical to a private-engine run.
+    ///
+    /// The engine's [`OracleCadence`](scout_core::OracleCadence) picks the
+    /// scenarios whose session analysis is compared against a from-scratch
+    /// [`ScoutEngine::analyze`] ([`ScenarioOutcome::oracle_agrees`]), as it
+    /// picks the epochs of a [`Timeline`](crate::Timeline).
     pub fn run_with_engine(&self, engine: &ScoutEngine) -> CampaignRun {
         let start = Instant::now();
+        let oracle = engine.config().oracle;
         let mut base = Fabric::new(self.workload.generate(self.seed));
         base.deploy();
 
@@ -102,7 +92,7 @@ impl Campaign {
                     .map(|index| {
                         run_scenario(
                             &mut session,
-                            self.analysis,
+                            oracle.checks(index, self.scenarios).then_some(engine),
                             &base,
                             index,
                             scenario_seed(self.seed, index),
@@ -170,7 +160,7 @@ pub struct KindStats {
 }
 
 /// The deterministic aggregate of one campaign: identical for identical
-/// configurations, regardless of thread count or analysis mode.
+/// configurations, regardless of thread count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// Total number of scenarios.
@@ -374,13 +364,30 @@ mod tests {
 
     #[test]
     fn incremental_and_from_scratch_campaigns_agree() {
-        let incremental = small_campaign(7).run();
-        let scratch = Campaign {
-            analysis: AnalysisMode::FromScratch,
+        // The default cadence checks every scenario against from-scratch.
+        let run = small_campaign(7).run();
+        for outcome in &run.outcomes {
+            assert_eq!(outcome.oracle_agrees, Some(true), "{}", outcome.index);
+        }
+        // A cadence of `Never` skips the oracle and changes nothing else.
+        let unchecked = Campaign {
+            engine: EngineConfig {
+                oracle: scout_core::OracleCadence::Never,
+                ..EngineConfig::default()
+            },
             ..small_campaign(7)
         }
         .run();
-        assert_eq!(incremental.outcomes, scratch.outcomes);
+        for (checked, unchecked) in run.outcomes.iter().zip(&unchecked.outcomes) {
+            assert_eq!(unchecked.oracle_agrees, None);
+            assert_eq!(
+                ScenarioOutcome {
+                    oracle_agrees: None,
+                    ..checked.clone()
+                },
+                *unchecked
+            );
+        }
     }
 
     #[test]
@@ -455,6 +462,7 @@ mod tests {
             scout: scout_metrics::Accuracy::of(&Default::default(), &Default::default()),
             score: scout_metrics::Accuracy::of(&Default::default(), &Default::default()),
             attributed: false,
+            oracle_agrees: None,
         };
         let report = CampaignReport::of(&[outcome]);
         let stats = &report.per_kind[&ScenarioKind::Physical];

@@ -286,6 +286,26 @@ fn settle(
     (session.full_report().clone(), score.objects(), ranked)
 }
 
+/// Scores a one-shot disturbed clone the same way, through the worker's
+/// base session.
+fn score_clone(
+    engine: &ScoutEngine,
+    base_session: &mut AnalysisSession,
+    fabric: &Fabric,
+) -> (ScoutReport, BTreeSet<ObjectId>, PartialDiagnosis) {
+    let report = base_session.analyze_clone(fabric);
+    let score = base_session
+        .with_augmented_model(fabric, &report.check, |model| score_localize(model, 1.0));
+    let ranked = engine.correlation().rank_partial(
+        &report.hypothesis,
+        &report.suspect_objects,
+        fabric.universe(),
+        fabric.change_log(),
+        fabric.fault_log(),
+    );
+    (report, score.objects(), ranked)
+}
+
 /// Assembles the outcome from a settled report.
 #[allow(clippy::too_many_arguments)]
 fn outcome_of(
@@ -607,22 +627,14 @@ fn gray_failure(
         }
     }
 
-    let (report, score) =
-        base_session.analyze_clone_with(&fabric, |model| score_localize(model, 1.0));
-    let ranked = engine.correlation().rank_partial(
-        &report.hypothesis,
-        &report.suspect_objects,
-        fabric.universe(),
-        fabric.change_log(),
-        fabric.fault_log(),
-    );
+    let (report, score_objects, ranked) = score_clone(engine, base_session, &fabric);
     outcome_of(
         index,
         seed,
         HostileKind::GrayFailure,
         truth,
         &report,
-        score.objects(),
+        score_objects,
         &ranked,
         0,
         0,
@@ -645,22 +657,14 @@ fn missing_logs(
     let truth = inject(&mut fabric, &mut rng, seed, max_faults, None);
     *fabric.fault_log_mut() = FaultLog::new();
 
-    let (report, score) =
-        base_session.analyze_clone_with(&fabric, |model| score_localize(model, 1.0));
-    let ranked = engine.correlation().rank_partial(
-        &report.hypothesis,
-        &report.suspect_objects,
-        fabric.universe(),
-        fabric.change_log(),
-        fabric.fault_log(),
-    );
+    let (report, score_objects, ranked) = score_clone(engine, base_session, &fabric);
     outcome_of(
         index,
         seed,
         HostileKind::MissingLogs,
         truth,
         &report,
-        score.objects(),
+        score_objects,
         &ranked,
         0,
         0,

@@ -74,7 +74,7 @@ pub mod hostile;
 pub mod scenario;
 pub mod soak;
 
-pub use campaign::{scenario_seed, AnalysisMode, Campaign, CampaignReport, CampaignRun, KindStats};
+pub use campaign::{scenario_seed, Campaign, CampaignReport, CampaignRun, KindStats};
 pub use crash::{CrashSoak, CrashSoakReport};
 pub use fleet::{FleetRun, FleetSoak, TenantOutcome};
 pub use hostile::{

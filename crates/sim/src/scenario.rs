@@ -15,14 +15,12 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use scout_core::{score_localize, AnalysisSession};
+use scout_core::{score_localize, AnalysisSession, ScoutEngine};
 use scout_fabric::Fabric;
 use scout_faults::{random_tcam_corruption, silent_rule_eviction, FaultInjector, ObjectFaultKind};
 use scout_metrics::Accuracy;
 use scout_policy::{ObjectId, PolicyUniverse};
 use scout_workload::{add_random_filter, random_policy_edit, ClusterSpec, ScaleSpec, TestbedSpec};
-
-use crate::campaign::AnalysisMode;
 
 /// Which policy generator a campaign samples its reference fabric from.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -201,6 +199,9 @@ pub struct ScenarioOutcome {
     /// a non-empty truth, or both are empty (nothing to find, nothing
     /// reported).
     pub attributed: bool,
+    /// Whether a from-scratch analysis of the same fabric was bit-identical
+    /// to the session's report (`None` when the oracle did not run).
+    pub oracle_agrees: Option<bool>,
 }
 
 /// A mutated fabric plus its ground truth, ready for analysis.
@@ -307,16 +308,14 @@ fn prepare(base: &Fabric, seed: u64, max_faults: usize, mix: &ScenarioMix) -> Pr
 
 /// Runs one scenario end to end through the worker's [`AnalysisSession`].
 ///
-/// In [`AnalysisMode::Incremental`] the analysis reuses the session's
-/// equivalence check and pristine risk model; in
-/// [`AnalysisMode::FromScratch`] every stage is rebuilt from scratch through
-/// the same session. Both modes produce bit-identical outcomes. SCORE shares
-/// the single augment/rollback cycle of the SCOUT analysis either way (on a
-/// consistent fabric it sees an empty signature and returns an empty
-/// hypothesis immediately).
+/// The analysis reuses the session's equivalence check and pristine risk
+/// model ([`AnalysisSession::analyze_clone`]); SCORE reads the same augmented
+/// model (on a consistent fabric it sees an empty signature and returns an
+/// empty hypothesis immediately). With an `oracle` engine, the report is
+/// also compared against its from-scratch [`ScoutEngine::analyze`].
 pub fn run_scenario(
     session: &mut AnalysisSession,
-    mode: AnalysisMode,
+    oracle: Option<&ScoutEngine>,
     base: &Fabric,
     index: usize,
     seed: u64,
@@ -326,15 +325,11 @@ pub fn run_scenario(
     let prepared = prepare(base, seed, max_faults, mix);
     let fabric = &prepared.fabric;
 
-    let (report, score) = match mode {
-        AnalysisMode::Incremental => {
-            session.analyze_clone_with(fabric, |model| score_localize(model, 1.0))
-        }
-        AnalysisMode::FromScratch => {
-            session.analyze_scratch_with(fabric, |model| score_localize(model, 1.0))
-        }
-    };
-    let score_objects = score.objects();
+    let report = session.analyze_clone(fabric);
+    let score_objects = session
+        .with_augmented_model(fabric, &report.check, |model| score_localize(model, 1.0))
+        .objects();
+    let oracle_agrees = oracle.map(|engine| engine.analyze(fabric) == report);
 
     let hypothesis = report.hypothesis.objects();
     let truth = prepared.truth;
@@ -361,13 +356,13 @@ pub fn run_scenario(
         suspects: report.suspect_objects,
         hypothesis,
         truth,
+        oracle_agrees,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scout_core::ScoutEngine;
 
     fn testbed_base() -> Fabric {
         let spec = TestbedSpec {
@@ -417,25 +412,8 @@ mod tests {
         let mut session = engine.open_session(&base);
         let mix = ScenarioMix::default();
         for seed in 0..12u64 {
-            let incremental = run_scenario(
-                &mut session,
-                AnalysisMode::Incremental,
-                &base,
-                0,
-                seed,
-                3,
-                &mix,
-            );
-            let from_scratch = run_scenario(
-                &mut session,
-                AnalysisMode::FromScratch,
-                &base,
-                0,
-                seed,
-                3,
-                &mix,
-            );
-            assert_eq!(incremental, from_scratch, "seed {seed}");
+            let outcome = run_scenario(&mut session, Some(&engine), &base, 0, seed, 3, &mix);
+            assert_eq!(outcome.oracle_agrees, Some(true), "seed {seed}");
         }
     }
 
@@ -448,15 +426,7 @@ mod tests {
         let mut attributed = 0usize;
         let mut faulty = 0usize;
         for seed in 0..10u64 {
-            let outcome = run_scenario(
-                &mut session,
-                AnalysisMode::Incremental,
-                &base,
-                0,
-                seed,
-                2,
-                &mix,
-            );
+            let outcome = run_scenario(&mut session, None, &base, 0, seed, 2, &mix);
             assert!(outcome
                 .hypothesis
                 .iter()
