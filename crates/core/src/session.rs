@@ -351,6 +351,9 @@ pub struct AnalysisSession {
     /// ingested policy update; each analysis applies and rolls back only the
     /// failed edges.
     model: RiskModel<SwitchEpgPair>,
+    /// The pristine model rebuilt for the last clone analyzed under another
+    /// policy, keyed by its process-unique [`Fabric::universe_version`].
+    rebuilt: Option<(u64, RiskModel<SwitchEpgPair>)>,
     /// The current full report (owns the current equivalence check).
     report: ScoutReport,
     stats: SessionStats,
@@ -378,6 +381,7 @@ impl AnalysisSession {
             open_epoch: fabric.epoch(),
             epoch: 0,
             model,
+            rebuilt: None,
             report,
             stats: SessionStats::default(),
         }
@@ -402,6 +406,7 @@ impl AnalysisSession {
             open_epoch: snapshot.open_epoch(),
             epoch: snapshot.epoch(),
             model,
+            rebuilt: None,
             report: snapshot.report().clone(),
             view,
             stats: SessionStats::default(),
@@ -670,9 +675,6 @@ impl AnalysisSession {
     /// model, when the policy universe is unchanged; otherwise the method
     /// transparently falls back to the from-scratch pipeline for the affected
     /// stage.
-    ///
-    /// A baseline algorithm (SCORE) reads the same evidence through
-    /// [`AnalysisSession::with_augmented_model`] on the report's check.
     pub fn analyze_clone(&mut self, fabric: &Fabric) -> ScoutReport {
         let check = if self.covers(fabric) {
             let dirty = fabric.dirty_switches_since(self.open_epoch);
@@ -688,8 +690,7 @@ impl AnalysisSession {
             self.checker
                 .check_network(fabric.logical_rules(), &fabric.collect_tcam())
         };
-        let mut rebuilt = None;
-        let model = Self::pristine_model(&mut self.model, &self.view, fabric, &mut rebuilt);
+        let model = Self::pristine_model(&mut self.model, &mut self.rebuilt, &self.view, fabric);
         self.shared.report_on(
             model,
             check,
@@ -699,40 +700,42 @@ impl AnalysisSession {
         )
     }
 
-    /// Runs `f` against the controller risk model augmented with the missing
-    /// rules of `check` — the one hook through which a baseline algorithm
-    /// (SCORE) reads the evidence SCOUT localized on. Only the failed edges
-    /// are marked, on the same pristine model
-    /// [`AnalysisSession::analyze_clone`] uses for `fabric`, and rolled back
-    /// before returning.
+    /// Runs `f` on the pristine model [`AnalysisSession::analyze_clone`]
+    /// uses for `fabric`, augmented with the missing rules of `check` and
+    /// rolled back afterwards — the one hook through which a baseline
+    /// algorithm (SCORE) reads the evidence SCOUT localized on.
     pub fn with_augmented_model<T>(
         &mut self,
         fabric: &Fabric,
         check: &NetworkCheckResult,
         f: impl FnOnce(&RiskModel<SwitchEpgPair>) -> T,
     ) -> T {
-        let mut rebuilt = None;
-        let model = Self::pristine_model(&mut self.model, &self.view, fabric, &mut rebuilt);
+        let model = Self::pristine_model(&mut self.model, &mut self.rebuilt, &self.view, fabric);
         let marks = augment_controller_model_tracked(model, check.missing_rules());
         let out = f(model);
         model.undo_failures(marks);
         out
     }
 
-    /// The pristine model serving `fabric`: the cached `model` while the
-    /// fabric still holds the mirrored policy, otherwise one rebuilt from its
-    /// universe into `rebuilt`.
+    /// The pristine model serving `fabric`: `model` while the fabric holds
+    /// the mirrored policy, otherwise the `rebuilt` one, built anew only when
+    /// it serves another universe — so `analyze_clone` and
+    /// `with_augmented_model` on one clone build it once.
     fn pristine_model<'a>(
         model: &'a mut RiskModel<SwitchEpgPair>,
+        rebuilt: &'a mut Option<(u64, RiskModel<SwitchEpgPair>)>,
         view: &FabricView,
         fabric: &Fabric,
-        rebuilt: &'a mut Option<RiskModel<SwitchEpgPair>>,
     ) -> &'a mut RiskModel<SwitchEpgPair> {
-        if fabric.universe_version() == view.universe_version() {
-            model
-        } else {
-            rebuilt.insert(controller_risk_model(fabric.universe()))
+        let version = fabric.universe_version();
+        if version == view.universe_version() {
+            return model;
         }
+        let cached = rebuilt
+            .take()
+            .filter(|(built_for, _)| *built_for == version)
+            .unwrap_or_else(|| (version, controller_risk_model(fabric.universe())));
+        &mut rebuilt.insert(cached).1
     }
 }
 
@@ -1072,12 +1075,28 @@ mod tests {
         }
         let updated = b.build().unwrap();
 
+        let mut other = base.clone();
+        other.update_policy(base.universe().clone());
+        other.remove_tcam_rules_where(sample::S3, |r| r.matcher.ports.start == 700);
         clone.disconnect_switch(sample::S3);
         clone.update_policy(updated);
         let derived = session.analyze_clone(&clone);
         let full = engine.analyze(&clone);
         assert_eq!(derived, full);
         assert!(!derived.is_consistent());
+
+        // The SCORE hook reads the model rebuilt for the clone's universe …
+        let mut fresh = controller_risk_model(clone.universe());
+        augment_controller_model_tracked(&mut fresh, derived.check.missing_rules());
+        let score = |m: &RiskModel<SwitchEpgPair>| crate::score_localize(m, 1.0);
+        assert_eq!(
+            session.with_augmented_model(&clone, &derived.check, score),
+            score(&fresh)
+        );
+        // … and a clone under another universe version gets its own model,
+        // alternating with the first.
+        assert_eq!(session.analyze_clone(&other), engine.analyze(&other));
+        assert_eq!(session.analyze_clone(&clone), full);
     }
 
     #[test]

@@ -188,12 +188,10 @@ impl AdmissionController {
     /// not applied — back at the head of `tenant`'s queue in their order,
     /// refunding the token each one was released with.
     pub fn requeue(&mut self, tenant: TenantId, batches: Vec<EventBatch>) {
+        for _ in &batches {
+            self.refund(tenant);
+        }
         if let Some(lane) = self.lanes.get_mut(&tenant) {
-            let refund = batches.len() as u64;
-            lane.tokens = lane
-                .tokens
-                .saturating_add(refund)
-                .min(self.config.quota_tokens);
             for batch in batches.into_iter().rev() {
                 lane.queue.push_front(batch);
             }

@@ -393,9 +393,11 @@ impl ScoutServer {
     /// batches in FIFO order, returning one `Ingested` (or error) response
     /// per applied (or failed) batch, in the deterministic drain order.
     ///
-    /// Accepted means owned here too: when a batch fails to apply, it and
-    /// the tenant's later batches released in the same round go back to the
-    /// head of its queue, in order, with their tokens refunded.
+    /// Accepted means owned here too: when the backend fails to store a
+    /// batch, it and the tenant's later batches released in the same round
+    /// go back to the head of its queue, in order, with their tokens
+    /// refunded. A batch the session rejects would be rejected again on
+    /// every retry, so it leaves the queue and the client resends its epoch.
     pub fn tick(&mut self) -> Vec<ServerResponse> {
         let mut responses = Vec::new();
         let mut held: BTreeMap<TenantId, Vec<EventBatch>> = BTreeMap::new();
@@ -413,8 +415,12 @@ impl ScoutServer {
                     self.engine.gauges().record_admitted();
                     responses.push(ServerResponse::Ingested { tenant, delta });
                 }
-                Err(error) => {
+                Err(error @ ServerError::Storage { .. }) => {
                     held.insert(tenant, vec![batch]);
+                    responses.push(ServerResponse::Error(error));
+                }
+                Err(error) => {
+                    self.engine.gauges().record_dequeued();
                     responses.push(ServerResponse::Error(error));
                 }
             }
@@ -972,6 +978,68 @@ mod tests {
             break;
         }
         assert!(hit, "no abort point landed inside the tick's drain");
+    }
+
+    #[test]
+    fn rejected_parked_batch_leaves_the_queue_so_its_epoch_can_be_resent() {
+        let admission = AdmissionConfig {
+            quota_tokens: 1,
+            refill_per_tick: 1,
+            queue_capacity: 4,
+            policy: OverloadPolicy::Queue,
+        };
+        let mut srv = ScoutServer::new(ScoutEngine::new(), ServerConfig::in_memory(admission));
+        srv.handle(ServerRequest::OpenSession {
+            tenant: 1,
+            universe: sample::three_tier(),
+        });
+        assert!(matches!(
+            srv.handle(ServerRequest::Ingest {
+                tenant: 1,
+                batch: EventBatch::empty(1),
+            }),
+            ServerResponse::Ingested { .. }
+        ));
+        // Correctly sequenced, so it parks; the session rejects it on drain.
+        let stray = EventBatch::new(
+            2,
+            vec![scout_fabric::FabricEvent::TcamSync {
+                switch: scout_policy::SwitchId::new(99),
+                rules: Vec::new(),
+            }],
+        );
+        assert!(matches!(
+            srv.handle(ServerRequest::Ingest {
+                tenant: 1,
+                batch: stray,
+            }),
+            ServerResponse::Queued { .. }
+        ));
+        match srv.tick().as_slice() {
+            [ServerResponse::Error(ServerError::Session {
+                error: SessionError::UnknownSwitch { epoch: 2, .. },
+                ..
+            })] => {}
+            other => panic!("expected the parked batch's rejection, got {other:?}"),
+        }
+        assert_eq!(srv.queue_depth(1), 0);
+        assert_eq!(srv.engine().gauges().snapshot().queued, 0);
+        // The corrected resend of epoch 2 is accepted and drains next round.
+        assert!(matches!(
+            srv.handle(ServerRequest::Ingest {
+                tenant: 1,
+                batch: EventBatch::empty(2),
+            }),
+            ServerResponse::Queued { .. }
+        ));
+        assert!(matches!(
+            srv.tick().as_slice(),
+            [ServerResponse::Ingested { .. }]
+        ));
+        match srv.handle(ServerRequest::Query { tenant: 1 }) {
+            ServerResponse::Report { epoch, .. } => assert_eq!(epoch, 2),
+            other => panic!("expected Report, got {other:?}"),
+        }
     }
 
     #[test]

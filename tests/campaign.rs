@@ -36,6 +36,7 @@ fn tiny_cluster() -> WorkloadKind {
 /// Localization invariants, checked on every scenario of mixed campaigns over
 /// two workloads and several seeds:
 ///
+/// * the session's report equals a from-scratch analysis (the oracle);
 /// * the hypothesis is a subset of the pre-localization suspect set;
 /// * `explained_by_cover + explained_by_changelog + unexplained` equals the
 ///   number of observations;
@@ -56,6 +57,11 @@ fn campaign_outcomes_satisfy_localization_invariants() {
         assert_eq!(run.outcomes.len(), 40);
         for outcome in &run.outcomes {
             let tag = format!("seed {seed} scenario {}", outcome.index);
+            assert_eq!(
+                outcome.oracle_agrees,
+                Some(true),
+                "{tag}: the session must match a from-scratch analysis"
+            );
             assert!(
                 outcome.hypothesis.is_subset(&outcome.suspects),
                 "{tag}: hypothesis must be within the suspect set"
@@ -96,6 +102,10 @@ fn campaigns_are_deterministic_per_seed() {
         ..Campaign::new(small_testbed(), 24, 99)
     };
     let reference = base.run();
+    assert!(reference
+        .outcomes
+        .iter()
+        .all(|o| o.oracle_agrees == Some(true)));
     let threaded = Campaign {
         concurrency: Parallelism::Fixed(4),
         ..base
