@@ -56,7 +56,7 @@ fn main() {
     let report = run.report();
     println!("\n{}", report.table());
     println!("{}", report.headline_table());
-    println!("campaign wall time: {:?}", run.elapsed);
+    eprintln!("campaign wall time: {:?}", run.elapsed);
 
     if !golden {
         return;

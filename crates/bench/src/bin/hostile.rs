@@ -57,7 +57,7 @@ fn main() {
     let wall = start.elapsed();
     let report = run.report();
     println!("\n{}", report.table());
-    println!("wall time: {wall:?}");
+    eprintln!("wall time: {wall:?}");
 
     if !golden {
         return;

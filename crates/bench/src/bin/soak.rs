@@ -64,8 +64,8 @@ fn main() {
     println!("{}", report.timeline_table(64));
     let inc = run.incremental_cost.summary();
     let scratch = run.scratch_cost.summary();
-    println!("wall time: {:?}", run.elapsed);
-    println!(
+    eprintln!("wall time: {:?}", run.elapsed);
+    eprintln!(
         "epoch analysis cost: incremental mean {:.1} µs, from-scratch mean {:.1} µs ({:.1}x)",
         inc.mean / 1e3,
         scratch.mean / 1e3,
