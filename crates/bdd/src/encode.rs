@@ -187,11 +187,6 @@ impl FieldLayout {
         self.total_vars
     }
 
-    /// Number of fields in the layout.
-    pub fn num_fields(&self) -> usize {
-        self.fields.len()
-    }
-
     /// The encoder for field `index`.
     ///
     /// # Panics
@@ -259,7 +254,6 @@ mod tests {
     fn layout_packs_fields_contiguously() {
         let layout = FieldLayout::new(&[3, 5, 2]);
         assert_eq!(layout.total_vars(), 10);
-        assert_eq!(layout.num_fields(), 3);
         assert_eq!(layout.field(0).first_var, 0);
         assert_eq!(layout.field(1).first_var, 3);
         assert_eq!(layout.field(2).first_var, 8);

@@ -19,8 +19,10 @@
 //! cargo run --release -p scout-bench --bin campaign -- --scenarios 200
 //! ```
 
+use std::time::Instant;
+
 use scout_bench::{arg_value, has_flag, threads_arg};
-use scout_sim::{Campaign, WorkloadKind};
+use scout_sim::{Campaign, CampaignReport, WorkloadKind};
 use scout_workload::{ClusterSpec, ScaleSpec, TestbedSpec};
 
 fn main() {
@@ -52,30 +54,31 @@ fn main() {
         "campaign: {scenarios} scenarios on {workload_name}, seed {seed}, \
          max {max_faults} faults, {concurrency:?}"
     );
-    let run = campaign.run();
-    let report = run.report();
+    let start = Instant::now();
+    let outcomes = campaign.run();
+    let wall = start.elapsed();
+    let report = CampaignReport::of(&outcomes);
     println!("\n{}", report.table());
     println!("{}", report.headline_table());
-    eprintln!("campaign wall time: {:?}", run.elapsed);
+    eprintln!("campaign wall time: {wall:?}");
 
     if !golden {
         return;
     }
 
     // Determinism: the same seed reproduces the aggregate bit for bit.
-    let rerun = campaign.run().report();
+    let rerun = CampaignReport::of(&campaign.run());
     assert_eq!(rerun, report, "same seed must reproduce the same report");
     println!("determinism: second run identical ✓");
 
     // The oracle: session analyses agree with from-scratch ones.
-    let checked = run
-        .outcomes
+    let checked = outcomes
         .iter()
         .filter(|o| o.oracle_agrees.is_some())
         .count();
     assert!(checked > 0, "the oracle checked no scenario");
     assert!(
-        run.outcomes.iter().all(|o| o.oracle_agrees != Some(false)),
+        outcomes.iter().all(|o| o.oracle_agrees != Some(false)),
         "session and from-scratch analyses disagree"
     );
     println!("oracle: {checked} scenarios checked, 0 disagreements ✓");
@@ -92,10 +95,10 @@ fn main() {
     if !calibrated {
         println!("golden thresholds skipped (not calibrated for {workload_name:?})");
     } else if scenarios >= 100 {
-        let p = report.object_precision.mean;
-        let r = report.object_recall.mean;
-        let pr = report.partial_recall.mean;
-        let sr = report.score_partial_recall.mean;
+        let p = report.objects.precision.mean;
+        let r = report.objects.recall.mean;
+        let pr = report.partial.recall.mean;
+        let sr = report.partial.score_recall.mean;
         assert!(p >= 0.75, "SCOUT object-fault precision {p:.3} below 0.75");
         assert!(r >= 0.85, "SCOUT object-fault recall {r:.3} below 0.85");
         assert!(pr >= 0.85, "SCOUT partial-fault recall {pr:.3} below 0.85");

@@ -22,7 +22,7 @@
 use std::time::Instant;
 
 use scout_bench::{arg_value, has_flag, threads_arg};
-use scout_sim::{HostileCampaign, HostileKind, WorkloadKind};
+use scout_sim::{HostileCampaign, HostileKind, HostileReport, WorkloadKind};
 use scout_workload::{ClusterSpec, TestbedSpec};
 
 fn main() {
@@ -53,9 +53,9 @@ fn main() {
          max {max_faults} faults, {concurrency:?}"
     );
     let start = Instant::now();
-    let run = campaign.run();
+    let outcomes = campaign.run();
     let wall = start.elapsed();
-    let report = run.report();
+    let report = HostileReport::of(&outcomes);
     println!("\n{}", report.table());
     eprintln!("wall time: {wall:?}");
 
@@ -64,7 +64,7 @@ fn main() {
     }
 
     // Determinism: the same seed reproduces the aggregate bit for bit.
-    let rerun = campaign.run().report();
+    let rerun = HostileReport::of(&campaign.run());
     assert_eq!(rerun, report, "same seed must reproduce the same report");
     println!("determinism: second run identical ✓");
 
@@ -84,8 +84,8 @@ fn main() {
     if per_class >= 100 && workload_name == "testbed" {
         for kind in HostileKind::ALL {
             let stats = report.class(kind).expect("every class ran");
-            let scout = stats.recall.mean;
-            let score = stats.score_recall.mean;
+            let scout = stats.accuracy.recall.mean;
+            let score = stats.accuracy.score_recall.mean;
             assert!(
                 scout >= score,
                 "{kind}: SCOUT recall {scout:.3} below SCORE's {score:.3}"
@@ -95,7 +95,7 @@ fn main() {
             .class(HostileKind::MissingLogs)
             .expect("the missing-logs class ran");
         assert_eq!(
-            missing.ranked_nonempty, missing.faulty,
+            missing.ranked_nonempty, missing.accuracy.faulty,
             "wiped logs must still yield a ranked diagnosis"
         );
         let top3 = missing.rank.top3_rate();

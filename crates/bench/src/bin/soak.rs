@@ -18,6 +18,8 @@
 //! cargo run --release -p scout-bench --bin soak -- --epochs 200 --seed 42
 //! ```
 
+use std::time::Instant;
+
 use scout_bench::{arg_value, has_flag};
 use scout_core::EngineConfig;
 use scout_sim::{OracleCadence, Timeline, WorkloadKind};
@@ -58,13 +60,15 @@ fn main() {
         "soak: {epochs} epochs on {workload_name}, seed {seed}, oracle {:?}",
         timeline.engine.oracle
     );
+    let start = Instant::now();
     let run = timeline.run();
+    let wall = start.elapsed();
     let report = run.outcome.report();
     println!("\n{}", report.table());
     println!("{}", report.timeline_table(64));
     let inc = run.incremental_cost.summary();
     let scratch = run.scratch_cost.summary();
-    eprintln!("wall time: {:?}", run.elapsed);
+    eprintln!("wall time: {wall:?}");
     eprintln!(
         "epoch analysis cost: incremental mean {:.1} µs, from-scratch mean {:.1} µs ({:.1}x)",
         inc.mean / 1e3,

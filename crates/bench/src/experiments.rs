@@ -30,12 +30,11 @@ use scout_core::{
     controller_risk_model, score_localize, scout_localize, switch_risk_model, RiskModel,
     ScoutConfig, ScoutEngine,
 };
-use scout_fabric::Fabric;
-use scout_faults::{
-    synthesize_object_faults, synthetic_change_log, FaultInjector, SyntheticFaults,
-};
+use scout_fabric::{ChangeLog, Fabric};
+use scout_faults::{synthesize_object_faults, synthetic_change_log, FaultInjector};
 use scout_metrics::{fmt3, gamma, Accuracy, Bins, Cdf, Summary, Table};
 use scout_policy::{EpgPair, ObjectClass, ObjectId, PolicyUniverse, SwitchId};
+use scout_sim::score_baseline;
 use scout_workload::{ScaleSpec, TestbedSpec};
 
 // ---------------------------------------------------------------------------
@@ -148,6 +147,61 @@ pub fn accuracy_table(title: &str, rows: &[AccuracyRow]) -> Table {
     table
 }
 
+/// Per-algorithm precision and recall samples of one fault count, in the
+/// order the algorithms are first scored.
+#[derive(Default)]
+struct Tally(Vec<(String, Vec<f64>, Vec<f64>)>);
+
+impl Tally {
+    /// Scores algorithm `name`'s `hypothesis` against `truth`.
+    fn add(&mut self, name: &str, truth: &BTreeSet<ObjectId>, hypothesis: &BTreeSet<ObjectId>) {
+        let accuracy = Accuracy::of(truth, hypothesis);
+        let at = match self.0.iter().position(|(n, ..)| n == name) {
+            Some(at) => at,
+            None => {
+                self.0.push((name.to_string(), Vec::new(), Vec::new()));
+                self.0.len() - 1
+            }
+        };
+        self.0[at].1.push(accuracy.precision);
+        self.0[at].2.push(accuracy.recall);
+    }
+
+    /// The aggregated row of `faults` simultaneous faults.
+    fn row(self, faults: usize) -> AccuracyRow {
+        let algos = self
+            .0
+            .into_iter()
+            .map(|(name, precision, recall)| AlgoResult {
+                name,
+                precision: Summary::of(precision),
+                recall: Summary::of(recall),
+            })
+            .collect();
+        AccuracyRow { faults, algos }
+    }
+}
+
+/// Localizes `model` with SCOUT and with one SCORE per threshold, tallying
+/// each hypothesis against `truth`.
+fn localize_into<E: Ord + Copy>(
+    tally: &mut Tally,
+    truth: &BTreeSet<ObjectId>,
+    model: &RiskModel<E>,
+    change_log: &ChangeLog,
+    score_thresholds: &[f64],
+) {
+    let scout = scout_localize(model, change_log, ScoutConfig::default());
+    tally.add("SCOUT", truth, &scout.objects());
+    for &t in score_thresholds {
+        tally.add(
+            &format!("SCORE-{t}"),
+            truth,
+            &score_localize(model, t).objects(),
+        );
+    }
+}
+
 fn mix_seed(base: u64, faults: usize, run: usize) -> u64 {
     base.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add((faults as u64) << 32)
@@ -181,84 +235,34 @@ pub fn accuracy_sweep(
 
     let mut rows = Vec::new();
     for &faults in fault_counts {
-        let mut per_algo: BTreeMap<String, (Vec<f64>, Vec<f64>)> = BTreeMap::new();
+        let mut tally = Tally::default();
         for run in 0..runs {
             let mut rng = StdRng::seed_from_u64(mix_seed(base_seed, faults, run));
-            let (injected, model_switch) = match kind {
+            match kind {
                 ModelKind::Controller => {
-                    (synthesize_object_faults(universe, faults, &mut rng), None)
+                    let injected = synthesize_object_faults(universe, faults, &mut rng);
+                    let change_log = synthetic_change_log(universe, &injected);
+                    let mut model = base_controller.clone();
+                    injected.apply_to_controller_model(&mut model);
+                    let truth = &injected.objects;
+                    localize_into(&mut tally, truth, &model, &change_log, score_thresholds);
                 }
                 ModelKind::Switch => {
                     let switch = pick_switch_with_candidates(universe, faults, &mut rng);
-                    (
-                        scout_faults::synthesize_switch_scoped_faults(
-                            universe, switch, faults, &mut rng,
-                        ),
-                        Some(switch),
-                    )
+                    let injected = scout_faults::synthesize_switch_scoped_faults(
+                        universe, switch, faults, &mut rng,
+                    );
+                    let change_log = synthetic_change_log(universe, &injected);
+                    let mut model = base_switch.get(&switch).cloned().unwrap_or_default();
+                    injected.apply_to_switch_model(&mut model, switch);
+                    let truth = &injected.objects;
+                    localize_into(&mut tally, truth, &model, &change_log, score_thresholds);
                 }
-            };
-            let change_log = synthetic_change_log(universe, &injected);
-            let truth = injected.objects.clone();
-
-            let outcomes: Vec<(String, BTreeSet<ObjectId>)> = match kind {
-                ModelKind::Controller => {
-                    controller_outcomes(&base_controller, &injected, &change_log, score_thresholds)
-                }
-                ModelKind::Switch => switch_outcomes(
-                    &base_switch,
-                    model_switch.expect("switch chosen for the switch-model experiment"),
-                    &injected,
-                    &change_log,
-                    score_thresholds,
-                ),
-            };
-            for (name, hypothesis) in outcomes {
-                let acc = Accuracy::of(&truth, &hypothesis);
-                let entry = per_algo.entry(name).or_default();
-                entry.0.push(acc.precision);
-                entry.1.push(acc.recall);
             }
         }
-        let algos = algo_order(score_thresholds)
-            .into_iter()
-            .filter_map(|name| {
-                per_algo.get(&name).map(|(p, r)| AlgoResult {
-                    name: name.clone(),
-                    precision: Summary::of(p.iter().copied()),
-                    recall: Summary::of(r.iter().copied()),
-                })
-            })
-            .collect();
-        rows.push(AccuracyRow { faults, algos });
+        rows.push(tally.row(faults));
     }
     rows
-}
-
-fn algo_order(score_thresholds: &[f64]) -> Vec<String> {
-    let mut names = vec!["SCOUT".to_string()];
-    for &t in score_thresholds {
-        names.push(format!("SCORE-{t}"));
-    }
-    names
-}
-
-fn controller_outcomes(
-    base: &RiskModel<scout_policy::SwitchEpgPair>,
-    injected: &SyntheticFaults,
-    change_log: &scout_fabric::ChangeLog,
-    score_thresholds: &[f64],
-) -> Vec<(String, BTreeSet<ObjectId>)> {
-    let mut model = base.clone();
-    injected.apply_to_controller_model(&mut model);
-    let mut outcomes = Vec::new();
-    let scout = scout_localize(&model, change_log, ScoutConfig::default());
-    outcomes.push(("SCOUT".to_string(), scout.objects()));
-    for &t in score_thresholds {
-        let score = score_localize(&model, t);
-        outcomes.push((format!("SCORE-{t}"), score.objects()));
-    }
-    outcomes
 }
 
 /// Picks a switch with at least `faults` candidate objects (falling back to
@@ -286,25 +290,6 @@ fn pick_switch_with_candidates<R: rand::Rng>(
     best
 }
 
-fn switch_outcomes(
-    base: &BTreeMap<SwitchId, RiskModel<EpgPair>>,
-    switch: SwitchId,
-    injected: &SyntheticFaults,
-    change_log: &scout_fabric::ChangeLog,
-    score_thresholds: &[f64],
-) -> Vec<(String, BTreeSet<ObjectId>)> {
-    let mut model = base.get(&switch).cloned().unwrap_or_else(RiskModel::new);
-    injected.apply_to_switch_model(&mut model, switch);
-    let mut outcomes = Vec::new();
-    let scout = scout_localize(&model, change_log, ScoutConfig::default());
-    outcomes.push(("SCOUT".to_string(), scout.objects()));
-    for &t in score_thresholds {
-        let score = score_localize(&model, t);
-        outcomes.push((format!("SCORE-{t}"), score.objects()));
-    }
-    outcomes
-}
-
 /// Runs the end-to-end testbed accuracy experiment of Figure 10: the testbed
 /// policy is deployed through the fabric simulator, object faults are injected
 /// by silently removing TCAM rules, and the full SCOUT pipeline (BDD
@@ -324,10 +309,7 @@ pub fn testbed_accuracy(
 
     let mut rows = Vec::new();
     for &faults in fault_counts {
-        let mut scout_p = Vec::new();
-        let mut scout_r = Vec::new();
-        let mut score_p = Vec::new();
-        let mut score_r = Vec::new();
+        let mut tally = Tally::default();
         for run in 0..runs {
             let mut fabric = base_fabric.clone();
             let mut injector =
@@ -335,32 +317,12 @@ pub fn testbed_accuracy(
             let truth = injector.inject_object_faults(&mut fabric, faults).objects();
 
             let report = session.analyze_clone(&fabric);
-            let scout_acc = Accuracy::of(&truth, &report.hypothesis.objects());
-            scout_p.push(scout_acc.precision);
-            scout_r.push(scout_acc.recall);
-
+            tally.add("SCOUT", &truth, &report.hypothesis.objects());
             // SCORE baseline on the same augmented controller risk model.
-            let score =
-                session.with_augmented_model(&fabric, &report.check, |m| score_localize(m, 1.0));
-            let score_acc = Accuracy::of(&truth, &score.objects());
-            score_p.push(score_acc.precision);
-            score_r.push(score_acc.recall);
+            let score = score_baseline(&mut session, &fabric, &report);
+            tally.add("SCORE-1", &truth, &score);
         }
-        rows.push(AccuracyRow {
-            faults,
-            algos: vec![
-                AlgoResult {
-                    name: "SCOUT".to_string(),
-                    precision: Summary::of(scout_p),
-                    recall: Summary::of(scout_r),
-                },
-                AlgoResult {
-                    name: "SCORE-1".to_string(),
-                    precision: Summary::of(score_p),
-                    recall: Summary::of(score_r),
-                },
-            ],
-        });
+        rows.push(tally.row(faults));
     }
     rows
 }
@@ -376,48 +338,24 @@ pub fn changelog_ablation(
     base_seed: u64,
 ) -> Vec<AccuracyRow> {
     let base = controller_risk_model(universe);
-    let empty_log = scout_fabric::ChangeLog::new();
+    let empty_log = ChangeLog::new();
     let mut rows = Vec::new();
     for &faults in fault_counts {
-        let mut collect: BTreeMap<&'static str, (Vec<f64>, Vec<f64>)> = BTreeMap::new();
+        let mut tally = Tally::default();
         for run in 0..runs {
             let mut rng = StdRng::seed_from_u64(mix_seed(base_seed, faults, run));
             let injected = synthesize_object_faults(universe, faults, &mut rng);
             let change_log = synthetic_change_log(universe, &injected);
-            let truth = injected.objects.clone();
+            let truth = &injected.objects;
             let mut model = base.clone();
             injected.apply_to_controller_model(&mut model);
 
-            let variants: [(&'static str, BTreeSet<ObjectId>); 3] = [
-                (
-                    "SCOUT",
-                    scout_localize(&model, &change_log, ScoutConfig::default()).objects(),
-                ),
-                (
-                    "SCOUT-no-changelog",
-                    scout_localize(&model, &empty_log, ScoutConfig::default()).objects(),
-                ),
-                ("SCORE-1.0", score_localize(&model, 1.0).objects()),
-            ];
-            for (name, hypothesis) in variants {
-                let acc = Accuracy::of(&truth, &hypothesis);
-                let entry = collect.entry(name).or_default();
-                entry.0.push(acc.precision);
-                entry.1.push(acc.recall);
-            }
+            localize_into(&mut tally, truth, &model, &change_log, &[]);
+            let ablated = scout_localize(&model, &empty_log, ScoutConfig::default());
+            tally.add("SCOUT-no-changelog", truth, &ablated.objects());
+            tally.add("SCORE-1.0", truth, &score_localize(&model, 1.0).objects());
         }
-        let algos = ["SCOUT", "SCOUT-no-changelog", "SCORE-1.0"]
-            .into_iter()
-            .map(|name| {
-                let (p, r) = &collect[name];
-                AlgoResult {
-                    name: name.to_string(),
-                    precision: Summary::of(p.iter().copied()),
-                    recall: Summary::of(r.iter().copied()),
-                }
-            })
-            .collect();
-        rows.push(AccuracyRow { faults, algos });
+        rows.push(tally.row(faults));
     }
     rows
 }

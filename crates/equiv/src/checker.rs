@@ -49,9 +49,7 @@ use std::sync::Mutex;
 use std::thread;
 
 use scout_bdd::{Bdd, BddManager, CacheStats, NodeTableKind};
-use scout_policy::{
-    Action, EpgId, EpgPair, LogicalRule, PortRange, Protocol, SwitchId, TcamRule, VrfId,
-};
+use scout_policy::{Action, EpgId, LogicalRule, PortRange, Protocol, SwitchId, TcamRule, VrfId};
 
 use crate::header::HeaderSpace;
 
@@ -78,11 +76,6 @@ impl SwitchCheckResult {
             missing_rules: Vec::new(),
             unexpected_rules: Vec::new(),
         }
-    }
-
-    /// The EPG pairs affected by the missing rules on this switch.
-    pub fn affected_pairs(&self) -> BTreeSet<EpgPair> {
-        self.missing_rules.iter().map(|r| r.pair()).collect()
     }
 }
 
@@ -545,7 +538,7 @@ impl EquivalenceChecker {
     ///
     /// Building this index once per check replaces the quadratic
     /// filter-per-switch scan of the naive formulation.
-    pub fn index_by_switch(logical: &[LogicalRule]) -> BTreeMap<SwitchId, Vec<LogicalRule>> {
+    fn index_by_switch(logical: &[LogicalRule]) -> BTreeMap<SwitchId, Vec<LogicalRule>> {
         let mut index: BTreeMap<SwitchId, Vec<LogicalRule>> = BTreeMap::new();
         for &rule in logical {
             index.entry(rule.switch).or_default().push(rule);
@@ -792,7 +785,10 @@ mod tests {
             .iter()
             .all(|r| r.provenance.filter == sample::F_700));
         assert_eq!(
-            s2.affected_pairs(),
+            s2.missing_rules
+                .iter()
+                .map(|r| r.pair())
+                .collect::<BTreeSet<_>>(),
             BTreeSet::from([scout_policy::EpgPair::new(sample::APP, sample::DB)])
         );
         // Other switches are untouched.

@@ -118,17 +118,6 @@ impl ChangeLog {
             .iter()
             .any(|e| e.object == object && e.time >= since && e.time <= until)
     }
-
-    /// Objects changed in the window `[since, until]`, in first-seen order.
-    pub fn objects_changed_between(&self, since: Timestamp, until: Timestamp) -> Vec<ObjectId> {
-        let mut seen = Vec::new();
-        for e in &self.entries {
-            if e.time >= since && e.time <= until && !seen.contains(&e.object) {
-                seen.push(e.object);
-            }
-        }
-        seen
-    }
 }
 
 /// The physical-level fault classes that devices and the controller report.
@@ -284,14 +273,6 @@ impl FaultLog {
         self.entries.iter().filter(|e| e.active_at(t)).collect()
     }
 
-    /// Entries concerning `switch` (controller-level entries are excluded).
-    pub fn entries_for_switch(&self, switch: SwitchId) -> Vec<&FaultLogEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.switch == Some(switch))
-            .collect()
-    }
-
     /// Entries of the given kind.
     pub fn entries_of_kind(&self, kind: FaultKind) -> Vec<&FaultLogEntry> {
         self.entries.iter().filter(|e| e.kind == kind).collect()
@@ -360,8 +341,6 @@ mod tests {
         );
         assert!(log.changed_between(filter, Timestamp::new(6), Timestamp::new(10)));
         assert!(!log.changed_between(vrf, Timestamp::new(6), Timestamp::new(10)));
-        let objs = log.objects_changed_between(Timestamp::new(0), Timestamp::new(5));
-        assert_eq!(objs, vec![vrf, filter]);
     }
 
     #[test]
@@ -408,7 +387,6 @@ mod tests {
             Severity::Warning,
             "controller lost contact",
         );
-        assert_eq!(log.entries_for_switch(SwitchId::new(1)).len(), 1);
         assert_eq!(log.entries_of_kind(FaultKind::AgentCrash).len(), 1);
         assert_eq!(log.len(), 3);
     }

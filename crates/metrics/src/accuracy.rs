@@ -1,4 +1,4 @@
-//! Accuracy metrics: precision, recall, F1 and the suspect-set reduction γ.
+//! Accuracy metrics: precision, recall and the suspect-set reduction γ.
 //!
 //! The paper measures localization quality with precision `|G ∩ H| / |H|` and
 //! recall `|G ∩ H| / |G|`, where `H` is the hypothesis and `G` the ground
@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 
 use scout_policy::ObjectId;
 
-/// Precision, recall and derived quantities of one localization run.
+/// Precision, recall and the counts behind them for one localization run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Accuracy {
     /// Fraction of reported objects that are truly faulty (`|G∩H| / |H|`).
@@ -52,25 +52,6 @@ impl Accuracy {
             false_negatives,
         }
     }
-
-    /// The harmonic mean of precision and recall (0 when both are 0).
-    pub fn f1(&self) -> f64 {
-        if self.precision + self.recall == 0.0 {
-            0.0
-        } else {
-            2.0 * self.precision * self.recall / (self.precision + self.recall)
-        }
-    }
-}
-
-/// Convenience wrapper: precision of `hypothesis` against `ground_truth`.
-pub fn precision(ground_truth: &BTreeSet<ObjectId>, hypothesis: &BTreeSet<ObjectId>) -> f64 {
-    Accuracy::of(ground_truth, hypothesis).precision
-}
-
-/// Convenience wrapper: recall of `hypothesis` against `ground_truth`.
-pub fn recall(ground_truth: &BTreeSet<ObjectId>, hypothesis: &BTreeSet<ObjectId>) -> f64 {
-    Accuracy::of(ground_truth, hypothesis).recall
 }
 
 /// The suspect-set reduction ratio γ = |hypothesis| / |suspect set| (§VI).
@@ -101,7 +82,6 @@ mod tests {
         let acc = Accuracy::of(&g, &g.clone());
         assert_eq!(acc.precision, 1.0);
         assert_eq!(acc.recall, 1.0);
-        assert_eq!(acc.f1(), 1.0);
         assert_eq!(acc.true_positives, 3);
         assert_eq!(acc.false_positives, 0);
         assert_eq!(acc.false_negatives, 0);
@@ -117,7 +97,6 @@ mod tests {
         assert_eq!(acc.true_positives, 2);
         assert_eq!(acc.false_positives, 1);
         assert_eq!(acc.false_negatives, 2);
-        assert!(acc.f1() > 0.0 && acc.f1() < 1.0);
     }
 
     #[test]
@@ -127,7 +106,6 @@ mod tests {
         let acc = Accuracy::of(&g, &h);
         assert_eq!(acc.precision, 0.0);
         assert_eq!(acc.recall, 0.0);
-        assert_eq!(acc.f1(), 0.0);
     }
 
     #[test]
@@ -147,8 +125,8 @@ mod tests {
         // A VRF and an EPG with the same raw id must not be confused.
         let g: BTreeSet<ObjectId> = [ObjectId::Vrf(VrfId::new(1))].into_iter().collect();
         let h: BTreeSet<ObjectId> = [ObjectId::Epg(EpgId::new(1))].into_iter().collect();
-        assert_eq!(precision(&g, &h), 0.0);
-        assert_eq!(recall(&g, &h), 0.0);
+        let acc = Accuracy::of(&g, &h);
+        assert_eq!((acc.precision, acc.recall), (0.0, 0.0));
     }
 
     #[test]

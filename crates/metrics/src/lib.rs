@@ -5,7 +5,7 @@
 //! the pipeline.
 //!
 //! Evaluation metrics and small reporting utilities for the SCOUT reproduction
-//! (ICDCS 2018): precision/recall/F1 against an injected ground truth, the
+//! (ICDCS 2018): precision/recall against an injected ground truth, the
 //! suspect-set reduction ratio γ, empirical CDFs (Figure 3), per-bin summaries
 //! (Figure 7), run statistics (mean ± stddev over repetitions) and aligned
 //! text tables for the benchmark harness output.
@@ -33,7 +33,7 @@ pub mod series;
 pub mod stats;
 pub mod table;
 
-pub use accuracy::{gamma, precision, recall, Accuracy};
+pub use accuracy::{gamma, Accuracy};
 pub use rank::RankQuality;
 pub use series::TimeSeries;
 pub use stats::{Bins, Cdf, Summary};
@@ -70,7 +70,6 @@ mod proptests {
             let acc = Accuracy::of(&g, &h);
             assert!((0.0..=1.0).contains(&acc.precision), "seed {seed}");
             assert!((0.0..=1.0).contains(&acc.recall), "seed {seed}");
-            assert!((0.0..=1.0).contains(&acc.f1()), "seed {seed}");
             let swapped = Accuracy::of(&h, &g);
             if !g.is_empty() && !h.is_empty() {
                 assert!(

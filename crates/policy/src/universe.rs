@@ -330,19 +330,6 @@ impl PolicyUniverse {
         objs
     }
 
-    /// Like [`objects_for_pair`](Self::objects_for_pair) but also includes the
-    /// switch the pair is deployed on — the closure used by the controller risk
-    /// model.
-    pub fn objects_for_pair_on_switch(
-        &self,
-        pair: EpgPair,
-        switch: SwitchId,
-    ) -> BTreeSet<ObjectId> {
-        let mut objs = self.objects_for_pair(pair);
-        objs.insert(ObjectId::Switch(switch));
-        objs
-    }
-
     /// For every object (including switches), the set of EPG pairs that depend
     /// on it. This is the data behind Figure 3 of the paper.
     pub fn pairs_per_object(&self) -> BTreeMap<ObjectId, BTreeSet<EpgPair>> {
@@ -776,15 +763,6 @@ mod tests {
         let objs = u.objects_for_pair(EpgPair::new(sample::WEB, sample::APP));
         assert_eq!(objs.len(), 5);
         assert!(!objs.contains(&ObjectId::Filter(sample::F_700)));
-    }
-
-    #[test]
-    fn objects_for_pair_on_switch_adds_the_switch() {
-        let u = three_tier();
-        let pair = EpgPair::new(sample::WEB, sample::APP);
-        let objs = u.objects_for_pair_on_switch(pair, sample::S2);
-        assert!(objs.contains(&ObjectId::Switch(sample::S2)));
-        assert_eq!(objs.len(), u.objects_for_pair(pair).len() + 1);
     }
 
     #[test]

@@ -4,20 +4,20 @@
 //! A [`Campaign`] fixes a workload, a scenario count, a disturbance mix and a
 //! seed; [`Campaign::run`] builds one [`ScoutEngine`] from the campaign's
 //! [`EngineConfig`], deploys the reference fabric once, fans the scenarios
-//! out over [`Campaign::concurrency`] with one
-//! [`AnalysisSession`](scout_core::AnalysisSession) per worker, and drives
-//! every scenario through the full pipeline. Scenario `i` depends only on
-//! `scenario_seed(campaign_seed, i)`, so the outcome vector — and the
-//! aggregate [`CampaignReport`] — is identical regardless of thread count.
+//! out over [`Campaign::concurrency`] with one [`AnalysisSession`] per
+//! worker, and drives every scenario through the full pipeline. Scenario `i`
+//! depends only on `scenario_seed(campaign_seed, i)`, so the outcome vector —
+//! and the aggregate [`CampaignReport`] — is identical regardless of thread
+//! count.
 
-use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::collections::{BTreeMap, BTreeSet};
 
-use scout_core::{EngineConfig, Parallelism, ScoutEngine};
+use scout_core::{AnalysisSession, EngineConfig, Parallelism, ScoutEngine};
 use scout_fabric::Fabric;
-use scout_metrics::{fmt3, fmt_mean, Cdf, Summary, Table};
+use scout_metrics::{fmt3, fmt_mean, Cdf, Table};
 
 use crate::scenario::{run_scenario, ScenarioKind, ScenarioMix, ScenarioOutcome, WorkloadKind};
+use crate::score::AccuracyStats;
 
 /// Configuration of one fault campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,62 +55,66 @@ impl Campaign {
     }
 
     /// Deploys the reference fabric and runs every scenario against a
-    /// private engine built from [`Campaign::engine`].
+    /// private engine built from [`Campaign::engine`]; the outcomes come
+    /// back in scenario order, ready for [`CampaignReport::of`].
     ///
     /// The outcome vector is deterministic for a given configuration (thread
-    /// count changes only the wall-clock time).
-    pub fn run(&self) -> CampaignRun {
-        let engine = ScoutEngine::from_config(self.engine)
-            .expect("campaign engine config is degenerate (see EngineConfig::validate)");
-        self.run_with_engine(&engine)
-    }
-
-    /// Like [`Campaign::run`], but routes every worker through a
-    /// caller-provided — possibly shared — engine: each worker opens its own
-    /// [`AnalysisSession`](scout_core::AnalysisSession) on it, so several
-    /// campaigns (or campaigns next to soak timelines) can share one engine.
-    /// Outcomes are bit-identical to a private-engine run.
-    ///
-    /// The engine's [`OracleCadence`](scout_core::OracleCadence) picks the
-    /// scenarios whose session analysis is compared against a from-scratch
+    /// count changes only the wall-clock time). The engine's
+    /// [`OracleCadence`](scout_core::OracleCadence) picks the scenarios whose
+    /// session analysis is compared against a from-scratch
     /// [`ScoutEngine::analyze`] ([`ScenarioOutcome::oracle_agrees`]), as it
     /// picks the epochs of a [`Timeline`](crate::Timeline).
-    pub fn run_with_engine(&self, engine: &ScoutEngine) -> CampaignRun {
-        let start = Instant::now();
-        let oracle = engine.config().oracle;
-        let mut base = Fabric::new(self.workload.generate(self.seed));
-        base.deploy();
-
-        // Each worker opens a private session on the shared engine, so the
-        // warm BDD caches and the pristine risk model are reused across its
-        // scenarios without any cross-thread synchronization.
-        let outcomes = self
-            .concurrency
-            .fan_out(self.scenarios, |_, range| {
-                let mut session = engine.open_session(&base);
-                range
-                    .map(|index| {
-                        run_scenario(
-                            &mut session,
-                            oracle.checks(index, self.scenarios).then_some(engine),
-                            &base,
-                            index,
-                            scenario_seed(self.seed, index),
-                            self.max_faults,
-                            &self.mix,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-
-        CampaignRun {
-            outcomes,
-            elapsed: start.elapsed(),
-        }
+    pub fn run(&self) -> Vec<ScenarioOutcome> {
+        run_on_base(
+            self.engine,
+            self.workload,
+            self.seed,
+            self.scenarios,
+            self.concurrency,
+            |engine, session, base, index| {
+                let oracle = engine.config().oracle.checks(index, self.scenarios);
+                run_scenario(
+                    session,
+                    oracle.then_some(engine),
+                    base,
+                    index,
+                    scenario_seed(self.seed, index),
+                    self.max_faults,
+                    &self.mix,
+                )
+            },
+        )
     }
+}
+
+/// The one campaign runner: builds an engine from `config`, deploys the
+/// `workload` fabric generated from `seed`, and runs `run` on items
+/// `0..items` fanned out over `concurrency`. Each worker opens one
+/// [`AnalysisSession`] on the base fabric, so its warm caches and pristine
+/// risk model are reused across the worker's items without cross-thread
+/// synchronization. Results come back in item order.
+pub(crate) fn run_on_base<T: Send>(
+    config: EngineConfig,
+    workload: WorkloadKind,
+    seed: u64,
+    items: usize,
+    concurrency: Parallelism,
+    run: impl Fn(&ScoutEngine, &mut AnalysisSession, &Fabric, usize) -> T + Sync,
+) -> Vec<T> {
+    let engine = ScoutEngine::from_config(config)
+        .expect("campaign engine config is degenerate (see EngineConfig::validate)");
+    let mut base = Fabric::new(workload.generate(seed));
+    base.deploy();
+    concurrency
+        .fan_out(items, |_, range| {
+            let mut session = engine.open_session(&base);
+            range
+                .map(|index| run(&engine, &mut session, &base, index))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Derives the private seed of scenario `index` from the campaign seed.
@@ -121,44 +125,6 @@ pub fn scenario_seed(campaign_seed: u64, index: usize) -> u64 {
         .wrapping_add(index as u64)
 }
 
-/// The raw result of a campaign: per-scenario outcomes plus wall-clock time.
-#[derive(Debug, Clone)]
-pub struct CampaignRun {
-    /// One outcome per scenario, in scenario order.
-    pub outcomes: Vec<ScenarioOutcome>,
-    /// Total wall-clock time of the run (excluded from [`CampaignRun::report`],
-    /// which must be deterministic).
-    pub elapsed: Duration,
-}
-
-impl CampaignRun {
-    /// Aggregates the outcomes into the deterministic campaign report.
-    pub fn report(&self) -> CampaignReport {
-        CampaignReport::of(&self.outcomes)
-    }
-}
-
-/// Aggregated statistics of the scenarios of one kind.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KindStats {
-    /// Number of scenarios of this kind.
-    pub scenarios: usize,
-    /// Scenarios with a non-empty ground truth.
-    pub faulty: usize,
-    /// Faulty scenarios the pipeline flagged as inconsistent.
-    pub detected: usize,
-    /// Faulty scenarios whose hypothesis intersected the truth.
-    pub attributed: usize,
-    /// SCOUT precision over the faulty scenarios.
-    pub precision: Summary,
-    /// SCOUT recall over the faulty scenarios.
-    pub recall: Summary,
-    /// SCORE-1.0 recall over the faulty scenarios.
-    pub score_recall: Summary,
-    /// γ over the detected scenarios.
-    pub gamma: Summary,
-}
-
 /// The deterministic aggregate of one campaign: identical for identical
 /// configurations, regardless of thread count.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,18 +132,13 @@ pub struct CampaignReport {
     /// Total number of scenarios.
     pub scenarios: usize,
     /// Per-kind breakdown (only kinds that occurred).
-    pub per_kind: BTreeMap<ScenarioKind, KindStats>,
-    /// SCOUT precision over faulty object-fault scenarios (full + partial).
-    pub object_precision: Summary,
-    /// SCOUT recall over faulty object-fault scenarios.
-    pub object_recall: Summary,
-    /// SCORE-1.0 recall over faulty object-fault scenarios.
-    pub score_object_recall: Summary,
-    /// SCOUT recall over faulty *partial* object-fault scenarios — the
-    /// population where the paper's Figures 7/8 claim SCOUT beats SCORE.
-    pub partial_recall: Summary,
-    /// SCORE-1.0 recall over the same partial-fault population.
-    pub score_partial_recall: Summary,
+    pub per_kind: BTreeMap<ScenarioKind, AccuracyStats>,
+    /// The object-fault scenarios (full + partial) — the population of the
+    /// paper's accuracy figures.
+    pub objects: AccuracyStats,
+    /// The *partial* object-fault scenarios — the population where the
+    /// paper's Figures 7/8 claim SCOUT's recall beats SCORE's.
+    pub partial: AccuracyStats,
     /// Distribution of γ over all detected scenarios.
     pub gamma: Cdf,
 }
@@ -185,65 +146,25 @@ pub struct CampaignReport {
 impl CampaignReport {
     /// Aggregates a slice of outcomes (in scenario order).
     pub fn of(outcomes: &[ScenarioOutcome]) -> Self {
-        let mut per_kind: BTreeMap<ScenarioKind, Vec<&ScenarioOutcome>> = BTreeMap::new();
-        for outcome in outcomes {
-            per_kind.entry(outcome.kind).or_default().push(outcome);
-        }
-
-        fn faulty<'a>(items: &[&'a ScenarioOutcome]) -> Vec<&'a ScenarioOutcome> {
-            items
-                .iter()
-                .copied()
-                .filter(|o| !o.truth.is_empty())
-                .collect()
-        }
-        let stats = |items: &[&ScenarioOutcome]| -> KindStats {
-            let with_truth = faulty(items);
-            let detected: Vec<&&ScenarioOutcome> =
-                with_truth.iter().filter(|o| !o.consistent).collect();
-            KindStats {
-                scenarios: items.len(),
-                faulty: with_truth.len(),
-                detected: detected.len(),
-                attributed: with_truth.iter().filter(|o| o.attributed).count(),
-                precision: Summary::of(with_truth.iter().map(|o| o.scout.precision)),
-                recall: Summary::of(with_truth.iter().map(|o| o.scout.recall)),
-                score_recall: Summary::of(with_truth.iter().map(|o| o.score.recall)),
-                gamma: Summary::of(detected.iter().map(|o| o.gamma)),
-            }
+        let of_kinds = |kinds: &[ScenarioKind]| {
+            AccuracyStats::of(
+                outcomes
+                    .iter()
+                    .filter(|o| kinds.contains(&o.kind))
+                    .map(|o| &o.scored),
+            )
         };
-
-        let object_outcomes: Vec<&ScenarioOutcome> = outcomes
-            .iter()
-            .filter(|o| {
-                matches!(
-                    o.kind,
-                    ScenarioKind::FullObject | ScenarioKind::PartialObject
-                ) && !o.truth.is_empty()
-            })
-            .collect();
-        let partial_outcomes: Vec<&ScenarioOutcome> = object_outcomes
-            .iter()
-            .copied()
-            .filter(|o| o.kind == ScenarioKind::PartialObject)
-            .collect();
-
+        let kinds: BTreeSet<ScenarioKind> = outcomes.iter().map(|o| o.kind).collect();
         CampaignReport {
             scenarios: outcomes.len(),
-            per_kind: per_kind
-                .into_iter()
-                .map(|(kind, items)| (kind, stats(&items)))
-                .collect(),
-            object_precision: Summary::of(object_outcomes.iter().map(|o| o.scout.precision)),
-            object_recall: Summary::of(object_outcomes.iter().map(|o| o.scout.recall)),
-            score_object_recall: Summary::of(object_outcomes.iter().map(|o| o.score.recall)),
-            partial_recall: Summary::of(partial_outcomes.iter().map(|o| o.scout.recall)),
-            score_partial_recall: Summary::of(partial_outcomes.iter().map(|o| o.score.recall)),
+            per_kind: kinds.into_iter().map(|k| (k, of_kinds(&[k]))).collect(),
+            objects: of_kinds(&[ScenarioKind::FullObject, ScenarioKind::PartialObject]),
+            partial: of_kinds(&[ScenarioKind::PartialObject]),
             gamma: Cdf::of(
                 outcomes
                     .iter()
-                    .filter(|o| !o.truth.is_empty() && !o.consistent)
-                    .map(|o| o.gamma),
+                    .filter(|o| o.scored.is_detected())
+                    .map(|o| o.scored.gamma),
             ),
         }
     }
@@ -265,19 +186,17 @@ impl CampaignReport {
             ],
         );
         for (kind, stats) in &self.per_kind {
-            table.row([
-                kind.to_string(),
-                stats.scenarios.to_string(),
-                stats.faulty.to_string(),
-                stats.detected.to_string(),
-                stats.attributed.to_string(),
-                // A kind with no faulty (or no detected) scenarios has no
-                // accuracy population; render "-" instead of a fabricated 0.
-                fmt_mean(&stats.precision),
-                fmt_mean(&stats.recall),
-                fmt_mean(&stats.score_recall),
-                fmt_mean(&stats.gamma),
-            ]);
+            let counts = [
+                stats.scenarios,
+                stats.faulty,
+                stats.detected,
+                stats.attributed,
+            ];
+            table.row(
+                std::iter::once(kind.to_string())
+                    .chain(counts.map(|n| n.to_string()))
+                    .chain(stats.cells()),
+            );
         }
         table
     }
@@ -291,18 +210,18 @@ impl CampaignReport {
         );
         table.row([
             "object-fault precision (mean)".to_string(),
-            fmt_mean(&self.object_precision),
+            fmt_mean(&self.objects.precision),
             "-".to_string(),
         ]);
         table.row([
             "object-fault recall (mean)".to_string(),
-            fmt_mean(&self.object_recall),
-            fmt_mean(&self.score_object_recall),
+            fmt_mean(&self.objects.recall),
+            fmt_mean(&self.objects.score_recall),
         ]);
         table.row([
             "partial-fault recall (mean)".to_string(),
-            fmt_mean(&self.partial_recall),
-            fmt_mean(&self.score_partial_recall),
+            fmt_mean(&self.partial.recall),
+            fmt_mean(&self.partial.score_recall),
         ]);
         let gamma_cell = if self.gamma.is_empty() {
             "-".to_string()
@@ -351,22 +270,22 @@ mod tests {
         };
         let a = sequential.run();
         let b = threaded.run();
-        assert_eq!(a.outcomes, b.outcomes);
-        assert_eq!(a.report(), b.report());
+        assert_eq!(a, b);
+        assert_eq!(CampaignReport::of(&a), CampaignReport::of(&b));
         // A different seed produces a different campaign.
         let c = Campaign {
             concurrency: Parallelism::Sequential,
             ..small_campaign(43)
         }
         .run();
-        assert_ne!(a.outcomes, c.outcomes);
+        assert_ne!(a, c);
     }
 
     #[test]
     fn incremental_and_from_scratch_campaigns_agree() {
         // The default cadence checks every scenario against from-scratch.
         let run = small_campaign(7).run();
-        for outcome in &run.outcomes {
+        for outcome in &run {
             assert_eq!(outcome.oracle_agrees, Some(true), "{}", outcome.index);
         }
         // A cadence of `Never` skips the oracle and changes nothing else.
@@ -378,7 +297,7 @@ mod tests {
             ..small_campaign(7)
         }
         .run();
-        for (checked, unchecked) in run.outcomes.iter().zip(&unchecked.outcomes) {
+        for (checked, unchecked) in run.iter().zip(&unchecked) {
             assert_eq!(unchecked.oracle_agrees, None);
             assert_eq!(
                 ScenarioOutcome {
@@ -395,7 +314,7 @@ mod tests {
         let report = CampaignReport::of(&[]);
         assert_eq!(report.scenarios, 0);
         assert!(report.per_kind.is_empty());
-        assert!(report.object_precision.is_empty());
+        assert!(report.objects.precision.is_empty());
         assert!(report.gamma.is_empty());
         // Empty populations render as "-", never as a fabricated 0.000.
         let text = report.headline_table().to_string();
@@ -412,8 +331,7 @@ mod tests {
             mix: ScenarioMix::object_faults_only(),
             ..small_campaign(3)
         };
-        let run = campaign.run();
-        let report = run.report();
+        let report = CampaignReport::of(&campaign.run());
         assert_eq!(report.scenarios, 1);
         let (kind, stats) = report.per_kind.iter().next().unwrap();
         assert_eq!(stats.scenarios, 1);
@@ -446,22 +364,24 @@ mod tests {
             seed: 1,
             kind: ScenarioKind::Physical,
             fault_count: 1,
-            truth: std::iter::once(scout_policy::ObjectId::Switch(scout_policy::SwitchId::new(
-                1,
-            )))
-            .collect(),
-            hypothesis: Default::default(),
-            suspects: Default::default(),
-            consistent: true,
+            scored: crate::Scored {
+                truth: std::iter::once(scout_policy::ObjectId::Switch(
+                    scout_policy::SwitchId::new(1),
+                ))
+                .collect(),
+                hypothesis: Default::default(),
+                suspects: Default::default(),
+                consistent: true,
+                gamma: 0.0,
+                scout: scout_metrics::Accuracy::of(&Default::default(), &Default::default()),
+                score: scout_metrics::Accuracy::of(&Default::default(), &Default::default()),
+                attributed: false,
+            },
             missing_rules: 0,
             observations: 0,
             explained_by_cover: 0,
             explained_by_changelog: 0,
             unexplained: 0,
-            gamma: 0.0,
-            scout: scout_metrics::Accuracy::of(&Default::default(), &Default::default()),
-            score: scout_metrics::Accuracy::of(&Default::default(), &Default::default()),
-            attributed: false,
             oracle_agrees: None,
         };
         let report = CampaignReport::of(&[outcome]);
@@ -478,8 +398,7 @@ mod tests {
 
     #[test]
     fn report_aggregates_cover_every_scenario() {
-        let run = small_campaign(11).run();
-        let report = run.report();
+        let report = CampaignReport::of(&small_campaign(11).run());
         assert_eq!(report.scenarios, 16);
         let counted: usize = report.per_kind.values().map(|s| s.scenarios).sum();
         assert_eq!(counted, 16);

@@ -21,22 +21,22 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use scout_core::{
-    score_localize, AnalysisSession, EngineConfig, Parallelism, PartialDiagnosis, ScoutEngine,
-    ScoutReport, SessionError,
+    AnalysisSession, EngineConfig, Parallelism, PartialDiagnosis, ScoutEngine, SessionError,
 };
 use scout_fabric::{EventBatch, Fabric, FabricEvent, FabricProbe, FaultKind, FaultLog, Severity};
 use scout_faults::{FaultInjector, ObjectFaultKind};
-use scout_metrics::{fmt_mean, Accuracy, RankQuality, Summary, Table};
+use scout_metrics::{RankQuality, Table};
 use scout_policy::{ObjectId, SwitchId, TcamRule};
 
-use crate::scenario::WorkloadKind;
+use crate::campaign::run_on_base;
+use crate::scenario::{injector_seed, WorkloadKind};
+use crate::score::{score_baseline, AccuracyStats, Scored};
 
 /// The hostile disturbance classes, in report order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -94,12 +94,6 @@ pub fn hostile_seed(campaign_seed: u64, kind: HostileKind, index: usize) -> u64 
         .wrapping_add(index as u64)
 }
 
-/// Derives the injector seed from the scenario seed, mirroring the clean
-/// campaign engine: the sampling and injection streams stay independent.
-fn injector_seed(seed: u64) -> u64 {
-    seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(0xB5)
-}
-
 /// Configuration of one hostile-telemetry campaign: `per_class` scenarios of
 /// *each* of the five [`HostileKind`]s.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -132,58 +126,54 @@ impl HostileCampaign {
         }
     }
 
-    fn total(&self) -> usize {
-        self.per_class * HostileKind::ALL.len()
-    }
-
     /// Deploys the reference fabric and runs every scenario of every class
-    /// against a private engine built from [`HostileCampaign::engine`].
+    /// against a private engine built from [`HostileCampaign::engine`]; the
+    /// outcomes come back in scenario order (classes contiguous), ready for
+    /// [`HostileReport::of`].
     ///
     /// The outcome vector is deterministic for a given configuration (thread
-    /// count changes only the wall-clock time).
-    pub fn run(&self) -> HostileRun {
-        let engine = ScoutEngine::from_config(self.engine)
-            .expect("hostile campaign engine config is degenerate (see EngineConfig::validate)");
-        self.run_with_engine(&engine)
-    }
-
-    /// Like [`HostileCampaign::run`], but routes every worker through a
-    /// caller-provided — possibly shared — engine.
-    pub fn run_with_engine(&self, engine: &ScoutEngine) -> HostileRun {
-        let start = Instant::now();
-        let mut base = Fabric::new(self.workload.generate(self.seed));
-        base.deploy();
-
-        // One-shot classes share their worker's base session (the campaign
-        // pattern); streaming classes open a private session per scenario,
-        // since each one drives its own epoch sequence.
-        let outcomes = self
-            .concurrency
-            .fan_out(self.total(), |_, range| {
-                let mut base_session = engine.open_session(&base);
-                range
-                    .map(|index| {
-                        let kind = HostileKind::ALL[index / self.per_class];
-                        run_hostile_scenario(
-                            engine,
-                            &mut base_session,
-                            &base,
-                            index,
-                            hostile_seed(self.seed, kind, index % self.per_class),
-                            kind,
-                            self.max_faults,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-
-        HostileRun {
-            outcomes,
-            elapsed: start.elapsed(),
-        }
+    /// count changes only the wall-clock time). One-shot classes share their
+    /// worker's base session (the campaign pattern); streaming classes open
+    /// a private session per scenario, since each one drives its own epoch
+    /// sequence.
+    pub fn run(&self) -> Vec<HostileOutcome> {
+        run_on_base(
+            self.engine,
+            self.workload,
+            self.seed,
+            self.per_class * HostileKind::ALL.len(),
+            self.concurrency,
+            |engine, base_session, base, index| {
+                let kind = HostileKind::ALL[index / self.per_class];
+                let seed = hostile_seed(self.seed, kind, index % self.per_class);
+                let trial = match kind {
+                    HostileKind::LossyProbe => lossy_probe(engine, base, seed, self.max_faults),
+                    HostileKind::TornSync => torn_sync(engine, base, seed, self.max_faults),
+                    HostileKind::Flapping => flapping(engine, base, seed, self.max_faults),
+                    HostileKind::GrayFailure => {
+                        gray_failure(engine, base_session, base, seed, self.max_faults)
+                    }
+                    HostileKind::MissingLogs => {
+                        missing_logs(engine, base_session, base, seed, self.max_faults)
+                    }
+                };
+                let diagnosis_rank = if trial.scored.is_faulty() {
+                    trial.ranked.rank_of_any(&trial.scored.truth)
+                } else {
+                    None
+                };
+                HostileOutcome {
+                    index,
+                    seed,
+                    kind,
+                    resyncs: trial.resyncs,
+                    disturbed_batches: trial.disturbed,
+                    ranked_nonempty: !trial.ranked.is_empty(),
+                    diagnosis_rank,
+                    scored: trial.scored,
+                }
+            },
+        )
     }
 }
 
@@ -196,22 +186,9 @@ pub struct HostileOutcome {
     pub seed: u64,
     /// The hostile class that was applied.
     pub kind: HostileKind,
-    /// The ground truth: objects a perfect localizer should implicate.
-    pub truth: BTreeSet<ObjectId>,
-    /// SCOUT's hypothesis, computed from the surviving telemetry.
-    pub hypothesis: BTreeSet<ObjectId>,
-    /// The pre-localization suspect set.
-    pub suspects: BTreeSet<ObjectId>,
-    /// `true` if the pipeline found no L–T divergence.
-    pub consistent: bool,
-    /// The suspect-set reduction ratio γ of the run.
-    pub gamma: f64,
-    /// SCOUT precision/recall against the ground truth.
-    pub scout: Accuracy,
-    /// SCORE-1.0 precision/recall on identical evidence.
-    pub score: Accuracy,
-    /// `true` if SCOUT pointed at the ground truth (or both sets are empty).
-    pub attributed: bool,
+    /// SCOUT (on the surviving telemetry) and SCORE-1.0 (on identical
+    /// evidence) scored against the ground truth.
+    pub scored: Scored,
     /// Full resyncs the session needed to survive the scenario.
     pub resyncs: usize,
     /// Batches the hostile transport disturbed (dropped, reordered or torn).
@@ -223,28 +200,13 @@ pub struct HostileOutcome {
     pub diagnosis_rank: Option<usize>,
 }
 
-/// Runs one hostile scenario end to end.
-#[allow(clippy::too_many_arguments)]
-fn run_hostile_scenario(
-    engine: &ScoutEngine,
-    base_session: &mut AnalysisSession,
-    base: &Fabric,
-    index: usize,
-    seed: u64,
-    kind: HostileKind,
-    max_faults: usize,
-) -> HostileOutcome {
-    match kind {
-        HostileKind::LossyProbe => lossy_probe(engine, base, index, seed, max_faults),
-        HostileKind::TornSync => torn_sync(engine, base, index, seed, max_faults),
-        HostileKind::Flapping => flapping(engine, base, index, seed, max_faults),
-        HostileKind::GrayFailure => {
-            gray_failure(engine, base_session, base, index, seed, max_faults)
-        }
-        HostileKind::MissingLogs => {
-            missing_logs(engine, base_session, base, index, seed, max_faults)
-        }
-    }
+/// A settled hostile scenario: its score, the ranked partial diagnosis and
+/// the transport's counters.
+struct Trial {
+    scored: Scored,
+    ranked: PartialDiagnosis,
+    resyncs: usize,
+    disturbed: usize,
 }
 
 /// Delivers one batch to the session the way a hostile transport's receiver
@@ -279,11 +241,18 @@ fn deliver(
 fn settle(
     session: &mut AnalysisSession,
     fabric: &Fabric,
-) -> (ScoutReport, BTreeSet<ObjectId>, PartialDiagnosis) {
-    let check = session.full_report().check.clone();
-    let score = session.with_augmented_model(fabric, &check, |model| score_localize(model, 1.0));
-    let ranked = session.partial_diagnosis();
-    (session.full_report().clone(), score.objects(), ranked)
+    truth: BTreeSet<ObjectId>,
+    resyncs: usize,
+    disturbed: usize,
+) -> Trial {
+    let report = session.full_report().clone();
+    let score = score_baseline(session, fabric, &report);
+    Trial {
+        scored: Scored::of(truth, &report, &score),
+        ranked: session.partial_diagnosis(),
+        resyncs,
+        disturbed,
+    }
 }
 
 /// Scores a one-shot disturbed clone the same way, through the worker's
@@ -292,10 +261,10 @@ fn score_clone(
     engine: &ScoutEngine,
     base_session: &mut AnalysisSession,
     fabric: &Fabric,
-) -> (ScoutReport, BTreeSet<ObjectId>, PartialDiagnosis) {
+    truth: BTreeSet<ObjectId>,
+) -> Trial {
     let report = base_session.analyze_clone(fabric);
-    let score = base_session
-        .with_augmented_model(fabric, &report.check, |model| score_localize(model, 1.0));
+    let score = score_baseline(base_session, fabric, &report);
     let ranked = engine.correlation().rank_partial(
         &report.hypothesis,
         &report.suspect_objects,
@@ -303,49 +272,11 @@ fn score_clone(
         fabric.change_log(),
         fabric.fault_log(),
     );
-    (report, score.objects(), ranked)
-}
-
-/// Assembles the outcome from a settled report.
-#[allow(clippy::too_many_arguments)]
-fn outcome_of(
-    index: usize,
-    seed: u64,
-    kind: HostileKind,
-    truth: BTreeSet<ObjectId>,
-    report: &ScoutReport,
-    score_objects: BTreeSet<ObjectId>,
-    ranked: &PartialDiagnosis,
-    resyncs: usize,
-    disturbed_batches: usize,
-) -> HostileOutcome {
-    let hypothesis = report.hypothesis.objects();
-    let attributed = if truth.is_empty() {
-        hypothesis.is_empty()
-    } else {
-        !hypothesis.is_disjoint(&truth)
-    };
-    let diagnosis_rank = if truth.is_empty() {
-        None
-    } else {
-        ranked.rank_of_any(&truth)
-    };
-    HostileOutcome {
-        index,
-        seed,
-        kind,
-        scout: Accuracy::of(&truth, &hypothesis),
-        score: Accuracy::of(&truth, &score_objects),
-        attributed,
-        consistent: report.is_consistent(),
-        gamma: report.gamma(),
-        suspects: report.suspect_objects.clone(),
-        hypothesis,
-        resyncs,
-        disturbed_batches,
-        ranked_nonempty: !ranked.is_empty(),
-        diagnosis_rank,
-        truth,
+    Trial {
+        scored: Scored::of(truth, &report, &score),
+        ranked,
+        resyncs: 0,
+        disturbed: 0,
     }
 }
 
@@ -375,13 +306,7 @@ fn inject(
 /// reordering. A trailing heartbeat reveals any outstanding gap, so the
 /// session always converges — through at least one full resync whenever a
 /// batch was lost.
-fn lossy_probe(
-    engine: &ScoutEngine,
-    base: &Fabric,
-    index: usize,
-    seed: u64,
-    max_faults: usize,
-) -> HostileOutcome {
+fn lossy_probe(engine: &ScoutEngine, base: &Fabric, seed: u64, max_faults: usize) -> Trial {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut fabric = base.clone();
     let mut session = engine.open_session(&fabric);
@@ -440,30 +365,13 @@ fn lossy_probe(
     let heartbeat = EventBatch::new(producer_epoch, probe.observe(&fabric));
     deliver(&mut session, &mut probe, &fabric, heartbeat, &mut resyncs);
 
-    let (report, score_objects, ranked) = settle(&mut session, &fabric);
-    outcome_of(
-        index,
-        seed,
-        HostileKind::LossyProbe,
-        truth,
-        &report,
-        score_objects,
-        &ranked,
-        resyncs,
-        disturbed,
-    )
+    settle(&mut session, &fabric, truth, resyncs, disturbed)
 }
 
 /// (b) A stale/torn `TcamSync` read taken mid-update: epoch 1 delivers a
 /// page-walk of the victim switch that mixes post-fault and pre-fault pages,
 /// epoch 2 settles with a clean read.
-fn torn_sync(
-    engine: &ScoutEngine,
-    base: &Fabric,
-    index: usize,
-    seed: u64,
-    max_faults: usize,
-) -> HostileOutcome {
+fn torn_sync(engine: &ScoutEngine, base: &Fabric, seed: u64, max_faults: usize) -> Trial {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut fabric = base.clone();
     let mut session = engine.open_session(&fabric);
@@ -527,30 +435,13 @@ fn torn_sync(
         .ingest(EventBatch::new(2, events))
         .expect("the settling read applies");
 
-    let (report, score_objects, ranked) = settle(&mut session, &fabric);
-    outcome_of(
-        index,
-        seed,
-        HostileKind::TornSync,
-        truth,
-        &report,
-        score_objects,
-        &ranked,
-        0,
-        1,
-    )
+    settle(&mut session, &fabric, truth, 0, 1)
 }
 
 /// (c) Flapping faults: several evict/repair cycles land inside a single
 /// epoch's batch — raise and pre-cleared fault entries interleaved — before a
 /// real break that stays.
-fn flapping(
-    engine: &ScoutEngine,
-    base: &Fabric,
-    index: usize,
-    seed: u64,
-    max_faults: usize,
-) -> HostileOutcome {
+fn flapping(engine: &ScoutEngine, base: &Fabric, seed: u64, max_faults: usize) -> Trial {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut fabric = base.clone();
     let mut session = engine.open_session(&fabric);
@@ -570,18 +461,7 @@ fn flapping(
         .ingest_observation(&mut probe, &fabric)
         .expect("faithful observations ingest cleanly");
 
-    let (report, score_objects, ranked) = settle(&mut session, &fabric);
-    outcome_of(
-        index,
-        seed,
-        HostileKind::Flapping,
-        truth,
-        &report,
-        score_objects,
-        &ranked,
-        0,
-        1,
-    )
+    settle(&mut session, &fabric, truth, 0, 1)
 }
 
 /// (d) A correlated gray failure: partial object faults (SCORE-1.0's blind
@@ -591,10 +471,9 @@ fn gray_failure(
     engine: &ScoutEngine,
     base_session: &mut AnalysisSession,
     base: &Fabric,
-    index: usize,
     seed: u64,
     max_faults: usize,
-) -> HostileOutcome {
+) -> Trial {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut fabric = base.clone();
     let truth = inject(
@@ -627,18 +506,7 @@ fn gray_failure(
         }
     }
 
-    let (report, score_objects, ranked) = score_clone(engine, base_session, &fabric);
-    outcome_of(
-        index,
-        seed,
-        HostileKind::GrayFailure,
-        truth,
-        &report,
-        score_objects,
-        &ranked,
-        0,
-        0,
-    )
+    score_clone(engine, base_session, &fabric, truth)
 }
 
 /// (e) Missing fault logs: the fault log is wiped after injection, so the
@@ -648,68 +516,26 @@ fn missing_logs(
     engine: &ScoutEngine,
     base_session: &mut AnalysisSession,
     base: &Fabric,
-    index: usize,
     seed: u64,
     max_faults: usize,
-) -> HostileOutcome {
+) -> Trial {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut fabric = base.clone();
     let truth = inject(&mut fabric, &mut rng, seed, max_faults, None);
     *fabric.fault_log_mut() = FaultLog::new();
 
-    let (report, score_objects, ranked) = score_clone(engine, base_session, &fabric);
-    outcome_of(
-        index,
-        seed,
-        HostileKind::MissingLogs,
-        truth,
-        &report,
-        score_objects,
-        &ranked,
-        0,
-        0,
-    )
-}
-
-/// The raw result of a hostile campaign.
-#[derive(Debug, Clone)]
-pub struct HostileRun {
-    /// One outcome per scenario, in scenario order (classes are contiguous).
-    pub outcomes: Vec<HostileOutcome>,
-    /// Total wall-clock time (excluded from the deterministic report).
-    pub elapsed: Duration,
-}
-
-impl HostileRun {
-    /// Aggregates the outcomes into the deterministic campaign report.
-    pub fn report(&self) -> HostileReport {
-        HostileReport::of(&self.outcomes)
-    }
+    score_clone(engine, base_session, &fabric, truth)
 }
 
 /// Aggregated statistics of one hostile class.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostileClassStats {
-    /// Number of scenarios of this class.
-    pub scenarios: usize,
-    /// Scenarios with a non-empty ground truth.
-    pub faulty: usize,
-    /// Faulty scenarios the pipeline flagged as inconsistent.
-    pub detected: usize,
-    /// Faulty scenarios whose hypothesis intersected the truth.
-    pub attributed: usize,
+    /// SCOUT vs SCORE-1.0 accuracy over the class's scenarios.
+    pub accuracy: AccuracyStats,
     /// Full resyncs across the class's scenarios.
     pub resyncs: usize,
     /// Batches the hostile transport disturbed across the class.
     pub disturbed: usize,
-    /// SCOUT precision over the faulty scenarios.
-    pub precision: Summary,
-    /// SCOUT recall over the faulty scenarios.
-    pub recall: Summary,
-    /// SCORE-1.0 recall over the faulty scenarios.
-    pub score_recall: Summary,
-    /// γ over the detected scenarios.
-    pub gamma: Summary,
     /// Faulty scenarios whose ranked partial diagnosis was non-empty.
     pub ranked_nonempty: usize,
     /// Rank quality of the partial diagnosis over the faulty scenarios.
@@ -734,20 +560,11 @@ impl HostileReport {
         }
         let stats = |items: &[&HostileOutcome]| -> HostileClassStats {
             let faulty: Vec<&&HostileOutcome> =
-                items.iter().filter(|o| !o.truth.is_empty()).collect();
-            let detected: Vec<&&&HostileOutcome> =
-                faulty.iter().filter(|o| !o.consistent).collect();
+                items.iter().filter(|o| o.scored.is_faulty()).collect();
             HostileClassStats {
-                scenarios: items.len(),
-                faulty: faulty.len(),
-                detected: detected.len(),
-                attributed: faulty.iter().filter(|o| o.attributed).count(),
+                accuracy: AccuracyStats::of(items.iter().map(|o| &o.scored)),
                 resyncs: items.iter().map(|o| o.resyncs).sum(),
                 disturbed: items.iter().map(|o| o.disturbed_batches).sum(),
-                precision: Summary::of(faulty.iter().map(|o| o.scout.precision)),
-                recall: Summary::of(faulty.iter().map(|o| o.scout.recall)),
-                score_recall: Summary::of(faulty.iter().map(|o| o.score.recall)),
-                gamma: Summary::of(detected.iter().map(|o| o.gamma)),
                 ranked_nonempty: faulty.iter().filter(|o| o.ranked_nonempty).count(),
                 rank: RankQuality::of(faulty.iter().map(|o| o.diagnosis_rank)),
             }
@@ -776,19 +593,19 @@ impl HostileReport {
             ],
         );
         for (kind, stats) in &self.per_kind {
-            table.row([
-                kind.to_string(),
-                stats.scenarios.to_string(),
-                stats.faulty.to_string(),
-                stats.detected.to_string(),
-                stats.resyncs.to_string(),
-                fmt_mean(&stats.precision),
-                fmt_mean(&stats.recall),
-                fmt_mean(&stats.score_recall),
-                fmt_mean(&stats.gamma),
-                stats.rank.fmt_top3(),
-                stats.rank.fmt_mrr(),
-            ]);
+            let accuracy = &stats.accuracy;
+            let counts = [
+                accuracy.scenarios,
+                accuracy.faulty,
+                accuracy.detected,
+                stats.resyncs,
+            ];
+            table.row(
+                std::iter::once(kind.to_string())
+                    .chain(counts.map(|n| n.to_string()))
+                    .chain(accuracy.cells())
+                    .chain([stats.rank.fmt_top3(), stats.rank.fmt_mrr()]),
+            );
         }
         table
     }
@@ -816,23 +633,23 @@ mod tests {
         };
         let a = sequential.run();
         let b = threaded.run();
-        assert_eq!(a.outcomes, b.outcomes);
-        assert_eq!(a.report(), b.report());
+        assert_eq!(a, b);
+        assert_eq!(HostileReport::of(&a), HostileReport::of(&b));
         let c = small_campaign(43).run();
-        assert_ne!(a.outcomes, c.outcomes);
+        assert_ne!(a, c);
     }
 
     #[test]
     fn every_class_runs_its_share() {
         let run = small_campaign(7).run();
-        let report = run.report();
+        let report = HostileReport::of(&run);
         assert_eq!(report.scenarios, 30);
         assert_eq!(report.per_kind.len(), 5);
         for kind in HostileKind::ALL {
-            assert_eq!(report.class(kind).unwrap().scenarios, 6, "{kind}");
+            assert_eq!(report.class(kind).unwrap().accuracy.scenarios, 6, "{kind}");
         }
         // Outcomes are class-contiguous in index order.
-        for (i, outcome) in run.outcomes.iter().enumerate() {
+        for (i, outcome) in run.iter().enumerate() {
             assert_eq!(outcome.index, i);
             assert_eq!(outcome.kind, HostileKind::ALL[i / 6]);
         }
@@ -844,12 +661,14 @@ mod tests {
         // transport dropped, the settled hypothesis equals a from-scratch
         // analysis — verified here through SCOUT == truth-facing scoring on
         // a fabric the outcome kept no handle to, so assert on aggregates.
-        let run = small_campaign(11).run();
-        let report = run.report();
+        let report = HostileReport::of(&small_campaign(11).run());
         let lossy = report.class(HostileKind::LossyProbe).unwrap();
-        assert!(lossy.faulty > 0, "injection must land in most scenarios");
+        assert!(
+            lossy.accuracy.faulty > 0,
+            "injection must land in most scenarios"
+        );
         assert_eq!(
-            lossy.detected, lossy.faulty,
+            lossy.accuracy.detected, lossy.accuracy.faulty,
             "a converged session sees every injected fault"
         );
         // The whole point of the class: losses occurred and were survived.
@@ -858,20 +677,19 @@ mod tests {
 
     #[test]
     fn missing_logs_always_rank_something() {
-        let run = small_campaign(5).run();
-        let report = run.report();
+        let report = HostileReport::of(&small_campaign(5).run());
         let missing = report.class(HostileKind::MissingLogs).unwrap();
-        assert!(missing.faulty > 0);
+        assert!(missing.accuracy.faulty > 0);
         assert_eq!(
-            missing.ranked_nonempty, missing.faulty,
+            missing.ranked_nonempty, missing.accuracy.faulty,
             "wiped logs must still yield a ranked diagnosis"
         );
-        assert!(missing.rank.queries() == missing.faulty);
+        assert!(missing.rank.queries() == missing.accuracy.faulty);
     }
 
     #[test]
     fn hostile_table_renders_every_class_row() {
-        let report = small_campaign(3).run().report();
+        let report = HostileReport::of(&small_campaign(3).run());
         let text = report.table().to_string();
         for kind in HostileKind::ALL {
             assert!(text.contains(&kind.to_string()), "{kind} row missing");

@@ -38,17 +38,20 @@
 //! [`EngineConfig`](scout_core::EngineConfig) carried by [`Campaign::engine`]
 //! and [`Timeline::engine`].
 //!
-//! Each recurring piece exists once: every driver that spreads independent
-//! items over threads ([`Campaign`], [`HostileCampaign`], [`FleetSoak`])
-//! takes a [`Parallelism`] and fans out through
-//! [`Parallelism::fan_out`]; [`FleetSoak`] is the one M-tenants × T-threads
-//! driver; and the seeded churn steps the differential suites replay live in
-//! [`churn`].
+//! Each recurring piece exists once: every fault experiment — [`Campaign`],
+//! [`HostileCampaign`], the [`Timeline`]'s attribution and `scout-bench`'s
+//! §VI figures — scores its run against the ground truth through [`score`]
+//! ([`Scored`], [`score_baseline`], [`AccuracyStats`]); both campaigns run on
+//! one base-fabric runner; every driver that spreads independent items over
+//! threads ([`Campaign`], [`HostileCampaign`], [`FleetSoak`]) takes a
+//! [`Parallelism`] and fans out through [`Parallelism::fan_out`];
+//! [`FleetSoak`] is the one M-tenants × T-threads driver; and the seeded
+//! churn steps the differential suites replay live in [`churn`].
 //!
 //! # Example
 //!
 //! ```
-//! use scout_sim::{Campaign, Parallelism, WorkloadKind};
+//! use scout_sim::{Campaign, CampaignReport, Parallelism, WorkloadKind};
 //! use scout_workload::TestbedSpec;
 //!
 //! let campaign = Campaign {
@@ -56,11 +59,11 @@
 //!     concurrency: Parallelism::Sequential,
 //!     ..Campaign::new(WorkloadKind::Testbed(TestbedSpec::paper()), 8, 42)
 //! };
-//! let run = campaign.run();
-//! let report = run.report();
+//! let outcomes = campaign.run();
+//! let report = CampaignReport::of(&outcomes);
 //! assert_eq!(report.scenarios, 8);
 //! // Same seed, same aggregate — campaigns are deterministic.
-//! assert_eq!(campaign.run().report(), report);
+//! assert_eq!(CampaignReport::of(&campaign.run()), report);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -72,16 +75,17 @@ pub mod crash;
 pub mod fleet;
 pub mod hostile;
 pub mod scenario;
+pub mod score;
 pub mod soak;
 
-pub use campaign::{scenario_seed, Campaign, CampaignReport, CampaignRun, KindStats};
+pub use campaign::{scenario_seed, Campaign, CampaignReport};
 pub use crash::{CrashSoak, CrashSoakReport};
 pub use fleet::{FleetRun, FleetSoak, TenantOutcome};
 pub use hostile::{
     hostile_seed, HostileCampaign, HostileClassStats, HostileKind, HostileOutcome, HostileReport,
-    HostileRun,
 };
 pub use scenario::{run_scenario, ScenarioKind, ScenarioMix, ScenarioOutcome, WorkloadKind};
+pub use score::{score_baseline, AccuracyStats, Scored};
 pub use soak::{
     EpochRecord, FaultRecord, SoakFaultKind, SoakOutcome, SoakReport, SoakRun, Timeline,
 };

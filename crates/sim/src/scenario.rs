@@ -15,12 +15,13 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use scout_core::{score_localize, AnalysisSession, ScoutEngine};
+use scout_core::{AnalysisSession, ScoutEngine};
 use scout_fabric::Fabric;
 use scout_faults::{random_tcam_corruption, silent_rule_eviction, FaultInjector, ObjectFaultKind};
-use scout_metrics::Accuracy;
 use scout_policy::{ObjectId, PolicyUniverse};
 use scout_workload::{add_random_filter, random_policy_edit, ClusterSpec, ScaleSpec, TestbedSpec};
+
+use crate::score::{score_baseline, Scored};
 
 /// Which policy generator a campaign samples its reference fabric from.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,14 +172,8 @@ pub struct ScenarioOutcome {
     /// Number of injected faults (object faults injected, or 1 for the
     /// physical/churn disturbances; 0 if the disturbance turned out inert).
     pub fault_count: usize,
-    /// The ground truth: objects a perfect localizer should implicate.
-    pub truth: BTreeSet<ObjectId>,
-    /// SCOUT's hypothesis.
-    pub hypothesis: BTreeSet<ObjectId>,
-    /// The pre-localization suspect set (what an admin would examine).
-    pub suspects: BTreeSet<ObjectId>,
-    /// `true` if the pipeline found no L–T divergence.
-    pub consistent: bool,
+    /// SCOUT and SCORE-1.0 scored against the ground truth.
+    pub scored: Scored,
     /// Total missing rules reported by the equivalence check.
     pub missing_rules: usize,
     /// Number of failed observations.
@@ -189,16 +184,6 @@ pub struct ScenarioOutcome {
     pub explained_by_changelog: usize,
     /// Observations left unexplained.
     pub unexplained: usize,
-    /// The suspect-set reduction ratio γ of the run.
-    pub gamma: f64,
-    /// SCOUT precision/recall against the ground truth.
-    pub scout: Accuracy,
-    /// SCORE-1.0 precision/recall against the same ground truth and model.
-    pub score: Accuracy,
-    /// `true` if SCOUT pointed at the ground truth: the hypothesis intersects
-    /// a non-empty truth, or both are empty (nothing to find, nothing
-    /// reported).
-    pub attributed: bool,
     /// Whether a from-scratch analysis of the same fabric was bit-identical
     /// to the session's report (`None` when the oracle did not run).
     pub oracle_agrees: Option<bool>,
@@ -214,7 +199,7 @@ struct PreparedScenario {
 
 /// Derives the injector seed from the scenario seed; the two streams must be
 /// independent so adding a sampling decision never perturbs the injection.
-fn injector_seed(seed: u64) -> u64 {
+pub(crate) fn injector_seed(seed: u64) -> u64 {
     seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(0xB5)
 }
 
@@ -310,9 +295,8 @@ fn prepare(base: &Fabric, seed: u64, max_faults: usize, mix: &ScenarioMix) -> Pr
 ///
 /// The analysis reuses the session's equivalence check and pristine risk
 /// model ([`AnalysisSession::analyze_clone`]); SCORE reads the same augmented
-/// model (on a consistent fabric it sees an empty signature and returns an
-/// empty hypothesis immediately). With an `oracle` engine, the report is
-/// also compared against its from-scratch [`ScoutEngine::analyze`].
+/// model ([`score_baseline`]). With an `oracle` engine, the report is also
+/// compared against its from-scratch [`ScoutEngine::analyze`].
 pub fn run_scenario(
     session: &mut AnalysisSession,
     oracle: Option<&ScoutEngine>,
@@ -326,37 +310,19 @@ pub fn run_scenario(
     let fabric = &prepared.fabric;
 
     let report = session.analyze_clone(fabric);
-    let score_objects = session
-        .with_augmented_model(fabric, &report.check, |model| score_localize(model, 1.0))
-        .objects();
-    let oracle_agrees = oracle.map(|engine| engine.analyze(fabric) == report);
-
-    let hypothesis = report.hypothesis.objects();
-    let truth = prepared.truth;
-    let attributed = if truth.is_empty() {
-        hypothesis.is_empty()
-    } else {
-        !hypothesis.is_disjoint(&truth)
-    };
+    let score = score_baseline(session, fabric, &report);
     ScenarioOutcome {
         index,
         seed,
         kind: prepared.kind,
         fault_count: prepared.fault_count,
-        scout: Accuracy::of(&truth, &hypothesis),
-        score: Accuracy::of(&truth, &score_objects),
-        attributed,
-        consistent: report.is_consistent(),
         missing_rules: report.missing_rule_count(),
         observations: report.hypothesis.observations,
         explained_by_cover: report.hypothesis.explained_by_cover,
         explained_by_changelog: report.hypothesis.explained_by_changelog,
         unexplained: report.hypothesis.unexplained,
-        gamma: report.gamma(),
-        suspects: report.suspect_objects,
-        hypothesis,
-        truth,
-        oracle_agrees,
+        oracle_agrees: oracle.map(|engine| engine.analyze(fabric) == report),
+        scored: Scored::of(prepared.truth, &report, &score),
     }
 }
 
@@ -426,7 +392,7 @@ mod tests {
         let mut attributed = 0usize;
         let mut faulty = 0usize;
         for seed in 0..10u64 {
-            let outcome = run_scenario(&mut session, None, &base, 0, seed, 2, &mix);
+            let outcome = run_scenario(&mut session, None, &base, 0, seed, 2, &mix).scored;
             assert!(outcome
                 .hypothesis
                 .iter()

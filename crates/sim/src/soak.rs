@@ -25,7 +25,7 @@
 //! per-epoch missing-rule/cost time series.
 
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -39,6 +39,7 @@ use scout_policy::{LogicalRule, ObjectId, SwitchId, TcamRule};
 use scout_workload::random_policy_edit;
 
 use crate::scenario::WorkloadKind;
+use crate::score::attributed;
 
 /// The disturbance classes a soak timeline can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -175,7 +176,7 @@ pub struct EpochRecord {
     /// `true` if the monitor saw a consistent network.
     pub consistent: bool,
     /// `true` if the hypothesis intersected a non-empty truth, or both were
-    /// empty.
+    /// empty (the rule every fault experiment scores by).
     pub attributed: bool,
     /// `true` if the differential oracle ran this epoch.
     pub oracle_checked: bool,
@@ -372,15 +373,13 @@ impl SoakReport {
     }
 }
 
-/// The raw result of a soak run: the deterministic outcome plus wall-clock
-/// cost measurements (which vary run to run and are kept separate so outcome
-/// equality remains meaningful).
+/// The raw result of a soak run: the deterministic outcome plus per-epoch
+/// analysis cost measurements (which vary run to run and are kept separate
+/// so outcome equality remains meaningful).
 #[derive(Debug, Clone)]
 pub struct SoakRun {
     /// The deterministic per-epoch and per-fault records.
     pub outcome: SoakOutcome,
-    /// Total wall-clock time of the run.
-    pub elapsed: Duration,
     /// Nanoseconds spent monitoring each epoch incrementally (probing the
     /// fabric into events plus the session ingest).
     pub incremental_cost: TimeSeries,
@@ -467,7 +466,6 @@ impl Timeline {
     /// For a given seed the outcome is bit-identical whether the engine is
     /// private or shared, and regardless of what other tenants it serves.
     pub fn run_with_engine(&self, engine: &ScoutEngine) -> SoakRun {
-        let start = Instant::now();
         let oracle = engine.config().oracle;
         let mut fabric = Fabric::new(self.workload.generate(self.seed));
         fabric.deploy();
@@ -596,11 +594,7 @@ impl Timeline {
             record.missing_rules = report.missing_rule_count();
             record.observations = report.observations.len();
             record.suspects = report.suspect_objects.len();
-            record.attributed = if record.truth.is_empty() {
-                record.hypothesis.is_empty()
-            } else {
-                !record.hypothesis.is_disjoint(&record.truth)
-            };
+            record.attributed = attributed(&record.truth, &record.hypothesis);
             for fault in &active {
                 let rec = &mut faults[fault.id];
                 if rec.detected_epoch.is_none()
@@ -630,7 +624,6 @@ impl Timeline {
 
         SoakRun {
             outcome: SoakOutcome { epochs, faults },
-            elapsed: start.elapsed(),
             incremental_cost,
             scratch_cost,
             session_stats: *monitor.stats(),

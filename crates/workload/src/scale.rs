@@ -66,11 +66,6 @@ impl ScaleSpec {
         Self::large_fabric(1000)
     }
 
-    /// The 2000-switch member of the [`ScaleSpec::large_fabric`] family.
-    pub fn large_2k() -> Self {
-        Self::large_fabric(2000)
-    }
-
     /// Generates the scaled policy with the given seed.
     ///
     /// # Panics
@@ -203,7 +198,6 @@ mod tests {
     #[test]
     fn large_fabric_presets_scale() {
         assert_eq!(ScaleSpec::large_1k().switches, 1000);
-        assert_eq!(ScaleSpec::large_2k().switches, 2000);
         // Spot-check a scaled-down family member for the expected shape.
         let spec = ScaleSpec::large_fabric(12);
         let u = spec.generate(5);

@@ -21,7 +21,7 @@
 use scout::core::{ScoutEngine, SessionError};
 use scout::fabric::{EventBatch, Fabric, FabricProbe, FaultLog};
 use scout::policy::sample;
-use scout::sim::{HostileCampaign, WorkloadKind};
+use scout::sim::{HostileCampaign, HostileReport, WorkloadKind};
 use scout::workload::TestbedSpec;
 
 fn main() {
@@ -102,6 +102,5 @@ fn main() {
     // --- Act 3: the five-class hostile sweep. ----------------------------
     println!("act 3: seeded hostile campaign, 20 scenarios per class:");
     let campaign = HostileCampaign::new(WorkloadKind::Testbed(TestbedSpec::paper()), 20, 42);
-    let run = campaign.run();
-    println!("{}", run.report().table());
+    println!("{}", HostileReport::of(&campaign.run()).table());
 }

@@ -20,7 +20,7 @@ use scout::faults::{
 };
 use scout::metrics::Accuracy;
 use scout::policy::{sample, ObjectId, PolicyUniverse};
-use scout::sim::{Campaign, WorkloadKind};
+use scout::sim::{Campaign, CampaignReport, WorkloadKind};
 use scout::workload::{ClusterSpec, TestbedSpec};
 
 /// The model-level synthesis of a *full* object fault must mark exactly the
@@ -195,15 +195,14 @@ fn golden_campaign_accuracy_thresholds() {
         tcam_capacity: 1024,
     });
     let campaign = Campaign::new(workload, 200, 42);
-    let run = campaign.run();
-    let report = run.report();
+    let report = CampaignReport::of(&campaign.run());
     assert_eq!(report.scenarios, 200);
 
     // Determinism of the aggregate itself.
-    assert_eq!(campaign.run().report(), report);
+    assert_eq!(CampaignReport::of(&campaign.run()), report);
 
-    let precision = report.object_precision.mean;
-    let recall = report.object_recall.mean;
+    let precision = report.objects.precision.mean;
+    let recall = report.objects.recall.mean;
     assert!(
         precision >= 0.78,
         "SCOUT object-fault precision regressed: {precision:.3} < 0.78"
@@ -215,8 +214,8 @@ fn golden_campaign_accuracy_thresholds() {
 
     // The headline comparison: on partial faults SCORE-1.0 is structurally
     // blind (hit ratio < 1), SCOUT recovers them through the change log.
-    let scout_partial = report.partial_recall.mean;
-    let score_partial = report.score_partial_recall.mean;
+    let scout_partial = report.partial.recall.mean;
+    let score_partial = report.partial.score_recall.mean;
     assert!(
         scout_partial >= 0.85,
         "SCOUT partial-fault recall regressed: {scout_partial:.3} < 0.85"

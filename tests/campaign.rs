@@ -5,7 +5,7 @@
 
 use scout::core::ScoutEngine;
 use scout::fabric::Fabric;
-use scout::sim::{Campaign, Parallelism, ScenarioMix, WorkloadKind};
+use scout::sim::{Campaign, CampaignReport, Parallelism, ScenarioMix, WorkloadKind};
 use scout::workload::{ClusterSpec, ScaleSpec, TestbedSpec};
 
 fn small_testbed() -> WorkloadKind {
@@ -54,8 +54,8 @@ fn campaign_outcomes_satisfy_localization_invariants() {
             ..Campaign::new(workload, 40, seed)
         }
         .run();
-        assert_eq!(run.outcomes.len(), 40);
-        for outcome in &run.outcomes {
+        assert_eq!(run.len(), 40);
+        for outcome in &run {
             let tag = format!("seed {seed} scenario {}", outcome.index);
             assert_eq!(
                 outcome.oracle_agrees,
@@ -63,7 +63,10 @@ fn campaign_outcomes_satisfy_localization_invariants() {
                 "{tag}: the session must match a from-scratch analysis"
             );
             assert!(
-                outcome.hypothesis.is_subset(&outcome.suspects),
+                outcome
+                    .scored
+                    .hypothesis
+                    .is_subset(&outcome.scored.suspects),
                 "{tag}: hypothesis must be within the suspect set"
             );
             assert_eq!(
@@ -71,22 +74,22 @@ fn campaign_outcomes_satisfy_localization_invariants() {
                 outcome.observations,
                 "{tag}: explanation accounting must cover the observations"
             );
-            if outcome.consistent {
+            if outcome.scored.consistent {
                 assert_eq!(outcome.observations, 0, "{tag}");
                 assert_eq!(outcome.missing_rules, 0, "{tag}");
-                assert!(outcome.hypothesis.is_empty(), "{tag}");
-                assert_eq!(outcome.gamma, 0.0, "{tag}");
+                assert!(outcome.scored.hypothesis.is_empty(), "{tag}");
+                assert_eq!(outcome.scored.gamma, 0.0, "{tag}");
             } else if outcome.observations > 0 {
                 assert!(
-                    outcome.gamma > 0.0 && outcome.gamma <= 1.0,
+                    outcome.scored.gamma > 0.0 && outcome.scored.gamma <= 1.0,
                     "{tag}: gamma {} out of (0, 1]",
-                    outcome.gamma
+                    outcome.scored.gamma
                 );
-                assert!(!outcome.suspects.is_empty(), "{tag}");
+                assert!(!outcome.scored.suspects.is_empty(), "{tag}");
             }
             // Fault bookkeeping: an inert disturbance claims no ground truth.
             if outcome.fault_count == 0 {
-                assert!(outcome.truth.is_empty(), "{tag}");
+                assert!(outcome.scored.truth.is_empty(), "{tag}");
             }
         }
     }
@@ -102,17 +105,17 @@ fn campaigns_are_deterministic_per_seed() {
         ..Campaign::new(small_testbed(), 24, 99)
     };
     let reference = base.run();
-    assert!(reference
-        .outcomes
-        .iter()
-        .all(|o| o.oracle_agrees == Some(true)));
+    assert!(reference.iter().all(|o| o.oracle_agrees == Some(true)));
     let threaded = Campaign {
         concurrency: Parallelism::Fixed(4),
         ..base
     }
     .run();
-    assert_eq!(reference.outcomes, threaded.outcomes);
-    assert_eq!(reference.report(), threaded.report());
+    assert_eq!(reference, threaded);
+    assert_eq!(
+        CampaignReport::of(&reference),
+        CampaignReport::of(&threaded)
+    );
 }
 
 /// A campaign restricted to object faults drives the accuracy population the
@@ -125,11 +128,11 @@ fn object_fault_campaign_produces_scored_population() {
         ..Campaign::new(small_testbed(), 30, 7)
     }
     .run();
-    let report = run.report();
+    let report = CampaignReport::of(&run);
     let faulty: usize = report.per_kind.values().map(|s| s.faulty).sum();
     assert!(faulty >= 25, "most scenarios must inject successfully");
-    assert!(report.object_recall.count == faulty);
-    assert!(report.object_recall.mean > 0.5);
+    assert!(report.objects.recall.count == faulty);
+    assert!(report.objects.recall.mean > 0.5);
     assert!(!report.gamma.is_empty());
 }
 

@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use scout::core::{ScoutEngine, SessionError};
 use scout::fabric::{Fabric, FabricProbe};
-use scout::sim::{HostileCampaign, HostileKind, Parallelism, WorkloadKind};
+use scout::sim::{HostileCampaign, HostileKind, HostileReport, Parallelism, WorkloadKind};
 use scout::workload::TestbedSpec;
 
 /// The committed hostile sweep: the paper's testbed workload, seed 42,
@@ -34,8 +34,7 @@ fn committed_campaign() -> HostileCampaign {
 /// P=.95 R=.99, gray P=.90 R=.99, missing P=.97 R=.96, top-3 = 1.0).
 #[test]
 fn hostile_sweep_meets_the_committed_accuracy_floors() {
-    let run = committed_campaign().run();
-    let report = run.report();
+    let report = HostileReport::of(&committed_campaign().run());
     assert_eq!(report.scenarios, 500);
 
     let floors = [
@@ -46,7 +45,7 @@ fn hostile_sweep_meets_the_committed_accuracy_floors() {
         (HostileKind::MissingLogs, 0.85, 0.90),
     ];
     for (kind, precision_floor, recall_floor) in floors {
-        let stats = report.class(kind).expect("every class ran");
+        let stats = &report.class(kind).expect("every class ran").accuracy;
         assert_eq!(stats.scenarios, 100, "{kind}: class must run in full");
         assert!(
             stats.faulty >= 40,
@@ -79,7 +78,7 @@ fn hostile_sweep_meets_the_committed_accuracy_floors() {
     assert!(lossy.disturbed > 0, "the transport must disturb batches");
     assert!(lossy.resyncs >= 1, "lost batches must force full resyncs");
     assert_eq!(
-        lossy.detected, lossy.faulty,
+        lossy.accuracy.detected, lossy.accuracy.faulty,
         "every lossy-probe fault must still be detected after recovery"
     );
 
@@ -87,7 +86,7 @@ fn hostile_sweep_meets_the_committed_accuracy_floors() {
     // root cause sits in the top-3 in at least 70% of the faulty scenarios.
     let missing = report.class(HostileKind::MissingLogs).unwrap();
     assert_eq!(
-        missing.ranked_nonempty, missing.faulty,
+        missing.ranked_nonempty, missing.accuracy.faulty,
         "wiped logs must never leave the operator without a ranked diagnosis"
     );
     let top3 = missing.rank.top3_rate();
@@ -110,8 +109,8 @@ fn hostile_campaigns_are_deterministic_across_thread_counts() {
         ..base
     }
     .run();
-    assert_eq!(reference.outcomes, threaded.outcomes);
-    assert_eq!(reference.report(), threaded.report());
+    assert_eq!(reference, threaded);
+    assert_eq!(HostileReport::of(&reference), HostileReport::of(&threaded));
 }
 
 fn testbed_fabric(seed: u64) -> Fabric {
