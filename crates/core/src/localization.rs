@@ -123,11 +123,12 @@ impl Default for ScoutConfig {
 ///
 /// The cover stage operates on the model's
 /// [failure subgraph](RiskModel::failure_subgraph) rather than a full working
-/// clone: the stage's candidates are always failed risks of (still
-/// unexplained) observations, and every count it consults — dependents,
-/// failed dependents — involves only those risks, so the projection is
-/// behavior-preserving while keeping the per-run cost proportional to the
-/// failure footprint instead of the policy universe.
+/// clone: the failed risks whose dependents are all observations. Pruning
+/// removes only dependents of hit-ratio-1 risks, i.e. observations, so a
+/// risk with a healthy dependent can never reach hit ratio 1 and leaving it
+/// out changes no count the stage reads. The result is bit-identical to the
+/// full model's, at a cost proportional to the failure signature instead of
+/// the policy universe.
 pub fn scout_localize<E: Ord + Copy>(
     model: &RiskModel<E>,
     change_log: &ChangeLog,
@@ -309,7 +310,7 @@ pub fn score_localize<E: Ord + Copy>(model: &RiskModel<E>, threshold: f64) -> Hy
 mod tests {
     use super::*;
     use scout_fabric::ChangeAction;
-    use scout_policy::{ContractId, EpgId, EpgPair, FilterId};
+    use scout_policy::{ContractId, EpgId, EpgPair, FilterId, VrfId};
 
     fn pair(a: u32, b: u32) -> EpgPair {
         EpgPair::new(EpgId::new(a), EpgId::new(b))
@@ -623,26 +624,66 @@ mod tests {
         hypothesis
     }
 
+    /// Risk R reaches hit ratio 1 only after stage 1 prunes an observation
+    /// with a *success* edge to R; the projection must keep that edge (so R
+    /// is not selected early) and still select R in the second round.
+    #[test]
+    fn risk_freed_by_pruning_a_success_edge_is_still_selected() {
+        let mut m: RiskModel<EpgPair> = RiskModel::new();
+        let (a, b, c) = (pair(1, 2), pair(3, 4), pair(5, 6));
+        // F1 fully failed over A and B: the first round's pick.
+        m.mark_failed(a, filter(1));
+        m.mark_failed(b, filter(1));
+        // R = C1: failed from C, success from the observation B.
+        m.mark_failed(c, contract(1));
+        m.add_edge(b, contract(1));
+        // A healthy element on an unrelated risk stays out of the picture.
+        m.add_edge(pair(7, 8), contract(9));
+        m.add_edge(c, contract(9));
+
+        let sub = m.failure_subgraph();
+        assert_eq!(sub.dependent_count(contract(1)), 2, "B's success edge kept");
+        assert_eq!(sub.hit_ratio(contract(1)), 0.5);
+        assert_eq!(sub.dependent_count(contract(9)), 0, "healthy dependent");
+
+        let h = scout_localize(&m, &ChangeLog::new(), ScoutConfig::default());
+        assert_eq!(h.objects(), BTreeSet::from([filter(1), contract(1)]));
+        assert_eq!(h.explained_by_cover, 3);
+        assert_eq!(h.unexplained, 0);
+        assert_eq!(
+            h,
+            reference_scout_localize(&m, &ChangeLog::new(), ScoutConfig::default())
+        );
+    }
+
     /// The projected cover stage must agree with the full-clone reference on
-    /// random bipartite models with mixed healthy/failed edges.
+    /// random bipartite models with mixed healthy/failed edges: one risk
+    /// shared by every element, some elements with no failed edge at all.
     #[test]
     fn projected_localize_matches_full_clone_reference() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        for seed in 0..300u64 {
+        let shared = ObjectId::Vrf(VrfId::new(1));
+        for seed in 0..1200u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut model: RiskModel<EpgPair> = RiskModel::new();
             let elements = rng.gen_range(1usize..14);
+            let healthy = rng.gen_range(0..=elements.min(3));
             for i in 0..elements {
                 let e = pair(i as u32 * 2, i as u32 * 2 + 1);
-                model.add_element(e);
+                let fail = if i < healthy { 0.0 } else { 0.4 };
+                if rng.gen_bool(fail) {
+                    model.mark_failed(e, shared);
+                } else {
+                    model.add_edge(e, shared);
+                }
                 for _ in 0..rng.gen_range(0usize..6) {
                     let risk = if rng.gen_bool(0.5) {
                         filter(rng.gen_range(0u32..9))
                     } else {
                         contract(rng.gen_range(0u32..9))
                     };
-                    if rng.gen_bool(0.4) {
+                    if rng.gen_bool(fail) {
                         model.mark_failed(e, risk);
                     } else {
                         model.add_edge(e, risk);

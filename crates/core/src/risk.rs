@@ -217,26 +217,35 @@ impl<E: Ord + Copy> RiskModel<E> {
         }
     }
 
-    /// The sub-model induced by the current failure evidence: every risk with
-    /// at least one failed edge, every element depending on such a risk, and
-    /// exactly the edges between them (statuses preserved).
+    /// The sub-model the SCOUT cover stage can ever select from: every risk
+    /// with a failed edge whose dependents are *all* observations, those
+    /// dependents, and exactly the edges between them (statuses preserved).
     ///
-    /// This is the part of the model the SCOUT cover stage can ever inspect —
-    /// its candidate risks are the failed risks of the observations, and both
-    /// hit and coverage ratios of a candidate only involve that candidate's
-    /// dependents. Running the cover stage on the subgraph therefore produces
-    /// bit-identical results at a cost proportional to the failure footprint,
-    /// not the policy universe.
+    /// Stage 1 prunes only the dependents of hit-ratio-1 risks, which are
+    /// observations, so a risk with a healthy dependent never reaches hit
+    /// ratio 1 and dropping it changes no count the stage reads. Every element
+    /// kept is an observation (`element_count() ≤ |failure signature|`), and
+    /// the observed dependents of a risk are counted from the observations'
+    /// edges, never by walking its dependents — the cost is the failure
+    /// footprint, not the fabric.
     pub fn failure_subgraph(&self) -> RiskModel<E> {
+        let observations = self.failure_signature();
+        // risk -> its dependents that are observations; kept when that is all
+        // of them and at least one of their edges to it failed.
+        let mut kept: BTreeMap<ObjectId, usize> = BTreeMap::new();
+        for risk in observations.iter().flat_map(|o| self.edges[o].keys()) {
+            *kept.entry(*risk).or_default() += 1;
+        }
+        kept.retain(|risk, n| self.failed.contains_key(risk) && *n == self.dependent_count(*risk));
         let mut sub = RiskModel::new();
-        for (&risk, failed) in &self.failed {
-            if let Some(deps) = self.dependents.get(&risk) {
-                for element in deps {
-                    if failed.contains(element) {
-                        sub.mark_failed(*element, risk);
-                    } else {
-                        sub.add_edge(*element, risk);
-                    }
+        for element in &observations {
+            for (risk, &status) in &self.edges[element] {
+                if !kept.contains_key(risk) {
+                    continue;
+                }
+                match status {
+                    EdgeStatus::Fail => sub.mark_failed(*element, *risk),
+                    EdgeStatus::Success => sub.add_edge(*element, *risk),
                 }
             }
         }
@@ -1098,25 +1107,34 @@ mod tests {
         // Healthy model: the subgraph is empty.
         assert_eq!(model.failure_subgraph().element_count(), 0);
 
+        let vrf = ObjectId::Vrf(sample::VRF);
         let web_app = EpgPair::new(sample::WEB, sample::APP);
         let app_db = EpgPair::new(sample::APP, sample::DB);
-        model.mark_failed(web_app, ObjectId::Vrf(sample::VRF));
+        model.mark_failed(web_app, vrf);
+        // The VRF's other dependent, App-DB, is healthy: the VRF can never
+        // reach hit ratio 1, so it is absent and nothing is left.
         let sub = model.failure_subgraph();
-        // The VRF is the only candidate risk; both its dependents are kept
-        // (the healthy App-DB edge included, so hit ratios agree).
-        assert_eq!(sub.risk_count(), 1);
+        assert_eq!(sub.risk_count(), 0);
+        assert_eq!(sub.element_count(), 0);
+
+        // Once App-DB is an observation too (through its own contract), both
+        // the VRF and the contract are kept, App-DB's success edge to the VRF
+        // included, so the VRF's counts match the full model's.
+        let c_app_db = ObjectId::Contract(sample::C_APP_DB);
+        model.mark_failed(app_db, c_app_db);
+        let sub = model.failure_subgraph();
+        assert_eq!(
+            sub.risks().copied().collect::<Vec<_>>(),
+            vec![vrf, c_app_db]
+        );
         assert_eq!(sub.element_count(), 2);
-        assert_eq!(
-            sub.hit_ratio(ObjectId::Vrf(sample::VRF)),
-            model.hit_ratio(ObjectId::Vrf(sample::VRF))
-        );
-        assert_eq!(
-            sub.failed_dependent_count(ObjectId::Vrf(sample::VRF)),
-            model.failed_dependent_count(ObjectId::Vrf(sample::VRF))
-        );
-        assert!(sub.is_failed(&web_app));
-        assert!(!sub.is_failed(&app_db));
-        // Risks with no failed edge are not in the subgraph at all.
-        assert_eq!(sub.dependent_count(ObjectId::Filter(sample::F_HTTP)), 0);
+        assert_eq!(sub.dependents_of(vrf), BTreeSet::from([web_app, app_db]));
+        assert_eq!(sub.failed_risks_of(&app_db), BTreeSet::from([c_app_db]));
+        assert_eq!(sub.hit_ratio(vrf), model.hit_ratio(vrf));
+        assert_eq!(sub.hit_ratio(vrf), 0.5);
+        // Success edges to risks that were dropped are not copied.
+        assert_eq!(sub.risks_of(&web_app), BTreeSet::from([vrf]));
+        // Every element kept is an observation.
+        assert!(sub.element_count() <= model.failure_signature().len());
     }
 }

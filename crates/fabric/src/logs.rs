@@ -7,6 +7,7 @@
 //! …). Both are modeled here as append-only in-memory logs with query helpers
 //! used by the localization and correlation engines.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 use scout_policy::{ObjectId, SwitchId};
@@ -51,10 +52,25 @@ pub struct ChangeLogEntry {
 }
 
 /// The controller's append-only policy change log.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Entries are indexed by object, so the per-object queries the localization
+/// and correlation stages run cost the object's entries, not the log. The
+/// index is derived from the entries: equality and the wire bytes are the
+/// entries' alone.
+#[derive(Debug, Clone, Default)]
 pub struct ChangeLog {
     entries: Vec<ChangeLogEntry>,
+    /// `(object, position in entries)` of every entry.
+    by_object: BTreeSet<(ObjectId, usize)>,
 }
+
+impl PartialEq for ChangeLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl Eq for ChangeLog {}
 
 impl ChangeLog {
     /// Creates an empty change log.
@@ -71,7 +87,7 @@ impl ChangeLog {
         switch: Option<SwitchId>,
         detail: impl Into<String>,
     ) {
-        self.entries.push(ChangeLogEntry {
+        self.push(ChangeLogEntry {
             time,
             object,
             action,
@@ -84,6 +100,7 @@ impl ChangeLog {
     /// mirroring the controller's log (e.g. a `FabricView` ingesting
     /// change-event deltas) appends the entries verbatim, timestamps included.
     pub fn push(&mut self, entry: ChangeLogEntry) {
+        self.by_object.insert((entry.object, self.entries.len()));
         self.entries.push(entry);
     }
 
@@ -102,21 +119,21 @@ impl ChangeLog {
         self.entries.is_empty()
     }
 
+    /// The entries concerning `object`, in time order.
+    fn iter_for(&self, object: ObjectId) -> impl DoubleEndedIterator<Item = &ChangeLogEntry> {
+        self.by_object
+            .range((object, 0)..=(object, usize::MAX))
+            .map(|&(_, i)| &self.entries[i])
+    }
+
     /// Entries concerning `object`, in time order.
     pub fn entries_for(&self, object: ObjectId) -> Vec<&ChangeLogEntry> {
-        self.entries.iter().filter(|e| e.object == object).collect()
+        self.iter_for(object).collect()
     }
 
     /// The most recent entry concerning `object`, if any.
     pub fn last_entry_for(&self, object: ObjectId) -> Option<&ChangeLogEntry> {
-        self.entries.iter().rev().find(|e| e.object == object)
-    }
-
-    /// Returns `true` if `object` has an entry with time in `[since, until]`.
-    pub fn changed_between(&self, object: ObjectId, since: Timestamp, until: Timestamp) -> bool {
-        self.entries
-            .iter()
-            .any(|e| e.object == object && e.time >= since && e.time <= until)
+        self.iter_for(object).next_back()
     }
 }
 
@@ -339,8 +356,60 @@ mod tests {
             log.last_entry_for(filter).unwrap().action,
             ChangeAction::Modify
         );
-        assert!(log.changed_between(filter, Timestamp::new(6), Timestamp::new(10)));
-        assert!(!log.changed_between(vrf, Timestamp::new(6), Timestamp::new(10)));
+        assert_eq!(log.entries_for(vrf).len(), 1);
+        assert!(log
+            .last_entry_for(ObjectId::Filter(FilterId::new(9)))
+            .is_none());
+    }
+
+    /// The per-object index answers exactly what a scan of the entries does,
+    /// on random logs, after `clone()` and after a wire round-trip.
+    #[test]
+    fn indexed_queries_match_a_linear_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn assert_matches_scan(log: &ChangeLog, seed: u64) {
+            for i in 0..8 {
+                let object = ObjectId::Filter(FilterId::new(i));
+                let scan: Vec<&ChangeLogEntry> = log
+                    .entries()
+                    .iter()
+                    .filter(|e| e.object == object)
+                    .collect();
+                assert_eq!(log.entries_for(object), scan, "seed {seed}");
+                assert_eq!(
+                    log.last_entry_for(object),
+                    scan.last().copied(),
+                    "seed {seed}"
+                );
+            }
+        }
+
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut log = ChangeLog::new();
+            for t in 0..rng.gen_range(0u64..60) {
+                let entry = ChangeLogEntry {
+                    time: Timestamp::new(t / 3),
+                    object: ObjectId::Filter(FilterId::new(rng.gen_range(0u32..6))),
+                    action: ChangeAction::Modify,
+                    switch: None,
+                    detail: format!("change {t}"),
+                };
+                if rng.gen_bool(0.5) {
+                    log.push(entry);
+                } else {
+                    log.record(entry.time, entry.object, entry.action, None, entry.detail);
+                }
+            }
+            assert_matches_scan(&log, seed);
+            assert_matches_scan(&log.clone(), seed);
+            let decoded: ChangeLog = crate::wire::from_bytes(&crate::wire::to_bytes(&log))
+                .expect("a change log round-trips");
+            assert_eq!(decoded, log, "seed {seed}");
+            assert_matches_scan(&decoded, seed);
+        }
     }
 
     #[test]

@@ -548,12 +548,18 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+/// Encodes a slice exactly as the `Vec` holding it would be encoded, without
+/// cloning it into one.
+fn encode_slice<T: Wire>(items: &[T], w: &mut WireWriter) {
+    w.put_usize(items.len());
+    for item in items {
+        item.encode(w);
+    }
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_usize(self.len());
-        for item in self {
-            item.encode(w);
-        }
+        encode_slice(self, w);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let len = r.get_usize()?;
@@ -1002,7 +1008,7 @@ wire_struct!(FaultLogEntry {
 
 impl Wire for ChangeLog {
     fn encode(&self, w: &mut WireWriter) {
-        self.entries().to_vec().encode(w);
+        encode_slice(self.entries(), w);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let entries = Vec::<ChangeLogEntry>::decode(r)?;
@@ -1016,7 +1022,7 @@ impl Wire for ChangeLog {
 
 impl Wire for FaultLog {
     fn encode(&self, w: &mut WireWriter) {
-        self.entries().to_vec().encode(w);
+        encode_slice(self.entries(), w);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let entries = Vec::<FaultLogEntry>::decode(r)?;
