@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::table::{CacheStats, DEFAULT_CACHE_LIMIT};
-use crate::table::{ImpliesCache, NodeTableKind, NotCache, OpCache, Probe, UniqueTable};
+use crate::table::{ImpliesCache, NotCache, OpCache, Probe, UniqueTable};
 
 /// A handle to a BDD node owned by a [`BddManager`].
 ///
@@ -55,7 +55,7 @@ pub type Var = u32;
 
 const TERMINAL_VAR: Var = Var::MAX;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Node {
     var: Var,
     low: Bdd,
@@ -139,12 +139,9 @@ impl BddOp {
 ///
 /// The manager owns all nodes in a flat arena (`Vec<Node>`); [`Bdd`] handles
 /// are indices into it. Hash-consing and the operation caches run on the
-/// cache-conscious backends of [`crate::table`] by default: an open-addressing
-/// unique table over node indices and lossy direct-mapped op/not/implies
-/// caches whose growth is bounded by [`BddManager::set_cache_limit`]. The
-/// historical `std::collections::HashMap` backend remains available through
-/// [`BddManager::with_backend`] as a benchmarking baseline; both backends
-/// produce bit-identical handles for the same operation sequence.
+/// cache-conscious tables of [`crate::table`]: an open-addressing unique table
+/// over node indices and lossy direct-mapped op/not/implies caches whose
+/// growth is bounded by [`BddManager::set_cache_limit`].
 ///
 /// All operations keep the diagram *reduced* (no node with identical low/high
 /// children, no duplicate nodes) and *ordered* (variable indices strictly
@@ -164,18 +161,10 @@ impl BddOp {
 #[derive(Debug, Clone)]
 pub struct BddManager {
     nodes: Vec<Node>,
-    kind: NodeTableKind,
-    // Arena backend (crate::table).
     unique: UniqueTable,
     op_cache: OpCache,
     not_cache: NotCache,
     implies_cache: ImpliesCache,
-    // Baseline backend (std HashMaps, empty while the arena backend is
-    // active). Kept for benchmark comparisons and differential testing.
-    unique_map: HashMap<Node, Bdd>,
-    op_map: HashMap<(BddOp, Bdd, Bdd), Bdd>,
-    not_map: HashMap<Bdd, Bdd>,
-    implies_map: HashMap<(Bdd, Bdd), bool>,
     cache_limit: usize,
     stats: CacheStats,
     num_vars: u32,
@@ -183,16 +172,8 @@ pub struct BddManager {
 
 impl BddManager {
     /// Creates a manager for `num_vars` decision variables (indices
-    /// `0..num_vars`) using the default arena backend.
+    /// `0..num_vars`).
     pub fn new(num_vars: u32) -> Self {
-        Self::with_backend(num_vars, NodeTableKind::default())
-    }
-
-    /// Creates a manager with an explicit storage backend — the arena tables
-    /// (default) or the historical `HashMap` baseline used for benchmark
-    /// comparisons. Both produce bit-identical handles for the same sequence
-    /// of operations; only speed and memory behavior differ.
-    pub fn with_backend(num_vars: u32, kind: NodeTableKind) -> Self {
         let nodes = vec![
             // FALSE terminal
             Node {
@@ -210,24 +191,14 @@ impl BddManager {
         let cache_limit = DEFAULT_CACHE_LIMIT;
         Self {
             nodes,
-            kind,
             unique: UniqueTable::new(),
             op_cache: OpCache::new(cache_limit),
             not_cache: NotCache::new(cache_limit),
             implies_cache: ImpliesCache::new(cache_limit),
-            unique_map: HashMap::new(),
-            op_map: HashMap::new(),
-            not_map: HashMap::new(),
-            implies_map: HashMap::new(),
             cache_limit,
             stats: CacheStats::default(),
             num_vars,
         }
-    }
-
-    /// The storage backend this manager was created with.
-    pub fn backend(&self) -> NodeTableKind {
-        self.kind
     }
 
     /// Cumulative hit/miss/eviction counters of the operation caches.
@@ -252,9 +223,8 @@ impl BddManager {
     /// Bounds the operation caches to at most `limit` entries each (rounded
     /// up to a power of two; at least one entry).
     ///
-    /// The direct-mapped arena caches stop growing at the limit and shrink
-    /// immediately if they already exceed it; the baseline maps are cleared
-    /// whenever an insert would push them past it. Engines wire this to their
+    /// The direct-mapped caches stop growing at the limit and shrink
+    /// immediately if they already exceed it. Engines wire this to their
     /// node budget so long-lived checkers cannot accumulate unbounded
     /// memoization state.
     pub fn set_cache_limit(&mut self, limit: usize) {
@@ -263,16 +233,6 @@ impl BddManager {
         self.op_cache.set_limit(limit);
         self.not_cache.set_limit(limit);
         self.implies_cache.set_limit(limit);
-        if self.op_map.len() > self.cache_limit
-            || self.not_map.len() > self.cache_limit
-            || self.implies_map.len() > self.cache_limit
-        {
-            let dropped = self.op_map.len() + self.not_map.len() + self.implies_map.len();
-            self.stats.evictions += dropped as u64;
-            self.op_map.clear();
-            self.not_map.clear();
-            self.implies_map.clear();
-        }
     }
 
     /// Number of decision variables this manager was created with.
@@ -305,39 +265,24 @@ impl BddManager {
         if low == high {
             return low;
         }
-        match self.kind {
-            NodeTableKind::Arena => {
+        let nodes = &self.nodes;
+        let read = |i: u32| {
+            let n = nodes[i as usize];
+            (n.var, n.low.0, n.high.0)
+        };
+        match self.unique.probe(var, low.0, high.0, read) {
+            Probe::Found(index) => Bdd(index),
+            Probe::Vacant(slot) => {
+                let index = u32::try_from(self.nodes.len()).expect("bdd node table overflow");
+                self.nodes.push(Node { var, low, high });
                 let nodes = &self.nodes;
-                let read = |i: u32| {
+                self.unique.insert(slot, index, |i| {
                     let n = nodes[i as usize];
                     (n.var, n.low.0, n.high.0)
-                };
-                match self.unique.probe(var, low.0, high.0, read) {
-                    Probe::Found(index) => Bdd(index),
-                    Probe::Vacant(slot) => {
-                        let index =
-                            u32::try_from(self.nodes.len()).expect("bdd node table overflow");
-                        self.nodes.push(Node { var, low, high });
-                        let nodes = &self.nodes;
-                        self.unique.insert(slot, index, |i| {
-                            let n = nodes[i as usize];
-                            (n.var, n.low.0, n.high.0)
-                        });
-                        debug_assert_eq!(self.unique.len(), self.nodes.len() - 2);
-                        debug_assert!(self.unique.capacity() > self.unique.len());
-                        Bdd(index)
-                    }
-                }
-            }
-            NodeTableKind::Baseline => {
-                let node = Node { var, low, high };
-                if let Some(&existing) = self.unique_map.get(&node) {
-                    return existing;
-                }
-                let handle = Bdd(u32::try_from(self.nodes.len()).expect("bdd node table overflow"));
-                self.nodes.push(node);
-                self.unique_map.insert(node, handle);
-                handle
+                });
+                debug_assert_eq!(self.unique.len(), self.nodes.len() - 2);
+                debug_assert!(self.unique.capacity() > self.unique.len());
+                Bdd(index)
             }
         }
     }
@@ -353,10 +298,7 @@ impl BddManager {
 
     #[inline]
     fn op_cache_get(&mut self, op: BddOp, a: Bdd, b: Bdd) -> Option<Bdd> {
-        let cached = match self.kind {
-            NodeTableKind::Arena => self.op_cache.get(Self::op_tag(op), a.0, b.0).map(Bdd),
-            NodeTableKind::Baseline => self.op_map.get(&(op, a, b)).copied(),
-        };
+        let cached = self.op_cache.get(Self::op_tag(op), a.0, b.0).map(Bdd);
         if cached.is_some() {
             self.stats.hits += 1;
         } else {
@@ -367,24 +309,13 @@ impl BddManager {
 
     #[inline]
     fn op_cache_put(&mut self, op: BddOp, a: Bdd, b: Bdd, result: Bdd) {
-        match self.kind {
-            NodeTableKind::Arena => {
-                self.op_cache.put(
-                    Self::op_tag(op),
-                    a.0,
-                    b.0,
-                    result.0,
-                    &mut self.stats.evictions,
-                );
-            }
-            NodeTableKind::Baseline => {
-                if self.op_map.len() >= self.cache_limit {
-                    self.stats.evictions += self.op_map.len() as u64;
-                    self.op_map.clear();
-                }
-                self.op_map.insert((op, a, b), result);
-            }
-        }
+        self.op_cache.put(
+            Self::op_tag(op),
+            a.0,
+            b.0,
+            result.0,
+            &mut self.stats.evictions,
+        );
     }
 
     /// The BDD for a single positive literal `x_var`.
@@ -474,11 +405,7 @@ impl BddManager {
         if a.is_false() {
             return Bdd::TRUE;
         }
-        let cached = match self.kind {
-            NodeTableKind::Arena => self.not_cache.get(a.0).map(Bdd),
-            NodeTableKind::Baseline => self.not_map.get(&a).copied(),
-        };
-        if let Some(result) = cached {
+        if let Some(result) = self.not_cache.get(a.0).map(Bdd) {
             self.stats.hits += 1;
             return result;
         }
@@ -487,18 +414,7 @@ impl BddManager {
         let low = self.not(node.low);
         let high = self.not(node.high);
         let result = self.mk(node.var, low, high);
-        match self.kind {
-            NodeTableKind::Arena => {
-                self.not_cache.put(a.0, result.0, &mut self.stats.evictions);
-            }
-            NodeTableKind::Baseline => {
-                if self.not_map.len() >= self.cache_limit {
-                    self.stats.evictions += self.not_map.len() as u64;
-                    self.not_map.clear();
-                }
-                self.not_map.insert(a, result);
-            }
-        }
+        self.not_cache.put(a.0, result.0, &mut self.stats.evictions);
         result
     }
 
@@ -632,11 +548,7 @@ impl BddManager {
             // In a reduced diagram only TRUE denotes the tautology.
             return false;
         }
-        let cached = match self.kind {
-            NodeTableKind::Arena => self.implies_cache.get(a.0, b.0),
-            NodeTableKind::Baseline => self.implies_map.get(&(a, b)).copied(),
-        };
-        if let Some(result) = cached {
+        if let Some(result) = self.implies_cache.get(a.0, b.0) {
             self.stats.hits += 1;
             return result;
         }
@@ -645,19 +557,8 @@ impl BddManager {
         let (a_low, a_high) = self.cofactors(a, top);
         let (b_low, b_high) = self.cofactors(b, top);
         let result = self.implies(a_low, b_low) && self.implies(a_high, b_high);
-        match self.kind {
-            NodeTableKind::Arena => {
-                self.implies_cache
-                    .put(a.0, b.0, result, &mut self.stats.evictions);
-            }
-            NodeTableKind::Baseline => {
-                if self.implies_map.len() >= self.cache_limit {
-                    self.stats.evictions += self.implies_map.len() as u64;
-                    self.implies_map.clear();
-                }
-                self.implies_map.insert((a, b), result);
-            }
-        }
+        self.implies_cache
+            .put(a.0, b.0, result, &mut self.stats.evictions);
         result
     }
 
@@ -665,14 +566,7 @@ impl BddManager {
     ///
     /// Useful to monitor the memory footprint of a long-lived manager.
     pub fn cache_len(&self) -> usize {
-        match self.kind {
-            NodeTableKind::Arena => {
-                self.op_cache.len() + self.not_cache.len() + self.implies_cache.len()
-            }
-            NodeTableKind::Baseline => {
-                self.op_map.len() + self.not_map.len() + self.implies_map.len()
-            }
-        }
+        self.op_cache.len() + self.not_cache.len() + self.implies_cache.len()
     }
 
     /// Drops every memoized operation result while keeping the node table.
@@ -683,9 +577,6 @@ impl BddManager {
         self.op_cache.clear();
         self.not_cache.clear();
         self.implies_cache.clear();
-        self.op_map.clear();
-        self.not_map.clear();
-        self.implies_map.clear();
     }
 }
 
@@ -864,13 +755,14 @@ mod tests {
         assert_eq!(m.node_count(), before, "implies must not allocate nodes");
     }
 
-    /// Drives both backends through an identical randomized operation
-    /// sequence and checks every returned handle is bit-identical. Lossy
-    /// direct-mapped caches may recompute what the baseline remembers, but
-    /// recomputation only re-derives nodes that are already interned, so the
-    /// arena backend must agree handle-for-handle with the `HashMap` one.
+    /// Drives three managers through an identical randomized operation
+    /// sequence — default caches, starved one-entry caches, and caches
+    /// cleared every 100 steps — and checks every returned handle is
+    /// bit-identical. A lost cache entry only makes the apply recursion
+    /// recompute, and recomputation re-derives nodes that are already
+    /// interned, so cache pressure may change speed but never a handle.
     #[test]
-    fn arena_and_baseline_produce_identical_handles() {
+    fn cache_pressure_never_changes_handles() {
         let mut lcg = 0x2545_f491_4f6c_dd1du64;
         let mut next = move || {
             lcg = lcg
@@ -878,37 +770,46 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (lcg >> 33) as u32
         };
-        let mut arena = BddManager::new(16);
-        let mut baseline = BddManager::with_backend(16, NodeTableKind::Baseline);
-        assert_eq!(arena.backend(), NodeTableKind::Arena);
-        assert_eq!(baseline.backend(), NodeTableKind::Baseline);
-        let mut handles: Vec<Bdd> = (0..16).map(|i| arena.var(i)).collect();
-        let baseline_handles: Vec<Bdd> = (0..16).map(|i| baseline.var(i)).collect();
-        assert_eq!(handles, baseline_handles);
+        let mut warm = BddManager::new(16);
+        let mut starved = BddManager::new(16);
+        starved.set_cache_limit(1);
+        let mut cleared = BddManager::new(16);
+        let mut handles: Vec<Bdd> = (0..16).map(|i| warm.var(i)).collect();
+        for other in [&mut starved, &mut cleared] {
+            let vars: Vec<Bdd> = (0..16).map(|i| other.var(i)).collect();
+            assert_eq!(handles, vars);
+        }
         for step in 0..4000 {
+            if step % 100 == 0 {
+                cleared.clear_op_caches();
+            }
             let i = next() as usize % handles.len();
             let j = next() as usize % handles.len();
             let (a, b) = (handles[i], handles[j]);
-            let (x, y) = match next() % 6 {
-                0 => (arena.and(a, b), baseline.and(a, b)),
-                1 => (arena.or(a, b), baseline.or(a, b)),
-                2 => (arena.xor(a, b), baseline.xor(a, b)),
-                3 => (arena.diff(a, b), baseline.diff(a, b)),
-                4 => (arena.not(a), baseline.not(a)),
-                _ => {
-                    assert_eq!(arena.implies(a, b), baseline.implies(a, b), "step {step}");
-                    continue;
-                }
+            let op = next() % 6;
+            let run = |m: &mut BddManager| match op {
+                0 => Ok(m.and(a, b)),
+                1 => Ok(m.or(a, b)),
+                2 => Ok(m.xor(a, b)),
+                3 => Ok(m.diff(a, b)),
+                4 => Ok(m.not(a)),
+                _ => Err(m.implies(a, b)),
             };
-            assert_eq!(x, y, "divergent handle at step {step}");
-            handles.push(x);
+            let x = run(&mut warm);
+            assert_eq!(x, run(&mut starved), "starved diverged at step {step}");
+            assert_eq!(x, run(&mut cleared), "cleared diverged at step {step}");
+            if let Ok(handle) = x {
+                handles.push(handle);
+            }
         }
-        assert_eq!(arena.node_count(), baseline.node_count());
-        let stats = arena.cache_stats();
+        assert_eq!(warm.node_count(), starved.node_count());
+        assert_eq!(warm.node_count(), cleared.node_count());
+        let stats = warm.cache_stats();
         assert!(
             stats.hits > 0 && stats.misses > 0,
             "caches must be exercised"
         );
+        assert!(starved.cache_stats().evictions > 0);
     }
 
     /// Randomized cross-validation against direct evaluation at a variable
@@ -978,14 +879,15 @@ mod tests {
     const INITIAL_TABLE_PROBE: usize = 1 << 10;
 
     /// Starved caches (limit 1) force constant collisions and evictions; the
-    /// results must still match a generously cached baseline handle-for-handle
-    /// — lossy caching may never change semantics, only speed.
+    /// results must still match a generously cached reference
+    /// handle-for-handle — lossy caching may never change semantics, only
+    /// speed.
     #[test]
     fn starved_caches_stay_correct_under_collision_stress() {
         let mut starved = BddManager::new(12);
         starved.set_cache_limit(1);
         assert_eq!(starved.cache_limit(), 1);
-        let mut reference = BddManager::with_backend(12, NodeTableKind::Baseline);
+        let mut reference = BddManager::new(12);
         let mut lcg = 0xdead_beef_cafe_f00du64;
         let mut next = move || {
             lcg = lcg
@@ -1015,11 +917,11 @@ mod tests {
         );
     }
 
-    /// Shrinking and re-raising the cache limit must not disturb results, and
-    /// the baseline backend must honor the bound by clearing.
+    /// A cache limit bounds every cache at once: three caches of at most 32
+    /// entries each, however much work runs through them.
     #[test]
-    fn cache_limit_bounds_baseline_maps() {
-        let mut m = BddManager::with_backend(10, NodeTableKind::Baseline);
+    fn cache_limit_bounds_the_caches() {
+        let mut m = BddManager::new(10);
         m.set_cache_limit(32);
         let vars: Vec<Bdd> = (0..10).map(|v| m.var(v)).collect();
         let mut acc = Bdd::TRUE;
@@ -1033,7 +935,7 @@ mod tests {
         }
         assert!(
             m.cache_len() <= 3 * 32,
-            "baseline caches exceeded their bound: {}",
+            "caches exceeded their bound: {}",
             m.cache_len()
         );
         assert!(m.is_satisfiable(acc));

@@ -1,9 +1,9 @@
-//! Cache-conscious storage backends for the BDD manager: the arena-backed
+//! Cache-conscious storage for the BDD manager: the arena-backed
 //! hash-consing table and the bounded direct-mapped operation caches.
 //!
-//! The default `std::collections::HashMap` pays SipHash plus a heap box per
+//! A `std::collections::HashMap` would pay SipHash plus a heap box per
 //! entry on every `mk`/`apply` — the single hottest path of the equivalence
-//! checker. The `UniqueTable` here replaces it with open addressing over a
+//! checker. The `UniqueTable` here uses open addressing over a
 //! flat `Vec<u32>` of node indices (offset by one so `0` means "empty"),
 //! an FxHash-style multiplicative hasher and power-of-two capacities, so a
 //! probe is a multiply, a mask and a handful of contiguous reads. Node
@@ -19,31 +19,31 @@
 //! behavior. Each cache doubles (up to a configurable limit tied to the
 //! engine's node budget) when evictions indicate thrashing.
 
-/// Which storage backend a manager uses for hash-consing and memoization.
+/// The storage a manager uses for hash-consing and memoization: there is
+/// only the arena.
+///
+/// Kept only because the stand-alone `benchmark/` package still names it;
+/// the next benchmark-only change deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NodeTableKind {
-    /// Arena-backed open addressing + direct-mapped caches (the default).
+    /// Arena-backed open addressing + direct-mapped caches.
     #[default]
     Arena,
-    /// The historical `std::collections::HashMap` tables, kept as the
-    /// benchmark baseline and as a differential-testing reference.
-    Baseline,
 }
 
 /// Hit/miss/eviction counters of a manager's operation caches.
 ///
 /// Hits and misses count lookups; evictions count entries lost to collisions
-/// (direct-mapped caches) or to a clear forced by the growth limit (baseline
-/// maps). Counters are cumulative for the life of the manager and are not
-/// reset by [`clear`](crate::BddManager::clear_op_caches)s.
+/// in the direct-mapped caches. Counters are cumulative for the life of the
+/// manager and are not reset by
+/// [`clear`](crate::BddManager::clear_op_caches)s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from a cache.
     pub hits: u64,
     /// Lookups that fell through to recomputation.
     pub misses: u64,
-    /// Entries overwritten by a colliding store, or dropped by a bounded
-    /// clear.
+    /// Entries overwritten by a colliding store.
     pub evictions: u64,
 }
 

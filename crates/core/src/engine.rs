@@ -5,10 +5,11 @@
 //! state, and operators consume diagnoses. [`ScoutEngine`] is that front
 //! door:
 //!
-//! * it is configured once through a [`ScoutEngineBuilder`] (parallelism,
-//!   cache budgets, differential-oracle cadence, correlation library) so
-//!   every driver — campaigns, soak timelines, examples, tests — shares one
-//!   configuration surface with one default;
+//! * it is configured once from an [`EngineConfig`] (parallelism, cache
+//!   budgets, differential-oracle cadence) through
+//!   [`ScoutEngine::from_config`], so every driver — campaigns, soak
+//!   timelines, examples, tests — shares one configuration surface with one
+//!   default;
 //! * it opens [`AnalysisSession`]s, one per monitored fabric; a session is
 //!   opened from a fabric snapshot and thereafter driven by
 //!   typed [`FabricEvent`](scout_fabric::FabricEvent) batches, each returning
@@ -76,12 +77,11 @@ impl OracleCadence {
 /// The plain-data configuration of a [`ScoutEngine`].
 ///
 /// This is the one struct drivers embed (campaigns, timelines, bench bins all
-/// carry an `EngineConfig`); the [`ScoutEngineBuilder`] adds the non-`Copy`
-/// correlation library on top.
+/// carry an `EngineConfig`).
 ///
 /// # Valid ranges
 ///
-/// [`ScoutEngineBuilder::build`] rejects degenerate configurations with a
+/// [`ScoutEngine::from_config`] rejects degenerate configurations with a
 /// typed [`EngineBuildError`] instead of silently producing a crippled
 /// engine:
 ///
@@ -102,10 +102,9 @@ pub struct EngineConfig {
     /// Per-worker BDD node-table budget of the equivalence checkers (see
     /// [`EquivalenceChecker::set_node_budget`]). Must be at least 1.
     pub node_budget: usize,
-    /// Node-table backend of the checkers' BDD managers (see
-    /// [`EquivalenceChecker::set_node_table`]). Defaults to the arena table;
-    /// the baseline toggle exists for benchmark comparisons — results are
-    /// identical either way.
+    /// Node table of the checkers' BDD managers; the arena is the only one.
+    /// Kept only because the stand-alone `benchmark/` package still reads
+    /// it; the next benchmark-only change deletes it.
     pub node_table: NodeTableKind,
     /// Differential-oracle cadence for drivers that cross-check incremental
     /// sessions against from-scratch analysis.
@@ -159,12 +158,11 @@ impl EngineConfig {
     pub(crate) fn checker(&self) -> EquivalenceChecker {
         let mut checker = EquivalenceChecker::with_parallelism(self.parallelism);
         checker.set_node_budget(self.node_budget);
-        checker.set_node_table(self.node_table);
         checker
     }
 }
 
-/// Why a [`ScoutEngineBuilder`] refused to build an engine.
+/// Why [`ScoutEngine::from_config`] refused a configuration.
 ///
 /// Each variant names the degenerate setting; see the field docs on
 /// [`EngineConfig`] for the valid ranges.
@@ -192,97 +190,6 @@ impl std::fmt::Display for EngineBuildError {
 }
 
 impl std::error::Error for EngineBuildError {}
-
-/// Builds a [`ScoutEngine`].
-///
-/// [`ScoutEngineBuilder::build`] validates the configuration and returns a
-/// typed [`EngineBuildError`] for degenerate settings (see the valid ranges
-/// on [`EngineConfig`]).
-///
-/// # Example
-///
-/// ```
-/// use scout_core::{OracleCadence, ScoutEngine};
-/// use scout_equiv::Parallelism;
-///
-/// let engine = ScoutEngine::builder()
-///     .parallelism(Parallelism::Sequential)
-///     .oracle(OracleCadence::Stride(10))
-///     .build()
-///     .expect("a sequential engine is a valid configuration");
-/// assert_eq!(engine.config().oracle, OracleCadence::Stride(10));
-///
-/// // Degenerate settings are rejected, not silently accepted:
-/// use scout_core::EngineBuildError;
-/// let err = ScoutEngine::builder().node_budget(0).build().unwrap_err();
-/// assert_eq!(err, EngineBuildError::ZeroNodeBudget);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ScoutEngineBuilder {
-    config: EngineConfig,
-    correlation: CorrelationEngine,
-}
-
-impl ScoutEngineBuilder {
-    /// A builder with the default configuration and the standard fault
-    /// signature library.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the worker-thread policy of the equivalence checkers.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.config.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the SCOUT localization configuration.
-    pub fn scout(mut self, scout: ScoutConfig) -> Self {
-        self.config.scout = scout;
-        self
-    }
-
-    /// Sets the per-worker BDD node-table budget (must be at least 1; see
-    /// [`EngineConfig::node_budget`]).
-    pub fn node_budget(mut self, budget: usize) -> Self {
-        self.config.node_budget = budget;
-        self
-    }
-
-    /// Sets the differential-oracle cadence.
-    pub fn oracle(mut self, oracle: OracleCadence) -> Self {
-        self.config.oracle = oracle;
-        self
-    }
-
-    /// Replaces the whole plain-data configuration at once (the path drivers
-    /// carrying an [`EngineConfig`] use).
-    pub fn config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets a custom correlation engine (e.g. an extended signature library).
-    pub fn correlation(mut self, correlation: CorrelationEngine) -> Self {
-        self.correlation = correlation;
-        self
-    }
-
-    /// Builds the engine, rejecting degenerate configurations with a typed
-    /// error (see the valid ranges on [`EngineConfig`]).
-    pub fn build(self) -> Result<ScoutEngine, EngineBuildError> {
-        self.config.validate()?;
-        Ok(ScoutEngine {
-            shared: Arc::new(EngineShared {
-                checker: self.config.checker(),
-                config: self.config,
-                correlation: self.correlation,
-                open_sessions: AtomicUsize::new(0),
-                gauges: ServiceGauges::new(),
-            }),
-        })
-    }
-}
 
 /// The engine state shared by the facade handle and every session it opened.
 #[derive(Debug)]
@@ -408,21 +315,48 @@ impl ScoutEngine {
     /// An engine with the default configuration and the standard fault
     /// signature library.
     pub fn new() -> Self {
-        Self::builder()
-            .build()
+        Self::from_config(EngineConfig::default())
             .expect("the default engine configuration is valid")
     }
 
-    /// Starts building an engine.
-    pub fn builder() -> ScoutEngineBuilder {
-        ScoutEngineBuilder::new()
-    }
-
     /// An engine with the given plain-data configuration and the standard
-    /// signature library. Degenerate configurations are rejected (see
-    /// [`EngineConfig::validate`]).
+    /// signature library. Degenerate configurations are rejected with a
+    /// typed [`EngineBuildError`] (see the valid ranges on
+    /// [`EngineConfig`]).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use scout_core::{EngineBuildError, EngineConfig, OracleCadence, ScoutEngine};
+    /// use scout_equiv::Parallelism;
+    ///
+    /// let engine = ScoutEngine::from_config(EngineConfig {
+    ///     parallelism: Parallelism::Sequential,
+    ///     oracle: OracleCadence::Stride(10),
+    ///     ..EngineConfig::default()
+    /// })
+    /// .expect("a sequential engine is a valid configuration");
+    /// assert_eq!(engine.config().oracle, OracleCadence::Stride(10));
+    ///
+    /// // Degenerate settings are rejected, not silently accepted:
+    /// let zero_budget = EngineConfig {
+    ///     node_budget: 0,
+    ///     ..EngineConfig::default()
+    /// };
+    /// let err = ScoutEngine::from_config(zero_budget).unwrap_err();
+    /// assert_eq!(err, EngineBuildError::ZeroNodeBudget);
+    /// ```
     pub fn from_config(config: EngineConfig) -> Result<Self, EngineBuildError> {
-        Self::builder().config(config).build()
+        config.validate()?;
+        Ok(Self {
+            shared: Arc::new(EngineShared {
+                checker: config.checker(),
+                config,
+                correlation: CorrelationEngine::new(),
+                open_sessions: AtomicUsize::new(0),
+                gauges: ServiceGauges::new(),
+            }),
+        })
     }
 
     /// The engine's plain-data configuration.
@@ -672,21 +606,20 @@ mod tests {
     }
 
     #[test]
-    fn builder_settings_reach_the_engine() {
-        let engine = ScoutEngine::builder()
-            .parallelism(Parallelism::Fixed(2))
-            .node_budget(1 << 10)
-            .oracle(OracleCadence::Never)
-            .scout(ScoutConfig {
-                recent_window: None,
-            })
-            .build()
-            .unwrap();
+    fn from_config_settings_reach_the_engine() {
+        let engine = ScoutEngine::from_config(EngineConfig {
+            parallelism: Parallelism::Fixed(2),
+            node_budget: 1 << 10,
+            oracle: OracleCadence::Never,
+            scout: ScoutConfig { recent_window: 0 },
+            ..EngineConfig::default()
+        })
+        .unwrap();
         let config = engine.config();
         assert_eq!(config.parallelism, Parallelism::Fixed(2));
         assert_eq!(config.node_budget, 1 << 10);
         assert_eq!(config.oracle, OracleCadence::Never);
-        assert_eq!(config.scout.recent_window, None);
+        assert_eq!(config.scout.recent_window, 0);
         // Round-trip through the plain-data config.
         let copied = ScoutEngine::from_config(*config).unwrap();
         assert_eq!(copied.config(), config);
@@ -694,15 +627,19 @@ mod tests {
 
     #[test]
     fn degenerate_configs_are_rejected_with_typed_errors() {
+        let with = |node_budget, parallelism| {
+            ScoutEngine::from_config(EngineConfig {
+                node_budget,
+                parallelism,
+                ..EngineConfig::default()
+            })
+        };
         assert_eq!(
-            ScoutEngine::builder().node_budget(0).build().unwrap_err(),
+            with(0, Parallelism::Auto).unwrap_err(),
             EngineBuildError::ZeroNodeBudget
         );
         assert_eq!(
-            ScoutEngine::builder()
-                .parallelism(Parallelism::Fixed(0))
-                .build()
-                .unwrap_err(),
+            with(DEFAULT_NODE_BUDGET, Parallelism::Fixed(0)).unwrap_err(),
             EngineBuildError::ZeroWorkerThreads
         );
         // The errors render actionable messages.
@@ -713,14 +650,8 @@ mod tests {
             .to_string()
             .contains("Sequential"));
         // Fixed(1) and Sequential remain valid single-threaded settings.
-        assert!(ScoutEngine::builder()
-            .parallelism(Parallelism::Fixed(1))
-            .build()
-            .is_ok());
-        assert!(ScoutEngine::builder()
-            .parallelism(Parallelism::Sequential)
-            .build()
-            .is_ok());
+        assert!(with(DEFAULT_NODE_BUDGET, Parallelism::Fixed(1)).is_ok());
+        assert!(with(DEFAULT_NODE_BUDGET, Parallelism::Sequential).is_ok());
     }
 
     #[test]

@@ -70,9 +70,7 @@ pub use correlation::{
     CorrelationEngine, CorrelationReport, ObjectDiagnosis, PartialDiagnosis, RankedCause,
     RootCause, SignatureLibrary,
 };
-pub use engine::{
-    EngineBuildError, EngineConfig, OracleCadence, ScoutEngine, ScoutEngineBuilder, ScoutReport,
-};
+pub use engine::{EngineBuildError, EngineConfig, OracleCadence, ScoutEngine, ScoutReport};
 pub use gauges::{ServiceGauges, ServiceStats};
 pub use localization::{score_localize, scout_localize, Evidence, Hypothesis, ScoutConfig};
 pub use risk::{
@@ -233,14 +231,15 @@ mod proptests {
                 *fabric.fault_log_mut() = FaultLog::new();
             }
 
-            let sequential = ScoutEngine::builder()
-                .parallelism(Parallelism::Sequential)
-                .build()
-                .unwrap();
-            let threaded = ScoutEngine::builder()
-                .parallelism(Parallelism::Fixed(4))
-                .build()
-                .unwrap();
+            let engine = |parallelism| {
+                ScoutEngine::from_config(EngineConfig {
+                    parallelism,
+                    ..EngineConfig::default()
+                })
+                .unwrap()
+            };
+            let sequential = engine(Parallelism::Sequential);
+            let threaded = engine(Parallelism::Fixed(4));
             let (report, ranked) = rank(&sequential, &fabric);
             let (_, reranked) = rank(&sequential, &fabric);
             assert_eq!(ranked, reranked, "seed {seed}: ranking must be stable");

@@ -93,11 +93,11 @@ pub struct ScoutConfig {
     /// For an unexplained observation the stage looks at the failed risks of
     /// that observation, finds the one changed most recently, and selects
     /// every candidate whose latest change falls within this window of that
-    /// time. `None` selects only the strictly most recently changed
+    /// time. `0` selects only the strictly most recently changed
     /// candidate(s). The default of 16 ticks comfortably groups the entries of
     /// one policy-update batch while excluding the much older initial
     /// deployment entries.
-    pub recent_window: Option<u64>,
+    pub recent_window: u64,
 }
 
 impl ScoutConfig {
@@ -108,7 +108,7 @@ impl ScoutConfig {
 impl Default for ScoutConfig {
     fn default() -> Self {
         Self {
-            recent_window: Some(Self::DEFAULT_RECENT_WINDOW),
+            recent_window: Self::DEFAULT_RECENT_WINDOW,
         }
     }
 }
@@ -220,12 +220,12 @@ pub fn scout_localize<E: Ord + Copy>(
 
 /// Among `candidates`, returns the recently-changed objects: every candidate
 /// whose latest change-log entry lies within `window` ticks of the most
-/// recently changed candidate. With `window = None` only the strictly latest
+/// recently changed candidate. With `window = 0` only the strictly latest
 /// candidate(s) are returned. Candidates with no change entry never qualify.
 fn most_recent_changes(
     candidates: &BTreeSet<ObjectId>,
     change_log: &ChangeLog,
-    window: Option<u64>,
+    window: u64,
 ) -> Vec<(ObjectId, Timestamp)> {
     let last_changes: Vec<(ObjectId, Timestamp)> = candidates
         .iter()
@@ -238,7 +238,6 @@ fn most_recent_changes(
     let Some(&newest) = last_changes.iter().map(|(_, t)| t).max() else {
         return Vec::new();
     };
-    let window = window.unwrap_or(0);
     last_changes
         .into_iter()
         .filter(|(_, t)| newest.since(*t) <= window)
@@ -466,24 +465,18 @@ mod tests {
             "old change",
         );
         // Tight window: only the most recent candidate (F3) qualifies.
-        let tight = ScoutConfig {
-            recent_window: Some(50),
-        };
+        let tight = ScoutConfig { recent_window: 50 };
         let h = scout_localize(&model, &log, tight);
         assert_eq!(h.objects(), BTreeSet::from([filter(2), filter(3)]));
         // Wide window: C3's older change also falls inside and is reported.
-        let wide = ScoutConfig {
-            recent_window: Some(200),
-        };
+        let wide = ScoutConfig { recent_window: 200 };
         let h = scout_localize(&model, &log, wide);
         assert_eq!(
             h.objects(),
             BTreeSet::from([filter(2), filter(3), contract(3)])
         );
-        // `None` keeps only the strictly latest candidate.
-        let strict = ScoutConfig {
-            recent_window: None,
-        };
+        // `0` keeps only the strictly latest candidate.
+        let strict = ScoutConfig { recent_window: 0 };
         let h = scout_localize(&model, &log, strict);
         assert_eq!(h.objects(), BTreeSet::from([filter(2), filter(3)]));
     }

@@ -25,18 +25,19 @@
 //!   iff every key's L and T sub-spaces are the same diagram (a key present
 //!   on one side only compares against `FALSE`), and a one-rule drift
 //!   re-folds only the handful of rules sharing its key.
-//! * **Persistent caches** — the checker's BDD workers (one for sequential
-//!   checking plus a pool for threaded checking) survive across calls. A
-//!   worker memoizes one diagram per distinct `(protocol, port range)` — the
-//!   key is not part of the diagrams, so every class, switch and tenant
-//!   shares them — and the manager's apply/implies caches keep every fold
-//!   step, so re-checking an unchanged class costs cache hits only.
+//! * **Persistent caches** — the checker keeps one pool of BDD workers that
+//!   survive across calls: every check checks out as many as its parallelism
+//!   gives it and returns them in order afterwards. A worker memoizes one
+//!   diagram per distinct `(protocol, port range)` — the key is not part of
+//!   the diagrams, so every class, switch and tenant shares them — and the
+//!   manager's apply/implies caches keep every fold step, so re-checking an
+//!   unchanged class costs cache hits only.
 //! * **Indexed logical rules** — [`EquivalenceChecker::check_network`] groups
 //!   the logical rules by switch once (`O(total rules)`) instead of re-scanning
 //!   the full rule list per switch (`O(switches × total rules)`).
 //! * **Parallel checking** — per-switch checks are embarrassingly parallel;
 //!   large networks are split across worker threads, each with its own
-//!   manager. Results are deterministic regardless of thread count.
+//!   pooled manager. Results are deterministic regardless of thread count.
 //! * **Incremental re-checking** — [`EquivalenceChecker::recheck_dirty`]
 //!   reuses a previous [`NetworkCheckResult`] and only revisits the switches
 //!   whose TCAM (or logical rule set) changed, doing work proportional to the
@@ -184,23 +185,19 @@ impl SlicedSpace {
 /// encoded to its diagram. Nothing in it depends on a VRF, an EPG or a
 /// switch, so every class of every switch (and every tenant sharing the
 /// checker) reuses the same few diagrams and fold results.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CheckWorker {
     manager: BddManager,
     match_cache: HashMap<(Protocol, PortRange), Bdd>,
-    /// Node-table backend the manager was (and any rebuild will be) created
-    /// on.
-    kind: NodeTableKind,
 }
 
 impl CheckWorker {
-    fn new(header_space: &HeaderSpace, kind: NodeTableKind, node_budget: usize) -> Self {
-        let mut manager = header_space.sub_manager_with(kind);
+    fn new(header_space: &HeaderSpace, node_budget: usize) -> Self {
+        let mut manager = header_space.sub_manager();
         manager.set_cache_limit(cache_limit_for(node_budget));
         Self {
             manager,
             match_cache: HashMap::new(),
-            kind,
         }
     }
 
@@ -213,7 +210,6 @@ impl CheckWorker {
         let Self {
             manager,
             match_cache,
-            ..
         } = self;
         let mut order: Vec<usize> = (0..rules.len()).collect();
         order.sort_by_key(|&i| class_of(&rules[i]));
@@ -298,12 +294,12 @@ impl CheckWorker {
         }
     }
 
-    /// Rebuilds the manager (same backend, budget-derived cache limit) if the
-    /// node table outgrew `budget`.
+    /// Rebuilds the manager (budget-derived cache limit) if the node table
+    /// outgrew `budget`.
     fn maybe_shrink(&mut self, header_space: &HeaderSpace, budget: usize) {
         if self.manager.node_count() > budget {
             let stats = self.manager.cache_stats();
-            *self = Self::new(header_space, self.kind, budget);
+            *self = Self::new(header_space, budget);
             self.manager.absorb_cache_stats(stats);
         }
     }
@@ -394,10 +390,10 @@ impl Parallelism {
 
 /// The BDD-based L–T equivalence checker.
 ///
-/// The checker keeps a persistent, internally synchronized BDD worker so that
-/// repeated calls — the normal mode of operation for a monitor that re-checks
-/// the fabric after every change — reuse rule encodings and operation caches
-/// instead of rebuilding the world.
+/// The checker keeps a persistent, internally synchronized pool of BDD
+/// workers so that repeated calls — the normal mode of operation for a
+/// monitor that re-checks the fabric after every change — reuse rule
+/// encodings and operation caches instead of rebuilding the world.
 ///
 /// # Example
 ///
@@ -416,39 +412,17 @@ impl Parallelism {
 pub struct EquivalenceChecker {
     header_space: HeaderSpace,
     parallelism: Parallelism,
-    /// Node-table backend every worker manager is created on.
-    node_table: NodeTableKind,
     /// Per-worker BDD node-table budget; a worker whose table outgrows it is
     /// rebuilt (see [`DEFAULT_NODE_BUDGET`]).
     node_budget: usize,
-    /// The sequential worker, warm across calls.
-    worker: Mutex<CheckWorker>,
-    /// Parallel workers, returned to this pool after every threaded check so
-    /// their managers and match caches stay warm across calls too.
+    /// Warm workers: every check checks some out and returns them in order,
+    /// so their managers and match caches stay warm across calls.
     pool: Mutex<Vec<CheckWorker>>,
 }
 
 impl Default for EquivalenceChecker {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clone for EquivalenceChecker {
-    /// Clones the configuration; the clone starts with fresh (empty) caches.
-    fn clone(&self) -> Self {
-        Self {
-            header_space: self.header_space.clone(),
-            parallelism: self.parallelism,
-            node_table: self.node_table,
-            node_budget: self.node_budget,
-            worker: Mutex::new(CheckWorker::new(
-                &self.header_space,
-                self.node_table,
-                self.node_budget,
-            )),
-            pool: Mutex::new(Vec::new()),
-        }
     }
 }
 
@@ -461,49 +435,24 @@ impl EquivalenceChecker {
 
     /// Creates a checker with an explicit parallelism policy.
     pub fn with_parallelism(parallelism: Parallelism) -> Self {
-        let header_space = HeaderSpace::new();
-        let node_table = NodeTableKind::default();
-        let worker = Mutex::new(CheckWorker::new(
-            &header_space,
-            node_table,
-            DEFAULT_NODE_BUDGET,
-        ));
         Self {
-            header_space,
+            header_space: HeaderSpace::new(),
             parallelism,
-            node_table,
             node_budget: DEFAULT_NODE_BUDGET,
-            worker,
             pool: Mutex::new(Vec::new()),
         }
     }
 
-    /// Switches every worker manager to the given node-table backend.
-    ///
-    /// Results never depend on the backend (the differential tests in
-    /// `scout-bdd` pin the two to bit-identical handles); the toggle exists
-    /// so benchmarks can compare the arena table against the baseline
-    /// hash-map one. Existing workers are discarded, so the next check
-    /// starts cold.
-    pub fn set_node_table(&mut self, kind: NodeTableKind) {
-        if self.node_table == kind {
-            return;
-        }
-        self.node_table = kind;
-        *self.lock_worker() = CheckWorker::new(&self.header_space, kind, self.node_budget);
-        self.lock_pool().clear();
-    }
-
-    /// The node-table backend worker managers run on.
-    pub fn node_table(&self) -> NodeTableKind {
-        self.node_table
-    }
+    /// Does nothing: the arena is the only node table. Kept only because
+    /// the stand-alone `benchmark/` package still calls it; the next
+    /// benchmark-only change deletes it.
+    pub fn set_node_table(&mut self, _kind: NodeTableKind) {}
 
     /// Aggregated BDD operation-cache counters (hits, misses, evictions)
-    /// across the sequential worker and the parallel pool — cumulative over
-    /// the checker's lifetime, surviving budget-triggered worker rebuilds.
+    /// across the worker pool — cumulative over the checker's lifetime,
+    /// surviving budget-triggered worker rebuilds.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut total = self.lock_worker().manager.cache_stats();
+        let mut total = CacheStats::default();
         for worker in self.lock_pool().iter() {
             let stats = worker.manager.cache_stats();
             total.hits += stats.hits;
@@ -523,7 +472,6 @@ impl EquivalenceChecker {
         // Keep the managers' lossy operation caches tied to the new budget
         // immediately, not only after the next worker rebuild.
         let limit = cache_limit_for(budget);
-        self.lock_worker().manager.set_cache_limit(limit);
         for worker in self.lock_pool().iter_mut() {
             worker.manager.set_cache_limit(limit);
         }
@@ -563,10 +511,10 @@ impl EquivalenceChecker {
             .filter(|l| l.switch == switch)
             .copied()
             .collect();
-        let mut worker = self.lock_worker();
-        let result = worker.check_switch(&self.header_space, switch, &for_switch, tcam);
-        worker.maybe_shrink(&self.header_space, self.node_budget);
-        result
+        let mut results = self.on_workers(1, |worker, _| {
+            worker.check_switch(&self.header_space, switch, &for_switch, tcam)
+        });
+        results.pop().expect("one item runs on one worker")
     }
 
     /// Checks every switch appearing either in the logical rules or in the
@@ -682,63 +630,53 @@ impl EquivalenceChecker {
         static EMPTY_LOGICAL: Vec<LogicalRule> = Vec::new();
         static EMPTY_TCAM: Vec<TcamRule> = Vec::new();
 
-        let check_chunk = |worker: &mut CheckWorker, chunk: &[SwitchId]| {
-            let results: Vec<_> = chunk
+        let results = self.on_workers(switches.len(), |worker, range| {
+            switches[range]
                 .iter()
                 .map(|&switch| {
                     let logical = index.get(&switch).unwrap_or(&EMPTY_LOGICAL);
                     let rules = tcam.get(&switch).unwrap_or(&EMPTY_TCAM);
-                    (
-                        switch,
-                        worker.check_switch(&self.header_space, switch, logical, rules),
-                    )
+                    let result = worker.check_switch(&self.header_space, switch, logical, rules);
+                    (switch, result)
                 })
-                .collect();
-            worker.maybe_shrink(&self.header_space, self.node_budget);
-            results
-        };
+                .collect::<Vec<_>>()
+        });
+        results.into_iter().flatten().collect()
+    }
 
-        let chunk_count = self.parallelism.worker_count(switches.len());
-        if chunk_count == 1 {
-            return check_chunk(&mut self.lock_worker(), &switches)
-                .into_iter()
-                .collect();
-        }
-
-        // One worker (and one private BDD manager) per chunk, checked out of
-        // the persistent pool before the fan-out and returned in chunk order
-        // after it, so threaded checks stay warm across calls just like the
-        // sequential path and the worker↔chunk pairing is deterministic. The
-        // per-switch results are independent, so parallel and sequential
-        // checking agree exactly.
+    /// Runs `work` over `items` items through [`Parallelism::fan_out`], one
+    /// warm worker per range. The workers are checked out of the pool before
+    /// the fan-out and returned in range order after it (cold ones are made
+    /// if the pool runs short), so the worker↔range pairing is deterministic
+    /// and every check, one switch or a wide front, warms the same pool.
+    fn on_workers<T, F>(&self, items: usize, work: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&mut CheckWorker, Range<usize>) -> T + Sync,
+    {
+        let count = self.parallelism.worker_count(items);
         let workers: Vec<Mutex<CheckWorker>> = {
             let mut pool = self.lock_pool();
-            while pool.len() < chunk_count {
-                pool.push(CheckWorker::new(
-                    &self.header_space,
-                    self.node_table,
-                    self.node_budget,
-                ));
+            while pool.len() < count {
+                pool.push(CheckWorker::new(&self.header_space, self.node_budget));
             }
-            let keep = pool.len() - chunk_count;
+            let keep = pool.len() - count;
             pool.split_off(keep).into_iter().map(Mutex::new).collect()
         };
-        let results = self.parallelism.fan_out(switches.len(), |chunk, range| {
-            let mut worker = workers[chunk]
+        let results = self.parallelism.fan_out(items, |range_index, range| {
+            let mut worker = workers[range_index]
                 .lock()
-                .expect("only this chunk locks its worker");
-            check_chunk(&mut worker, &switches[range])
+                .expect("only this range locks its worker");
+            let output = work(&mut worker, range);
+            worker.maybe_shrink(&self.header_space, self.node_budget);
+            output
         });
         self.lock_pool().extend(
             workers
                 .into_iter()
                 .map(|worker| worker.into_inner().unwrap_or_else(|e| e.into_inner())),
         );
-        results.into_iter().flatten().collect()
-    }
-
-    fn lock_worker(&self) -> std::sync::MutexGuard<'_, CheckWorker> {
-        self.worker.lock().unwrap_or_else(|e| e.into_inner())
+        results
     }
 
     fn lock_pool(&self) -> std::sync::MutexGuard<'_, Vec<CheckWorker>> {
@@ -876,7 +814,8 @@ mod tests {
         let tcam = fabric.collect_tcam();
         let first = checker.check_network(fabric.logical_rules(), &tcam);
         let cached_nodes = {
-            let worker = checker.lock_worker();
+            let pool = checker.lock_pool();
+            let worker = pool.last().expect("the check returned its worker");
             // One diagram per distinct (protocol, port range), however many
             // switches and EPG pairs carry it.
             let distinct: BTreeSet<_> = fabric
@@ -891,7 +830,7 @@ mod tests {
         };
         let second = checker.check_network(fabric.logical_rules(), &tcam);
         assert_eq!(first, second);
-        let after = checker.lock_worker().manager.node_count();
+        let after = checker.lock_pool().last().unwrap().manager.node_count();
         assert_eq!(cached_nodes, after, "second check must not allocate nodes");
     }
 
@@ -1014,28 +953,6 @@ mod tests {
         let again =
             checker.recheck_dirty(&baseline, fabric.logical_rules(), &tcam, &BTreeSet::new());
         assert_eq!(baseline, again);
-    }
-
-    #[test]
-    fn arena_and_baseline_backends_agree() {
-        let mut fabric = deployed();
-        fabric.remove_tcam_rules_where(sample::S2, |r| r.matcher.ports.start == 700);
-        fabric
-            .corrupt_tcam(sample::S3, 0, CorruptionKind::SrcEpgBit)
-            .unwrap();
-        let logical = fabric.logical_rules();
-        let tcam = fabric.collect_tcam();
-
-        let arena = EquivalenceChecker::new();
-        assert_eq!(arena.node_table(), NodeTableKind::Arena);
-        let mut baseline = EquivalenceChecker::new();
-        baseline.set_node_table(NodeTableKind::Baseline);
-        assert_eq!(baseline.node_table(), NodeTableKind::Baseline);
-
-        assert_eq!(
-            arena.check_network(logical, &tcam),
-            baseline.check_network(logical, &tcam)
-        );
     }
 
     #[test]

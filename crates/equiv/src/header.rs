@@ -11,7 +11,7 @@
 //!   checker keys rules by them (full `u32` ids, no encoding at all) and only
 //!   the protocol/port part of a match becomes a diagram:
 //!   [`HeaderSpace::sub_match`], on a manager from
-//!   [`HeaderSpace::sub_manager_with`].
+//!   [`HeaderSpace::sub_manager`].
 //! * **The full space (72 variables: VRF 16 + src EPG 16 + dst EPG 16 +
 //!   protocol 8 + port 16)** is the reference: [`HeaderSpace::rule_match`]
 //!   encodes a whole rule and [`HeaderSpace::allowed_space`] folds a whole
@@ -19,7 +19,7 @@
 //!   the checker's path uses it; the differential tests check the sliced
 //!   checker against it.
 
-use scout_bdd::{Bdd, BddManager, FieldEncoder, FieldLayout, NodeTableKind};
+use scout_bdd::{Bdd, BddManager, FieldEncoder, FieldLayout};
 use scout_policy::{Action, PortRange, Protocol, TcamRule};
 
 /// Bit width of the VRF id field.
@@ -78,10 +78,9 @@ impl HeaderSpace {
         self.layout.total_vars()
     }
 
-    /// Creates a manager sized for the sub-space on an explicit node-table
-    /// backend (the checker's baseline-vs-arena toggle routes through here).
-    pub fn sub_manager_with(&self, kind: NodeTableKind) -> BddManager {
-        BddManager::with_backend(self.sub_layout.total_vars(), kind)
+    /// Creates a manager sized for the sub-space.
+    pub fn sub_manager(&self) -> BddManager {
+        self.sub_layout.manager()
     }
 
     /// Encodes the non-exact part of a match — protocol and destination-port

@@ -50,8 +50,8 @@ pub use checker::{
 };
 pub use header::HeaderSpace;
 pub use naive::{naive_missing_rules, sample_flows};
-// Re-exported so downstream crates can pick a node-table backend and read
-// cache counters without depending on `scout-bdd` directly.
+// Re-exported so downstream crates can read cache counters (and name the
+// one node table) without depending on `scout-bdd` directly.
 pub use scout_bdd::{CacheStats, NodeTableKind};
 
 #[cfg(test)]

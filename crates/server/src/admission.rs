@@ -1,5 +1,5 @@
-//! Per-tenant admission control: token quotas, bounded FIFO queues, and an
-//! explicit shed-or-queue overload policy.
+//! Per-tenant admission control: token quotas and bounded FIFO queues (a
+//! queue capacity of 0 makes admission shed-only).
 //!
 //! The controller is **pure bookkeeping** — it never touches an engine or a
 //! session, which is what makes it property-testable in isolation (see the
@@ -13,7 +13,7 @@
 //!                tokens > 0 and queue empty?
 //!                  │ yes                     │ no
 //!                  ▼                         ▼
-//!             Admit(batch)          queue has room (Queue policy)?
+//!             Admit(batch)              queue has room?
 //!         (caller ingests now)        │ yes              │ no
 //!                                     ▼                  ▼
 //!                              Queued { depth }   Shed { retry_hint }
@@ -38,17 +38,6 @@ use std::collections::{BTreeMap, VecDeque};
 
 use crate::messages::TenantId;
 
-/// What to do with a batch that arrives while the tenant is out of tokens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverloadPolicy {
-    /// Park it in the tenant's bounded queue; shed only when the queue is
-    /// full. The default.
-    #[default]
-    Queue,
-    /// Shed immediately; the queue is never used.
-    Shed,
-}
-
 /// Tuning for one [`AdmissionController`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
@@ -58,11 +47,10 @@ pub struct AdmissionConfig {
     /// Tokens granted back per [`AdmissionController::tick`], capped at
     /// `quota_tokens`.
     pub refill_per_tick: u64,
-    /// Bounded per-tenant queue length under the [`OverloadPolicy::Queue`]
-    /// policy.
+    /// Bounded per-tenant queue length: a batch that arrives while the
+    /// tenant is out of tokens parks here, and is shed once the queue is
+    /// full. `0` sheds immediately and never queues.
     pub queue_capacity: usize,
-    /// What happens when the tokens run out.
-    pub policy: OverloadPolicy,
 }
 
 impl Default for AdmissionConfig {
@@ -71,7 +59,6 @@ impl Default for AdmissionConfig {
             quota_tokens: 8,
             refill_per_tick: 4,
             queue_capacity: 16,
-            policy: OverloadPolicy::Queue,
         }
     }
 }
@@ -215,7 +202,7 @@ impl AdmissionController {
             lane.tokens -= 1;
             return Admission::Admit(batch);
         }
-        if config.policy == OverloadPolicy::Queue && lane.queue.len() < config.queue_capacity {
+        if lane.queue.len() < config.queue_capacity {
             lane.queue.push_back(batch);
             return Admission::Queued {
                 depth: lane.queue.len(),
@@ -272,7 +259,6 @@ mod tests {
             quota_tokens: 2,
             refill_per_tick: 1,
             queue_capacity: 2,
-            policy: OverloadPolicy::Queue,
         };
         let mut ctl = AdmissionController::new(config);
         ctl.register(7);
@@ -297,8 +283,7 @@ mod tests {
         let config = AdmissionConfig {
             quota_tokens: 1,
             refill_per_tick: 1,
-            queue_capacity: 16,
-            policy: OverloadPolicy::Shed,
+            queue_capacity: 0,
         };
         let mut ctl = AdmissionController::new(config);
         ctl.register(1);
@@ -351,7 +336,6 @@ mod tests {
                 quota_tokens: rng.gen_range(1..6),
                 refill_per_tick: rng.gen_range(1..4),
                 queue_capacity: rng.gen_range(1..5) as usize,
-                policy: OverloadPolicy::Queue,
             };
             let mut ctl = AdmissionController::new(config);
             let tenants: Vec<TenantId> = (0..rng.gen_range(1..5)).collect();
@@ -406,7 +390,6 @@ mod tests {
             quota_tokens: 2,
             refill_per_tick: 1,
             queue_capacity: 3,
-            policy: OverloadPolicy::Queue,
         };
         let mut ctl = AdmissionController::new(config);
         ctl.register(1);
@@ -451,7 +434,6 @@ mod tests {
             quota_tokens: 1,
             refill_per_tick: 1,
             queue_capacity: 4,
-            policy: OverloadPolicy::Queue,
         };
         let mut ctl = AdmissionController::new(config);
         let tenants: Vec<TenantId> = vec![1, 2, 3];

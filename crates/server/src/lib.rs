@@ -9,8 +9,8 @@
 //!
 //! * [`messages`] — the typed [`ServerRequest`]/[`ServerResponse`] wire API
 //!   (canonical `scout-fabric` codec; one more fuzzed surface);
-//! * [`admission`] — per-tenant token quotas and bounded FIFO queues with
-//!   an explicit shed-or-queue overload policy;
+//! * [`admission`] — per-tenant token quotas and bounded FIFO queues (a
+//!   capacity of 0 sheds instead of queueing);
 //! * [`server`] — one serving node: decode → admission → session → respond,
 //!   over in-memory or journal-backed (`scout-store`) sessions;
 //! * [`membership`] / [`leader`] / [`coordinator`] — the simulated cluster:
@@ -56,7 +56,7 @@ pub mod membership;
 pub mod messages;
 pub mod server;
 
-pub use admission::{Admission, AdmissionConfig, AdmissionController, OverloadPolicy};
+pub use admission::{Admission, AdmissionConfig, AdmissionController};
 pub use coordinator::{Cluster, ClusterConfig, TickReport};
 pub use leader::{elect, plan_reassignment, Reassignment};
 pub use membership::{Membership, NodeId};

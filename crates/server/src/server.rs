@@ -365,12 +365,15 @@ impl ScoutServer {
         };
         // Drain anything still parked, then commit, and only then drop the
         // session: accepted means owned, even at close. Each parked batch
-        // leaves the queue only once it is applied, so a failed close keeps
-        // the session and every remaining batch owned and retryable — and
-        // the `Closed`-only routing cleanup in the Cluster stays truthful.
+        // leaves the queue only once it is applied or, as in `tick`, the
+        // session rejects it (it would be rejected on every retry). A storage
+        // failure therefore keeps the session and every remaining batch
+        // owned and retryable — and the `Closed`-only routing cleanup in the
+        // Cluster stays truthful.
         while let Some(batch) = self.admission.peek_queued(tenant).cloned() {
-            if let Err(error) = backend.ingest(tenant, batch) {
-                return ServerResponse::Error(error);
+            match backend.ingest(tenant, batch) {
+                Ok(_) | Err(ServerError::Session { .. }) => {}
+                Err(error) => return ServerResponse::Error(error),
             }
             self.admission.pop_queued(tenant);
             self.engine.gauges().record_dequeued();
@@ -464,7 +467,6 @@ impl ScoutServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::OverloadPolicy;
     use scout_fabric::{FabricProbe, FullSync};
     use scout_policy::sample;
     use scout_store::test_dir::TestDir;
@@ -597,7 +599,6 @@ mod tests {
             quota_tokens: 2,
             refill_per_tick: 1,
             queue_capacity: 2,
-            policy: OverloadPolicy::Queue,
         };
         let mut srv = ScoutServer::new(ScoutEngine::new(), ServerConfig::in_memory(admission));
         srv.handle(ServerRequest::OpenSession {
@@ -704,7 +705,6 @@ mod tests {
             quota_tokens: 1,
             refill_per_tick: 0,
             queue_capacity: 4,
-            policy: OverloadPolicy::Queue,
         };
         let mut srv = ScoutServer::new(ScoutEngine::new(), ServerConfig::in_memory(admission));
         srv.handle(ServerRequest::OpenSession {
@@ -775,7 +775,6 @@ mod tests {
             quota_tokens: 2,
             refill_per_tick: 0,
             queue_capacity: 4,
-            policy: OverloadPolicy::Queue,
         };
         // Scan crash abort points for one where the open and the first
         // ingest succeed but the second ingest dies in the journal.
@@ -846,7 +845,6 @@ mod tests {
             quota_tokens: 1,
             refill_per_tick: 0,
             queue_capacity: 4,
-            policy: OverloadPolicy::Queue,
         };
         // Scan crash abort points for one where open + the admitted ingest
         // succeed and the crash fires inside close_session's drain/commit.
@@ -922,7 +920,6 @@ mod tests {
             quota_tokens: 1,
             refill_per_tick: 1,
             queue_capacity: 4,
-            policy: OverloadPolicy::Queue,
         };
         // Scan crash abort points for one where open + the admitted ingest
         // succeed and the crash fires while a tick drains the parked batch.
@@ -986,7 +983,6 @@ mod tests {
             quota_tokens: 1,
             refill_per_tick: 1,
             queue_capacity: 4,
-            policy: OverloadPolicy::Queue,
         };
         let mut srv = ScoutServer::new(ScoutEngine::new(), ServerConfig::in_memory(admission));
         srv.handle(ServerRequest::OpenSession {
@@ -1040,6 +1036,51 @@ mod tests {
             ServerResponse::Report { epoch, .. } => assert_eq!(epoch, 2),
             other => panic!("expected Report, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn close_drops_a_parked_batch_the_session_rejects() {
+        let admission = AdmissionConfig {
+            quota_tokens: 1,
+            refill_per_tick: 0,
+            queue_capacity: 4,
+        };
+        let mut srv = ScoutServer::new(ScoutEngine::new(), ServerConfig::in_memory(admission));
+        srv.handle(ServerRequest::OpenSession {
+            tenant: 1,
+            universe: sample::three_tier(),
+        });
+        assert!(matches!(
+            srv.handle(ServerRequest::Ingest {
+                tenant: 1,
+                batch: EventBatch::empty(1),
+            }),
+            ServerResponse::Ingested { .. }
+        ));
+        // Out of tokens and never refilled, so no tick ever drains it.
+        let stray = EventBatch::new(
+            2,
+            vec![scout_fabric::FabricEvent::TcamSync {
+                switch: scout_policy::SwitchId::new(99),
+                rules: Vec::new(),
+            }],
+        );
+        assert!(matches!(
+            srv.handle(ServerRequest::Ingest {
+                tenant: 1,
+                batch: stray,
+            }),
+            ServerResponse::Queued { .. }
+        ));
+        assert_eq!(
+            srv.handle(ServerRequest::CloseSession { tenant: 1 }),
+            ServerResponse::Closed {
+                tenant: 1,
+                epoch: 1
+            }
+        );
+        assert!(!srv.is_open(1));
+        assert_eq!(srv.engine().gauges().snapshot().queued, 0);
     }
 
     #[test]

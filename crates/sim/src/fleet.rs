@@ -287,7 +287,6 @@ impl FleetRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scout_server::OverloadPolicy;
     use scout_workload::TestbedSpec;
 
     fn small_fleet(tenants: usize, threads: usize) -> FleetSoak {
@@ -335,7 +334,6 @@ mod tests {
             quota_tokens: 2,
             refill_per_tick: 1,
             queue_capacity: 2,
-            policy: OverloadPolicy::Queue,
         };
         let run = fleet.run();
         assert!(
@@ -361,8 +359,7 @@ mod tests {
         fleet.admission = AdmissionConfig {
             quota_tokens: 1,
             refill_per_tick: 1,
-            queue_capacity: 4,
-            policy: OverloadPolicy::Shed,
+            queue_capacity: 0,
         };
         let run = fleet.run();
         assert_eq!(run.total_queued(), 0, "Shed policy never queues");

@@ -20,8 +20,8 @@
 use scout::core::ScoutEngine;
 use scout::fabric::{EventBatch, Fabric, FabricProbe};
 use scout::server::{
-    AdmissionConfig, Cluster, ClusterConfig, OverloadPolicy, ScoutServer, ServerConfig,
-    ServerError, ServerRequest, ServerResponse,
+    AdmissionConfig, Cluster, ClusterConfig, ScoutServer, ServerConfig, ServerError, ServerRequest,
+    ServerResponse,
 };
 use scout::store::test_dir::TestDir;
 use scout::workload::TestbedSpec;
@@ -89,7 +89,6 @@ fn main() {
         quota_tokens: 3,
         refill_per_tick: 1,
         queue_capacity: 2,
-        policy: OverloadPolicy::Queue,
     };
     let mut server = ScoutServer::new(ScoutEngine::new(), ServerConfig::in_memory(admission));
     println!(

@@ -77,7 +77,7 @@ pub mod prelude {
     pub use scout_core::{
         score_localize, scout_localize, AnalysisSession, CorrelationEngine, EngineBuildError,
         EngineConfig, Hypothesis, OracleCadence, ReportDelta, RiskModel, ScoutConfig, ScoutEngine,
-        ScoutEngineBuilder, ScoutReport, SessionError, Snapshot, SnapshotError,
+        ScoutReport, SessionError, Snapshot, SnapshotError,
     };
     pub use scout_equiv::EquivalenceChecker;
     pub use scout_fabric::{EventBatch, Fabric, FabricEvent, FabricProbe, FabricView, FaultKind};
@@ -87,8 +87,8 @@ pub mod prelude {
         sample, EpgPair, ObjectClass, ObjectId, PolicyUniverse, SwitchEpgPair, TcamRule,
     };
     pub use scout_server::{
-        AdmissionConfig, Cluster, ClusterConfig, OverloadPolicy, ScoutServer, ServerConfig,
-        ServerError, ServerRequest, ServerResponse,
+        AdmissionConfig, Cluster, ClusterConfig, ScoutServer, ServerConfig, ServerError,
+        ServerRequest, ServerResponse,
     };
     pub use scout_sim::{
         Campaign, CampaignReport, CrashSoak, CrashSoakReport, FleetSoak, ScenarioKind, ScenarioMix,

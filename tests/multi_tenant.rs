@@ -8,9 +8,7 @@ use rand::SeedableRng;
 
 use scout::core::{ReportDelta, ScoutEngine, ScoutReport};
 use scout::fabric::{EventBatch, Fabric, FabricProbe};
-use scout::server::{
-    AdmissionConfig, OverloadPolicy, ScoutServer, ServerConfig, ServerRequest, ServerResponse,
-};
+use scout::server::{AdmissionConfig, ScoutServer, ServerConfig, ServerRequest, ServerResponse};
 use scout::sim::churn::fleet_step;
 use scout::sim::{Parallelism, SoakRun, Timeline, WorkloadKind};
 use scout::workload::TestbedSpec;
@@ -123,7 +121,6 @@ fn drive_via_front_door(
         quota_tokens: EPOCHS as u64 + 1,
         refill_per_tick: 1,
         queue_capacity: 4,
-        policy: OverloadPolicy::Queue,
     };
     let mut server = ScoutServer::new(engine.clone(), ServerConfig::in_memory(admission));
     let id = tenant as u64;

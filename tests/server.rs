@@ -22,8 +22,8 @@ use rand::{Rng, SeedableRng};
 use scout::core::{ScoutEngine, ScoutReport};
 use scout::fabric::EventBatch;
 use scout::server::{
-    AdmissionConfig, Cluster, ClusterConfig, OverloadPolicy, ScoutServer, ServerConfig,
-    ServerError, ServerRequest, ServerResponse, TenantId,
+    AdmissionConfig, Cluster, ClusterConfig, ScoutServer, ServerConfig, ServerError, ServerRequest,
+    ServerResponse, TenantId,
 };
 use scout::sim::{FleetSoak, Parallelism, WorkloadKind};
 use scout::store::test_dir::TestDir;
@@ -88,7 +88,6 @@ fn quota_saturation_sheds_the_offender_and_spares_the_bystanders() {
         quota_tokens: 3,
         refill_per_tick: 1,
         queue_capacity: 2,
-        policy: OverloadPolicy::Queue,
     };
     let mut server = ScoutServer::new(ScoutEngine::new(), ServerConfig::in_memory(admission));
     let soak = fleet(1);
