@@ -8,8 +8,9 @@
 //! engine. The SCOUT paper's "in-house equivalence checker" compares the
 //! logical policy (L-type rules) against deployed TCAM rules (T-type rules) by
 //! building one ROBDD per rule set and checking the diagrams for equality;
-//! this crate provides the diagram machinery for that check (see
-//! `scout-equiv`).
+//! this crate provides the diagram machinery for that formulation, which
+//! `scout-equiv` keeps as the reference its interval checker is tested
+//! against.
 //!
 //! The engine supports hash-consed node storage (making semantic equivalence a
 //! handle comparison), the binary `apply` operations (AND/OR/XOR/DIFF),

@@ -224,9 +224,8 @@ impl BddManager {
     /// up to a power of two; at least one entry).
     ///
     /// The direct-mapped caches stop growing at the limit and shrink
-    /// immediately if they already exceed it. Engines wire this to their
-    /// node budget so long-lived checkers cannot accumulate unbounded
-    /// memoization state.
+    /// immediately if they already exceed it, so a long-lived manager cannot
+    /// accumulate unbounded memoization state.
     pub fn set_cache_limit(&mut self, limit: usize) {
         let limit = limit.max(1);
         self.cache_limit = limit.next_power_of_two();

@@ -16,8 +16,8 @@
 //! Losing an entry never changes results — the apply recursion recomputes the
 //! value and every intermediate node it re-derives is already interned in the
 //! unique table, so handles come out bit-identical regardless of cache
-//! behavior. Each cache doubles (up to a configurable limit tied to the
-//! engine's node budget) when evictions indicate thrashing.
+//! behavior. Each cache doubles (up to a configurable limit) when evictions
+//! indicate thrashing.
 
 /// The storage a manager uses for hash-consing and memoization: there is
 /// only the arena.

@@ -2,7 +2,7 @@
 //!
 //! Unlike Figures 8 and 9 (risk-model-level simulation), this experiment runs
 //! the full pipeline: the testbed policy is deployed through the fabric
-//! simulator, object faults silently remove TCAM rules, the BDD equivalence
+//! simulator, object faults silently remove TCAM rules, the equivalence
 //! checker recovers the missing rules, and SCOUT competes against SCORE with
 //! threshold 1 on the augmented controller risk model (10 runs per point in
 //! the paper).

@@ -14,7 +14,7 @@
 //!   `scout_faults::model_faults` for why this is equivalent to deploying and
 //!   checking the policy end to end).
 //! * **Figure 10** — [`testbed_accuracy`] runs the *full* pipeline (deploy,
-//!   silently break TCAM state, BDD equivalence check, localization) on the
+//!   silently break TCAM state, equivalence check, localization) on the
 //!   testbed policy.
 //! * **Scalability** — [`scalability`] measures controller-risk-model
 //!   construction and SCOUT localization time as the fabric grows from 10 to
@@ -292,8 +292,8 @@ fn pick_switch_with_candidates<R: rand::Rng>(
 
 /// Runs the end-to-end testbed accuracy experiment of Figure 10: the testbed
 /// policy is deployed through the fabric simulator, object faults are injected
-/// by silently removing TCAM rules, and the full SCOUT pipeline (BDD
-/// equivalence check, controller risk model, localization) competes against
+/// by silently removing TCAM rules, and the full SCOUT pipeline (equivalence
+/// check, controller risk model, localization) competes against
 /// SCORE with threshold 1.
 pub fn testbed_accuracy(
     spec: TestbedSpec,

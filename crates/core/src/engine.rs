@@ -5,8 +5,8 @@
 //! state, and operators consume diagnoses. [`ScoutEngine`] is that front
 //! door:
 //!
-//! * it is configured once from an [`EngineConfig`] (parallelism, cache
-//!   budgets, differential-oracle cadence) through
+//! * it is configured once from an [`EngineConfig`] (parallelism,
+//!   localization, differential-oracle cadence) through
 //!   [`ScoutEngine::from_config`], so every driver — campaigns, soak
 //!   timelines, examples, tests — shares one configuration surface with one
 //!   default;
@@ -29,7 +29,6 @@ use std::sync::Arc;
 
 use scout_equiv::{
     EquivalenceChecker, NetworkCheckResult, NodeTableKind, Parallelism, SwitchCheckResult,
-    DEFAULT_NODE_BUDGET,
 };
 use scout_fabric::{ChangeLog, Fabric, FaultLog};
 use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchEpgPair, SwitchId, TcamRule};
@@ -81,15 +80,10 @@ impl OracleCadence {
 ///
 /// # Valid ranges
 ///
-/// [`ScoutEngine::from_config`] rejects degenerate configurations with a
+/// [`ScoutEngine::from_config`] rejects a degenerate configuration with a
 /// typed [`EngineBuildError`] instead of silently producing a crippled
-/// engine:
-///
-/// * `node_budget` must be at least 1 (a budget of 0 would rebuild every BDD
-///   worker after every check, silently discarding the caches the whole
-///   incremental design depends on);
-/// * `parallelism` must not be [`Parallelism::Fixed`]`(0)` — ask for
-///   [`Parallelism::Sequential`] explicitly instead of a zero-thread pool.
+/// engine: `parallelism` must not be [`Parallelism::Fixed`]`(0)` — ask for
+/// [`Parallelism::Sequential`] explicitly instead of a zero-thread pool.
 ///
 /// Use [`EngineConfig::validate`] to check a configuration up front.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,12 +93,13 @@ pub struct EngineConfig {
     pub parallelism: Parallelism,
     /// Configuration forwarded to the SCOUT localization algorithm.
     pub scout: ScoutConfig,
-    /// Per-worker BDD node-table budget of the equivalence checkers (see
-    /// [`EquivalenceChecker::set_node_budget`]). Must be at least 1.
+    /// Configures nothing: the checkers have no node table to bound. Kept
+    /// only because the stand-alone `benchmark/` package still reads it; the
+    /// next benchmark-only change deletes it.
     pub node_budget: usize,
-    /// Node table of the checkers' BDD managers; the arena is the only one.
-    /// Kept only because the stand-alone `benchmark/` package still reads
-    /// it; the next benchmark-only change deletes it.
+    /// Configures nothing: the checkers have no node table. Kept only
+    /// because the stand-alone `benchmark/` package still reads it; the next
+    /// benchmark-only change deletes it.
     pub node_table: NodeTableKind,
     /// Differential-oracle cadence for drivers that cross-check incremental
     /// sessions against from-scratch analysis.
@@ -116,7 +111,7 @@ impl Default for EngineConfig {
         Self {
             parallelism: Parallelism::Auto,
             scout: ScoutConfig::default(),
-            node_budget: DEFAULT_NODE_BUDGET,
+            node_budget: 0,
             node_table: NodeTableKind::default(),
             oracle: OracleCadence::EveryEpoch,
         }
@@ -144,33 +139,25 @@ impl EngineConfig {
     /// );
     /// ```
     pub fn validate(&self) -> Result<(), EngineBuildError> {
-        if self.node_budget == 0 {
-            return Err(EngineBuildError::ZeroNodeBudget);
-        }
         if self.parallelism == Parallelism::Fixed(0) {
             return Err(EngineBuildError::ZeroWorkerThreads);
         }
         Ok(())
     }
 
-    /// A cold equivalence checker under this configuration — the engine's
-    /// one-shot checker and every session's private one are built here.
+    /// The equivalence checker under this configuration, built wherever a
+    /// check runs (it holds nothing but the parallelism).
     pub(crate) fn checker(&self) -> EquivalenceChecker {
-        let mut checker = EquivalenceChecker::with_parallelism(self.parallelism);
-        checker.set_node_budget(self.node_budget);
-        checker
+        EquivalenceChecker::with_parallelism(self.parallelism)
     }
 }
 
 /// Why [`ScoutEngine::from_config`] refused a configuration.
 ///
-/// Each variant names the degenerate setting; see the field docs on
-/// [`EngineConfig`] for the valid ranges.
+/// Each variant names the degenerate setting; see [`EngineConfig`] for the
+/// valid ranges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineBuildError {
-    /// `node_budget` was 0, which would disable BDD cache persistence
-    /// entirely (every worker rebuilt after every check).
-    ZeroNodeBudget,
     /// `parallelism` was [`Parallelism::Fixed`]`(0)` — a zero-thread worker
     /// pool. Use [`Parallelism::Sequential`] for single-threaded checking.
     ZeroWorkerThreads,
@@ -179,9 +166,6 @@ pub enum EngineBuildError {
 impl std::fmt::Display for EngineBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EngineBuildError::ZeroNodeBudget => {
-                f.write_str("node_budget must be at least 1 (0 disables BDD cache persistence)")
-            }
             EngineBuildError::ZeroWorkerThreads => f.write_str(
                 "parallelism Fixed(0) is a zero-thread pool; use Parallelism::Sequential",
             ),
@@ -196,9 +180,6 @@ impl std::error::Error for EngineBuildError {}
 pub(crate) struct EngineShared {
     pub(crate) config: EngineConfig,
     pub(crate) correlation: CorrelationEngine,
-    /// The warm checker behind the one-shot [`ScoutEngine::analyze`] path
-    /// (sessions own private checkers so they never contend with it).
-    checker: EquivalenceChecker,
     /// Number of live sessions: a session counts itself in when it is built
     /// and out when it drops. `Relaxed` suffices — the count publishes no
     /// other data, and readers that need an exact value (leak checks) read it
@@ -210,20 +191,18 @@ pub(crate) struct EngineShared {
 }
 
 impl EngineShared {
-    /// The one from-scratch pipeline: a full equivalence check through
-    /// `checker`, a fresh pristine controller risk model, and
-    /// [`EngineShared::report_on`]. Returns the pristine model (sessions keep
-    /// it) and the report.
+    /// The one from-scratch pipeline: a full equivalence check, a fresh
+    /// pristine controller risk model, and [`EngineShared::report_on`].
+    /// Returns the pristine model (sessions keep it) and the report.
     pub(crate) fn analyze_from_scratch(
         &self,
-        checker: &EquivalenceChecker,
         universe: &PolicyUniverse,
         logical_rules: &[LogicalRule],
         tcam: &BTreeMap<SwitchId, Vec<TcamRule>>,
         change_log: &ChangeLog,
         fault_log: &FaultLog,
     ) -> (RiskModel<SwitchEpgPair>, ScoutReport) {
-        let check = checker.check_network(logical_rules, tcam);
+        let check = self.config.checker().check_network(logical_rules, tcam);
         let mut model = controller_risk_model_sharded(universe, self.config.parallelism);
         let report = self.report_on(&mut model, check, universe, change_log, fault_log);
         (model, report)
@@ -275,7 +254,7 @@ const _: () = {
 /// The long-lived SCOUT service facade.
 ///
 /// Cloning the handle is cheap and shares the same engine (configuration,
-/// session count, warm one-shot checker); the handle is `Send + Sync`
+/// session count, gauges); the handle is `Send + Sync`
 /// (checked at compile time), so an `Arc<ScoutEngine>` — or plain clones of
 /// the handle — can be driven from many threads at once. Sessions share no
 /// mutable analysis state, so multi-tenant drivers open, drop and restore
@@ -339,18 +318,17 @@ impl ScoutEngine {
     /// assert_eq!(engine.config().oracle, OracleCadence::Stride(10));
     ///
     /// // Degenerate settings are rejected, not silently accepted:
-    /// let zero_budget = EngineConfig {
-    ///     node_budget: 0,
+    /// let zero_threads = EngineConfig {
+    ///     parallelism: Parallelism::Fixed(0),
     ///     ..EngineConfig::default()
     /// };
-    /// let err = ScoutEngine::from_config(zero_budget).unwrap_err();
-    /// assert_eq!(err, EngineBuildError::ZeroNodeBudget);
+    /// let err = ScoutEngine::from_config(zero_threads).unwrap_err();
+    /// assert_eq!(err, EngineBuildError::ZeroWorkerThreads);
     /// ```
     pub fn from_config(config: EngineConfig) -> Result<Self, EngineBuildError> {
         config.validate()?;
         Ok(Self {
             shared: Arc::new(EngineShared {
-                checker: config.checker(),
                 config,
                 correlation: CorrelationEngine::new(),
                 open_sessions: AtomicUsize::new(0),
@@ -415,14 +393,8 @@ impl ScoutEngine {
 
     /// One-shot, from-scratch analysis of a fabric — the reference pipeline
     /// every incremental session result is differentially checked against.
-    ///
-    /// The engine's internal checker stays warm across calls, so repeated
-    /// one-shot analyses reuse BDD encodings; results never depend on cache
-    /// state.
     pub fn analyze(&self, fabric: &Fabric) -> ScoutReport {
-        let shared = &self.shared;
-        let (_, report) = shared.analyze_from_scratch(
-            &shared.checker,
+        let (_, report) = self.shared.analyze_from_scratch(
             fabric.universe(),
             fabric.logical_rules(),
             &fabric.collect_tcam(),
@@ -448,7 +420,8 @@ impl ScoutEngine {
     ) {
         let check = self
             .shared
-            .checker
+            .config
+            .checker()
             .check_switch(switch, logical_rules, tcam);
         let mut model = switch_risk_model(universe, switch);
         augment_switch_model(&mut model, switch, check.missing_rules.iter().copied());
@@ -609,7 +582,6 @@ mod tests {
     fn from_config_settings_reach_the_engine() {
         let engine = ScoutEngine::from_config(EngineConfig {
             parallelism: Parallelism::Fixed(2),
-            node_budget: 1 << 10,
             oracle: OracleCadence::Never,
             scout: ScoutConfig { recent_window: 0 },
             ..EngineConfig::default()
@@ -617,7 +589,6 @@ mod tests {
         .unwrap();
         let config = engine.config();
         assert_eq!(config.parallelism, Parallelism::Fixed(2));
-        assert_eq!(config.node_budget, 1 << 10);
         assert_eq!(config.oracle, OracleCadence::Never);
         assert_eq!(config.scout.recent_window, 0);
         // Round-trip through the plain-data config.
@@ -627,31 +598,23 @@ mod tests {
 
     #[test]
     fn degenerate_configs_are_rejected_with_typed_errors() {
-        let with = |node_budget, parallelism| {
+        let with = |parallelism| {
             ScoutEngine::from_config(EngineConfig {
-                node_budget,
                 parallelism,
                 ..EngineConfig::default()
             })
         };
         assert_eq!(
-            with(0, Parallelism::Auto).unwrap_err(),
-            EngineBuildError::ZeroNodeBudget
-        );
-        assert_eq!(
-            with(DEFAULT_NODE_BUDGET, Parallelism::Fixed(0)).unwrap_err(),
+            with(Parallelism::Fixed(0)).unwrap_err(),
             EngineBuildError::ZeroWorkerThreads
         );
-        // The errors render actionable messages.
-        assert!(EngineBuildError::ZeroNodeBudget
-            .to_string()
-            .contains("node_budget"));
+        // The error renders an actionable message.
         assert!(EngineBuildError::ZeroWorkerThreads
             .to_string()
             .contains("Sequential"));
         // Fixed(1) and Sequential remain valid single-threaded settings.
-        assert!(with(DEFAULT_NODE_BUDGET, Parallelism::Fixed(1)).is_ok());
-        assert!(with(DEFAULT_NODE_BUDGET, Parallelism::Sequential).is_ok());
+        assert!(with(Parallelism::Fixed(1)).is_ok());
+        assert!(with(Parallelism::Sequential).is_ok());
     }
 
     #[test]

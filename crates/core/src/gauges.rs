@@ -39,7 +39,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// [`ScoutEngine::gauges`](crate::ScoutEngine::gauges).
 #[derive(Debug, Default)]
 pub struct ServiceGauges {
-    /// Batches accepted straight into a session.
+    /// Batches applied to a session, whether on arrival or drained from a
+    /// queue later.
     admitted: AtomicU64,
     /// Batches currently parked in per-tenant queues (a depth, not a total).
     queued: AtomicU64,
@@ -55,7 +56,9 @@ impl ServiceGauges {
         Self::default()
     }
 
-    /// Counts one batch admitted directly (no queueing).
+    /// Counts one batch applied to a session: on arrival, or when a tick or
+    /// a close drains it from its queue (pair that with
+    /// [`record_dequeued`](Self::record_dequeued)).
     pub fn record_admitted(&self) {
         self.admitted.fetch_add(1, Ordering::Relaxed);
     }
@@ -97,7 +100,7 @@ impl ServiceGauges {
 /// A point-in-time copy of [`ServiceGauges`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
-    /// Batches accepted straight into a session.
+    /// Batches applied to a session, on arrival or drained from a queue.
     pub admitted: u64,
     /// Batches parked in per-tenant queues at snapshot time.
     pub queued: u64,

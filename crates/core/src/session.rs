@@ -35,7 +35,7 @@ use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use scout_equiv::{EquivalenceChecker, NetworkCheckResult};
+use scout_equiv::NetworkCheckResult;
 use scout_fabric::{
     ApplyError, EventBatch, Fabric, FabricEvent, FabricProbe, FabricView, FullSync,
 };
@@ -75,7 +75,7 @@ impl ResyncRequest {
 
 /// Why an [`AnalysisSession::ingest`] was rejected. A rejected batch leaves
 /// the session completely untouched: the epoch is not consumed and the
-/// mirror, caches and report are unchanged.
+/// mirror, risk model and report are unchanged.
 ///
 /// # Example
 ///
@@ -334,9 +334,6 @@ pub struct SessionStats {
 #[derive(Debug)]
 pub struct AnalysisSession {
     shared: Arc<EngineShared>,
-    /// The session's private checker: warm across ingests and clone
-    /// analyses, never contended with other sessions.
-    checker: EquivalenceChecker,
     /// The monitor-side mirror of the fabric's artifacts.
     view: FabricView,
     /// Identity of the monitored fabric (for [`AnalysisSession::covers`]).
@@ -362,10 +359,8 @@ pub struct AnalysisSession {
 impl AnalysisSession {
     /// Opens a session: snapshots `fabric` and runs the full pipeline once.
     pub(crate) fn open(shared: Arc<EngineShared>, fabric: &Fabric) -> Self {
-        let checker = shared.config.checker();
         let view = FabricView::of(fabric);
         let (model, report) = shared.analyze_from_scratch(
-            &checker,
             view.universe(),
             view.logical_rules(),
             view.tcam(),
@@ -375,7 +370,6 @@ impl AnalysisSession {
         shared.open_sessions.fetch_add(1, Ordering::Relaxed);
         Self {
             shared,
-            checker,
             view,
             fabric_id: fabric.id(),
             open_epoch: fabric.epoch(),
@@ -400,7 +394,6 @@ impl AnalysisSession {
         let model = controller_risk_model_sharded(view.universe(), shared.config.parallelism);
         shared.open_sessions.fetch_add(1, Ordering::Relaxed);
         Self {
-            checker: shared.config.checker(),
             shared,
             fabric_id: snapshot.fabric_id(),
             open_epoch: snapshot.open_epoch(),
@@ -507,7 +500,7 @@ impl AnalysisSession {
 
         // Equivalence: re-check only what the batch dirtied.
         let view = &self.view;
-        let check = self.checker.recheck_dirty_with(
+        let check = self.shared.config.checker().recheck_dirty_with(
             &self.report.check,
             view.logical_rules(),
             view.switch_set(),
@@ -609,7 +602,6 @@ impl AnalysisSession {
         self.view = sync.into_view();
         let view = &self.view;
         let (model, report) = self.shared.analyze_from_scratch(
-            &self.checker,
             view.universe(),
             view.logical_rules(),
             view.tcam(),
@@ -676,10 +668,11 @@ impl AnalysisSession {
     /// transparently falls back to the from-scratch pipeline for the affected
     /// stage.
     pub fn analyze_clone(&mut self, fabric: &Fabric) -> ScoutReport {
+        let checker = self.shared.config.checker();
         let check = if self.covers(fabric) {
             let dirty = fabric.dirty_switches_since(self.open_epoch);
             let current: BTreeSet<SwitchId> = fabric.universe().switch_ids().into_iter().collect();
-            self.checker.recheck_dirty_with(
+            checker.recheck_dirty_with(
                 &self.report.check,
                 fabric.logical_rules(),
                 &current,
@@ -687,8 +680,7 @@ impl AnalysisSession {
                 |s| fabric.tcam_rules(s),
             )
         } else {
-            self.checker
-                .check_network(fabric.logical_rules(), &fabric.collect_tcam())
+            checker.check_network(fabric.logical_rules(), &fabric.collect_tcam())
         };
         let model = Self::pristine_model(&mut self.model, &mut self.rebuilt, &self.view, fabric);
         self.shared.report_on(

@@ -31,10 +31,9 @@
 //! payload, so schema changes and on-disk corruption both fail loudly
 //! ([`SnapshotError::UnsupportedVersion`],
 //! [`SnapshotError::ChecksumMismatch`]) instead of decoding garbage.
-//! Pristine risk models and BDD caches are *not* serialized: both are pure
-//! functions of the view (and analysis results never depend on cache
-//! state), so [`ScoutEngine::restore`](crate::ScoutEngine::restore) rebuilds
-//! them, keeping snapshots proportional to the monitored state.
+//! Pristine risk models are *not* serialized: they are a pure function of
+//! the view, so [`ScoutEngine::restore`](crate::ScoutEngine::restore)
+//! rebuilds them, keeping snapshots proportional to the monitored state.
 //!
 //! # Example
 //!
@@ -173,8 +172,8 @@ impl From<WireError> for SnapshotError {
 ///
 /// Plain data: a snapshot holds no locks, no caches and no engine reference,
 /// so it can be written to disk, shipped across processes, and restored on
-/// any engine (the restoring engine's configuration governs parallelism and
-/// cache budgets; analysis results are configuration-independent).
+/// any engine (the restoring engine's configuration governs parallelism;
+/// analysis results are configuration-independent).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     pub(crate) fabric_id: u64,

@@ -1,58 +1,63 @@
 //! The L–T equivalence checker.
 //!
 //! Implements the paper's "in-house equivalence checker" (§III-C): for each
-//! switch it compares the ROBDD of the logical rules (L-type, what the
-//! controller expects) with the ROBDD of the collected TCAM rules (T-type, what
-//! the hardware actually holds). When the diagrams differ it reports the set of
-//! *missing rules* — logical rules whose traffic is not (fully) allowed by the
-//! deployed TCAM — which is the failure evidence the risk models are augmented
-//! with.
+//! switch it compares the traffic the logical rules allow (L-type, what the
+//! controller expects) with the traffic the collected TCAM rules allow
+//! (T-type, what the hardware actually holds). When the two differ it
+//! reports the set of *missing rules* — logical rules whose traffic is not
+//! (fully) allowed by the deployed TCAM — which is the failure evidence the
+//! risk models are augmented with.
 //!
-//! # Pipeline architecture
+//! # Exact port intervals
 //!
-//! The checker is built for production-scale fabrics (thousands of switches,
-//! continuous re-checking after every change):
+//! The paper compares ROBDDs because a BDD can hold any ternary match. This
+//! rule model has none, so the checker compares a smaller canonical form:
 //!
 //! * **Class slicing** — VRF, source EPG and destination EPG are exact-match
-//!   fields, so a switch's rules are grouped by that key (full `u32` ids) and
-//!   each group is folded on its own over the 24-variable (protocol, port)
-//!   sub-space of [`HeaderSpace`]. This is exact, not an approximation: rules
-//!   with different keys match disjoint sets of packets; a packet's first
-//!   matching rule is therefore always one of its own key's rules, in the
-//!   order they appear in the list; so the allowed space is the disjoint
-//!   union of the per-key allowed spaces, and both equality and `⊆` between
-//!   two such unions hold iff they hold key by key. A switch is equivalent
-//!   iff every key's L and T sub-spaces are the same diagram (a key present
-//!   on one side only compares against `FALSE`), and a one-rule drift
-//!   re-folds only the handful of rules sharing its key.
-//! * **Persistent caches** — the checker keeps one pool of BDD workers that
-//!   survive across calls: every check checks out as many as its parallelism
-//!   gives it and returns them in order afterwards. A worker memoizes one
-//!   diagram per distinct `(protocol, port range)` — the key is not part of
-//!   the diagrams, so every class, switch and tenant shares them — and the
-//!   manager's apply/implies caches keep every fold step, so re-checking an
-//!   unchanged class costs cache hits only.
+//!   fields. Rules with different `(VRF, src EPG, dst EPG)` keys (full `u32`
+//!   ids) match disjoint packets, so a packet's first matching rule is always
+//!   one of its own key's rules, in list order. A switch's allowed space is
+//!   therefore the disjoint union of its per-key spaces, and equality and
+//!   `⊆` hold iff they hold key by key.
+//! * **Four interval lists per class** — inside one key a rule matches one
+//!   [`Protocol`] and one inclusive [`PortRange`](scout_policy::PortRange).
+//!   A class's allowed space is four sorted, disjoint, merged lists of port
+//!   ranges: TCP, UDP, ICMP and every other protocol code (no rule names one,
+//!   so they all behave alike; a [`Protocol::Any`] rule writes all four).
+//!   Merged means adjacent ranges are joined, so the form is canonical and a
+//!   switch is equivalent iff its two sides' lists are equal.
+//! * **The fold** — rules take effect in the paper's order: descending
+//!   priority, list order on ties, the first match deciding. The fold paints
+//!   them in the reverse of that order, an allow adding its ports and a deny
+//!   removing them, so the last rule painted over a port is the first one
+//!   that matches it: the same space as subtracting what earlier rules
+//!   covered and adding what is left of each allow.
+//!
+//! [`HeaderSpace`](crate::HeaderSpace) keeps the paper's 72-variable BDD
+//! formulation as the reference; `tests/sliced.rs` checks every result of
+//! this checker against it, list order included.
+//!
+//! # Pipeline
+//!
 //! * **Indexed logical rules** — [`EquivalenceChecker::check_network`] groups
 //!   the logical rules by switch once (`O(total rules)`) instead of re-scanning
 //!   the full rule list per switch (`O(switches × total rules)`).
-//! * **Parallel checking** — per-switch checks are embarrassingly parallel;
-//!   large networks are split across worker threads, each with its own
-//!   pooled manager. Results are deterministic regardless of thread count.
+//! * **Parallel checking** — per-switch checks are independent; large
+//!   networks are split across worker threads by [`Parallelism::fan_out`].
+//!   Results are deterministic regardless of thread count.
 //! * **Incremental re-checking** — [`EquivalenceChecker::recheck_dirty`]
 //!   reuses a previous [`NetworkCheckResult`] and only revisits the switches
 //!   whose TCAM (or logical rule set) changed, doing work proportional to the
 //!   change instead of the network.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::panic::resume_unwind;
-use std::sync::Mutex;
 use std::thread;
 
-use scout_bdd::{Bdd, BddManager, CacheStats, NodeTableKind};
-use scout_policy::{Action, EpgId, LogicalRule, PortRange, Protocol, SwitchId, TcamRule, VrfId};
-
-use crate::header::HeaderSpace;
+use scout_bdd::{CacheStats, NodeTableKind};
+use scout_policy::{Action, EpgId, LogicalRule, Protocol, SwitchId, TcamRule, VrfId};
 
 /// The outcome of checking one switch.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,22 +136,9 @@ impl NetworkCheckResult {
     }
 }
 
-/// Default bound on a worker's BDD node table; when exceeded the manager is
-/// rebuilt, keeping the memory of a long-lived checker bounded. Override per
-/// checker with [`EquivalenceChecker::set_node_budget`].
-pub const DEFAULT_NODE_BUDGET: usize = 1 << 20;
-
-/// Fewer items than this run on the calling thread even in auto mode; the
-/// per-thread warm-up (a BDD manager, a session) would cost more than it saves.
+/// Fewer items than this run on the calling thread even in auto mode;
+/// spawning a thread would cost more than the items save.
 const AUTO_PARALLEL_THRESHOLD: usize = 8;
-
-/// Derives a manager operation-cache limit from a node-table budget: a
-/// quarter of the budget, so the lossy apply/not/implies caches can never
-/// outweigh the node table they accelerate (see
-/// [`BddManager::set_cache_limit`]).
-fn cache_limit_for(node_budget: usize) -> usize {
-    (node_budget / 4).max(1)
-}
 
 /// The exact-match class of a rule: `(VRF, source EPG, destination EPG)` as
 /// full `u32` ids. Rules of different classes match disjoint traffic, so a
@@ -158,151 +150,166 @@ fn class_of(rule: &TcamRule) -> ClassKey {
     (m.vrf, m.src_epg, m.dst_epg)
 }
 
-/// One side (L or T) of a switch, folded class by class.
-struct SlicedSpace {
-    /// Allowed sub-space of every class that allows anything, ascending by
-    /// class; a class that is absent (or all-deny) is `FALSE` and not listed,
-    /// so two sides allow the same traffic iff their lists are equal.
-    allowed: Vec<(ClassKey, Bdd)>,
-    /// Every rule's own sub-space match diagram, in input order.
-    matches: Vec<Bdd>,
-}
+/// Protocol slots of a class's allowed space: TCP, UDP, ICMP, and every
+/// other protocol code.
+const SLOTS: usize = 4;
 
-impl SlicedSpace {
-    fn allowed_in(&self, class: ClassKey) -> Bdd {
-        self.allowed
-            .binary_search_by_key(&class, |&(class, _)| class)
-            .map_or(Bdd::FALSE, |found| self.allowed[found].1)
-    }
-}
-
-/// A BDD manager over the 24-variable (protocol, port) sub-space plus the
-/// memoized match encodings built on top of it.
+/// One run of ports `start..=end` of protocol slot `slot` in `class`.
 ///
-/// This is the unit of state the checker keeps per thread: the manager's
-/// hash-consed node table and operation caches persist across switches and
-/// across calls, and `match_cache` maps every `(protocol, port range)` ever
-/// encoded to its diagram. Nothing in it depends on a VRF, an EPG or a
-/// switch, so every class of every switch (and every tenant sharing the
-/// checker) reuses the same few diagrams and fold results.
-#[derive(Debug)]
-struct CheckWorker {
-    manager: BddManager,
-    match_cache: HashMap<(Protocol, PortRange), Bdd>,
+/// A side's allowed space is a `Vec<Span>` in ascending order, the runs of
+/// one `(class, slot)` disjoint and never adjacent; a class that allows
+/// nothing has no runs. Two sides allow the same traffic iff their lists
+/// are equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Span {
+    class: ClassKey,
+    slot: u8,
+    start: u16,
+    end: u16,
 }
 
-impl CheckWorker {
-    fn new(header_space: &HeaderSpace, node_budget: usize) -> Self {
-        let mut manager = header_space.sub_manager();
-        manager.set_cache_limit(cache_limit_for(node_budget));
-        Self {
-            manager,
-            match_cache: HashMap::new(),
-        }
+impl Span {
+    /// What `rule` matches: one span per protocol slot it covers.
+    fn matched_by(rule: &TcamRule) -> impl Iterator<Item = Span> {
+        let m = rule.matcher;
+        let slots = match m.protocol {
+            Protocol::Tcp => 0..1,
+            Protocol::Udp => 1..2,
+            Protocol::Icmp => 2..3,
+            Protocol::Any => 0..SLOTS as u8,
+        };
+        slots.map(move |slot| Span {
+            class: (m.vrf, m.src_epg, m.dst_epg),
+            slot,
+            start: m.ports.start,
+            end: m.ports.end,
+        })
     }
+}
 
-    /// Folds an ordered rule set class by class: rules are grouped by
-    /// [`ClassKey`] (keeping list order inside a class, which is all the
-    /// first-match tie-break can see) and each group goes through
-    /// [`crate::header::allowed_space_traced_with`] — the single home of the
-    /// priority semantics — with the memoizing sub-space encoder.
-    fn sliced_space(&mut self, header_space: &HeaderSpace, rules: &[TcamRule]) -> SlicedSpace {
-        let Self {
-            manager,
-            match_cache,
-        } = self;
-        let mut order: Vec<usize> = (0..rules.len()).collect();
-        order.sort_by_key(|&i| class_of(&rules[i]));
-        let grouped: Vec<TcamRule> = order.iter().map(|&i| rules[i]).collect();
+/// The allowed space of an ordered rule set, folded class by class (see the
+/// module docs).
+fn allowed_space<'a>(rules: impl IntoIterator<Item = &'a TcamRule>) -> Vec<Span> {
+    // Class, then descending priority; the stable sort keeps list order on
+    // ties, which is all the first-match tie-break can see.
+    let mut order: Vec<&TcamRule> = rules.into_iter().collect();
+    order.sort_by_key(|r| (class_of(r), Reverse(r.priority)));
 
-        let mut allowed = Vec::new();
-        let mut matches = vec![Bdd::FALSE; rules.len()];
-        let mut done = 0; // rules of `grouped` (and positions of `order`) already folded
-        for class in grouped.chunk_by(|a, b| class_of(a) == class_of(b)) {
-            let (class_allowed, class_matches) =
-                crate::header::allowed_space_traced_with(manager, class, |m, rule| {
-                    *match_cache
-                        .entry((rule.matcher.protocol, rule.matcher.ports))
-                        .or_insert_with(|| {
-                            header_space.sub_match(m, rule.matcher.protocol, rule.matcher.ports)
-                        })
-                });
-            if !class_allowed.is_false() {
-                allowed.push((class_of(&class[0]), class_allowed));
-            }
-            for (&position, matched) in order[done..].iter().zip(class_matches) {
-                matches[position] = matched;
-            }
-            done += class.len();
-        }
-        SlicedSpace { allowed, matches }
-    }
-
-    /// Checks one switch given its (pre-filtered) logical rules.
-    ///
-    /// Each side is folded once, class by class; the switch is equivalent iff
-    /// every class allows the same sub-space on both sides. The
-    /// missing/unexpected classification runs only for an inequivalent switch
-    /// and then visits every rule of the switch against its own class,
-    /// reusing the per-rule diagrams of the fold.
-    fn check_switch(
-        &mut self,
-        header_space: &HeaderSpace,
-        switch: SwitchId,
-        logical: &[LogicalRule],
-        tcam: &[TcamRule],
-    ) -> SwitchCheckResult {
-        let logical_rules: Vec<TcamRule> = logical.iter().map(|l| l.rule).collect();
-        let l_space = self.sliced_space(header_space, &logical_rules);
-        let t_space = self.sliced_space(header_space, tcam);
-
-        let equivalent = l_space.allowed == t_space.allowed;
-        let mut missing_rules = Vec::new();
-        let mut unexpected_rules = Vec::new();
-
-        if !equivalent {
-            // A logical rule is missing if part of its traffic is not allowed
-            // by the deployed TCAM.
-            for (l, &space) in logical.iter().zip(&l_space.matches) {
-                let t_allowed = t_space.allowed_in(class_of(&l.rule));
-                if !self.manager.implies(space, t_allowed) {
-                    missing_rules.push(*l);
-                }
-            }
-            // A deployed rule is unexpected if it allows traffic the policy
-            // does not allow.
-            for (t, &space) in tcam.iter().zip(&t_space.matches) {
-                if t.action != Action::Allow {
-                    continue;
-                }
-                let class = class_of(t);
-                let effectively_allowed = self.manager.and(space, t_space.allowed_in(class));
-                if !self
-                    .manager
-                    .implies(effectively_allowed, l_space.allowed_in(class))
-                {
-                    unexpected_rules.push(*t);
-                }
+    let mut space = Vec::new();
+    let mut slots: [Vec<Span>; SLOTS] = Default::default();
+    for class in order.chunk_by(|a, b| class_of(a) == class_of(b)) {
+        for rule in class.iter().rev() {
+            for span in Span::matched_by(rule) {
+                paint(&mut slots[usize::from(span.slot)], span, rule.action);
             }
         }
-
-        SwitchCheckResult {
-            switch,
-            equivalent,
-            missing_rules,
-            unexpected_rules,
+        for runs in &mut slots {
+            space.append(runs);
         }
     }
+    space
+}
 
-    /// Rebuilds the manager (budget-derived cache limit) if the node table
-    /// outgrew `budget`.
-    fn maybe_shrink(&mut self, header_space: &HeaderSpace, budget: usize) {
-        if self.manager.node_count() > budget {
-            let stats = self.manager.cache_stats();
-            *self = Self::new(header_space, budget);
-            self.manager.absorb_cache_stats(stats);
+/// Paints `span` into the sorted, merged `runs` of its class and slot: an
+/// allow adds its ports (joining every run it overlaps or touches), a deny
+/// removes them (trimming or splitting the runs it overlaps).
+fn paint(runs: &mut Vec<Span>, span: Span, action: Action) {
+    let allow = action == Action::Allow;
+    // An allow also reaches the runs that end just before or start just
+    // after it; `u32` keeps `end + 1` of port 65535 from overflowing.
+    let reach = u32::from(allow);
+    let lo = runs.partition_point(|r| u32::from(r.end) + reach < u32::from(span.start));
+    let hi = runs.partition_point(|r| u32::from(r.start) <= u32::from(span.end) + reach);
+    if allow {
+        if lo == hi {
+            runs.insert(lo, span);
+        } else {
+            runs[lo] = Span {
+                start: runs[lo].start.min(span.start),
+                end: runs[hi - 1].end.max(span.end),
+                ..span
+            };
+            runs.drain(lo + 1..hi);
+        }
+    } else if lo < hi {
+        let (first, last) = (runs[lo], runs[hi - 1]);
+        runs.drain(lo..hi);
+        if last.end > span.end {
+            runs.insert(
+                lo,
+                Span {
+                    start: span.end + 1,
+                    ..last
+                },
+            );
+        }
+        if first.start < span.start {
+            runs.insert(
+                lo,
+                Span {
+                    end: span.start - 1,
+                    ..first
+                },
+            );
         }
     }
+}
+
+/// The runs of `space` that overlap `span`, clipped to it.
+fn overlap(space: &[Span], span: Span) -> impl Iterator<Item = Span> + '_ {
+    let at =
+        space.partition_point(|r| (r.class, r.slot, r.end) < (span.class, span.slot, span.start));
+    space[at..]
+        .iter()
+        .take_while(move |r| (r.class, r.slot) == (span.class, span.slot) && r.start <= span.end)
+        .map(move |r| Span {
+            start: r.start.max(span.start),
+            end: r.end.min(span.end),
+            ..span
+        })
+}
+
+/// `true` if `space` allows every port of `span`. Runs are merged, so a
+/// contiguous range is covered iff one run holds all of it.
+fn covers(space: &[Span], span: Span) -> bool {
+    overlap(space, span)
+        .next()
+        .is_some_and(|piece| piece == span)
+}
+
+/// Checks one switch given its (pre-filtered) logical rules.
+///
+/// Each side is folded once; the switch is equivalent iff both allow the
+/// same space. The missing/unexpected classification runs only for an
+/// inequivalent switch and then visits every rule of the switch against its
+/// own class.
+fn compare(switch: SwitchId, logical: &[LogicalRule], tcam: &[TcamRule]) -> SwitchCheckResult {
+    let l_space = allowed_space(logical.iter().map(|l| &l.rule));
+    let t_space = allowed_space(tcam);
+    let mut result = SwitchCheckResult::consistent(switch);
+    if l_space == t_space {
+        return result;
+    }
+    result.equivalent = false;
+    // A logical rule is missing if part of its traffic is not allowed by the
+    // deployed TCAM.
+    result.missing_rules = logical
+        .iter()
+        .filter(|l| !Span::matched_by(&l.rule).all(|span| covers(&t_space, span)))
+        .copied()
+        .collect();
+    // A deployed rule is unexpected if it allows traffic the policy does not
+    // allow.
+    result.unexpected_rules = tcam
+        .iter()
+        .filter(|t| t.action == Action::Allow)
+        .filter(|t| {
+            !Span::matched_by(t)
+                .all(|span| overlap(&t_space, span).all(|allowed| covers(&l_space, allowed)))
+        })
+        .copied()
+        .collect();
+    result
 }
 
 /// The workspace's one thread policy: how many workers a stage made of
@@ -317,7 +324,7 @@ pub enum Parallelism {
     /// Decide from the item count and the machine's available parallelism.
     #[default]
     Auto,
-    /// Always run on the calling thread (maximal cache reuse).
+    /// Always run on the calling thread.
     Sequential,
     /// Use this many worker threads (at least 1, at most one per item).
     Fixed(usize),
@@ -328,7 +335,7 @@ impl Parallelism {
     /// `work_items` independent items into — one worker each.
     ///
     /// `Auto` consults the machine's available parallelism once the work is
-    /// large enough to amortize per-thread state. Ranges are
+    /// large enough to amortize spawning threads. Ranges are
     /// `ceil(items / threads)` long, so the result can be lower than the
     /// thread count asked for (33 items on 8 threads are seven ranges of at
     /// most 5); it is always in `1..=max(work_items, 1)`.
@@ -388,12 +395,11 @@ impl Parallelism {
     }
 }
 
-/// The BDD-based L–T equivalence checker.
+/// The L–T equivalence checker.
 ///
-/// The checker keeps a persistent, internally synchronized pool of BDD
-/// workers so that repeated calls — the normal mode of operation for a
-/// monitor that re-checks the fabric after every change — reuse rule
-/// encodings and operation caches instead of rebuilding the world.
+/// The checker holds nothing but its [`Parallelism`]: every check folds its
+/// switches from the rules alone, so repeated calls need no warm state and
+/// a checker is free to build wherever a check runs.
 ///
 /// # Example
 ///
@@ -408,78 +414,37 @@ impl Parallelism {
 /// let result = checker.check_network(fabric.logical_rules(), &fabric.collect_tcam());
 /// assert!(result.is_consistent());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EquivalenceChecker {
-    header_space: HeaderSpace,
     parallelism: Parallelism,
-    /// Per-worker BDD node-table budget; a worker whose table outgrows it is
-    /// rebuilt (see [`DEFAULT_NODE_BUDGET`]).
-    node_budget: usize,
-    /// Warm workers: every check checks some out and returns them in order,
-    /// so their managers and match caches stay warm across calls.
-    pool: Mutex<Vec<CheckWorker>>,
-}
-
-impl Default for EquivalenceChecker {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl EquivalenceChecker {
-    /// Creates a checker over the standard header space with automatic
-    /// parallelism.
+    /// Creates a checker with automatic parallelism.
     pub fn new() -> Self {
-        Self::with_parallelism(Parallelism::Auto)
+        Self::default()
     }
 
     /// Creates a checker with an explicit parallelism policy.
     pub fn with_parallelism(parallelism: Parallelism) -> Self {
-        Self {
-            header_space: HeaderSpace::new(),
-            parallelism,
-            node_budget: DEFAULT_NODE_BUDGET,
-            pool: Mutex::new(Vec::new()),
-        }
+        Self { parallelism }
     }
 
-    /// Does nothing: the arena is the only node table. Kept only because
-    /// the stand-alone `benchmark/` package still calls it; the next
+    /// Does nothing: the checker has no node table. Kept only because the
+    /// stand-alone `benchmark/` package still calls it; the next
     /// benchmark-only change deletes it.
     pub fn set_node_table(&mut self, _kind: NodeTableKind) {}
 
-    /// Aggregated BDD operation-cache counters (hits, misses, evictions)
-    /// across the worker pool — cumulative over the checker's lifetime,
-    /// surviving budget-triggered worker rebuilds.
+    /// Does nothing: the checker has no node table to bound. Kept only
+    /// because the stand-alone `benchmark/` package still calls it; the next
+    /// benchmark-only change deletes it.
+    pub fn set_node_budget(&mut self, _budget: usize) {}
+
+    /// All zeros: the checker keeps no caches. Kept only because the
+    /// stand-alone `benchmark/` package still reads it; the next
+    /// benchmark-only change deletes it.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for worker in self.lock_pool().iter() {
-            let stats = worker.manager.cache_stats();
-            total.hits += stats.hits;
-            total.misses += stats.misses;
-            total.evictions += stats.evictions;
-        }
-        total
-    }
-
-    /// Bounds each worker's BDD node table: a worker whose hash-consed table
-    /// outgrows the budget after a check is rebuilt from scratch. Lower
-    /// budgets cap the memory of a long-lived checker at the price of colder
-    /// caches; results never change. A budget of 0 effectively disables cache
-    /// persistence.
-    pub fn set_node_budget(&mut self, budget: usize) {
-        self.node_budget = budget;
-        // Keep the managers' lossy operation caches tied to the new budget
-        // immediately, not only after the next worker rebuild.
-        let limit = cache_limit_for(budget);
-        for worker in self.lock_pool().iter_mut() {
-            worker.manager.set_cache_limit(limit);
-        }
-    }
-
-    /// The configured per-worker BDD node-table budget.
-    pub fn node_budget(&self) -> usize {
-        self.node_budget
+        CacheStats::default()
     }
 
     /// Groups logical rules by destination switch.
@@ -511,10 +476,7 @@ impl EquivalenceChecker {
             .filter(|l| l.switch == switch)
             .copied()
             .collect();
-        let mut results = self.on_workers(1, |worker, _| {
-            worker.check_switch(&self.header_space, switch, &for_switch, tcam)
-        });
-        results.pop().expect("one item runs on one worker")
+        compare(switch, &for_switch, tcam)
     }
 
     /// Checks every switch appearing either in the logical rules or in the
@@ -627,60 +589,17 @@ impl EquivalenceChecker {
         tcam: &BTreeMap<SwitchId, Vec<TcamRule>>,
         switches: Vec<SwitchId>,
     ) -> BTreeMap<SwitchId, SwitchCheckResult> {
-        static EMPTY_LOGICAL: Vec<LogicalRule> = Vec::new();
-        static EMPTY_TCAM: Vec<TcamRule> = Vec::new();
-
-        let results = self.on_workers(switches.len(), |worker, range| {
+        let results = self.parallelism.fan_out(switches.len(), |_, range| {
             switches[range]
                 .iter()
                 .map(|&switch| {
-                    let logical = index.get(&switch).unwrap_or(&EMPTY_LOGICAL);
-                    let rules = tcam.get(&switch).unwrap_or(&EMPTY_TCAM);
-                    let result = worker.check_switch(&self.header_space, switch, logical, rules);
-                    (switch, result)
+                    let logical = index.get(&switch).map_or(&[][..], Vec::as_slice);
+                    let rules = tcam.get(&switch).map_or(&[][..], Vec::as_slice);
+                    (switch, compare(switch, logical, rules))
                 })
                 .collect::<Vec<_>>()
         });
         results.into_iter().flatten().collect()
-    }
-
-    /// Runs `work` over `items` items through [`Parallelism::fan_out`], one
-    /// warm worker per range. The workers are checked out of the pool before
-    /// the fan-out and returned in range order after it (cold ones are made
-    /// if the pool runs short), so the worker↔range pairing is deterministic
-    /// and every check, one switch or a wide front, warms the same pool.
-    fn on_workers<T, F>(&self, items: usize, work: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&mut CheckWorker, Range<usize>) -> T + Sync,
-    {
-        let count = self.parallelism.worker_count(items);
-        let workers: Vec<Mutex<CheckWorker>> = {
-            let mut pool = self.lock_pool();
-            while pool.len() < count {
-                pool.push(CheckWorker::new(&self.header_space, self.node_budget));
-            }
-            let keep = pool.len() - count;
-            pool.split_off(keep).into_iter().map(Mutex::new).collect()
-        };
-        let results = self.parallelism.fan_out(items, |range_index, range| {
-            let mut worker = workers[range_index]
-                .lock()
-                .expect("only this range locks its worker");
-            let output = work(&mut worker, range);
-            worker.maybe_shrink(&self.header_space, self.node_budget);
-            output
-        });
-        self.lock_pool().extend(
-            workers
-                .into_iter()
-                .map(|worker| worker.into_inner().unwrap_or_else(|e| e.into_inner())),
-        );
-        results
-    }
-
-    fn lock_pool(&self) -> std::sync::MutexGuard<'_, Vec<CheckWorker>> {
-        self.pool.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -808,54 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_checks_reuse_the_persistent_cache() {
-        let fabric = deployed();
-        let checker = EquivalenceChecker::new();
-        let tcam = fabric.collect_tcam();
-        let first = checker.check_network(fabric.logical_rules(), &tcam);
-        let cached_nodes = {
-            let pool = checker.lock_pool();
-            let worker = pool.last().expect("the check returned its worker");
-            // One diagram per distinct (protocol, port range), however many
-            // switches and EPG pairs carry it.
-            let distinct: BTreeSet<_> = fabric
-                .logical_rules()
-                .iter()
-                .map(|l| (l.rule.matcher.protocol, l.rule.matcher.ports))
-                .collect();
-            let cached: BTreeSet<_> = worker.match_cache.keys().copied().collect();
-            assert_eq!(cached, distinct, "match cache must be warm and minimal");
-            assert!(distinct.len() < fabric.logical_rules().len());
-            worker.manager.node_count()
-        };
-        let second = checker.check_network(fabric.logical_rules(), &tcam);
-        assert_eq!(first, second);
-        let after = checker.lock_pool().last().unwrap().manager.node_count();
-        assert_eq!(cached_nodes, after, "second check must not allocate nodes");
-    }
-
-    #[test]
-    fn parallel_pool_stays_warm_across_calls() {
-        let fabric = deployed();
-        let checker = EquivalenceChecker::with_parallelism(Parallelism::Fixed(2));
-        let tcam = fabric.collect_tcam();
-        let first = checker.check_network(fabric.logical_rules(), &tcam);
-        let warm_nodes: Vec<usize> = {
-            let pool = checker.lock_pool();
-            assert_eq!(pool.len(), 2, "both workers must return to the pool");
-            pool.iter().map(|w| w.manager.node_count()).collect()
-        };
-        let second = checker.check_network(fabric.logical_rules(), &tcam);
-        assert_eq!(first, second);
-        let after: Vec<usize> = checker
-            .lock_pool()
-            .iter()
-            .map(|w| w.manager.node_count())
-            .collect();
-        assert_eq!(warm_nodes, after, "second parallel check must hit caches");
-    }
-
-    #[test]
     fn recheck_dirty_with_fetches_only_dirty_switches() {
         let mut fabric = deployed();
         let checker = EquivalenceChecker::new();
@@ -953,20 +824,6 @@ mod tests {
         let again =
             checker.recheck_dirty(&baseline, fabric.logical_rules(), &tcam, &BTreeSet::new());
         assert_eq!(baseline, again);
-    }
-
-    #[test]
-    fn cache_stats_accumulate_across_checks() {
-        let fabric = deployed();
-        let checker = EquivalenceChecker::new();
-        let tcam = fabric.collect_tcam();
-        checker.check_network(fabric.logical_rules(), &tcam);
-        let first = checker.cache_stats();
-        assert!(first.misses > 0, "a cold check must miss");
-        checker.check_network(fabric.logical_rules(), &tcam);
-        let second = checker.cache_stats();
-        assert!(second.hits > first.hits, "a repeat check must hit");
-        assert!(second.misses >= first.misses);
     }
 
     #[test]

@@ -1,26 +1,21 @@
-//! Header-space encoding of TCAM rules as BDDs.
+//! Header-space encoding of TCAM rules as BDDs: the paper's formulation,
+//! kept as the reference the equivalence checker is tested against.
 //!
-//! The equivalence checker of the paper compares two ROBDDs, one built from the
-//! logical (L-type) rules and one from the deployed TCAM (T-type) rules. A
+//! The paper's checker compares two ROBDDs, one built from the logical
+//! (L-type) rules and one from the deployed TCAM (T-type) rules. A
 //! [`TcamRule`] matches on five fields — VRF id, source EPG, destination EPG,
-//! protocol and destination port — and [`HeaderSpace`] knows two layouts of
-//! them over BDD variables:
+//! protocol and destination port — laid out over 72 BDD variables (VRF 16 +
+//! src EPG 16 + dst EPG 16 + protocol 8 + port 16).
+//! [`HeaderSpace::rule_match`] encodes a whole rule and
+//! [`HeaderSpace::allowed_space`] folds a whole rule list into one diagram.
 //!
-//! * **The sub-space (24 variables: protocol 8 + port 16)** is what the
-//!   checker runs on. VRF and both EPGs are *exact-match* fields, so the
-//!   checker keys rules by them (full `u32` ids, no encoding at all) and only
-//!   the protocol/port part of a match becomes a diagram:
-//!   [`HeaderSpace::sub_match`], on a manager from
-//!   [`HeaderSpace::sub_manager`].
-//! * **The full space (72 variables: VRF 16 + src EPG 16 + dst EPG 16 +
-//!   protocol 8 + port 16)** is the reference: [`HeaderSpace::rule_match`]
-//!   encodes a whole rule and [`HeaderSpace::allowed_space`] folds a whole
-//!   rule list into one diagram, exactly the paper's formulation. Nothing on
-//!   the checker's path uses it; the differential tests check the sliced
-//!   checker against it.
+//! Nothing on the checker's path uses it: the
+//! [`EquivalenceChecker`](crate::EquivalenceChecker) compares exact
+//! port-interval lists instead (see [`crate::checker`]), and
+//! `tests/sliced.rs` checks every one of its results against this encoding.
 
-use scout_bdd::{Bdd, BddManager, FieldEncoder, FieldLayout};
-use scout_policy::{Action, PortRange, Protocol, TcamRule};
+use scout_bdd::{Bdd, BddManager, FieldLayout};
+use scout_policy::{Action, Protocol, TcamRule};
 
 /// Bit width of the VRF id field.
 pub const VRF_BITS: u32 = 16;
@@ -38,17 +33,11 @@ const F_DST: usize = 2;
 const F_PROTO: usize = 3;
 const F_PORT: usize = 4;
 
-/// Field indexes within the sub-space layout.
-const SUB_PROTO: usize = 0;
-const SUB_PORT: usize = 1;
-
-/// The header space used for L–T equivalence checking: the 72-variable
-/// reference layout plus the 24-variable sub-space the checker runs on (see
+/// The 72-variable header space of the paper's L–T equivalence check (see
 /// the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct HeaderSpace {
     layout: FieldLayout,
-    sub_layout: FieldLayout,
 }
 
 impl Default for HeaderSpace {
@@ -58,46 +47,25 @@ impl Default for HeaderSpace {
 }
 
 impl HeaderSpace {
-    /// Creates the standard header space: the full 72-bit layout (VRF, src
-    /// EPG, dst EPG, protocol, port) and its 24-bit (protocol, port)
-    /// sub-space.
+    /// Creates the standard header space: the 72-bit layout (VRF, src EPG,
+    /// dst EPG, protocol, port).
     pub fn new() -> Self {
         Self {
             layout: FieldLayout::new(&[VRF_BITS, EPG_BITS, EPG_BITS, PROTO_BITS, PORT_BITS]),
-            sub_layout: FieldLayout::new(&[PROTO_BITS, PORT_BITS]),
         }
     }
 
-    /// Creates a BDD manager sized for the full (reference) layout.
+    /// Creates a BDD manager sized for the layout.
     pub fn manager(&self) -> BddManager {
         self.layout.manager()
     }
 
-    /// Total number of BDD variables of the full (reference) layout.
+    /// Total number of BDD variables of the layout.
     pub fn total_vars(&self) -> u32 {
         self.layout.total_vars()
     }
 
-    /// Creates a manager sized for the sub-space.
-    pub fn sub_manager(&self) -> BddManager {
-        self.sub_layout.manager()
-    }
-
-    /// Encodes the non-exact part of a match — protocol and destination-port
-    /// range — as the set of (protocol, port) points it covers, on a
-    /// sub-space manager.
-    pub fn sub_match(&self, manager: &mut BddManager, protocol: Protocol, ports: PortRange) -> Bdd {
-        proto_port(
-            manager,
-            self.sub_layout.field(SUB_PROTO),
-            self.sub_layout.field(SUB_PORT),
-            protocol,
-            ports,
-        )
-    }
-
-    /// Encodes the match portion of one rule as the set of packets it covers,
-    /// on a full-layout manager.
+    /// Encodes the match portion of one rule as the set of packets it covers.
     ///
     /// This is the reference encoding, not the checker's. It is only faithful
     /// for VRF and EPG ids below 2¹⁶: the three id fields are 16 bits wide
@@ -117,14 +85,19 @@ impl HeaderSpace {
                 .exact(manager, u64::from(id & 0xffff));
             acc = manager.and(acc, exact);
         }
-        let rest = proto_port(
+        if m.protocol != Protocol::Any {
+            let proto = self
+                .layout
+                .field(F_PROTO)
+                .exact(manager, u64::from(m.protocol.code()));
+            acc = manager.and(acc, proto);
+        }
+        let port = self.layout.field(F_PORT).range(
             manager,
-            self.layout.field(F_PROTO),
-            self.layout.field(F_PORT),
-            m.protocol,
-            m.ports,
+            u64::from(m.ports.start),
+            u64::from(m.ports.end),
         );
-        manager.and(acc, rest)
+        manager.and(acc, port)
     }
 
     /// Encodes the *allowed space* of an ordered rule set under first-match,
@@ -138,26 +111,9 @@ impl HeaderSpace {
     }
 }
 
-/// `protocol ∧ ports` over the given field encoders — the part of a match
-/// both layouts encode the same way.
-fn proto_port(
-    manager: &mut BddManager,
-    proto_field: FieldEncoder,
-    port_field: FieldEncoder,
-    protocol: Protocol,
-    ports: PortRange,
-) -> Bdd {
-    let proto = match protocol {
-        Protocol::Any => Bdd::TRUE,
-        p => proto_field.exact(manager, u64::from(p.code())),
-    };
-    let port = port_field.range(manager, u64::from(ports.start), u64::from(ports.end));
-    manager.and(proto, port)
-}
-
 /// The first-match, deny-by-default allowed-space fold, parameterized over the
-/// per-rule encoder so callers can plug in a memoizing one (see the checker's
-/// match cache). This is the single home of the priority/tie-break semantics.
+/// per-rule encoder. This is the reference statement of the priority and
+/// tie-break semantics the checker's interval fold must reproduce.
 pub fn allowed_space_with<F>(manager: &mut BddManager, rules: &[TcamRule], encode: F) -> Bdd
 where
     F: FnMut(&mut BddManager, &TcamRule) -> Bdd,
@@ -168,9 +124,9 @@ where
 /// Like [`allowed_space_with`], but also returns every rule's match diagram,
 /// indexed in *input order* (`result.1[i]` is the match space of `rules[i]`).
 ///
-/// Callers that need the per-rule spaces after the fold — the checker
-/// classifying missing and unexpected rules is the motivating one — get them
-/// from the single batched encode pass here instead of re-querying the
+/// Callers that need the per-rule spaces after the fold — the reference
+/// check classifying missing and unexpected rules in `tests/sliced.rs` — get
+/// them from the single batched encode pass here instead of re-querying the
 /// encoder rule by rule.
 pub fn allowed_space_traced_with<F>(
     manager: &mut BddManager,

@@ -8,17 +8,20 @@
 //!
 //! SCOUT detects policy-deployment failures by comparing the *desired state*
 //! (logical, L-type rules compiled from the network policy) against the
-//! *actual state* (T-type rules collected from switch TCAMs). Following the
-//! paper, the comparison is done on reduced ordered binary decision diagrams:
-//! each rule set is encoded into the packet header space (VRF, source EPG,
-//! destination EPG, protocol, port) and the two allowed spaces are compared.
+//! *actual state* (T-type rules collected from switch TCAMs): each rule set
+//! is folded into the traffic it allows over the packet header space (VRF,
+//! source EPG, destination EPG, protocol, port) and the two allowed spaces
+//! are compared. The paper does this on reduced ordered binary decision
+//! diagrams; the checker compares exact port-interval lists per
+//! `(VRF, source EPG, destination EPG)` class instead ([`checker`]), and the
+//! paper's BDD encoding ([`HeaderSpace`]) is kept as its test reference.
 //! When they differ, the checker emits the set of **missing rules** — the
 //! logical rules whose traffic the deployed TCAM does not allow — which is the
 //! evidence used to augment the risk models, plus any **unexpected rules**
 //! that allow traffic the policy does not.
 //!
 //! A naive sampling-based oracle ([`naive_missing_rules`]) is included and
-//! property-tested against the BDD checker.
+//! property-tested against the checker.
 //!
 //! # Example
 //!
@@ -45,13 +48,13 @@ pub mod checker;
 pub mod header;
 pub mod naive;
 
-pub use checker::{
-    EquivalenceChecker, NetworkCheckResult, Parallelism, SwitchCheckResult, DEFAULT_NODE_BUDGET,
-};
+pub use checker::{EquivalenceChecker, NetworkCheckResult, Parallelism, SwitchCheckResult};
 pub use header::HeaderSpace;
 pub use naive::{naive_missing_rules, sample_flows};
-// Re-exported so downstream crates can read cache counters (and name the
-// one node table) without depending on `scout-bdd` directly.
+// Re-exported only for the inert `EngineConfig::node_table`,
+// `EquivalenceChecker::set_node_table` and `EquivalenceChecker::cache_stats`
+// the stand-alone `benchmark/` package still names; the next
+// benchmark-only change deletes them.
 pub use scout_bdd::{CacheStats, NodeTableKind};
 
 #[cfg(test)]
@@ -103,7 +106,7 @@ mod proptests {
         (0..count).map(|_| random_logical_rule(rng)).collect()
     }
 
-    /// The BDD checker and the naive oracle agree on which logical rules are
+    /// The checker and the naive oracle agree on which logical rules are
     /// missing, for arbitrary subsets of the rules removed from the TCAM
     /// (including duplicates covering the same traffic).
     #[test]
@@ -121,9 +124,9 @@ mod proptests {
             let result = checker.check_switch(SWITCH, &logical, &tcam);
             let naive = naive_missing_rules(&logical, &tcam);
 
-            let bdd_missing: BTreeSet<LogicalRule> = result.missing_rules.iter().copied().collect();
+            let missing: BTreeSet<LogicalRule> = result.missing_rules.iter().copied().collect();
             let naive_missing: BTreeSet<LogicalRule> = naive.iter().copied().collect();
-            assert_eq!(bdd_missing, naive_missing, "seed {seed}");
+            assert_eq!(missing, naive_missing, "seed {seed}");
         }
     }
 

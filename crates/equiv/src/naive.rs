@@ -1,5 +1,5 @@
 //! A naive, sampling-based consistency checker used as a cross-validation
-//! oracle for the BDD-based checker.
+//! oracle for the interval checker.
 //!
 //! For every logical rule it evaluates a handful of concrete flows drawn from
 //! the rule's match (the first, middle and last port of the range, and each

@@ -1,10 +1,11 @@
-//! The class-sliced checker against the paper's monolithic formulation.
+//! The interval checker against the paper's monolithic BDD formulation.
 //!
-//! `EquivalenceChecker` folds a switch one exact-match class at a time over a
-//! 24-variable sub-space. The reference here is the algorithm it replaced —
-//! every rule encoded over all 72 header bits with `HeaderSpace::rule_match`,
-//! the whole switch folded into one allowed space per side — and the two must
-//! return the same `SwitchCheckResult`, list order included.
+//! `EquivalenceChecker` folds a switch one exact-match class at a time into
+//! four port-interval lists per class. The reference here is the paper's
+//! algorithm — every rule encoded over all 72 header bits with
+//! `HeaderSpace::rule_match`, the whole switch folded into one ROBDD per
+//! side — and the two must return the same `SwitchCheckResult`, list order
+//! included.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -73,17 +74,25 @@ fn logical(rule: TcamRule) -> LogicalRule {
 
 /// A rule from a small id, port and priority space, so classes hold several
 /// rules that overlap, shadow and duplicate each other. Ids stay below 2¹⁶,
-/// where the 72-bit reference encoding is faithful.
+/// where the 72-bit reference encoding is faithful. Some ranges end at port
+/// 11 and others start at 12, so they touch without overlapping, and some sit
+/// at the top of the port space, where `end + 1` would overflow.
 fn random_rule(rng: &mut StdRng) -> TcamRule {
     let protocol = *[Protocol::Any, Protocol::Tcp, Protocol::Udp, Protocol::Icmp]
         .choose(rng)
         .unwrap();
-    let ports = match rng.gen_range(0u32..10) {
+    let ports = match rng.gen_range(0u32..14) {
         0 => PortRange::new(0, u16::MAX),
         1..=4 => PortRange::single(rng.gen_range(0u16..12)),
-        _ => {
+        5..=7 => {
             let start = rng.gen_range(0u16..12);
             PortRange::new(start, start + rng.gen_range(0u16..8))
+        }
+        8 => PortRange::new(rng.gen_range(0u16..12), 11),
+        9 => PortRange::new(12, 12 + rng.gen_range(0u16..4)),
+        _ => {
+            let start = rng.gen_range(65_530u16..=u16::MAX);
+            PortRange::new(start, rng.gen_range(start..=u16::MAX))
         }
     };
     let matcher = RuleMatch::new(
@@ -258,4 +267,123 @@ fn ids_differing_above_sixteen_bits_do_not_alias() {
         assert_eq!(result.missing_rules, vec![expected]);
         assert_eq!(result.unexpected_rules, vec![leaked]);
     }
+}
+
+/// Runs the checker and the reference on one switch, asserts they agree and
+/// returns the checker's result.
+fn checked(logical: &[LogicalRule], tcam: &[TcamRule]) -> SwitchCheckResult {
+    let header_space = HeaderSpace::new();
+    let result = EquivalenceChecker::new().check_switch(SWITCH, logical, tcam);
+    let reference = monolithic_check(&header_space, &mut header_space.manager(), logical, tcam);
+    assert_eq!(result, reference, "L {logical:?}\nT {tcam:?}");
+    result
+}
+
+/// A rule of one fixed class.
+fn rule(action: Action, protocol: Protocol, start: u16, end: u16, priority: u16) -> TcamRule {
+    let matcher = RuleMatch::new(
+        VrfId::new(7),
+        EpgId::new(1),
+        EpgId::new(2),
+        protocol,
+        PortRange::new(start, end),
+    );
+    let mut rule = match action {
+        Action::Allow => TcamRule::allow(matcher),
+        Action::Deny => TcamRule::deny(matcher),
+    };
+    rule.priority = priority;
+    rule
+}
+
+fn allow(protocol: Protocol, start: u16, end: u16) -> TcamRule {
+    rule(Action::Allow, protocol, start, end, 100)
+}
+
+/// Ports 80 and 81 as two rules allow what 80–81 as one rule allows: the
+/// adjacent runs merge, so the two spaces compare equal.
+#[test]
+fn adjacent_ranges_merge() {
+    let logical = [
+        logical(allow(Protocol::Tcp, 80, 80)),
+        logical(allow(Protocol::Tcp, 81, 81)),
+    ];
+    let result = checked(&logical, &[allow(Protocol::Tcp, 80, 81)]);
+    assert_eq!(result, SwitchCheckResult::consistent(SWITCH));
+}
+
+/// Runs that end at port 65535, and the full range split across two rules,
+/// merge and compare without overflowing `end + 1`.
+#[test]
+fn ranges_ending_at_the_top_port_do_not_overflow() {
+    let top = u16::MAX;
+    let full = [logical(allow(Protocol::Udp, 0, top))];
+    let split = [
+        allow(Protocol::Udp, 0, 32_767),
+        allow(Protocol::Udp, 32_768, top),
+    ];
+    assert!(checked(&full, &split).equivalent);
+
+    let high = [logical(allow(Protocol::Tcp, 65_530, top))];
+    let pieces = [
+        allow(Protocol::Tcp, top, top),
+        allow(Protocol::Tcp, 65_530, top - 1),
+    ];
+    assert!(checked(&high, &pieces).equivalent);
+    let short = checked(&high, &[allow(Protocol::Tcp, 65_530, top - 1)]);
+    assert_eq!(short.missing_rules, high);
+
+    // A deny running to the top port trims an allow of the full range.
+    let trimmed = [
+        logical(allow(Protocol::Tcp, 0, top)),
+        logical(rule(Action::Deny, Protocol::Tcp, 65_000, top, 110)),
+    ];
+    assert!(checked(&trimmed, &[allow(Protocol::Tcp, 0, 64_999)]).equivalent);
+}
+
+/// `Any` also allows every protocol other than TCP, UDP and ICMP, so the
+/// three concrete rules fall short of it: the `Any` rule is missing, and the
+/// deployed rules allow nothing the policy does not.
+#[test]
+fn any_protocol_covers_more_than_tcp_udp_and_icmp() {
+    let logical = [logical(allow(Protocol::Any, 80, 80))];
+    let tcam = [
+        allow(Protocol::Tcp, 80, 80),
+        allow(Protocol::Udp, 80, 80),
+        allow(Protocol::Icmp, 80, 80),
+    ];
+    let result = checked(&logical, &tcam);
+    assert!(!result.equivalent);
+    assert_eq!(result.missing_rules, logical);
+    assert!(result.unexpected_rules.is_empty());
+}
+
+/// A higher-priority `Any` deny removes its ports from a TCP allow; losing
+/// the deny makes the allow leak them.
+#[test]
+fn higher_priority_any_deny_shadows_a_tcp_allow() {
+    let deny = rule(Action::Deny, Protocol::Any, 80, 80, 110);
+    let open = allow(Protocol::Tcp, 80, 90);
+    let logical = [logical(deny), logical(open)];
+    assert!(checked(&logical, &[allow(Protocol::Tcp, 81, 90)]).equivalent);
+
+    let leaked = checked(&logical, &[open]);
+    assert!(!leaked.equivalent);
+    assert_eq!(leaked.unexpected_rules, vec![open]);
+}
+
+/// Between an allow and a deny of equal priority, list order decides.
+#[test]
+fn list_order_breaks_priority_ties() {
+    let (open, shut) = (
+        allow(Protocol::Tcp, 80, 80),
+        rule(Action::Deny, Protocol::Tcp, 80, 80, 100),
+    );
+    let logical = [logical(open), logical(shut)];
+    assert!(checked(&logical, &[open, shut]).equivalent);
+
+    let reversed = checked(&logical, &[shut, open]);
+    assert!(!reversed.equivalent);
+    assert!(reversed.missing_rules.contains(&logical[0]));
+    assert!(reversed.unexpected_rules.is_empty());
 }

@@ -3,7 +3,7 @@
 //! The accuracy experiments of the paper (Figures 8 and 9) run over risk
 //! models built from a production-cluster policy with up to tens of thousands
 //! of EPG pairs. Deploying such a policy through the full fabric simulator and
-//! re-running the BDD equivalence check for every experiment repetition would
+//! re-running the equivalence check for every experiment repetition would
 //! dominate the running time without changing the outcome: what the
 //! localization algorithms consume is only *which edges of the risk model are
 //! marked failed*. This module therefore synthesizes object faults directly at

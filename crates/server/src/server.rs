@@ -372,7 +372,8 @@ impl ScoutServer {
         // Cluster stays truthful.
         while let Some(batch) = self.admission.peek_queued(tenant).cloned() {
             match backend.ingest(tenant, batch) {
-                Ok(_) | Err(ServerError::Session { .. }) => {}
+                Ok(_) => self.engine.gauges().record_admitted(),
+                Err(ServerError::Session { .. }) => {}
                 Err(error) => return ServerResponse::Error(error),
             }
             self.admission.pop_queued(tenant);
@@ -655,6 +656,47 @@ mod tests {
         assert_eq!(stats.shed, 1);
         assert_eq!(stats.queued, 0);
         assert_eq!(stats.queue_peak, 2);
+    }
+
+    /// A batch the close drain applies counts as admitted, as one a tick
+    /// applies does.
+    #[test]
+    fn close_drain_counts_applied_batches_as_admitted() {
+        let admission = AdmissionConfig {
+            quota_tokens: 1,
+            refill_per_tick: 0,
+            queue_capacity: 1,
+        };
+        let mut srv = ScoutServer::new(ScoutEngine::new(), ServerConfig::in_memory(admission));
+        srv.handle(ServerRequest::OpenSession {
+            tenant: 1,
+            universe: sample::three_tier(),
+        });
+        let verdicts: Vec<_> = (1..=2)
+            .map(|epoch| {
+                srv.handle(ServerRequest::Ingest {
+                    tenant: 1,
+                    batch: EventBatch::empty(epoch),
+                })
+            })
+            .collect();
+        assert!(matches!(verdicts[0], ServerResponse::Ingested { .. }));
+        assert_eq!(
+            verdicts[1],
+            ServerResponse::Queued {
+                tenant: 1,
+                depth: 1
+            }
+        );
+        assert_eq!(
+            srv.handle(ServerRequest::CloseSession { tenant: 1 }),
+            ServerResponse::Closed {
+                tenant: 1,
+                epoch: 2
+            }
+        );
+        let stats = srv.engine().gauges().snapshot();
+        assert_eq!((stats.admitted, stats.queued), (2, 0));
     }
 
     #[test]

@@ -90,9 +90,9 @@ impl Campaign {
 /// The one campaign runner: builds an engine from `config`, deploys the
 /// `workload` fabric generated from `seed`, and runs `run` on items
 /// `0..items` fanned out over `concurrency`. Each worker opens one
-/// [`AnalysisSession`] on the base fabric, so its warm caches and pristine
-/// risk model are reused across the worker's items without cross-thread
-/// synchronization. Results come back in item order.
+/// [`AnalysisSession`] on the base fabric, so its open-time check and
+/// pristine risk model are reused across the worker's items without
+/// cross-thread synchronization. Results come back in item order.
 pub(crate) fn run_on_base<T: Send>(
     config: EngineConfig,
     workload: WorkloadKind,

@@ -16,7 +16,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`policy`] | `scout-policy` | APIC-like object model, policy universe, TCAM rules |
-//! | [`bdd`] | `scout-bdd` | ROBDD engine used by the equivalence checker |
+//! | [`bdd`] | `scout-bdd` | ROBDD engine behind the paper's BDD formulation, the equivalence checker's test reference |
 //! | [`fabric`] | `scout-fabric` | deterministic controller/switch/TCAM simulator with change & fault logs, typed telemetry events, and the in-house wire codec |
 //! | [`equiv`] | `scout-equiv` | L–T equivalence checker (missing-rule detection) |
 //! | [`faults`] | `scout-faults` | object-level and physical-level fault injection |

@@ -31,7 +31,7 @@ fn synthetic_full_fault_matches_fabric_pipeline() {
     let universe = sample::three_tier();
     let object = ObjectId::Filter(sample::F_700);
 
-    // Ground truth through the fabric + BDD checker.
+    // Ground truth through the fabric + equivalence checker.
     let mut fabric = Fabric::new(universe.clone());
     fabric.deploy();
     let mut injector = FaultInjector::new(StdRng::seed_from_u64(1));
@@ -175,7 +175,7 @@ fn no_faults_no_alarms() {
 }
 
 /// Golden accuracy regression: a fixed-seed 200-scenario campaign through the
-/// *full* pipeline (deploy → disturb → BDD check → localize → correlate) must
+/// *full* pipeline (deploy → disturb → L–T check → localize → correlate) must
 /// stay above the committed thresholds, and SCOUT's recall must clearly beat
 /// SCORE-1.0's on partial faults — the paper's Figures 7/8 claim.
 ///

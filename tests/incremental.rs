@@ -8,7 +8,6 @@ use std::collections::BTreeSet;
 use scout::core::ScoutEngine;
 use scout::equiv::{EquivalenceChecker, Parallelism};
 use scout::fabric::{Fabric, FabricProbe};
-use scout::policy::TcamRule;
 use scout::workload::{ScaleSpec, TestbedSpec};
 
 /// Feeds one observation of `fabric` into `session` as the next epoch.
@@ -48,162 +47,6 @@ fn single_switch_mutation_rechecks_identically() {
     let incremental = checker.recheck_dirty(&baseline, fabric.logical_rules(), &tcam, &dirty);
     assert_eq!(full, incremental);
     assert_eq!(incremental.inconsistent_switches(), vec![victim]);
-}
-
-/// The host-independent form of "an incremental recheck is at least 5× cheaper
-/// than a full check": BDD op-cache lookups are a pure function of the inputs
-/// on a sequential checker, so the ratio is asserted on counts, not seconds.
-#[test]
-fn one_dirty_switch_costs_a_fifth_of_a_full_check_in_cache_lookups() {
-    fn lookups(checker: &EquivalenceChecker) -> u64 {
-        let stats = checker.cache_stats();
-        stats.hits + stats.misses
-    }
-
-    let mut fabric = deployed_scale_fabric(32);
-    let checker = EquivalenceChecker::with_parallelism(Parallelism::Sequential);
-    let baseline = checker.check_network(fabric.logical_rules(), &fabric.collect_tcam());
-    let cold = lookups(&checker);
-
-    // The count is determined by the inputs alone: a second fresh checker
-    // reproduces it exactly.
-    let fresh = EquivalenceChecker::with_parallelism(Parallelism::Sequential);
-    fresh.check_network(fabric.logical_rules(), &fabric.collect_tcam());
-    assert_eq!(
-        lookups(&fresh),
-        cold,
-        "cold-check lookups are not deterministic"
-    );
-
-    let checkpoint = fabric.epoch();
-    let victim = fabric.universe().switch_ids()[5];
-    fabric.remove_tcam_rules_where(victim, |r| r.matcher.ports.start % 2 == 0);
-    let dirty = fabric.dirty_switches_since(checkpoint);
-    assert_eq!(dirty, BTreeSet::from([victim]));
-    let tcam = fabric.collect_tcam();
-
-    // Incremental first, so the full check — not the recheck — is the one
-    // that finds the victim's new TCAM already warm.
-    let before = lookups(&checker);
-    let incremental_result =
-        checker.recheck_dirty(&baseline, fabric.logical_rules(), &tcam, &dirty);
-    let incremental = lookups(&checker) - before;
-    let before = lookups(&checker);
-    let full_result = checker.check_network(fabric.logical_rules(), &tcam);
-    let full = lookups(&checker) - before;
-
-    assert_eq!(full_result, incremental_result);
-    assert!(incremental > 0, "the recheck must have done BDD work");
-    assert!(
-        full >= 5 * incremental,
-        "1 dirty switch of 32 must cost at most a fifth of a warm full check: \
-         cold {cold}, warm full {full}, incremental {incremental} lookups"
-    );
-}
-
-/// One tenant of the benchmark's fleet workloads
-/// (`benchmark/src/record.rs::FLEET_SPEC`): six switches, 58–68 rules each.
-fn deployed_fleet_tenant() -> Fabric {
-    let spec = TestbedSpec {
-        epgs: 24,
-        contracts: 14,
-        filters: 6,
-        target_pairs: 48,
-        switches: 6,
-        tcam_capacity: 2048,
-    };
-    let mut fabric = Fabric::new(spec.generate(1));
-    fabric.deploy();
-    fabric
-}
-
-fn misses(checker: &EquivalenceChecker) -> u64 {
-    checker.cache_stats().misses
-}
-
-/// Work bounds in op-cache misses — BDD steps actually computed — which the
-/// inputs alone determine on a sequential checker, whatever the host.
-#[test]
-fn fleet_tenant_check_costs_are_bounded_in_cache_misses() {
-    let fabric = deployed_fleet_tenant();
-    let logical = fabric.logical_rules();
-    let tcam = fabric.collect_tcam();
-    let checker = EquivalenceChecker::with_parallelism(Parallelism::Sequential);
-
-    // Cold: every class of every switch folds over the same few 24-level
-    // diagrams (46 844 misses when each switch was one 72-variable fold).
-    let baseline = checker.check_network(logical, &tcam);
-    assert!(baseline.is_consistent());
-    let cold = misses(&checker);
-    assert!(cold > 0 && cold < 2_000, "cold fleet check: {cold} misses");
-
-    // Warm and unchanged: every fold step is already memoized.
-    let every_switch: BTreeSet<_> = tcam.keys().copied().collect();
-    let again = checker.recheck_dirty(&baseline, logical, &tcam, &every_switch);
-    assert_eq!(again, baseline);
-    assert_eq!(misses(&checker), cold, "an unchanged recheck must not miss");
-}
-
-/// A one-rule drift on the tenant's largest switch re-folds the drifted rule's
-/// class only: it costs no more misses than the same drift on a switch that
-/// holds nothing but that class, plus what classifying the now-inequivalent
-/// switch adds — one subset test per rule of the switch, most of them
-/// answered from the cache because classes of one contract share diagrams
-/// (246 against 26 misses here; 8 455 against 122 when the switch was one fold).
-#[test]
-fn one_rule_drift_costs_its_class_not_its_switch() {
-    let mut fabric = deployed_fleet_tenant();
-    let class_of = |r: &TcamRule| (r.matcher.vrf, r.matcher.src_epg, r.matcher.dst_epg);
-    let tcam = fabric.collect_tcam();
-    let (&big, rules) = tcam.iter().max_by_key(|(_, rules)| rules.len()).unwrap();
-    assert_eq!(rules.len(), 68);
-    // Drift inside the switch's largest class, so there is something to re-fold.
-    let lost = *rules
-        .iter()
-        .max_by_key(|r| rules.iter().filter(|o| class_of(o) == class_of(r)).count())
-        .unwrap();
-    let class_logical: Vec<_> = fabric
-        .logical_rules_for(big)
-        .into_iter()
-        .filter(|l| class_of(&l.rule) == class_of(&lost))
-        .collect();
-    let class_tcam: Vec<TcamRule> = class_logical.iter().map(|l| l.rule).collect();
-    assert!(class_tcam.len() > 1 && class_tcam.len() < 8);
-
-    // The whole tenant, warm, then the drift.
-    let whole = EquivalenceChecker::with_parallelism(Parallelism::Sequential);
-    let baseline = whole.check_network(fabric.logical_rules(), &tcam);
-    let checkpoint = fabric.epoch();
-    assert_eq!(fabric.remove_tcam_rules_where(big, |r| *r == lost).len(), 1);
-    let dirty = fabric.dirty_switches_since(checkpoint);
-    let before = misses(&whole);
-    let drifted = whole.recheck_dirty(
-        &baseline,
-        fabric.logical_rules(),
-        &fabric.collect_tcam(),
-        &dirty,
-    );
-    let on_switch = misses(&whole) - before;
-    assert_eq!(drifted.inconsistent_switches(), vec![big]);
-
-    // A switch holding only that class, warm, then the same drift.
-    let alone = EquivalenceChecker::with_parallelism(Parallelism::Sequential);
-    assert!(
-        alone
-            .check_switch(big, &class_logical, &class_tcam)
-            .equivalent
-    );
-    let before = misses(&alone);
-    let class_drifted: Vec<TcamRule> = class_tcam.iter().copied().filter(|r| *r != lost).collect();
-    let result = alone.check_switch(big, &class_logical, &class_drifted);
-    let on_class = misses(&alone) - before;
-    assert_eq!(result.missing_rules, drifted.per_switch[&big].missing_rules);
-
-    let classified = (fabric.logical_rules_for(big).len() + fabric.tcam_rules(big).len()) as u64;
-    assert!(
-        on_switch <= on_class + 2 * classified,
-        "drift on the 68-rule switch: {on_switch} misses; on its class alone: {on_class}"
-    );
 }
 
 #[test]
