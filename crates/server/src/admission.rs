@@ -107,11 +107,6 @@ impl AdmissionController {
         }
     }
 
-    /// The configuration this controller enforces.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.config
-    }
-
     /// Opens a lane for `tenant` with a full token bucket. Idempotent: an
     /// existing lane (and anything queued in it) is left untouched.
     pub fn register(&mut self, tenant: TenantId) {
@@ -130,11 +125,6 @@ impl AdmissionController {
             .remove(&tenant)
             .map(|lane| lane.queue.into())
             .unwrap_or_default()
-    }
-
-    /// Whether `tenant` has a lane.
-    pub fn is_registered(&self, tenant: TenantId) -> bool {
-        self.lanes.contains_key(&tenant)
     }
 
     /// `tenant`'s current token balance (0 for unknown tenants).
@@ -296,7 +286,7 @@ mod tests {
     fn unknown_tenants_are_shed_without_side_effects() {
         let mut ctl = AdmissionController::new(AdmissionConfig::default());
         assert_eq!(ctl.offer(9, batch(1)), Admission::Shed { retry_hint: 0 });
-        assert!(!ctl.is_registered(9));
+        assert_eq!((ctl.tokens(9), ctl.queue_depth(9)), (0, 0));
         assert_eq!(ctl.total_queued(), 0);
     }
 
@@ -319,7 +309,8 @@ mod tests {
             parked.iter().map(|b| b.epoch).collect::<Vec<_>>(),
             vec![1, 2, 3, 4]
         );
-        assert!(!ctl.is_registered(3));
+        // The lane is gone: an offer is shed the way an unknown tenant's is.
+        assert_eq!(ctl.offer(3, batch(5)), Admission::Shed { retry_hint: 0 });
     }
 
     /// Property: over a long random interleaving of offers and ticks,

@@ -8,7 +8,8 @@
 //!   results are engine-independent, which is what node-count determinism
 //!   rests on);
 //! * every tenant session is **durable**, journaled under
-//!   `<root>/tenant_<id>` before any batch is acknowledged;
+//!   `<root>/tenant_<id>` before any batch or resync is acknowledged, so a
+//!   tenant that lost a batch resyncs and still fails over intact;
 //! * a [`Membership`] view turns missed heartbeats into death verdicts, the
 //!   [`leader`](crate::leader) module turns the alive set into a leader and
 //!   a reassignment plan, and [`ScoutServer::adopt`] replays the orphan's
@@ -34,7 +35,7 @@ use scout_core::ScoutEngine;
 use scout_fabric::wire::{from_bytes, to_bytes};
 use scout_store::store::StoreConfig;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::admission::AdmissionConfig;
 use crate::leader::{elect, plan_reassignment, Reassignment};
@@ -82,8 +83,6 @@ pub struct TickReport {
 ///
 /// See the [module docs](self) for the failure model.
 pub struct Cluster {
-    config: ClusterConfig,
-    root: PathBuf,
     membership: Membership,
     /// The live nodes. A killed node is removed outright — its engine,
     /// sessions and queues die with it; only the journals under `root`
@@ -109,23 +108,11 @@ impl Cluster {
         }
         let leader = elect(&membership.alive());
         Self {
-            config,
-            root: root.to_path_buf(),
             membership,
             nodes,
             assignment: BTreeMap::new(),
             leader,
         }
-    }
-
-    /// The cluster's configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
-
-    /// The shared store root.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     /// The current leader (None once every node is dead).

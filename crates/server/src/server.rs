@@ -18,8 +18,12 @@
 //!   consume analysis capacity that belongs to the others.
 //! * **Accepted means owned**: a batch answered with `Ingested` or `Queued`
 //!   is never silently dropped. Queued batches live in the controller until
-//!   [`ScoutServer::tick`] drains them into the session — and for durable
-//!   tenants the session is a [`DurableSession`], journaled before applied.
+//!   [`ScoutServer::tick`] drains them into the session.
+//! * **One session type**: every tenant is a [`DurableSession`]. Only
+//!   `OpenSession` and [`ScoutServer::adopt`] decide whether it has a store
+//!   sink (a [`ServerConfig::store_root`]); with one, every batch and every
+//!   `Resync` is journaled before it is acknowledged. An accepted `Resync`
+//!   flushes the tenant's queue but keeps its token balance.
 //!
 //! The server recreates each tenant's fabric from the universe carried in
 //! `OpenSession` and deploys it — the same construction the direct-engine
@@ -27,10 +31,10 @@
 //! library results (pinned by `tests/server.rs` and the ported case in
 //! `tests/multi_tenant.rs`).
 
-use scout_core::{AnalysisSession, ReportDelta, ScoutEngine, SessionError};
+use scout_core::{ScoutEngine, SessionError};
 use scout_fabric::wire::{from_bytes, to_bytes};
 use scout_fabric::{EventBatch, Fabric};
-use scout_store::store::{DurableSession, StoreConfig};
+use scout_store::store::{DurableSession, StoreConfig, StoreError};
 use scout_store::DurableEngine;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -38,39 +42,15 @@ use std::path::PathBuf;
 use crate::admission::{Admission, AdmissionConfig, AdmissionController};
 use crate::messages::{ServerError, ServerRequest, ServerResponse, TenantId};
 
-/// Where a tenant's session state lives.
-enum TenantBackend {
-    /// Plain in-memory session: fast, dies with the node.
-    Memory(Box<AnalysisSession>),
-    /// Journal-backed session: every accepted batch is durable before it is
-    /// acknowledged, and a failed-over node can recover it byte-for-byte.
-    Durable(Box<DurableSession>),
-}
-
-impl TenantBackend {
-    /// The analysis session either backend wraps — every read goes here.
-    fn session(&self) -> &AnalysisSession {
-        match self {
-            TenantBackend::Memory(session) => session,
-            TenantBackend::Durable(session) => session.session(),
-        }
-    }
-
-    fn ingest(&mut self, tenant: TenantId, batch: EventBatch) -> Result<ReportDelta, ServerError> {
-        match self {
-            TenantBackend::Memory(session) => session
-                .ingest(batch)
-                .map_err(|error| ServerError::Session { tenant, error }),
-            TenantBackend::Durable(session) => session.ingest(batch).map_err(|error| match error {
-                scout_store::store::StoreError::Session(error) => {
-                    ServerError::Session { tenant, error }
-                }
-                other => ServerError::Storage {
-                    tenant,
-                    reason: other.to_string(),
-                },
-            }),
-        }
+/// A store failure as the tenant sees it: the session's own rejection keeps
+/// its type, anything else is storage.
+fn tenant_error(tenant: TenantId, error: StoreError) -> ServerError {
+    match error {
+        StoreError::Session(error) => ServerError::Session { tenant, error },
+        other => ServerError::Storage {
+            tenant,
+            reason: other.to_string(),
+        },
     }
 }
 
@@ -121,7 +101,7 @@ pub struct ScoutServer {
     engine: ScoutEngine,
     config: ServerConfig,
     admission: AdmissionController,
-    tenants: BTreeMap<TenantId, TenantBackend>,
+    tenants: BTreeMap<TenantId, DurableSession>,
 }
 
 impl ScoutServer {
@@ -151,11 +131,6 @@ impl ScoutServer {
         self.tenants.len()
     }
 
-    /// Whether `tenant` has an open session here.
-    pub fn is_open(&self, tenant: TenantId) -> bool {
-        self.tenants.contains_key(&tenant)
-    }
-
     /// The open tenants, ascending.
     pub fn tenants(&self) -> Vec<TenantId> {
         self.tenants.keys().copied().collect()
@@ -175,7 +150,7 @@ impl ScoutServer {
     pub fn full_report(&self, tenant: TenantId) -> Option<&scout_core::ScoutReport> {
         self.tenants
             .get(&tenant)
-            .map(|backend| backend.session().full_report())
+            .map(|session| session.full_report())
     }
 
     /// Handles one wire-encoded request, always answering with a
@@ -220,32 +195,36 @@ impl ScoutServer {
         // bit-identical from the first epoch on.
         let mut fabric = Fabric::new(universe);
         fabric.deploy();
-        let backend = match self.config.tenant_dir(tenant) {
-            None => TenantBackend::Memory(Box::new(self.engine.open_session(&fabric))),
-            Some(dir) => match self.engine.open_durable(&fabric, &dir, self.config.store) {
-                Ok(session) => TenantBackend::Durable(Box::new(session)),
-                Err(error) => {
-                    return ServerResponse::Error(ServerError::Storage {
-                        tenant,
-                        reason: error.to_string(),
-                    })
-                }
-            },
+        let opened = match self.config.tenant_dir(tenant) {
+            None => Ok(self.engine.open_session(&fabric).into()),
+            Some(dir) => self.engine.open_durable(&fabric, &dir, self.config.store),
         };
-        let epoch = backend.session().epoch();
-        self.tenants.insert(tenant, backend);
+        match opened {
+            Ok(session) => ServerResponse::Opened {
+                tenant,
+                epoch: self.register(tenant, session),
+            },
+            Err(error) => ServerResponse::Error(tenant_error(tenant, error)),
+        }
+    }
+
+    /// Routes `tenant` to `session` behind a fresh admission lane; returns
+    /// the session's epoch.
+    fn register(&mut self, tenant: TenantId, session: DurableSession) -> u64 {
+        let epoch = session.epoch();
+        self.tenants.insert(tenant, session);
         self.admission.register(tenant);
-        ServerResponse::Opened { tenant, epoch }
+        epoch
     }
 
     fn ingest(&mut self, tenant: TenantId, batch: EventBatch) -> ServerResponse {
-        let Some(backend) = self.tenants.get(&tenant) else {
+        let Some(session) = self.tenants.get_mut(&tenant) else {
             return ServerResponse::Error(ServerError::UnknownTenant { tenant });
         };
         // Sequence check *before* admission: a mis-sequenced batch must not
         // poison the queue (drained batches are applied blind). The expected
         // epoch accounts for batches already parked ahead of this one.
-        let expected = backend.session().next_epoch() + self.admission.queue_depth(tenant) as u64;
+        let expected = session.next_epoch() + self.admission.queue_depth(tenant) as u64;
         if batch.epoch != expected {
             let error = if batch.epoch < expected {
                 SessionError::EpochOutOfOrder {
@@ -263,22 +242,19 @@ impl ScoutServer {
             return ServerResponse::Error(ServerError::Session { tenant, error });
         }
         match self.admission.offer(tenant, batch) {
-            Admission::Admit(batch) => {
-                let backend = self.tenants.get_mut(&tenant).expect("checked above");
-                match backend.ingest(tenant, batch) {
-                    Ok(delta) => {
-                        self.engine.gauges().record_admitted();
-                        ServerResponse::Ingested { tenant, delta }
-                    }
-                    Err(error) => {
-                        // Not applied: the client must resend this epoch, so
-                        // hand the token back — a backend failure must not
-                        // double-bill the tenant for the retry.
-                        self.admission.refund(tenant);
-                        ServerResponse::Error(error)
-                    }
+            Admission::Admit(batch) => match session.ingest(batch) {
+                Ok(delta) => {
+                    self.engine.gauges().record_admitted();
+                    ServerResponse::Ingested { tenant, delta }
                 }
-            }
+                Err(error) => {
+                    // Not applied: the client must resend this epoch, so
+                    // hand the token back — a storage failure must not
+                    // double-bill the tenant for the retry.
+                    self.admission.refund(tenant);
+                    ServerResponse::Error(tenant_error(tenant, error))
+                }
+            },
             Admission::Queued { depth } => {
                 self.engine.gauges().record_queued();
                 ServerResponse::Queued {
@@ -299,68 +275,53 @@ impl ScoutServer {
         epoch: u64,
         sync: scout_fabric::FullSync,
     ) -> ServerResponse {
-        let Some(backend) = self.tenants.get_mut(&tenant) else {
+        let Some(session) = self.tenants.get_mut(&tenant) else {
             return ServerResponse::Error(ServerError::UnknownTenant { tenant });
         };
-        match backend {
-            TenantBackend::Memory(session) => match session.resync(epoch, sync) {
-                Ok(delta) => {
-                    // Anything still parked is pre-gap traffic the resync
-                    // superseded. Flushed only now that the session has
-                    // accepted the resync: a rejected one (stale epoch) must
-                    // leave acknowledged batches and the quota untouched.
-                    for _ in self.admission.deregister(tenant) {
-                        self.engine.gauges().record_dequeued();
-                    }
-                    self.admission.register(tenant);
-                    ServerResponse::Resynced { tenant, delta }
+        match session.resync(epoch, sync) {
+            Ok(delta) => {
+                // Anything still parked is pre-gap traffic the resync
+                // superseded. Flushed only now that the session has accepted
+                // the resync: a rejected one (stale epoch) must leave
+                // acknowledged batches untouched. The token balance stays
+                // either way — a resync is not a refill.
+                while self.admission.pop_queued(tenant).is_some() {
+                    self.engine.gauges().record_dequeued();
                 }
-                Err(error) => ServerResponse::Error(ServerError::Session { tenant, error }),
-            },
-            TenantBackend::Durable(_) => ServerResponse::Error(ServerError::BadRequest {
-                reason: "resync is not supported for durable tenants: the journal must stay \
-                         the complete epoch history"
-                    .into(),
-            }),
+                ServerResponse::Resynced { tenant, delta }
+            }
+            Err(error) => ServerResponse::Error(tenant_error(tenant, error)),
         }
     }
 
     fn checkpoint(&mut self, tenant: TenantId) -> ServerResponse {
-        let Some(backend) = self.tenants.get_mut(&tenant) else {
+        let Some(session) = self.tenants.get_mut(&tenant) else {
             return ServerResponse::Error(ServerError::UnknownTenant { tenant });
         };
-        match backend {
-            // An in-memory node has nowhere durable to put a snapshot.
-            TenantBackend::Memory(session) => ServerResponse::Checkpointed {
+        // An in-memory session has nowhere durable to put a snapshot: its
+        // commit does nothing and every epoch counts as committed.
+        match session.commit() {
+            Ok(()) => ServerResponse::Checkpointed {
                 tenant,
-                epoch: session.epoch(),
+                epoch: session.committed_epoch(),
             },
-            TenantBackend::Durable(session) => match session.commit() {
-                Ok(()) => ServerResponse::Checkpointed {
-                    tenant,
-                    epoch: session.committed_epoch(),
-                },
-                Err(error) => ServerResponse::Error(ServerError::Storage {
-                    tenant,
-                    reason: error.to_string(),
-                }),
-            },
+            Err(error) => ServerResponse::Error(tenant_error(tenant, error)),
         }
     }
 
     fn query(&self, tenant: TenantId) -> ServerResponse {
         match self.tenants.get(&tenant) {
             None => ServerResponse::Error(ServerError::UnknownTenant { tenant }),
-            Some(backend) => ServerResponse::Report {
+            Some(session) => ServerResponse::Report {
                 tenant,
-                epoch: backend.session().epoch(),
-                report: backend.session().full_report().clone(),
+                epoch: session.epoch(),
+                report: session.full_report().clone(),
             },
         }
     }
 
     fn close_session(&mut self, tenant: TenantId) -> ServerResponse {
-        let Some(backend) = self.tenants.get_mut(&tenant) else {
+        let Some(session) = self.tenants.get_mut(&tenant) else {
             return ServerResponse::Error(ServerError::UnknownTenant { tenant });
         };
         // Drain anything still parked, then commit, and only then drop the
@@ -371,23 +332,18 @@ impl ScoutServer {
         // owned and retryable — and the `Closed`-only routing cleanup in the
         // Cluster stays truthful.
         while let Some(batch) = self.admission.peek_queued(tenant).cloned() {
-            match backend.ingest(tenant, batch) {
+            match session.ingest(batch) {
                 Ok(_) => self.engine.gauges().record_admitted(),
-                Err(ServerError::Session { .. }) => {}
-                Err(error) => return ServerResponse::Error(error),
+                Err(StoreError::Session(_)) => {}
+                Err(error) => return ServerResponse::Error(tenant_error(tenant, error)),
             }
             self.admission.pop_queued(tenant);
             self.engine.gauges().record_dequeued();
         }
-        if let TenantBackend::Durable(session) = backend {
-            if let Err(error) = session.commit() {
-                return ServerResponse::Error(ServerError::Storage {
-                    tenant,
-                    reason: error.to_string(),
-                });
-            }
+        if let Err(error) = session.commit() {
+            return ServerResponse::Error(tenant_error(tenant, error));
         }
-        let epoch = backend.session().epoch();
+        let epoch = session.epoch();
         self.tenants.remove(&tenant);
         self.admission.deregister(tenant);
         ServerResponse::Closed { tenant, epoch }
@@ -397,7 +353,7 @@ impl ScoutServer {
     /// batches in FIFO order, returning one `Ingested` (or error) response
     /// per applied (or failed) batch, in the deterministic drain order.
     ///
-    /// Accepted means owned here too: when the backend fails to store a
+    /// Accepted means owned here too: when the store fails to write a
     /// batch, it and the tenant's later batches released in the same round
     /// go back to the head of its queue, in order, with their tokens
     /// refunded. A batch the session rejects would be rejected again on
@@ -410,22 +366,22 @@ impl ScoutServer {
                 batches.push(batch);
                 continue;
             }
-            let Some(backend) = self.tenants.get_mut(&tenant) else {
+            let Some(session) = self.tenants.get_mut(&tenant) else {
                 continue; // session closed under a non-empty lane: unreachable
             };
-            match backend.ingest(tenant, batch.clone()) {
+            match session.ingest(batch.clone()) {
                 Ok(delta) => {
                     self.engine.gauges().record_dequeued();
                     self.engine.gauges().record_admitted();
                     responses.push(ServerResponse::Ingested { tenant, delta });
                 }
-                Err(error @ ServerError::Storage { .. }) => {
-                    held.insert(tenant, vec![batch]);
-                    responses.push(ServerResponse::Error(error));
+                Err(error @ StoreError::Session(_)) => {
+                    self.engine.gauges().record_dequeued();
+                    responses.push(ServerResponse::Error(tenant_error(tenant, error)));
                 }
                 Err(error) => {
-                    self.engine.gauges().record_dequeued();
-                    responses.push(ServerResponse::Error(error));
+                    held.insert(tenant, vec![batch]);
+                    responses.push(ServerResponse::Error(tenant_error(tenant, error)));
                 }
             }
         }
@@ -457,11 +413,7 @@ impl ScoutServer {
                 tenant,
                 reason: error.to_string(),
             })?;
-        let epoch = session.epoch();
-        self.tenants
-            .insert(tenant, TenantBackend::Durable(Box::new(session)));
-        self.admission.register(tenant);
-        Ok(epoch)
+        Ok(self.register(tenant, session))
     }
 }
 
@@ -532,7 +484,7 @@ mod tests {
                 epoch: direct.epoch()
             }
         );
-        assert!(!srv.is_open(1));
+        assert!(!srv.tenants().contains(&1));
     }
 
     #[test]
@@ -785,6 +737,111 @@ mod tests {
         assert_eq!(srv.engine().gauges().snapshot().queued, 1);
     }
 
+    /// A resync flushes the queue but is not a refill: a tenant out of
+    /// tokens stays out of tokens.
+    #[test]
+    fn accepted_resync_keeps_the_token_balance() {
+        let admission = AdmissionConfig {
+            quota_tokens: 1,
+            refill_per_tick: 0,
+            queue_capacity: 0,
+        };
+        let mut srv = ScoutServer::new(ScoutEngine::new(), ServerConfig::in_memory(admission));
+        srv.handle(ServerRequest::OpenSession {
+            tenant: 1,
+            universe: sample::three_tier(),
+        });
+        let ingest = |srv: &mut ScoutServer, epoch| {
+            srv.handle(ServerRequest::Ingest {
+                tenant: 1,
+                batch: EventBatch::empty(epoch),
+            })
+        };
+        assert!(matches!(
+            ingest(&mut srv, 1),
+            ServerResponse::Ingested { .. }
+        ));
+        assert!(matches!(
+            ingest(&mut srv, 2),
+            ServerResponse::Error(ServerError::Shed { .. })
+        ));
+        let mut fabric = Fabric::new(sample::three_tier());
+        fabric.deploy();
+        assert!(matches!(
+            srv.handle(ServerRequest::Resync {
+                tenant: 1,
+                epoch: 2,
+                sync: FullSync::of(&fabric),
+            }),
+            ServerResponse::Resynced { .. }
+        ));
+        assert_eq!(srv.quota_tokens(1), 0);
+        assert!(matches!(
+            ingest(&mut srv, 3),
+            ServerResponse::Error(ServerError::Shed { .. })
+        ));
+    }
+
+    /// A durable tenant that lost batches resyncs through its journal, and
+    /// a node that adopts it afterwards lands on the resynced state.
+    #[test]
+    fn durable_resync_is_journaled_and_survives_adoption() {
+        let dir = TestDir::new("server-durable-resync");
+        let config = ServerConfig::durable(
+            AdmissionConfig::default(),
+            dir.path().to_path_buf(),
+            StoreConfig::default(),
+        );
+        let mut node_a = ScoutServer::new(ScoutEngine::new(), config.clone());
+        node_a.handle(ServerRequest::OpenSession {
+            tenant: 5,
+            universe: sample::three_tier(),
+        });
+        let mut fabric = Fabric::new(sample::three_tier());
+        fabric.deploy();
+        fabric.evict_tcam(sample::S2, 1, false);
+        // Epochs 1..=2 are lost; epoch 3 reveals the gap.
+        assert!(matches!(
+            node_a.handle(ServerRequest::Ingest {
+                tenant: 5,
+                batch: EventBatch::empty(3),
+            }),
+            ServerResponse::Error(ServerError::Session {
+                error: SessionError::EpochGap { .. },
+                ..
+            })
+        ));
+        match node_a.handle(ServerRequest::Resync {
+            tenant: 5,
+            epoch: 3,
+            sync: FullSync::of(&fabric),
+        }) {
+            ServerResponse::Resynced { delta, .. } => assert_eq!(delta.epoch, 3),
+            other => panic!("expected Resynced, got {other:?}"),
+        }
+        assert_eq!(
+            node_a.handle(ServerRequest::Checkpoint { tenant: 5 }),
+            ServerResponse::Checkpointed {
+                tenant: 5,
+                epoch: 3
+            }
+        );
+        let report = node_a.full_report(5).unwrap().clone();
+        assert_eq!(report, ScoutEngine::new().analyze(&fabric));
+        drop(node_a);
+
+        let mut node_b = ScoutServer::new(ScoutEngine::new(), config);
+        assert_eq!(node_b.adopt(5).unwrap(), 3);
+        assert_eq!(node_b.full_report(5), Some(&report));
+        assert!(matches!(
+            node_b.handle(ServerRequest::Ingest {
+                tenant: 5,
+                batch: EventBatch::empty(4),
+            }),
+            ServerResponse::Ingested { .. }
+        ));
+    }
+
     #[test]
     fn handle_bytes_rejects_garbage_with_a_typed_response() {
         let mut srv = server();
@@ -937,7 +994,7 @@ mod tests {
             }
             hit = true;
             // The session survives the failed close, still routable …
-            assert!(srv.is_open(1));
+            assert!(srv.tenants().contains(&1));
             let epoch = match srv.handle(ServerRequest::Query { tenant: 1 }) {
                 ServerResponse::Report { epoch, .. } => epoch,
                 other => panic!("expected Report, got {other:?}"),
@@ -1121,7 +1178,7 @@ mod tests {
                 epoch: 1
             }
         );
-        assert!(!srv.is_open(1));
+        assert!(!srv.tenants().contains(&1));
         assert_eq!(srv.engine().gauges().snapshot().queued, 0);
     }
 

@@ -25,14 +25,16 @@
 //! The very first anchor a store writes (the *genesis* anchor, at the
 //! session's opening epoch) also seeds the chain: its recorded chain value
 //! must equal [`genesis_chain`] of its own snapshot bytes, which binds the
-//! journal to the exact initial state it extends.
+//! journal to the exact initial state it extends. A *resync* anchor steps
+//! the chain instead ([`resync_chain`]), binding the state a resync
+//! installed to the journal before it.
 
 use std::fmt;
 
 use scout_core::{Snapshot, SnapshotError};
 use scout_fabric::wire::{open_sealed, seal, SealError, SEAL_PROLOGUE_LEN};
 
-use crate::digest::{sha256, Digest, Sha256};
+use crate::digest::{chain_next, sha256, Digest, Sha256};
 
 /// Magic bytes opening every anchor file.
 pub const ANCHOR_MAGIC: [u8; 4] = *b"SCSA";
@@ -166,7 +168,7 @@ impl Anchor {
     /// opens a fresh session, whose ingest counter starts at 0, so the
     /// genesis anchor is exactly the epoch-0 anchor: nothing precedes it and
     /// its chain value must be [`genesis_chain`] of its own snapshot bytes
-    /// (periodic anchors are written only after at least one committed
+    /// (periodic and resync anchors are written only past at least one
     /// epoch, so they can never claim epoch 0).
     pub fn is_genesis(&self) -> bool {
         self.epoch == 0
@@ -185,6 +187,19 @@ pub fn genesis_chain(snapshot_bytes: &[u8]) -> Digest {
     h.update(b"scout-store/v1/genesis\0");
     h.update(&sha256(snapshot_bytes));
     h.finalize()
+}
+
+/// The chain value of a resync anchor whose snapshot encodes to
+/// `snapshot_bytes`, written where the journal's chain was `prev`:
+/// [`chain_next`]`(prev, "scout-store/v1/resync\0" ∥ SHA-256(snapshot_bytes))`.
+///
+/// A resync's epochs have no journal records. Recovery accepts that hole
+/// only where the anchor at its last epoch records this value for the
+/// segment before it, which tells a recorded resync from a spliced gap.
+pub fn resync_chain(prev: &Digest, snapshot_bytes: &[u8]) -> Digest {
+    let mut step = b"scout-store/v1/resync\0".to_vec();
+    step.extend_from_slice(&sha256(snapshot_bytes));
+    chain_next(prev, &step)
 }
 
 #[cfg(test)]

@@ -462,7 +462,6 @@ pub struct SegmentBuilder {
     bytes: Vec<u8>,
     chain: Digest,
     next_epoch: u64,
-    records: u64,
 }
 
 impl SegmentBuilder {
@@ -479,7 +478,6 @@ impl SegmentBuilder {
             bytes: header.to_bytes().to_vec(),
             chain: prev_chain,
             next_epoch: first_epoch,
-            records: 0,
         }
     }
 
@@ -499,7 +497,6 @@ impl SegmentBuilder {
             .next_epoch
             .checked_add(1)
             .ok_or(JournalError::EpochOverflow)?;
-        self.records += 1;
         Ok(frame)
     }
 
@@ -516,11 +513,6 @@ impl SegmentBuilder {
     /// Epoch the next appended batch must carry.
     pub fn next_epoch(&self) -> u64 {
         self.next_epoch
-    }
-
-    /// How many records have been appended.
-    pub fn record_count(&self) -> u64 {
-        self.records
     }
 }
 
@@ -726,7 +718,6 @@ mod tests {
             Err(JournalError::OversizedPayload { .. })
         ));
         assert_eq!(builder.next_epoch(), 1);
-        assert_eq!(builder.record_count(), 0);
         assert_eq!(builder.bytes().len(), len_before);
         builder.append(&EventBatch::empty(1)).unwrap();
         decode_segment(builder.bytes()).unwrap();
@@ -744,7 +735,7 @@ mod tests {
         );
         b.append(&EventBatch::empty(1)).unwrap();
         assert_eq!(b.next_epoch(), 2);
-        assert_eq!(b.record_count(), 1);
+        assert_eq!(decode_segment(b.bytes()).unwrap().records.len(), 1);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! them — and every epoch between them — crash-durable:
 //!
 //! * every accepted batch is **journaled before it is applied** (write-ahead),
-//!   framed over the canonical `scout-fabric` wire codec with a per-record
-//!   CRC and a SHA-256 chain digest ([`digest`]);
+//!   framed over the canonical wire codec with a per-record CRC and a
+//!   SHA-256 chain digest ([`digest`]); a resync is an anchor in the chain;
 //! * [`DurableSession::commit`] is the group-commit boundary (one fsync for
 //!   any number of staged appends);
 //! * snapshot anchors are written atomically (tmp → fsync → rename) and
@@ -71,7 +71,7 @@ pub mod journal;
 pub mod store;
 pub mod test_dir;
 
-pub use anchor::{genesis_chain, Anchor, AnchorError};
+pub use anchor::{genesis_chain, resync_chain, Anchor, AnchorError};
 pub use digest::{chain_next, sha256, Digest};
 pub use journal::{
     decode_segment, decode_segment_prefix, JournalError, Segment, SegmentBuilder, SegmentHeader,

@@ -12,17 +12,22 @@
 //!
 //! # Commit protocol
 //!
-//! [`DurableSession::append`] journals the batch (write-ahead), then applies
-//! it to the in-memory session; [`DurableSession::commit`] fsyncs the active
-//! segment — the group-commit boundary. [`DurableSession::ingest`] is
-//! `append` + `commit` in one call. When the committed epoch has advanced
+//! A [`DurableSession`] opened by [`DurableEngine`] has a *sink*: the files
+//! above. [`DurableSession::append`] journals the batch (write-ahead), then
+//! applies it to the in-memory session; [`DurableSession::commit`] fsyncs
+//! the active segment — the group-commit boundary. [`DurableSession::ingest`]
+//! is `append` + `commit` in one call. When the committed epoch has advanced
 //! [`StoreConfig::snapshot_every`] epochs past the last anchor, `commit`
 //! writes a new anchor (tmp → fsync → rename → dir fsync, so an anchor is
 //! either fully present or invisible) and then compacts: segments whose
 //! every record the anchor covers are deleted, as are superseded anchors.
 //! The active segment rolls after [`StoreConfig::segment_max_records`]
 //! records; rolling seals the old file with an fsync before the new header
-//! is written.
+//! is written. [`DurableSession::resync`] commits, resyncs the session and
+//! writes an anchor at the resync epoch chained by [`resync_chain`], then
+//! starts the next segment from it and compacts: the anchor bridges the
+//! hole the resync leaves in the journal. A session made `From` a plain
+//! [`AnalysisSession`] has no sink and writes nothing.
 //!
 //! # Recovery state machine
 //!
@@ -35,13 +40,15 @@
 //! 2. decode every segment — strictly, except the final segment where a torn
 //!    tail (an append a crash cut short) is truncated; a torn header left by
 //!    a crashed segment creation is discarded the same way;
-//! 3. verify segment contiguity (`first_epoch`, `prev_chain`) and that every
+//! 3. verify segment contiguity (`first_epoch`, `prev_chain`) — a hole only
+//!    where an anchor at its last epoch binds it by [`resync_chain`], and an
+//!    anchor past the journal end only if it so binds the last segment (a
+//!    resync that crashed before its segment existed) — and that every
 //!    anchor inside journal coverage records exactly the running chain
-//!    digest at its epoch (the newest anchor is always inside coverage —
-//!    that is enforced, not assumed); a *superseded* anchor left outside
-//!    coverage by an interrupted compaction is CRC-checked but its chain
-//!    digest has nothing left to be verified against, so recovery finishes
-//!    the compaction's job and deletes it rather than trusting it;
+//!    digest at its epoch; a *superseded* anchor left outside coverage by an
+//!    interrupted compaction is CRC-checked but its chain digest has nothing
+//!    left to be verified against, so recovery finishes the compaction's job
+//!    and deletes it rather than trusting it;
 //! 4. restore the newest anchor's snapshot through the ordinary engine
 //!    restore path and replay the journal tail through ordinary `ingest`.
 //!
@@ -66,11 +73,12 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use scout_core::{AnalysisSession, ReportDelta, ScoutEngine, ScoutReport, SessionError};
-use scout_fabric::{EventBatch, Fabric, FabricProbe};
+use scout_fabric::{EventBatch, Fabric, FullSync};
 
-use crate::anchor::{genesis_chain, Anchor, AnchorError};
+use crate::anchor::{genesis_chain, resync_chain, Anchor, AnchorError};
 use crate::digest::Digest;
 use crate::journal::{
     decode_segment, decode_segment_prefix, encode_record, JournalError, SegmentHeader,
@@ -105,8 +113,6 @@ pub struct StoreConfig {
     pub snapshot_every: u64,
     /// Roll the active segment after this many records (minimum 1).
     pub segment_max_records: u64,
-    /// Delete journal segments and anchors a new anchor supersedes.
-    pub compact: bool,
     /// Optional SIGKILL simulation: abort at a seeded durable-file-operation
     /// countdown.
     pub crash_plan: Option<CrashPlan>,
@@ -117,7 +123,6 @@ impl Default for StoreConfig {
         StoreConfig {
             snapshot_every: 32,
             segment_max_records: 64,
-            compact: true,
             crash_plan: None,
         }
     }
@@ -199,14 +204,16 @@ pub enum StoreError {
         /// The `first_epoch` its header carries.
         first_epoch: u64,
     },
-    /// Segments do not cover a contiguous epoch range.
+    /// Segments do not cover a contiguous epoch range, and no anchor bridges
+    /// the hole.
     SegmentOrder {
         /// Last epoch of the earlier segment.
         prev_end: u64,
         /// First epoch of the later segment.
         next_first: u64,
     },
-    /// Adjacent segments whose chain digests do not link.
+    /// Adjacent segments whose chain digests do not link, directly or
+    /// through the resync anchor that bridges them.
     ChainDiscontinuity {
         /// The boundary epoch where the chain breaks.
         at_epoch: u64,
@@ -225,7 +232,8 @@ pub enum StoreError {
         /// The newest anchor's epoch.
         anchor_epoch: u64,
     },
-    /// The newest anchor claims an epoch past the end of the journal.
+    /// The newest anchor claims an epoch past the end of the journal, and
+    /// its chain is not the resync step from the journal's last chain.
     AnchorBeyondJournal {
         /// The newest anchor's epoch.
         anchor_epoch: u64,
@@ -363,11 +371,9 @@ pub struct StoreSummary {
     /// Number of valid anchor files inside journal coverage (each
     /// chain-checked against the journal's running digest at its epoch).
     pub anchors: usize,
-    /// Superseded anchors whose epoch falls outside journal coverage — the
-    /// leftovers of a compaction interrupted between removing the segments
-    /// that covered them and removing the anchors themselves. Their CRCs are
-    /// checked but their chain digests have nothing left to be verified
-    /// against, so recovery deletes them as crash evidence.
+    /// Superseded anchors outside journal coverage, left by a compaction
+    /// interrupted between removing their segments and removing them: their
+    /// CRCs check, their chain digests cannot, and recovery deletes them.
     pub stale_anchors: usize,
     /// Journal records verified (including ones the anchor already covers).
     pub records: usize,
@@ -390,7 +396,6 @@ struct StoreFs {
 struct CrashState {
     remaining: u64,
     partial_seed: u64,
-    poisoned: bool,
 }
 
 fn io_err<'p>(op: &'static str, path: &'p Path) -> impl FnOnce(std::io::Error) -> StoreError + 'p {
@@ -407,26 +412,22 @@ impl StoreFs {
             crash: plan.map(|p| CrashState {
                 remaining: p.abort_after_ops,
                 partial_seed: p.partial_seed,
-                poisoned: false,
             }),
         }
     }
 
-    /// Advances the op countdown. `Ok(true)` means *this* operation is the
-    /// abort point: it must be interrupted and the store poisoned.
-    fn tick(&mut self) -> Result<bool, StoreError> {
-        let Some(state) = self.crash.as_mut() else {
-            return Ok(false);
-        };
-        if state.poisoned {
-            return Err(StoreError::Poisoned);
+    /// Counts one durable operation. The abort point fails with
+    /// [`StoreError::InjectedCrash`], and so does every later operation (the
+    /// sink that owns this countdown poisons itself on the first).
+    fn step(&mut self) -> Result<(), StoreError> {
+        match self.crash.as_mut() {
+            Some(state) if state.remaining == 0 => Err(StoreError::InjectedCrash),
+            Some(state) => {
+                state.remaining -= 1;
+                Ok(())
+            }
+            None => Ok(()),
         }
-        if state.remaining == 0 {
-            state.poisoned = true;
-            return Ok(true);
-        }
-        state.remaining -= 1;
-        Ok(false)
     }
 
     /// How many bytes of a fatal `len`-byte append reach the file: a
@@ -449,9 +450,7 @@ impl StoreFs {
     }
 
     fn create(&mut self, path: &Path) -> Result<File, StoreError> {
-        if self.tick()? {
-            return Err(StoreError::InjectedCrash);
-        }
+        self.step()?;
         OpenOptions::new()
             .write(true)
             .create_new(true)
@@ -460,51 +459,41 @@ impl StoreFs {
     }
 
     fn append(&mut self, file: &mut File, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-        if self.tick()? {
+        if let Err(crash) = self.step() {
             let keep = self.partial_len(bytes.len());
             // The torn prefix reaches the file — that is what makes the
             // abort point interesting for recovery.
             file.write_all(&bytes[..keep])
                 .map_err(io_err("append", path))?;
             let _ = file.sync_data();
-            return Err(StoreError::InjectedCrash);
+            return Err(crash);
         }
         file.write_all(bytes).map_err(io_err("append", path))
     }
 
     fn sync(&mut self, file: &File, path: &Path) -> Result<(), StoreError> {
-        if self.tick()? {
-            return Err(StoreError::InjectedCrash);
-        }
+        self.step()?;
         file.sync_data().map_err(io_err("sync", path))
     }
 
     fn sync_dir(&mut self, dir: &Path) -> Result<(), StoreError> {
-        if self.tick()? {
-            return Err(StoreError::InjectedCrash);
-        }
+        self.step()?;
         let handle = File::open(dir).map_err(io_err("open-dir", dir))?;
         handle.sync_all().map_err(io_err("sync-dir", dir))
     }
 
     fn rename(&mut self, from: &Path, to: &Path) -> Result<(), StoreError> {
-        if self.tick()? {
-            return Err(StoreError::InjectedCrash);
-        }
+        self.step()?;
         fs::rename(from, to).map_err(io_err("rename", from))
     }
 
     fn remove(&mut self, path: &Path) -> Result<(), StoreError> {
-        if self.tick()? {
-            return Err(StoreError::InjectedCrash);
-        }
+        self.step()?;
         fs::remove_file(path).map_err(io_err("remove", path))
     }
 
     fn truncate(&mut self, path: &Path, keep: u64) -> Result<(), StoreError> {
-        if self.tick()? {
-            return Err(StoreError::InjectedCrash);
-        }
+        self.step()?;
         let file = OpenOptions::new()
             .write(true)
             .open(path)
@@ -649,19 +638,28 @@ fn scan_dir(dir: &Path) -> Result<Scan, StoreError> {
     }
 
     // --- contiguity + chain ------------------------------------------------
+    let anchor_at = |epoch: u64| {
+        let older = anchors.get(&epoch).map(|(anchor, _)| anchor);
+        older.or((newest.epoch == epoch).then_some(&newest))
+    };
     for pair in segments.windows(2) {
         let a = &pair[0].prefix.segment;
         let b = &pair[1].prefix.segment;
-        if b.header.first_epoch != a.end_epoch() + 1 {
+        let (prev_end, next_first) = (a.end_epoch(), b.header.first_epoch);
+        // A hole is a recorded resync only where the anchor at its last
+        // epoch steps the chain on from the segment before it.
+        let linked = if next_first == prev_end + 1 {
+            a.end_chain()
+        } else if let Some(bridge) = anchor_at(next_first - 1).filter(|_| next_first > prev_end) {
+            resync_chain(&a.end_chain(), &bridge.snapshot.to_bytes())
+        } else {
             return Err(StoreError::SegmentOrder {
-                prev_end: a.end_epoch(),
-                next_first: b.header.first_epoch,
+                prev_end,
+                next_first,
             });
-        }
-        if b.header.prev_chain != a.end_chain() {
-            return Err(StoreError::ChainDiscontinuity {
-                at_epoch: a.end_epoch(),
-            });
+        };
+        if b.header.prev_chain != linked {
+            return Err(StoreError::ChainDiscontinuity { at_epoch: prev_end });
         }
     }
 
@@ -681,26 +679,28 @@ fn scan_dir(dir: &Path) -> Result<Scan, StoreError> {
                 anchor_epoch: newest.epoch,
             });
         }
-        if newest.epoch > journal_end {
+        let last_chain = last.prefix.segment.end_chain();
+        if newest.epoch > journal_end
+            && newest.chain != resync_chain(&last_chain, &newest.snapshot.to_bytes())
+        {
             return Err(StoreError::AnchorBeyondJournal {
                 anchor_epoch: newest.epoch,
                 journal_end,
             });
         }
         // Every anchor inside journal coverage must record exactly the
-        // running chain digest at its epoch — the splice detector.
-        let chain_at = |epoch: u64| -> Option<Digest> {
-            if epoch + 1 == journal_first {
-                return Some(first.prefix.segment.header.prev_chain);
-            }
-            for scanned in &segments {
+        // running chain digest at its epoch — the splice detector. A
+        // segment's header holds the chain at the epoch before it, which is
+        // how a resync anchor at the end of a hole is checked.
+        let chain_at = |epoch: u64| {
+            segments.iter().find_map(|scanned| {
                 let seg = &scanned.prefix.segment;
-                if epoch >= seg.header.first_epoch && epoch <= seg.end_epoch() {
-                    let idx = (epoch - seg.header.first_epoch) as usize;
-                    return seg.records.get(idx).map(|r| r.chain);
+                if epoch + 1 == seg.header.first_epoch {
+                    return Some(seg.header.prev_chain);
                 }
-            }
-            None
+                let idx = epoch.checked_sub(seg.header.first_epoch)?;
+                seg.records.get(idx as usize).map(|r| r.chain)
+            })
         };
         let check = |anchor: &Anchor| -> Result<(), StoreError> {
             match chain_at(anchor.epoch) {
@@ -721,12 +721,16 @@ fn scan_dir(dir: &Path) -> Result<Scan, StoreError> {
                 remove.push(path.clone());
                 continue;
             }
-            // Non-newest anchors precede `newest`, which the guards above
-            // pin inside coverage — so this one is covered too.
             check(anchor)?;
         }
-        check(&newest)?;
-        (last.prefix.segment.end_chain(), journal_end)
+        if newest.epoch > journal_end {
+            // A resync that crashed before its segment existed; recovery
+            // seeds that segment.
+            (newest.chain, newest.epoch)
+        } else {
+            check(&newest)?;
+            (last_chain, journal_end)
+        }
     } else {
         // No (surviving) segments: the store crashed right after an anchor
         // became durable. The anchor is the whole truth; older anchors have
@@ -772,13 +776,8 @@ fn scan_dir(dir: &Path) -> Result<Scan, StoreError> {
 /// This is exactly the validation [`DurableEngine::recover`] performs before
 /// it touches the engine, so a store that verifies cleanly will recover (and
 /// vice versa: any flipped byte fails both, with the same typed error).
-///
-/// One caveat, reported rather than hidden: a superseded anchor stranded
-/// outside journal coverage by an interrupted compaction has a valid CRC but
-/// a chain digest with nothing left to cross-check it against. Such anchors
-/// are counted in [`StoreSummary::stale_anchors`] (never in
-/// [`StoreSummary::anchors`]), are never restored from, and recovery deletes
-/// them.
+/// Superseded anchors an interrupted compaction stranded are reported in
+/// [`StoreSummary::stale_anchors`], not trusted.
 pub fn verify_dir(dir: &Path) -> Result<StoreSummary, StoreError> {
     let scan = scan_dir(dir)?;
     Ok(StoreSummary {
@@ -797,14 +796,23 @@ pub fn verify_dir(dir: &Path) -> Result<StoreSummary, StoreError> {
 // DurableSession
 // ---------------------------------------------------------------------------
 
-/// An [`AnalysisSession`] whose every accepted batch is journaled to disk
-/// before it is applied — crash-recoverable via [`DurableEngine::recover`].
+/// An [`AnalysisSession`] with an optional store sink. Opened through
+/// [`DurableEngine`], every accepted batch and every resync is journaled
+/// before it is applied, and the session is crash-recoverable via
+/// [`DurableEngine::recover`]. Made `From` a plain session it has no sink
+/// and writes nothing.
 ///
 /// Mutating access to the inner session is deliberately not exposed: every
-/// epoch must flow through [`DurableSession::append`] /
-/// [`DurableSession::ingest`] so the journal stays the complete history.
+/// epoch must flow through [`DurableSession::append`],
+/// [`DurableSession::ingest`] or [`DurableSession::resync`] so the journal
+/// stays the complete history.
 pub struct DurableSession {
     session: AnalysisSession,
+    sink: Option<Sink>,
+}
+
+/// A session's store state: its files, write cursor and counters.
+struct Sink {
     dir: PathBuf,
     journal_dir: PathBuf,
     snap_dir: PathBuf,
@@ -902,8 +910,7 @@ impl DurableEngine for ScoutEngine {
         let (active, active_path) =
             create_segment(&mut store_fs, &journal_dir, open_epoch + 1, chain)?;
 
-        Ok(DurableSession {
-            session,
+        let sink = Sink {
             dir: dir.to_path_buf(),
             journal_dir,
             snap_dir,
@@ -918,6 +925,10 @@ impl DurableEngine for ScoutEngine {
             staged: 0,
             poisoned: false,
             stats: StoreStats::default(),
+        };
+        Ok(DurableSession {
+            session,
+            sink: Some(sink),
         })
     }
 
@@ -956,26 +967,25 @@ impl DurableEngine for ScoutEngine {
             store_fs.sync_dir(&snap_dir)?;
         }
 
-        let (active, active_path, active_records) = if let Some(last) = scan.segments.last() {
-            let file = OpenOptions::new()
-                .append(true)
-                .open(&last.path)
-                .map_err(io_err("open", &last.path))?;
-            (
-                file,
-                last.path.clone(),
-                last.prefix.segment.records.len() as u64,
-            )
-        } else {
-            // The store crashed right after an anchor became durable and
-            // before the next segment existed: seed a fresh active segment.
-            let (file, path) =
-                create_segment(&mut store_fs, &journal_dir, scan.last_epoch + 1, scan.chain)?;
-            (file, path, 0)
+        let (active, active_path, active_records) = match scan.segments.last() {
+            Some(last) if last.prefix.segment.end_epoch() == scan.last_epoch => {
+                let file = OpenOptions::new()
+                    .append(true)
+                    .open(&last.path)
+                    .map_err(io_err("open", &last.path))?;
+                let records = last.prefix.segment.records.len() as u64;
+                (file, last.path.clone(), records)
+            }
+            // The store crashed right after an anchor (genesis or resync)
+            // became durable and before the next segment existed: seed it.
+            _ => {
+                let (file, path) =
+                    create_segment(&mut store_fs, &journal_dir, scan.last_epoch + 1, scan.chain)?;
+                (file, path, 0)
+            }
         };
 
-        Ok(DurableSession {
-            session,
+        let sink = Sink {
             dir: dir.to_path_buf(),
             journal_dir,
             snap_dir,
@@ -990,15 +1000,37 @@ impl DurableEngine for ScoutEngine {
             staged: 0,
             poisoned: false,
             stats,
+        };
+        Ok(DurableSession {
+            session,
+            sink: Some(sink),
         })
     }
 }
 
+impl From<AnalysisSession> for DurableSession {
+    /// A session with no sink: `append` is [`AnalysisSession::ingest`],
+    /// `resync` is [`AnalysisSession::resync`] and `commit` does nothing.
+    fn from(session: AnalysisSession) -> Self {
+        DurableSession {
+            session,
+            sink: None,
+        }
+    }
+}
+
+/// The counters of every session with no sink: all zero.
+static NO_STATS: OnceLock<StoreStats> = OnceLock::new();
+
 impl DurableSession {
     /// Journals one batch (write-ahead) and applies it to the session. The
     /// batch is durable only after the next [`DurableSession::commit`].
+    /// Without a sink this is exactly [`AnalysisSession::ingest`].
     pub fn append(&mut self, batch: EventBatch) -> Result<ReportDelta, StoreError> {
-        if self.poisoned {
+        let Some(sink) = &mut self.sink else {
+            return self.session.ingest(batch).map_err(StoreError::Session);
+        };
+        if sink.poisoned {
             return Err(StoreError::Poisoned);
         }
         // Both refusals run before any byte reaches a file and neither
@@ -1006,100 +1038,200 @@ impl DurableSession {
         // recovery is required to reject ([`JournalError::OversizedPayload`]
         // mirrors the decode-side cap), and the journal only ever holds
         // batches the session accepted.
-        let encoded = encode_record(&self.chain, &batch).map_err(|source| StoreError::Journal {
-            path: self.active_path.clone(),
-            source,
-        })?;
+        let (frame, chain) =
+            encode_record(&sink.chain, &batch).map_err(|source| StoreError::Journal {
+                path: sink.active_path.clone(),
+                source,
+            })?;
         self.session
             .validate_batch(&batch)
             .map_err(StoreError::Session)?;
-        match self.append_inner(batch, encoded) {
-            Ok(delta) => Ok(delta),
-            Err(err) => {
-                self.poisoned = true;
-                Err(err)
-            }
+        let session = &mut self.session;
+        sink.guard(|sink| {
+            sink.write(&frame, chain, session.epoch())?;
+            session.ingest(batch).map_err(StoreError::Session)
+        })
+    }
+
+    /// The group-commit boundary: fsyncs every staged append, then writes a
+    /// snapshot anchor (and compacts) if the committed epoch has advanced
+    /// far enough past the last anchor. Without a sink it does nothing.
+    pub fn commit(&mut self) -> Result<(), StoreError> {
+        match &mut self.sink {
+            Some(sink) => sink.guard(|sink| sink.commit(&self.session)),
+            None => Ok(()),
         }
     }
 
-    fn append_inner(
+    /// `append` + `commit` in one call: the batch is durable on return.
+    pub fn ingest(&mut self, batch: EventBatch) -> Result<ReportDelta, StoreError> {
+        let delta = self.append(batch)?;
+        self.commit()?;
+        Ok(delta)
+    }
+
+    /// [`AnalysisSession::resync`], durable on return: staged appends are
+    /// committed first, then an anchor of the resynced session bridges the
+    /// epochs the journal never saw (see the [module docs](self)). A
+    /// non-forward `epoch` writes nothing more and does not poison.
+    pub fn resync(&mut self, epoch: u64, sync: FullSync) -> Result<ReportDelta, StoreError> {
+        let Some(sink) = &mut self.sink else {
+            return self
+                .session
+                .resync(epoch, sync)
+                .map_err(StoreError::Session);
+        };
+        let session = &mut self.session;
+        sink.guard(|sink| match sink.staged {
+            0 => Ok(()),
+            _ => sink.seal(session.epoch()),
+        })?;
+        let delta = session.resync(epoch, sync).map_err(StoreError::Session)?;
+        sink.guard(|sink| sink.resync(session))?;
+        Ok(delta)
+    }
+
+    /// The session's current epoch (may be ahead of
+    /// [`DurableSession::committed_epoch`] between `append` and `commit`).
+    pub fn epoch(&self) -> u64 {
+        self.session.epoch()
+    }
+
+    /// The epoch the next ingested batch must carry.
+    pub fn next_epoch(&self) -> u64 {
+        self.session.next_epoch()
+    }
+
+    /// The current full report.
+    pub fn full_report(&self) -> &ScoutReport {
+        self.session.full_report()
+    }
+
+    /// Last epoch guaranteed durable (fsynced): the session's epoch when
+    /// there is no sink.
+    pub fn committed_epoch(&self) -> u64 {
+        self.sink
+            .as_ref()
+            .map_or(self.session.epoch(), |sink| sink.committed_epoch)
+    }
+
+    /// Epoch of the newest snapshot anchor on disk (`None` without a sink).
+    pub fn anchor_epoch(&self) -> Option<u64> {
+        self.sink.as_ref().map(|sink| sink.anchor_epoch)
+    }
+
+    /// Running hash-chain digest of the journal (`None` without a sink).
+    pub fn chain(&self) -> Option<Digest> {
+        self.sink.as_ref().map(|sink| sink.chain)
+    }
+
+    /// The store's root directory (empty without a sink).
+    pub fn dir(&self) -> &Path {
+        self.sink
+            .as_ref()
+            .map_or(Path::new(""), |sink| sink.dir.as_path())
+    }
+
+    /// The store's operation counters (all zero without a sink).
+    pub fn store_stats(&self) -> &StoreStats {
+        match &self.sink {
+            Some(sink) => &sink.stats,
+            None => NO_STATS.get_or_init(StoreStats::default),
+        }
+    }
+
+    /// Whether a crash (injected or real write failure) has poisoned the
+    /// store. A poisoned store refuses every further write; drop it and
+    /// [`DurableEngine::recover`].
+    pub fn is_poisoned(&self) -> bool {
+        self.sink.as_ref().is_some_and(|sink| sink.poisoned)
+    }
+}
+
+impl Sink {
+    /// Runs one write step. A poisoned store runs nothing, and a failed step
+    /// poisons it: the files may hold any prefix of the step.
+    fn guard<T>(
         &mut self,
-        batch: EventBatch,
-        encoded: (Vec<u8>, Digest),
-    ) -> Result<ReportDelta, StoreError> {
+        step: impl FnOnce(&mut Sink) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
+        if self.poisoned {
+            return Err(StoreError::Poisoned);
+        }
+        let result = step(self);
+        self.poisoned = result.is_err();
+        result
+    }
+
+    /// Fsyncs the active segment: every append up to `epoch` is durable.
+    fn seal(&mut self, epoch: u64) -> Result<(), StoreError> {
+        self.fs.sync(&self.active, &self.active_path)?;
+        self.stats.syncs += 1;
+        self.committed_epoch = epoch;
+        self.staged = 0;
+        Ok(())
+    }
+
+    /// Makes a new segment whose first record will carry `first_epoch` the
+    /// active one, chained onto the current digest.
+    fn start_segment(&mut self, first_epoch: u64) -> Result<(), StoreError> {
+        let (file, path) =
+            create_segment(&mut self.fs, &self.journal_dir, first_epoch, self.chain)?;
+        self.active = file;
+        self.active_path = path;
+        self.active_records = 0;
+        Ok(())
+    }
+
+    /// Appends one encoded frame after `epoch`, rolling a full segment first.
+    fn write(&mut self, frame: &[u8], chain: Digest, epoch: u64) -> Result<(), StoreError> {
         // Rolling does not disturb the chain, so the frame encoded before
         // the roll decision is the frame either segment gets.
         if self.active_records >= self.config.segment_max_records.max(1) {
-            self.roll()?;
+            self.seal(epoch)?;
+            self.start_segment(epoch + 1)?;
+            self.stats.segments_rolled += 1;
         }
-        let (frame, chain) = encoded;
-        self.fs
-            .append(&mut self.active, &self.active_path, &frame)?;
+        self.fs.append(&mut self.active, &self.active_path, frame)?;
         self.chain = chain;
         self.active_records += 1;
         self.staged += 1;
         self.stats.appends += 1;
         self.stats.bytes_appended += frame.len() as u64;
-        self.session.ingest(batch).map_err(StoreError::Session)
-    }
-
-    fn roll(&mut self) -> Result<(), StoreError> {
-        // Seal the active segment: everything staged becomes durable.
-        self.fs.sync(&self.active, &self.active_path)?;
-        self.stats.syncs += 1;
-        self.committed_epoch = self.session.epoch();
-        self.staged = 0;
-        let first = self.session.epoch() + 1;
-        let (file, path) = create_segment(&mut self.fs, &self.journal_dir, first, self.chain)?;
-        self.active = file;
-        self.active_path = path;
-        self.active_records = 0;
-        self.stats.segments_rolled += 1;
         Ok(())
     }
 
-    /// The group-commit boundary: fsyncs every staged append, then writes a
-    /// snapshot anchor (and compacts) if the committed epoch has advanced
-    /// far enough past the last anchor.
-    pub fn commit(&mut self) -> Result<(), StoreError> {
-        if self.poisoned {
-            return Err(StoreError::Poisoned);
-        }
-        match self.commit_inner() {
-            Ok(()) => Ok(()),
-            Err(err) => {
-                self.poisoned = true;
-                Err(err)
-            }
-        }
-    }
-
-    fn commit_inner(&mut self) -> Result<(), StoreError> {
+    fn commit(&mut self, session: &AnalysisSession) -> Result<(), StoreError> {
         if self.staged > 0 {
-            self.fs.sync(&self.active, &self.active_path)?;
-            self.stats.syncs += 1;
-            self.committed_epoch = self.session.epoch();
-            self.staged = 0;
+            self.seal(session.epoch())?;
         }
         self.stats.commits += 1;
         if self.config.snapshot_every > 0
             && self.committed_epoch - self.anchor_epoch >= self.config.snapshot_every
         {
-            self.write_anchor_and_compact()?;
+            self.anchor(session.checkpoint(), self.chain)?;
+            self.compact()?;
         }
         Ok(())
     }
 
-    fn write_anchor_and_compact(&mut self) -> Result<(), StoreError> {
-        let snapshot = self.session.checkpoint();
-        debug_assert_eq!(snapshot.epoch(), self.committed_epoch);
-        let anchor = Anchor::new(snapshot, self.chain).expect("checkpoints have no tail");
+    /// Records a resync `session` just applied: an anchor at its epoch,
+    /// chained by [`resync_chain`], then the segment after it.
+    fn resync(&mut self, session: &AnalysisSession) -> Result<(), StoreError> {
+        let snapshot = session.checkpoint();
+        let chain = resync_chain(&self.chain, &snapshot.to_bytes());
+        self.anchor(snapshot, chain)?;
+        self.chain = chain;
+        self.committed_epoch = session.epoch();
+        self.start_segment(session.epoch() + 1)?;
+        self.compact()
+    }
+
+    fn anchor(&mut self, snapshot: scout_core::Snapshot, chain: Digest) -> Result<(), StoreError> {
+        let anchor = Anchor::new(snapshot, chain).expect("checkpoints have no tail");
         write_anchor(&mut self.fs, &self.snap_dir, &anchor)?;
         self.anchor_epoch = anchor.epoch;
         self.stats.anchors_written += 1;
-        if self.config.compact {
-            self.compact()?;
-        }
         Ok(())
     }
 
@@ -1145,85 +1277,13 @@ impl DurableSession {
         }
         Ok(())
     }
-
-    /// `append` + `commit` in one call: the batch is durable on return.
-    pub fn ingest(&mut self, batch: EventBatch) -> Result<ReportDelta, StoreError> {
-        let delta = self.append(batch)?;
-        self.commit()?;
-        Ok(delta)
-    }
-
-    /// Observes `fabric` through `probe` and ingests the resulting events as
-    /// the next epoch — the durable counterpart of
-    /// [`AnalysisSession::ingest_observation`].
-    pub fn ingest_observation(
-        &mut self,
-        probe: &mut FabricProbe,
-        fabric: &Fabric,
-    ) -> Result<ReportDelta, StoreError> {
-        let events = probe.observe(fabric);
-        let batch = EventBatch::new(self.session.next_epoch(), events);
-        self.ingest(batch)
-    }
-
-    /// Read-only view of the inner analysis session.
-    pub fn session(&self) -> &AnalysisSession {
-        &self.session
-    }
-
-    /// The session's current epoch (may be ahead of
-    /// [`DurableSession::committed_epoch`] between `append` and `commit`).
-    pub fn epoch(&self) -> u64 {
-        self.session.epoch()
-    }
-
-    /// The epoch the next ingested batch must carry.
-    pub fn next_epoch(&self) -> u64 {
-        self.session.next_epoch()
-    }
-
-    /// The current full report.
-    pub fn full_report(&self) -> &ScoutReport {
-        self.session.full_report()
-    }
-
-    /// Last epoch guaranteed durable (fsynced).
-    pub fn committed_epoch(&self) -> u64 {
-        self.committed_epoch
-    }
-
-    /// Epoch of the newest snapshot anchor on disk.
-    pub fn anchor_epoch(&self) -> u64 {
-        self.anchor_epoch
-    }
-
-    /// Running hash-chain digest after the last appended record.
-    pub fn chain(&self) -> Digest {
-        self.chain
-    }
-
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The store's operation counters.
-    pub fn store_stats(&self) -> &StoreStats {
-        &self.stats
-    }
-
-    /// Whether a crash (injected or real write failure) has poisoned the
-    /// store. A poisoned store refuses every further write; drop it and
-    /// [`DurableEngine::recover`].
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_dir::TestDir;
+    use scout_fabric::FabricProbe;
     use scout_policy::sample;
 
     fn fabric() -> Fabric {
@@ -1256,7 +1316,8 @@ mod tests {
         let mut probe = FabricProbe::new(&fabric);
         for _ in 0..10 {
             fabric.evict_tcam(sample::S2, 1, false);
-            ds.ingest_observation(&mut probe, &fabric).unwrap();
+            let batch = EventBatch::new(ds.next_epoch(), probe.observe(&fabric));
+            ds.ingest(batch).unwrap();
         }
         let report = ds.full_report().clone();
         let epoch = ds.epoch();
@@ -1326,7 +1387,7 @@ mod tests {
             .unwrap();
         drive(&mut ds, 5);
         let report_at_5 = ds.full_report().clone();
-        let seg_path = ds.active_path.clone();
+        let seg_path = ds.sink.as_ref().unwrap().active_path.clone();
         drop(ds);
 
         // Tear the last append: chop 3 bytes off the final record.
@@ -1397,24 +1458,31 @@ mod tests {
         let dir = TestDir::new("store-stale-anchors");
         let fabric = fabric();
         let engine = ScoutEngine::new();
-        let mut cfg = config(); // snapshot_every: 4, segment_max_records: 3
-        cfg.compact = false;
-        let mut ds = engine.open_durable(&fabric, dir.path(), cfg).unwrap();
-        drive(&mut ds, 20);
+        // snapshot_every: 4, segment_max_records: 3
+        let mut ds = engine.open_durable(&fabric, dir.path(), config()).unwrap();
+        // Every file the run writes, as last seen before compaction
+        // removes it: anchors never change, and a segment is sealed by the
+        // roll that precedes its removal.
+        let mut copies: BTreeMap<PathBuf, Vec<u8>> = BTreeMap::new();
+        for _ in 0..20 {
+            drive(&mut ds, 1);
+            for sub in [JOURNAL_SUBDIR, SNAP_SUBDIR] {
+                for (_, path) in sorted_entries(&dir.path().join(sub)).unwrap() {
+                    copies.insert(path.clone(), fs::read(&path).unwrap());
+                }
+            }
+        }
         let report = ds.full_report().clone();
         drop(ds);
 
         // Simulate a compaction interrupted between deleting covered
-        // segments and deleting the anchors they covered: drop every
-        // segment below epoch 10 by hand. Anchors 0, 4 and 8 are now
+        // segments and deleting the anchors they covered: put back every
+        // anchor and the segments from epoch 10 on. Anchors 0, 4 and 8 are
         // stranded outside journal coverage.
-        let journal_dir = dir.path().join(JOURNAL_SUBDIR);
-        for entry in fs::read_dir(&journal_dir).unwrap() {
-            let path = entry.unwrap().path();
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            let first = parse_fixed(&name, "seg-", ".scjl").unwrap();
-            if first < 10 {
-                fs::remove_file(&path).unwrap();
+        for (path, bytes) in &copies {
+            let name = path.file_name().unwrap().to_string_lossy();
+            if parse_fixed(&name, "seg-", ".scjl").is_none_or(|first| first >= 10) {
+                fs::write(path, bytes).unwrap();
             }
         }
 

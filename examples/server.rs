@@ -12,12 +12,17 @@
 //! new leader replays the orphans' journals onto survivors, and the final
 //! reports come out bit-identical to a direct single-threaded engine replay.
 //!
+//! Part 3 loses a batch on the way to that cluster: the next delivery is
+//! refused with an epoch gap, the client resyncs from a full fabric read
+//! (journaled like any batch), the tenant's owner is killed, and the
+//! survivor that adopts it reports exactly what the owner did.
+//!
 //! Run with:
 //! ```text
 //! cargo run --example server
 //! ```
 
-use scout::core::ScoutEngine;
+use scout::core::{ScoutEngine, SessionError};
 use scout::fabric::{EventBatch, Fabric, FabricProbe};
 use scout::server::{
     AdmissionConfig, Cluster, ClusterConfig, ScoutServer, ServerConfig, ServerError, ServerRequest,
@@ -230,7 +235,72 @@ fn main() {
         }
     }
     println!(
-        "all {} final reports bit-identical to direct replay",
+        "all {} final reports bit-identical to direct replay\n",
         tenants.len()
     );
+
+    // ── Part 3: a lost batch, a resync, then the owner dies ─────────────
+    println!("== lossy tenant on the same cluster: ==");
+    let tenant = 6;
+    open(&mut |r| cluster.handle(r), tenant);
+    let mut fabric = Fabric::new(tenant_universe(tenant));
+    fabric.deploy();
+    let mut probe = FabricProbe::new(&fabric);
+    let switches = fabric.universe().switch_ids();
+    for epoch in 1..=3 {
+        fabric.evict_tcam(switches[epoch as usize % 3], 1, false);
+        let batch = EventBatch::new(epoch, probe.observe(&fabric));
+        if epoch == 2 {
+            println!("  epoch 2: lost in transit");
+            continue;
+        }
+        match cluster.handle(ServerRequest::Ingest { tenant, batch }) {
+            ServerResponse::Ingested { .. } => println!("  epoch {epoch}: ingested"),
+            ServerResponse::Error(ServerError::Session {
+                error: SessionError::EpochGap { resync },
+                ..
+            }) => {
+                println!(
+                    "  epoch {epoch}: refused, epochs {}..{} are missing",
+                    resync.from_epoch, resync.observed_epoch
+                );
+                match cluster.handle(ServerRequest::Resync {
+                    tenant,
+                    epoch,
+                    sync: probe.full_resync(&fabric),
+                }) {
+                    ServerResponse::Resynced { .. } => {
+                        println!("  epoch {epoch}: resynced from a full read (journaled)")
+                    }
+                    other => panic!("resync failed: {other:?}"),
+                }
+            }
+            other => panic!("unexpected verdict: {other:?}"),
+        }
+    }
+    let report = match cluster.handle(ServerRequest::Query { tenant }) {
+        ServerResponse::Report { report, .. } => report,
+        other => panic!("query failed: {other:?}"),
+    };
+    let owner = cluster.owner(tenant).expect("an open tenant has an owner");
+    cluster.kill_node(owner);
+    println!("killed node {owner}, the tenant's owner");
+    while cluster.owner(tenant) == Some(owner) {
+        for m in cluster.tick().failed_over {
+            println!(
+                "  failover: tenant {} journal-replayed onto node {}",
+                m.tenant, m.to
+            );
+        }
+    }
+    match cluster.handle(ServerRequest::Query { tenant }) {
+        ServerResponse::Report {
+            report: adopted, ..
+        } => {
+            assert_eq!(adopted, report);
+            assert_eq!(adopted, ScoutEngine::new().analyze(&fabric));
+        }
+        other => panic!("query failed: {other:?}"),
+    }
+    println!("the survivor reports exactly what the dead owner did, resync included");
 }

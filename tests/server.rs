@@ -14,19 +14,23 @@
 //!    while bystander tenants are admitted untouched, and no accepted batch
 //!    is ever lost;
 //! 4. neither the server thread count nor the cluster node count changes a
-//!    single analysis result.
+//!    single analysis result;
+//! 5. a lossy stream answered with resyncs gives the same deltas and reports
+//!    in memory, on a durable node, and across a failover after a resync.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use scout::core::{ScoutEngine, ScoutReport};
-use scout::fabric::EventBatch;
+use scout::core::{ScoutEngine, ScoutReport, SessionError};
+use scout::fabric::{EventBatch, Fabric, FabricProbe};
 use scout::server::{
     AdmissionConfig, Cluster, ClusterConfig, ScoutServer, ServerConfig, ServerError, ServerRequest,
     ServerResponse, TenantId,
 };
+use scout::sim::churn::soak_step;
 use scout::sim::{FleetSoak, Parallelism, WorkloadKind};
 use scout::store::test_dir::TestDir;
+use scout::store::StoreConfig;
 use scout::workload::TestbedSpec;
 
 /// Fleet width: the full million-user-style fleet in release, a narrower one
@@ -356,5 +360,147 @@ fn node_count_never_changes_results() {
     for (tenant, report) in per_node_count[0].iter().enumerate() {
         let (_, oracle) = soak.direct_replay(tenant);
         assert_eq!(report, &oracle);
+    }
+}
+
+/// Headline 5: a seeded stream that loses about a fifth of its batches, each
+/// gap answered with a `Resync` from `FabricProbe::full_resync`, driven
+/// through an in-memory node, a durable node, and a 3-node cluster whose
+/// owner is killed right after a resync and failed over. All three give the
+/// same `Ingested`/`Resynced` deltas and the same final report, which is the
+/// from-scratch analysis of the fabric.
+#[test]
+fn lossy_stream_resyncs_identically_in_memory_durable_and_across_failover() {
+    const TENANT: TenantId = 3;
+    const LOSSY_EPOCHS: u64 = 40;
+    let spec = TestbedSpec {
+        epgs: 8,
+        contracts: 5,
+        filters: 3,
+        target_pairs: 10,
+        switches: 3,
+        tcam_capacity: 512,
+    };
+    let universe = spec.generate(SEED);
+    let mut fabric = Fabric::new(universe.clone());
+    fabric.deploy();
+
+    // The client's script: a lost batch is observed and dropped; the next
+    // delivery reveals the gap, and the client resyncs at its epoch.
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x1055);
+    let mut probe = FabricProbe::new(&fabric);
+    let mut script = vec![ServerRequest::OpenSession {
+        tenant: TENANT,
+        universe,
+    }];
+    let mut gap_pending = false;
+    for epoch in 1..=LOSSY_EPOCHS {
+        soak_step(&mut fabric, &mut rng);
+        let batch = EventBatch::new(epoch, probe.observe(&fabric));
+        if epoch < LOSSY_EPOCHS && rng.gen_range(0..5) == 0 {
+            gap_pending = true;
+            continue;
+        }
+        script.push(ServerRequest::Ingest {
+            tenant: TENANT,
+            batch,
+        });
+        if std::mem::take(&mut gap_pending) {
+            script.push(ServerRequest::Resync {
+                tenant: TENANT,
+                epoch,
+                sync: probe.full_resync(&fabric),
+            });
+        }
+    }
+    let truth = ScoutEngine::new().analyze(&fabric);
+    let resyncs = script
+        .iter()
+        .filter(|r| matches!(r, ServerRequest::Resync { .. }))
+        .count();
+    assert!(
+        resyncs >= 4,
+        "the seed must lose batches: {resyncs} resyncs"
+    );
+
+    let admission = AdmissionConfig {
+        quota_tokens: 1 << 20,
+        refill_per_tick: 0,
+        queue_capacity: 0,
+    };
+    let store = StoreConfig {
+        snapshot_every: 4,
+        segment_max_records: 3,
+        ..StoreConfig::default()
+    };
+    // Runs the script, checking every gap is answered by the next request's
+    // resync; returns the analysis responses and the final report.
+    let run = |handle: &mut dyn FnMut(ServerRequest) -> ServerResponse| {
+        let mut deltas = Vec::new();
+        for (i, request) in script.iter().enumerate() {
+            match handle(request.clone()) {
+                ServerResponse::Opened { .. } => {}
+                response @ (ServerResponse::Ingested { .. } | ServerResponse::Resynced { .. }) => {
+                    deltas.push(response)
+                }
+                ServerResponse::Error(ServerError::Session {
+                    error: SessionError::EpochGap { .. },
+                    ..
+                }) => assert!(matches!(script[i + 1], ServerRequest::Resync { .. })),
+                other => panic!("request {i}: {other:?}"),
+            }
+        }
+        match handle(ServerRequest::Query { tenant: TENANT }) {
+            ServerResponse::Report { report, .. } => (deltas, report),
+            other => panic!("query failed: {other:?}"),
+        }
+    };
+
+    let mut memory = ScoutServer::new(ScoutEngine::new(), ServerConfig::in_memory(admission));
+    let (memory_deltas, memory_report) = run(&mut |r| memory.handle(r));
+    // One delta per delivered batch: the gapped ones come back as resyncs.
+    assert_eq!(memory_deltas.len(), script.len() - 1 - resyncs);
+
+    let dir = TestDir::new("server-lossy-durable");
+    let config = ServerConfig::durable(admission, dir.path().to_path_buf(), store);
+    let mut durable = ScoutServer::new(ScoutEngine::new(), config);
+    let (durable_deltas, durable_report) = run(&mut |r| durable.handle(r));
+
+    let dir = TestDir::new("server-lossy-cluster");
+    let mut cluster = Cluster::new(
+        dir.path(),
+        ClusterConfig {
+            nodes: 3,
+            heartbeat_timeout: 1,
+            admission,
+            store,
+        },
+    );
+    let mut failed_over = false;
+    let (cluster_deltas, cluster_report) = run(&mut |r| {
+        let response = cluster.handle(r);
+        if !failed_over && matches!(response, ServerResponse::Resynced { .. }) {
+            let owner = cluster.owner(TENANT).expect("an open tenant has an owner");
+            cluster.kill_node(owner);
+            for _ in 0..8 {
+                if !cluster.tick().failed_over.is_empty() {
+                    failed_over = true;
+                    break;
+                }
+            }
+            assert!(failed_over, "the survivors never adopted the tenant");
+            assert_ne!(cluster.owner(TENANT), Some(owner));
+        }
+        response
+    });
+    assert!(failed_over);
+
+    assert_eq!(durable_deltas, memory_deltas, "the journal changed a delta");
+    assert_eq!(cluster_deltas, memory_deltas, "failover changed a delta");
+    for report in [&memory_report, &durable_report, &cluster_report] {
+        assert_eq!(
+            report, &truth,
+            "a final report is not the fabric's analysis"
+        );
     }
 }

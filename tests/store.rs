@@ -183,15 +183,10 @@ fn kill_and_recover_at_a_random_epoch_is_bit_identical() {
     assert_eq!(recovered.full_report(), reference.full_report());
 }
 
-/// Any single flipped byte, in any byte of any store file, is a typed
-/// [`StoreError`] from offline verification — and from full recovery —
-/// never a panic and never a silent acceptance.
-#[test]
-fn every_single_byte_flip_anywhere_is_a_typed_store_error() {
-    // A deliberately tiny fabric with light churn: the sweep below runs
-    // `verify_dir` (which hashes every store byte) once per flipped byte, so
-    // total cost is quadratic in store size — keep the store small, not the
-    // coverage.
+/// A deliberately tiny fabric: the byte-flip sweeps run `verify_dir` (which
+/// hashes every store byte) once per flipped byte, so their cost is
+/// quadratic in store size — keep the store small, not the coverage.
+fn tiny_fabric() -> Fabric {
     let spec = TestbedSpec {
         epgs: 4,
         contracts: 3,
@@ -202,30 +197,28 @@ fn every_single_byte_flip_anywhere_is_a_typed_store_error() {
     };
     let mut fabric = Fabric::new(spec.generate(7));
     fabric.deploy();
-    let engine = ScoutEngine::new();
-    let dir = TestDir::new("bit-flips");
+    fabric
+}
 
-    let mut durable = engine
-        .open_durable(&fabric, dir.path(), small_config())
-        .expect("store opens");
-    let mut probe = FabricProbe::new(&fabric);
-    for epoch in 1..=8u64 {
-        let ids = fabric.universe().switch_ids();
-        let switch = ids[(epoch / 2) as usize % ids.len()];
-        if epoch.is_multiple_of(2) {
-            fabric.evict_tcam(switch, 1, false);
-        } else {
-            fabric.repair_switch(switch);
-        }
-        durable
-            .ingest(EventBatch::new(epoch, probe.observe(&fabric)))
-            .expect("epochs ingest");
+/// Light churn for the tiny fabric: an eviction on even epochs, a repair on
+/// odd ones, rotating over the switches.
+fn tiny_step(fabric: &mut Fabric, epoch: u64) {
+    let ids = fabric.universe().switch_ids();
+    let switch = ids[(epoch / 2) as usize % ids.len()];
+    if epoch.is_multiple_of(2) {
+        fabric.evict_tcam(switch, 1, false);
+    } else {
+        fabric.repair_switch(switch);
     }
-    let final_report = durable.full_report().clone();
-    drop(durable);
-    verify_dir(dir.path()).expect("pristine store verifies");
+}
 
-    let files = store_files(dir.path());
+/// Flips every byte of every store file in turn: each flip must be a typed
+/// [`StoreError`] from `verify_dir`, and recovery (sampled on a stride, as
+/// the costlier path) must fail with the same error. Undoing every flip
+/// leaves a store that recovers to `report`.
+fn assert_every_flip_is_one_typed_error(dir: &std::path::Path, report: &ScoutReport) {
+    let engine = ScoutEngine::new();
+    let files = store_files(dir);
     assert!(files.len() >= 2, "store must hold segments and an anchor");
     let mut flips = 0usize;
     for path in &files {
@@ -236,22 +229,23 @@ fn every_single_byte_flip_anywhere_is_a_typed_store_error() {
             damaged[i] ^= 0x01;
             std::fs::write(path, &damaged).expect("tampered file writes");
 
-            let verdict = verify_dir(dir.path());
+            let verdict = verify_dir(dir).map(|_| ()).map_err(|e| e.to_string());
             assert!(
                 verdict.is_err(),
                 "flip at byte {i} of {} was silently accepted by verify_dir",
                 path.display()
             );
-            // Full recovery (engine restore + replay) must agree; it is the
-            // costlier path, so sample it on a stride.
             if i % 64 == 0 {
-                match engine.recover(dir.path(), small_config()) {
-                    Err(_) => {}
-                    Ok(_) => panic!(
-                        "flip at byte {i} of {} was accepted by recover",
-                        path.display()
-                    ),
-                }
+                let recovered = engine
+                    .recover(dir, small_config())
+                    .map(|_| ())
+                    .map_err(|e| e.to_string());
+                assert_eq!(
+                    recovered,
+                    verdict,
+                    "flip at byte {i} of {}: recover and verify_dir disagree",
+                    path.display()
+                );
             }
             flips += 1;
         }
@@ -261,12 +255,312 @@ fn every_single_byte_flip_anywhere_is_a_typed_store_error() {
         "checked {flips} single-byte flips across {} files",
         files.len()
     );
-
-    // After undoing every flip, the store is whole again.
     let recovered = engine
-        .recover(dir.path(), small_config())
+        .recover(dir, small_config())
         .expect("restored store recovers");
-    assert_eq!(recovered.full_report(), &final_report);
+    assert_eq!(recovered.full_report(), report);
+}
+
+/// Any single flipped byte, in any byte of any store file, is a typed
+/// [`StoreError`] from offline verification — and the same one from full
+/// recovery — never a panic and never a silent acceptance.
+#[test]
+fn every_single_byte_flip_anywhere_is_a_typed_store_error() {
+    let mut fabric = tiny_fabric();
+    let engine = ScoutEngine::new();
+    let dir = TestDir::new("bit-flips");
+
+    let mut durable = engine
+        .open_durable(&fabric, dir.path(), small_config())
+        .expect("store opens");
+    let mut probe = FabricProbe::new(&fabric);
+    for epoch in 1..=8u64 {
+        tiny_step(&mut fabric, epoch);
+        durable
+            .ingest(EventBatch::new(epoch, probe.observe(&fabric)))
+            .expect("epochs ingest");
+    }
+    let final_report = durable.full_report().clone();
+    drop(durable);
+    verify_dir(dir.path()).expect("pristine store verifies");
+    assert_every_flip_is_one_typed_error(dir.path(), &final_report);
+}
+
+/// Builds, in `dir`, a store holding a resync the way a crash between the
+/// resync's new segment and its compaction leaves one: anchor 8 over the
+/// segment holding epochs 7..=8, the lost epochs 9..=10 bridged by the
+/// resync anchor at 10, and the segment holding 11..=12. Returns the final
+/// report and the resync anchor's path.
+fn store_with_a_resync_hole(dir: &std::path::Path) -> (ScoutReport, std::path::PathBuf) {
+    let engine = ScoutEngine::new();
+    let mut fabric = tiny_fabric();
+    let mut durable = engine
+        .open_durable(&fabric, dir, small_config())
+        .expect("store opens");
+    let mut probe = FabricProbe::new(&fabric);
+    for epoch in 1..=8u64 {
+        tiny_step(&mut fabric, epoch);
+        durable
+            .ingest(EventBatch::new(epoch, probe.observe(&fabric)))
+            .expect("epochs ingest");
+    }
+    let before: Vec<_> = store_files(dir)
+        .into_iter()
+        .map(|path| {
+            let bytes = std::fs::read(&path).expect("store file reads");
+            (path, bytes)
+        })
+        .collect();
+    for epoch in 9..=10 {
+        tiny_step(&mut fabric, epoch);
+        let _lost = probe.observe(&fabric);
+    }
+    durable
+        .resync(10, probe.full_resync(&fabric))
+        .expect("a forward resync is accepted");
+    for epoch in 11..=12u64 {
+        tiny_step(&mut fabric, epoch);
+        durable
+            .ingest(EventBatch::new(epoch, probe.observe(&fabric)))
+            .expect("epochs ingest");
+    }
+    let report = durable.full_report().clone();
+    assert_eq!(report, engine.analyze(&fabric));
+    drop(durable);
+    // The resync compacted anchor 8 and segment 7 away: put them back.
+    for (path, bytes) in before {
+        std::fs::write(path, bytes).expect("pre-resync file restored");
+    }
+    (report, dir.join("snap/anchor-00000000000000000010.scsa"))
+}
+
+/// The byte-flip sweep over a store whose journal has a hole bridged by a
+/// resync anchor: every flip is still one typed error from both paths.
+#[test]
+fn every_byte_flip_in_a_store_holding_a_resync_is_a_typed_store_error() {
+    let dir = TestDir::new("resync-bit-flips");
+    let (report, _) = store_with_a_resync_hole(dir.path());
+    let summary = verify_dir(dir.path()).expect("the bridged hole verifies");
+    assert_eq!(
+        (summary.anchor_epoch, summary.last_epoch),
+        (10, 12),
+        "{summary:?}"
+    );
+    assert_eq!((summary.anchors, summary.segments), (2, 2), "{summary:?}");
+    assert_every_flip_is_one_typed_error(dir.path(), &report);
+}
+
+/// A hole between segments with no anchor to bridge it, and a resync anchor
+/// whose chain does not bind to the segment before it, are typed errors
+/// from both paths; a resync anchor that does bind is accepted past the
+/// journal end, where a crash before its segment existed leaves it.
+#[test]
+fn unbridged_holes_and_unbound_resync_anchors_are_typed_errors() {
+    use scout::store::{decode_segment, resync_chain, sha256, Anchor, SegmentBuilder};
+
+    let engine = ScoutEngine::new();
+    let both = |dir: &std::path::Path| {
+        let verified = verify_dir(dir).map(|_| ()).map_err(|e| e.to_string());
+        let recovered = engine
+            .recover(dir, small_config())
+            .map(|_| ())
+            .map_err(|e| e.to_string());
+        assert_eq!(recovered, verified, "recover and verify_dir disagree");
+        verify_dir(dir)
+    };
+
+    // A spliced hole: no periodic anchors, so no compaction — then the
+    // middle of the journal disappears.
+    let dir = TestDir::new("hole-no-anchor");
+    let mut durable = engine
+        .open_durable(
+            &tiny_fabric(),
+            dir.path(),
+            StoreConfig {
+                snapshot_every: 0,
+                ..small_config()
+            },
+        )
+        .expect("store opens");
+    for epoch in 1..=9 {
+        durable.ingest(EventBatch::empty(epoch)).expect("ingests");
+    }
+    drop(durable);
+    std::fs::remove_file(dir.path().join("journal/seg-00000000000000000004.scjl"))
+        .expect("middle segment removed");
+    assert!(matches!(
+        both(dir.path()),
+        Err(StoreError::SegmentOrder {
+            prev_end: 3,
+            next_first: 7
+        })
+    ));
+
+    // A self-consistent forgery: a resync anchor at 10 chained from some
+    // other journal, and the segment after it re-stamped to match. Only the
+    // binding to the segment before the hole gives it away.
+    let dir = TestDir::new("hole-unbound-anchor");
+    let (_, anchor_path) = store_with_a_resync_hole(dir.path());
+    let genuine = Anchor::from_bytes(&std::fs::read(&anchor_path).unwrap()).unwrap();
+    let snapshot_bytes = genuine.snapshot.to_bytes();
+    let forged_chain = resync_chain(&sha256(b"another journal"), &snapshot_bytes);
+    let forged = Anchor::new(genuine.snapshot.clone(), forged_chain).unwrap();
+    std::fs::write(&anchor_path, forged.to_bytes()).unwrap();
+    let tail_path = dir.path().join("journal/seg-00000000000000000011.scjl");
+    let tail = decode_segment(&std::fs::read(&tail_path).unwrap()).unwrap();
+    let mut restamped = SegmentBuilder::new(11, forged_chain);
+    for record in &tail.records {
+        restamped.append(&record.batch).unwrap();
+    }
+    std::fs::write(&tail_path, restamped.bytes()).unwrap();
+    assert!(matches!(
+        both(dir.path()),
+        Err(StoreError::ChainDiscontinuity { at_epoch: 8 })
+    ));
+
+    // Without the segment after it, the forged anchor sits past the journal
+    // end and still binds to nothing …
+    std::fs::remove_file(&tail_path).unwrap();
+    assert!(matches!(
+        both(dir.path()),
+        Err(StoreError::AnchorBeyondJournal {
+            anchor_epoch: 10,
+            journal_end: 8
+        })
+    ));
+    // … while the genuine one is exactly a resync that crashed before its
+    // segment existed: recovery lands on it and seeds that segment.
+    std::fs::write(&anchor_path, genuine.to_bytes()).unwrap();
+    let summary = both(dir.path()).expect("a bound resync anchor verifies");
+    assert_eq!((summary.anchor_epoch, summary.last_epoch), (10, 10));
+    let recovered = engine.recover(dir.path(), small_config()).unwrap();
+    assert_eq!(recovered.epoch(), 10);
+    assert_eq!(recovered.full_report(), genuine.snapshot.report());
+    drop(recovered);
+    assert_eq!(verify_dir(dir.path()).unwrap().segments, 2);
+}
+
+/// A crash at any durable operation inside a resync recovers either to the
+/// epoch before it or to the resync epoch — bit-identical to an in-memory
+/// session at that epoch — and the recovered store carries on.
+#[test]
+fn a_crash_anywhere_in_a_resync_recovers_to_one_side_of_it() {
+    let engine = ScoutEngine::new();
+    let mut fabric = tiny_fabric();
+    let mut probe = FabricProbe::new(&fabric);
+    let mut reference = engine.open_session(&fabric);
+    let mut batches = Vec::new();
+    for epoch in 1..=5 {
+        tiny_step(&mut fabric, epoch);
+        let batch = EventBatch::new(epoch, probe.observe(&fabric));
+        reference.ingest(batch.clone()).unwrap();
+        batches.push(batch);
+    }
+    let before = reference.full_report().clone();
+    for epoch in 6..=8 {
+        tiny_step(&mut fabric, epoch);
+        let _lost = probe.observe(&fabric);
+    }
+    let sync = probe.full_resync(&fabric);
+    reference.resync(8, sync.clone()).unwrap();
+    let after = reference.full_report().clone();
+    tiny_step(&mut fabric, 9);
+    let next = EventBatch::new(9, probe.observe(&fabric));
+    reference.ingest(next.clone()).unwrap();
+    assert_eq!(*reference.full_report(), engine.analyze(&fabric));
+
+    let (mut crashes, mut landed_before, mut landed_after) = (0, 0, 0);
+    for abort_after_ops in 0.. {
+        let dir = TestDir::new(&format!("resync-crash-{abort_after_ops}"));
+        let config = StoreConfig {
+            crash_plan: Some(CrashPlan {
+                abort_after_ops,
+                partial_seed: abort_after_ops,
+            }),
+            ..small_config()
+        };
+        let Ok(mut durable) = engine.open_durable(&tiny_fabric(), dir.path(), config) else {
+            continue;
+        };
+        if batches.iter().any(|b| durable.ingest(b.clone()).is_err()) {
+            continue;
+        }
+        match durable.resync(8, sync.clone()) {
+            Ok(_) => break, // every later abort point falls after the resync
+            Err(StoreError::InjectedCrash) => crashes += 1,
+            Err(other) => panic!("abort point {abort_after_ops}: {other}"),
+        }
+        assert!(durable.is_poisoned());
+        drop(durable);
+
+        verify_dir(dir.path()).expect("a store killed mid-resync verifies");
+        let mut recovered = engine
+            .recover(dir.path(), small_config())
+            .expect("a store killed mid-resync recovers");
+        match recovered.epoch() {
+            5 => {
+                assert_eq!(recovered.full_report(), &before);
+                landed_before += 1;
+                recovered.resync(8, sync.clone()).unwrap();
+            }
+            8 => {
+                assert_eq!(recovered.full_report(), &after);
+                landed_after += 1;
+            }
+            other => panic!("abort point {abort_after_ops}: recovered to epoch {other}"),
+        }
+        recovered.ingest(next.clone()).unwrap();
+        assert_eq!(recovered.full_report(), reference.full_report());
+        drop(recovered);
+        let summary = verify_dir(dir.path()).expect("the resumed store verifies");
+        assert_eq!(summary.last_epoch, 9);
+    }
+    assert!(
+        crashes >= 9,
+        "only {crashes} abort points inside the resync"
+    );
+    assert!(landed_before > 0 && landed_after > 0);
+}
+
+/// Two resyncs with no batch between them: each anchor bridges its own
+/// hole, and the store recovers to the second one after both and between
+/// them.
+#[test]
+fn back_to_back_resyncs_recover_bit_identically() {
+    let engine = ScoutEngine::new();
+    let mut fabric = tiny_fabric();
+    let dir = TestDir::new("back-to-back-resyncs");
+    let mut durable = engine
+        .open_durable(&fabric, dir.path(), small_config())
+        .expect("store opens");
+    let mut probe = FabricProbe::new(&fabric);
+    for epoch in 1..=3 {
+        tiny_step(&mut fabric, epoch);
+        durable
+            .ingest(EventBatch::new(epoch, probe.observe(&fabric)))
+            .unwrap();
+    }
+    for epoch in [5, 9] {
+        tiny_step(&mut fabric, epoch);
+        durable.resync(epoch, probe.full_resync(&fabric)).unwrap();
+        assert_eq!(durable.committed_epoch(), epoch);
+        assert_eq!(durable.full_report(), &engine.analyze(&fabric));
+        let summary = verify_dir(dir.path()).expect("store verifies after a resync");
+        assert_eq!((summary.anchor_epoch, summary.last_epoch), (epoch, epoch));
+        assert_eq!(Some(summary.chain), durable.chain());
+        let recovered = engine.recover(dir.path(), small_config()).unwrap();
+        assert_eq!(recovered.full_report(), durable.full_report());
+    }
+    tiny_step(&mut fabric, 10);
+    durable
+        .ingest(EventBatch::new(10, probe.observe(&fabric)))
+        .unwrap();
+    let report = durable.full_report().clone();
+    assert_eq!(report, engine.analyze(&fabric));
+    drop(durable);
+    let recovered = engine.recover(dir.path(), small_config()).unwrap();
+    assert_eq!(recovered.epoch(), 10);
+    assert_eq!(recovered.full_report(), &report);
 }
 
 /// Compaction keeps exactly the newest anchor, never deletes a segment the
@@ -294,7 +588,7 @@ fn compaction_preserves_recovery_and_retention_invariants() {
         let summary = verify_dir(dir.path()).expect("store verifies mid-run");
         // Exactly the newest anchor survives.
         assert_eq!(summary.anchors, 1, "epoch {epoch}: anchor count");
-        assert_eq!(summary.anchor_epoch, durable.anchor_epoch());
+        assert_eq!(Some(summary.anchor_epoch), durable.anchor_epoch());
         // The journal still covers every epoch after the anchor…
         let replay = summary.last_epoch - summary.anchor_epoch;
         assert!(
@@ -319,7 +613,7 @@ fn compaction_preserves_recovery_and_retention_invariants() {
         assert_eq!(summary.last_epoch, epoch);
         // Chain continuity across the anchor: the summary's running digest
         // is the live session's.
-        assert_eq!(summary.chain, durable.chain(), "epoch {epoch}: chain");
+        assert_eq!(Some(summary.chain), durable.chain(), "epoch {epoch}: chain");
     }
 
     let stats = durable.store_stats();
