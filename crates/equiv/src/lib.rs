@@ -50,7 +50,7 @@ pub mod naive;
 
 pub use checker::{EquivalenceChecker, NetworkCheckResult, Parallelism, SwitchCheckResult};
 pub use header::HeaderSpace;
-pub use naive::{naive_missing_rules, sample_flows};
+pub use naive::{breakpoint_check, naive_missing_rules, sample_flows};
 // Re-exported only for the inert `EngineConfig::node_table`,
 // `EquivalenceChecker::set_node_table` and `EquivalenceChecker::cache_stats`
 // the stand-alone `benchmark/` package still names; the next

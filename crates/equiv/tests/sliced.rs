@@ -4,15 +4,16 @@
 //! four port-interval lists per class. The reference here is the paper's
 //! algorithm — every rule encoded over all 72 header bits with
 //! `HeaderSpace::rule_match`, the whole switch folded into one ROBDD per
-//! side — and the two must return the same `SwitchCheckResult`, list order
-//! included.
+//! side — and the exact breakpoint oracle (`breakpoint_check`) is the
+//! second one. All three must return the same `SwitchCheckResult`, list
+//! order included.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use scout_bdd::BddManager;
 use scout_equiv::header::allowed_space_traced_with;
-use scout_equiv::{EquivalenceChecker, HeaderSpace, SwitchCheckResult};
+use scout_equiv::{breakpoint_check, EquivalenceChecker, HeaderSpace, SwitchCheckResult};
 use scout_fabric::CorruptionKind;
 use scout_policy::{
     Action, ContractId, EpgId, FilterId, LogicalRule, PortRange, Protocol, RuleMatch,
@@ -163,6 +164,11 @@ fn sliced_checker_matches_the_monolithic_reference() {
         let reference =
             monolithic_check(&header_space, &mut header_space.manager(), &logical, &tcam);
         assert_eq!(sliced, reference, "seed {seed}");
+        assert_eq!(
+            breakpoint_check(SWITCH, &logical, &tcam),
+            reference,
+            "seed {seed}"
+        );
 
         equivalent += usize::from(sliced.equivalent);
         with_missing += usize::from(!sliced.missing_rules.is_empty());
@@ -222,15 +228,14 @@ fn shadowed_logical_rule_is_reported_only_once_another_class_diverges() {
     assert!(!result.equivalent);
     assert_eq!(result.missing_rules, logical);
     assert!(result.unexpected_rules.is_empty());
-    assert_eq!(
-        result,
-        monolithic_check(
-            &header_space,
-            &mut header_space.manager(),
-            &logical,
-            &drifted
-        )
+    let reference = monolithic_check(
+        &header_space,
+        &mut header_space.manager(),
+        &logical,
+        &drifted,
     );
+    assert_eq!(result, reference);
+    assert_eq!(breakpoint_check(SWITCH, &logical, &drifted), reference);
 }
 
 /// Ids are `u32`; a rule whose VRF (or EPG) differs from the policy's only
@@ -266,6 +271,7 @@ fn ids_differing_above_sixteen_bits_do_not_alias() {
         assert!(!result.equivalent, "{alias} taken for {matcher}");
         assert_eq!(result.missing_rules, vec![expected]);
         assert_eq!(result.unexpected_rules, vec![leaked]);
+        assert_eq!(breakpoint_check(SWITCH, &[expected], &[leaked]), result);
     }
 }
 
@@ -276,6 +282,11 @@ fn checked(logical: &[LogicalRule], tcam: &[TcamRule]) -> SwitchCheckResult {
     let result = EquivalenceChecker::new().check_switch(SWITCH, logical, tcam);
     let reference = monolithic_check(&header_space, &mut header_space.manager(), logical, tcam);
     assert_eq!(result, reference, "L {logical:?}\nT {tcam:?}");
+    assert_eq!(
+        breakpoint_check(SWITCH, logical, tcam),
+        reference,
+        "L {logical:?}\nT {tcam:?}"
+    );
     result
 }
 
