@@ -33,9 +33,10 @@
 //!   that matches it: the same space as subtracting what earlier rules
 //!   covered and adding what is left of each allow.
 //!
-//! [`HeaderSpace`](crate::HeaderSpace) keeps the paper's 72-variable BDD
-//! formulation as the reference; `tests/sliced.rs` checks every result of
-//! this checker against it, list order included.
+//! The reference is [`breakpoint_check`](crate::breakpoint_check), which
+//! shares none of this: it evaluates both rule lists flow by flow at every
+//! port where a verdict can change. `tests/sliced.rs` checks the checker's
+//! results against it, list order included.
 //!
 //! # Pipeline
 //!
@@ -45,10 +46,10 @@
 //! * **Parallel checking** — per-switch checks are independent; large
 //!   networks are split across worker threads by [`Parallelism::fan_out`].
 //!   Results are deterministic regardless of thread count.
-//! * **Incremental re-checking** — [`EquivalenceChecker::recheck_dirty`]
+//! * **Incremental re-checking** — [`EquivalenceChecker::recheck_dirty_with`]
 //!   reuses a previous [`NetworkCheckResult`] and only revisits the switches
-//!   whose TCAM (or logical rule set) changed, doing work proportional to the
-//!   change instead of the network.
+//!   whose TCAM (or logical rule set) changed, fetching only their TCAMs, so
+//!   the work is proportional to the change instead of the network.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
@@ -496,40 +497,23 @@ impl EquivalenceChecker {
     /// Incrementally re-checks the network after a change.
     ///
     /// Starts from `previous` (a result produced by
-    /// [`EquivalenceChecker::check_network`] or an earlier `recheck_dirty`
-    /// against the *same evolving network*) and re-checks only:
+    /// [`EquivalenceChecker::check_network`] or an earlier
+    /// `recheck_dirty_with` against the *same evolving network*) and
+    /// re-checks only:
     ///
     /// * the switches listed in `dirty`, and
     /// * switches present now but absent from `previous` (newly added).
     ///
-    /// Switches that disappeared from the network are dropped. Provided
-    /// `dirty` covers every switch whose TCAM contents *or* logical rule set
-    /// changed since `previous` was computed (see
+    /// `current_switches` is the set of switches present in the network now
+    /// (switches appearing in `logical` are added automatically); switches
+    /// that disappeared are dropped. `tcam_of` is consulted once per
+    /// re-checked switch, so a no-change cycle copies no TCAM rules at all.
+    ///
+    /// Provided `dirty` covers every switch whose TCAM contents *or* logical
+    /// rule set changed since `previous` was computed (see
     /// `scout_fabric::Fabric::dirty_switches_since`), the result is identical
     /// to a full [`EquivalenceChecker::check_network`] — at a cost
     /// proportional to the change, not the network.
-    pub fn recheck_dirty(
-        &self,
-        previous: &NetworkCheckResult,
-        logical: &[LogicalRule],
-        tcam: &BTreeMap<SwitchId, Vec<TcamRule>>,
-        dirty: &BTreeSet<SwitchId>,
-    ) -> NetworkCheckResult {
-        let switches: BTreeSet<SwitchId> = tcam.keys().copied().collect();
-        self.recheck_dirty_with(previous, logical, &switches, dirty, |s| {
-            tcam.get(&s).cloned().unwrap_or_default()
-        })
-    }
-
-    /// Like [`EquivalenceChecker::recheck_dirty`], but fetches TCAM snapshots
-    /// lazily, only for the switches that are actually re-checked.
-    ///
-    /// `current_switches` is the set of switches present in the network now
-    /// (switches appearing in `logical` are added automatically); `tcam_of`
-    /// is consulted once per re-checked switch. This keeps the *entire* cost
-    /// of an incremental cycle proportional to the change — a no-change cycle
-    /// copies no TCAM rules at all, where [`EquivalenceChecker::recheck_dirty`]
-    /// requires the caller to have collected the full network snapshot first.
     pub fn recheck_dirty_with<F>(
         &self,
         previous: &NetworkCheckResult,
@@ -613,6 +597,20 @@ mod tests {
         let mut fabric = Fabric::new(sample::three_tier());
         fabric.deploy();
         fabric
+    }
+
+    /// Re-checks `dirty` against a full TCAM snapshot.
+    fn recheck(
+        checker: &EquivalenceChecker,
+        previous: &NetworkCheckResult,
+        logical: &[LogicalRule],
+        tcam: &BTreeMap<SwitchId, Vec<TcamRule>>,
+        dirty: &BTreeSet<SwitchId>,
+    ) -> NetworkCheckResult {
+        let current = tcam.keys().copied().collect();
+        checker.recheck_dirty_with(previous, logical, &current, dirty, |s| {
+            tcam.get(&s).cloned().unwrap_or_default()
+        })
     }
 
     #[test]
@@ -778,7 +776,8 @@ mod tests {
         fabric.remove_tcam_rules_where(sample::S2, |r| r.matcher.ports.start == 700);
         let tcam = fabric.collect_tcam();
         let full = checker.check_network(fabric.logical_rules(), &tcam);
-        let incremental = checker.recheck_dirty(
+        let incremental = recheck(
+            &checker,
             &baseline,
             fabric.logical_rules(),
             &tcam,
@@ -809,7 +808,7 @@ mod tests {
             .collect();
 
         let full = checker.check_network(&logical, &tcam);
-        let incremental = checker.recheck_dirty(&baseline, &logical, &tcam, &BTreeSet::new());
+        let incremental = recheck(&checker, &baseline, &logical, &tcam, &BTreeSet::new());
         assert_eq!(full, incremental);
         assert!(!incremental.per_switch.contains_key(&sample::S1));
         assert!(incremental.per_switch.contains_key(&stray));
@@ -821,8 +820,13 @@ mod tests {
         let checker = EquivalenceChecker::new();
         let tcam = fabric.collect_tcam();
         let baseline = checker.check_network(fabric.logical_rules(), &tcam);
-        let again =
-            checker.recheck_dirty(&baseline, fabric.logical_rules(), &tcam, &BTreeSet::new());
+        let again = recheck(
+            &checker,
+            &baseline,
+            fabric.logical_rules(),
+            &tcam,
+            &BTreeSet::new(),
+        );
         assert_eq!(baseline, again);
     }
 

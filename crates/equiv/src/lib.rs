@@ -13,15 +13,16 @@
 //! source EPG, destination EPG, protocol, port) and the two allowed spaces
 //! are compared. The paper does this on reduced ordered binary decision
 //! diagrams; the checker compares exact port-interval lists per
-//! `(VRF, source EPG, destination EPG)` class instead ([`checker`]), and the
-//! paper's BDD encoding ([`HeaderSpace`]) is kept as its test reference.
-//! When they differ, the checker emits the set of **missing rules** — the
-//! logical rules whose traffic the deployed TCAM does not allow — which is the
+//! `(VRF, source EPG, destination EPG)` class instead ([`checker`]). When
+//! they differ, the checker emits the set of **missing rules** — the logical
+//! rules whose traffic the deployed TCAM does not allow — which is the
 //! evidence used to augment the risk models, plus any **unexpected rules**
 //! that allow traffic the policy does not.
 //!
-//! A naive sampling-based oracle ([`naive_missing_rules`]) is included and
-//! property-tested against the checker.
+//! An exact breakpoint oracle ([`breakpoint_check`]) evaluates both rule
+//! lists packet by packet at every port where a verdict can change; the
+//! property tests here and `tests/sliced.rs` assert that the checker returns
+//! the same result.
 //!
 //! # Example
 //!
@@ -45,12 +46,10 @@
 #![warn(missing_docs)]
 
 pub mod checker;
-pub mod header;
 pub mod naive;
 
 pub use checker::{EquivalenceChecker, NetworkCheckResult, Parallelism, SwitchCheckResult};
-pub use header::HeaderSpace;
-pub use naive::{breakpoint_check, naive_missing_rules, sample_flows};
+pub use naive::breakpoint_check;
 // Re-exported only for the inert `EngineConfig::node_table`,
 // `EquivalenceChecker::set_node_table` and `EquivalenceChecker::cache_stats`
 // the stand-alone `benchmark/` package still names; the next
@@ -71,22 +70,27 @@ mod proptests {
 
     const SWITCH: SwitchId = SwitchId::new(1);
 
-    /// Generates a logical rule from a small id space so that collisions
-    /// (duplicate matches covering the same traffic) actually happen.
+    /// Generates an allow rule from a small id and port space so that
+    /// collisions (duplicates, overlaps, ranges that touch) actually happen.
     fn random_logical_rule(rng: &mut StdRng) -> LogicalRule {
         let vrf = 100 + rng.gen_range(0u32..3);
         let src = rng.gen_range(0u32..4);
         let dst = rng.gen_range(0u32..4);
-        let proto = *[Protocol::Tcp, Protocol::Udp, Protocol::Icmp]
+        let proto = *[Protocol::Any, Protocol::Tcp, Protocol::Udp, Protocol::Icmp]
             .choose(rng)
             .unwrap();
-        let port = rng.gen_range(0u16..6);
+        let start = rng.gen_range(0u16..6);
+        let ports = if rng.gen_bool(0.5) {
+            PortRange::single(start)
+        } else {
+            PortRange::new(start, start + rng.gen_range(0u16..4))
+        };
         let matcher = RuleMatch::new(
             VrfId::new(vrf),
             EpgId::new(src),
             EpgId::new(dst),
             proto,
-            PortRange::single(port),
+            ports,
         );
         LogicalRule::new(
             SWITCH,
@@ -106,11 +110,11 @@ mod proptests {
         (0..count).map(|_| random_logical_rule(rng)).collect()
     }
 
-    /// The checker and the naive oracle agree on which logical rules are
-    /// missing, for arbitrary subsets of the rules removed from the TCAM
-    /// (including duplicates covering the same traffic).
+    /// The checker and the breakpoint oracle return the same result, for
+    /// arbitrary subsets of the rules removed from the TCAM (including
+    /// duplicates and overlapping ranges covering the same traffic).
     #[test]
-    fn bdd_checker_agrees_with_naive_oracle() {
+    fn checker_agrees_with_breakpoint_oracle() {
         let checker = EquivalenceChecker::new();
         for seed in 0..300 {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -122,11 +126,11 @@ mod proptests {
                 .collect();
 
             let result = checker.check_switch(SWITCH, &logical, &tcam);
-            let naive = naive_missing_rules(&logical, &tcam);
-
-            let missing: BTreeSet<LogicalRule> = result.missing_rules.iter().copied().collect();
-            let naive_missing: BTreeSet<LogicalRule> = naive.iter().copied().collect();
-            assert_eq!(missing, naive_missing, "seed {seed}");
+            assert_eq!(
+                result,
+                breakpoint_check(SWITCH, &logical, &tcam),
+                "seed {seed}"
+            );
         }
     }
 

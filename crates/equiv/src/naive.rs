@@ -98,45 +98,6 @@ pub fn breakpoint_check(
     result
 }
 
-/// Concrete flows sampled from a rule match for the naive check.
-pub fn sample_flows(rule: &LogicalRule) -> Vec<FlowKey> {
-    let m = &rule.rule.matcher;
-    let protocols: Vec<Protocol> = match m.protocol {
-        Protocol::Any => vec![Protocol::Tcp, Protocol::Udp, Protocol::Icmp],
-        p => vec![p],
-    };
-    let mut ports = vec![m.ports.start];
-    if m.ports.end != m.ports.start {
-        ports.push(m.ports.end);
-        let mid = (u32::from(m.ports.start) + u32::from(m.ports.end)) / 2;
-        let mid = mid as u16;
-        if mid != m.ports.start && mid != m.ports.end {
-            ports.push(mid);
-        }
-    }
-    let mut flows = Vec::with_capacity(protocols.len() * ports.len());
-    for &protocol in &protocols {
-        for &port in &ports {
-            flows.push(FlowKey::new(m.vrf, m.src_epg, m.dst_epg, protocol, port));
-        }
-    }
-    flows
-}
-
-/// Returns the logical rules (restricted to `switch`'s rules in `logical`)
-/// whose sampled traffic is not fully allowed by `tcam`.
-pub fn naive_missing_rules(logical: &[LogicalRule], tcam: &[TcamRule]) -> Vec<LogicalRule> {
-    logical
-        .iter()
-        .filter(|l| {
-            sample_flows(l)
-                .iter()
-                .any(|flow| evaluate(tcam, flow) != Action::Allow)
-        })
-        .copied()
-        .collect()
-}
-
 #[cfg(test)]
 #[cfg(test)]
 mod tests {
@@ -188,8 +149,8 @@ mod tests {
         assert_eq!(result, SwitchCheckResult::consistent(SWITCH));
     }
 
-    /// A gap in the middle of a range sits between two breakpoints of the
-    /// TCAM side, where first-last-middle sampling would not look.
+    /// A gap in the middle of a range is found: it starts at a breakpoint of
+    /// the TCAM side, which sampling a range's ends and middle would miss.
     #[test]
     fn a_hole_inside_a_range_is_found() {
         let l = [logical(rule(Protocol::Udp, 10, 20))];
@@ -208,46 +169,5 @@ mod tests {
         let result = breakpoint_check(SWITCH, &l, &concrete);
         assert_eq!(result.missing_rules, l);
         assert!(result.unexpected_rules.is_empty());
-    }
-
-    #[test]
-    fn sample_flows_single_port_concrete_protocol() {
-        let flows = sample_flows(&logical(rule(Protocol::Tcp, 80, 80)));
-        assert_eq!(flows.len(), 1);
-        assert_eq!(flows[0].port, 80);
-        assert_eq!(flows[0].protocol, Protocol::Tcp);
-    }
-
-    #[test]
-    fn sample_flows_any_protocol_expands() {
-        let flows = sample_flows(&logical(rule(Protocol::Any, 80, 80)));
-        assert_eq!(flows.len(), 3);
-    }
-
-    #[test]
-    fn sample_flows_range_includes_bounds_and_midpoint() {
-        let mut rule = logical(rule(Protocol::Tcp, 0, 0));
-        rule.rule.matcher.ports = PortRange::new(10, 20);
-        let flows = sample_flows(&rule);
-        let ports: Vec<u16> = flows.iter().map(|f| f.port).collect();
-        assert_eq!(ports, vec![10, 20, 15]);
-    }
-
-    #[test]
-    fn old_missing_when_tcam_lacks_rule() {
-        let l = vec![
-            logical(rule(Protocol::Tcp, 80, 80)),
-            logical(rule(Protocol::Tcp, 443, 443)),
-        ];
-        let tcam = vec![l[0].rule];
-        let missing = naive_missing_rules(&l, &tcam);
-        assert_eq!(missing, vec![l[1]]);
-    }
-
-    #[test]
-    fn old_nothing_missing_when_tcam_matches() {
-        let l = vec![logical(rule(Protocol::Tcp, 80, 80))];
-        let tcam = vec![l[0].rule];
-        assert!(naive_missing_rules(&l, &tcam).is_empty());
     }
 }

@@ -416,33 +416,29 @@ pub struct Timeline {
     /// The timeline seed; every injection, repair and edit decision derives
     /// from it.
     pub seed: u64,
-    /// Probability of injecting a new fault at an epoch (subject to
-    /// [`Timeline::max_active`]).
-    pub inject_rate: f64,
-    /// Probability of applying a repair to one active fault at an epoch.
-    pub repair_rate: f64,
-    /// Probability of a concurrent policy edit at an epoch.
-    pub edit_rate: f64,
-    /// Upper bound on simultaneously active faults.
-    pub max_active: usize,
     /// The analysis-engine configuration shared by the monitor session and
     /// the differential oracle — including the oracle cadence.
     pub engine: EngineConfig,
 }
 
 impl Timeline {
-    /// A timeline with the default rates: faults arrive slightly faster than
-    /// they are repaired (so overlap happens), a fifth of the epochs carry a
-    /// concurrent policy edit, and the oracle checks every epoch.
+    /// Probability of injecting a new fault at an epoch (subject to
+    /// [`Timeline::MAX_ACTIVE`]). Faults arrive slightly faster than they
+    /// are repaired, so overlap happens.
+    pub const INJECT_RATE: f64 = 0.5;
+    /// Probability of applying a repair to one active fault at an epoch.
+    pub const REPAIR_RATE: f64 = 0.35;
+    /// Probability of a concurrent policy edit at an epoch.
+    pub const EDIT_RATE: f64 = 0.2;
+    /// Upper bound on simultaneously active faults.
+    pub const MAX_ACTIVE: usize = 4;
+
+    /// A timeline whose oracle checks every epoch.
     pub fn new(workload: WorkloadKind, epochs: usize, seed: u64) -> Self {
         Self {
             workload,
             epochs,
             seed,
-            inject_rate: 0.5,
-            repair_rate: 0.35,
-            edit_rate: 0.2,
-            max_active: 4,
             engine: EngineConfig::default(),
         }
     }
@@ -508,7 +504,7 @@ impl Timeline {
             };
 
             // 1. Maybe repair one active fault (chosen uniformly).
-            if !active.is_empty() && rng.gen_bool(self.repair_rate) {
+            if !active.is_empty() && rng.gen_bool(Self::REPAIR_RATE) {
                 let slot = rng.gen_range(0..active.len());
                 let fault = &active[slot];
                 match &fault.repair {
@@ -528,7 +524,7 @@ impl Timeline {
             }
 
             // 2. Maybe land a concurrent policy edit.
-            if rng.gen_bool(self.edit_rate) {
+            if rng.gen_bool(Self::EDIT_RATE) {
                 let universe = fabric.universe().clone();
                 if let Some(edit) = random_policy_edit(&universe, &mut rng) {
                     fabric.update_policy(edit.universe);
@@ -537,7 +533,7 @@ impl Timeline {
             }
 
             // 3. Maybe inject a new fault, possibly overlapping active ones.
-            if active.len() < self.max_active && rng.gen_bool(self.inject_rate) {
+            if active.len() < Self::MAX_ACTIVE && rng.gen_bool(Self::INJECT_RATE) {
                 if let Some(id) = self.inject(
                     &mut fabric,
                     &mut rng,

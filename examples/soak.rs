@@ -19,9 +19,9 @@ fn main() {
         "soak: {} epochs, seed {}, inject/repair/edit rates {}/{}/{}\n",
         timeline.epochs,
         timeline.seed,
-        timeline.inject_rate,
-        timeline.repair_rate,
-        timeline.edit_rate,
+        Timeline::INJECT_RATE,
+        Timeline::REPAIR_RATE,
+        Timeline::EDIT_RATE,
     );
 
     let run = timeline.run();

@@ -16,9 +16,9 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`policy`] | `scout-policy` | APIC-like object model, policy universe, TCAM rules |
-//! | [`bdd`] | `scout-bdd` | ROBDD engine behind the paper's BDD formulation, the equivalence checker's test reference |
+//! | [`bdd`] | `scout-bdd` | two inert types (`CacheStats`, `NodeTableKind`) the frozen benchmark still names; no BDD engine |
 //! | [`fabric`] | `scout-fabric` | deterministic controller/switch/TCAM simulator with change & fault logs, typed telemetry events, and the in-house wire codec |
-//! | [`equiv`] | `scout-equiv` | L–T equivalence checker (missing-rule detection) |
+//! | [`equiv`] | `scout-equiv` | L–T equivalence checker (missing-rule detection) and its exact breakpoint oracle |
 //! | [`faults`] | `scout-faults` | object-level and physical-level fault injection |
 //! | [`workload`] | `scout-workload` | cluster / testbed / scaling policy generators |
 //! | [`core`] | `scout-core` | risk models, SCOUT & SCORE localization, correlation engine, shared `Send + Sync` service engine with delta-driven sessions and checkpoint/restore snapshots |

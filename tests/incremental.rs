@@ -44,7 +44,11 @@ fn single_switch_mutation_rechecks_identically() {
 
     let tcam = fabric.collect_tcam();
     let full = checker.check_network(fabric.logical_rules(), &tcam);
-    let incremental = checker.recheck_dirty(&baseline, fabric.logical_rules(), &tcam, &dirty);
+    let current: BTreeSet<_> = tcam.keys().copied().collect();
+    let incremental =
+        checker.recheck_dirty_with(&baseline, fabric.logical_rules(), &current, &dirty, |s| {
+            fabric.tcam_rules(s)
+        });
     assert_eq!(full, incremental);
     assert_eq!(incremental.inconsistent_switches(), vec![victim]);
 }
@@ -65,7 +69,11 @@ fn multi_switch_mutations_recheck_identically() {
 
     let tcam = fabric.collect_tcam();
     let full = checker.check_network(fabric.logical_rules(), &tcam);
-    let incremental = checker.recheck_dirty(&baseline, fabric.logical_rules(), &tcam, &dirty);
+    let current: BTreeSet<_> = tcam.keys().copied().collect();
+    let incremental =
+        checker.recheck_dirty_with(&baseline, fabric.logical_rules(), &current, &dirty, |s| {
+            fabric.tcam_rules(s)
+        });
     assert_eq!(full, incremental);
 }
 
