@@ -206,6 +206,36 @@ fn removed_switch_leaves_no_ghost_dirty_entry() {
     assert!(!incremental.check.per_switch.contains_key(&removed_switch));
 }
 
+/// A damaged switch that a policy update then retires: its missing rules
+/// leave the report with it, so the delta restores exactly those rules.
+#[test]
+fn retired_damaged_switch_restores_its_missing_rules() {
+    let mut fabric = deployed_scale_fabric(4);
+    let retired = fabric.universe().switch_ids()[3];
+    let engine = ScoutEngine::new();
+    let mut session = engine.open_session(&fabric);
+    let mut probe = FabricProbe::new(&fabric);
+
+    fabric.remove_tcam_rules_where(retired, |r| r.matcher.ports.start % 2 == 0);
+    ingest_observation(&mut session, &mut probe, &fabric);
+    let missing: BTreeSet<_> = session.full_report().check.per_switch[&retired]
+        .missing_rules
+        .iter()
+        .copied()
+        .collect();
+    assert!(!missing.is_empty(), "the damage shows");
+
+    fabric.update_policy(ScaleSpec::with_switches(3).generate(7));
+    let delta = session
+        .ingest_observation(&mut probe, &fabric)
+        .expect("observations of a live fabric ingest cleanly");
+    // Deltas list rules in `LogicalRule` order.
+    assert_eq!(delta.restored, missing.into_iter().collect::<Vec<_>>());
+    assert!(delta.newly_missing.is_empty());
+    assert!(delta.consistent);
+    assert_eq!(*session.full_report(), engine.analyze(&fabric));
+}
+
 /// The ingest-driven session's cached risk model (and the clone-analysis
 /// path's) must be bit-identical to from-scratch analyses across a randomized
 /// sequence of every mutation class: TCAM removals, corruption, eviction,
