@@ -5,11 +5,13 @@
 //! thereafter driven by typed [`EventBatch`]es with explicit epoch
 //! sequencing: each [`AnalysisSession::ingest`] applies the deltas to the
 //! session's [`FabricView`] mirror, re-checks only the switches the batch
-//! dirtied (through the same incremental machinery as everything else in the
-//! codebase), patches the cached pristine risk model when the policy changed
-//! and re-derives only the failed edges on it, and returns a [`ReportDelta`]
-//! — what changed since the previous epoch — while
-//! [`AnalysisSession::full_report`] stays available on demand.
+//! dirtied, in place in the report's check
+//! ([`EquivalenceChecker::recheck_in_place`](scout_equiv::EquivalenceChecker::recheck_in_place),
+//! the one re-check algorithm), patches the cached pristine risk model when
+//! the policy changed and re-derives only the failed edges on it, and
+//! returns a [`ReportDelta`] — what changed since the previous epoch, its
+//! missing-rule sets taken from the touched switches' old and new results
+//! alone — while [`AnalysisSession::full_report`] stays available on demand.
 //!
 //! The contract: provided the event stream is faithful (e.g. produced by a
 //! [`FabricProbe`]), every `full_report()` is
@@ -208,7 +210,9 @@ impl std::error::Error for SessionError {}
 pub struct ReportDelta {
     /// The epoch this delta advanced the session to.
     pub epoch: u64,
-    /// Switches the batch dirtied (and the session re-checked).
+    /// Switches whose check result this epoch wrote: the dirtied switches
+    /// still in the network and the ones that joined it (a resync: every
+    /// switch). A switch that left the network is not listed.
     pub rechecked: BTreeSet<SwitchId>,
     /// Logical rules missing now that were not missing before.
     pub newly_missing: Vec<LogicalRule>,
@@ -235,14 +239,18 @@ impl ReportDelta {
         }
     }
 
+    /// The delta from `prev` to `next`. `was_missing` and `now_missing` are
+    /// the rules missing before and after on some set of switches that holds
+    /// every switch whose result changed: an ingest passes its touched
+    /// switches', a resync the whole checks'.
     fn between(
         epoch: u64,
         rechecked: BTreeSet<SwitchId>,
+        was_missing: BTreeSet<LogicalRule>,
+        now_missing: BTreeSet<LogicalRule>,
         prev: &ScoutReport,
         next: &ScoutReport,
     ) -> Self {
-        let prev_missing = prev.check.missing_rule_set();
-        let next_missing = next.check.missing_rule_set();
         let prev_hypothesis = prev.hypothesis.objects();
         let next_hypothesis = next.hypothesis.objects();
         let diagnosed: BTreeSet<ObjectId> = prev
@@ -255,8 +263,8 @@ impl ReportDelta {
         Self {
             epoch,
             rechecked,
-            newly_missing: next_missing.difference(&prev_missing).copied().collect(),
-            restored: prev_missing.difference(&next_missing).copied().collect(),
+            newly_missing: now_missing.difference(&was_missing).copied().collect(),
+            restored: was_missing.difference(&now_missing).copied().collect(),
             hypothesis_added: next_hypothesis
                 .difference(&prev_hypothesis)
                 .copied()
@@ -498,15 +506,27 @@ impl AnalysisSession {
             );
         }
 
-        // Equivalence: re-check only what the batch dirtied.
+        // Equivalence: re-check, in place, only what the batch dirtied. Every
+        // other switch's result (and missing rules) is the same before and
+        // after, so the delta is built from the touched switches alone.
         let view = &self.view;
-        let check = self.shared.config.checker().recheck_dirty_with(
-            &self.report.check,
+        let mut check = std::mem::take(&mut self.report.check);
+        let touched = self.shared.config.checker().recheck_in_place(
+            &mut check,
             view.logical_rules(),
             view.switch_set(),
             &dirty,
             |s| view.tcam_of(s),
         );
+        let mut rechecked = BTreeSet::new();
+        let (mut was_missing, mut now_missing) = (BTreeSet::new(), BTreeSet::new());
+        for (switch, old) in touched {
+            was_missing.extend(old.into_iter().flat_map(|r| r.missing_rules));
+            if let Some(new) = check.per_switch.get(&switch) {
+                rechecked.insert(switch);
+                now_missing.extend(new.missing_rules.iter().copied());
+            }
+        }
 
         // Risk model: re-derive (and roll back) just the failed edges of the
         // new check.
@@ -518,7 +538,14 @@ impl AnalysisSession {
             view.fault_log(),
         );
 
-        let delta = ReportDelta::between(expected, dirty, &self.report, &report);
+        let delta = ReportDelta::between(
+            expected,
+            rechecked,
+            was_missing,
+            now_missing,
+            &self.report,
+            &report,
+        );
         self.report = report;
         self.epoch = expected;
         self.stats.ingests += 1;
@@ -610,8 +637,14 @@ impl AnalysisSession {
         );
         self.model = model;
 
-        let delta =
-            ReportDelta::between(epoch, self.view.switch_set().clone(), &self.report, &report);
+        let delta = ReportDelta::between(
+            epoch,
+            self.view.switch_set().clone(),
+            self.report.check.missing_rule_set(),
+            report.check.missing_rule_set(),
+            &self.report,
+            &report,
+        );
         self.report = report;
         self.epoch = epoch;
         self.stats.ingests += 1;

@@ -46,10 +46,16 @@
 //! * **Parallel checking** — per-switch checks are independent; large
 //!   networks are split across worker threads by [`Parallelism::fan_out`].
 //!   Results are deterministic regardless of thread count.
-//! * **Incremental re-checking** — [`EquivalenceChecker::recheck_dirty_with`]
-//!   reuses a previous [`NetworkCheckResult`] and only revisits the switches
-//!   whose TCAM (or logical rule set) changed, fetching only their TCAMs, so
-//!   the work is proportional to the change instead of the network.
+//! * **Incremental re-checking** — [`EquivalenceChecker::recheck_in_place`]
+//!   updates a previous [`NetworkCheckResult`] where it stands and revisits
+//!   only the switches whose TCAM (or logical rule set) changed, fetching
+//!   only their TCAMs. It relies on the compiler's order (logical rules
+//!   grouped by ascending switch): a re-checked switch's rules are a binary
+//!   search away, and added or vanished switches fall out of one merge walk
+//!   of the result's keys against the switch set, so clean switches cost a
+//!   step of that walk and nothing else.
+//!   [`EquivalenceChecker::recheck_dirty_with`] is the same algorithm on a
+//!   copy of the previous result.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
@@ -490,8 +496,16 @@ impl EquivalenceChecker {
         let index = Self::index_by_switch(logical);
         let mut switches: BTreeSet<SwitchId> = tcam.keys().copied().collect();
         switches.extend(index.keys().copied());
-        let per_switch = self.check_switches(&index, tcam, switches.into_iter().collect());
-        NetworkCheckResult { per_switch }
+        let switches: Vec<SwitchId> = switches.into_iter().collect();
+        let results = self.check_switches(switches.len(), |i| {
+            let switch = switches[i];
+            let logical = index.get(&switch).map_or(&[][..], Vec::as_slice);
+            let rules = tcam.get(&switch).map_or(&[][..], Vec::as_slice);
+            (switch, logical, rules)
+        });
+        NetworkCheckResult {
+            per_switch: results.into_iter().map(|r| (r.switch, r)).collect(),
+        }
     }
 
     /// Incrementally re-checks the network after a change.
@@ -509,82 +523,167 @@ impl EquivalenceChecker {
     /// that disappeared are dropped. `tcam_of` is consulted once per
     /// re-checked switch, so a no-change cycle copies no TCAM rules at all.
     ///
+    /// `logical` must be grouped by ascending switch, the order
+    /// `scout_fabric::compile` guarantees for every compiled rule vector;
+    /// a re-checked switch's rules are found by binary search.
+    ///
     /// Provided `dirty` covers every switch whose TCAM contents *or* logical
     /// rule set changed since `previous` was computed (see
     /// `scout_fabric::Fabric::dirty_switches_since`), the result is identical
-    /// to a full [`EquivalenceChecker::check_network`] — at a cost
-    /// proportional to the change, not the network.
+    /// to a full [`EquivalenceChecker::check_network`] — at the cost of one
+    /// copy of `previous` plus [`EquivalenceChecker::recheck_in_place`].
     pub fn recheck_dirty_with<F>(
         &self,
         previous: &NetworkCheckResult,
         logical: &[LogicalRule],
         current_switches: &BTreeSet<SwitchId>,
         dirty: &BTreeSet<SwitchId>,
-        mut tcam_of: F,
+        tcam_of: F,
     ) -> NetworkCheckResult
     where
         F: FnMut(SwitchId) -> Vec<TcamRule>,
     {
-        let rechecked = |s: &SwitchId| dirty.contains(s) || !previous.per_switch.contains_key(s);
-
-        // One pass over the logical rules: note every switch they mention and
-        // index only the rules of switches that will be re-checked. The
-        // verdict is remembered for the current run of same-switch rules (the
-        // compiler emits them grouped), so the common rule costs one compare.
-        let mut current = current_switches.clone();
-        let mut index: BTreeMap<SwitchId, Vec<LogicalRule>> = BTreeMap::new();
-        let mut run: Option<(SwitchId, bool)> = None;
-        for &rule in logical {
-            let keep = match run {
-                Some((switch, keep)) if switch == rule.switch => keep,
-                _ => {
-                    current.insert(rule.switch);
-                    let keep = rechecked(&rule.switch);
-                    run = Some((rule.switch, keep));
-                    keep
-                }
-            };
-            if keep {
-                index.entry(rule.switch).or_default().push(rule);
-            }
-        }
-
-        let to_check: Vec<SwitchId> = current.iter().copied().filter(rechecked).collect();
-        let tcam: BTreeMap<SwitchId, Vec<TcamRule>> =
-            to_check.iter().map(|&s| (s, tcam_of(s))).collect();
-
-        // Carry over every clean, still-present switch.
-        let mut per_switch: BTreeMap<SwitchId, SwitchCheckResult> = previous
-            .per_switch
-            .iter()
-            .filter(|(s, _)| current.contains(s) && !dirty.contains(s))
-            .map(|(&s, r)| (s, r.clone()))
-            .collect();
-
-        per_switch.append(&mut self.check_switches(&index, &tcam, to_check));
-        NetworkCheckResult { per_switch }
+        let mut result = previous.clone();
+        self.recheck_in_place(&mut result, logical, current_switches, dirty, tcam_of);
+        result
     }
 
-    /// Checks the given switches, sequentially or in parallel according to the
-    /// configured policy. Results are deterministic either way.
-    fn check_switches(
+    /// The one re-check algorithm: updates `result` in place to what
+    /// [`EquivalenceChecker::recheck_dirty_with`] returns, under the same
+    /// contract, and returns every switch whose entry it replaced, added or
+    /// dropped, in switch order, with that entry's old value (`None` for an
+    /// added switch). A switch is dropped iff `result` no longer holds it.
+    ///
+    /// `logical` must be grouped by ascending switch (the order
+    /// `scout_fabric::compile` guarantees). The work is one merge walk of
+    /// `result`'s keys against `current_switches` and the switch runs of
+    /// `logical` to find added and vanished switches, then a binary search
+    /// and a check per re-checked switch; clean results are neither looked
+    /// up nor copied.
+    pub fn recheck_in_place<F>(
         &self,
-        index: &BTreeMap<SwitchId, Vec<LogicalRule>>,
-        tcam: &BTreeMap<SwitchId, Vec<TcamRule>>,
-        switches: Vec<SwitchId>,
-    ) -> BTreeMap<SwitchId, SwitchCheckResult> {
-        let results = self.parallelism.fan_out(switches.len(), |_, range| {
-            switches[range]
-                .iter()
-                .map(|&switch| {
-                    let logical = index.get(&switch).map_or(&[][..], Vec::as_slice);
-                    let rules = tcam.get(&switch).map_or(&[][..], Vec::as_slice);
-                    (switch, compare(switch, logical, rules))
+        result: &mut NetworkCheckResult,
+        logical: &[LogicalRule],
+        current_switches: &BTreeSet<SwitchId>,
+        dirty: &BTreeSet<SwitchId>,
+        mut tcam_of: F,
+    ) -> Vec<(SwitchId, Option<SwitchCheckResult>)>
+    where
+        F: FnMut(SwitchId) -> Vec<TcamRule>,
+    {
+        debug_assert!(logical.windows(2).all(|w| w[0].switch <= w[1].switch));
+        let present =
+            merge_walk(current_switches.iter().copied(), switch_runs(logical)).map(|m| m.0);
+        let (mut added, mut vanished) = (Vec::new(), Vec::new());
+        for (switch, was, is) in merge_walk(result.per_switch.keys().copied(), present) {
+            match (was, is) {
+                (false, true) => added.push(switch),
+                (true, false) => vanished.push(switch),
+                _ => {}
+            }
+        }
+        let dirty_present = dirty
+            .iter()
+            .copied()
+            .filter(|s| current_switches.contains(s) || !rules_for(logical, *s).is_empty());
+        let to_check: Vec<SwitchId> = merge_walk(added.into_iter(), dirty_present)
+            .map(|m| m.0)
+            .collect();
+
+        let tcams: Vec<Vec<TcamRule>> = to_check.iter().map(|&s| tcam_of(s)).collect();
+        let results = self.check_switches(to_check.len(), |i| {
+            let switch = to_check[i];
+            (switch, rules_for(logical, switch), tcams[i].as_slice())
+        });
+        let per_switch = &mut result.per_switch;
+        let mut touched: Vec<_> = results
+            .into_iter()
+            .map(|r| (r.switch, per_switch.insert(r.switch, r)))
+            .collect();
+        touched.extend(vanished.into_iter().map(|s| (s, per_switch.remove(&s))));
+        touched.sort_by_key(|t| t.0);
+        touched
+    }
+
+    /// Checks `items` switches, sequentially or in parallel according to the
+    /// configured policy; `rules(i)` names the `i`-th switch and its logical
+    /// and TCAM rules. Results come back in item order either way.
+    fn check_switches<'a, R>(&self, items: usize, rules: R) -> Vec<SwitchCheckResult>
+    where
+        R: Fn(usize) -> (SwitchId, &'a [LogicalRule], &'a [TcamRule]) + Sync,
+    {
+        let results = self.parallelism.fan_out(items, |_, range| {
+            range
+                .map(|i| {
+                    let (switch, logical, tcam) = rules(i);
+                    compare(switch, logical, tcam)
                 })
                 .collect::<Vec<_>>()
         });
         results.into_iter().flatten().collect()
     }
+}
+
+/// The rules of `switch` in `logical`, which is grouped by ascending switch:
+/// two binary searches.
+fn rules_for(logical: &[LogicalRule], switch: SwitchId) -> &[LogicalRule] {
+    let start = logical.partition_point(|l| l.switch < switch);
+    let len = logical[start..].partition_point(|l| l.switch == switch);
+    &logical[start..start + len]
+}
+
+/// The switches `logical` (grouped by ascending switch) names, ascending.
+/// Each run is skipped by galloping from the previous run's length, so runs
+/// of similar length cost a probe or two each, all near the run itself.
+fn switch_runs(mut logical: &[LogicalRule]) -> impl Iterator<Item = SwitchId> + '_ {
+    let mut guess = 1;
+    std::iter::from_fn(move || {
+        let switch = logical.first()?.switch;
+        guess = run_len(logical, guess);
+        logical = &logical[guess..];
+        Some(switch)
+    })
+}
+
+/// The length of the leading run of one switch in the non-empty `rules`,
+/// galloping out from `guess`.
+fn run_len(rules: &[LogicalRule], guess: usize) -> usize {
+    let in_run = |l: &LogicalRule| l.switch == rules[0].switch;
+    let mut lo = guess.clamp(1, rules.len());
+    if !in_run(&rules[lo - 1]) {
+        return rules[..lo].partition_point(in_run);
+    }
+    // `rules[..lo]` is in the run: probe just past it, then gallop.
+    let mut step = 1;
+    loop {
+        let hi = (lo + step).min(rules.len());
+        if hi == lo || !in_run(&rules[hi - 1]) {
+            return lo + rules[lo..hi].partition_point(in_run);
+        }
+        lo = hi;
+        step *= 2;
+    }
+}
+
+/// Walks two ascending, duplicate-free switch sequences together and yields
+/// every switch of either once, ascending, as `(switch, in a, in b)`.
+fn merge_walk(
+    a: impl Iterator<Item = SwitchId>,
+    b: impl Iterator<Item = SwitchId>,
+) -> impl Iterator<Item = (SwitchId, bool, bool)> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || {
+        let switch = match (a.peek(), b.peek()) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&s), None) | (None, Some(&s)) => s,
+            (None, None) => return None,
+        };
+        Some((
+            switch,
+            a.next_if_eq(&switch).is_some(),
+            b.next_if_eq(&switch).is_some(),
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -812,6 +911,71 @@ mod tests {
         assert_eq!(full, incremental);
         assert!(!incremental.per_switch.contains_key(&sample::S1));
         assert!(incremental.per_switch.contains_key(&stray));
+    }
+
+    #[test]
+    fn recheck_in_place_returns_the_old_result_of_every_touched_switch() {
+        let mut fabric = deployed();
+        let checker = EquivalenceChecker::new();
+        let baseline = checker.check_network(fabric.logical_rules(), &fabric.collect_tcam());
+
+        // S2 drifts, S1 leaves the network and a stray switch joins it.
+        fabric.remove_tcam_rules_where(sample::S2, |r| r.matcher.ports.start == 700);
+        let mut tcam = fabric.collect_tcam();
+        tcam.remove(&sample::S1);
+        let stray = scout_policy::SwitchId::new(77);
+        tcam.insert(stray, vec![fabric.logical_rules()[0].rule]);
+        let logical: Vec<_> = fabric
+            .logical_rules()
+            .iter()
+            .filter(|l| l.switch != sample::S1)
+            .copied()
+            .collect();
+
+        let mut result = baseline.clone();
+        let current = tcam.keys().copied().collect();
+        let touched = checker.recheck_in_place(
+            &mut result,
+            &logical,
+            &current,
+            &BTreeSet::from([sample::S2]),
+            |s| tcam[&s].clone(),
+        );
+        assert_eq!(result, checker.check_network(&logical, &tcam));
+        let old = |s| Some(baseline.per_switch[&s].clone());
+        assert_eq!(
+            touched,
+            vec![
+                (sample::S1, old(sample::S1)),
+                (sample::S2, old(sample::S2)),
+                (stray, None),
+            ]
+        );
+        assert!(!result.per_switch.contains_key(&sample::S1));
+    }
+
+    #[test]
+    fn switch_runs_name_every_run_once_whatever_its_length() {
+        let base = deployed().logical_rules()[0];
+        let lengths = [1usize, 5, 2, 2, 9, 1, 1, 30, 3, 64, 1, 4];
+        let logical: Vec<LogicalRule> = lengths
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &len)| {
+                let switch = SwitchId::new(10 * i as u32);
+                std::iter::repeat_n(LogicalRule { switch, ..base }, len)
+            })
+            .collect();
+        let runs: Vec<SwitchId> = switch_runs(&logical).collect();
+        let expected: Vec<SwitchId> = (0..lengths.len())
+            .map(|i| SwitchId::new(10 * i as u32))
+            .collect();
+        assert_eq!(runs, expected);
+        for (i, &len) in lengths.iter().enumerate() {
+            assert_eq!(rules_for(&logical, expected[i]).len(), len);
+        }
+        assert!(rules_for(&logical, SwitchId::new(5)).is_empty());
+        assert_eq!(switch_runs(&[]).count(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 
 use scout::core::ScoutEngine;
 use scout::equiv::{EquivalenceChecker, Parallelism};
-use scout::fabric::{Fabric, FabricProbe};
+use scout::fabric::{EventBatch, Fabric, FabricEvent, FabricProbe};
 use scout::workload::{ScaleSpec, TestbedSpec};
 
 /// Feeds one observation of `fabric` into `session` as the next epoch.
@@ -105,6 +105,46 @@ fn one_dirty_switch_of_two_hundred_is_the_only_one_read() {
     let full = checker.check_network(fabric.logical_rules(), &fabric.collect_tcam());
     assert_eq!(incremental, full);
     assert_eq!(incremental.inconsistent_switches(), vec![victim]);
+}
+
+/// The in-place re-check on a 1000-switch fabric costs the drift, not the
+/// fabric or its standing damage: a one-switch drift epoch touches only the
+/// victim and reads only its TCAM, with and without 300 switches already
+/// damaged, and lands on the full check.
+#[test]
+fn one_switch_drift_of_a_thousand_touches_only_the_victim() {
+    let mut fabric = Fabric::new(ScaleSpec::large_fabric(1000).generate(7));
+    fabric.deploy();
+    let checker = EquivalenceChecker::new();
+    let ids = fabric.universe().switch_ids();
+    let current: BTreeSet<_> = ids.iter().copied().collect();
+    let victim = ids[500];
+    let mut standing = 0;
+    for damaged in [0, 300] {
+        // Damage every third switch past index 0 (the victim is not one).
+        for &switch in ids.iter().skip(1).step_by(3).take(damaged).skip(standing) {
+            fabric.evict_tcam(switch, 2, false);
+        }
+        standing = damaged;
+        let mut result = checker.check_network(fabric.logical_rules(), &fabric.collect_tcam());
+        assert_eq!(result.inconsistent_switches().len(), damaged);
+
+        let checkpoint = fabric.epoch();
+        fabric.remove_tcam_rules_where(victim, |r| r.matcher.ports.start % 2 == 0);
+        let dirty = fabric.dirty_switches_since(checkpoint);
+        let mut fetched = Vec::new();
+        let touched =
+            checker.recheck_in_place(&mut result, fabric.logical_rules(), &current, &dirty, |s| {
+                fetched.push(s);
+                fabric.tcam_rules(s)
+            });
+        let touched: Vec<_> = touched.into_iter().map(|(s, _)| s).collect();
+        assert_eq!(touched, vec![victim], "{damaged} damaged");
+        assert_eq!(fetched, vec![victim], "{damaged} damaged");
+        let full = checker.check_network(fabric.logical_rules(), &fabric.collect_tcam());
+        assert_eq!(result, full, "{damaged} damaged");
+        fabric.repair_switch(victim);
+    }
 }
 
 /// The switch set of a recheck is `current_switches` plus every switch a
@@ -233,6 +273,34 @@ fn retired_damaged_switch_restores_its_missing_rules() {
     assert_eq!(delta.restored, missing.into_iter().collect::<Vec<_>>());
     assert!(delta.newly_missing.is_empty());
     assert!(delta.consistent);
+    assert_eq!(*session.full_report(), engine.analyze(&fabric));
+}
+
+/// A batch that syncs a switch and then retires it re-checks nothing: the
+/// delta and the session's counter list only switches whose result the
+/// epoch wrote, and the retired switch has none.
+#[test]
+fn a_synced_then_retired_switch_is_not_rechecked() {
+    let mut fabric = deployed_scale_fabric(4);
+    let retired = fabric.universe().switch_ids()[3];
+    let engine = ScoutEngine::new();
+    let mut session = engine.open_session(&fabric);
+    let mut probe = FabricProbe::new(&fabric);
+
+    let sync = FabricEvent::TcamSync {
+        switch: retired,
+        rules: fabric.tcam_rules(retired),
+    };
+    fabric.update_policy(ScaleSpec::with_switches(3).generate(7));
+    let events: Vec<_> = std::iter::once(sync)
+        .chain(probe.observe(&fabric))
+        .collect();
+    assert!(matches!(events[1], FabricEvent::PolicyUpdate { .. }));
+    let delta = session
+        .ingest(EventBatch::new(session.next_epoch(), events))
+        .expect("the batch is valid");
+    assert!(delta.rechecked.is_empty(), "{:?}", delta.rechecked);
+    assert_eq!(session.stats().rechecked_switches, 0);
     assert_eq!(*session.full_report(), engine.analyze(&fabric));
 }
 
