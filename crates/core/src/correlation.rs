@@ -283,7 +283,7 @@ impl CorrelationEngine {
     ) -> CorrelationReport {
         let mut diagnoses = Vec::new();
         for (&object, _evidence) in hypothesis.iter() {
-            let relevant_switches = object_switches(universe, object);
+            let relevant_switches = universe.object_switches(&object);
             let change_times: Vec<Timestamp> = change_log
                 .entries_for(object)
                 .iter()
@@ -292,7 +292,7 @@ impl CorrelationEngine {
 
             let mut causes = Vec::new();
             for entry in fault_log.entries() {
-                if !switch_relevant(entry, &relevant_switches) {
+                if !switch_relevant(entry, relevant_switches) {
                     continue;
                 }
                 if !fault_relevant(entry, &change_times) {
@@ -364,7 +364,7 @@ impl CorrelationEngine {
                     .map(|&object| (object, 0.3)),
             );
         for (object, weight) in weighted {
-            let relevant_switches = object_switches(universe, object);
+            let relevant_switches = universe.object_switches(&object);
             let change_times: Vec<Timestamp> = change_log
                 .entries_for(object)
                 .iter()
@@ -374,7 +374,7 @@ impl CorrelationEngine {
                 .entries()
                 .iter()
                 .filter(|entry| {
-                    switch_relevant(entry, &relevant_switches)
+                    switch_relevant(entry, relevant_switches)
                         && fault_relevant(entry, &change_times)
                         && self.signatures.matches(entry.kind)
                 })
@@ -407,19 +407,15 @@ impl CorrelationEngine {
     }
 }
 
-/// The switches an object's rules can be deployed on — the universe's
-/// build-time index, so correlating a hypothesis costs per-object lookups
-/// rather than a universe sweep per suspected object.
-fn object_switches(universe: &PolicyUniverse, object: ObjectId) -> BTreeSet<SwitchId> {
-    universe.switches_for_object(object)
-}
-
 /// A fault entry is relevant to an object if it concerns one of the object's
 /// switches (controller-level entries with no switch are always relevant).
-fn switch_relevant(entry: &FaultLogEntry, switches: &BTreeSet<SwitchId>) -> bool {
+/// `switches` is the object's ascending slice borrowed from the universe's
+/// build-time index ([`PolicyUniverse::object_switches`]), so correlating a
+/// hypothesis costs a binary search per entry, not a set per object.
+fn switch_relevant(entry: &FaultLogEntry, switches: &[SwitchId]) -> bool {
     match entry.switch {
         None => true,
-        Some(s) => switches.contains(&s),
+        Some(s) => switches.binary_search(&s).is_ok(),
     }
 }
 

@@ -524,10 +524,10 @@ pub struct ModelPatch {
 /// An element `(switch, pair)` and its edges are a function of two indexes:
 /// the pair's membership in [`PolicyUniverse::pairs_on_switch`] and the
 /// pair's dependency closure. The patch diffs exactly those — one ordered
-/// walk over both universes' pair closures, one over their per-switch pair
-/// sets — prunes the elements that left or whose closure changed, and
-/// re-derives the changed and new ones. A one-filter edit therefore costs the
-/// edited contract's pairs, not the fabric.
+/// walk over both universes' pair closures, one merge walk over each
+/// switch's two sorted pair slices — prunes the elements that left or whose
+/// closure changed, and re-derives the changed and new ones. A one-filter
+/// edit therefore costs the edited contract's pairs, not the fabric.
 ///
 /// `model` must be `controller_risk_model(old)` with no failure marks; on
 /// return it equals `controller_risk_model(new)` field for field (the
@@ -559,13 +559,13 @@ pub fn patch_controller_risk_model(
         let (old_pairs, new_pairs) = (old.pairs_on_switch(switch), new.pairs_on_switch(switch));
         if old_pairs != new_pairs {
             let element = |&pair: &EpgPair| SwitchEpgPair::new(switch, pair);
-            stale.extend(old_pairs.difference(new_pairs).map(element));
-            fresh.extend(new_pairs.difference(old_pairs).map(element));
+            stale.extend(sorted_difference(old_pairs, new_pairs).map(element));
+            fresh.extend(sorted_difference(new_pairs, old_pairs).map(element));
         }
     }
     for &pair in &changed {
         for switch in old.switches_for_pair(pair) {
-            if new.pairs_on_switch(switch).contains(&pair) {
+            if new.pairs_on_switch(switch).binary_search(&pair).is_ok() {
                 stale.insert(SwitchEpgPair::new(switch, pair));
                 fresh.insert(SwitchEpgPair::new(switch, pair));
             }
@@ -580,6 +580,18 @@ pub fn patch_controller_risk_model(
         pruned: stale.len(),
         added: fresh.len(),
     }
+}
+
+/// The elements of `a` missing from `b`, both ascending and distinct, in one
+/// merge walk.
+fn sorted_difference<'a, T: Ord>(a: &'a [T], b: &'a [T]) -> impl Iterator<Item = &'a T> + 'a {
+    let mut rest = b;
+    a.iter().filter(move |&x| {
+        while rest.first().is_some_and(|y| y < x) {
+            rest = &rest[1..];
+        }
+        rest.first() != Some(x)
+    })
 }
 
 // ----------------------------------------------------------------------

@@ -191,7 +191,7 @@ pub fn candidate_objects_on_switch(universe: &PolicyUniverse, switch: SwitchId) 
     let local_pairs = universe.pairs_on_switch(switch);
     for binding in universe.bindings() {
         let pair = EpgPair::new(binding.consumer, binding.provider);
-        if !local_pairs.contains(&pair) {
+        if local_pairs.binary_search(&pair).is_err() {
             continue;
         }
         if let Some(consumer) = universe.epg(binding.consumer) {

@@ -3,7 +3,7 @@
 use std::error::Error as StdError;
 use std::fmt;
 
-use crate::ids::{ContractId, EndpointId, EpgId, FilterId, ObjectId, SwitchId, VrfId};
+use crate::ids::{ContractId, EndpointId, EpgId, FilterId, ObjectId, SwitchId, TenantId, VrfId};
 
 /// Errors produced while building or validating a [`PolicyUniverse`].
 ///
@@ -58,6 +58,11 @@ pub enum PolicyError {
         consumer: EpgId,
         /// The provider-side EPG.
         provider: EpgId,
+    },
+    /// A tenant with the same id was defined twice.
+    DuplicateTenant {
+        /// The duplicated tenant.
+        tenant: TenantId,
     },
     /// An object with the same id was defined twice.
     DuplicateObject {
@@ -115,6 +120,9 @@ impl fmt::Display for PolicyError {
                 f,
                 "{contract} binds {consumer} and {provider} which live in different vrfs"
             ),
+            PolicyError::DuplicateTenant { tenant } => {
+                write!(f, "{tenant} defined more than once")
+            }
             PolicyError::DuplicateObject { object } => {
                 write!(f, "object {object} defined more than once")
             }
@@ -176,5 +184,13 @@ mod tests {
             object: ObjectId::Filter(FilterId::new(4)),
         };
         assert!(err.to_string().contains("filter-4"));
+    }
+
+    #[test]
+    fn duplicate_tenant_display_names_the_tenant() {
+        let err = PolicyError::DuplicateTenant {
+            tenant: TenantId::new(3),
+        };
+        assert_eq!(err.to_string(), "tenant-3 defined more than once");
     }
 }

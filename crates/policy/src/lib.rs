@@ -36,6 +36,7 @@
 
 pub mod error;
 pub mod ids;
+mod index;
 pub mod object;
 pub mod pair;
 pub mod rule;

@@ -8,10 +8,12 @@
 //! (`scout-fabric`), risk-model construction (`scout-core`) and the Figure 3
 //! object-sharing analysis (`scout-bench`).
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::PolicyError;
 use crate::ids::{ContractId, EndpointId, EpgId, FilterId, ObjectId, SwitchId, TenantId, VrfId};
+use crate::index::FlatIndex;
 use crate::object::{Contract, ContractBinding, Endpoint, Epg, Filter, Switch, Tenant, Vrf};
 use crate::pair::EpgPair;
 
@@ -42,12 +44,16 @@ pub struct UniverseStats {
 ///
 /// Besides the raw objects, the universe carries dependency indexes computed
 /// once at [`PolicyBuilder::build`] time (pair → bindings, EPG → hosting
-/// switches, switch → local pairs, object → dependent pairs, …). Every
-/// dependency query below is therefore a lookup, not a scan — this is what
-/// keeps risk-model construction and fault correlation proportional to the
-/// answer size instead of the universe size on 1000-switch fabrics. The
-/// indexes are pure functions of the base objects, so derived equality and
-/// cloning remain consistent.
+/// switches, switch → local pairs, object → dependent pairs, …). Each index
+/// is one flat, sorted multimap — keys, run offsets and values in three
+/// vectors, built by one sort-and-group — so every dependency query below is
+/// a binary search, not a scan, and the borrowed accessors return sorted
+/// slices straight out of it. This keeps risk-model construction and fault
+/// correlation proportional to the answer size instead of the universe size
+/// on 1000-switch fabrics, and building, cloning or dropping a universe
+/// proportional to its objects and index entries rather than to a tree node
+/// per entry. The indexes are pure functions of the base objects, so derived
+/// equality and cloning remain consistent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolicyUniverse {
     tenants: BTreeMap<TenantId, Tenant>,
@@ -60,19 +66,21 @@ pub struct PolicyUniverse {
     bindings: Vec<ContractBinding>,
     /// Binding indices (into `bindings`) per EPG pair; keys are exactly the
     /// distinct bound pairs.
-    pair_bindings: BTreeMap<EpgPair, Vec<usize>>,
+    pair_bindings: FlatIndex<EpgPair, usize>,
     /// Switches hosting at least one endpoint of each EPG.
-    epg_hosts: BTreeMap<EpgId, BTreeSet<SwitchId>>,
+    epg_hosts: FlatIndex<EpgId, SwitchId>,
     /// EPGs with at least one endpoint on each switch.
-    switch_epgs: BTreeMap<SwitchId, BTreeSet<EpgId>>,
+    switch_epgs: FlatIndex<SwitchId, EpgId>,
     /// Bound pairs whose rules must be deployed on each switch.
-    switch_pairs: BTreeMap<SwitchId, BTreeSet<EpgPair>>,
-    /// Dependency closure (VRF, EPGs, contracts, filters — no switch) per pair.
-    pair_objects: BTreeMap<EpgPair, BTreeSet<ObjectId>>,
+    switch_pairs: FlatIndex<SwitchId, EpgPair>,
+    /// Dependency closure (VRF, EPGs, contracts, filters — no switch) per
+    /// bound pair.
+    pair_objects: FlatIndex<EpgPair, ObjectId>,
     /// Dependent pairs per object, including switch objects.
-    object_pairs: BTreeMap<ObjectId, BTreeSet<EpgPair>>,
-    /// Switches each object's rules can be deployed on.
-    object_switches: BTreeMap<ObjectId, BTreeSet<SwitchId>>,
+    object_pairs: FlatIndex<ObjectId, EpgPair>,
+    /// Switches each policy object's rules can be deployed on (switch objects
+    /// are not stored: each maps to itself).
+    object_switches: FlatIndex<ObjectId, SwitchId>,
 }
 
 impl PolicyUniverse {
@@ -220,17 +228,17 @@ impl PolicyUniverse {
 
     /// Switches that host at least one endpoint of `epg`.
     pub fn switches_hosting_epg(&self, epg: EpgId) -> BTreeSet<SwitchId> {
-        self.epg_hosts.get(&epg).cloned().unwrap_or_default()
+        self.epg_hosts.slice(&epg).iter().copied().collect()
     }
 
     /// EPGs that have at least one endpoint attached to `switch`.
     pub fn epgs_on_switch(&self, switch: SwitchId) -> BTreeSet<EpgId> {
-        self.switch_epgs.get(&switch).cloned().unwrap_or_default()
+        self.switch_epgs.slice(&switch).iter().copied().collect()
     }
 
     /// All distinct EPG pairs allowed to communicate by at least one binding.
     pub fn epg_pairs(&self) -> BTreeSet<EpgPair> {
-        self.pair_bindings.keys().copied().collect()
+        self.pair_bindings.keys().iter().copied().collect()
     }
 
     /// The contract bindings whose rules must be deployed on `switch` — every
@@ -261,31 +269,29 @@ impl PolicyUniverse {
     /// hosts an endpoint of either member EPG.
     pub fn switches_for_pair(&self, pair: EpgPair) -> BTreeSet<SwitchId> {
         let mut switches = self.switches_hosting_epg(pair.a);
-        if let Some(hosts) = self.epg_hosts.get(&pair.b) {
-            switches.extend(hosts.iter().copied());
-        }
+        switches.extend(self.epg_hosts.slice(&pair.b));
         switches
     }
 
     /// EPG pairs whose rules must be deployed on `switch`: every bound pair
     /// with at least one member EPG hosted on the switch (empty for a switch
-    /// without endpoints or an unknown one). Borrowed from the index.
-    pub fn pairs_on_switch(&self, switch: SwitchId) -> &BTreeSet<EpgPair> {
-        static NO_PAIRS: BTreeSet<EpgPair> = BTreeSet::new();
-        self.switch_pairs.get(&switch).unwrap_or(&NO_PAIRS)
+    /// without endpoints or an unknown one), ascending. Borrowed from the
+    /// index.
+    pub fn pairs_on_switch(&self, switch: SwitchId) -> &[EpgPair] {
+        self.switch_pairs.slice(&switch)
     }
 
     /// Every bound pair with its dependency closure (see
     /// [`objects_for_bound_pair`](Self::objects_for_bound_pair)), in pair
     /// order.
-    pub fn pair_closures(&self) -> impl Iterator<Item = (EpgPair, &BTreeSet<ObjectId>)> {
-        self.pair_objects.iter().map(|(&pair, objs)| (pair, objs))
+    pub fn pair_closures(&self) -> impl Iterator<Item = (EpgPair, &[ObjectId])> {
+        self.pair_objects.iter()
     }
 
-    /// The dependency closure of a *bound* pair, borrowed from the index:
-    /// what [`objects_for_pair`](Self::objects_for_pair) returns, without the
-    /// clone. `None` for pairs no binding governs.
-    pub fn objects_for_bound_pair(&self, pair: EpgPair) -> Option<&BTreeSet<ObjectId>> {
+    /// The dependency closure of a *bound* pair, ascending and borrowed from
+    /// the index: what [`objects_for_pair`](Self::objects_for_pair) returns,
+    /// without the copy. `None` for pairs no binding governs.
+    pub fn objects_for_bound_pair(&self, pair: EpgPair) -> Option<&[ObjectId]> {
         self.pair_objects.get(&pair)
     }
 
@@ -295,51 +301,56 @@ impl PolicyUniverse {
     /// This is the dependency closure used to build risk-model edges and to
     /// compute the suspect set for the γ metric.
     pub fn objects_for_pair(&self, pair: EpgPair) -> BTreeSet<ObjectId> {
+        if let Some(objs) = self.objects_for_bound_pair(pair) {
+            return objs.iter().copied().collect();
+        }
         // Unbound pairs are not indexed; derive their (binding-free) closure.
-        self.objects_for_bound_pair(pair)
-            .cloned()
-            .unwrap_or_else(|| Self::pair_closure(&self.epgs, &self.contracts, &[], pair))
+        let mut objs = Vec::new();
+        Self::pair_closure(&self.epgs, &self.contracts, [], pair, &mut objs);
+        objs.into_iter().collect()
     }
 
-    /// The dependency closure of `pair` given the bindings that govern it
-    /// (an empty slice for unbound pairs — the closure then holds only the
-    /// member EPGs and their VRFs).
-    fn pair_closure(
+    /// Writes the dependency closure of `pair`, ascending, into `objs` given
+    /// the bindings that govern it (none for unbound pairs — the closure then
+    /// holds only the member EPGs and their VRFs).
+    fn pair_closure<'a>(
         epgs: &BTreeMap<EpgId, Epg>,
         contracts: &BTreeMap<ContractId, Contract>,
-        bindings: &[&ContractBinding],
+        bindings: impl IntoIterator<Item = &'a ContractBinding>,
         pair: EpgPair,
-    ) -> BTreeSet<ObjectId> {
-        let mut objs = BTreeSet::new();
-        if let Some(epg) = epgs.get(&pair.a) {
-            objs.insert(ObjectId::Epg(pair.a));
-            objs.insert(ObjectId::Vrf(epg.vrf));
-        }
-        if let Some(epg) = epgs.get(&pair.b) {
-            objs.insert(ObjectId::Epg(pair.b));
-            objs.insert(ObjectId::Vrf(epg.vrf));
-        }
-        for binding in bindings {
-            objs.insert(ObjectId::Contract(binding.contract));
-            if let Some(contract) = contracts.get(&binding.contract) {
-                for &filter in &contract.filters {
-                    objs.insert(ObjectId::Filter(filter));
-                }
+        objs: &mut Vec<ObjectId>,
+    ) {
+        objs.clear();
+        for member in pair.members() {
+            if let Some(epg) = epgs.get(&member) {
+                objs.push(ObjectId::Epg(member));
+                objs.push(ObjectId::Vrf(epg.vrf));
             }
         }
-        objs
+        for binding in bindings {
+            objs.push(ObjectId::Contract(binding.contract));
+            if let Some(contract) = contracts.get(&binding.contract) {
+                objs.extend(contract.filters.iter().map(|&f| ObjectId::Filter(f)));
+            }
+        }
+        objs.sort_unstable();
+        objs.dedup();
     }
 
     /// For every object (including switches), the set of EPG pairs that depend
     /// on it. This is the data behind Figure 3 of the paper.
     pub fn pairs_per_object(&self) -> BTreeMap<ObjectId, BTreeSet<EpgPair>> {
-        self.object_pairs.clone()
+        self.object_pairs
+            .iter()
+            .map(|(object, pairs)| (object, pairs.iter().copied().collect()))
+            .collect()
     }
 
-    /// The EPG pairs depending on a single object — the per-object slice of
-    /// [`pairs_per_object`](Self::pairs_per_object) without materializing the
-    /// whole map. Returns `None` for objects no pair depends on.
-    pub fn pairs_for_object(&self, object: ObjectId) -> Option<&BTreeSet<EpgPair>> {
+    /// The EPG pairs depending on a single object, ascending — the
+    /// per-object slice of [`pairs_per_object`](Self::pairs_per_object)
+    /// without materializing the whole map. Returns `None` for objects no
+    /// pair depends on.
+    pub fn pairs_for_object(&self, object: ObjectId) -> Option<&[EpgPair]> {
         self.object_pairs.get(&object)
     }
 
@@ -349,13 +360,17 @@ impl PolicyUniverse {
     /// time so fault correlation stays proportional to the answer, not the
     /// universe.
     pub fn switches_for_object(&self, object: ObjectId) -> BTreeSet<SwitchId> {
-        if let ObjectId::Switch(switch) = object {
-            return BTreeSet::from([switch]);
+        self.object_switches(&object).iter().copied().collect()
+    }
+
+    /// [`switches_for_object`](Self::switches_for_object) as an ascending
+    /// slice borrowed from the index (a switch object borrows itself), for
+    /// callers that only probe it.
+    pub fn object_switches<'a>(&'a self, object: &'a ObjectId) -> &'a [SwitchId] {
+        match object {
+            ObjectId::Switch(switch) => std::slice::from_ref(switch),
+            other => self.object_switches.slice(other),
         }
-        self.object_switches
-            .get(&object)
-            .cloned()
-            .unwrap_or_default()
     }
 
     /// Union of the dependency closures of a set of pairs — the "suspect set"
@@ -442,23 +457,6 @@ impl PolicyBuilder {
         self
     }
 
-    /// Number of objects added so far (for progress reporting in generators).
-    pub fn len(&self) -> usize {
-        self.tenants.len()
-            + self.vrfs.len()
-            + self.epgs.len()
-            + self.endpoints.len()
-            + self.switches.len()
-            + self.contracts.len()
-            + self.filters.len()
-            + self.bindings.len()
-    }
-
-    /// Returns `true` if nothing has been added yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Pre-sizes the builder's object vectors for a fabric of roughly
     /// `switches` switches at the given per-switch densities — the fast path
     /// of the large-fabric generators, which otherwise regrow (and memcpy)
@@ -478,7 +476,14 @@ impl PolicyBuilder {
         self
     }
 
-    /// Validates the accumulated objects and produces the immutable universe.
+    /// Validates the accumulated objects and produces the immutable universe,
+    /// moving the objects into it.
+    ///
+    /// Every dependency index is built by one sort-and-group of its entries
+    /// ([`PolicyUniverse`] describes the layout), except object → switches,
+    /// which merges each object's pairs' member EPGs' hosts through reusable
+    /// mark vectors, so its scratch memory is O(EPGs + switches) however many
+    /// pairs share the same switches.
     ///
     /// # Errors
     ///
@@ -486,45 +491,40 @@ impl PolicyBuilder {
     /// duplicate ids, dangling references (EPG → VRF, endpoint → EPG/switch,
     /// contract → filter, binding → EPG/contract), bindings across VRFs, or
     /// empty contracts/filters.
-    pub fn build(&self) -> Result<PolicyUniverse, PolicyError> {
+    pub fn build(self) -> Result<PolicyUniverse, PolicyError> {
         let mut tenants = BTreeMap::new();
-        for t in &self.tenants {
-            if tenants.insert(t.id, t.clone()).is_some() {
-                // Tenants are not risk objects; reuse the endpoint error shape.
-                return Err(PolicyError::DuplicateObject {
-                    object: ObjectId::Vrf(VrfId::new(t.id.raw())),
-                });
+        for t in self.tenants {
+            let tenant = t.id;
+            if !insert_new(&mut tenants, tenant, t) {
+                return Err(PolicyError::DuplicateTenant { tenant });
             }
         }
         let mut vrfs = BTreeMap::new();
-        for v in &self.vrfs {
-            if vrfs.insert(v.id, v.clone()).is_some() {
-                return Err(PolicyError::DuplicateObject {
-                    object: ObjectId::Vrf(v.id),
-                });
+        for v in self.vrfs {
+            let object = ObjectId::Vrf(v.id);
+            if !insert_new(&mut vrfs, v.id, v) {
+                return Err(PolicyError::DuplicateObject { object });
             }
         }
         let mut switches = BTreeMap::new();
-        for s in &self.switches {
-            if switches.insert(s.id, s.clone()).is_some() {
-                return Err(PolicyError::DuplicateObject {
-                    object: ObjectId::Switch(s.id),
-                });
+        for s in self.switches {
+            let object = ObjectId::Switch(s.id);
+            if !insert_new(&mut switches, s.id, s) {
+                return Err(PolicyError::DuplicateObject { object });
             }
         }
         let mut filters = BTreeMap::new();
-        for f in &self.filters {
+        for f in self.filters {
             if f.entries.is_empty() {
                 return Err(PolicyError::EmptyFilter { filter: f.id });
             }
-            if filters.insert(f.id, f.clone()).is_some() {
-                return Err(PolicyError::DuplicateObject {
-                    object: ObjectId::Filter(f.id),
-                });
+            let object = ObjectId::Filter(f.id);
+            if !insert_new(&mut filters, f.id, f) {
+                return Err(PolicyError::DuplicateObject { object });
             }
         }
         let mut contracts = BTreeMap::new();
-        for c in &self.contracts {
+        for c in self.contracts {
             if c.filters.is_empty() {
                 return Err(PolicyError::EmptyContract { contract: c.id });
             }
@@ -536,28 +536,26 @@ impl PolicyBuilder {
                     });
                 }
             }
-            if contracts.insert(c.id, c.clone()).is_some() {
-                return Err(PolicyError::DuplicateObject {
-                    object: ObjectId::Contract(c.id),
-                });
+            let object = ObjectId::Contract(c.id);
+            if !insert_new(&mut contracts, c.id, c) {
+                return Err(PolicyError::DuplicateObject { object });
             }
         }
         let mut epgs = BTreeMap::new();
-        for e in &self.epgs {
+        for e in self.epgs {
             if !vrfs.contains_key(&e.vrf) {
                 return Err(PolicyError::UnknownVrf {
                     epg: e.id,
                     vrf: e.vrf,
                 });
             }
-            if epgs.insert(e.id, e.clone()).is_some() {
-                return Err(PolicyError::DuplicateObject {
-                    object: ObjectId::Epg(e.id),
-                });
+            let object = ObjectId::Epg(e.id);
+            if !insert_new(&mut epgs, e.id, e) {
+                return Err(PolicyError::DuplicateObject { object });
             }
         }
         let mut endpoints = BTreeMap::new();
-        for ep in &self.endpoints {
+        for ep in self.endpoints {
             if !epgs.contains_key(&ep.epg) {
                 return Err(PolicyError::UnknownEpg {
                     endpoint: ep.id,
@@ -570,12 +568,11 @@ impl PolicyBuilder {
                     switch: ep.switch,
                 });
             }
-            if endpoints.insert(ep.id, ep.clone()).is_some() {
-                return Err(PolicyError::DuplicateEndpoint { endpoint: ep.id });
+            let endpoint = ep.id;
+            if !insert_new(&mut endpoints, endpoint, ep) {
+                return Err(PolicyError::DuplicateEndpoint { endpoint });
             }
         }
-        let mut seen: BTreeSet<ContractBinding> = BTreeSet::new();
-        let mut bindings: Vec<ContractBinding> = Vec::new();
         for b in &self.bindings {
             if !contracts.contains_key(&b.contract) {
                 return Err(PolicyError::UnknownContract {
@@ -601,57 +598,65 @@ impl PolicyBuilder {
                     provider: b.provider,
                 });
             }
-            if seen.insert(*b) {
-                bindings.push(*b);
-            }
         }
-        bindings.sort();
+        let mut bindings = self.bindings;
+        bindings.sort_unstable();
+        bindings.dedup();
 
-        // Dependency indexes: one pass over endpoints and bindings, then a
-        // pair-major pass for the object-centric views. All queries on the
-        // finished universe are lookups into these.
-        let mut epg_hosts: BTreeMap<EpgId, BTreeSet<SwitchId>> = BTreeMap::new();
-        let mut switch_epgs: BTreeMap<SwitchId, BTreeSet<EpgId>> = BTreeMap::new();
-        for ep in endpoints.values() {
-            epg_hosts.entry(ep.epg).or_default().insert(ep.switch);
-            switch_epgs.entry(ep.switch).or_default().insert(ep.epg);
-        }
-        let mut pair_bindings: BTreeMap<EpgPair, Vec<usize>> = BTreeMap::new();
-        for (i, b) in bindings.iter().enumerate() {
-            pair_bindings
-                .entry(EpgPair::new(b.consumer, b.provider))
-                .or_default()
-                .push(i);
-        }
-        let mut switch_pairs: BTreeMap<SwitchId, BTreeSet<EpgPair>> = BTreeMap::new();
-        let mut pair_objects: BTreeMap<EpgPair, BTreeSet<ObjectId>> = BTreeMap::new();
-        let mut object_pairs: BTreeMap<ObjectId, BTreeSet<EpgPair>> = BTreeMap::new();
-        let mut object_switches: BTreeMap<ObjectId, BTreeSet<SwitchId>> = BTreeMap::new();
-        for (&pair, idxs) in &pair_bindings {
-            let pair_binding_refs: Vec<&ContractBinding> =
-                idxs.iter().map(|&i| &bindings[i]).collect();
-            let objs = PolicyUniverse::pair_closure(&epgs, &contracts, &pair_binding_refs, pair);
-            let mut hosts: BTreeSet<SwitchId> = epg_hosts.get(&pair.a).cloned().unwrap_or_default();
-            if let Some(b_hosts) = epg_hosts.get(&pair.b) {
-                hosts.extend(b_hosts.iter().copied());
+        // Dependency indexes: the endpoint and binding views by one
+        // sort-and-group each, then a pair-major pass for the pair closures
+        // and the entries of the switch- and object-centric views. Those
+        // entries carry a pair's position among the bound pairs, and EPG
+        // hosts a switch's position among the switches, so the
+        // object → switches merge indexes arrays instead of searching.
+        let switch_ids: Vec<SwitchId> = switches.keys().copied().collect();
+        let host_slots = FlatIndex::from_entries(
+            endpoints
+                .values()
+                .map(|ep| {
+                    let slot = switch_ids.binary_search(&ep.switch);
+                    (ep.epg, slot.expect("endpoints attach to known switches"))
+                })
+                .collect(),
+        );
+        let epg_hosts = host_slots.map_values(|slot| switch_ids[slot]);
+        let switch_epgs =
+            FlatIndex::from_entries(endpoints.values().map(|ep| (ep.switch, ep.epg)).collect());
+        let pair_bindings = FlatIndex::from_entries(
+            bindings
+                .iter()
+                .enumerate()
+                .map(|(i, b)| (EpgPair::new(b.consumer, b.provider), i))
+                .collect(),
+        );
+        let pairs = pair_bindings.keys();
+        let mut pair_objects = FlatIndex::default();
+        let mut member_hosts = Vec::with_capacity(pairs.len());
+        let (mut switch_entries, mut object_entries) = (Vec::new(), Vec::new());
+        let mut closure = Vec::new();
+        for (p, (pair, idxs)) in pair_bindings.iter().enumerate() {
+            let governing = idxs.iter().map(|&i| &bindings[i]);
+            PolicyUniverse::pair_closure(&epgs, &contracts, governing, pair, &mut closure);
+            object_entries.extend(closure.iter().map(|&object| (object, p)));
+            pair_objects.push(pair, closure.iter().copied());
+            let runs = pair.members().map(|member| host_slots.position(&member));
+            for run in runs.into_iter().flatten() {
+                switch_entries.extend(epg_hosts.run(run).iter().map(|&switch| (switch, p)));
             }
-            for &switch in &hosts {
-                switch_pairs.entry(switch).or_default().insert(pair);
-            }
-            for &obj in &objs {
-                object_pairs.entry(obj).or_default().insert(pair);
-                object_switches
-                    .entry(obj)
-                    .or_default()
-                    .extend(hosts.iter().copied());
-            }
-            pair_objects.insert(pair, objs);
+            member_hosts.push(runs);
         }
-        for (&switch, pairs) in &switch_pairs {
-            if !pairs.is_empty() {
-                object_pairs.insert(ObjectId::Switch(switch), pairs.clone());
-            }
-        }
+        pair_objects.shrink();
+        let switch_pair_slots = FlatIndex::from_entries(switch_entries);
+        object_entries.extend(
+            switch_pair_slots.iter().flat_map(|(switch, slots)| {
+                slots.iter().map(move |&p| (ObjectId::Switch(switch), p))
+            }),
+        );
+        let object_pair_slots = FlatIndex::from_entries(object_entries);
+        let object_switches =
+            object_switch_index(&object_pair_slots, &member_hosts, &host_slots, &switch_ids);
+        let switch_pairs = switch_pair_slots.map_values(|p| pairs[p]);
+        let object_pairs = object_pair_slots.map_values(|p| pairs[p]);
 
         Ok(PolicyUniverse {
             tenants,
@@ -671,6 +676,65 @@ impl PolicyBuilder {
             object_switches,
         })
     }
+}
+
+/// Inserts `value` under a key not yet in `map`; `false` (and no insert) if
+/// the key is taken.
+fn insert_new<K: Ord, V>(map: &mut BTreeMap<K, V>, key: K, value: V) -> bool {
+    match map.entry(key) {
+        Entry::Vacant(slot) => {
+            slot.insert(value);
+            true
+        }
+        Entry::Occupied(_) => false,
+    }
+}
+
+/// Object → switches for every policy object of `object_pairs` (values are
+/// positions among the bound pairs): the hosts of the distinct member EPGs
+/// of the object's pairs, in switch order.
+///
+/// `member_hosts[p]` holds the `host_slots` runs of pair `p`'s members, and
+/// `host_slots` maps an EPG to positions in `switches`. Each object's EPG runs
+/// and switches are deduplicated through mark vectors, reset after every
+/// object, so the scratch memory is O(EPGs + switches) and the work is the
+/// object's pairs plus its distinct EPGs' hosts — never pairs × closure ×
+/// hosts.
+fn object_switch_index(
+    object_pairs: &FlatIndex<ObjectId, usize>,
+    member_hosts: &[[Option<usize>; 2]],
+    host_slots: &FlatIndex<EpgId, usize>,
+    switches: &[SwitchId],
+) -> FlatIndex<ObjectId, SwitchId> {
+    let mut index = FlatIndex::default();
+    let mut run_marked = vec![false; host_slots.keys().len()];
+    let mut slot_marked = vec![false; switches.len()];
+    let (mut runs, mut slots) = (Vec::new(), Vec::new());
+    for (object, pairs) in object_pairs
+        .iter()
+        .filter(|(object, _)| !object.is_switch())
+    {
+        for run in pairs.iter().flat_map(|&p| member_hosts[p]).flatten() {
+            if !std::mem::replace(&mut run_marked[run], true) {
+                runs.push(run);
+            }
+        }
+        for run in runs.drain(..) {
+            run_marked[run] = false;
+            for &slot in host_slots.run(run) {
+                if !std::mem::replace(&mut slot_marked[slot], true) {
+                    slots.push(slot);
+                }
+            }
+        }
+        slots.sort_unstable();
+        for &slot in &slots {
+            slot_marked[slot] = false;
+        }
+        index.push(object, slots.drain(..).map(|slot| switches[slot]));
+    }
+    index.shrink();
+    index
 }
 
 #[cfg(test)]
@@ -732,10 +796,8 @@ mod tests {
     fn borrowed_closures_cover_exactly_the_bound_pairs() {
         let u = three_tier();
         let app_db = EpgPair::new(sample::APP, sample::DB);
-        assert_eq!(
-            u.objects_for_bound_pair(app_db),
-            Some(&u.objects_for_pair(app_db))
-        );
+        let closure: Vec<ObjectId> = u.objects_for_pair(app_db).into_iter().collect();
+        assert_eq!(u.objects_for_bound_pair(app_db), Some(&closure[..]));
         // Web-DB is not bound: no indexed closure, but a derived one.
         let web_db = EpgPair::new(sample::WEB, sample::DB);
         assert_eq!(u.objects_for_bound_pair(web_db), None);
@@ -921,11 +983,17 @@ mod tests {
     }
 
     #[test]
-    fn builder_len_and_is_empty() {
+    fn build_reports_a_duplicate_tenant_as_a_tenant() {
         let mut b = PolicyBuilder::new();
-        assert!(b.is_empty());
-        b.switch(Switch::new(SwitchId::new(1), "s1"));
-        assert_eq!(b.len(), 1);
-        assert!(!b.is_empty());
+        b.tenant(Tenant::new(TenantId::new(3), "t"))
+            .tenant(Tenant::new(TenantId::new(3), "t-dup"));
+        let err = b.build().unwrap_err();
+        assert_eq!(
+            err,
+            PolicyError::DuplicateTenant {
+                tenant: TenantId::new(3)
+            }
+        );
+        assert_eq!(err.to_string(), "tenant-3 defined more than once");
     }
 }

@@ -8,6 +8,12 @@
 //! universe whose single contract spans the fabric. Results are compared as
 //! `BTreeSet`s so the test pins the answers, not the container types.
 //! A wire round trip must reproduce the universe exactly.
+//!
+//! Two allocation guards, measured as deterministic byte counts by the
+//! tracking allocator `scout-fuzz` installs: the full-size hub (one EPG on
+//! 300 switches, 1000 spokes, 40 filters) decodes within 24 MiB and within
+//! the fuzz oracle's `accept_budget`, and a clone of the 1000-switch scale
+//! universe holds at most 8 MiB.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -17,6 +23,10 @@ use scout::policy::{
     FilterId, ObjectId, PolicyUniverse, Switch, SwitchId, Tenant, TenantId, Vrf, VrfId,
 };
 use scout::workload::{ClusterSpec, ScaleSpec, TestbedSpec};
+use scout_fuzz::alloc;
+use scout_fuzz::oracle::accept_budget;
+
+const MIB: usize = 1024 * 1024;
 
 /// One EPG on `switches` switches, bound to `spokes` single-endpoint EPGs by
 /// one contract of `filters` filters. Every pair shares the hub's switches,
@@ -294,4 +304,34 @@ fn wire_round_trip_reproduces_the_universe() {
         let decoded: PolicyUniverse = from_bytes(&to_bytes(&u)).expect("round trip");
         assert!(decoded == u, "{name}: from_bytes(to_bytes(u)) != u");
     }
+}
+
+#[test]
+fn the_hub_decodes_within_its_allocation_budget() {
+    assert!(
+        alloc::is_installed(),
+        "the tracking allocator must be armed"
+    );
+    let bytes = to_bytes(&hub(300, 1000, 40));
+    let (decoded, peak) = alloc::measure(|| from_bytes::<PolicyUniverse>(&bytes));
+    let decoded = decoded.expect("the hub decodes");
+    assert_eq!(decoded.stats().epg_pairs, 1000);
+    assert!(peak <= 24 * MIB, "hub decode peaked at {peak} B");
+    let budget = accept_budget(bytes.len());
+    assert!(
+        peak <= budget,
+        "hub decode peaked at {peak} B, budget {budget} B"
+    );
+}
+
+#[test]
+fn a_large_fabric_universe_clone_holds_at_most_8_mib() {
+    assert!(
+        alloc::is_installed(),
+        "the tracking allocator must be armed"
+    );
+    let universe = ScaleSpec::large_1k().generate(1);
+    let (copy, held) = alloc::measure(|| universe.clone());
+    assert!(copy == universe);
+    assert!(held <= 8 * MIB, "a large_1k universe holds {held} B");
 }
