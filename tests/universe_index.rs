@@ -9,6 +9,14 @@
 //! `BTreeSet`s so the test pins the answers, not the container types.
 //! A wire round trip must reproduce the universe exactly.
 //!
+//! Validation is pinned against a reference that inserts each element into
+//! an id-keyed `BTreeMap` in input order: faults are injected one and two at
+//! a time (duplicate ids of every kind, every dangling reference, empty
+//! filters and contracts, bindings across VRFs), each case is fed in
+//! ascending and in shuffled order, and `build` must return exactly the
+//! reference's `PolicyError`. Shuffled valid input must build the universe
+//! the ascending input builds.
+//!
 //! Two allocation guards, measured as deterministic byte counts by the
 //! tracking allocator `scout-fuzz` installs: the full-size hub (one EPG on
 //! 300 switches, 1000 spokes, 40 filters) decodes within 24 MiB and within
@@ -17,10 +25,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use scout::fabric::wire::{from_bytes, to_bytes};
 use scout::policy::{
     Contract, ContractBinding, ContractId, Endpoint, EndpointId, Epg, EpgId, EpgPair, Filter,
-    FilterId, ObjectId, PolicyUniverse, Switch, SwitchId, Tenant, TenantId, Vrf, VrfId,
+    FilterId, ObjectId, PolicyError, PolicyUniverse, Switch, SwitchId, Tenant, TenantId, Vrf,
+    VrfId,
 };
 use scout::workload::{ClusterSpec, ScaleSpec, TestbedSpec};
 use scout_fuzz::alloc;
@@ -334,4 +346,399 @@ fn a_large_fabric_universe_clone_holds_at_most_8_mib() {
     let (copy, held) = alloc::measure(|| universe.clone());
     assert!(copy == universe);
     assert!(held <= 8 * MIB, "a large_1k universe holds {held} B");
+}
+
+// ---------------------------------------------------------------------------
+// Builder validation: every fault is reported exactly as a per-element
+// `BTreeMap` validation reports it, whatever the input order.
+// ---------------------------------------------------------------------------
+
+/// A universe's objects as builder input: one list per kind, fed in order.
+#[derive(Clone)]
+struct Parts {
+    tenants: Vec<Tenant>,
+    vrfs: Vec<Vrf>,
+    epgs: Vec<Epg>,
+    endpoints: Vec<Endpoint>,
+    switches: Vec<Switch>,
+    contracts: Vec<Contract>,
+    filters: Vec<Filter>,
+    bindings: Vec<ContractBinding>,
+}
+
+impl Parts {
+    fn of(u: &PolicyUniverse) -> Self {
+        Parts {
+            tenants: u.tenants().cloned().collect(),
+            vrfs: u.vrfs().cloned().collect(),
+            epgs: u.epgs().cloned().collect(),
+            endpoints: u.endpoints().cloned().collect(),
+            switches: u.switches().cloned().collect(),
+            contracts: u.contracts().cloned().collect(),
+            filters: u.filters().cloned().collect(),
+            bindings: u.bindings().to_vec(),
+        }
+    }
+
+    fn build(&self) -> Result<PolicyUniverse, PolicyError> {
+        let mut b = PolicyUniverse::builder();
+        for t in &self.tenants {
+            b.tenant(t.clone());
+        }
+        for v in &self.vrfs {
+            b.vrf(v.clone());
+        }
+        for e in &self.epgs {
+            b.epg(e.clone());
+        }
+        for ep in &self.endpoints {
+            b.endpoint(ep.clone());
+        }
+        for s in &self.switches {
+            b.switch(s.clone());
+        }
+        for c in &self.contracts {
+            b.contract(c.clone());
+        }
+        for f in &self.filters {
+            b.filter(f.clone());
+        }
+        for &binding in &self.bindings {
+            b.bind(binding);
+        }
+        b.build()
+    }
+
+    /// Every list in ascending id order; equal ids keep their relative order.
+    fn ascending(mut self) -> Self {
+        self.tenants.sort_by_key(|t| t.id);
+        self.vrfs.sort_by_key(|v| v.id);
+        self.epgs.sort_by_key(|e| e.id);
+        self.endpoints.sort_by_key(|ep| ep.id);
+        self.switches.sort_by_key(|s| s.id);
+        self.contracts.sort_by_key(|c| c.id);
+        self.filters.sort_by_key(|f| f.id);
+        self.bindings.sort();
+        self
+    }
+
+    fn shuffled(mut self, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        self.tenants.shuffle(&mut rng);
+        self.vrfs.shuffle(&mut rng);
+        self.epgs.shuffle(&mut rng);
+        self.endpoints.shuffle(&mut rng);
+        self.switches.shuffle(&mut rng);
+        self.contracts.shuffle(&mut rng);
+        self.filters.shuffle(&mut rng);
+        self.bindings.shuffle(&mut rng);
+        self
+    }
+}
+
+/// The reference validation: each kind in turn, every element inserted into
+/// an id-keyed `BTreeMap` in input order after its own checks, so the error
+/// is that of the first failing element of the first failing kind.
+fn reference_validate(p: &Parts) -> Result<(), PolicyError> {
+    fn insert_new<K: Ord, V>(map: &mut BTreeMap<K, V>, key: K, value: V) -> bool {
+        match map.entry(key) {
+            std::collections::btree_map::Entry::Vacant(slot) => {
+                slot.insert(value);
+                true
+            }
+            std::collections::btree_map::Entry::Occupied(_) => false,
+        }
+    }
+    let mut tenants = BTreeMap::new();
+    for t in &p.tenants {
+        if !insert_new(&mut tenants, t.id, t) {
+            return Err(PolicyError::DuplicateTenant { tenant: t.id });
+        }
+    }
+    let mut vrfs = BTreeMap::new();
+    for v in &p.vrfs {
+        if !insert_new(&mut vrfs, v.id, v) {
+            return Err(PolicyError::DuplicateObject {
+                object: ObjectId::Vrf(v.id),
+            });
+        }
+    }
+    let mut switches = BTreeMap::new();
+    for s in &p.switches {
+        if !insert_new(&mut switches, s.id, s) {
+            return Err(PolicyError::DuplicateObject {
+                object: ObjectId::Switch(s.id),
+            });
+        }
+    }
+    let mut filters = BTreeMap::new();
+    for f in &p.filters {
+        if f.entries.is_empty() {
+            return Err(PolicyError::EmptyFilter { filter: f.id });
+        }
+        if !insert_new(&mut filters, f.id, f) {
+            return Err(PolicyError::DuplicateObject {
+                object: ObjectId::Filter(f.id),
+            });
+        }
+    }
+    let mut contracts = BTreeMap::new();
+    for c in &p.contracts {
+        if c.filters.is_empty() {
+            return Err(PolicyError::EmptyContract { contract: c.id });
+        }
+        for &filter in &c.filters {
+            if !filters.contains_key(&filter) {
+                return Err(PolicyError::UnknownFilter {
+                    contract: c.id,
+                    filter,
+                });
+            }
+        }
+        if !insert_new(&mut contracts, c.id, c) {
+            return Err(PolicyError::DuplicateObject {
+                object: ObjectId::Contract(c.id),
+            });
+        }
+    }
+    let mut epgs = BTreeMap::new();
+    for e in &p.epgs {
+        if !vrfs.contains_key(&e.vrf) {
+            return Err(PolicyError::UnknownVrf {
+                epg: e.id,
+                vrf: e.vrf,
+            });
+        }
+        if !insert_new(&mut epgs, e.id, e) {
+            return Err(PolicyError::DuplicateObject {
+                object: ObjectId::Epg(e.id),
+            });
+        }
+    }
+    let mut endpoints = BTreeMap::new();
+    for ep in &p.endpoints {
+        if !epgs.contains_key(&ep.epg) {
+            return Err(PolicyError::UnknownEpg {
+                endpoint: ep.id,
+                epg: ep.epg,
+            });
+        }
+        if !switches.contains_key(&ep.switch) {
+            return Err(PolicyError::UnknownSwitch {
+                endpoint: ep.id,
+                switch: ep.switch,
+            });
+        }
+        if !insert_new(&mut endpoints, ep.id, ep) {
+            return Err(PolicyError::DuplicateEndpoint { endpoint: ep.id });
+        }
+    }
+    for b in &p.bindings {
+        if !contracts.contains_key(&b.contract) {
+            return Err(PolicyError::UnknownContract {
+                contract: b.contract,
+            });
+        }
+        let consumer = epgs
+            .get(&b.consumer)
+            .ok_or(PolicyError::UnknownBindingEpg {
+                contract: b.contract,
+                epg: b.consumer,
+            })?;
+        let provider = epgs
+            .get(&b.provider)
+            .ok_or(PolicyError::UnknownBindingEpg {
+                contract: b.contract,
+                epg: b.provider,
+            })?;
+        if consumer.vrf != provider.vrf {
+            return Err(PolicyError::CrossVrfBinding {
+                contract: b.contract,
+                consumer: b.consumer,
+                provider: b.provider,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// An id no generator uses.
+const UNKNOWN: u32 = 9_000_000;
+
+/// One injectable fault: its name and how it damages the input. The `usize`
+/// picks which element is damaged (taken modulo the list length).
+type Fault = (&'static str, fn(&mut Parts, usize));
+
+/// A copy of element `k % len` with a different name, appended.
+fn dup<T: Clone>(items: &mut Vec<T>, k: usize, rename: fn(&mut T)) {
+    let mut copy = items[k % items.len()].clone();
+    rename(&mut copy);
+    items.push(copy);
+}
+
+const FAULTS: [Fault; 19] = [
+    ("duplicate tenant", |p, k| {
+        dup(&mut p.tenants, k, |t| t.name.push_str("-dup"))
+    }),
+    ("duplicate vrf", |p, k| {
+        dup(&mut p.vrfs, k, |v| v.name.push_str("-dup"))
+    }),
+    ("duplicate epg", |p, k| {
+        dup(&mut p.epgs, k, |e| e.name.push_str("-dup"))
+    }),
+    ("duplicate endpoint", |p, k| {
+        dup(&mut p.endpoints, k, |ep| ep.name.push_str("-dup"))
+    }),
+    ("duplicate switch", |p, k| {
+        dup(&mut p.switches, k, |s| s.name.push_str("-dup"))
+    }),
+    ("duplicate contract", |p, k| {
+        dup(&mut p.contracts, k, |c| c.name.push_str("-dup"))
+    }),
+    ("duplicate filter", |p, k| {
+        dup(&mut p.filters, k, |f| f.name.push_str("-dup"))
+    }),
+    ("duplicate binding", |p, k| {
+        let b = p.bindings[k % p.bindings.len()];
+        p.bindings.push(b);
+    }),
+    ("epg -> unknown vrf", |p, k| {
+        let n = p.epgs.len();
+        p.epgs[k % n].vrf = VrfId::new(UNKNOWN);
+    }),
+    ("endpoint -> unknown epg", |p, k| {
+        let n = p.endpoints.len();
+        p.endpoints[k % n].epg = EpgId::new(UNKNOWN);
+    }),
+    ("endpoint -> unknown switch", |p, k| {
+        let n = p.endpoints.len();
+        p.endpoints[k % n].switch = SwitchId::new(UNKNOWN);
+    }),
+    ("contract -> unknown filter", |p, k| {
+        let n = p.contracts.len();
+        let filters = &mut p.contracts[k % n].filters;
+        filters.insert(k % (filters.len() + 1), FilterId::new(UNKNOWN));
+    }),
+    ("binding -> unknown contract", |p, k| {
+        let n = p.bindings.len();
+        p.bindings[k % n].contract = ContractId::new(UNKNOWN);
+    }),
+    ("binding -> unknown consumer", |p, k| {
+        let n = p.bindings.len();
+        p.bindings[k % n].consumer = EpgId::new(UNKNOWN);
+    }),
+    ("binding -> unknown provider", |p, k| {
+        let n = p.bindings.len();
+        p.bindings[k % n].provider = EpgId::new(UNKNOWN);
+    }),
+    ("empty filter", |p, k| {
+        let n = p.filters.len();
+        p.filters[k % n].entries.clear();
+    }),
+    ("empty contract", |p, k| {
+        let n = p.contracts.len();
+        p.contracts[k % n].filters.clear();
+    }),
+    ("epg moved to another vrf", |p, k| {
+        // Every binding of the moved EPG now crosses VRFs.
+        let vrf = VrfId::new(UNKNOWN + 1);
+        if !p.vrfs.iter().any(|v| v.id == vrf) {
+            p.vrfs.push(Vrf::new(vrf, "other-vrf", p.tenants[0].id));
+        }
+        let epg = p.bindings[k % p.bindings.len()].provider;
+        for e in p.epgs.iter_mut().filter(|e| e.id == epg) {
+            e.vrf = vrf;
+        }
+    }),
+    ("binding across vrfs", |p, k| {
+        let (vrf, epg) = (VrfId::new(UNKNOWN + 2), EpgId::new(UNKNOWN + 2));
+        if !p.vrfs.iter().any(|v| v.id == vrf) {
+            p.vrfs.push(Vrf::new(vrf, "island-vrf", p.tenants[0].id));
+            p.epgs.push(Epg::new(epg, "island", vrf));
+        }
+        let b = p.bindings[k % p.bindings.len()];
+        p.bindings
+            .push(ContractBinding::new(b.consumer, epg, b.contract));
+    }),
+];
+
+/// Small universes of every shape the builder sees, as builder input.
+fn fault_bases() -> Vec<(String, Parts)> {
+    vec![
+        (
+            "testbed/1".into(),
+            Parts::of(&TestbedSpec::paper().generate(1)),
+        ),
+        (
+            "with_switches(12)/2".into(),
+            Parts::of(&ScaleSpec::with_switches(12).generate(2)),
+        ),
+        ("hub".into(), Parts::of(&hub(8, 20, 4))),
+    ]
+}
+
+/// Checks one damaged input in ascending and in shuffled order against the
+/// reference, and that every accepted order builds the same universe; notes
+/// the kind of every error seen in `kinds`.
+fn check_case(label: &str, damaged: &Parts, seed: u64, kinds: &mut BTreeSet<String>) {
+    let ascending = damaged.clone().ascending();
+    let shuffled = damaged.clone().shuffled(seed);
+    let mut built = Vec::new();
+    for (order, input) in [("ascending", &ascending), ("shuffled", &shuffled)] {
+        let expected = reference_validate(input);
+        let got = input.build();
+        assert_eq!(
+            got.as_ref().err(),
+            expected.as_ref().err(),
+            "{label}, {order} order"
+        );
+        if let Err(e) = &expected {
+            kinds.extend(format!("{e:?}").split(' ').next().map(str::to_string));
+        }
+        built.extend(got.ok());
+    }
+    if let [a, s] = &built[..] {
+        assert!(a == s, "{label}: the shuffled input built another universe");
+    }
+}
+
+#[test]
+fn build_reports_every_fault_as_the_reference_validation_does() {
+    let mut kinds = BTreeSet::new();
+    for (name, base) in fault_bases() {
+        check_case(&format!("{name}: no fault"), &base, 0, &mut kinds);
+        for (i, (fault, inject)) in FAULTS.iter().enumerate() {
+            let mut damaged = base.clone();
+            inject(&mut damaged, 3 * i + 1);
+            assert_eq!(
+                reference_validate(&damaged).is_ok(),
+                *fault == "duplicate binding",
+                "{name}: {fault} alone"
+            );
+            check_case(&format!("{name}: {fault}"), &damaged, i as u64, &mut kinds);
+            for (j, (second, inject2)) in FAULTS.iter().enumerate().skip(i) {
+                let mut twice = damaged.clone();
+                inject2(&mut twice, 5 * j + 2);
+                let seed = (i * FAULTS.len() + j) as u64;
+                let label = format!("{name}: {fault} + {second}");
+                check_case(&label, &twice, seed, &mut kinds);
+            }
+        }
+    }
+    // Every construction error but `NoSuchObject` (a lookup error) is seen.
+    assert_eq!(kinds.len(), 12, "{kinds:?}");
+}
+
+#[test]
+fn a_shuffled_builder_builds_the_ascending_universe() {
+    for (name, u) in universes() {
+        let parts = Parts::of(&u);
+        for seed in [1, 2] {
+            let shuffled = parts.clone().shuffled(seed).build();
+            assert!(
+                shuffled.as_ref() == Ok(&u),
+                "{name}: shuffled with seed {seed} built another universe"
+            );
+        }
+    }
 }
