@@ -548,9 +548,9 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
-/// Encodes a slice exactly as the `Vec` holding it would be encoded, without
-/// cloning it into one.
-fn encode_slice<T: Wire>(items: &[T], w: &mut WireWriter) {
+/// Encodes borrowed items exactly as a `Vec` of them would be encoded,
+/// without collecting them into one.
+fn encode_seq<'a, T: Wire + 'a>(items: impl ExactSizeIterator<Item = &'a T>, w: &mut WireWriter) {
     w.put_usize(items.len());
     for item in items {
         item.encode(w);
@@ -559,7 +559,7 @@ fn encode_slice<T: Wire>(items: &[T], w: &mut WireWriter) {
 
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, w: &mut WireWriter) {
-        encode_slice(self, w);
+        encode_seq(self.iter(), w);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let len = r.get_usize()?;
@@ -895,7 +895,7 @@ wire_struct!(ContractBinding {
 /// Rejects a decoded object list whose `key` projection is not strictly
 /// ascending.
 ///
-/// [`PolicyUniverse`] stores objects in id-keyed `BTreeMap`s and bindings in a
+/// [`PolicyUniverse`] stores objects in id-sorted tables and bindings in a
 /// sorted, deduplicated `Vec`, so [`PolicyUniverse::encode`] always emits each
 /// list strictly ascending. Accepting any other order (or duplicates, which
 /// the builder would silently collapse) would let two distinct byte strings
@@ -914,14 +914,14 @@ fn require_ascending<T, K: Ord>(
 
 impl Wire for PolicyUniverse {
     fn encode(&self, w: &mut WireWriter) {
-        self.tenants().cloned().collect::<Vec<_>>().encode(w);
-        self.vrfs().cloned().collect::<Vec<_>>().encode(w);
-        self.epgs().cloned().collect::<Vec<_>>().encode(w);
-        self.endpoints().cloned().collect::<Vec<_>>().encode(w);
-        self.switches().cloned().collect::<Vec<_>>().encode(w);
-        self.contracts().cloned().collect::<Vec<_>>().encode(w);
-        self.filters().cloned().collect::<Vec<_>>().encode(w);
-        self.bindings().to_vec().encode(w);
+        encode_seq(self.tenants(), w);
+        encode_seq(self.vrfs(), w);
+        encode_seq(self.epgs(), w);
+        encode_seq(self.endpoints(), w);
+        encode_seq(self.switches(), w);
+        encode_seq(self.contracts(), w);
+        encode_seq(self.filters(), w);
+        encode_seq(self.bindings().iter(), w);
     }
 
     /// Decodes the object lists and re-validates them through
@@ -1008,7 +1008,7 @@ wire_struct!(FaultLogEntry {
 
 impl Wire for ChangeLog {
     fn encode(&self, w: &mut WireWriter) {
-        encode_slice(self.entries(), w);
+        encode_seq(self.entries().iter(), w);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let entries = Vec::<ChangeLogEntry>::decode(r)?;
@@ -1022,7 +1022,7 @@ impl Wire for ChangeLog {
 
 impl Wire for FaultLog {
     fn encode(&self, w: &mut WireWriter) {
-        encode_slice(self.entries(), w);
+        encode_seq(self.entries().iter(), w);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let entries = Vec::<FaultLogEntry>::decode(r)?;

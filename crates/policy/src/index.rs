@@ -1,4 +1,8 @@
-//! The flat, sorted multimap every universe dependency index is stored as.
+//! The flat, sorted layouts a universe is stored in: [`ObjectTable`] for the
+//! objects of each kind, [`FlatIndex`] for every dependency index, and
+//! [`DenseIndex`], the counting-sort grouping the indexes are built through.
+
+use crate::error::PolicyError;
 
 /// A multimap from `K` to sorted, distinct `V`s held in three flat vectors.
 ///
@@ -89,24 +93,203 @@ impl<K: Ord + Copy, V: Ord + Copy> FlatIndex<K, V> {
         &self.values[self.starts[i]..self.starts[i + 1]]
     }
 
-    /// The same index with every value mapped through `f`, which must
-    /// preserve the order of each run.
-    pub(crate) fn map_values<W: Ord + Copy>(&self, f: impl Fn(V) -> W) -> FlatIndex<K, W> {
-        let index = FlatIndex {
-            keys: self.keys.clone(),
-            starts: self.starts.clone(),
-            values: self.values.iter().map(|&v| f(v)).collect(),
-        };
-        debug_assert!((0..index.keys.len()).all(|i| index.run(i).is_sorted_by(|a, b| a < b)));
-        index
-    }
-
     /// Every key with its values, in key order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (K, &[V])> + '_ {
         self.keys
             .iter()
             .enumerate()
             .map(|(i, &key)| (key, self.run(i)))
+    }
+}
+
+/// The objects of one kind, sorted by id, with the ids in a vector of their
+/// own: a lookup's binary search strides over 4-byte ids instead of whole
+/// objects, and the position it finds is the object's dense index into
+/// `items`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ObjectTable<K, T> {
+    /// `ids[i]` is the id of `items[i]`; strictly ascending.
+    ids: Vec<K>,
+    items: Vec<T>,
+}
+
+impl<K: Ord + Copy + Into<u32>, T> ObjectTable<K, T> {
+    /// Validates `items` and sorts them into a table, returning beside it
+    /// what `check` resolved for each item, in table order.
+    ///
+    /// The error is the one a per-element insert in input order reports:
+    /// that of the first item that fails `check` or repeats an earlier id
+    /// (`duplicate`), the item's own check first. Input with strictly
+    /// ascending ids, which every encoder and generator produces, is checked
+    /// in one pass and moved in as is. Other input is stable-sorted by id
+    /// first, so a repeated id sorts right after the occurrence it repeats,
+    /// and the failing item with the lowest input position wins.
+    pub(crate) fn validate<R>(
+        items: Vec<T>,
+        id: impl Fn(&T) -> K,
+        mut check: impl FnMut(&T) -> Result<R, PolicyError>,
+        duplicate: impl Fn(K) -> PolicyError,
+    ) -> Result<(Self, Vec<R>), PolicyError> {
+        if items.windows(2).all(|w| id(&w[0]) < id(&w[1])) {
+            let resolved = items.iter().map(check).collect::<Result<_, _>>()?;
+            let ids = items.iter().map(&id).collect();
+            return Ok((Self { ids, items }, resolved));
+        }
+        let mut tagged: Vec<(usize, T)> = items.into_iter().enumerate().collect();
+        tagged.sort_by_key(|(_, item)| id(item));
+        let mut first: Option<(usize, PolicyError)> = None;
+        let mut resolved = Vec::with_capacity(tagged.len());
+        for (k, (i, item)) in tagged.iter().enumerate() {
+            let error = match check(item) {
+                Err(error) => error,
+                Ok(_) if k > 0 && id(&tagged[k - 1].1) == id(item) => duplicate(id(item)),
+                Ok(r) => {
+                    resolved.push(r);
+                    continue;
+                }
+            };
+            if first.as_ref().is_none_or(|(j, _)| i < j) {
+                first = Some((*i, error));
+            }
+        }
+        if let Some((_, error)) = first {
+            return Err(error);
+        }
+        let items: Vec<T> = tagged.into_iter().map(|(_, item)| item).collect();
+        let ids = items.iter().map(&id).collect();
+        Ok((Self { ids, items }, resolved))
+    }
+
+    /// The position of `id` in the table, if present. Ids that run without
+    /// gaps, as generated ones do, sit at their offset from the first id, so
+    /// that slot is probed before the binary search.
+    pub(crate) fn position(&self, id: &K) -> Option<usize> {
+        let offset = (*id).into().wrapping_sub((*self.ids.first()?).into());
+        match self.ids.get(offset as usize) {
+            Some(probe) if probe == id => Some(offset as usize),
+            _ => self.ids.binary_search(id).ok(),
+        }
+    }
+
+    /// The object with `id`, if present.
+    pub(crate) fn get(&self, id: &K) -> Option<&T> {
+        self.position(id).map(|i| &self.items[i])
+    }
+
+    /// Returns `true` if an object has `id`.
+    pub(crate) fn contains(&self, id: &K) -> bool {
+        self.position(id).is_some()
+    }
+
+    /// The ids, ascending.
+    pub(crate) fn ids(&self) -> &[K] {
+        &self.ids
+    }
+
+    /// The objects, in id order.
+    pub(crate) fn items(&self) -> &[T] {
+        &self.items
+    }
+
+    /// The number of objects.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+}
+
+/// A multimap from the dense keys `0..len` to `u32` values, the scratch form
+/// of an index while a universe is built: keys and values are object or pair
+/// positions, so grouping is one stable counting sort, O(entries + keys),
+/// instead of a comparison sort of the entries.
+#[derive(Debug)]
+pub(crate) struct DenseIndex {
+    /// One longer than the key range: key `k` owns
+    /// `values[starts[k]..starts[k + 1]]`.
+    starts: Vec<usize>,
+    values: Vec<u32>,
+}
+
+impl DenseIndex {
+    /// Groups `(key, value)` entries by key, every key below `keys`. The sort
+    /// is stable: each run holds its values in entry order. `entries` is
+    /// walked twice, once to count and once to place.
+    pub(crate) fn group<I>(keys: usize, entries: I) -> Self
+    where
+        I: Iterator<Item = (u32, u32)> + Clone,
+    {
+        let mut starts = vec![0; keys + 1];
+        for (key, _) in entries.clone() {
+            starts[key as usize + 1] += 1;
+        }
+        for k in 1..=keys {
+            starts[k] += starts[k - 1];
+        }
+        // `starts[k]` serves as key k's cursor and ends at `starts[k + 1]`,
+        // so shifting the cursors one place right restores the run starts.
+        let mut values = vec![0; starts[keys]];
+        for (key, value) in entries {
+            let cursor = &mut starts[key as usize];
+            values[*cursor] = value;
+            *cursor += 1;
+        }
+        starts.copy_within(0..keys, 1);
+        starts[0] = 0;
+        Self { starts, values }
+    }
+
+    /// An index over `starts.len() - 1` keys whose runs are given.
+    pub(crate) fn from_runs(starts: Vec<usize>, values: Vec<u32>) -> Self {
+        debug_assert!(starts.first() == Some(&0) && starts.last() == Some(&values.len()));
+        Self { starts, values }
+    }
+
+    /// Drops repeated values inside each run; equal values must be adjacent.
+    pub(crate) fn dedup(&mut self) {
+        let (mut write, mut begin) = (0, 0);
+        for k in 0..self.len() {
+            let (run_start, end) = (write, self.starts[k + 1]);
+            for i in begin..end {
+                let value = self.values[i];
+                if write == run_start || self.values[write - 1] != value {
+                    self.values[write] = value;
+                    write += 1;
+                }
+            }
+            self.starts[k + 1] = write;
+            begin = end;
+        }
+        self.values.truncate(write);
+    }
+
+    /// The number of keys.
+    pub(crate) fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The values of key `k`.
+    pub(crate) fn run(&self, k: usize) -> &[u32] {
+        &self.values[self.starts[k]..self.starts[k + 1]]
+    }
+
+    /// Every `(key, value)` entry, in key order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u32, u32)> + Clone + '_ {
+        (0..self.len()).flat_map(move |k| self.run(k).iter().map(move |&v| (k as u32, v)))
+    }
+
+    /// The index with keys and values mapped through `key` and `value`, both
+    /// order-preserving, and empty runs dropped. Runs must ascend strictly.
+    pub(crate) fn to_flat<K: Ord + Copy, V: Ord + Copy>(
+        &self,
+        key: impl Fn(usize) -> K,
+        value: impl Fn(u32) -> V,
+    ) -> FlatIndex<K, V> {
+        let mut index = FlatIndex::default();
+        index.values.reserve_exact(self.values.len());
+        for k in 0..self.len() {
+            index.push(key(k), self.run(k).iter().map(|&v| value(v)));
+        }
+        index.shrink();
+        index
     }
 }
 
@@ -138,5 +321,55 @@ mod tests {
             FlatIndex::<u8, u8>::from_entries(Vec::new()),
             FlatIndex::default()
         );
+    }
+
+    #[test]
+    fn dense_grouping_is_a_stable_counting_sort() {
+        let entries = [(2, 9), (0, 4), (2, 1), (0, 4), (2, 1), (0, 3)];
+        let mut index = DenseIndex::group(4, entries.iter().copied());
+        let runs: Vec<&[u32]> = (0..index.len()).map(|k| index.run(k)).collect();
+        assert_eq!(runs, [&[4, 4, 3][..], &[], &[9, 1, 1], &[]]);
+        index.dedup();
+        let entries: Vec<(u32, u32)> = index.entries().collect();
+        assert_eq!(entries, [(0, 4), (0, 3), (2, 9), (2, 1)]);
+        let mut sorted = DenseIndex::group(3, [(1, 2), (1, 5), (2, 7)].into_iter());
+        sorted.dedup();
+        let flat = sorted.to_flat(|k| k as u8 * 10, |v| v as u16);
+        assert_eq!(
+            flat,
+            FlatIndex::from_entries(vec![(10, 2), (10, 5), (20, 7)])
+        );
+        assert_eq!(DenseIndex::group(2, [].into_iter()).run(1), &[] as &[u32]);
+    }
+
+    #[test]
+    fn a_table_validates_like_per_element_inserts() {
+        let dup = |id: u32| PolicyError::DuplicateTenant {
+            tenant: crate::ids::TenantId::new(id),
+        };
+        let odd = |&(id, _): &(u32, char)| match id % 2 {
+            1 => Err(PolicyError::DuplicateEndpoint {
+                endpoint: crate::ids::EndpointId::new(id),
+            }),
+            _ => Ok(id * 10),
+        };
+        let validate = |items: Vec<(u32, char)>| {
+            ObjectTable::validate(items, |&(id, _)| id, odd, dup).map(|(t, r)| (t.ids, r))
+        };
+        // Ascending input moves in; shuffled input is sorted.
+        assert_eq!(
+            validate(vec![(2, 'a'), (4, 'b')]),
+            Ok((vec![2, 4], vec![20, 40]))
+        );
+        assert_eq!(
+            validate(vec![(4, 'b'), (2, 'a')]),
+            Ok((vec![2, 4], vec![20, 40]))
+        );
+        // The repeat of 4 (input position 2) fails before the odd id at 3.
+        let err = validate(vec![(4, 'a'), (2, 'b'), (4, 'c'), (3, 'd')]);
+        assert_eq!(err, Err(dup(4)));
+        // The item's own check comes before the duplicate check.
+        let err = validate(vec![(6, 'a'), (5, 'b'), (5, 'c')]);
+        assert!(matches!(err, Err(PolicyError::DuplicateEndpoint { .. })));
     }
 }

@@ -205,9 +205,10 @@ impl RuleProvenance {
         }
     }
 
-    /// Policy objects the rule relies on, excluding the switch.
-    pub fn policy_objects(&self) -> Vec<ObjectId> {
-        vec![
+    /// Policy objects the rule relies on, excluding the switch. An array, so
+    /// the risk-marking hot paths iterate it without allocating.
+    pub fn policy_objects(&self) -> [ObjectId; 5] {
+        [
             ObjectId::Vrf(self.vrf),
             ObjectId::Epg(self.consumer),
             ObjectId::Epg(self.provider),
@@ -217,10 +218,16 @@ impl RuleProvenance {
     }
 
     /// Policy objects plus the switch the rule is deployed on.
-    pub fn objects_with_switch(&self, switch: SwitchId) -> Vec<ObjectId> {
-        let mut objs = self.policy_objects();
-        objs.push(ObjectId::Switch(switch));
-        objs
+    pub fn objects_with_switch(&self, switch: SwitchId) -> [ObjectId; 6] {
+        let [vrf, consumer, provider, contract, filter] = self.policy_objects();
+        [
+            vrf,
+            consumer,
+            provider,
+            contract,
+            filter,
+            ObjectId::Switch(switch),
+        ]
     }
 
     /// The (unordered) EPG pair of the rule.
@@ -257,7 +264,7 @@ impl LogicalRule {
     }
 
     /// All objects (including the switch) this rule relies on.
-    pub fn objects(&self) -> Vec<ObjectId> {
+    pub fn objects(&self) -> [ObjectId; 6] {
         self.provenance.objects_with_switch(self.switch)
     }
 }

@@ -8,12 +8,11 @@
 //! (`scout-fabric`), risk-model construction (`scout-core`) and the Figure 3
 //! object-sharing analysis (`scout-bench`).
 
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::PolicyError;
 use crate::ids::{ContractId, EndpointId, EpgId, FilterId, ObjectId, SwitchId, TenantId, VrfId};
-use crate::index::FlatIndex;
+use crate::index::{DenseIndex, FlatIndex, ObjectTable};
 use crate::object::{Contract, ContractBinding, Endpoint, Epg, Filter, Switch, Tenant, Vrf};
 use crate::pair::EpgPair;
 
@@ -42,27 +41,29 @@ pub struct UniverseStats {
 
 /// An immutable, validated snapshot of the network policy and inventory.
 ///
-/// Besides the raw objects, the universe carries dependency indexes computed
+/// The objects of each kind are one sorted table: the objects in id order
+/// beside a vector of their ids, so a lookup is a binary search over ids.
+/// Besides the objects, the universe carries dependency indexes computed
 /// once at [`PolicyBuilder::build`] time (pair → bindings, EPG → hosting
-/// switches, switch → local pairs, object → dependent pairs, …). Each index
-/// is one flat, sorted multimap — keys, run offsets and values in three
-/// vectors, built by one sort-and-group — so every dependency query below is
-/// a binary search, not a scan, and the borrowed accessors return sorted
-/// slices straight out of it. This keeps risk-model construction and fault
-/// correlation proportional to the answer size instead of the universe size
-/// on 1000-switch fabrics, and building, cloning or dropping a universe
-/// proportional to its objects and index entries rather than to a tree node
-/// per entry. The indexes are pure functions of the base objects, so derived
-/// equality and cloning remain consistent.
+/// switches, object → dependent pairs, …). Each index is one flat, sorted
+/// multimap — keys, run offsets and values in three vectors — so every
+/// dependency query below is a binary search, not a scan, and the borrowed
+/// accessors return sorted slices straight out of it. This keeps risk-model
+/// construction and fault correlation proportional to the answer size
+/// instead of the universe size on 1000-switch fabrics, and building,
+/// cloning or dropping a universe proportional to its objects and index
+/// entries: a few vectors per table and per index, no tree node per entry.
+/// The indexes are pure functions of the objects, so derived equality and
+/// cloning remain consistent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolicyUniverse {
-    tenants: BTreeMap<TenantId, Tenant>,
-    vrfs: BTreeMap<VrfId, Vrf>,
-    epgs: BTreeMap<EpgId, Epg>,
-    endpoints: BTreeMap<EndpointId, Endpoint>,
-    switches: BTreeMap<SwitchId, Switch>,
-    contracts: BTreeMap<ContractId, Contract>,
-    filters: BTreeMap<FilterId, Filter>,
+    tenants: ObjectTable<TenantId, Tenant>,
+    vrfs: ObjectTable<VrfId, Vrf>,
+    epgs: ObjectTable<EpgId, Epg>,
+    endpoints: ObjectTable<EndpointId, Endpoint>,
+    switches: ObjectTable<SwitchId, Switch>,
+    contracts: ObjectTable<ContractId, Contract>,
+    filters: ObjectTable<FilterId, Filter>,
     bindings: Vec<ContractBinding>,
     /// Binding indices (into `bindings`) per EPG pair; keys are exactly the
     /// distinct bound pairs.
@@ -71,12 +72,11 @@ pub struct PolicyUniverse {
     epg_hosts: FlatIndex<EpgId, SwitchId>,
     /// EPGs with at least one endpoint on each switch.
     switch_epgs: FlatIndex<SwitchId, EpgId>,
-    /// Bound pairs whose rules must be deployed on each switch.
-    switch_pairs: FlatIndex<SwitchId, EpgPair>,
     /// Dependency closure (VRF, EPGs, contracts, filters — no switch) per
     /// bound pair.
     pair_objects: FlatIndex<EpgPair, ObjectId>,
-    /// Dependent pairs per object, including switch objects.
+    /// Dependent pairs per object, including switch objects: a switch's
+    /// pairs are the bound pairs deployed on it.
     object_pairs: FlatIndex<ObjectId, EpgPair>,
     /// Switches each policy object's rules can be deployed on (switch objects
     /// are not stored: each maps to itself).
@@ -129,38 +129,38 @@ impl PolicyUniverse {
     }
 
     /// Iterates over all tenants in id order.
-    pub fn tenants(&self) -> impl Iterator<Item = &Tenant> {
-        self.tenants.values()
+    pub fn tenants(&self) -> impl ExactSizeIterator<Item = &Tenant> {
+        self.tenants.items().iter()
     }
 
     /// Iterates over all VRFs in id order.
-    pub fn vrfs(&self) -> impl Iterator<Item = &Vrf> {
-        self.vrfs.values()
+    pub fn vrfs(&self) -> impl ExactSizeIterator<Item = &Vrf> {
+        self.vrfs.items().iter()
     }
 
     /// Iterates over all EPGs in id order.
-    pub fn epgs(&self) -> impl Iterator<Item = &Epg> {
-        self.epgs.values()
+    pub fn epgs(&self) -> impl ExactSizeIterator<Item = &Epg> {
+        self.epgs.items().iter()
     }
 
     /// Iterates over all endpoints in id order.
-    pub fn endpoints(&self) -> impl Iterator<Item = &Endpoint> {
-        self.endpoints.values()
+    pub fn endpoints(&self) -> impl ExactSizeIterator<Item = &Endpoint> {
+        self.endpoints.items().iter()
     }
 
     /// Iterates over all switches in id order.
-    pub fn switches(&self) -> impl Iterator<Item = &Switch> {
-        self.switches.values()
+    pub fn switches(&self) -> impl ExactSizeIterator<Item = &Switch> {
+        self.switches.items().iter()
     }
 
     /// Iterates over all contracts in id order.
-    pub fn contracts(&self) -> impl Iterator<Item = &Contract> {
-        self.contracts.values()
+    pub fn contracts(&self) -> impl ExactSizeIterator<Item = &Contract> {
+        self.contracts.items().iter()
     }
 
     /// Iterates over all filters in id order.
-    pub fn filters(&self) -> impl Iterator<Item = &Filter> {
-        self.filters.values()
+    pub fn filters(&self) -> impl ExactSizeIterator<Item = &Filter> {
+        self.filters.items().iter()
     }
 
     /// All contract bindings.
@@ -170,7 +170,7 @@ impl PolicyUniverse {
 
     /// All switch ids in id order.
     pub fn switch_ids(&self) -> Vec<SwitchId> {
-        self.switches.keys().copied().collect()
+        self.switches.ids().to_vec()
     }
 
     /// Aggregate counts for reporting.
@@ -184,30 +184,36 @@ impl PolicyUniverse {
             contracts: self.contracts.len(),
             filters: self.filters.len(),
             bindings: self.bindings.len(),
-            epg_pairs: self.epg_pairs().len(),
+            epg_pairs: self.pair_bindings.keys().len(),
         }
     }
 
     /// Every policy object (VRFs, EPGs, contracts, filters) plus switches as
     /// [`ObjectId`]s, in a stable order.
     pub fn all_objects(&self) -> Vec<ObjectId> {
-        let mut objs = Vec::new();
-        objs.extend(self.vrfs.keys().map(|&v| ObjectId::Vrf(v)));
-        objs.extend(self.epgs.keys().map(|&e| ObjectId::Epg(e)));
-        objs.extend(self.contracts.keys().map(|&c| ObjectId::Contract(c)));
-        objs.extend(self.filters.keys().map(|&f| ObjectId::Filter(f)));
-        objs.extend(self.switches.keys().map(|&s| ObjectId::Switch(s)));
+        let mut objs = Vec::with_capacity(
+            self.vrfs.len()
+                + self.epgs.len()
+                + self.contracts.len()
+                + self.filters.len()
+                + self.switches.len(),
+        );
+        objs.extend(self.vrfs.ids().iter().map(|&v| ObjectId::Vrf(v)));
+        objs.extend(self.epgs.ids().iter().map(|&e| ObjectId::Epg(e)));
+        objs.extend(self.contracts.ids().iter().map(|&c| ObjectId::Contract(c)));
+        objs.extend(self.filters.ids().iter().map(|&f| ObjectId::Filter(f)));
+        objs.extend(self.switches.ids().iter().map(|&s| ObjectId::Switch(s)));
         objs
     }
 
     /// Returns `true` if `object` exists in the universe.
     pub fn contains_object(&self, object: ObjectId) -> bool {
         match object {
-            ObjectId::Vrf(id) => self.vrfs.contains_key(&id),
-            ObjectId::Epg(id) => self.epgs.contains_key(&id),
-            ObjectId::Contract(id) => self.contracts.contains_key(&id),
-            ObjectId::Filter(id) => self.filters.contains_key(&id),
-            ObjectId::Switch(id) => self.switches.contains_key(&id),
+            ObjectId::Vrf(id) => self.vrfs.contains(&id),
+            ObjectId::Epg(id) => self.epgs.contains(&id),
+            ObjectId::Contract(id) => self.contracts.contains(&id),
+            ObjectId::Filter(id) => self.filters.contains(&id),
+            ObjectId::Switch(id) => self.switches.contains(&id),
         }
     }
 
@@ -278,7 +284,7 @@ impl PolicyUniverse {
     /// without endpoints or an unknown one), ascending. Borrowed from the
     /// index.
     pub fn pairs_on_switch(&self, switch: SwitchId) -> &[EpgPair] {
-        self.switch_pairs.slice(&switch)
+        self.object_pairs.slice(&ObjectId::Switch(switch))
     }
 
     /// Every bound pair with its dependency closure (see
@@ -304,37 +310,12 @@ impl PolicyUniverse {
         if let Some(objs) = self.objects_for_bound_pair(pair) {
             return objs.iter().copied().collect();
         }
-        // Unbound pairs are not indexed; derive their (binding-free) closure.
-        let mut objs = Vec::new();
-        Self::pair_closure(&self.epgs, &self.contracts, [], pair, &mut objs);
-        objs.into_iter().collect()
-    }
-
-    /// Writes the dependency closure of `pair`, ascending, into `objs` given
-    /// the bindings that govern it (none for unbound pairs — the closure then
-    /// holds only the member EPGs and their VRFs).
-    fn pair_closure<'a>(
-        epgs: &BTreeMap<EpgId, Epg>,
-        contracts: &BTreeMap<ContractId, Contract>,
-        bindings: impl IntoIterator<Item = &'a ContractBinding>,
-        pair: EpgPair,
-        objs: &mut Vec<ObjectId>,
-    ) {
-        objs.clear();
-        for member in pair.members() {
-            if let Some(epg) = epgs.get(&member) {
-                objs.push(ObjectId::Epg(member));
-                objs.push(ObjectId::Vrf(epg.vrf));
-            }
-        }
-        for binding in bindings {
-            objs.push(ObjectId::Contract(binding.contract));
-            if let Some(contract) = contracts.get(&binding.contract) {
-                objs.extend(contract.filters.iter().map(|&f| ObjectId::Filter(f)));
-            }
-        }
-        objs.sort_unstable();
-        objs.dedup();
+        // Unbound pairs are not indexed: their closure is the member EPGs
+        // the universe knows, and their VRFs.
+        let known = pair.members().into_iter().filter_map(|m| self.epg(m));
+        known
+            .flat_map(|epg| [ObjectId::Epg(epg.id), ObjectId::Vrf(epg.vrf)])
+            .collect()
     }
 
     /// For every object (including switches), the set of EPG pairs that depend
@@ -479,186 +460,152 @@ impl PolicyBuilder {
     /// Validates the accumulated objects and produces the immutable universe,
     /// moving the objects into it.
     ///
-    /// Every dependency index is built by one sort-and-group of its entries
-    /// ([`PolicyUniverse`] describes the layout), except object → switches,
-    /// which merges each object's pairs' member EPGs' hosts through reusable
-    /// mark vectors, so its scratch memory is O(EPGs + switches) however many
-    /// pairs share the same switches.
+    /// The build is a few linear passes. Each kind is validated in turn —
+    /// tenants, VRFs, switches, filters, contracts, EPGs, endpoints, then
+    /// bindings — into its sorted table ([`PolicyUniverse`] describes the
+    /// layout), and every reference is resolved once to a position in the
+    /// table it points into. Ids that arrive strictly ascending, as every
+    /// encoder and generator emits them, are checked in one pass and moved in
+    /// without a sort; other input is stable-sorted first. Then every VRF,
+    /// EPG, contract, filter and switch is numbered in [`ObjectId`] order,
+    /// each pair closure is computed as sorted object positions, and the
+    /// switch- and object-keyed indexes are grouped by stable counting sorts
+    /// over those positions, O(entries + objects). Object → switches merges
+    /// each object's pairs' member EPGs' hosts through reusable mark vectors,
+    /// so its scratch memory is O(EPGs + switches) however many pairs share
+    /// the same switches.
     ///
     /// # Errors
     ///
     /// Returns a [`PolicyError`] when referential integrity is violated:
     /// duplicate ids, dangling references (EPG → VRF, endpoint → EPG/switch,
     /// contract → filter, binding → EPG/contract), bindings across VRFs, or
-    /// empty contracts/filters.
+    /// empty contracts/filters. The error is that of the first failing
+    /// element, in input order, of the first kind above that has one.
     pub fn build(self) -> Result<PolicyUniverse, PolicyError> {
-        let mut tenants = BTreeMap::new();
-        for t in self.tenants {
-            let tenant = t.id;
-            if !insert_new(&mut tenants, tenant, t) {
-                return Err(PolicyError::DuplicateTenant { tenant });
-            }
-        }
-        let mut vrfs = BTreeMap::new();
-        for v in self.vrfs {
-            let object = ObjectId::Vrf(v.id);
-            if !insert_new(&mut vrfs, v.id, v) {
-                return Err(PolicyError::DuplicateObject { object });
-            }
-        }
-        let mut switches = BTreeMap::new();
-        for s in self.switches {
-            let object = ObjectId::Switch(s.id);
-            if !insert_new(&mut switches, s.id, s) {
-                return Err(PolicyError::DuplicateObject { object });
-            }
-        }
-        let mut filters = BTreeMap::new();
-        for f in self.filters {
-            if f.entries.is_empty() {
-                return Err(PolicyError::EmptyFilter { filter: f.id });
-            }
-            let object = ObjectId::Filter(f.id);
-            if !insert_new(&mut filters, f.id, f) {
-                return Err(PolicyError::DuplicateObject { object });
-            }
-        }
-        let mut contracts = BTreeMap::new();
-        for c in self.contracts {
-            if c.filters.is_empty() {
-                return Err(PolicyError::EmptyContract { contract: c.id });
-            }
-            for &filter in &c.filters {
-                if !filters.contains_key(&filter) {
-                    return Err(PolicyError::UnknownFilter {
-                        contract: c.id,
-                        filter,
-                    });
+        let duplicate = |object| PolicyError::DuplicateObject { object };
+        let (tenants, _) = ObjectTable::validate(
+            self.tenants,
+            |t| t.id,
+            |_| Ok(()),
+            |tenant| PolicyError::DuplicateTenant { tenant },
+        )?;
+        let (vrfs, _) = ObjectTable::validate(
+            self.vrfs,
+            |v| v.id,
+            |_| Ok(()),
+            |id| duplicate(ObjectId::Vrf(id)),
+        )?;
+        let (switches, _) = ObjectTable::validate(
+            self.switches,
+            |s| s.id,
+            |_| Ok(()),
+            |id| duplicate(ObjectId::Switch(id)),
+        )?;
+        let (filters, _) = ObjectTable::validate(
+            self.filters,
+            |f| f.id,
+            |f| {
+                if f.entries.is_empty() {
+                    return Err(PolicyError::EmptyFilter { filter: f.id });
                 }
-            }
-            let object = ObjectId::Contract(c.id);
-            if !insert_new(&mut contracts, c.id, c) {
-                return Err(PolicyError::DuplicateObject { object });
-            }
-        }
-        let mut epgs = BTreeMap::new();
-        for e in self.epgs {
-            if !vrfs.contains_key(&e.vrf) {
-                return Err(PolicyError::UnknownVrf {
+                Ok(())
+            },
+            |id| duplicate(ObjectId::Filter(id)),
+        )?;
+        // A contract resolves to the end of its run of filter positions.
+        let mut filter_slots = Vec::new();
+        let (contracts, filter_ends) = ObjectTable::validate(
+            self.contracts,
+            |c| c.id,
+            |c| {
+                if c.filters.is_empty() {
+                    return Err(PolicyError::EmptyContract { contract: c.id });
+                }
+                for &filter in &c.filters {
+                    let position = filters
+                        .position(&filter)
+                        .ok_or(PolicyError::UnknownFilter {
+                            contract: c.id,
+                            filter,
+                        })?;
+                    filter_slots.push(slot(position));
+                }
+                Ok(filter_slots.len())
+            },
+            |id| duplicate(ObjectId::Contract(id)),
+        )?;
+        let contract_filters =
+            DenseIndex::from_runs([0].into_iter().chain(filter_ends).collect(), filter_slots);
+        let (epgs, epg_vrfs) = ObjectTable::validate(
+            self.epgs,
+            |e| e.id,
+            |e| {
+                let vrf = vrfs.position(&e.vrf);
+                vrf.map(slot).ok_or(PolicyError::UnknownVrf {
                     epg: e.id,
                     vrf: e.vrf,
-                });
-            }
-            let object = ObjectId::Epg(e.id);
-            if !insert_new(&mut epgs, e.id, e) {
-                return Err(PolicyError::DuplicateObject { object });
-            }
-        }
-        let mut endpoints = BTreeMap::new();
-        for ep in self.endpoints {
-            if !epgs.contains_key(&ep.epg) {
-                return Err(PolicyError::UnknownEpg {
+                })
+            },
+            |id| duplicate(ObjectId::Epg(id)),
+        )?;
+        let (endpoints, endpoint_slots) = ObjectTable::validate(
+            self.endpoints,
+            |ep| ep.id,
+            |ep| {
+                let epg = epgs.position(&ep.epg).ok_or(PolicyError::UnknownEpg {
                     endpoint: ep.id,
                     epg: ep.epg,
-                });
-            }
-            if !switches.contains_key(&ep.switch) {
-                return Err(PolicyError::UnknownSwitch {
-                    endpoint: ep.id,
-                    switch: ep.switch,
-                });
-            }
-            let endpoint = ep.id;
-            if !insert_new(&mut endpoints, endpoint, ep) {
-                return Err(PolicyError::DuplicateEndpoint { endpoint });
-            }
-        }
-        for b in &self.bindings {
-            if !contracts.contains_key(&b.contract) {
-                return Err(PolicyError::UnknownContract {
-                    contract: b.contract,
-                });
-            }
-            let consumer = epgs
-                .get(&b.consumer)
-                .ok_or(PolicyError::UnknownBindingEpg {
-                    contract: b.contract,
-                    epg: b.consumer,
                 })?;
-            let provider = epgs
-                .get(&b.provider)
-                .ok_or(PolicyError::UnknownBindingEpg {
-                    contract: b.contract,
-                    epg: b.provider,
-                })?;
-            if consumer.vrf != provider.vrf {
-                return Err(PolicyError::CrossVrfBinding {
-                    contract: b.contract,
-                    consumer: b.consumer,
-                    provider: b.provider,
-                });
-            }
-        }
+                let switch = switches
+                    .position(&ep.switch)
+                    .ok_or(PolicyError::UnknownSwitch {
+                        endpoint: ep.id,
+                        switch: ep.switch,
+                    })?;
+                Ok((slot(epg), slot(switch)))
+            },
+            |endpoint| PolicyError::DuplicateEndpoint { endpoint },
+        )?;
+        // Bindings are checked in input order and resolved to their
+        // consumer, provider and contract positions, which follow them
+        // through the sort.
+        let mut binding_slots = self
+            .bindings
+            .iter()
+            .map(|b| {
+                let contract =
+                    contracts
+                        .position(&b.contract)
+                        .ok_or(PolicyError::UnknownContract {
+                            contract: b.contract,
+                        })?;
+                let epg = |epg| {
+                    epgs.position(&epg).ok_or(PolicyError::UnknownBindingEpg {
+                        contract: b.contract,
+                        epg,
+                    })
+                };
+                let (consumer, provider) = (epg(b.consumer)?, epg(b.provider)?);
+                if epg_vrfs[consumer] != epg_vrfs[provider] {
+                    return Err(PolicyError::CrossVrfBinding {
+                        contract: b.contract,
+                        consumer: b.consumer,
+                        provider: b.provider,
+                    });
+                }
+                Ok([slot(consumer), slot(provider), slot(contract)])
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let mut bindings = self.bindings;
-        bindings.sort_unstable();
-        bindings.dedup();
-
-        // Dependency indexes: the endpoint and binding views by one
-        // sort-and-group each, then a pair-major pass for the pair closures
-        // and the entries of the switch- and object-centric views. Those
-        // entries carry a pair's position among the bound pairs, and EPG
-        // hosts a switch's position among the switches, so the
-        // object → switches merge indexes arrays instead of searching.
-        let switch_ids: Vec<SwitchId> = switches.keys().copied().collect();
-        let host_slots = FlatIndex::from_entries(
-            endpoints
-                .values()
-                .map(|ep| {
-                    let slot = switch_ids.binary_search(&ep.switch);
-                    (ep.epg, slot.expect("endpoints attach to known switches"))
-                })
-                .collect(),
-        );
-        let epg_hosts = host_slots.map_values(|slot| switch_ids[slot]);
-        let switch_epgs =
-            FlatIndex::from_entries(endpoints.values().map(|ep| (ep.switch, ep.epg)).collect());
-        let pair_bindings = FlatIndex::from_entries(
-            bindings
-                .iter()
-                .enumerate()
-                .map(|(i, b)| (EpgPair::new(b.consumer, b.provider), i))
-                .collect(),
-        );
-        let pairs = pair_bindings.keys();
-        let mut pair_objects = FlatIndex::default();
-        let mut member_hosts = Vec::with_capacity(pairs.len());
-        let (mut switch_entries, mut object_entries) = (Vec::new(), Vec::new());
-        let mut closure = Vec::new();
-        for (p, (pair, idxs)) in pair_bindings.iter().enumerate() {
-            let governing = idxs.iter().map(|&i| &bindings[i]);
-            PolicyUniverse::pair_closure(&epgs, &contracts, governing, pair, &mut closure);
-            object_entries.extend(closure.iter().map(|&object| (object, p)));
-            pair_objects.push(pair, closure.iter().copied());
-            let runs = pair.members().map(|member| host_slots.position(&member));
-            for run in runs.into_iter().flatten() {
-                switch_entries.extend(epg_hosts.run(run).iter().map(|&switch| (switch, p)));
-            }
-            member_hosts.push(runs);
+        if !bindings.windows(2).all(|w| w[0] < w[1]) {
+            let mut tagged: Vec<_> = bindings.into_iter().zip(binding_slots).collect();
+            tagged.sort_unstable_by_key(|&(binding, _)| binding);
+            tagged.dedup_by_key(|&mut (binding, _)| binding);
+            (bindings, binding_slots) = tagged.into_iter().unzip();
         }
-        pair_objects.shrink();
-        let switch_pair_slots = FlatIndex::from_entries(switch_entries);
-        object_entries.extend(
-            switch_pair_slots.iter().flat_map(|(switch, slots)| {
-                slots.iter().map(move |&p| (ObjectId::Switch(switch), p))
-            }),
-        );
-        let object_pair_slots = FlatIndex::from_entries(object_entries);
-        let object_switches =
-            object_switch_index(&object_pair_slots, &member_hosts, &host_slots, &switch_ids);
-        let switch_pairs = switch_pair_slots.map_values(|p| pairs[p]);
-        let object_pairs = object_pair_slots.map_values(|p| pairs[p]);
 
-        Ok(PolicyUniverse {
+        let mut universe = PolicyUniverse {
             tenants,
             vrfs,
             epgs,
@@ -667,71 +614,183 @@ impl PolicyBuilder {
             contracts,
             filters,
             bindings,
-            pair_bindings,
-            epg_hosts,
-            switch_epgs,
-            switch_pairs,
-            pair_objects,
-            object_pairs,
-            object_switches,
-        })
+            pair_bindings: FlatIndex::default(),
+            epg_hosts: FlatIndex::default(),
+            switch_epgs: FlatIndex::default(),
+            pair_objects: FlatIndex::default(),
+            object_pairs: FlatIndex::default(),
+            object_switches: FlatIndex::default(),
+        };
+        universe.index(Slots {
+            epg_vrfs,
+            endpoints: endpoint_slots,
+            contract_filters,
+            bindings: binding_slots,
+        });
+        Ok(universe)
     }
 }
 
-/// Inserts `value` under a key not yet in `map`; `false` (and no insert) if
-/// the key is taken.
-fn insert_new<K: Ord, V>(map: &mut BTreeMap<K, V>, key: K, value: V) -> bool {
-    match map.entry(key) {
-        Entry::Vacant(slot) => {
-            slot.insert(value);
-            true
+/// The table positions a build resolved the universe's references to, each
+/// list in the order of the table or list it describes.
+struct Slots {
+    /// The VRF of each EPG.
+    epg_vrfs: Vec<u32>,
+    /// The EPG and the switch of each endpoint.
+    endpoints: Vec<(u32, u32)>,
+    /// The filters of each contract.
+    contract_filters: DenseIndex,
+    /// The consumer EPG, provider EPG and contract of each binding.
+    bindings: Vec<[u32; 3]>,
+}
+
+/// A table position as a `u32`, the width the build's scratch indexes use.
+fn slot(position: usize) -> u32 {
+    u32::try_from(position).expect("a universe holds fewer than 2^32 objects")
+}
+
+impl PolicyUniverse {
+    /// Builds every dependency index from the validated tables and the
+    /// positions their references resolved to.
+    ///
+    /// Objects are numbered in [`ObjectId`] order — VRFs, EPGs, contracts,
+    /// filters, switches — so a sorted run of positions maps to a sorted run
+    /// of objects. Each scratch index is dropped as soon as it is grouped.
+    fn index(&mut self, slots: Slots) {
+        let Slots {
+            epg_vrfs,
+            endpoints,
+            contract_filters,
+            bindings,
+        } = slots;
+        let objects = self.all_objects();
+        // Positions, and so the bases below, fit in a u32 once the total does.
+        slot(objects.len());
+        let epg_base = slot(self.vrfs.len());
+        let contract_base = epg_base + slot(self.epgs.len());
+        let filter_base = contract_base + slot(self.contracts.len());
+        let switch_base = filter_base + slot(self.filters.len());
+        let (epg_ids, switch_ids) = (self.epgs.ids(), self.switches.ids());
+
+        // Endpoint views: grouped by EPG, regrouped by switch (each run now
+        // ascends by EPG), regrouped by EPG (each run now ascends by switch).
+        let by_epg = DenseIndex::group(epg_ids.len(), endpoints.iter().copied());
+        drop(endpoints);
+        let mut switch_epgs =
+            DenseIndex::group(switch_ids.len(), by_epg.entries().map(|(e, s)| (s, e)));
+        drop(by_epg);
+        switch_epgs.dedup();
+        let epg_hosts =
+            DenseIndex::group(epg_ids.len(), switch_epgs.entries().map(|(s, e)| (e, s)));
+        self.switch_epgs = switch_epgs.to_flat(|s| switch_ids[s], |e| epg_ids[e as usize]);
+        drop(switch_epgs);
+
+        // Pair pass: each bound pair's closure as sorted object positions,
+        // and the entries of the object-keyed index — the closure's objects
+        // and the switches hosting either member — in pair order.
+        self.pair_bindings = FlatIndex::from_entries(
+            self.bindings
+                .iter()
+                .enumerate()
+                .map(|(i, b)| (EpgPair::new(b.consumer, b.provider), i))
+                .collect(),
+        );
+        let pairs = self.pair_bindings.keys();
+        let mut members = Vec::with_capacity(pairs.len());
+        let mut entries = Vec::new();
+        let mut closure = Vec::new();
+        for (p, (pair, idxs)) in self.pair_bindings.iter().enumerate() {
+            let p = slot(p);
+            let [consumer, provider, _] = bindings[idxs[0]];
+            let (a, b) = (consumer.min(provider), consumer.max(provider));
+            // Bindings never cross VRFs: both members share `a`'s.
+            closure.clear();
+            closure.extend([epg_vrfs[a as usize], epg_base + a, epg_base + b]);
+            for &i in idxs {
+                let contract = bindings[i][2];
+                closure.push(contract_base + contract);
+                let filters = contract_filters.run(contract as usize);
+                closure.extend(filters.iter().map(|&f| filter_base + f));
+            }
+            closure.sort_unstable();
+            closure.dedup();
+            self.pair_objects
+                .push(pair, closure.iter().map(|&o| objects[o as usize]));
+            entries.extend(closure.iter().map(|&o| (o, p)));
+            let hosts = [epg_hosts.run(a as usize), epg_hosts.run(b as usize)];
+            merge_union(hosts, |s| entries.push((switch_base + s, p)));
+            members.push([a, b]);
         }
-        Entry::Occupied(_) => false,
+        self.pair_objects.shrink();
+        let object_pairs = DenseIndex::group(objects.len(), entries.iter().copied());
+        drop(entries);
+        self.object_switches = object_switch_index(
+            &object_pairs,
+            &objects[..switch_base as usize],
+            &members,
+            &epg_hosts,
+            switch_ids,
+        );
+        self.epg_hosts = epg_hosts.to_flat(|e| epg_ids[e], |s| switch_ids[s as usize]);
+        drop(epg_hosts);
+        self.object_pairs = object_pairs.to_flat(|o| objects[o], |p| pairs[p as usize]);
     }
 }
 
-/// Object → switches for every policy object of `object_pairs` (values are
-/// positions among the bound pairs): the hosts of the distinct member EPGs
-/// of the object's pairs, in switch order.
+/// Calls `emit` with every value of the two ascending runs once, in order.
+fn merge_union([a, b]: [&[u32]; 2], mut emit: impl FnMut(u32)) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        emit(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    a[i..].iter().chain(&b[j..]).for_each(|&v| emit(v));
+}
+
+/// Object → switches for every policy object: the hosts of the distinct
+/// member EPGs of the object's pairs, in switch order.
 ///
-/// `member_hosts[p]` holds the `host_slots` runs of pair `p`'s members, and
-/// `host_slots` maps an EPG to positions in `switches`. Each object's EPG runs
-/// and switches are deduplicated through mark vectors, reset after every
-/// object, so the scratch memory is O(EPGs + switches) and the work is the
-/// object's pairs plus its distinct EPGs' hosts — never pairs × closure ×
-/// hosts.
+/// `objects` are the policy objects (no switches) by position, and
+/// `object_pairs` maps an object position to pair positions. `members[p]`
+/// holds pair `p`'s member EPG positions, and `epg_hosts` maps an EPG
+/// position to switch positions in `switches`. Each object's EPGs and
+/// switches are deduplicated through mark vectors, reset after every object,
+/// so the scratch memory is O(EPGs + switches) and the work is the object's
+/// pairs plus its distinct EPGs' hosts — never pairs × closure × hosts.
 fn object_switch_index(
-    object_pairs: &FlatIndex<ObjectId, usize>,
-    member_hosts: &[[Option<usize>; 2]],
-    host_slots: &FlatIndex<EpgId, usize>,
+    object_pairs: &DenseIndex,
+    objects: &[ObjectId],
+    members: &[[u32; 2]],
+    epg_hosts: &DenseIndex,
     switches: &[SwitchId],
 ) -> FlatIndex<ObjectId, SwitchId> {
     let mut index = FlatIndex::default();
-    let mut run_marked = vec![false; host_slots.keys().len()];
-    let mut slot_marked = vec![false; switches.len()];
-    let (mut runs, mut slots) = (Vec::new(), Vec::new());
-    for (object, pairs) in object_pairs
-        .iter()
-        .filter(|(object, _)| !object.is_switch())
-    {
-        for run in pairs.iter().flat_map(|&p| member_hosts[p]).flatten() {
-            if !std::mem::replace(&mut run_marked[run], true) {
-                runs.push(run);
-            }
-        }
-        for run in runs.drain(..) {
-            run_marked[run] = false;
-            for &slot in host_slots.run(run) {
-                if !std::mem::replace(&mut slot_marked[slot], true) {
-                    slots.push(slot);
+    let mut epg_marked = vec![false; epg_hosts.len()];
+    let mut switch_marked = vec![false; switches.len()];
+    let (mut epgs, mut hosts) = (Vec::new(), Vec::new());
+    for (o, &object) in objects.iter().enumerate() {
+        for &p in object_pairs.run(o) {
+            for epg in members[p as usize] {
+                if !std::mem::replace(&mut epg_marked[epg as usize], true) {
+                    epgs.push(epg as usize);
                 }
             }
         }
-        slots.sort_unstable();
-        for &slot in &slots {
-            slot_marked[slot] = false;
+        for epg in epgs.drain(..) {
+            epg_marked[epg] = false;
+            for &s in epg_hosts.run(epg) {
+                if !std::mem::replace(&mut switch_marked[s as usize], true) {
+                    hosts.push(s);
+                }
+            }
         }
-        index.push(object, slots.drain(..).map(|slot| switches[slot]));
+        hosts.sort_unstable();
+        for &s in &hosts {
+            switch_marked[s as usize] = false;
+        }
+        index.push(object, hosts.drain(..).map(|s| switches[s as usize]));
     }
     index.shrink();
     index
