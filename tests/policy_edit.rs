@@ -7,20 +7,26 @@
 //! * The per-switch rule diff must return what the whole-network `BTreeSet`
 //!   formulation it replaced returned: the same dirty switches, the same
 //!   removed and added rules in the same order.
+//! * Every model builder — the controller model, every switch model and the
+//!   failure subgraph after seeded augmentations — must equal a per-edge
+//!   reference that inserts one element and one edge at a time.
 //! * Host-independent work bound, in the count style of `tests/incremental.rs`:
 //!   a one-filter edit of a single-switch contract on a 200-switch fabric
 //!   dirties exactly that switch and touches at most its pairs' elements.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use scout::core::{controller_risk_model, patch_controller_risk_model, RiskModel, ScoutEngine};
+use scout::core::{
+    controller_risk_model, controller_risk_model_sharded, patch_controller_risk_model,
+    switch_risk_model, Parallelism, RiskModel, ScoutEngine,
+};
 use scout::fabric::{compile, diff_rules, Fabric, FabricEvent, FabricProbe, FabricView};
 use scout::policy::{
-    sample, Endpoint, EndpointId, LogicalRule, ObjectId, PolicyUniverse, Switch, SwitchEpgPair,
-    SwitchId,
+    sample, Endpoint, EndpointId, EpgPair, LogicalRule, ObjectId, PolicyUniverse, Switch,
+    SwitchEpgPair, SwitchId,
 };
 use scout::workload::{
     add_filter_to_contract, next_filter_id, random_policy_edit, remove_filter_from_contract,
@@ -290,4 +296,206 @@ fn one_filter_edit_costs_its_contract_not_the_fabric() {
     assert!(check.is_consistent());
     let pristine = session.with_augmented_model(&fabric, &check, Clone::clone);
     assert!(pristine == controller_risk_model(fabric.universe()));
+}
+
+// ---------------------------------------------------------------------------
+// Model builds: every library builder equals a per-edge reference build.
+// ---------------------------------------------------------------------------
+
+/// The controller model built one insert at a time: `add_element`, then one
+/// `add_edge` per closure object and the switch, in `(switch, pair)` order.
+fn reference_controller_model(universe: &PolicyUniverse) -> RiskModel<SwitchEpgPair> {
+    let mut model = RiskModel::new();
+    for switch in universe.switch_ids() {
+        for &pair in universe.pairs_on_switch(switch) {
+            let element = SwitchEpgPair::new(switch, pair);
+            model.add_element(element);
+            for &risk in universe.objects_for_bound_pair(pair).into_iter().flatten() {
+                model.add_edge(element, risk);
+            }
+            model.add_edge(element, ObjectId::Switch(switch));
+        }
+    }
+    model
+}
+
+/// The switch model of `switch` built one insert at a time.
+fn reference_switch_model(universe: &PolicyUniverse, switch: SwitchId) -> RiskModel<EpgPair> {
+    let mut model = RiskModel::new();
+    for &pair in universe.pairs_on_switch(switch) {
+        model.add_element(pair);
+        for &risk in universe.objects_for_bound_pair(pair).into_iter().flatten() {
+            model.add_edge(pair, risk);
+        }
+    }
+    model
+}
+
+/// The failure subgraph as a mark/insert loop over the observations: the
+/// risks with a failed edge whose dependents are all observations, and the
+/// observations' edges to them, statuses kept.
+fn reference_failure_subgraph<E: Ord + Copy>(model: &RiskModel<E>) -> RiskModel<E> {
+    let observations = model.failure_signature();
+    let mut kept: BTreeMap<ObjectId, usize> = BTreeMap::new();
+    for risk in observations.iter().flat_map(|o| model.risks_of(o)) {
+        *kept.entry(risk).or_default() += 1;
+    }
+    kept.retain(|&risk, n| {
+        model.failed_dependent_count(risk) > 0 && *n == model.dependent_count(risk)
+    });
+    let mut sub = RiskModel::new();
+    for element in &observations {
+        let failed = model.failed_risks_of(element);
+        for risk in model.risks_of(element) {
+            if !kept.contains_key(&risk) {
+                continue;
+            }
+            if failed.contains(&risk) {
+                sub.mark_failed(*element, risk);
+            } else {
+                sub.add_edge(*element, risk);
+            }
+        }
+    }
+    sub
+}
+
+/// Every object of `universe`, switches included: the candidate provenance
+/// of a failure mark.
+fn every_object(universe: &PolicyUniverse) -> Vec<ObjectId> {
+    (universe.vrfs().map(|v| ObjectId::Vrf(v.id)))
+        .chain(universe.epgs().map(|e| ObjectId::Epg(e.id)))
+        .chain(universe.contracts().map(|c| ObjectId::Contract(c.id)))
+        .chain(universe.filters().map(|f| ObjectId::Filter(f.id)))
+        .chain(universe.switches().map(|s| ObjectId::Switch(s.id)))
+        .collect()
+}
+
+/// Seeded failure evidence on `model`, the three shapes the subgraph must
+/// handle:
+/// * random elements with a random non-empty subset of their edges failed;
+/// * one mark whose provenance object lies outside the element's closure, so
+///   the mark creates the edge;
+/// * one healthy element failed on a risk such that every risk of it keeps a
+///   healthy dependent or no failed edge — an observation the subgraph drops
+///   whole. Returned, when the model has such an element.
+fn augment<E: Ord + Copy>(
+    model: &mut RiskModel<E>,
+    objects: &[ObjectId],
+    rng: &mut StdRng,
+) -> Option<E> {
+    let elements: Vec<E> = model.elements().copied().collect();
+    if elements.is_empty() {
+        return None;
+    }
+    for _ in 0..=rng.gen_range(0..elements.len().div_ceil(20)) {
+        let element = elements[rng.gen_range(0..elements.len())];
+        let risks: Vec<ObjectId> = model.risks_of(&element).into_iter().collect();
+        let first = rng.gen_range(0..risks.len().max(1));
+        for (i, &risk) in risks.iter().enumerate() {
+            if i == first || rng.gen_bool(0.5) {
+                model.mark_failed(element, risk);
+            }
+        }
+    }
+
+    let element = elements[rng.gen_range(0..elements.len())];
+    let closure = model.risks_of(&element);
+    let outside: Vec<ObjectId> = objects
+        .iter()
+        .copied()
+        .filter(|o| !closure.contains(o))
+        .collect();
+    let object = outside[rng.gen_range(0..outside.len())];
+    model.mark_failed(element, object);
+    assert!(model.failed_risks_of(&element).contains(&object));
+
+    let healthy_other = |model: &RiskModel<E>, element: E, risk: ObjectId| {
+        (model.dependents_of(risk).iter()).any(|&d| d != element && !model.is_failed(&d))
+    };
+    let start = rng.gen_range(0..elements.len());
+    let dropped = (elements[start..].iter().chain(&elements[..start]))
+        .copied()
+        .filter(|e| !model.is_failed(e))
+        .find_map(|element| {
+            let risks = model.risks_of(&element);
+            let mark = *risks.iter().max_by_key(|&&r| model.dependent_count(r))?;
+            risks
+                .iter()
+                .all(|&r| {
+                    (r != mark && model.failed_dependent_count(r) == 0)
+                        || healthy_other(model, element, r)
+                })
+                .then_some((element, mark))
+        });
+    let (element, mark) = dropped?;
+    model.mark_failed(element, mark);
+    Some(element)
+}
+
+/// The universes the model builds are pinned on.
+fn model_universes() -> Vec<(&'static str, PolicyUniverse)> {
+    vec![
+        ("three_tier", sample::three_tier()),
+        ("testbed", TestbedSpec::paper().generate(3)),
+        ("cluster_small", ClusterSpec::small().generate(9)),
+        ("cluster_paper", ClusterSpec::paper().generate(1)),
+        ("large_fabric_50", ScaleSpec::large_fabric(50).generate(5)),
+    ]
+}
+
+#[test]
+fn every_model_build_equals_the_per_edge_reference() {
+    let mut dropped_observations = 0;
+    for (seed, (name, universe)) in (0u64..).zip(model_universes()) {
+        let objects = every_object(&universe);
+        let mut rng = StdRng::seed_from_u64(seed);
+
+        let controller = controller_risk_model(&universe);
+        assert!(
+            controller == reference_controller_model(&universe),
+            "{name}: controller model != per-edge reference"
+        );
+        for parallelism in [Parallelism::Sequential, Parallelism::Fixed(3)] {
+            assert!(
+                controller_risk_model_sharded(&universe, parallelism) == controller,
+                "{name}: {parallelism:?} build != per-edge reference"
+            );
+        }
+        for round in 0..3 {
+            let mut model = controller.clone();
+            let dropped = augment(&mut model, &objects, &mut rng);
+            let sub = model.failure_subgraph();
+            assert!(
+                sub == reference_failure_subgraph(&model),
+                "{name} round {round}: controller failure subgraph != reference"
+            );
+            if let Some(element) = dropped {
+                assert!(model.is_failed(&element));
+                assert!(!sub.elements().any(|e| *e == element));
+                dropped_observations += 1;
+            }
+        }
+
+        for switch in universe.switch_ids() {
+            let model = switch_risk_model(&universe, switch);
+            assert!(
+                model == reference_switch_model(&universe, switch),
+                "{name} {switch:?}: switch model != per-edge reference"
+            );
+            if switch.raw() % 7 == 0 {
+                let mut model = model;
+                let dropped = augment(&mut model, &objects, &mut rng);
+                assert!(
+                    model.failure_subgraph() == reference_failure_subgraph(&model),
+                    "{name} {switch:?}: switch failure subgraph != reference"
+                );
+                dropped_observations += usize::from(dropped.is_some());
+            }
+        }
+    }
+    assert!(
+        dropped_observations >= 10,
+        "only {dropped_observations} observations were dropped whole"
+    );
 }
