@@ -37,7 +37,7 @@ use crate::correlation::{CorrelationEngine, CorrelationReport};
 use crate::gauges::ServiceGauges;
 use crate::localization::{scout_localize, Hypothesis, ScoutConfig};
 use crate::risk::{
-    augment_controller_model_tracked, augment_switch_model, controller_risk_model_sharded,
+    augment_controller_model_tracked, augment_switch_model, controller_risk_model,
     switch_risk_model, RiskModel,
 };
 use crate::session::AnalysisSession;
@@ -203,7 +203,7 @@ impl EngineShared {
         fault_log: &FaultLog,
     ) -> (RiskModel<SwitchEpgPair>, ScoutReport) {
         let check = self.config.checker().check_network(logical_rules, tcam);
-        let mut model = controller_risk_model_sharded(universe, self.config.parallelism);
+        let mut model = controller_risk_model(universe);
         let report = self.report_on(&mut model, check, universe, change_log, fault_log);
         (model, report)
     }

@@ -111,6 +111,57 @@ impl<E: Ord + Copy> RiskModel<E> {
         }
     }
 
+    /// Builds a model from its elements in ascending order, each with its
+    /// `(risk, status)` edges in ascending risk order. Every element is
+    /// listed, with or without edges. `elements` is called once per pass and
+    /// must yield the same run each time.
+    ///
+    /// The reverse indexes come from one sort of the `(risk, element)` pairs,
+    /// grouped into `dependents` and `failed`; the pairs are freed before
+    /// either index is bulk-built and before the last pass builds `edges`, so
+    /// the build peaks below a per-edge insert build. Bulk-built nodes are
+    /// full, so the model also holds less.
+    fn from_sorted<I, R>(elements: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (E, R)>,
+        R: Iterator<Item = (ObjectId, EdgeStatus)>,
+    {
+        let (element_count, edge_count) =
+            elements().fold((0, 0), |(n, m), (_, edges)| (n + 1, m + edges.count()));
+        let mut pairs = Vec::with_capacity(edge_count);
+        for (element, edges) in elements() {
+            pairs.extend(edges.map(|(risk, status)| (risk, element, status)));
+        }
+        pairs.sort_unstable_by_key(|&(risk, element, _)| (risk, element));
+        let runs = || pairs.chunk_by(|a, b| a.0 == b.0);
+        let mut dependents = Vec::with_capacity(runs().count());
+        let mut failed = Vec::new();
+        for run in runs() {
+            let risk = run[0].0;
+            dependents.push((risk, run.iter().map(|&(_, element, _)| element).collect()));
+            let failed_dependents: BTreeSet<E> = run
+                .iter()
+                .filter(|&&(_, _, status)| status == EdgeStatus::Fail)
+                .map(|&(_, element, _)| element)
+                .collect();
+            if !failed_dependents.is_empty() {
+                failed.push((risk, failed_dependents));
+            }
+        }
+        drop(pairs);
+        let dependents = dependents.into_iter().collect();
+        let failed = failed.into_iter().collect();
+
+        let mut edges = Vec::with_capacity(element_count);
+        edges.extend(elements().map(|(element, risks)| (element, risks.collect())));
+        debug_assert!(edges.windows(2).all(|w| w[0].0 < w[1].0));
+        Self {
+            edges: edges.into_iter().collect(),
+            dependents,
+            failed,
+        }
+    }
+
     /// Adds an element with no edges (it will never be an observation unless
     /// edges are added and marked failed).
     pub fn add_element(&mut self, element: E) {
@@ -237,19 +288,20 @@ impl<E: Ord + Copy> RiskModel<E> {
             *kept.entry(*risk).or_default() += 1;
         }
         kept.retain(|risk, n| self.failed.contains_key(risk) && *n == self.dependent_count(*risk));
-        let mut sub = RiskModel::new();
-        for element in &observations {
-            for (risk, &status) in &self.edges[element] {
-                if !kept.contains_key(risk) {
-                    continue;
-                }
-                match status {
-                    EdgeStatus::Fail => sub.mark_failed(*element, *risk),
-                    EdgeStatus::Success => sub.add_edge(*element, *risk),
-                }
-            }
+        // The kept edges, element by element; an observation with none is
+        // not listed.
+        let mut edges = Vec::new();
+        for &element in &observations {
+            let element_edges = self.edges[&element].iter();
+            let kept_edges = element_edges.filter(|(risk, _)| kept.contains_key(risk));
+            edges.extend(kept_edges.map(|(&risk, &status)| (element, risk, status)));
         }
-        sub
+        RiskModel::from_sorted(|| {
+            edges.chunk_by(|a, b| a.0 == b.0).map(|run| {
+                let element_edges = run.iter().map(|&(_, risk, status)| (risk, status));
+                (run[0].0, element_edges)
+            })
+        })
     }
 
     /// Number of elements in the model.
@@ -391,32 +443,6 @@ impl<E: Ord + Copy> RiskModel<E> {
     pub fn suspect_set(&self, elements: &BTreeSet<E>) -> BTreeSet<ObjectId> {
         elements.iter().flat_map(|e| self.risks_of(e)).collect()
     }
-
-    /// Merges `other` into `self`: elements, edges, and failure evidence are
-    /// unioned, and an edge failed in either input stays failed.
-    ///
-    /// This is the combine step of the sharded model builders (see
-    /// [`controller_risk_model_sharded`]): each shard derives the edges of a
-    /// disjoint switch subset, and merging shards in a fixed order yields the
-    /// same model as one sequential pass.
-    pub fn merge(&mut self, other: RiskModel<E>) {
-        for (element, edges) in other.edges {
-            let slot = self.edges.entry(element).or_default();
-            for (risk, status) in edges {
-                if status == EdgeStatus::Fail {
-                    slot.insert(risk, EdgeStatus::Fail);
-                } else {
-                    slot.entry(risk).or_insert(EdgeStatus::Success);
-                }
-            }
-        }
-        for (risk, deps) in other.dependents {
-            self.dependents.entry(risk).or_default().extend(deps);
-        }
-        for (risk, failed) in other.failed {
-            self.failed.entry(risk).or_default().extend(failed);
-        }
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -428,83 +454,55 @@ impl<E: Ord + Copy> RiskModel<E> {
 /// Elements are the EPG pairs deployed on the switch; each pair has success
 /// edges to every policy object it relies on (Figure 4(a) of the paper).
 pub fn switch_risk_model(universe: &PolicyUniverse, switch: SwitchId) -> RiskModel<EpgPair> {
-    let mut model = RiskModel::new();
-    for &pair in universe.pairs_on_switch(switch) {
-        model.add_element(pair);
-        for &risk in universe.objects_for_bound_pair(pair).into_iter().flatten() {
-            model.add_edge(pair, risk);
-        }
-    }
-    model
+    RiskModel::from_sorted(|| {
+        universe.pairs_on_switch(switch).iter().map(|&pair| {
+            let closure = universe.objects_for_bound_pair(pair).into_iter().flatten();
+            (pair, closure.map(|&risk| (risk, EdgeStatus::Success)))
+        })
+    })
 }
 
-/// Adds one controller-model element: success edges to its pair's policy
-/// objects plus its switch.
-fn add_controller_element(
-    model: &mut RiskModel<SwitchEpgPair>,
+/// The risks of a controller-model element, ascending: its pair's policy
+/// objects, then its switch (the last [`ObjectId`] class).
+fn controller_risks(
     universe: &PolicyUniverse,
     element: SwitchEpgPair,
-) {
-    model.add_element(element);
-    for &risk in universe
+) -> impl Iterator<Item = ObjectId> + '_ {
+    let closure = universe
         .objects_for_bound_pair(element.pair)
         .into_iter()
-        .flatten()
-    {
-        model.add_edge(element, risk);
-    }
-    model.add_edge(element, ObjectId::Switch(element.switch));
+        .flatten();
+    closure.copied().chain([ObjectId::Switch(element.switch)])
 }
 
 /// Builds the (un-augmented) controller risk model for the whole network.
 ///
 /// Elements are `(switch, EPG pair)` triplets; each triplet has success edges
-/// to the pair's policy objects plus the switch itself (Figure 4(b)).
+/// to the pair's policy objects plus the switch itself (Figure 4(b)). Session
+/// open, resume and resync build their model here, where no previous model
+/// exists; a policy change on a live session patches the model it has
+/// instead ([`patch_controller_risk_model`]).
 pub fn controller_risk_model(universe: &PolicyUniverse) -> RiskModel<SwitchEpgPair> {
-    controller_risk_shard(universe, &universe.switch_ids())
+    RiskModel::from_sorted(|| {
+        let elements = universe.switches().flat_map(|s| {
+            let pairs = universe.pairs_on_switch(s.id).iter();
+            pairs.map(|&pair| SwitchEpgPair::new(s.id, pair))
+        });
+        elements.map(|element| {
+            let risks = controller_risks(universe, element);
+            (element, risks.map(|risk| (risk, EdgeStatus::Success)))
+        })
+    })
 }
 
-/// Derives the controller-model edges of one switch subset — the unit of work
-/// of [`controller_risk_model_sharded`].
-fn controller_risk_shard(
-    universe: &PolicyUniverse,
-    switches: &[SwitchId],
-) -> RiskModel<SwitchEpgPair> {
-    let mut model = RiskModel::new();
-    for &switch in switches {
-        for &pair in universe.pairs_on_switch(switch) {
-            add_controller_element(&mut model, universe, SwitchEpgPair::new(switch, pair));
-        }
-    }
-    model
-}
-
-/// Like [`controller_risk_model`], but shards the derivation by switch across
-/// worker threads ([`Parallelism::fan_out`], the same policy the equivalence
-/// checker uses) and merges the per-shard models in switch order.
-///
-/// The `(switch, pair)` elements of the controller model partition cleanly by
-/// switch, so shards never contend over an element and the merged model is
-/// **identical** to the sequential one — the pipeline swaps freely between
-/// the two. Sessions build their model here on open, resume and resync, where
-/// no previous model exists; a policy change on a live session patches the
-/// model it has instead ([`patch_controller_risk_model`]).
+/// [`controller_risk_model`]; `parallelism` is ignored. Kept only because
+/// the stand-alone `benchmark/` package still calls it; the next
+/// benchmark-only change deletes it.
 pub fn controller_risk_model_sharded(
     universe: &PolicyUniverse,
-    parallelism: Parallelism,
+    _parallelism: Parallelism,
 ) -> RiskModel<SwitchEpgPair> {
-    let switches: Vec<SwitchId> = universe.switches().map(|s| s.id).collect();
-    if parallelism.worker_count(switches.len()) == 1 {
-        return controller_risk_model(universe);
-    }
-    let shards = parallelism.fan_out(switches.len(), |_, range| {
-        controller_risk_shard(universe, &switches[range])
-    });
-    let mut model = RiskModel::new();
-    for shard in shards {
-        model.merge(shard);
-    }
-    model
+    controller_risk_model(universe)
 }
 
 /// How many elements one [`patch_controller_risk_model`] call touched — the
@@ -574,7 +572,9 @@ pub fn patch_controller_risk_model(
 
     model.prune_elements(&stale);
     for &element in &fresh {
-        add_controller_element(model, new, element);
+        for risk in controller_risks(new, element) {
+            model.add_edge(element, risk);
+        }
     }
     ModelPatch {
         pruned: stale.len(),
@@ -677,61 +677,6 @@ mod tests {
         assert!(model.risks().all(|r| !r.is_switch()));
         // Nothing failed yet.
         assert!(model.failure_signature().is_empty());
-    }
-
-    #[test]
-    fn sharded_controller_model_is_bit_identical() {
-        let u = sample::three_tier();
-        let sequential = controller_risk_model(&u);
-        for parallelism in [
-            Parallelism::Sequential,
-            Parallelism::Auto,
-            Parallelism::Fixed(2),
-            Parallelism::Fixed(3),
-            Parallelism::Fixed(16),
-        ] {
-            assert_eq!(
-                controller_risk_model_sharded(&u, parallelism),
-                sequential,
-                "{parallelism:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn merge_unions_edges_and_failures() {
-        let mut a = RiskModel::new();
-        a.add_edge(
-            EpgPair::new(sample::WEB, sample::APP),
-            ObjectId::Vrf(sample::VRF),
-        );
-        let mut b = RiskModel::new();
-        b.mark_failed(
-            EpgPair::new(sample::WEB, sample::APP),
-            ObjectId::Vrf(sample::VRF),
-        );
-        b.add_edge(
-            EpgPair::new(sample::APP, sample::DB),
-            ObjectId::Vrf(sample::VRF),
-        );
-        a.merge(b);
-        assert_eq!(a.element_count(), 2);
-        assert_eq!(a.failed_dependent_count(ObjectId::Vrf(sample::VRF)), 1);
-        assert!(a.is_failed(&EpgPair::new(sample::WEB, sample::APP)));
-
-        // Fail on the left survives a success merge from the right.
-        let mut c = RiskModel::new();
-        c.add_edge(
-            EpgPair::new(sample::WEB, sample::APP),
-            ObjectId::Vrf(sample::VRF),
-        );
-        let mut failed_left = RiskModel::new();
-        failed_left.mark_failed(
-            EpgPair::new(sample::WEB, sample::APP),
-            ObjectId::Vrf(sample::VRF),
-        );
-        failed_left.merge(c);
-        assert!(failed_left.is_failed(&EpgPair::new(sample::WEB, sample::APP)));
     }
 
     #[test]

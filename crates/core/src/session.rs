@@ -46,8 +46,7 @@ use scout_policy::{LogicalRule, ObjectId, SwitchEpgPair, SwitchId};
 use crate::correlation::PartialDiagnosis;
 use crate::engine::{EngineShared, ScoutReport};
 use crate::risk::{
-    augment_controller_model_tracked, controller_risk_model, controller_risk_model_sharded,
-    patch_controller_risk_model, RiskModel,
+    augment_controller_model_tracked, controller_risk_model, patch_controller_risk_model, RiskModel,
 };
 
 /// What an [`AnalysisSession`] needs after it detects an epoch gap: the
@@ -399,7 +398,7 @@ impl AnalysisSession {
     /// through the ordinary [`AnalysisSession::ingest`] path.
     pub(crate) fn resume(shared: Arc<EngineShared>, snapshot: &crate::snapshot::Snapshot) -> Self {
         let view = snapshot.view().clone();
-        let model = controller_risk_model_sharded(view.universe(), shared.config.parallelism);
+        let model = controller_risk_model(view.universe());
         shared.open_sessions.fetch_add(1, Ordering::Relaxed);
         Self {
             shared,

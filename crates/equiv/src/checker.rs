@@ -323,9 +323,9 @@ fn compare(switch: SwitchId, logical: &[LogicalRule], tcam: &[TcamRule]) -> Swit
 /// independent items gets ([`Parallelism::worker_count`]) and how the items
 /// are spread over them ([`Parallelism::fan_out`]).
 ///
-/// The equivalence checker, the sharded risk-model builder and the `scout-sim`
-/// drivers all fan out through it, so one configured value governs every
-/// parallel stage and the split is decided in one place.
+/// The equivalence checker and the `scout-sim` drivers all fan out through
+/// it, so one configured value governs every parallel stage and the split is
+/// decided in one place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// Decide from the item count and the machine's available parallelism.

@@ -9,7 +9,8 @@
 //!   removed and added rules in the same order.
 //! * Every model builder — the controller model, every switch model and the
 //!   failure subgraph after seeded augmentations — must equal a per-edge
-//!   reference that inserts one element and one edge at a time.
+//!   reference that inserts one element and one edge at a time; a `large_1k`
+//!   controller model holds and peaks within its heap budget.
 //! * Host-independent work bound, in the count style of `tests/incremental.rs`:
 //!   a one-filter edit of a single-switch contract on a 200-switch fabric
 //!   dirties exactly that switch and touches at most its pairs' elements.
@@ -32,6 +33,7 @@ use scout::workload::{
     add_filter_to_contract, next_filter_id, random_policy_edit, remove_filter_from_contract,
     ClusterSpec, ScaleSpec, TestbedSpec,
 };
+use scout_fuzz::alloc;
 
 /// Rebuilds `universe` keeping only the switches (and the endpoints on them)
 /// that `keep` accepts, then lets `extra` add objects.
@@ -497,5 +499,32 @@ fn every_model_build_equals_the_per_edge_reference() {
     assert!(
         dropped_observations >= 10,
         "only {dropped_observations} observations were dropped whole"
+    );
+}
+
+const MIB: usize = 1 << 20;
+
+/// A `large_1k` controller model is bulk-built from sorted runs: it holds at
+/// most 6.7 MiB (6.68 measured; the per-edge insert build held 7.94), and the
+/// build's sort and grouping buffers never push its peak past the 7.94 MiB
+/// the per-edge build peaked at (7.17 measured).
+#[test]
+fn a_large_fabric_controller_model_builds_and_holds_within_its_budget() {
+    assert!(
+        alloc::is_installed(),
+        "the tracking allocator must be armed"
+    );
+    let universe = ScaleSpec::large_1k().generate(1);
+    let (model, peak) = alloc::measure(|| controller_risk_model(&universe));
+    let (copy, held) = alloc::measure(|| model.clone());
+    assert!(copy == model);
+    assert_eq!(
+        (model.element_count(), model.edge_count()),
+        (12_290, 81_093)
+    );
+    assert!(held <= 67 * MIB / 10, "a large_1k model holds {held} B");
+    assert!(
+        peak <= 794 * MIB / 100,
+        "a large_1k build peaked at {peak} B"
     );
 }
