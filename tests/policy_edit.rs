@@ -7,6 +7,10 @@
 //! * The per-switch rule diff must return what the whole-network `BTreeSet`
 //!   formulation it replaced returned: the same dirty switches, the same
 //!   removed and added rules in the same order.
+//! * Every edit is also deployed on a fabric and observed: a `FabricView`
+//!   applying the `PolicyUpdate` must dirty exactly the switches whose rule
+//!   set changed, and a session ingesting the batch must re-check exactly
+//!   those plus the added switches and match a from-scratch analysis.
 //! * Every model builder — the controller model, every switch model and the
 //!   failure subgraph after seeded augmentations — must equal a per-edge
 //!   reference that inserts one element and one edge at a time; a `large_1k`
@@ -22,9 +26,11 @@ use rand::{Rng, SeedableRng};
 
 use scout::core::{
     controller_risk_model, controller_risk_model_sharded, patch_controller_risk_model,
-    switch_risk_model, Parallelism, RiskModel, ScoutEngine,
+    switch_risk_model, AnalysisSession, Parallelism, RiskModel, ScoutEngine,
 };
-use scout::fabric::{compile, diff_rules, Fabric, FabricEvent, FabricProbe, FabricView};
+use scout::fabric::{
+    compile, diff_rules, EventBatch, Fabric, FabricEvent, FabricProbe, FabricView,
+};
 use scout::policy::{
     sample, Endpoint, EndpointId, EpgPair, LogicalRule, ObjectId, PolicyUniverse, Switch,
     SwitchEpgPair, SwitchId,
@@ -151,12 +157,43 @@ fn set_diff(
     )
 }
 
+/// The mirrors every edit is also applied to: a deployed fabric stepped
+/// with `update_policy`, a `FabricView` fed each observed `PolicyUpdate`
+/// alone, and a session fed every observed batch.
+struct Mirrors {
+    engine: ScoutEngine,
+    fabric: Fabric,
+    probe: FabricProbe,
+    view: FabricView,
+    session: AnalysisSession,
+}
+
+impl Mirrors {
+    fn of(universe: &PolicyUniverse) -> Self {
+        let mut fabric = Fabric::new(universe.clone());
+        fabric.deploy();
+        let engine = ScoutEngine::new();
+        Self {
+            probe: FabricProbe::new(&fabric),
+            view: FabricView::of(&fabric),
+            session: engine.open_session(&fabric),
+            engine,
+            fabric,
+        }
+    }
+}
+
 /// Steps `model`/`rules` from `old` to `new` incrementally and checks both
-/// against their from-scratch definitions.
+/// against their from-scratch definitions; then deploys `new` on the
+/// mirrors' fabric and checks the view's dirty set and the session's
+/// re-checked switches against the rule-set oracle: the view dirties the
+/// switches of `new` whose rule set changed, and the session re-checks
+/// those plus every switch `new` added.
 fn assert_step(
     label: &str,
     model: &mut RiskModel<SwitchEpgPair>,
     rules: &mut Vec<LogicalRule>,
+    mirrors: &mut Mirrors,
     old: &PolicyUniverse,
     new: &PolicyUniverse,
 ) {
@@ -175,11 +212,37 @@ fn assert_step(
     assert!(diff.removed == removed, "{label}: removed rules");
     assert!(diff.added == added, "{label}: added rules");
     *rules = new_rules;
+
+    let old_switches: BTreeSet<SwitchId> = old.switch_ids().into_iter().collect();
+    let new_switches: BTreeSet<SwitchId> = new.switch_ids().into_iter().collect();
+    let view_dirty: BTreeSet<SwitchId> = dirty.intersection(&new_switches).copied().collect();
+    let mut rechecked = view_dirty.clone();
+    rechecked.extend(new_switches.difference(&old_switches));
+
+    mirrors.fabric.update_policy(new.clone());
+    let events = mirrors.probe.observe(&mirrors.fabric);
+    let update = events
+        .iter()
+        .find(|e| matches!(e, FabricEvent::PolicyUpdate { .. }))
+        .expect("every step installs a universe");
+    let applied = mirrors.view.apply(update).expect("the update applies");
+    assert_eq!(applied, view_dirty, "{label}: view dirty set");
+    let epoch = mirrors.session.next_epoch();
+    let delta = mirrors
+        .session
+        .ingest(EventBatch::new(epoch, events))
+        .expect("a faithful batch");
+    assert_eq!(delta.rechecked, rechecked, "{label}: session re-checked");
+    assert!(
+        *mirrors.session.full_report() == mirrors.engine.analyze(&mirrors.fabric),
+        "{label}: session report != from-scratch analysis"
+    );
 }
 
 /// Runs `rounds` rounds of the seven-step edit mix over `base`.
 fn run_edit_mix(name: &str, base: PolicyUniverse, rounds: usize, seed: u64) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut mirrors = Mirrors::of(&base);
     let mut current = base;
     let mut model = controller_risk_model(&current);
     let mut rules = compile(&current);
@@ -189,6 +252,7 @@ fn run_edit_mix(name: &str, base: PolicyUniverse, rounds: usize, seed: u64) -> u
             &format!("{name} step {steps} ({label})"),
             &mut model,
             &mut rules,
+            &mut mirrors,
             current,
             &next,
         );
@@ -290,7 +354,7 @@ fn one_filter_edit_costs_its_contract_not_the_fabric() {
     // Session: the same switch is the only one re-checked, and the report
     // (built on the patched model) matches a from-scratch analysis.
     let delta = session
-        .ingest(scout::fabric::EventBatch::new(session.next_epoch(), events))
+        .ingest(EventBatch::new(session.next_epoch(), events))
         .expect("faithful batch");
     assert_eq!(delta.rechecked, home);
     assert_eq!(*session.full_report(), engine.analyze(&fabric));

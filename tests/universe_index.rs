@@ -7,7 +7,10 @@
 //! testbed, the production-cluster shape, two scale shapes and a "hub"
 //! universe whose single contract spans the fabric. Results are compared as
 //! `BTreeSet`s so the test pins the answers, not the container types.
-//! A wire round trip must reproduce the universe exactly.
+//! A wire round trip must reproduce the universe exactly, and every object
+//! must keep the wire bytes of a `String` name and a `Vec<FilterId>` filter
+//! list for names of 0, 22, 23 and 200 bytes, non-ASCII names, and filter
+//! lists around the inline capacity.
 //!
 //! Validation is pinned against a reference that inserts each element into
 //! an id-keyed `BTreeMap` in input order: faults are injected one and two at
@@ -316,6 +319,118 @@ fn wire_round_trip_reproduces_the_universe() {
         let decoded: PolicyUniverse = from_bytes(&to_bytes(&u)).expect("round trip");
         assert!(decoded == u, "{name}: from_bytes(to_bytes(u)) != u");
     }
+}
+
+/// Object names of every length class an inline small string must handle:
+/// empty, exactly 22 bytes, 23 and 200 bytes, non-ASCII, and multi-byte
+/// characters ending at and straddling the 22-byte mark.
+fn edge_names() -> Vec<String> {
+    vec![
+        String::new(),
+        "a".repeat(22),
+        "b".repeat(23),
+        "c".repeat(200),
+        "héllo wörld ß 日本語".to_string(),
+        format!("{}é", "x".repeat(20)),
+        format!("{}é", "y".repeat(21)),
+        "🦀".repeat(6),
+    ]
+}
+
+/// Filter-list lengths around the five filter ids a contract holds inline.
+const FILTER_LIST_LENGTHS: [u32; 5] = [0, 1, 5, 6, 40];
+
+/// Every object encodes its name as a `String` and a contract its filters as
+/// a `Vec<FilterId>`, byte for byte, and decodes back to itself.
+#[test]
+fn object_names_and_filter_lists_keep_their_wire_bytes() {
+    fn same_bytes<T, S>(label: &str, object: &T, shape: &S)
+    where
+        T: scout::fabric::wire::Wire + PartialEq + std::fmt::Debug,
+        S: scout::fabric::wire::Wire,
+    {
+        let bytes = to_bytes(object);
+        assert_eq!(bytes, to_bytes(shape), "{label}: wire bytes");
+        assert_eq!(&from_bytes::<T>(&bytes).expect(label), object, "{label}");
+    }
+    let (tenant, vrf, epg) = (TenantId::new(3), VrfId::new(4), EpgId::new(5));
+    let (switch, filter, contract) = (SwitchId::new(6), FilterId::new(7), ContractId::new(8));
+    for name in edge_names() {
+        let label = format!("{} bytes", name.len());
+        let n = || name.clone();
+        same_bytes(&label, &Tenant::new(tenant, n()), &(tenant, n()));
+        same_bytes(&label, &Vrf::new(vrf, n(), tenant), &(vrf, (n(), tenant)));
+        same_bytes(&label, &Epg::new(epg, n(), vrf), &(epg, (n(), vrf)));
+        let endpoint = Endpoint::new(EndpointId::new(9), n(), epg, switch);
+        same_bytes(
+            &label,
+            &endpoint,
+            &(EndpointId::new(9), (n(), (epg, switch))),
+        );
+        let leaf = Switch::with_capacity(switch, n(), 77);
+        same_bytes(&label, &leaf, &(switch, (n(), 77usize)));
+        let f = Filter::tcp_port(filter, n(), 80);
+        same_bytes(&label, &f, &(filter, (n(), f.entries.clone())));
+        let c = Contract::new(contract, n(), vec![filter]);
+        same_bytes(&label, &c, &(contract, (n(), vec![filter])));
+    }
+    for len in FILTER_LIST_LENGTHS {
+        let filters: Vec<FilterId> = (0..len).map(FilterId::new).collect();
+        let c = Contract::new(contract, "c", filters.clone());
+        let label = format!("{len} filters");
+        same_bytes(&label, &c, &(contract, (String::from("c"), filters)));
+    }
+}
+
+/// A universe named with every edge name, whose contracts hold filter lists
+/// of every length class, round trips to itself and to the same bytes.
+#[test]
+fn edge_names_and_filter_lists_round_trip_in_a_universe() {
+    let names = edge_names();
+    let name = |i: usize| names[i % names.len()].clone();
+    let (tenant, vrf) = (TenantId::new(0), VrfId::new(0));
+    let mut b = PolicyUniverse::builder();
+    b.tenant(Tenant::new(tenant, name(0)))
+        .vrf(Vrf::new(vrf, name(1), tenant));
+    let most = FILTER_LIST_LENGTHS.into_iter().max().unwrap_or(1);
+    for f in 0..most {
+        b.filter(Filter::tcp_port(
+            FilterId::new(f),
+            name(f as usize),
+            1000 + f as u16,
+        ));
+    }
+    for (i, len) in (0u32..).zip(FILTER_LIST_LENGTHS.into_iter().filter(|&n| n > 0)) {
+        let (a, z) = (EpgId::new(2 * i), EpgId::new(2 * i + 1));
+        let switch = SwitchId::new(i);
+        b.switch(Switch::new(switch, name(i as usize + 2)));
+        for epg in [a, z] {
+            b.epg(Epg::new(epg, name(epg.raw() as usize), vrf));
+            b.endpoint(Endpoint::new(
+                EndpointId::new(epg.raw()),
+                name(epg.raw() as usize + 3),
+                epg,
+                switch,
+            ));
+        }
+        let contract = ContractId::new(i);
+        let filters = (0..len).map(FilterId::new).collect();
+        b.contract(Contract::new(contract, name(i as usize + 5), filters));
+        b.bind(ContractBinding::new(a, z, contract));
+    }
+    let u = b.build().expect("a well-formed universe");
+    for (i, len) in (0u32..).zip(FILTER_LIST_LENGTHS.into_iter().filter(|&n| n > 0)) {
+        let contract = u.contract(ContractId::new(i)).expect("built");
+        assert_eq!(contract.filters.len(), len as usize);
+        assert_eq!(
+            u.object_name(ObjectId::Contract(contract.id)),
+            Some(name(i as usize + 5).as_str())
+        );
+    }
+    let bytes = to_bytes(&u);
+    let decoded: PolicyUniverse = from_bytes(&bytes).expect("round trip");
+    assert!(decoded == u, "from_bytes(to_bytes(u)) != u");
+    assert_eq!(to_bytes(&decoded), bytes);
 }
 
 #[test]
