@@ -1087,7 +1087,7 @@ mod tests {
         ));
         for c in universe.contracts() {
             if c.id == sample::C_APP_DB {
-                let mut filters = c.filters.clone();
+                let mut filters = c.filters.to_vec();
                 filters.push(FilterId::new(60));
                 b.contract(Contract::new(c.id, c.name.clone(), filters));
             } else {

@@ -741,7 +741,7 @@ mod tests {
         ));
         for c in base.contracts() {
             if c.id == sample::C_APP_DB {
-                let mut filters = c.filters.clone();
+                let mut filters = c.filters.to_vec();
                 filters.push(FilterId::new(50));
                 b.contract(Contract::new(c.id, c.name.clone(), filters));
             } else {

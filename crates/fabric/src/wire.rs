@@ -86,9 +86,9 @@ use std::sync::Arc;
 
 use scout_policy::{
     Action, Contract, ContractBinding, ContractId, Endpoint, EndpointId, Epg, EpgId, EpgPair,
-    Filter, FilterEntry, FilterId, LogicalRule, ObjectId, PolicyUniverse, PortRange, Protocol,
-    RuleMatch, RuleProvenance, Switch, SwitchEpgPair, SwitchId, TcamRule, Tenant, TenantId, Vrf,
-    VrfId,
+    Filter, FilterEntry, FilterId, FilterList, LogicalRule, Name, ObjectId, PolicyUniverse,
+    PortRange, Protocol, RuleMatch, RuleProvenance, Switch, SwitchEpgPair, SwitchId, TcamRule,
+    Tenant, TenantId, Vrf, VrfId,
 };
 
 use crate::clock::Timestamp;
@@ -356,9 +356,14 @@ impl<'a> WireReader<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, WireError> {
+        self.get_str_ref().map(str::to_owned)
+    }
+
+    /// Reads a length-prefixed UTF-8 string, borrowed from the input.
+    pub fn get_str_ref(&mut self) -> Result<&'a str, WireError> {
         let len = self.get_usize()?;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadString)
+        std::str::from_utf8(bytes).map_err(|_| WireError::BadString)
     }
 
     /// Asserts the whole input was consumed — call after decoding a
@@ -782,6 +787,42 @@ macro_rules! wire_id {
 }
 
 wire_id!(TenantId, VrfId, EpgId, EndpointId, ContractId, FilterId, SwitchId);
+
+/// Encoded as the `String` it reads as; a short name decodes without
+/// allocating.
+impl Wire for Name {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_str(self);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.get_str_ref().map(Name::from)
+    }
+}
+
+/// Encoded as the `Vec<FilterId>` it reads as, element by element as the
+/// `Vec` decoder reads them; a short list decodes without allocating.
+impl Wire for FilterList {
+    fn encode(&self, w: &mut WireWriter) {
+        encode_seq(self.iter(), w);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let len = r.get_usize()?;
+        if len > FilterList::INLINE {
+            // Decoded the way `Vec<FilterId>` is, so the list is exactly
+            // sized whenever its length prefix is honest.
+            let mut ids = Vec::with_capacity(len.min(r.remaining()));
+            for _ in 0..len {
+                ids.push(r.nested(FilterId::decode)?);
+            }
+            return Ok(FilterList::from(ids));
+        }
+        let mut ids = [FilterId::new(0); FilterList::INLINE];
+        for id in &mut ids[..len] {
+            *id = r.nested(FilterId::decode)?;
+        }
+        Ok(FilterList::from(&ids[..len]))
+    }
+}
 
 wire_enum!(Protocol { 0 => Any, 1 => Tcp, 2 => Udp, 3 => Icmp });
 wire_enum!(Action { 0 => Allow, 1 => Deny });

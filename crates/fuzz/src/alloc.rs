@@ -5,8 +5,8 @@
 //! attacker-controlled length prefix — a 16-byte buffer whose header promises
 //! `u64::MAX` elements must not reserve gigabytes before the decoder notices
 //! the bytes are missing. Proving that requires observing the allocator, so
-//! this module wraps [`std::alloc::System`] with running-total and
-//! high-water-mark counters.
+//! this module wraps [`std::alloc::System`] with running-total,
+//! high-water-mark and allocation-count counters.
 //!
 //! Linking `scout-fuzz` installs [`TrackingAlloc`] as the global allocator
 //! (see the crate root), so every binary that runs the harness — the `fuzz`
@@ -35,14 +35,17 @@ thread_local! {
     static CURRENT: Cell<isize> = const { Cell::new(0) };
     /// High-water mark of `CURRENT` since this thread's last [`measure`] reset.
     static PEAK: Cell<isize> = const { Cell::new(0) };
+    /// Allocations (fresh blocks and reallocations) this thread has made.
+    static COUNT: Cell<usize> = const { Cell::new(0) };
 }
 
 /// A [`GlobalAlloc`] that delegates to [`System`] and tracks, per thread, the
-/// current and peak number of live heap bytes.
+/// current and peak number of live heap bytes and the number of allocations.
 pub struct TrackingAlloc;
 
 impl TrackingAlloc {
     fn record_alloc(size: usize) {
+        COUNT.set(COUNT.get().wrapping_add(1));
         let current = CURRENT.get().wrapping_add_unsigned(size);
         CURRENT.set(current);
         PEAK.set(PEAK.get().max(current));
@@ -79,28 +82,45 @@ unsafe impl GlobalAlloc for TrackingAlloc {
     }
 }
 
-/// Runs `f` and returns its result together with the peak number of bytes
-/// the call held *beyond* what was already live when it started.
+/// What one [`measure`]d call did to the heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Usage {
+    /// The peak number of bytes the call held *beyond* what was already live
+    /// when it started.
+    pub peak: usize,
+    /// The number of allocations the call made: every fresh block and every
+    /// reallocation counts one, whatever its size.
+    pub allocations: usize,
+}
+
+/// Runs `f` and returns its result together with its heap [`Usage`]: the
+/// peak number of bytes the call held beyond what was already live when it
+/// started, and the number of allocations it made.
 ///
 /// Only allocations made on the calling thread count, so the result
 /// attributes cleanly to `f` however many other threads are allocating (or
 /// measuring) at the same time; work `f` hands to other threads is not seen.
-/// If [`TrackingAlloc`] is not the process's global allocator the peak never
-/// moves and the measured delta is 0 — [`is_installed`] lets callers detect
-/// that and refuse to report a vacuously passing allocation oracle.
-pub fn measure<T>(f: impl FnOnce() -> T) -> (T, usize) {
+/// If [`TrackingAlloc`] is not the process's global allocator no counter
+/// moves and both figures are 0 — [`is_installed`] lets callers detect that
+/// and refuse to report a vacuously passing allocation oracle.
+pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Usage) {
     let baseline = CURRENT.get();
+    let count = COUNT.get();
     PEAK.set(baseline);
     let out = f();
     let peak = PEAK.get().wrapping_sub(baseline);
-    (out, usize::try_from(peak).unwrap_or(0))
+    let usage = Usage {
+        peak: usize::try_from(peak).unwrap_or(0),
+        allocations: COUNT.get().wrapping_sub(count),
+    };
+    (out, usage)
 }
 
 /// Returns `true` if [`TrackingAlloc`] is actually serving this process's
 /// allocations (probed by watching the counters while allocating).
 pub fn is_installed() -> bool {
-    let (_vec, peak) = measure(|| vec![0u8; 4096]);
-    peak >= 4096
+    let (_vec, usage) = measure(|| vec![0u8; 4096]);
+    usage.peak >= 4096
 }
 
 #[cfg(test)]
@@ -115,13 +135,31 @@ mod tests {
 
     #[test]
     fn measure_attributes_peak_to_the_closure() {
-        let (len, peak) = measure(|| vec![0u8; 1 << 20].len());
+        let (len, usage) = measure(|| vec![0u8; 1 << 20].len());
         assert_eq!(len, 1 << 20);
-        assert!(peak >= 1 << 20, "peak {peak} missed a 1 MiB allocation");
+        assert!(usage.peak >= 1 << 20, "{usage:?} missed a 1 MiB allocation");
+        assert_eq!(usage.allocations, 1);
         // The vector was dropped inside the closure; a small follow-up
         // allocation must not inherit its peak.
-        let (_small, peak) = measure(|| vec![0u8; 64]);
-        assert!(peak < 1 << 20, "peak {peak} leaked across measurements");
+        let (_small, usage) = measure(|| vec![0u8; 64]);
+        assert!(usage.peak < 1 << 20, "{usage:?} leaked across measurements");
+    }
+
+    #[test]
+    fn measure_counts_every_allocation_and_reallocation() {
+        let (boxes, usage) = measure(|| (0..10).map(Box::new).collect::<Vec<_>>());
+        assert_eq!(boxes.len(), 10);
+        // Ten boxes and one exactly-sized vector.
+        assert_eq!(usage.allocations, 11);
+        let (_grown, usage) = measure(|| {
+            let mut v = Vec::with_capacity(1);
+            v.extend(0u64..3);
+            v
+        });
+        // One block, then at least one reallocation to grow it.
+        assert!(usage.allocations >= 2, "{usage:?}");
+        let (_, usage) = measure(|| drop(boxes));
+        assert_eq!(usage, Usage::default(), "freeing allocates nothing");
     }
 
     #[test]
@@ -147,16 +185,16 @@ mod tests {
                         for iteration in 0..ITERATIONS {
                             let (want, peak) = if (id + iteration) % 2 == 0 {
                                 barrier.wait();
-                                let (_big, peak) = measure(|| vec![0u8; 1 << 20]);
+                                let (_big, usage) = measure(|| vec![0u8; 1 << 20]);
                                 barrier.wait();
-                                (1 << 20, peak)
+                                (1 << 20, usage.peak)
                             } else {
-                                let (_small, peak) = measure(|| {
+                                let (_small, usage) = measure(|| {
                                     barrier.wait();
                                     barrier.wait();
                                     vec![0u8; 64]
                                 });
-                                (64, peak)
+                                (64, usage.peak)
                             };
                             if peak != want {
                                 mismatches.push(format!(

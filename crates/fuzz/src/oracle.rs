@@ -214,30 +214,34 @@ fn judge<T>(
 }
 
 fn check_wire<T: Wire>(bytes: &[u8]) -> Verdict {
-    let (outcome, peak) = alloc::measure(|| {
+    let (outcome, usage) = alloc::measure(|| {
         catch_unwind(AssertUnwindSafe(|| {
             from_bytes::<T>(bytes).map_err(|e| e.to_string())
         }))
     });
-    judge(bytes, outcome, peak, |value: &T| to_bytes(value))
+    judge(bytes, outcome, usage.peak, |value: &T| to_bytes(value))
 }
 
 fn check_journal(bytes: &[u8]) -> Verdict {
-    let (outcome, peak) = alloc::measure(|| {
+    let (outcome, usage) = alloc::measure(|| {
         catch_unwind(AssertUnwindSafe(|| {
             decode_segment(bytes).map_err(|e| e.to_string())
         }))
     });
-    judge(bytes, outcome, peak, |segment: &Segment| segment.to_bytes())
+    judge(bytes, outcome, usage.peak, |segment: &Segment| {
+        segment.to_bytes()
+    })
 }
 
 fn check_snapshot(bytes: &[u8]) -> Verdict {
-    let (outcome, peak) = alloc::measure(|| {
+    let (outcome, usage) = alloc::measure(|| {
         catch_unwind(AssertUnwindSafe(|| {
             Snapshot::from_bytes(bytes).map_err(|e| e.to_string())
         }))
     });
-    let verdict = judge(bytes, outcome, peak, |snap: &Snapshot| snap.to_bytes());
+    let verdict = judge(bytes, outcome, usage.peak, |snap: &Snapshot| {
+        snap.to_bytes()
+    });
     if verdict != Verdict::Accepted {
         return verdict;
     }

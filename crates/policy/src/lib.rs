@@ -37,6 +37,7 @@
 pub mod error;
 pub mod ids;
 mod index;
+mod inline;
 pub mod object;
 pub mod pair;
 pub mod rule;
@@ -47,6 +48,7 @@ pub use error::PolicyError;
 pub use ids::{
     ContractId, EndpointId, EpgId, FilterId, ObjectClass, ObjectId, SwitchId, TenantId, VrfId,
 };
+pub use inline::{FilterList, Name};
 pub use object::{
     Action, Contract, ContractBinding, Endpoint, Epg, Filter, FilterEntry, PortRange, Protocol,
     Switch, Tenant, Vrf,

@@ -6,6 +6,7 @@
 //! filters which whitelist protocol/port combinations (§II-A of the paper).
 
 use crate::ids::{ContractId, EndpointId, EpgId, FilterId, SwitchId, TenantId, VrfId};
+use crate::inline::{FilterList, Name};
 
 /// An administrative tenant owning a slice of the policy.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -13,12 +14,12 @@ pub struct Tenant {
     /// Unique tenant identifier.
     pub id: TenantId,
     /// Human-readable name, e.g. `"acme"`.
-    pub name: String,
+    pub name: Name,
 }
 
 impl Tenant {
     /// Creates a tenant with the given id and name.
-    pub fn new(id: TenantId, name: impl Into<String>) -> Self {
+    pub fn new(id: TenantId, name: impl Into<Name>) -> Self {
         Self {
             id,
             name: name.into(),
@@ -34,14 +35,14 @@ pub struct Vrf {
     /// Unique VRF identifier.
     pub id: VrfId,
     /// Human-readable name, e.g. `"prod-net"`.
-    pub name: String,
+    pub name: Name,
     /// Owning tenant.
     pub tenant: TenantId,
 }
 
 impl Vrf {
     /// Creates a VRF owned by `tenant`.
-    pub fn new(id: VrfId, name: impl Into<String>, tenant: TenantId) -> Self {
+    pub fn new(id: VrfId, name: impl Into<Name>, tenant: TenantId) -> Self {
         Self {
             id,
             name: name.into(),
@@ -57,14 +58,14 @@ pub struct Epg {
     /// Unique EPG identifier.
     pub id: EpgId,
     /// Human-readable name, e.g. `"Web"`.
-    pub name: String,
+    pub name: Name,
     /// The VRF scoping this EPG.
     pub vrf: VrfId,
 }
 
 impl Epg {
     /// Creates an EPG scoped to `vrf`.
-    pub fn new(id: EpgId, name: impl Into<String>, vrf: VrfId) -> Self {
+    pub fn new(id: EpgId, name: impl Into<Name>, vrf: VrfId) -> Self {
         Self {
             id,
             name: name.into(),
@@ -80,7 +81,7 @@ pub struct Endpoint {
     /// Unique endpoint identifier.
     pub id: EndpointId,
     /// Human-readable name, e.g. `"web-vm-3"`.
-    pub name: String,
+    pub name: Name,
     /// The EPG this endpoint belongs to.
     pub epg: EpgId,
     /// The leaf switch this endpoint is attached to.
@@ -89,7 +90,7 @@ pub struct Endpoint {
 
 impl Endpoint {
     /// Creates an endpoint in `epg` attached to `switch`.
-    pub fn new(id: EndpointId, name: impl Into<String>, epg: EpgId, switch: SwitchId) -> Self {
+    pub fn new(id: EndpointId, name: impl Into<Name>, epg: EpgId, switch: SwitchId) -> Self {
         Self {
             id,
             name: name.into(),
@@ -105,7 +106,7 @@ pub struct Switch {
     /// Unique switch identifier.
     pub id: SwitchId,
     /// Human-readable name, e.g. `"leaf-101"`.
-    pub name: String,
+    pub name: Name,
     /// Number of TCAM entries this switch can hold.
     pub tcam_capacity: usize,
 }
@@ -115,12 +116,12 @@ impl Switch {
     pub const DEFAULT_TCAM_CAPACITY: usize = 64 * 1024;
 
     /// Creates a switch with the default TCAM capacity.
-    pub fn new(id: SwitchId, name: impl Into<String>) -> Self {
+    pub fn new(id: SwitchId, name: impl Into<Name>) -> Self {
         Self::with_capacity(id, name, Self::DEFAULT_TCAM_CAPACITY)
     }
 
     /// Creates a switch with an explicit TCAM capacity.
-    pub fn with_capacity(id: SwitchId, name: impl Into<String>, tcam_capacity: usize) -> Self {
+    pub fn with_capacity(id: SwitchId, name: impl Into<Name>, tcam_capacity: usize) -> Self {
         Self {
             id,
             name: name.into(),
@@ -318,14 +319,14 @@ pub struct Filter {
     /// Unique filter identifier.
     pub id: FilterId,
     /// Human-readable name, e.g. `"http"`.
-    pub name: String,
+    pub name: Name,
     /// The entries of the filter, in match order.
     pub entries: Vec<FilterEntry>,
 }
 
 impl Filter {
     /// Creates a filter from its entries.
-    pub fn new(id: FilterId, name: impl Into<String>, entries: Vec<FilterEntry>) -> Self {
+    pub fn new(id: FilterId, name: impl Into<Name>, entries: Vec<FilterEntry>) -> Self {
         Self {
             id,
             name: name.into(),
@@ -334,7 +335,7 @@ impl Filter {
     }
 
     /// Creates a single-entry filter allowing one TCP port.
-    pub fn tcp_port(id: FilterId, name: impl Into<String>, port: u16) -> Self {
+    pub fn tcp_port(id: FilterId, name: impl Into<Name>, port: u16) -> Self {
         Self::new(id, name, vec![FilterEntry::allow_tcp_port(port)])
     }
 }
@@ -346,18 +347,18 @@ pub struct Contract {
     /// Unique contract identifier.
     pub id: ContractId,
     /// Human-readable name, e.g. `"Web-App"`.
-    pub name: String,
-    /// Filters applied between bound EPG pairs.
-    pub filters: Vec<FilterId>,
+    pub name: Name,
+    /// Filters applied between bound EPG pairs, in list order.
+    pub filters: FilterList,
 }
 
 impl Contract {
     /// Creates a contract referencing the given filters.
-    pub fn new(id: ContractId, name: impl Into<String>, filters: Vec<FilterId>) -> Self {
+    pub fn new(id: ContractId, name: impl Into<Name>, filters: impl Into<FilterList>) -> Self {
         Self {
             id,
             name: name.into(),
-            filters,
+            filters: filters.into(),
         }
     }
 }

@@ -66,7 +66,7 @@ pub fn add_filter_to_contract(
     ));
     for c in universe.contracts() {
         if c.id == contract {
-            let mut filters = c.filters.clone();
+            let mut filters = c.filters.to_vec();
             filters.push(new_filter);
             builder.contract(Contract::new(c.id, c.name.clone(), filters));
         } else {

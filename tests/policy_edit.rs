@@ -579,8 +579,9 @@ fn a_large_fabric_controller_model_builds_and_holds_within_its_budget() {
         "the tracking allocator must be armed"
     );
     let universe = ScaleSpec::large_1k().generate(1);
-    let (model, peak) = alloc::measure(|| controller_risk_model(&universe));
+    let (model, build) = alloc::measure(|| controller_risk_model(&universe));
     let (copy, held) = alloc::measure(|| model.clone());
+    let (peak, held) = (build.peak, held.peak);
     assert!(copy == model);
     assert_eq!(
         (model.element_count(), model.edge_count()),
