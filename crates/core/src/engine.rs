@@ -23,14 +23,14 @@
 //! check → risk model → localization → correlation), so session reports are
 //! bit-identical to from-scratch analyses of the same fabric state.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use scout_equiv::{
     EquivalenceChecker, NetworkCheckResult, NodeTableKind, Parallelism, SwitchCheckResult,
 };
-use scout_fabric::{ChangeLog, Fabric, FaultLog};
+use scout_fabric::{compile_for_switch, ChangeLog, Fabric, FabricView, FaultLog};
 use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchEpgPair, SwitchId, TcamRule};
 
 use crate::correlation::{CorrelationEngine, CorrelationReport};
@@ -191,21 +191,48 @@ pub(crate) struct EngineShared {
 }
 
 impl EngineShared {
-    /// The one from-scratch pipeline: a full equivalence check, a fresh
-    /// pristine controller risk model, and [`EngineShared::report_on`].
+    /// The one from-scratch pipeline after a full equivalence check: a
+    /// fresh pristine controller risk model and [`EngineShared::report_on`].
     /// Returns the pristine model (sessions keep it) and the report.
     pub(crate) fn analyze_from_scratch(
         &self,
+        check: NetworkCheckResult,
         universe: &PolicyUniverse,
-        logical_rules: &[LogicalRule],
-        tcam: &BTreeMap<SwitchId, Vec<TcamRule>>,
         change_log: &ChangeLog,
         fault_log: &FaultLog,
     ) -> (RiskModel<SwitchEpgPair>, ScoutReport) {
-        let check = self.config.checker().check_network(logical_rules, tcam);
         let mut model = controller_risk_model(universe);
         let report = self.report_on(&mut model, check, universe, change_log, fault_log);
         (model, report)
+    }
+
+    /// [`EngineShared::analyze_from_scratch`] of a view: the full check
+    /// covers every switch with a TCAM table or with rules, and compiles
+    /// each switch's rules inside the check's fan-out.
+    pub(crate) fn analyze_view(
+        &self,
+        view: &FabricView,
+    ) -> (RiskModel<SwitchEpgPair>, ScoutReport) {
+        let universe = view.universe();
+        // A view holds a table per switch, except a decoded one whose
+        // fabric never deployed some: those count only if they have rules.
+        let switches: Vec<SwitchId> = universe
+            .switches()
+            .map(|s| s.id)
+            .filter(|&s| {
+                view.tcam().contains_key(&s) || !compile_for_switch(universe, s).is_empty()
+            })
+            .collect();
+        let check = NetworkCheckResult {
+            per_switch: (self.config.checker())
+                .check_each(&switches, |s| {
+                    (compile_for_switch(universe, s), view.tcam_rules(s))
+                })
+                .into_iter()
+                .map(|r| (r.switch, r))
+                .collect(),
+        };
+        self.analyze_from_scratch(check, universe, view.change_log(), view.fault_log())
     }
 
     /// The stages after the equivalence check, shared by every path: marks
@@ -394,10 +421,11 @@ impl ScoutEngine {
     /// One-shot, from-scratch analysis of a fabric — the reference pipeline
     /// every incremental session result is differentially checked against.
     pub fn analyze(&self, fabric: &Fabric) -> ScoutReport {
+        let check = (self.shared.config.checker())
+            .check_network(fabric.logical_rules(), &fabric.collect_tcam());
         let (_, report) = self.shared.analyze_from_scratch(
+            check,
             fabric.universe(),
-            fabric.logical_rules(),
-            &fabric.collect_tcam(),
             fabric.change_log(),
             fabric.fault_log(),
         );

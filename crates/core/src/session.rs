@@ -39,9 +39,10 @@ use std::sync::Arc;
 
 use scout_equiv::NetworkCheckResult;
 use scout_fabric::{
-    ApplyError, EventBatch, Fabric, FabricEvent, FabricProbe, FabricView, FullSync,
+    compile_for_switch, ApplyError, EventBatch, Fabric, FabricEvent, FabricProbe, FabricView,
+    FullSync,
 };
-use scout_policy::{LogicalRule, ObjectId, SwitchEpgPair, SwitchId};
+use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchEpgPair, SwitchId};
 
 use crate::correlation::PartialDiagnosis;
 use crate::engine::{EngineShared, ScoutReport};
@@ -367,13 +368,7 @@ impl AnalysisSession {
     /// Opens a session: snapshots `fabric` and runs the full pipeline once.
     pub(crate) fn open(shared: Arc<EngineShared>, fabric: &Fabric) -> Self {
         let view = FabricView::of(fabric);
-        let (model, report) = shared.analyze_from_scratch(
-            view.universe(),
-            view.logical_rules(),
-            view.tcam(),
-            view.change_log(),
-            view.fault_log(),
-        );
+        let (model, report) = shared.analyze_view(&view);
         shared.open_sessions.fetch_add(1, Ordering::Relaxed);
         Self {
             shared,
@@ -492,11 +487,13 @@ impl AnalysisSession {
         }
 
         let mut dirty: BTreeSet<SwitchId> = BTreeSet::new();
+        let mut policy_changed = false;
         for event in &batch.events {
             // Risk model: a policy change patches the pristine model while
             // the view still holds the universe it was derived from.
             if let FabricEvent::PolicyUpdate { universe, .. } = event {
                 patch_controller_risk_model(&mut self.model, self.view.universe(), universe);
+                policy_changed = true;
             }
             dirty.extend(
                 self.view
@@ -505,18 +502,28 @@ impl AnalysisSession {
             );
         }
 
-        // Equivalence: re-check, in place, only what the batch dirtied. Every
-        // other switch's result (and missing rules) is the same before and
-        // after, so the delta is built from the touched switches alone.
+        // Equivalence: re-check, in place, only what the batch dirtied and
+        // the switches that came or went. Every other switch's result (and
+        // missing rules) is the same before and after, so the delta is built
+        // from the touched switches alone.
         let view = &self.view;
+        let universe = view.universe();
         let mut check = std::mem::take(&mut self.report.check);
-        let touched = self.shared.config.checker().recheck_in_place(
-            &mut check,
-            view.logical_rules(),
-            view.switch_set(),
-            &dirty,
-            |s| view.tcam_of(s),
-        );
+        dirty.retain(|&s| universe.switch(s).is_some());
+        // The check holds every switch of the universe unless a policy
+        // update changed the switches, or a decoded view left some out.
+        let vanished = if policy_changed || check.per_switch.len() != universe.switches().len() {
+            switch_changes(&check, universe, &mut dirty)
+        } else {
+            Vec::new()
+        };
+        let touched =
+            self.shared
+                .config
+                .checker()
+                .recheck_in_place(&mut check, &dirty, &vanished, |s| {
+                    (compile_for_switch(universe, s), view.tcam_rules(s))
+                });
         let mut rechecked = BTreeSet::new();
         let (mut was_missing, mut now_missing) = (BTreeSet::new(), BTreeSet::new());
         for (switch, old) in touched {
@@ -626,19 +633,12 @@ impl AnalysisSession {
             });
         }
         self.view = sync.into_view();
-        let view = &self.view;
-        let (model, report) = self.shared.analyze_from_scratch(
-            view.universe(),
-            view.logical_rules(),
-            view.tcam(),
-            view.change_log(),
-            view.fault_log(),
-        );
+        let (model, report) = self.shared.analyze_view(&self.view);
         self.model = model;
 
         let delta = ReportDelta::between(
             epoch,
-            self.view.switch_set().clone(),
+            self.view.universe().switch_ids().into_iter().collect(),
             self.report.check.missing_rule_set(),
             report.check.missing_rule_set(),
             &self.report,
@@ -702,15 +702,15 @@ impl AnalysisSession {
     pub fn analyze_clone(&mut self, fabric: &Fabric) -> ScoutReport {
         let checker = self.shared.config.checker();
         let check = if self.covers(fabric) {
-            let dirty = fabric.dirty_switches_since(self.open_epoch);
-            let current: BTreeSet<SwitchId> = fabric.universe().switch_ids().into_iter().collect();
-            checker.recheck_dirty_with(
-                &self.report.check,
-                fabric.logical_rules(),
-                &current,
-                &dirty,
-                |s| fabric.tcam_rules(s),
-            )
+            let universe = fabric.universe();
+            let mut dirty = fabric.dirty_switches_since(self.open_epoch);
+            dirty.retain(|&s| universe.switch(s).is_some());
+            let mut check = self.report.check.clone();
+            let vanished = switch_changes(&check, universe, &mut dirty);
+            checker.recheck_in_place(&mut check, &dirty, &vanished, |s| {
+                (fabric.logical_rules_on(s), fabric.tcam_rules(s))
+            });
+            check
         } else {
             checker.check_network(fabric.logical_rules(), &fabric.collect_tcam())
         };
@@ -761,6 +761,21 @@ impl AnalysisSession {
             .unwrap_or_else(|| (version, controller_risk_model(fabric.universe())));
         &mut rebuilt.insert(cached).1
     }
+}
+
+/// Walks `check`'s switches against `universe`'s: adds every switch of the
+/// universe the check lacks to `recheck`, and returns every switch of the
+/// check the universe lacks.
+fn switch_changes(
+    check: &NetworkCheckResult,
+    universe: &PolicyUniverse,
+    recheck: &mut BTreeSet<SwitchId>,
+) -> Vec<SwitchId> {
+    let checked = &check.per_switch;
+    recheck.extend((universe.switches().map(|s| s.id)).filter(|s| !checked.contains_key(s)));
+    (checked.keys().copied())
+        .filter(|&s| universe.switch(s).is_none())
+        .collect()
 }
 
 impl Drop for AnalysisSession {

@@ -40,22 +40,20 @@
 //!
 //! # Pipeline
 //!
-//! * **Indexed logical rules** — [`EquivalenceChecker::check_network`] groups
-//!   the logical rules by switch once (`O(total rules)`) instead of re-scanning
-//!   the full rule list per switch (`O(switches × total rules)`).
+//! * **Per-switch sides** — [`EquivalenceChecker::check_each`] checks a list
+//!   of switches, asking a caller's closure for each switch's logical and
+//!   TCAM rules inside the workers, so a caller that compiles rules on demand
+//!   compiles them in parallel. [`EquivalenceChecker::check_network`] feeds
+//!   it from a whole rule vector grouped by switch once (`O(total rules)`).
 //! * **Parallel checking** — per-switch checks are independent; large
 //!   networks are split across worker threads by [`Parallelism::fan_out`].
 //!   Results are deterministic regardless of thread count.
 //! * **Incremental re-checking** — [`EquivalenceChecker::recheck_in_place`]
-//!   updates a previous [`NetworkCheckResult`] where it stands and revisits
-//!   only the switches whose TCAM (or logical rule set) changed, fetching
-//!   only their TCAMs. It relies on the compiler's order (logical rules
-//!   grouped by ascending switch): a re-checked switch's rules are a binary
-//!   search away, and added or vanished switches fall out of one merge walk
-//!   of the result's keys against the switch set, so clean switches cost a
-//!   step of that walk and nothing else.
-//!   [`EquivalenceChecker::recheck_dirty_with`] is the same algorithm on a
-//!   copy of the previous result.
+//!   updates a previous [`NetworkCheckResult`] where it stands: it checks
+//!   the switches its caller names as changed or added and drops the ones
+//!   named as vanished, so clean switches cost nothing at all.
+//!   [`EquivalenceChecker::recheck_dirty_with`] is a copying form that works
+//!   the changed switches out from a whole rule vector.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
@@ -497,193 +495,135 @@ impl EquivalenceChecker {
         let mut switches: BTreeSet<SwitchId> = tcam.keys().copied().collect();
         switches.extend(index.keys().copied());
         let switches: Vec<SwitchId> = switches.into_iter().collect();
-        let results = self.check_switches(switches.len(), |i| {
-            let switch = switches[i];
-            let logical = index.get(&switch).map_or(&[][..], Vec::as_slice);
-            let rules = tcam.get(&switch).map_or(&[][..], Vec::as_slice);
-            (switch, logical, rules)
+        let results = self.check_each(&switches, |switch| {
+            (
+                index.get(&switch).map_or(&[][..], Vec::as_slice),
+                tcam.get(&switch).map_or(&[][..], Vec::as_slice),
+            )
         });
         NetworkCheckResult {
             per_switch: results.into_iter().map(|r| (r.switch, r)).collect(),
         }
     }
 
-    /// Incrementally re-checks the network after a change.
+    /// Checks each of `switches`, sequentially or in parallel according to
+    /// the configured policy, and returns the results in `switches` order.
+    ///
+    /// `sides(switch)` yields the switch's logical rules and its TCAM rules.
+    /// It runs inside the workers, so a caller that compiles a switch's
+    /// rules on demand compiles them in parallel too.
+    pub fn check_each<L, T, F>(&self, switches: &[SwitchId], sides: F) -> Vec<SwitchCheckResult>
+    where
+        L: AsRef<[LogicalRule]>,
+        T: AsRef<[TcamRule]>,
+        F: Fn(SwitchId) -> (L, T) + Sync,
+    {
+        let results = self.parallelism.fan_out(switches.len(), |_, range| {
+            switches[range]
+                .iter()
+                .map(|&switch| {
+                    let (logical, tcam) = sides(switch);
+                    compare(switch, logical.as_ref(), tcam.as_ref())
+                })
+                .collect::<Vec<_>>()
+        });
+        results.into_iter().flatten().collect()
+    }
+
+    /// The one re-check algorithm: updates `result` in place after a
+    /// change and returns every switch whose entry it replaced, added or
+    /// dropped, in switch order, with that entry's old value (`None` for an
+    /// added switch). A switch is dropped iff `result` no longer holds it.
+    ///
+    /// Every switch of `recheck` is checked anew through `sides` (see
+    /// [`EquivalenceChecker::check_each`]) and every switch of `vanished` is
+    /// dropped; nothing else is looked at, so clean switches cost nothing.
+    /// Provided `recheck` holds every switch present now whose TCAM contents
+    /// *or* logical rule set changed since `result` was computed (see
+    /// `scout_fabric::Fabric::dirty_switches_since`) plus every switch
+    /// present now that `result` lacks, and `vanished` every switch of
+    /// `result` that is no longer present, the updated `result` equals a
+    /// full [`EquivalenceChecker::check_network`] of the network now. A
+    /// `recheck` that misses a changed switch silently keeps its stale
+    /// entry.
+    pub fn recheck_in_place<L, T, F>(
+        &self,
+        result: &mut NetworkCheckResult,
+        recheck: &BTreeSet<SwitchId>,
+        vanished: &[SwitchId],
+        sides: F,
+    ) -> Vec<(SwitchId, Option<SwitchCheckResult>)>
+    where
+        L: AsRef<[LogicalRule]>,
+        T: AsRef<[TcamRule]>,
+        F: Fn(SwitchId) -> (L, T) + Sync,
+    {
+        let to_check: Vec<SwitchId> = recheck.iter().copied().collect();
+        let per_switch = &mut result.per_switch;
+        let mut touched: Vec<_> = self
+            .check_each(&to_check, sides)
+            .into_iter()
+            .map(|r| (r.switch, per_switch.insert(r.switch, r)))
+            .collect();
+        touched.extend(vanished.iter().map(|&s| (s, per_switch.remove(&s))));
+        touched.sort_by_key(|t| t.0);
+        touched
+    }
+
+    /// Incrementally re-checks the network after a change, on a copy of
+    /// `previous`.
+    ///
+    /// Kept with this signature only because the stand-alone `benchmark/`
+    /// package calls it; library code calls
+    /// [`EquivalenceChecker::recheck_in_place`] with the switches it knows
+    /// changed. The next benchmark-only change deletes it.
     ///
     /// Starts from `previous` (a result produced by
-    /// [`EquivalenceChecker::check_network`] or an earlier
-    /// `recheck_dirty_with` against the *same evolving network*) and
-    /// re-checks only:
-    ///
-    /// * the switches listed in `dirty`, and
-    /// * switches present now but absent from `previous` (newly added).
-    ///
-    /// `current_switches` is the set of switches present in the network now
-    /// (switches appearing in `logical` are added automatically); switches
-    /// that disappeared are dropped. `tcam_of` is consulted once per
-    /// re-checked switch, so a no-change cycle copies no TCAM rules at all.
-    ///
-    /// `logical` must be grouped by ascending switch, the order
-    /// `scout_fabric::compile` guarantees for every compiled rule vector;
-    /// a re-checked switch's rules are found by binary search.
+    /// [`EquivalenceChecker::check_network`] or an earlier re-check against
+    /// the *same evolving network*) and re-checks the switches listed in
+    /// `dirty` and the switches present now but absent from `previous`.
+    /// A switch is present if `current_switches` holds it or a rule of
+    /// `logical` names it; switches that disappeared are dropped.
+    /// `tcam_of` is consulted once per re-checked switch. `logical` must be
+    /// grouped by ascending switch, as `scout_fabric::compile` emits it.
     ///
     /// Provided `dirty` covers every switch whose TCAM contents *or* logical
-    /// rule set changed since `previous` was computed (see
-    /// `scout_fabric::Fabric::dirty_switches_since`), the result is identical
-    /// to a full [`EquivalenceChecker::check_network`] — at the cost of one
-    /// copy of `previous` plus [`EquivalenceChecker::recheck_in_place`].
+    /// rule set changed since `previous` was computed, the result is
+    /// identical to a full [`EquivalenceChecker::check_network`].
     pub fn recheck_dirty_with<F>(
         &self,
         previous: &NetworkCheckResult,
         logical: &[LogicalRule],
         current_switches: &BTreeSet<SwitchId>,
         dirty: &BTreeSet<SwitchId>,
-        tcam_of: F,
+        mut tcam_of: F,
     ) -> NetworkCheckResult
     where
         F: FnMut(SwitchId) -> Vec<TcamRule>,
     {
+        debug_assert!(logical.windows(2).all(|w| w[0].switch <= w[1].switch));
+        let runs: BTreeMap<SwitchId, &[LogicalRule]> = logical
+            .chunk_by(|a, b| a.switch == b.switch)
+            .map(|run| (run[0].switch, run))
+            .collect();
+        let present = |s: &SwitchId| current_switches.contains(s) || runs.contains_key(s);
+        let mut recheck: BTreeSet<SwitchId> = dirty.iter().copied().filter(present).collect();
+        recheck.extend(
+            (current_switches.iter().chain(runs.keys()))
+                .filter(|s| !previous.per_switch.contains_key(s)),
+        );
+        let vanished: Vec<SwitchId> = (previous.per_switch.keys())
+            .copied()
+            .filter(|s| !present(s))
+            .collect();
+        let tcams: BTreeMap<SwitchId, Vec<TcamRule>> =
+            recheck.iter().map(|&s| (s, tcam_of(s))).collect();
         let mut result = previous.clone();
-        self.recheck_in_place(&mut result, logical, current_switches, dirty, tcam_of);
+        self.recheck_in_place(&mut result, &recheck, &vanished, |s| {
+            (runs.get(&s).copied().unwrap_or_default(), &tcams[&s])
+        });
         result
     }
-
-    /// The one re-check algorithm: updates `result` in place to what
-    /// [`EquivalenceChecker::recheck_dirty_with`] returns, under the same
-    /// contract, and returns every switch whose entry it replaced, added or
-    /// dropped, in switch order, with that entry's old value (`None` for an
-    /// added switch). A switch is dropped iff `result` no longer holds it.
-    ///
-    /// `logical` must be grouped by ascending switch (the order
-    /// `scout_fabric::compile` guarantees). The work is one merge walk of
-    /// `result`'s keys against `current_switches` and the switch runs of
-    /// `logical` to find added and vanished switches, then a binary search
-    /// and a check per re-checked switch; clean results are neither looked
-    /// up nor copied.
-    pub fn recheck_in_place<F>(
-        &self,
-        result: &mut NetworkCheckResult,
-        logical: &[LogicalRule],
-        current_switches: &BTreeSet<SwitchId>,
-        dirty: &BTreeSet<SwitchId>,
-        mut tcam_of: F,
-    ) -> Vec<(SwitchId, Option<SwitchCheckResult>)>
-    where
-        F: FnMut(SwitchId) -> Vec<TcamRule>,
-    {
-        debug_assert!(logical.windows(2).all(|w| w[0].switch <= w[1].switch));
-        let present =
-            merge_walk(current_switches.iter().copied(), switch_runs(logical)).map(|m| m.0);
-        let (mut added, mut vanished) = (Vec::new(), Vec::new());
-        for (switch, was, is) in merge_walk(result.per_switch.keys().copied(), present) {
-            match (was, is) {
-                (false, true) => added.push(switch),
-                (true, false) => vanished.push(switch),
-                _ => {}
-            }
-        }
-        let dirty_present = dirty
-            .iter()
-            .copied()
-            .filter(|s| current_switches.contains(s) || !rules_for(logical, *s).is_empty());
-        let to_check: Vec<SwitchId> = merge_walk(added.into_iter(), dirty_present)
-            .map(|m| m.0)
-            .collect();
-
-        let tcams: Vec<Vec<TcamRule>> = to_check.iter().map(|&s| tcam_of(s)).collect();
-        let results = self.check_switches(to_check.len(), |i| {
-            let switch = to_check[i];
-            (switch, rules_for(logical, switch), tcams[i].as_slice())
-        });
-        let per_switch = &mut result.per_switch;
-        let mut touched: Vec<_> = results
-            .into_iter()
-            .map(|r| (r.switch, per_switch.insert(r.switch, r)))
-            .collect();
-        touched.extend(vanished.into_iter().map(|s| (s, per_switch.remove(&s))));
-        touched.sort_by_key(|t| t.0);
-        touched
-    }
-
-    /// Checks `items` switches, sequentially or in parallel according to the
-    /// configured policy; `rules(i)` names the `i`-th switch and its logical
-    /// and TCAM rules. Results come back in item order either way.
-    fn check_switches<'a, R>(&self, items: usize, rules: R) -> Vec<SwitchCheckResult>
-    where
-        R: Fn(usize) -> (SwitchId, &'a [LogicalRule], &'a [TcamRule]) + Sync,
-    {
-        let results = self.parallelism.fan_out(items, |_, range| {
-            range
-                .map(|i| {
-                    let (switch, logical, tcam) = rules(i);
-                    compare(switch, logical, tcam)
-                })
-                .collect::<Vec<_>>()
-        });
-        results.into_iter().flatten().collect()
-    }
-}
-
-/// The rules of `switch` in `logical`, which is grouped by ascending switch:
-/// two binary searches.
-fn rules_for(logical: &[LogicalRule], switch: SwitchId) -> &[LogicalRule] {
-    let start = logical.partition_point(|l| l.switch < switch);
-    let len = logical[start..].partition_point(|l| l.switch == switch);
-    &logical[start..start + len]
-}
-
-/// The switches `logical` (grouped by ascending switch) names, ascending.
-/// Each run is skipped by galloping from the previous run's length, so runs
-/// of similar length cost a probe or two each, all near the run itself.
-fn switch_runs(mut logical: &[LogicalRule]) -> impl Iterator<Item = SwitchId> + '_ {
-    let mut guess = 1;
-    std::iter::from_fn(move || {
-        let switch = logical.first()?.switch;
-        guess = run_len(logical, guess);
-        logical = &logical[guess..];
-        Some(switch)
-    })
-}
-
-/// The length of the leading run of one switch in the non-empty `rules`,
-/// galloping out from `guess`.
-fn run_len(rules: &[LogicalRule], guess: usize) -> usize {
-    let in_run = |l: &LogicalRule| l.switch == rules[0].switch;
-    let mut lo = guess.clamp(1, rules.len());
-    if !in_run(&rules[lo - 1]) {
-        return rules[..lo].partition_point(in_run);
-    }
-    // `rules[..lo]` is in the run: probe just past it, then gallop.
-    let mut step = 1;
-    loop {
-        let hi = (lo + step).min(rules.len());
-        if hi == lo || !in_run(&rules[hi - 1]) {
-            return lo + rules[lo..hi].partition_point(in_run);
-        }
-        lo = hi;
-        step *= 2;
-    }
-}
-
-/// Walks two ascending, duplicate-free switch sequences together and yields
-/// every switch of either once, ascending, as `(switch, in a, in b)`.
-fn merge_walk(
-    a: impl Iterator<Item = SwitchId>,
-    b: impl Iterator<Item = SwitchId>,
-) -> impl Iterator<Item = (SwitchId, bool, bool)> {
-    let (mut a, mut b) = (a.peekable(), b.peekable());
-    std::iter::from_fn(move || {
-        let switch = match (a.peek(), b.peek()) {
-            (Some(&x), Some(&y)) => x.min(y),
-            (Some(&s), None) | (None, Some(&s)) => s,
-            (None, None) => return None,
-        };
-        Some((
-            switch,
-            a.next_if_eq(&switch).is_some(),
-            b.next_if_eq(&switch).is_some(),
-        ))
-    })
 }
 
 #[cfg(test)]
@@ -933,13 +873,14 @@ mod tests {
             .collect();
 
         let mut result = baseline.clone();
-        let current = tcam.keys().copied().collect();
         let touched = checker.recheck_in_place(
             &mut result,
-            &logical,
-            &current,
-            &BTreeSet::from([sample::S2]),
-            |s| tcam[&s].clone(),
+            &BTreeSet::from([sample::S2, stray]),
+            &[sample::S1],
+            |s| {
+                let rules: Vec<_> = logical.iter().filter(|l| l.switch == s).copied().collect();
+                (rules, tcam[&s].as_slice())
+            },
         );
         assert_eq!(result, checker.check_network(&logical, &tcam));
         let old = |s| Some(baseline.per_switch[&s].clone());
@@ -952,30 +893,6 @@ mod tests {
             ]
         );
         assert!(!result.per_switch.contains_key(&sample::S1));
-    }
-
-    #[test]
-    fn switch_runs_name_every_run_once_whatever_its_length() {
-        let base = deployed().logical_rules()[0];
-        let lengths = [1usize, 5, 2, 2, 9, 1, 1, 30, 3, 64, 1, 4];
-        let logical: Vec<LogicalRule> = lengths
-            .iter()
-            .enumerate()
-            .flat_map(|(i, &len)| {
-                let switch = SwitchId::new(10 * i as u32);
-                std::iter::repeat_n(LogicalRule { switch, ..base }, len)
-            })
-            .collect();
-        let runs: Vec<SwitchId> = switch_runs(&logical).collect();
-        let expected: Vec<SwitchId> = (0..lengths.len())
-            .map(|i| SwitchId::new(10 * i as u32))
-            .collect();
-        assert_eq!(runs, expected);
-        for (i, &len) in lengths.iter().enumerate() {
-            assert_eq!(rules_for(&logical, expected[i]).len(), len);
-        }
-        assert!(rules_for(&logical, SwitchId::new(5)).is_empty());
-        assert_eq!(switch_runs(&[]).count(), 0);
     }
 
     #[test]

@@ -25,14 +25,27 @@
 //! scan itself survives only as the reference in `tests/compile.rs`.)
 //!
 //! Because of the grouping, two compiled vectors can be compared one switch
-//! run at a time: [`diff_rules`] is the single rule diff behind both
-//! [`FabricView::apply`](crate::FabricView::apply) and
-//! [`Fabric::update_policy`](crate::Fabric::update_policy).
+//! run at a time: [`diff_rules`] is the rule diff behind
+//! [`Fabric::update_policy`](crate::Fabric::update_policy), which keeps the
+//! whole compiled vector to push instructions from.
+//!
+//! # Rules on demand
+//!
+//! Monitors keep no compiled vector: they compile a switch when they check
+//! it ([`compile_for_switch`]), and [`switch_delta`] finds the switches a
+//! policy update dirties without compiling the fabric. Its candidate walk
+//! visits the two universes' sorted object tables once, maps every changed
+//! filter, contract, EPG VRF and binding to the switches the object's rules
+//! live on in either universe, and adds every switch whose deployed pairs
+//! changed or that came or went. Only the candidates are compiled, under
+//! both universes, and compared as sets — so the dirty set is exactly what
+//! [`diff_rules`] reports on the two whole vectors.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 use scout_policy::{
-    Action, LogicalRule, PolicyUniverse, RuleMatch, RuleProvenance, SwitchId, TcamRule,
+    Action, LogicalRule, ObjectId, PolicyUniverse, RuleMatch, RuleProvenance, SwitchId, TcamRule,
 };
 
 /// Compiles the whole universe into logical rules for every switch, in the
@@ -154,6 +167,137 @@ pub fn diff_rules(mut old: &[LogicalRule], mut new: &[LogicalRule]) -> RuleDiff 
             diff.added.extend(new_set.difference(&old_set));
         }
     }
+}
+
+/// How a policy update changes the fabric's switches (see
+/// [`switch_delta`]).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct SwitchDelta {
+    /// Switches of the new universe whose expected rule *set* differs from
+    /// the old universe's; a switch the old universe lacks had none. Equal
+    /// to [`diff_rules`]`(&compile(old), &compile(new)).dirty` without the
+    /// switches the new universe lacks.
+    pub dirty: BTreeSet<SwitchId>,
+    /// Switches only the new universe holds, ascending.
+    pub added: Vec<SwitchId>,
+    /// Switches only the old universe holds, ascending.
+    pub removed: Vec<SwitchId>,
+    /// Candidate switches compiled under both universes to settle `dirty` —
+    /// the work count of the delta.
+    pub compiled: usize,
+}
+
+/// The switches a move from `old` to `new` dirties, found from the objects
+/// that changed instead of from two whole-fabric compiles (see the
+/// [module docs](self#rules-on-demand)).
+pub fn switch_delta(old: &PolicyUniverse, new: &PolicyUniverse) -> SwitchDelta {
+    let mut delta = SwitchDelta::default();
+    let mut candidates = BTreeSet::new();
+    for object in changed_objects(old, new) {
+        for universe in [old, new] {
+            candidates.extend(universe.object_switches(&object));
+        }
+    }
+    for (was, is) in by_key(old.switches(), new.switches(), |s| s.id) {
+        match (was, is) {
+            (Some(s), Some(_)) => {
+                if old.pairs_on_switch(s.id) != new.pairs_on_switch(s.id) {
+                    candidates.insert(s.id);
+                }
+            }
+            (None, Some(s)) => {
+                delta.added.push(s.id);
+                candidates.insert(s.id);
+            }
+            (Some(s), None) => delta.removed.push(s.id),
+            (None, None) => unreachable!("a walk step holds a side"),
+        }
+    }
+    for switch in candidates {
+        if new.switch(switch).is_none() {
+            continue;
+        }
+        delta.compiled += 1;
+        let (mut was, mut is) = (
+            compile_for_switch(old, switch),
+            compile_for_switch(new, switch),
+        );
+        if was == is {
+            continue;
+        }
+        for rules in [&mut was, &mut is] {
+            rules.sort_unstable();
+            rules.dedup();
+        }
+        if was != is {
+            delta.dirty.insert(switch);
+        }
+    }
+    delta
+}
+
+/// The objects whose change can alter compiled rules: filters whose entries
+/// differ, contracts whose filter lists differ, EPGs whose VRF differs —
+/// each also when it exists on one side only — and the contract of every
+/// binding one side lacks. One walk of each pair of sorted tables.
+fn changed_objects(old: &PolicyUniverse, new: &PolicyUniverse) -> Vec<ObjectId> {
+    let mut objects = Vec::new();
+    for pair in by_key(old.filters(), new.filters(), |f| f.id) {
+        if let Some(f) = differs(pair, |f| &f.entries) {
+            objects.push(ObjectId::Filter(f.id));
+        }
+    }
+    for pair in by_key(old.contracts(), new.contracts(), |c| c.id) {
+        if let Some(c) = differs(pair, |c| &c.filters) {
+            objects.push(ObjectId::Contract(c.id));
+        }
+    }
+    for pair in by_key(old.epgs(), new.epgs(), |e| e.id) {
+        if let Some(e) = differs(pair, |e| &e.vrf) {
+            objects.push(ObjectId::Epg(e.id));
+        }
+    }
+    for pair in by_key(old.bindings(), new.bindings(), |b| *b) {
+        if let Some(b) = differs(pair, |_| &()) {
+            objects.push(ObjectId::Contract(b.contract));
+        }
+    }
+    objects
+}
+
+/// The item of a [`by_key`] step whose `field` differs between the sides,
+/// or that one side lacks.
+fn differs<'a, T, V: PartialEq + ?Sized>(
+    (was, is): (Option<&'a T>, Option<&'a T>),
+    field: impl Fn(&T) -> &V,
+) -> Option<&'a T> {
+    match (was, is) {
+        (Some(a), Some(b)) if field(a) == field(b) => None,
+        _ => was.or(is),
+    }
+}
+
+/// Walks two sequences sorted by strictly ascending `key` together, yielding
+/// each key once, ascending, with the item each side holds for it.
+pub(crate) fn by_key<'a, T: 'a, K: Ord>(
+    old: impl IntoIterator<Item = &'a T>,
+    new: impl IntoIterator<Item = &'a T>,
+    key: impl Fn(&T) -> K,
+) -> impl Iterator<Item = (Option<&'a T>, Option<&'a T>)> {
+    let (mut old, mut new) = (old.into_iter().peekable(), new.into_iter().peekable());
+    std::iter::from_fn(move || {
+        let order = match (old.peek(), new.peek()) {
+            (None, None) => return None,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(a), Some(b)) => key(a).cmp(&key(b)),
+        };
+        Some(match order {
+            Ordering::Less => (old.next(), None),
+            Ordering::Greater => (None, new.next()),
+            Ordering::Equal => (old.next(), new.next()),
+        })
+    })
 }
 
 #[cfg(test)]

@@ -15,9 +15,11 @@
 //! * [`EventBatch`] — the unit of ingestion: the events of one epoch, with an
 //!   explicit epoch number so consumers can enforce ordered, gap-free
 //!   delivery.
-//! * [`FabricView`] — the monitor-side mirror: exactly the five artifacts an
-//!   analysis consumes (universe, compiled logical rules, per-switch TCAM,
-//!   change log, fault log), kept current by [`FabricView::apply`].
+//! * [`FabricView`] — the monitor-side mirror: the four artifacts an
+//!   analysis consumes (universe, per-switch TCAM, change log, fault log),
+//!   kept current by [`FabricView::apply`]. A switch's logical rules are
+//!   compiled from the universe when it is checked, so the view stores
+//!   none.
 //! * [`FabricProbe`] — the telemetry source for a simulated [`Fabric`]: it
 //!   remembers what was last observed and diffs the live fabric into the
 //!   minimal event batch ([`FabricProbe::observe`]).
@@ -36,7 +38,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use scout_policy::{LogicalRule, PolicyUniverse, SwitchId, TcamRule};
 
@@ -206,20 +208,55 @@ impl fmt::Display for ApplyError {
 
 impl std::error::Error for ApplyError {}
 
-/// The monitor-side mirror of a fabric: the five artifacts an analysis
-/// consumes, kept current by applying [`FabricEvent`]s.
+/// The monitor-side mirror of a fabric: the artifacts an analysis consumes,
+/// kept current by applying [`FabricEvent`]s.
+///
+/// The view stores the universe, the TCAM tables and the two logs. The
+/// logical rules a switch must hold are a pure function of the universe:
+/// checks compile them per switch with
+/// [`compile_for_switch`](crate::compile_for_switch), and a policy update
+/// finds the switches it dirties with [`switch_delta`](crate::switch_delta)
+/// instead of compiling the fabric.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricView {
     universe_version: u64,
     /// Shared with the fabric or event it came from (see
     /// [`FabricEvent::PolicyUpdate`]); cloning a view never copies it.
     universe: Arc<PolicyUniverse>,
-    /// Switch ids of `universe`, cached for O(log n) membership checks.
-    switches: BTreeSet<SwitchId>,
-    logical_rules: Vec<LogicalRule>,
     tcam: BTreeMap<SwitchId, Vec<TcamRule>>,
     change_log: ChangeLog,
     fault_log: FaultLog,
+    shim: ShimCache,
+}
+
+/// The whole-fabric forms [`FabricView::logical_rules`] and
+/// [`FabricView::switch_set`] return, derived from the universe on first
+/// call and dropped by every policy update. Only the stand-alone
+/// `benchmark/` package reads them — no library path fills the cache — and
+/// the next benchmark-only change deletes it. Not part of the view's state:
+/// every cache compares equal and a clone starts empty.
+#[derive(Default)]
+struct ShimCache {
+    rules: OnceLock<Vec<LogicalRule>>,
+    switches: OnceLock<BTreeSet<SwitchId>>,
+}
+
+impl Clone for ShimCache {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for ShimCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for ShimCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("ShimCache")
+    }
 }
 
 impl FabricView {
@@ -229,19 +266,14 @@ impl FabricView {
         Self {
             universe_version: fabric.universe_version(),
             universe: Arc::clone(fabric.shared_universe()),
-            switches: fabric.universe().switch_ids().into_iter().collect(),
-            logical_rules: fabric.logical_rules().to_vec(),
             tcam: fabric.collect_tcam(),
             change_log: fabric.change_log().clone(),
             fault_log: fabric.fault_log().clone(),
+            shim: ShimCache::default(),
         }
     }
 
     /// Rebuilds a view from its primary artifacts (the wire-decode path).
-    ///
-    /// The switch set and compiled logical rules are derived from the
-    /// universe, exactly as [`FabricView::apply`] derives them on a policy
-    /// update, so a view decoded from an encoded one compares equal to it.
     pub(crate) fn from_parts(
         universe_version: u64,
         universe: PolicyUniverse,
@@ -251,12 +283,11 @@ impl FabricView {
     ) -> Self {
         Self {
             universe_version,
-            switches: universe.switch_ids().into_iter().collect(),
-            logical_rules: compiler::compile(&universe),
             universe: Arc::new(universe),
             tcam,
             change_log,
             fault_log,
+            shim: ShimCache::default(),
         }
     }
 
@@ -271,14 +302,29 @@ impl FabricView {
         self.universe_version
     }
 
-    /// The compiled logical rules of the mirrored universe.
+    /// The compiled logical rules of the mirrored universe, compiled on the
+    /// first call after a policy update and cached until the next one.
+    ///
+    /// Kept only because the stand-alone `benchmark/` package reads it;
+    /// library code compiles the switches it checks with
+    /// [`compile_for_switch`](crate::compile_for_switch). The next
+    /// benchmark-only change deletes it.
     pub fn logical_rules(&self) -> &[LogicalRule] {
-        &self.logical_rules
+        self.shim
+            .rules
+            .get_or_init(|| compiler::compile(&self.universe))
     }
 
-    /// The switches of the mirrored universe.
+    /// The switches of the mirrored universe, collected on the first call
+    /// after a policy update and cached until the next one.
+    ///
+    /// Kept only because the stand-alone `benchmark/` package reads it;
+    /// library code looks switches up in the universe. The next
+    /// benchmark-only change deletes it.
     pub fn switch_set(&self) -> &BTreeSet<SwitchId> {
-        &self.switches
+        self.shim
+            .switches
+            .get_or_init(|| self.universe.switch_ids().into_iter().collect())
     }
 
     /// The mirrored TCAM contents, keyed by switch.
@@ -286,9 +332,20 @@ impl FabricView {
         &self.tcam
     }
 
-    /// The mirrored TCAM contents of one switch (empty if never synced).
+    /// The mirrored TCAM contents of one switch (empty if never synced),
+    /// borrowed.
+    pub fn tcam_rules(&self, switch: SwitchId) -> &[TcamRule] {
+        self.tcam.get(&switch).map_or(&[], Vec::as_slice)
+    }
+
+    /// A copy of the mirrored TCAM contents of one switch (empty if never
+    /// synced).
+    ///
+    /// Kept only because the stand-alone `benchmark/` package calls it;
+    /// library code borrows [`FabricView::tcam_rules`]. The next
+    /// benchmark-only change deletes it.
     pub fn tcam_of(&self, switch: SwitchId) -> Vec<TcamRule> {
-        self.tcam.get(&switch).cloned().unwrap_or_default()
+        self.tcam_rules(switch).to_vec()
     }
 
     /// The mirrored controller change log.
@@ -306,7 +363,7 @@ impl FabricView {
     pub fn matches(&self, fabric: &Fabric) -> bool {
         self.universe_version == fabric.universe_version()
             && self.universe == *fabric.shared_universe()
-            && self.logical_rules == fabric.logical_rules()
+            && compiler::compile(&self.universe) == fabric.logical_rules()
             && self.tcam == fabric.collect_tcam()
             && self.change_log == *fabric.change_log()
             && self.fault_log == *fabric.fault_log()
@@ -317,18 +374,15 @@ impl FabricView {
     /// whole batch first so a mid-batch error never leaves a half-applied
     /// mirror.
     pub fn validate(&self, events: &[FabricEvent]) -> Result<(), ApplyError> {
-        // Borrowed until a policy update earlier in the batch replaces it.
-        let mut switches = &self.switches;
-        let mut updated: BTreeSet<SwitchId>;
+        // The view's universe until a policy update earlier in the batch
+        // replaces it.
+        let mut universe = &self.universe;
         let mut fault_len = self.fault_log.len();
         for event in events {
             match event {
-                FabricEvent::PolicyUpdate { universe, .. } => {
-                    updated = universe.switch_ids().into_iter().collect();
-                    switches = &updated;
-                }
+                FabricEvent::PolicyUpdate { universe: next, .. } => universe = next,
                 FabricEvent::TcamSync { switch, .. } => {
-                    if !switches.contains(switch) {
+                    if universe.switch(*switch).is_none() {
                         return Err(ApplyError::UnknownSwitch(*switch));
                     }
                 }
@@ -359,24 +413,33 @@ impl FabricView {
         let mut dirty = BTreeSet::new();
         match event {
             FabricEvent::PolicyUpdate { version, universe } => {
-                let new_rules = compiler::compile(universe);
-                let new_switches: BTreeSet<SwitchId> = universe.switch_ids().into_iter().collect();
                 // A switch needs re-checking iff its expected rule set
-                // changed; switches that left the network drop out of the
-                // current set instead.
-                dirty = compiler::diff_rules(&self.logical_rules, &new_rules).dirty;
-                dirty.retain(|s| new_switches.contains(s));
-                self.tcam.retain(|s, _| new_switches.contains(s));
-                for &switch in &new_switches {
-                    self.tcam.entry(switch).or_default();
+                // changed; switches that left the network drop out instead.
+                let delta = compiler::switch_delta(&self.universe, universe);
+                if self.tcam.len() == self.universe.switches().len() {
+                    // A table per switch: only switches that came or went
+                    // change the map.
+                    for switch in &delta.removed {
+                        self.tcam.remove(switch);
+                    }
+                    for &switch in &delta.added {
+                        self.tcam.insert(switch, Vec::new());
+                    }
+                } else {
+                    // A decoded view may lack the tables of switches never
+                    // deployed: give every switch of the new universe one.
+                    self.tcam.retain(|s, _| universe.switch(*s).is_some());
+                    for switch in universe.switches() {
+                        self.tcam.entry(switch.id).or_default();
+                    }
                 }
                 self.universe_version = *version;
                 self.universe = Arc::clone(universe);
-                self.switches = new_switches;
-                self.logical_rules = new_rules;
+                self.shim = ShimCache::default();
+                dirty = delta.dirty;
             }
             FabricEvent::TcamSync { switch, rules } => {
-                if !self.switches.contains(switch) {
+                if self.universe.switch(*switch).is_none() {
                     return Err(ApplyError::UnknownSwitch(*switch));
                 }
                 self.tcam.insert(*switch, rules.clone());

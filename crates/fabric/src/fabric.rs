@@ -266,11 +266,16 @@ impl Fabric {
 
     /// The logical rules destined for one switch.
     pub fn logical_rules_for(&self, switch: SwitchId) -> Vec<LogicalRule> {
-        self.logical_rules
-            .iter()
-            .filter(|r| r.switch == switch)
-            .copied()
-            .collect()
+        self.logical_rules_on(switch).to_vec()
+    }
+
+    /// The logical rules destined for one switch, borrowed: the compile
+    /// groups them by ascending switch, so two binary searches find them.
+    pub fn logical_rules_on(&self, switch: SwitchId) -> &[LogicalRule] {
+        let rules = &self.logical_rules;
+        let start = rules.partition_point(|r| r.switch < switch);
+        let len = rules[start..].partition_point(|r| r.switch == switch);
+        &rules[start..start + len]
     }
 
     /// The TCAM (T-type) rules currently rendered on `switch`.
@@ -699,84 +704,100 @@ impl Fabric {
 
 /// Computes the object-level difference between two policy universes, in the
 /// form the controller change log records it.
+///
+/// The entries come in this order: created objects, then deleted ones (each
+/// in [`ObjectId`] order, switches excluded), then modified filters
+/// (entries), contracts (filter list) and EPGs (VRF), each in id order, then
+/// every contract present on both sides whose bindings changed, ascending.
+/// One walk of each pair of sorted object tables produces them.
 pub fn diff_universes(
     old: &PolicyUniverse,
     new: &PolicyUniverse,
 ) -> Vec<(ObjectId, ChangeAction, String)> {
-    let mut changes = Vec::new();
-
-    let old_objects: BTreeSet<ObjectId> = old
-        .all_objects()
-        .into_iter()
-        .filter(|o| !o.is_switch())
-        .collect();
-    let new_objects: BTreeSet<ObjectId> = new
-        .all_objects()
-        .into_iter()
-        .filter(|o| !o.is_switch())
-        .collect();
-
-    for &created in new_objects.difference(&old_objects) {
-        changes.push((created, ChangeAction::Create, "object created".to_string()));
-    }
-    for &deleted in old_objects.difference(&new_objects) {
-        changes.push((deleted, ChangeAction::Delete, "object deleted".to_string()));
-    }
-
-    // Modified filters: entry lists differ.
-    for filter in new.filters() {
-        if let Some(old_filter) = old.filter(filter.id) {
-            if old_filter.entries != filter.entries {
-                changes.push((
-                    ObjectId::Filter(filter.id),
-                    ChangeAction::Modify,
-                    "filter entries changed".to_string(),
-                ));
-            }
-        }
-    }
-    // Modified contracts: filter lists differ.
-    for contract in new.contracts() {
-        if let Some(old_contract) = old.contract(contract.id) {
-            if old_contract.filters != contract.filters {
-                changes.push((
-                    ObjectId::Contract(contract.id),
-                    ChangeAction::Modify,
-                    "contract filter list changed".to_string(),
-                ));
-            }
-        }
-    }
-    // Modified EPGs: VRF membership changed.
-    for epg in new.epgs() {
-        if let Some(old_epg) = old.epg(epg.id) {
-            if old_epg.vrf != epg.vrf {
-                changes.push((
-                    ObjectId::Epg(epg.id),
-                    ChangeAction::Modify,
-                    "epg moved to a different vrf".to_string(),
-                ));
-            }
-        }
-    }
+    let (mut created, mut deleted) = (Vec::new(), Vec::new());
+    let (c, d) = (&mut created, &mut deleted);
+    walk_kind(
+        old.vrfs(),
+        new.vrfs(),
+        |v| ObjectId::Vrf(v.id),
+        |_, _| false,
+        c,
+        d,
+    );
+    let epgs = walk_kind(
+        old.epgs(),
+        new.epgs(),
+        |e| ObjectId::Epg(e.id),
+        |a, b| a.vrf != b.vrf,
+        c,
+        d,
+    );
+    let contracts = walk_kind(
+        old.contracts(),
+        new.contracts(),
+        |c| ObjectId::Contract(c.id),
+        |a, b| a.filters != b.filters,
+        c,
+        d,
+    );
+    let filters = walk_kind(
+        old.filters(),
+        new.filters(),
+        |f| ObjectId::Filter(f.id),
+        |a, b| a.entries != b.entries,
+        c,
+        d,
+    );
     // Binding changes are recorded against the contract.
-    let old_bindings: BTreeSet<_> = old.bindings().iter().copied().collect();
-    let new_bindings: BTreeSet<_> = new.bindings().iter().copied().collect();
-    let mut touched_contracts = BTreeSet::new();
-    for binding in old_bindings.symmetric_difference(&new_bindings) {
-        if old.contract(binding.contract).is_some() && new.contract(binding.contract).is_some() {
-            touched_contracts.insert(binding.contract);
+    let mut rebound: Vec<ObjectId> = compiler::by_key(old.bindings(), new.bindings(), |b| *b)
+        .filter_map(|(was, is)| match (was, is) {
+            (Some(_), Some(_)) => None,
+            _ => was.or(is).map(|b| b.contract),
+        })
+        .filter(|&c| old.contract(c).is_some() && new.contract(c).is_some())
+        .map(ObjectId::Contract)
+        .collect();
+    rebound.sort_unstable();
+    rebound.dedup();
+
+    let mut changes = Vec::new();
+    let mut record = |objects: Vec<ObjectId>, action: ChangeAction, detail: &str| {
+        changes.extend(objects.into_iter().map(|o| (o, action, detail.to_string())));
+    };
+    record(created, ChangeAction::Create, "object created");
+    record(deleted, ChangeAction::Delete, "object deleted");
+    record(filters, ChangeAction::Modify, "filter entries changed");
+    record(
+        contracts,
+        ChangeAction::Modify,
+        "contract filter list changed",
+    );
+    record(epgs, ChangeAction::Modify, "epg moved to a different vrf");
+    record(rebound, ChangeAction::Modify, "contract bindings changed");
+    changes
+}
+
+/// Walks one kind's two id-sorted object tables together: pushes the ids
+/// only `new` holds to `created` and those only `old` holds to `deleted`,
+/// and returns the ids of the objects `modified` tells apart.
+fn walk_kind<'a, T: 'a>(
+    old: impl IntoIterator<Item = &'a T>,
+    new: impl IntoIterator<Item = &'a T>,
+    id: impl Fn(&T) -> ObjectId,
+    modified: impl Fn(&T, &T) -> bool,
+    created: &mut Vec<ObjectId>,
+    deleted: &mut Vec<ObjectId>,
+) -> Vec<ObjectId> {
+    let mut changed = Vec::new();
+    for (was, is) in compiler::by_key(old, new, &id) {
+        match (was, is) {
+            (None, Some(object)) => created.push(id(object)),
+            (Some(object), None) => deleted.push(id(object)),
+            (Some(a), Some(b)) if modified(a, b) => changed.push(id(a)),
+            _ => {}
         }
     }
-    for contract in touched_contracts {
-        changes.push((
-            ObjectId::Contract(contract),
-            ChangeAction::Modify,
-            "contract bindings changed".to_string(),
-        ));
-    }
-
-    changes
+    changed
 }
 
 #[cfg(test)]

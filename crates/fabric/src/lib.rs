@@ -47,7 +47,10 @@ pub mod wire;
 pub use agent::{AgentHealth, ApplyOutcome, SwitchAgent};
 pub use channel::{ControlChannel, LinkState};
 pub use clock::{SimClock, Timestamp};
-pub use compiler::{compile, compile_for_switch, diff_rules, rule_count_for_switch, RuleDiff};
+pub use compiler::{
+    compile, compile_for_switch, diff_rules, rule_count_for_switch, switch_delta, RuleDiff,
+    SwitchDelta,
+};
 pub use event::{ApplyError, EventBatch, FabricEvent, FabricProbe, FabricView, FullSync};
 pub use fabric::{diff_universes, DeploymentReport, Fabric, RepairReport};
 pub use instruction::{Instruction, InstructionOp};

@@ -1084,12 +1084,10 @@ wire_enum!(FabricEvent {
 wire_struct!(EventBatch { epoch, events });
 
 impl Wire for FabricView {
-    /// Encodes the view's five artifacts. The compiled logical rules and the
-    /// cached switch set are *not* written: both are pure functions of the
-    /// universe and are recompiled on decode, exactly as
-    /// [`FabricView::apply`] does on a policy update — so a decoded view is
-    /// bit-identical to the encoded one while the bytes stay proportional to
-    /// the primary state.
+    /// Encodes the view's version and four artifacts, which are all the view
+    /// stores: its logical rules are a pure function of the universe that
+    /// checks compile per switch, so a decoded view is bit-identical to the
+    /// encoded one while the bytes stay proportional to the primary state.
     fn encode(&self, w: &mut WireWriter) {
         w.put_u64(self.universe_version());
         self.universe().encode(w);
@@ -1105,8 +1103,7 @@ impl Wire for FabricView {
         // the universe ([`FabricView::apply`] rejects syncs for unknown
         // switches), so a payload with a stray table is forged or corrupt.
         // The subset may be strict: undeployed fabrics have no tables yet.
-        let known: BTreeSet<SwitchId> = universe.switch_ids().into_iter().collect();
-        if !tcam.keys().all(|s| known.contains(s)) {
+        if !tcam.keys().all(|s| universe.switch(*s).is_some()) {
             return Err(WireError::Invalid { what: "FabricView" });
         }
         let change_log = ChangeLog::decode(r)?;

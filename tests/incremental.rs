@@ -4,6 +4,7 @@
 //! session must agree with the one-shot engine analysis.
 
 use std::collections::BTreeSet;
+use std::sync::Mutex;
 
 use scout::core::ScoutEngine;
 use scout::equiv::{EquivalenceChecker, Parallelism};
@@ -117,7 +118,6 @@ fn one_switch_drift_of_a_thousand_touches_only_the_victim() {
     fabric.deploy();
     let checker = EquivalenceChecker::new();
     let ids = fabric.universe().switch_ids();
-    let current: BTreeSet<_> = ids.iter().copied().collect();
     let victim = ids[500];
     let mut standing = 0;
     for damaged in [0, 300] {
@@ -132,14 +132,14 @@ fn one_switch_drift_of_a_thousand_touches_only_the_victim() {
         let checkpoint = fabric.epoch();
         fabric.remove_tcam_rules_where(victim, |r| r.matcher.ports.start % 2 == 0);
         let dirty = fabric.dirty_switches_since(checkpoint);
-        let mut fetched = Vec::new();
-        let touched =
-            checker.recheck_in_place(&mut result, fabric.logical_rules(), &current, &dirty, |s| {
-                fetched.push(s);
-                fabric.tcam_rules(s)
-            });
+        let fetched = Mutex::new(Vec::new());
+        let touched = checker.recheck_in_place(&mut result, &dirty, &[], |s| {
+            fetched.lock().expect("no worker panicked").push(s);
+            (fabric.logical_rules_on(s), fabric.tcam_rules(s))
+        });
         let touched: Vec<_> = touched.into_iter().map(|(s, _)| s).collect();
         assert_eq!(touched, vec![victim], "{damaged} damaged");
+        let fetched = fetched.into_inner().expect("no worker panicked");
         assert_eq!(fetched, vec![victim], "{damaged} damaged");
         let full = checker.check_network(fabric.logical_rules(), &fabric.collect_tcam());
         assert_eq!(result, full, "{damaged} damaged");

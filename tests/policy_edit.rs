@@ -9,15 +9,20 @@
 //!   removed and added rules in the same order.
 //! * Every edit is also deployed on a fabric and observed: a `FabricView`
 //!   applying the `PolicyUpdate` must dirty exactly the switches whose rule
-//!   set changed, and a session ingesting the batch must re-check exactly
+//!   set changed (the view-dirty oracle; `switch_delta` must name the same
+//!   switches), and a session ingesting the batch must re-check exactly
 //!   those plus the added switches and match a from-scratch analysis.
+//! * `diff_universes`, one walk of the sorted tables, must return the
+//!   change-log entries of the whole-universe `BTreeSet` formulation it
+//!   replaced, in the same order.
 //! * Every model builder — the controller model, every switch model and the
 //!   failure subgraph after seeded augmentations — must equal a per-edge
 //!   reference that inserts one element and one edge at a time; a `large_1k`
 //!   controller model holds and peaks within its heap budget.
 //! * Host-independent work bound, in the count style of `tests/incremental.rs`:
 //!   a one-filter edit of a single-switch contract on a 200-switch fabric
-//!   dirties exactly that switch and touches at most its pairs' elements.
+//!   compiles rules for that switch alone, dirties exactly that switch and
+//!   touches at most its pairs' elements.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -29,7 +34,8 @@ use scout::core::{
     switch_risk_model, AnalysisSession, Parallelism, RiskModel, ScoutEngine,
 };
 use scout::fabric::{
-    compile, diff_rules, EventBatch, Fabric, FabricEvent, FabricProbe, FabricView,
+    compile, diff_rules, diff_universes, switch_delta, ChangeAction, EventBatch, Fabric,
+    FabricEvent, FabricProbe, FabricView,
 };
 use scout::policy::{
     sample, Endpoint, EndpointId, EpgPair, LogicalRule, ObjectId, PolicyUniverse, Switch,
@@ -157,6 +163,70 @@ fn set_diff(
     )
 }
 
+/// The change-log entries `diff_universes` recorded before it became one
+/// walk of the sorted tables: whole-universe `BTreeSet`s of objects and of
+/// bindings, and their differences.
+fn reference_diff_universes(
+    old: &PolicyUniverse,
+    new: &PolicyUniverse,
+) -> Vec<(ObjectId, ChangeAction, String)> {
+    let mut changes = Vec::new();
+    let objects = |u: &PolicyUniverse| -> BTreeSet<ObjectId> {
+        u.all_objects()
+            .into_iter()
+            .filter(|o| !o.is_switch())
+            .collect()
+    };
+    let (old_objects, new_objects) = (objects(old), objects(new));
+    for &created in new_objects.difference(&old_objects) {
+        changes.push((created, ChangeAction::Create, "object created".to_string()));
+    }
+    for &deleted in old_objects.difference(&new_objects) {
+        changes.push((deleted, ChangeAction::Delete, "object deleted".to_string()));
+    }
+    for filter in new.filters() {
+        if let Some(old_filter) = old.filter(filter.id) {
+            if old_filter.entries != filter.entries {
+                let detail = "filter entries changed".to_string();
+                changes.push((ObjectId::Filter(filter.id), ChangeAction::Modify, detail));
+            }
+        }
+    }
+    for contract in new.contracts() {
+        if let Some(old_contract) = old.contract(contract.id) {
+            if old_contract.filters != contract.filters {
+                let detail = "contract filter list changed".to_string();
+                changes.push((
+                    ObjectId::Contract(contract.id),
+                    ChangeAction::Modify,
+                    detail,
+                ));
+            }
+        }
+    }
+    for epg in new.epgs() {
+        if let Some(old_epg) = old.epg(epg.id) {
+            if old_epg.vrf != epg.vrf {
+                let detail = "epg moved to a different vrf".to_string();
+                changes.push((ObjectId::Epg(epg.id), ChangeAction::Modify, detail));
+            }
+        }
+    }
+    let old_bindings: BTreeSet<_> = old.bindings().iter().copied().collect();
+    let new_bindings: BTreeSet<_> = new.bindings().iter().copied().collect();
+    let mut touched_contracts = BTreeSet::new();
+    for binding in old_bindings.symmetric_difference(&new_bindings) {
+        if old.contract(binding.contract).is_some() && new.contract(binding.contract).is_some() {
+            touched_contracts.insert(binding.contract);
+        }
+    }
+    for contract in touched_contracts {
+        let detail = "contract bindings changed".to_string();
+        changes.push((ObjectId::Contract(contract), ChangeAction::Modify, detail));
+    }
+    changes
+}
+
 /// The mirrors every edit is also applied to: a deployed fabric stepped
 /// with `update_policy`, a `FabricView` fed each observed `PolicyUpdate`
 /// alone, and a session fed every observed batch.
@@ -213,11 +283,23 @@ fn assert_step(
     assert!(diff.added == added, "{label}: added rules");
     *rules = new_rules;
 
+    assert_eq!(
+        diff_universes(old, new),
+        reference_diff_universes(old, new),
+        "{label}: change-log entries"
+    );
+
     let old_switches: BTreeSet<SwitchId> = old.switch_ids().into_iter().collect();
     let new_switches: BTreeSet<SwitchId> = new.switch_ids().into_iter().collect();
     let view_dirty: BTreeSet<SwitchId> = dirty.intersection(&new_switches).copied().collect();
     let mut rechecked = view_dirty.clone();
     rechecked.extend(new_switches.difference(&old_switches));
+
+    let delta = switch_delta(old, new);
+    assert_eq!(delta.dirty, view_dirty, "{label}: switch delta");
+    let added: Vec<SwitchId> = new_switches.difference(&old_switches).copied().collect();
+    let removed: Vec<SwitchId> = old_switches.difference(&new_switches).copied().collect();
+    assert_eq!((delta.added, delta.removed), (added, removed), "{label}");
 
     mirrors.fabric.update_policy(new.clone());
     let events = mirrors.probe.observe(&mirrors.fabric);
@@ -323,6 +405,14 @@ fn one_filter_edit_costs_its_contract_not_the_fabric() {
         .sum();
     let edited = add_filter_to_contract(&base, contract, next_filter_id(&base), 31_337)
         .expect("edit applies");
+
+    // Candidate walk: the contract's switch is the only one compiled.
+    let delta = switch_delta(&base, &edited);
+    assert_eq!(
+        delta.compiled, 1,
+        "one switch compiled, under both universes"
+    );
+    assert_eq!(delta.dirty, home);
 
     // Risk model: at most the contract's pairs' elements, out of 3000+.
     let mut model = controller_risk_model(&base);
