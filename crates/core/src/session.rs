@@ -517,13 +517,10 @@ impl AnalysisSession {
         } else {
             Vec::new()
         };
-        let touched =
-            self.shared
-                .config
-                .checker()
-                .recheck_in_place(&mut check, &dirty, &vanished, |s| {
-                    (compile_for_switch(universe, s), view.tcam_rules(s))
-                });
+        let checker = self.shared.config.checker();
+        let touched = checker.recheck_in_place(&mut check, &dirty, &vanished, |s| {
+            (compile_for_switch(universe, s), view.tcam_rules(s))
+        });
         let mut rechecked = BTreeSet::new();
         let (mut was_missing, mut now_missing) = (BTreeSet::new(), BTreeSet::new());
         for (switch, old) in touched {

@@ -602,25 +602,22 @@ impl EquivalenceChecker {
         F: FnMut(SwitchId) -> Vec<TcamRule>,
     {
         debug_assert!(logical.windows(2).all(|w| w[0].switch <= w[1].switch));
-        let runs: BTreeMap<SwitchId, &[LogicalRule]> = logical
-            .chunk_by(|a, b| a.switch == b.switch)
+        let runs: Vec<(SwitchId, &[LogicalRule])> = (logical.chunk_by(|a, b| a.switch == b.switch))
             .map(|run| (run[0].switch, run))
             .collect();
-        let present = |s: &SwitchId| current_switches.contains(s) || runs.contains_key(s);
-        let mut recheck: BTreeSet<SwitchId> = dirty.iter().copied().filter(present).collect();
-        recheck.extend(
-            (current_switches.iter().chain(runs.keys()))
-                .filter(|s| !previous.per_switch.contains_key(s)),
-        );
-        let vanished: Vec<SwitchId> = (previous.per_switch.keys())
-            .copied()
-            .filter(|s| !present(s))
+        let present: BTreeSet<SwitchId> = (current_switches.iter().copied())
+            .chain(runs.iter().map(|r| r.0))
             .collect();
+        let checked: BTreeSet<SwitchId> = previous.per_switch.keys().copied().collect();
+        let mut recheck: BTreeSet<SwitchId> = dirty.intersection(&present).copied().collect();
+        recheck.extend(present.difference(&checked));
+        let vanished: Vec<SwitchId> = checked.difference(&present).copied().collect();
         let tcams: BTreeMap<SwitchId, Vec<TcamRule>> =
             recheck.iter().map(|&s| (s, tcam_of(s))).collect();
         let mut result = previous.clone();
         self.recheck_in_place(&mut result, &recheck, &vanished, |s| {
-            (runs.get(&s).copied().unwrap_or_default(), &tcams[&s])
+            let run = runs.binary_search_by_key(&s, |r| r.0);
+            (run.map_or(&[][..], |i| runs[i].1), &tcams[&s])
         });
         result
     }
