@@ -988,30 +988,14 @@ impl Wire for PolicyUniverse {
         require_ascending(&bindings, |b| *b, "PolicyUniverse.bindings")?;
 
         let mut builder = PolicyUniverse::builder();
-        for t in tenants {
-            builder.tenant(t);
-        }
-        for v in vrfs {
-            builder.vrf(v);
-        }
-        for e in epgs {
-            builder.epg(e);
-        }
-        for ep in endpoints {
-            builder.endpoint(ep);
-        }
-        for s in switches {
-            builder.switch(s);
-        }
-        for c in contracts {
-            builder.contract(c);
-        }
-        for f in filters {
-            builder.filter(f);
-        }
-        for b in bindings {
-            builder.bind(b);
-        }
+        builder.extend(tenants);
+        builder.extend(vrfs);
+        builder.extend(epgs);
+        builder.extend(endpoints);
+        builder.extend(switches);
+        builder.extend(contracts);
+        builder.extend(filters);
+        builder.extend(bindings);
         builder.build().map_err(|_| WireError::Invalid {
             what: "PolicyUniverse",
         })

@@ -48,11 +48,17 @@ impl Name {
     pub const INLINE: usize = 22;
 
     /// The name as a string slice.
+    #[inline]
     pub fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("a name holds the bytes of a str")
+    }
+
+    /// The name's UTF-8 bytes, which compare and order as the string does.
+    #[inline]
+    fn as_bytes(&self) -> &[u8] {
         match &self.0 {
-            NameRepr::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
-                .expect("an inline name holds the bytes of a str"),
-            NameRepr::Heap(name) => name,
+            NameRepr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            NameRepr::Heap(name) => name.as_bytes(),
         }
     }
 }
@@ -64,6 +70,7 @@ impl Default for Name {
 }
 
 impl From<&str> for Name {
+    #[inline]
     fn from(name: &str) -> Self {
         let len = name.len();
         if len > Self::INLINE {
@@ -112,6 +119,7 @@ impl From<Name> for String {
 impl Deref for Name {
     type Target = str;
 
+    #[inline]
     fn deref(&self) -> &str {
         self.as_str()
     }
@@ -143,7 +151,7 @@ impl fmt::Debug for Name {
 
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
-        self.as_str() == other.as_str()
+        self.as_bytes() == other.as_bytes()
     }
 }
 
@@ -157,7 +165,7 @@ impl PartialOrd for Name {
 
 impl Ord for Name {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.as_str().cmp(other.as_str())
+        self.as_bytes().cmp(other.as_bytes())
     }
 }
 
@@ -172,12 +180,12 @@ macro_rules! name_eq {
     ($($other:ty),*) => {$(
         impl PartialEq<$other> for Name {
             fn eq(&self, other: &$other) -> bool {
-                self.as_str() == AsRef::<str>::as_ref(other)
+                self.as_bytes() == AsRef::<str>::as_ref(other).as_bytes()
             }
         }
         impl PartialEq<Name> for $other {
             fn eq(&self, other: &Name) -> bool {
-                AsRef::<str>::as_ref(self) == other.as_str()
+                other == self
             }
         }
     )*};
@@ -217,6 +225,7 @@ impl FilterList {
     pub const INLINE: usize = 5;
 
     /// The filter ids as a slice, in list order.
+    #[inline]
     pub fn as_slice(&self) -> &[FilterId] {
         match &self.0 {
             ListRepr::Inline { len, ids } => &ids[..usize::from(*len)],
@@ -232,6 +241,7 @@ impl Default for FilterList {
 }
 
 impl From<&[FilterId]> for FilterList {
+    #[inline]
     fn from(list: &[FilterId]) -> Self {
         let len = list.len();
         if len > Self::INLINE {
@@ -265,6 +275,7 @@ impl FromIterator<FilterId> for FilterList {
 impl Deref for FilterList {
     type Target = [FilterId];
 
+    #[inline]
     fn deref(&self) -> &[FilterId] {
         self.as_slice()
     }

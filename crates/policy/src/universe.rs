@@ -631,6 +631,30 @@ impl PolicyBuilder {
     }
 }
 
+/// Bulk adds: `builder.extend(objects)` adds every object in order, as the
+/// per-object methods would, copying a vector in one piece rather than
+/// growing the builder's list object by object.
+macro_rules! extend_builder {
+    ($($ty:ty => $list:ident),* $(,)?) => {$(
+        impl Extend<$ty> for PolicyBuilder {
+            fn extend<I: IntoIterator<Item = $ty>>(&mut self, objects: I) {
+                self.$list.extend(objects);
+            }
+        }
+    )*};
+}
+
+extend_builder!(
+    Tenant => tenants,
+    Vrf => vrfs,
+    Epg => epgs,
+    Endpoint => endpoints,
+    Switch => switches,
+    Contract => contracts,
+    Filter => filters,
+    ContractBinding => bindings,
+);
+
 /// The table positions a build resolved the universe's references to, each
 /// list in the order of the table or list it describes.
 struct Slots {
