@@ -33,12 +33,25 @@ impl<K, V> Default for FlatIndex<K, V> {
 }
 
 impl<K: Ord + Copy, V: Ord + Copy> FlatIndex<K, V> {
+    /// An empty index with room for `keys` runs holding `values` values in
+    /// all. Sizing an index before filling it spares the multi-megabyte
+    /// vectors of a large universe their regrowth, whose fresh pages a
+    /// decode would otherwise fault in one by one.
+    pub(crate) fn with_capacity(keys: usize, values: usize) -> Self {
+        let mut starts = Vec::with_capacity(keys + 1);
+        starts.push(0);
+        Self {
+            keys: Vec::with_capacity(keys),
+            starts,
+            values: Vec::with_capacity(values),
+        }
+    }
+
     /// Groups `(key, value)` entries in any order, dropping duplicates.
     pub(crate) fn from_entries(mut entries: Vec<(K, V)>) -> Self {
         entries.sort_unstable();
         entries.dedup();
-        let mut index = Self::default();
-        index.values.reserve_exact(entries.len());
+        let mut index = Self::with_capacity(entries.len(), entries.len());
         for run in entries.chunk_by(|x, y| x.0 == y.0) {
             index.keys.push(run[0].0);
             index.values.extend(run.iter().map(|&(_, value)| value));
@@ -283,8 +296,7 @@ impl DenseIndex {
         key: impl Fn(usize) -> K,
         value: impl Fn(u32) -> V,
     ) -> FlatIndex<K, V> {
-        let mut index = FlatIndex::default();
-        index.values.reserve_exact(self.values.len());
+        let mut index = FlatIndex::with_capacity(self.len(), self.values.len());
         for k in 0..self.len() {
             index.push(key(k), self.run(k).iter().map(|&v| value(v)));
         }

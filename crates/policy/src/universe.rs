@@ -632,13 +632,18 @@ impl PolicyBuilder {
 }
 
 /// Bulk adds: `builder.extend(objects)` adds every object in order, as the
-/// per-object methods would, copying a vector in one piece rather than
-/// growing the builder's list object by object.
+/// per-object methods would. Into a builder that holds none of the kind yet,
+/// a `Vec` moves in whole: collecting a vector's own iterator reuses its
+/// buffer, so a decoded list is neither regrown nor copied.
 macro_rules! extend_builder {
     ($($ty:ty => $list:ident),* $(,)?) => {$(
         impl Extend<$ty> for PolicyBuilder {
             fn extend<I: IntoIterator<Item = $ty>>(&mut self, objects: I) {
-                self.$list.extend(objects);
+                if self.$list.is_empty() {
+                    self.$list = objects.into_iter().collect();
+                } else {
+                    self.$list.extend(objects);
+                }
             }
         }
     )*};
@@ -720,8 +725,11 @@ impl PolicyUniverse {
                 .collect(),
         );
         let pairs = self.pair_bindings.keys();
-        let mut members = Vec::with_capacity(pairs.len());
+        // Sized for a typical closure — a VRF, two EPGs, a contract and a
+        // filter — so a large universe's pass does not regrow it.
+        self.pair_objects = FlatIndex::with_capacity(pairs.len(), 5 * pairs.len());
         let mut entries = Vec::new();
+        let mut members = Vec::with_capacity(pairs.len());
         let mut closure = Vec::new();
         for (p, (pair, idxs)) in self.pair_bindings.iter().enumerate() {
             let p = slot(p);
@@ -790,7 +798,7 @@ fn object_switch_index(
     epg_hosts: &DenseIndex,
     switches: &[SwitchId],
 ) -> FlatIndex<ObjectId, SwitchId> {
-    let mut index = FlatIndex::default();
+    let mut index = FlatIndex::with_capacity(objects.len(), objects.len());
     let mut epg_marked = vec![false; epg_hosts.len()];
     let mut switch_marked = vec![false; switches.len()];
     let (mut epgs, mut hosts) = (Vec::new(), Vec::new());

@@ -454,7 +454,7 @@ fn the_hub_decodes_within_its_allocation_budget() {
 
 /// A `large_1k` decode makes O(tables) allocations, not one per object name
 /// and contract filter list (it made 49 534 with `String` names and `Vec`
-/// filter lists; 402 measured), and peaks at 5.9 MiB (5.77 measured; 6.39
+/// filter lists; 224 measured), and peaks at 5.9 MiB (5.65 measured; 6.39
 /// before).
 #[test]
 fn a_large_fabric_universe_decodes_within_10_mib() {
