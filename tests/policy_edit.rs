@@ -12,6 +12,10 @@
 //!   set changed (the view-dirty oracle; `switch_delta` must name the same
 //!   switches), and a session ingesting the batch must re-check exactly
 //!   those plus the added switches and match a from-scratch analysis.
+//! * The same oracles hold for edits the mix does not make: a filter's
+//!   entries, a VRF move of a group of EPGs, a binding added or removed, a
+//!   switch replaced by another in one update, a switch without endpoints,
+//!   and an endpoint moved to another switch.
 //! * `diff_universes`, one walk of the sorted tables, must return the
 //!   change-log entries of the whole-universe `BTreeSet` formulation it
 //!   replaced, in the same order.
@@ -38,8 +42,9 @@ use scout::fabric::{
     FabricEvent, FabricProbe, FabricView,
 };
 use scout::policy::{
-    sample, Endpoint, EndpointId, EpgPair, LogicalRule, ObjectId, PolicyUniverse, Switch,
-    SwitchEpgPair, SwitchId,
+    sample, Contract, ContractBinding, Endpoint, EndpointId, Epg, EpgId, EpgPair, Filter,
+    FilterEntry, LogicalRule, ObjectId, PolicyUniverse, PortRange, Protocol, Switch, SwitchEpgPair,
+    SwitchId, Tenant, Vrf, VrfId,
 };
 use scout::workload::{
     add_filter_to_contract, next_filter_id, random_policy_edit, remove_filter_from_contract,
@@ -309,6 +314,10 @@ fn assert_step(
         .expect("every step installs a universe");
     let applied = mirrors.view.apply(update).expect("the update applies");
     assert_eq!(applied, view_dirty, "{label}: view dirty set");
+    for event in events.iter().filter(|e| !std::ptr::eq(*e, update)) {
+        mirrors.view.apply(event).expect("the batch applies");
+    }
+    assert!(mirrors.view.matches(&mirrors.fabric), "{label}: view");
     let epoch = mirrors.session.next_epoch();
     let delta = mirrors
         .session
@@ -367,6 +376,156 @@ fn patched_model_and_rule_diff_match_their_oracles_along_seeded_edits() {
         + run_edit_mix("scale", ScaleSpec::large_fabric(48).generate(5), 8, 3)
         + run_edit_mix("cluster", ClusterSpec::small().generate(9), 4, 4);
     assert!(steps >= 200, "only {steps} edits exercised");
+}
+
+/// A universe's objects as builder input, for edits the workload
+/// generators do not make.
+struct Objects {
+    tenants: Vec<Tenant>,
+    vrfs: Vec<Vrf>,
+    epgs: Vec<Epg>,
+    endpoints: Vec<Endpoint>,
+    switches: Vec<Switch>,
+    contracts: Vec<Contract>,
+    filters: Vec<Filter>,
+    bindings: Vec<ContractBinding>,
+}
+
+/// Rebuilds `universe` after `edit` changed its objects.
+fn remodel(universe: &PolicyUniverse, edit: impl FnOnce(&mut Objects)) -> PolicyUniverse {
+    let mut o = Objects {
+        tenants: universe.tenants().cloned().collect(),
+        vrfs: universe.vrfs().cloned().collect(),
+        epgs: universe.epgs().cloned().collect(),
+        endpoints: universe.endpoints().cloned().collect(),
+        switches: universe.switches().cloned().collect(),
+        contracts: universe.contracts().cloned().collect(),
+        filters: universe.filters().cloned().collect(),
+        bindings: universe.bindings().to_vec(),
+    };
+    edit(&mut o);
+    let mut b = PolicyUniverse::builder();
+    b.extend(o.tenants);
+    b.extend(o.vrfs);
+    b.extend(o.epgs);
+    b.extend(o.endpoints);
+    b.extend(o.switches);
+    b.extend(o.contracts);
+    b.extend(o.filters);
+    b.extend(o.bindings);
+    b.build().expect("the edit keeps the universe well-formed")
+}
+
+/// One seeded edit of a universe.
+type Edit = fn(&PolicyUniverse, &mut StdRng) -> PolicyUniverse;
+
+/// The edits behind every other way a switch's rules can change: a
+/// filter's entries, the VRF of a group of EPGs, a binding, a switch
+/// replaced by another, a switch without endpoints, and the switch an
+/// endpoint sits on.
+const OBJECT_CHANGES: [(&str, Edit); 6] = [
+    ("filter entries", |u, rng| {
+        remodel(u, |o| {
+            let n = o.filters.len();
+            let port = rng.gen_range(1..60_000);
+            o.filters[rng.gen_range(0..n)].entries =
+                vec![FilterEntry::allow(Protocol::Udp, PortRange::single(port))];
+        })
+    }),
+    ("epgs move vrf", |u, rng| {
+        remodel(u, |o| {
+            // Every EPG of one VRF moves, so no binding crosses VRFs.
+            let from = o.epgs[rng.gen_range(0..o.epgs.len())].vrf;
+            let to = VrfId::new(o.vrfs.iter().map(|v| v.id.raw()).max().unwrap_or(0) + 1);
+            o.vrfs.push(Vrf::new(to, "moved-to", o.tenants[0].id));
+            for epg in o.epgs.iter_mut().filter(|e| e.vrf == from) {
+                epg.vrf = to;
+            }
+        })
+    }),
+    ("binding", |u, rng| {
+        remodel(u, |o| {
+            if o.bindings.len() > 1 && rng.gen_bool(0.5) {
+                o.bindings.remove(rng.gen_range(0..o.bindings.len()));
+                return;
+            }
+            let consumer = o.epgs[rng.gen_range(0..o.epgs.len())].clone();
+            let partners: Vec<EpgId> = (o.epgs.iter())
+                .filter(|e| e.vrf == consumer.vrf && e.id != consumer.id)
+                .map(|e| e.id)
+                .collect();
+            if partners.is_empty() {
+                return;
+            }
+            let provider = partners[rng.gen_range(0..partners.len())];
+            let contract = o.contracts[rng.gen_range(0..o.contracts.len())].id;
+            o.bindings
+                .push(ContractBinding::new(consumer.id, provider, contract));
+        })
+    }),
+    ("switch swapped", |u, rng| {
+        match with_removed_switch(u, rng) {
+            // One switch leaves and another joins in one update: the switch
+            // count stays, the switch set does not.
+            Some(fewer) => with_added_switch(&fewer, rng),
+            None => with_added_switch(u, rng),
+        }
+    }),
+    ("bare switch added", |u, _| {
+        // No endpoint, so no rules and no TCAM sync: only the policy update
+        // gives the view its table.
+        remodel(u, |o| {
+            let id = o.switches.iter().map(|s| s.id.raw()).max().unwrap_or(0) + 1;
+            o.switches.push(Switch::new(SwitchId::new(id), "bare"));
+        })
+    }),
+    ("endpoint moves", |u, rng| {
+        remodel(u, |o| {
+            let switch = o.switches[rng.gen_range(0..o.switches.len())].id;
+            let n = o.endpoints.len();
+            o.endpoints[rng.gen_range(0..n)].switch = switch;
+        })
+    }),
+];
+
+/// The candidate walk of `switch_delta` must find every switch whose rules
+/// change however the objects change, not only through the filter lists
+/// and switch churn of the edit mix: each edit of `OBJECT_CHANGES` steps
+/// the same oracles as the edit mix — rule diff, view dirty set, session
+/// re-check, change log and patched model.
+#[test]
+fn every_kind_of_object_change_matches_the_rule_diff() {
+    let bases = [
+        ("three_tier", sample::three_tier(), 8),
+        ("testbed", TestbedSpec::paper().generate(3), 6),
+        ("scale", ScaleSpec::large_fabric(48).generate(5), 4),
+        ("cluster", ClusterSpec::small().generate(9), 3),
+    ];
+    let mut steps = 0;
+    for (seed, (name, base, rounds)) in (0u64..).zip(bases) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut mirrors = Mirrors::of(&base);
+        let mut model = controller_risk_model(&base);
+        let mut rules = compile(&base);
+        let mut current = base;
+        for round in 0..rounds {
+            for (label, edit) in OBJECT_CHANGES {
+                let next = edit(&current, &mut rng);
+                let label = format!("{name} round {round} ({label})");
+                assert_step(
+                    &label,
+                    &mut model,
+                    &mut rules,
+                    &mut mirrors,
+                    &current,
+                    &next,
+                );
+                current = next;
+                steps += 1;
+            }
+        }
+    }
+    assert!(steps >= 120, "only {steps} edits exercised");
 }
 
 #[test]
