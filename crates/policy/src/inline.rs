@@ -8,10 +8,10 @@
 //! value in the 24 bytes a `String` or `Vec` header takes, and spill a
 //! longer one to a single exactly-sized block, so those operations cost a
 //! few allocations per object table instead. Both read as the borrowed form
-//! (`str`, `[FilterId]`) through `Deref`, compare, order and hash as it, and
-//! keep the wire bytes of `String` and `Vec<FilterId>`.
+//! (`str`, `[FilterId]`) through `Deref`, compare and hash as it (a name
+//! also orders as its string), and keep the wire bytes of `String` and
+//! `Vec<FilterId>`.
 
-use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -63,12 +63,6 @@ impl Name {
     }
 }
 
-impl Default for Name {
-    fn default() -> Self {
-        Self::from("")
-    }
-}
-
 impl From<&str> for Name {
     #[inline]
     fn from(name: &str) -> Self {
@@ -85,12 +79,6 @@ impl From<&str> for Name {
     }
 }
 
-impl From<&String> for Name {
-    fn from(name: &String) -> Self {
-        Self::from(name.as_str())
-    }
-}
-
 impl From<String> for Name {
     fn from(name: String) -> Self {
         if name.len() > Self::INLINE {
@@ -101,39 +89,12 @@ impl From<String> for Name {
     }
 }
 
-impl From<&Name> for Name {
-    fn from(name: &Name) -> Self {
-        name.clone()
-    }
-}
-
-impl From<Name> for String {
-    fn from(name: Name) -> Self {
-        match name.0 {
-            NameRepr::Heap(name) => name.into_string(),
-            NameRepr::Inline { .. } => name.as_str().to_owned(),
-        }
-    }
-}
-
 impl Deref for Name {
     type Target = str;
 
     #[inline]
     fn deref(&self) -> &str {
         self.as_str()
-    }
-}
-
-impl AsRef<str> for Name {
-    fn as_ref(&self) -> &str {
-        self
-    }
-}
-
-impl Borrow<str> for Name {
-    fn borrow(&self) -> &str {
-        self
     }
 }
 
@@ -266,24 +227,12 @@ impl From<Vec<FilterId>> for FilterList {
     }
 }
 
-impl FromIterator<FilterId> for FilterList {
-    fn from_iter<I: IntoIterator<Item = FilterId>>(iter: I) -> Self {
-        Self::from(iter.into_iter().collect::<Vec<_>>())
-    }
-}
-
 impl Deref for FilterList {
     type Target = [FilterId];
 
     #[inline]
     fn deref(&self) -> &[FilterId] {
         self.as_slice()
-    }
-}
-
-impl AsRef<[FilterId]> for FilterList {
-    fn as_ref(&self) -> &[FilterId] {
-        self
     }
 }
 
@@ -319,12 +268,6 @@ impl Hash for FilterList {
 impl PartialEq<Vec<FilterId>> for FilterList {
     fn eq(&self, other: &Vec<FilterId>) -> bool {
         self.as_slice() == other.as_slice()
-    }
-}
-
-impl PartialEq<[FilterId]> for FilterList {
-    fn eq(&self, other: &[FilterId]) -> bool {
-        self.as_slice() == other
     }
 }
 
@@ -368,7 +311,6 @@ mod tests {
             let name = Name::from(a.as_str());
             assert_eq!(name.as_str(), a);
             assert_eq!(Name::from(a.clone()), name);
-            assert_eq!(String::from(name.clone()), *a);
             assert_eq!(name.to_string(), a.to_string());
             assert_eq!(format!("{name:?}"), format!("{a:?}"));
             assert_eq!(format!("{name:>30}"), format!("{a:>30}"));
@@ -384,7 +326,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(Name::default(), "");
     }
 
     #[test]
@@ -394,7 +335,6 @@ mod tests {
             let list = FilterList::from(ids.clone());
             assert_eq!(list, ids);
             assert_eq!(list, FilterList::from(ids.as_slice()));
-            assert_eq!(list, ids.iter().copied().collect::<FilterList>());
             assert_eq!(list.to_vec(), ids);
             assert_eq!((&list).into_iter().count(), ids.len());
             assert_eq!(format!("{list:?}"), format!("{ids:?}"));
