@@ -415,17 +415,58 @@ pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
 /// silently wrong value, and a durable format must fail loudly instead.
 /// Public so byte-surgery tooling (the fuzz generators) can restamp frames
 /// it has deliberately damaged.
+///
+/// Slicing-by-8: eight bytes per step through eight 256-entry tables built
+/// at compile time, then the tail byte by byte. The result equals the
+/// bit-at-a-time definition (unit-tested against it).
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in bytes {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        crc = CRC_TABLES[7][(lo & 0xFF) as usize]
+            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[4][(lo >> 24) as usize]
+            ^ CRC_TABLES[3][word[4] as usize]
+            ^ CRC_TABLES[2][word[5] as usize]
+            ^ CRC_TABLES[1][word[6] as usize]
+            ^ CRC_TABLES[0][word[7] as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
+
+/// The slicing-by-8 tables of [`crc32`]: `CRC_TABLES[0][b]` is the CRC of
+/// byte `b` after eight zero-bit shifts, and `CRC_TABLES[k][b]` advances
+/// `CRC_TABLES[k - 1][b]` by one more zero byte.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
 
 /// Byte length of a sealed frame's prologue: the 4-byte magic, the `u32`
 /// version and the `u32` CRC-32 of the body.
@@ -1138,6 +1179,42 @@ mod tests {
     fn checksum_matches_the_ieee_check_value() {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The CRC-32 definition, one bit per step: the oracle of the sliced
+    /// [`crc32`].
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in bytes {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_checksum_equals_the_bitwise_definition() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(32);
+        let bytes: Vec<u8> = (0..4096).map(|_| rng.gen_range(0u32..256) as u8).collect();
+        // Every length up to 64, to cover each tail length at each offset,
+        // then random lengths up to 4 KiB.
+        for len in 0..64 {
+            for start in 0..8 {
+                let slice = &bytes[start..start + len];
+                assert_eq!(crc32(slice), crc32_bitwise(slice), "len {len} at {start}");
+            }
+        }
+        for _ in 0..200 {
+            let len = rng.gen_range(0usize..=4096);
+            let start = rng.gen_range(0usize..=4096 - len);
+            let slice = &bytes[start..start + len];
+            assert_eq!(crc32(slice), crc32_bitwise(slice), "len {len} at {start}");
+        }
     }
 
     #[test]
