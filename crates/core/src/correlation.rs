@@ -273,7 +273,10 @@ impl CorrelationEngine {
     /// fault log, producing a per-object physical diagnosis.
     ///
     /// `universe` is used to restrict candidate fault entries to the switches
-    /// an object's rules are actually deployed on.
+    /// an object's rules are actually deployed on, plus the controller-level
+    /// entries that name no switch. The fault log's per-switch index
+    /// ([`FaultLog::entries_on`]) yields exactly those entries in log order,
+    /// so an object costs its switches' entries, not the whole log.
     pub fn correlate(
         &self,
         hypothesis: &Hypothesis,
@@ -291,10 +294,7 @@ impl CorrelationEngine {
                 .collect();
 
             let mut causes = Vec::new();
-            for entry in fault_log.entries() {
-                if !switch_relevant(entry, relevant_switches) {
-                    continue;
-                }
+            for entry in fault_log.entries_on(relevant_switches) {
                 if !fault_relevant(entry, &change_times) {
                     continue;
                 }
@@ -371,12 +371,9 @@ impl CorrelationEngine {
                 .map(|e| e.time)
                 .collect();
             let backing = fault_log
-                .entries()
-                .iter()
+                .entries_on(relevant_switches)
                 .filter(|entry| {
-                    switch_relevant(entry, relevant_switches)
-                        && fault_relevant(entry, &change_times)
-                        && self.signatures.matches(entry.kind)
+                    fault_relevant(entry, &change_times) && self.signatures.matches(entry.kind)
                 })
                 .max_by_key(|entry| entry.time);
             let (cause, confidence) = match backing {
@@ -404,18 +401,6 @@ impl CorrelationEngine {
                 .then_with(|| a.object.cmp(&b.object))
         });
         PartialDiagnosis { candidates }
-    }
-}
-
-/// A fault entry is relevant to an object if it concerns one of the object's
-/// switches (controller-level entries with no switch are always relevant).
-/// `switches` is the object's ascending slice borrowed from the universe's
-/// build-time index ([`PolicyUniverse::object_switches`]), so correlating a
-/// hypothesis costs a binary search per entry, not a set per object.
-fn switch_relevant(entry: &FaultLogEntry, switches: &[SwitchId]) -> bool {
-    match entry.switch {
-        None => true,
-        Some(s) => switches.binary_search(&s).is_ok(),
     }
 }
 
@@ -752,6 +737,136 @@ mod tests {
             .causes_by_kind()
             .contains_key(&FaultKind::TcamCorruption));
         assert!(extended.unknown_objects().is_empty());
+    }
+
+    /// The indexed fault-log reads report exactly what a full scan of the
+    /// log does, causes in log order: on random logs with controller-level
+    /// entries, entries on switches outside the policy, cleared entries and
+    /// repair audit entries, for every object of the policy.
+    #[test]
+    fn indexed_correlation_matches_a_full_scan() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        use scout_fabric::Severity;
+
+        fn scan(
+            engine: &CorrelationEngine,
+            hypothesis: &Hypothesis,
+            universe: &PolicyUniverse,
+            change_log: &ChangeLog,
+            fault_log: &FaultLog,
+        ) -> CorrelationReport {
+            let mut diagnoses = Vec::new();
+            for &object in hypothesis.objects.keys() {
+                let switches = universe.object_switches(&object);
+                let times: Vec<Timestamp> = change_log
+                    .entries_for(object)
+                    .iter()
+                    .map(|e| e.time)
+                    .collect();
+                let mut causes: Vec<RootCause> = fault_log
+                    .entries()
+                    .iter()
+                    .filter(|e| e.switch.is_none_or(|s| switches.binary_search(&s).is_ok()))
+                    .filter(|e| fault_relevant(e, &times))
+                    .map(|e| match engine.signatures.matches(e.kind) {
+                        true => RootCause::Physical {
+                            kind: e.kind,
+                            switch: e.switch,
+                            observed_at: e.time,
+                            message: e.message.clone(),
+                        },
+                        false => RootCause::Unknown,
+                    })
+                    .collect();
+                causes.retain(|c| !matches!(c, RootCause::Unknown));
+                if causes.is_empty() {
+                    causes.push(RootCause::Unknown);
+                }
+                diagnoses.push(ObjectDiagnosis { object, causes });
+            }
+            CorrelationReport { diagnoses }
+        }
+
+        let mut fabric = Fabric::new(sample::three_tier());
+        fabric.deploy();
+        let universe = fabric.universe().clone();
+        let objects: Vec<ObjectId> = universe
+            .switch_ids()
+            .into_iter()
+            .flat_map(|s| scout_fabric::compile_for_switch(&universe, s))
+            .flat_map(|r| r.provenance.objects_with_switch(r.switch))
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let mut switches: Vec<Option<SwitchId>> =
+            universe.switch_ids().into_iter().map(Some).collect();
+        switches.extend([None, Some(SwitchId::new(77))]);
+        let kinds = [
+            FaultKind::TcamOverflow,
+            FaultKind::SwitchUnreachable,
+            FaultKind::AgentCrash,
+            FaultKind::TcamCorruption,
+            FaultKind::RuleEviction,
+            FaultKind::Repair,
+            FaultKind::Unknown,
+        ];
+        let engine = CorrelationEngine::new();
+        let (mut unscoped, mut cleared, mut repairs, mut multi) = (0, 0, 0, 0);
+        for seed in 0..100u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut change_log = fabric.change_log().clone();
+            let mut fault_log = FaultLog::new();
+            for t in 0..rng.gen_range(0u64..40) {
+                let time = Timestamp::new(t * 2);
+                let switch = *switches.choose(&mut rng).unwrap();
+                if rng.gen_bool(0.2) {
+                    fault_log.record_repair(time, switch, format!("repair {t}"));
+                    repairs += 1;
+                    continue;
+                }
+                let kind = *kinds.choose(&mut rng).unwrap();
+                let at = fault_log.raise(time, switch, kind, Severity::Warning, format!("f{t}"));
+                unscoped += usize::from(switch.is_none());
+                if rng.gen_bool(0.4) {
+                    fault_log.clear(at, Timestamp::new(t * 2 + rng.gen_range(0u64..6)));
+                    cleared += 1;
+                }
+                if rng.gen_bool(0.3) {
+                    let &object = objects.choose(&mut rng).unwrap();
+                    let action = scout_fabric::ChangeAction::Modify;
+                    change_log.record(time, object, action, None, "edit");
+                }
+            }
+            let hypothesis = Hypothesis {
+                objects: objects.iter().map(|&o| (o, Evidence::FullCover)).collect(),
+                ..Hypothesis::default()
+            };
+            let indexed = engine.correlate(&hypothesis, &universe, &change_log, &fault_log);
+            let full = scan(&engine, &hypothesis, &universe, &change_log, &fault_log);
+            assert_eq!(indexed, full, "seed {seed}");
+            multi += (indexed.diagnoses().iter())
+                .filter(|d| d.causes.len() > 1)
+                .count();
+            // The ranking reads the same entries through the index too.
+            let ranked = engine.rank_partial(
+                &hypothesis,
+                &BTreeSet::new(),
+                &universe,
+                &change_log,
+                &fault_log,
+            );
+            for candidate in ranked.candidates() {
+                let diagnosis = full.for_object(candidate.object).unwrap();
+                let latest = diagnosis.causes.iter().max_by_key(|c| match c {
+                    RootCause::Physical { observed_at, .. } => Some(*observed_at),
+                    RootCause::Unknown => None,
+                });
+                assert_eq!(Some(&candidate.cause), latest, "seed {seed}");
+            }
+        }
+        assert!(unscoped > 0 && cleared > 0 && repairs > 0 && multi > 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! …). Both are modeled here as append-only in-memory logs with query helpers
 //! used by the localization and correlation engines.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use scout_policy::{ObjectId, SwitchId};
@@ -222,10 +222,26 @@ impl FaultLogEntry {
 
 /// The append-only fault log (union of device-generated and controller-
 /// generated faults).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Entries are indexed by switch, so correlating an object reads the entries
+/// of its switches and the controller-level ones, not the log. The index is
+/// derived from the entries: equality and the wire bytes are the entries'
+/// alone.
+#[derive(Debug, Clone, Default)]
 pub struct FaultLog {
     entries: Vec<FaultLogEntry>,
+    /// The positions in `entries` of every entry, ascending, by the switch it
+    /// names (`None` for controller-level entries).
+    by_switch: BTreeMap<Option<SwitchId>, Vec<usize>>,
 }
+
+impl PartialEq for FaultLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl Eq for FaultLog {}
 
 impl FaultLog {
     /// Creates an empty fault log.
@@ -242,15 +258,14 @@ impl FaultLog {
         severity: Severity,
         message: impl Into<String>,
     ) -> usize {
-        self.entries.push(FaultLogEntry {
+        self.push(FaultLogEntry {
             time,
             switch,
             kind,
             severity,
             cleared_at: None,
             message: message.into(),
-        });
-        self.entries.len() - 1
+        })
     }
 
     /// Marks the fault at `index` as cleared at time `t`.
@@ -266,8 +281,10 @@ impl FaultLog {
     /// index — the replication path: a consumer mirroring the device fault
     /// log appends raised entries verbatim, timestamps and all.
     pub fn push(&mut self, entry: FaultLogEntry) -> usize {
+        let index = self.entries.len();
+        self.by_switch.entry(entry.switch).or_default().push(index);
         self.entries.push(entry);
-        self.entries.len() - 1
+        index
     }
 
     /// All entries in insertion order.
@@ -285,6 +302,29 @@ impl FaultLog {
         self.entries.is_empty()
     }
 
+    /// The entries that concern one of `switches` (ascending) or no switch,
+    /// in log order: the candidates of correlating an object deployed on
+    /// `switches`. Costs the matching entries plus one lookup per switch of
+    /// the smaller of `switches` and the switches the log names.
+    pub fn entries_on(&self, switches: &[SwitchId]) -> impl Iterator<Item = &FaultLogEntry> {
+        let named = self.by_switch.len();
+        let mut positions: Vec<usize> = if switches.len() < named {
+            (switches.iter())
+                .filter_map(|&s| self.by_switch.get(&Some(s)))
+                .flatten()
+                .copied()
+                .collect()
+        } else {
+            (self.by_switch.iter())
+                .filter(|(s, _)| s.is_some_and(|s| switches.binary_search(&s).is_ok()))
+                .flat_map(|(_, at)| at.iter().copied())
+                .collect()
+        };
+        positions.extend(self.by_switch.get(&None).into_iter().flatten().copied());
+        positions.sort_unstable();
+        positions.into_iter().map(|i| &self.entries[i])
+    }
+
     /// Entries that were active at time `t`.
     pub fn active_at(&self, t: Timestamp) -> Vec<&FaultLogEntry> {
         self.entries.iter().filter(|e| e.active_at(t)).collect()
@@ -300,8 +340,9 @@ impl FaultLog {
     /// switch has been restored, its outstanding faults are resolved.
     pub fn clear_active_for_switch(&mut self, switch: SwitchId, t: Timestamp) -> usize {
         let mut cleared = 0;
-        for entry in &mut self.entries {
-            if entry.switch == Some(switch) && entry.cleared_at.is_none() {
+        for &i in self.by_switch.get(&Some(switch)).into_iter().flatten() {
+            let entry = &mut self.entries[i];
+            if entry.cleared_at.is_none() {
                 entry.cleared_at = Some(t);
                 cleared += 1;
             }
