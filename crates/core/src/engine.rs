@@ -18,10 +18,12 @@
 //!   from-scratch pipeline every incremental path is differentially checked
 //!   against.
 //!
-//! There is exactly one analysis pipeline in the codebase; everything here
-//! and in [`crate::session`] routes through the same stages (equivalence
-//! check → risk model → localization → correlation), so session reports are
-//! bit-identical to from-scratch analyses of the same fabric state.
+//! Every path runs the same stages (equivalence check → risk model →
+//! localization → correlation). [`ScoutEngine::analyze`] runs them from
+//! scratch; a session keeps their state across epochs (its re-checked
+//! switches, a failure overlay and its localization per failure component),
+//! and its reports are bit-identical to from-scratch analyses of the same
+//! fabric state.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -191,28 +193,10 @@ pub(crate) struct EngineShared {
 }
 
 impl EngineShared {
-    /// The one from-scratch pipeline after a full equivalence check: a
-    /// fresh pristine controller risk model and [`EngineShared::report_on`].
-    /// Returns the pristine model (sessions keep it) and the report.
-    pub(crate) fn analyze_from_scratch(
-        &self,
-        check: NetworkCheckResult,
-        universe: &PolicyUniverse,
-        change_log: &ChangeLog,
-        fault_log: &FaultLog,
-    ) -> (RiskModel<SwitchEpgPair>, ScoutReport) {
-        let mut model = controller_risk_model(universe);
-        let report = self.report_on(&mut model, check, universe, change_log, fault_log);
-        (model, report)
-    }
-
-    /// [`EngineShared::analyze_from_scratch`] of a view: the full check
-    /// covers every switch with a TCAM table or with rules, and compiles
-    /// each switch's rules inside the check's fan-out.
-    pub(crate) fn analyze_view(
-        &self,
-        view: &FabricView,
-    ) -> (RiskModel<SwitchEpgPair>, ScoutReport) {
+    /// The full equivalence check of a view: it covers every switch with a
+    /// TCAM table or with rules, and compiles each switch's rules inside the
+    /// check's fan-out.
+    pub(crate) fn check_view(&self, view: &FabricView) -> NetworkCheckResult {
         let universe = view.universe();
         // A view holds a table per switch, except a decoded one whose
         // fabric never deployed some: those count only if they have rules.
@@ -223,7 +207,7 @@ impl EngineShared {
                 view.tcam().contains_key(&s) || !compile_for_switch(universe, s).is_empty()
             })
             .collect();
-        let check = NetworkCheckResult {
+        NetworkCheckResult {
             per_switch: (self.config.checker())
                 .check_each(&switches, |s| {
                     (compile_for_switch(universe, s), view.tcam_rules(s))
@@ -231,13 +215,15 @@ impl EngineShared {
                 .into_iter()
                 .map(|r| (r.switch, r))
                 .collect(),
-        };
-        self.analyze_from_scratch(check, universe, view.change_log(), view.fault_log())
+        }
     }
 
-    /// The stages after the equivalence check, shared by every path: marks
-    /// the failures of `check` on the pristine `model`, localizes and
-    /// correlates, and rolls the marks back so `model` leaves pristine.
+    /// The stages after the equivalence check of the reference pipeline
+    /// ([`ScoutEngine::analyze`]) and of clone analyses: marks the failures
+    /// of `check` on the pristine `model`, localizes and correlates, and
+    /// rolls the marks back so `model` leaves pristine. A session's ingest
+    /// keeps its marks instead, in a failure overlay whose localization is
+    /// cached per failure component, and is checked against this path.
     pub(crate) fn report_on(
         &self,
         model: &mut RiskModel<SwitchEpgPair>,
@@ -423,13 +409,14 @@ impl ScoutEngine {
     pub fn analyze(&self, fabric: &Fabric) -> ScoutReport {
         let check = (self.shared.config.checker())
             .check_network(fabric.logical_rules(), &fabric.collect_tcam());
-        let (_, report) = self.shared.analyze_from_scratch(
+        let mut model = controller_risk_model(fabric.universe());
+        self.shared.report_on(
+            &mut model,
             check,
             fabric.universe(),
             fabric.change_log(),
             fabric.fault_log(),
-        );
-        report
+        )
     }
 
     /// Runs the equivalence check and localization against the *switch risk
@@ -459,7 +446,7 @@ impl ScoutEngine {
 }
 
 /// The complete output of one end-to-end analysis.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScoutReport {
     /// The per-switch equivalence check results.
     pub check: NetworkCheckResult,

@@ -62,6 +62,7 @@ pub mod correlation;
 pub mod engine;
 pub mod gauges;
 pub mod localization;
+mod overlay;
 pub mod risk;
 pub mod session;
 pub mod snapshot;

@@ -83,6 +83,34 @@ impl Hypothesis {
     fn insert(&mut self, object: ObjectId, evidence: Evidence) {
         self.objects.entry(object).or_insert(evidence);
     }
+
+    /// The hypothesis of a model whose failure components localized to
+    /// `parts`: every part's cover evidence, then the rest (change-log
+    /// evidence), the first evidence of an object winning as in one global
+    /// run; the counters are summed.
+    ///
+    /// Equal to [`scout_localize`] of the whole model: a stage-1 pick changes
+    /// counts only inside its own component, ties across components are
+    /// taken in the same round, and stage 2 is per observation, naming an
+    /// object by its own latest change-log entry.
+    pub(crate) fn merge<'a>(parts: impl Iterator<Item = &'a Hypothesis> + Clone) -> Hypothesis {
+        let mut merged = Hypothesis::default();
+        for part in parts.clone() {
+            merged.observations += part.observations;
+            merged.explained_by_cover += part.explained_by_cover;
+            merged.explained_by_changelog += part.explained_by_changelog;
+            merged.unexplained += part.unexplained;
+            for (&object, &evidence) in &part.objects {
+                if evidence == Evidence::FullCover {
+                    merged.insert(object, evidence);
+                }
+            }
+        }
+        for (&object, &evidence) in parts.flat_map(|part| &part.objects) {
+            merged.insert(object, evidence);
+        }
+        merged
+    }
 }
 
 /// Configuration of the SCOUT algorithm.
@@ -135,16 +163,34 @@ pub fn scout_localize<E: Ord + Copy>(
     config: ScoutConfig,
 ) -> Hypothesis {
     let signature = model.failure_signature();
+    if signature.is_empty() {
+        return Hypothesis::default();
+    }
+    localize_failures(
+        model.failure_subgraph(),
+        signature,
+        |observation| model.failed_risks_of(observation),
+        change_log,
+        config,
+    )
+}
+
+/// Both SCOUT stages over `observations`, given `work`, their failure
+/// subgraph, and `failed_risks_of`, each observation's failed risks in the
+/// augmented model: [`scout_localize`] of a whole model, or of one failure
+/// component of a session's overlay.
+pub(crate) fn localize_failures<E: Ord + Copy>(
+    mut work: RiskModel<E>,
+    observations: BTreeSet<E>,
+    failed_risks_of: impl Fn(&E) -> BTreeSet<ObjectId>,
+    change_log: &ChangeLog,
+    config: ScoutConfig,
+) -> Hypothesis {
     let mut hypothesis = Hypothesis {
-        observations: signature.len(),
+        observations: observations.len(),
         ..Hypothesis::default()
     };
-    if signature.is_empty() {
-        return hypothesis;
-    }
-
-    let mut work = model.failure_subgraph();
-    let mut unexplained: BTreeSet<E> = signature;
+    let mut unexplained: BTreeSet<E> = observations;
 
     // Stage 1: greedy cover with hit-ratio-1 candidates (Algorithm 2).
     loop {
@@ -202,7 +248,7 @@ pub fn scout_localize<E: Ord + Copy>(
     let mut still_unexplained = 0usize;
     if !unexplained.is_empty() {
         for observation in &unexplained {
-            let failed_risks = model.failed_risks_of(observation);
+            let failed_risks = failed_risks_of(observation);
             let recent = most_recent_changes(&failed_risks, change_log, config.recent_window);
             if recent.is_empty() {
                 still_unexplained += 1;
@@ -409,6 +455,50 @@ mod tests {
         assert_eq!(hypothesis.explained_by_cover, 4);
         assert_eq!(hypothesis.explained_by_changelog, 1);
         assert_eq!(hypothesis.unexplained, 0);
+    }
+
+    /// The merge keeps an object's cover evidence over change-log evidence
+    /// from any part, keeps the first change-log evidence otherwise, and
+    /// sums the counters.
+    #[test]
+    fn merge_puts_cover_evidence_before_change_log_evidence() {
+        let recent = |t| Evidence::RecentChange {
+            changed_at: Timestamp::new(t),
+        };
+        let part = |objects: &[(ObjectId, Evidence)], counters: [usize; 4]| Hypothesis {
+            objects: objects.iter().copied().collect(),
+            observations: counters[0],
+            explained_by_cover: counters[1],
+            explained_by_changelog: counters[2],
+            unexplained: counters[3],
+        };
+        let parts = [
+            part(
+                &[(filter(1), recent(7)), (filter(2), recent(9))],
+                [3, 1, 2, 0],
+            ),
+            part(&[(filter(1), Evidence::FullCover)], [2, 2, 0, 0]),
+            part(
+                &[(filter(2), recent(4)), (filter(3), recent(4))],
+                [4, 0, 3, 1],
+            ),
+        ];
+        let merged = Hypothesis::merge(parts.iter());
+        assert_eq!(
+            merged,
+            part(
+                &[
+                    (filter(1), Evidence::FullCover),
+                    (filter(2), recent(9)),
+                    (filter(3), recent(4)),
+                ],
+                [9, 3, 5, 1],
+            )
+        );
+        // The merge of one part is the part, and of none the empty
+        // hypothesis.
+        assert_eq!(Hypothesis::merge(parts[..1].iter()), parts[0]);
+        assert_eq!(Hypothesis::merge([].iter()), Hypothesis::default());
     }
 
     #[test]

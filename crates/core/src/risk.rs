@@ -121,7 +121,7 @@ impl<E: Ord + Copy> RiskModel<E> {
     /// either index is bulk-built and before the last pass builds `edges`, so
     /// the build peaks below a per-edge insert build. Bulk-built nodes are
     /// full, so the model also holds less.
-    fn from_sorted<I, R>(elements: impl Fn() -> I) -> Self
+    pub(crate) fn from_sorted<I, R>(elements: impl Fn() -> I) -> Self
     where
         I: Iterator<Item = (E, R)>,
         R: Iterator<Item = (ObjectId, EdgeStatus)>,
@@ -335,6 +335,26 @@ impl<E: Ord + Copy> RiskModel<E> {
             .get(element)
             .map(|m| m.keys().copied().collect())
             .unwrap_or_default()
+    }
+
+    /// Returns `true` if the model has an edge between `element` and `risk`.
+    pub(crate) fn has_edge(&self, element: &E, risk: ObjectId) -> bool {
+        self.edges
+            .get(element)
+            .is_some_and(|m| m.contains_key(&risk))
+    }
+
+    /// The risks `element` depends on, ascending, without cloning.
+    pub(crate) fn iter_risks_of(&self, element: &E) -> impl Iterator<Item = ObjectId> + '_ {
+        self.edges
+            .get(element)
+            .into_iter()
+            .flat_map(|m| m.keys().copied())
+    }
+
+    /// The elements depending on `risk`, ascending, without cloning.
+    pub(crate) fn iter_dependents_of(&self, risk: ObjectId) -> impl Iterator<Item = E> + '_ {
+        self.dependents.get(&risk).into_iter().flatten().copied()
     }
 
     /// The elements depending on `risk` (the set `G_i` of the paper).

@@ -8,10 +8,12 @@
 //! dirtied, in place in the report's check
 //! ([`EquivalenceChecker::recheck_in_place`](scout_equiv::EquivalenceChecker::recheck_in_place),
 //! the one re-check algorithm), patches the cached pristine risk model when
-//! the policy changed and re-derives only the failed edges on it, and
-//! returns a [`ReportDelta`] — what changed since the previous epoch, its
-//! missing-rule sets taken from the touched switches' old and new results
-//! alone — while [`AnalysisSession::full_report`] stays available on demand.
+//! the policy changed, marks and unmarks only the changed missing rules on
+//! the session's failure overlay, re-localizes only the failure components
+//! they reach (the `overlay` module), and returns a [`ReportDelta`] — what
+//! changed since the previous epoch, its missing-rule sets taken from the
+//! touched switches' old and new results alone — while
+//! [`AnalysisSession::full_report`] stays available on demand.
 //!
 //! The contract: provided the event stream is faithful (e.g. produced by a
 //! [`FabricProbe`]), every `full_report()` is
@@ -27,10 +29,13 @@
 //! augmented model through [`AnalysisSession::with_augmented_model`], the
 //! only hook into the failure evidence.
 //!
-//! Open and [`AnalysisSession::resync`] run the engine's one from-scratch
-//! pipeline (the same one behind
-//! [`ScoutEngine::analyze`](crate::ScoutEngine::analyze)); ingest and clone
-//! analyses re-check only what changed and share its risk-model stages.
+//! Open, resume and [`AnalysisSession::resync`] run a full check and build
+//! the overlay from every missing rule, localizing every component, and so
+//! does a batch carrying a policy update or change-log entries (the model
+//! follows the policy, and stage 2 reads the change log). Clone analyses
+//! re-check only what changed and share the risk-model stages of
+//! [`ScoutEngine::analyze`](crate::ScoutEngine::analyze), the reference
+//! every session report is checked against.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -46,6 +51,7 @@ use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchEpgPair, SwitchI
 
 use crate::correlation::PartialDiagnosis;
 use crate::engine::{EngineShared, ScoutReport};
+use crate::overlay::FailureOverlay;
 use crate::risk::{
     augment_controller_model_tracked, controller_risk_model, patch_controller_risk_model, RiskModel,
 };
@@ -239,15 +245,12 @@ impl ReportDelta {
         }
     }
 
-    /// The delta from `prev` to `next`. `was_missing` and `now_missing` are
-    /// the rules missing before and after on some set of switches that holds
-    /// every switch whose result changed: an ingest passes its touched
-    /// switches', a resync the whole checks'.
+    /// The delta from `prev` to `next`, whose missing rules differ from
+    /// `prev`'s by `newly_missing` and `restored`.
     fn between(
         epoch: u64,
         rechecked: BTreeSet<SwitchId>,
-        was_missing: BTreeSet<LogicalRule>,
-        now_missing: BTreeSet<LogicalRule>,
+        (newly_missing, restored): (Vec<LogicalRule>, Vec<LogicalRule>),
         prev: &ScoutReport,
         next: &ScoutReport,
     ) -> Self {
@@ -263,8 +266,8 @@ impl ReportDelta {
         Self {
             epoch,
             rechecked,
-            newly_missing: now_missing.difference(&was_missing).copied().collect(),
-            restored: was_missing.difference(&now_missing).copied().collect(),
+            newly_missing,
+            restored,
             hypothesis_added: next_hypothesis
                 .difference(&prev_hypothesis)
                 .copied()
@@ -305,9 +308,20 @@ pub struct SessionStats {
     pub rechecked_switches: usize,
     /// Gap recoveries via [`AnalysisSession::resync`].
     pub resyncs: usize,
+    /// Failure components localized across all ingests. An ingest
+    /// re-localizes only the components its changed missing rules reach; a
+    /// resync, or a batch that changes the policy or the change log,
+    /// localizes every component.
+    pub components_localized: usize,
 }
 
 /// A long-lived analysis session monitoring one fabric.
+///
+/// The session keeps its failure evidence across epochs: a failure overlay
+/// beside the pristine controller risk model counts the missing rules
+/// implicating each `(element, risk)` edge and caches the localization of
+/// each failure component, so an ingest's report work is proportional to
+/// what the ingest changed, not to the standing damage.
 ///
 /// # Example
 ///
@@ -353,9 +367,12 @@ pub struct AnalysisSession {
     epoch: u64,
     /// The pristine (un-augmented) controller risk model of the mirrored
     /// universe: built on open/resume/resync, patched in place by every
-    /// ingested policy update; each analysis applies and rolls back only the
-    /// failed edges.
+    /// ingested policy update. Clone analyses apply and roll back their
+    /// failed edges on it.
     model: RiskModel<SwitchEpgPair>,
+    /// The current check's failure evidence on `model` and its localization
+    /// per failure component, maintained across epochs.
+    overlay: FailureOverlay,
     /// The pristine model rebuilt for the last clone analyzed under another
     /// policy, keyed by its process-unique [`Fabric::universe_version`].
     rebuilt: Option<(u64, RiskModel<SwitchEpgPair>)>,
@@ -368,19 +385,23 @@ impl AnalysisSession {
     /// Opens a session: snapshots `fabric` and runs the full pipeline once.
     pub(crate) fn open(shared: Arc<EngineShared>, fabric: &Fabric) -> Self {
         let view = FabricView::of(fabric);
-        let (model, report) = shared.analyze_view(&view);
+        let model = controller_risk_model(view.universe());
+        let check = shared.check_view(&view);
         shared.open_sessions.fetch_add(1, Ordering::Relaxed);
-        Self {
+        let mut session = Self {
             shared,
             view,
             fabric_id: fabric.id(),
             open_epoch: fabric.epoch(),
             epoch: 0,
             model,
+            overlay: FailureOverlay::default(),
             rebuilt: None,
-            report,
+            report: ScoutReport::default(),
             stats: SessionStats::default(),
-        }
+        };
+        session.report = session.rebuild(check).0;
+        session
     }
 
     /// Rebuilds a session from a checkpoint (the restore path; see
@@ -388,24 +409,28 @@ impl AnalysisSession {
     ///
     /// The pristine risk model is recomputed from the restored view — it is a
     /// pure function of the policy universe — and the checkpointed report
-    /// carries the equivalence check, so the session resumes exactly where
+    /// carries the equivalence check, whose missing rules rebuild the failure
+    /// overlay and its localization, so the session resumes exactly where
     /// the checkpointed one stood; the caller replays the snapshot's tail
     /// through the ordinary [`AnalysisSession::ingest`] path.
     pub(crate) fn resume(shared: Arc<EngineShared>, snapshot: &crate::snapshot::Snapshot) -> Self {
         let view = snapshot.view().clone();
         let model = controller_risk_model(view.universe());
         shared.open_sessions.fetch_add(1, Ordering::Relaxed);
-        Self {
+        let mut session = Self {
             shared,
             fabric_id: snapshot.fabric_id(),
             open_epoch: snapshot.open_epoch(),
             epoch: snapshot.epoch(),
             model,
+            overlay: FailureOverlay::default(),
             rebuilt: None,
-            report: snapshot.report().clone(),
+            report: ScoutReport::default(),
             view,
             stats: SessionStats::default(),
-        }
+        };
+        session.report = session.rebuild(snapshot.report().check.clone()).0;
+        session
     }
 
     /// The [`Fabric::id`](scout_fabric::Fabric::id) of the monitored fabric.
@@ -487,13 +512,18 @@ impl AnalysisSession {
         }
 
         let mut dirty: BTreeSet<SwitchId> = BTreeSet::new();
-        let mut policy_changed = false;
+        let (mut policy_changed, mut log_changed) = (false, false);
         for event in &batch.events {
-            // Risk model: a policy change patches the pristine model while
-            // the view still holds the universe it was derived from.
-            if let FabricEvent::PolicyUpdate { universe, .. } = event {
-                patch_controller_risk_model(&mut self.model, self.view.universe(), universe);
-                policy_changed = true;
+            match event {
+                // Risk model: a policy change patches the pristine model
+                // while the view still holds the universe it was derived
+                // from.
+                FabricEvent::PolicyUpdate { universe, .. } => {
+                    patch_controller_risk_model(&mut self.model, self.view.universe(), universe);
+                    policy_changed = true;
+                }
+                FabricEvent::ChangeEvents(_) => log_changed = true,
+                FabricEvent::TcamSync { .. } | FabricEvent::FaultEvents { .. } => {}
             }
             dirty.extend(
                 self.view
@@ -531,30 +561,79 @@ impl AnalysisSession {
             }
         }
 
-        // Risk model: re-derive (and roll back) just the failed edges of the
-        // new check.
-        let report = self.shared.report_on(
-            &mut self.model,
-            check,
-            view.universe(),
-            view.change_log(),
-            view.fault_log(),
-        );
+        // Risk model and localization: mark and unmark just the changed
+        // missing rules on the overlay, re-localizing the components they
+        // reach. Stage 2 reads the change log and the model follows the
+        // policy, so a batch changing either rebuilds the overlay.
+        let newly_missing: Vec<LogicalRule> =
+            now_missing.difference(&was_missing).copied().collect();
+        let restored: Vec<LogicalRule> = was_missing.difference(&now_missing).copied().collect();
+        let (report, localized) = if policy_changed || log_changed {
+            self.rebuild(check)
+        } else {
+            self.settle(check, &newly_missing, &restored)
+        };
 
-        let delta = ReportDelta::between(
-            expected,
-            rechecked,
-            was_missing,
-            now_missing,
-            &self.report,
-            &report,
-        );
+        let changes = (newly_missing, restored);
+        let delta = ReportDelta::between(expected, rechecked, changes, &self.report, &report);
         self.report = report;
         self.epoch = expected;
         self.stats.ingests += 1;
         self.stats.events += batch.len();
         self.stats.rechecked_switches += delta.rechecked.len();
+        self.stats.components_localized += localized;
         Ok(delta)
+    }
+
+    /// The report of `check`, whose missing rules differ from the current
+    /// report's by `missing` and `restored`: marks and unmarks them on the
+    /// overlay, re-localizing the components they reach, then merges every
+    /// component's hypothesis and correlates it. Takes the current report's
+    /// observation and suspect sets, which the overlay patches; its
+    /// hypothesis and diagnosis stay for the delta. Also returns how many
+    /// components were localized.
+    fn settle(
+        &mut self,
+        check: NetworkCheckResult,
+        missing: &[LogicalRule],
+        restored: &[LogicalRule],
+    ) -> (ScoutReport, usize) {
+        let mut report = ScoutReport {
+            check,
+            observations: std::mem::take(&mut self.report.observations),
+            suspect_objects: std::mem::take(&mut self.report.suspect_objects),
+            ..ScoutReport::default()
+        };
+        let change_log = self.view.change_log();
+        let config = self.shared.config.scout;
+        let localized = (self.overlay).apply(
+            &self.model,
+            missing,
+            restored,
+            change_log,
+            config,
+            &mut report,
+        );
+        report.hypothesis = self.overlay.hypothesis();
+        report.diagnosis = self.shared.correlation.correlate(
+            &report.hypothesis,
+            self.view.universe(),
+            change_log,
+            self.view.fault_log(),
+        );
+        (report, localized)
+    }
+
+    /// [`AnalysisSession::settle`] from an empty overlay: every missing rule
+    /// of `check` marked and every component localized. Open, resume and
+    /// resync take this path, and so does a batch that changes the policy or
+    /// the change log.
+    fn rebuild(&mut self, check: NetworkCheckResult) -> (ScoutReport, usize) {
+        self.overlay = FailureOverlay::default();
+        self.report.observations.clear();
+        self.report.suspect_objects.clear();
+        let missing: Vec<LogicalRule> = check.missing_rule_set().into_iter().collect();
+        self.settle(check, &missing, &[])
     }
 
     /// Checks whether `batch` would be accepted by [`AnalysisSession::ingest`]
@@ -630,22 +709,24 @@ impl AnalysisSession {
             });
         }
         self.view = sync.into_view();
-        let (model, report) = self.shared.analyze_view(&self.view);
-        self.model = model;
-
-        let delta = ReportDelta::between(
-            epoch,
-            self.view.universe().switch_ids().into_iter().collect(),
-            self.report.check.missing_rule_set(),
-            report.check.missing_rule_set(),
-            &self.report,
-            &report,
+        self.model = controller_risk_model(self.view.universe());
+        let check = self.shared.check_view(&self.view);
+        let was_missing = self.report.check.missing_rule_set();
+        let now_missing = check.missing_rule_set();
+        let changes = (
+            now_missing.difference(&was_missing).copied().collect(),
+            was_missing.difference(&now_missing).copied().collect(),
         );
+        let (report, localized) = self.rebuild(check);
+
+        let rechecked = self.view.universe().switch_ids().into_iter().collect();
+        let delta = ReportDelta::between(epoch, rechecked, changes, &self.report, &report);
         self.report = report;
         self.epoch = epoch;
         self.stats.ingests += 1;
         self.stats.resyncs += 1;
         self.stats.rechecked_switches += delta.rechecked.len();
+        self.stats.components_localized += localized;
         Ok(delta)
     }
 
@@ -1235,5 +1316,14 @@ mod tests {
         assert_eq!(stats.empty_batches, 1);
         assert_eq!(stats.events, 1);
         assert_eq!(stats.rechecked_switches, 1);
+        assert!(stats.components_localized >= 1);
+
+        // A batch that changes no missing rule localizes nothing.
+        let localized = stats.components_localized;
+        fabric.evict_tcam(sample::S3, 1, false);
+        fabric.repair_switch(sample::S3);
+        ingest_observation(&mut session, &mut probe, &fabric);
+        assert_eq!(session.stats().components_localized, localized);
+        assert_eq!(*session.full_report(), engine.analyze(&fabric));
     }
 }

@@ -395,3 +395,119 @@ fn incremental_session_tracks_successive_mutations() {
     }
     assert_eq!(session.epoch(), 3);
 }
+
+/// An ingest re-localizes the failure components its changed missing rules
+/// reach, not the standing damage: on a 1000-switch fabric with 0, 8 and 300
+/// other switches damaged, a one-rule drift re-localizes exactly one
+/// component, its repair at most one, and a 50-switch front damaged and
+/// repaired within one epoch none. Every report equals from-scratch analysis.
+#[test]
+fn an_ingest_relocalizes_only_the_components_it_reaches() {
+    let mut fabric = Fabric::new(ScaleSpec::large_fabric(1000).generate(7));
+    fabric.deploy();
+    let engine = ScoutEngine::new();
+    let mut session = engine.open_session(&fabric);
+    let mut probe = FabricProbe::new(&fabric);
+    let ids = fabric.universe().switch_ids();
+    let victim = ids[500];
+    let front: Vec<_> = ids.iter().skip(2).step_by(3).take(50).copied().collect();
+    let mut standing = 0;
+    for damaged in [0, 8, 300] {
+        // Damage every third switch past index 0 (neither the victim nor the
+        // front is one).
+        for &switch in ids.iter().skip(1).step_by(3).take(damaged).skip(standing) {
+            fabric.evict_tcam(switch, 2, false);
+        }
+        standing = damaged;
+        ingest_observation(&mut session, &mut probe, &fabric);
+        assert_eq!(*session.full_report(), engine.analyze(&fabric), "{damaged}");
+        let mut step = |fabric: &Fabric, rechecked: usize| {
+            let before = session.stats().components_localized;
+            let delta = session.ingest_observation(&mut probe, fabric).unwrap();
+            assert_eq!(delta.rechecked.len(), rechecked, "{damaged} damaged");
+            assert_eq!(*session.full_report(), engine.analyze(fabric), "{damaged}");
+            session.stats().components_localized - before
+        };
+
+        fabric.evict_tcam(victim, 1, false);
+        assert_eq!(step(&fabric, 1), 1, "drift, {damaged} damaged");
+        fabric.repair_switch(victim);
+        assert!(step(&fabric, 1) <= 1, "repair, {damaged} damaged");
+        for &switch in &front {
+            fabric.evict_tcam(switch, 2, false);
+        }
+        for &switch in &front {
+            fabric.repair_switch(switch);
+        }
+        assert_eq!(step(&fabric, front.len()), 0, "front, {damaged} damaged");
+    }
+}
+
+/// An edge of the failure overlay heals when its last missing rule is
+/// restored: two missing rules of one `(switch, pair)` share its VRF, EPG
+/// and switch edges, and restoring one of them keeps those edges failed.
+#[test]
+fn restoring_one_of_two_missing_rules_keeps_their_shared_edges_failed() {
+    let mut fabric = Fabric::new(TestbedSpec::paper().generate(2));
+    fabric.deploy();
+    let engine = ScoutEngine::new();
+    let mut session = engine.open_session(&fabric);
+    let mut probe = FabricProbe::new(&fabric);
+    let switch = fabric.universe().switch_ids()[0];
+    let rules = fabric.logical_rules_on(switch).to_vec();
+    let mut partial = 0;
+    for run in rules.chunk_by(|a, b| a.pair() == b.pair()) {
+        let pair = run[0].pair();
+        fabric.remove_tcam_rules_where(switch, |r| r.pair() == pair);
+        ingest_observation(&mut session, &mut probe, &fabric);
+        assert_eq!(*session.full_report(), engine.analyze(&fabric));
+
+        // Restore one rule only: the pair stays an observation when another
+        // of its rules is still missing.
+        fabric.reinstall_rules(&run[..1]);
+        let delta = session.ingest_observation(&mut probe, &fabric).unwrap();
+        assert_eq!(*session.full_report(), engine.analyze(&fabric));
+        let element = scout::policy::SwitchEpgPair::new(switch, pair);
+        if !delta.restored.is_empty() && session.full_report().observations.contains(&element) {
+            partial += 1;
+        }
+
+        fabric.repair_switch(switch);
+        ingest_observation(&mut session, &mut probe, &fabric);
+        assert_eq!(*session.full_report(), engine.analyze(&fabric));
+        assert!(session.is_consistent());
+    }
+    assert!(
+        partial > 0,
+        "no pair kept a missing rule after a partial restore"
+    );
+}
+
+/// A risk that enters the failure subgraph joins the components of its
+/// dependents: one pair of a switch fails first, then the rest of the
+/// switch, whose switch risk then covers the first pair's component too. Each
+/// switch is repaired before the next one fails.
+#[test]
+fn a_risk_entering_the_failure_subgraph_merges_components() {
+    let mut fabric = Fabric::new(TestbedSpec::paper().generate(3));
+    fabric.deploy();
+    let engine = ScoutEngine::new();
+    let mut session = engine.open_session(&fabric);
+    let mut probe = FabricProbe::new(&fabric);
+    for &switch in &fabric.universe().switch_ids() {
+        let first = fabric.logical_rules_on(switch)[0].pair();
+        fabric.remove_tcam_rules_where(switch, |r| r.pair() == first);
+        ingest_observation(&mut session, &mut probe, &fabric);
+        assert_eq!(*session.full_report(), engine.analyze(&fabric));
+        fabric.remove_tcam_rules_where(switch, |_| true);
+        ingest_observation(&mut session, &mut probe, &fabric);
+        let report = session.full_report();
+        assert_eq!(*report, engine.analyze(&fabric));
+        assert!(report
+            .hypothesis
+            .contains(scout::policy::ObjectId::Switch(switch)));
+        fabric.repair_switch(switch);
+        ingest_observation(&mut session, &mut probe, &fabric);
+        assert!(session.is_consistent());
+    }
+}
