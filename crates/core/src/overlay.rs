@@ -326,3 +326,85 @@ fn remove_from(
     }
     removed
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::localization::scout_localize;
+    use crate::risk::{augment_controller_model, controller_risk_model};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use scout_fabric::{compile_for_switch, ChangeAction, Timestamp};
+    use scout_policy::{sample, FilterId};
+
+    /// Random deltas of marks and restores, partial ones included, some of
+    /// whose rules name a filter outside their pair's closure (a mark that
+    /// adds an edge): after every step the overlay's observations, suspects
+    /// and merged hypothesis equal the augmented model's failure signature,
+    /// suspect set and `scout_localize`.
+    #[test]
+    fn overlay_matches_the_augmented_model_along_random_deltas() {
+        let universe = sample::three_tier();
+        let mut rules: Vec<LogicalRule> = (universe.switch_ids().into_iter())
+            .flat_map(|s| compile_for_switch(&universe, s))
+            .collect();
+        let forged: Vec<LogicalRule> = (rules.iter().step_by(3))
+            .map(|&r| {
+                let mut rule = r;
+                rule.provenance.filter = FilterId::new(900 + r.switch.raw());
+                rule
+            })
+            .collect();
+        rules.extend(forged);
+        let model = controller_risk_model(&universe);
+        let mut log = ChangeLog::new();
+        for (tick, rule) in rules.iter().enumerate().step_by(4) {
+            let object = ObjectId::Filter(rule.provenance.filter);
+            log.record(
+                Timestamp::new(tick as u64),
+                object,
+                ChangeAction::Modify,
+                None,
+                "",
+            );
+        }
+        let config = ScoutConfig::default();
+        let mut unmodelled_marks = 0;
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut overlay = FailureOverlay::default();
+            let mut report = ScoutReport::default();
+            let mut missing: BTreeSet<LogicalRule> = BTreeSet::new();
+            for step in 0..25 {
+                let (mut newly, mut restored) = (Vec::new(), Vec::new());
+                for rule in &rules {
+                    if rng.gen_bool(0.15) {
+                        if missing.remove(rule) {
+                            restored.push(*rule);
+                        } else {
+                            missing.insert(*rule);
+                            newly.push(*rule);
+                        }
+                    }
+                }
+                let changes = (&newly, &restored);
+                overlay.apply(&model, changes.0, changes.1, &log, config, &mut report);
+                unmodelled_marks += overlay.unmodelled.len();
+
+                let mut augmented = model.clone();
+                augment_controller_model(&mut augmented, missing.iter().copied());
+                let signature = augmented.failure_signature();
+                let context = format!("seed {seed} step {step}");
+                assert_eq!(
+                    report.suspect_objects,
+                    augmented.suspect_set(&signature),
+                    "{context}"
+                );
+                assert_eq!(report.observations, signature, "{context}");
+                let expected = scout_localize(&augmented, &log, config);
+                assert_eq!(overlay.hypothesis(), expected, "{context}");
+            }
+        }
+        assert!(unmodelled_marks > 0, "no mark added an edge");
+    }
+}

@@ -250,7 +250,8 @@ impl ReportDelta {
     fn between(
         epoch: u64,
         rechecked: BTreeSet<SwitchId>,
-        (newly_missing, restored): (Vec<LogicalRule>, Vec<LogicalRule>),
+        newly_missing: Vec<LogicalRule>,
+        restored: Vec<LogicalRule>,
         prev: &ScoutReport,
         next: &ScoutReport,
     ) -> Self {
@@ -574,8 +575,14 @@ impl AnalysisSession {
             self.settle(check, &newly_missing, &restored)
         };
 
-        let changes = (newly_missing, restored);
-        let delta = ReportDelta::between(expected, rechecked, changes, &self.report, &report);
+        let delta = ReportDelta::between(
+            expected,
+            rechecked,
+            newly_missing,
+            restored,
+            &self.report,
+            &report,
+        );
         self.report = report;
         self.epoch = expected;
         self.stats.ingests += 1;
@@ -606,7 +613,7 @@ impl AnalysisSession {
         };
         let change_log = self.view.change_log();
         let config = self.shared.config.scout;
-        let localized = (self.overlay).apply(
+        let localized = self.overlay.apply(
             &self.model,
             missing,
             restored,
@@ -713,14 +720,16 @@ impl AnalysisSession {
         let check = self.shared.check_view(&self.view);
         let was_missing = self.report.check.missing_rule_set();
         let now_missing = check.missing_rule_set();
-        let changes = (
-            now_missing.difference(&was_missing).copied().collect(),
-            was_missing.difference(&now_missing).copied().collect(),
-        );
         let (report, localized) = self.rebuild(check);
 
-        let rechecked = self.view.universe().switch_ids().into_iter().collect();
-        let delta = ReportDelta::between(epoch, rechecked, changes, &self.report, &report);
+        let delta = ReportDelta::between(
+            epoch,
+            self.view.universe().switch_ids().into_iter().collect(),
+            now_missing.difference(&was_missing).copied().collect(),
+            was_missing.difference(&now_missing).copied().collect(),
+            &self.report,
+            &report,
+        );
         self.report = report;
         self.epoch = epoch;
         self.stats.ingests += 1;
