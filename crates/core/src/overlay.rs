@@ -21,7 +21,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use scout_fabric::ChangeLog;
-use scout_policy::{LogicalRule, ObjectId, SwitchEpgPair};
+use scout_policy::{LogicalRule, ObjectId, SwitchEpgPair, VrfId};
 
 use crate::engine::ScoutReport;
 use crate::localization::{localize_failures, Hypothesis, ScoutConfig};
@@ -35,14 +35,12 @@ use crate::risk::{EdgeStatus, RiskModel};
 /// outside the element's closure adds an edge there, and counts here too.
 #[derive(Debug, Default)]
 pub(crate) struct FailureOverlay {
-    /// Observation → (risk → number of missing rules implicating the edge).
-    /// An element is an observation while it has an entry.
-    failed: BTreeMap<SwitchEpgPair, BTreeMap<ObjectId, u32>>,
-    /// Risk → the observations whose edge to it failed (`O_i`).
-    failed_dependents: BTreeMap<ObjectId, BTreeSet<SwitchEpgPair>>,
-    /// Risk → the number of observations depending on it: the suspect set,
-    /// counted.
-    suspects: BTreeMap<ObjectId, usize>,
+    /// `(observation, risk)` → the number of missing rules implicating the
+    /// edge. An element is an observation while it has an edge here.
+    failed: BTreeMap<(SwitchEpgPair, ObjectId), u32>,
+    /// Risk → its dependents that are observations, and those whose edge to
+    /// it failed (`|O_i|`), counted. The suspect set is the keys.
+    risks: BTreeMap<ObjectId, Dependents>,
     /// Risk → the elements whose edge to it exists only through a mark.
     unmodelled: BTreeMap<ObjectId, BTreeSet<SwitchEpgPair>>,
     /// Component key (its least observation) → its localization.
@@ -51,10 +49,18 @@ pub(crate) struct FailureOverlay {
     component_of: BTreeMap<SwitchEpgPair, SwitchEpgPair>,
 }
 
+/// The counted dependents of one risk; a risk failed by an observation is
+/// depended on by it, so `failed ≤ observed`.
+#[derive(Debug, Default)]
+struct Dependents {
+    observed: usize,
+    failed: usize,
+}
+
 /// One failure component and its cached localization.
 #[derive(Debug)]
 struct Component {
-    observations: BTreeSet<SwitchEpgPair>,
+    observations: Vec<SwitchEpgPair>,
     hypothesis: Hypothesis,
 }
 
@@ -100,14 +106,14 @@ impl FailureOverlay {
         }
         for e in &changed {
             reached.extend(self.risks_of(model, e));
-            if self.failed.contains_key(e) {
+            if self.is_observation(e) {
                 report.observations.insert(*e);
             } else {
                 report.observations.remove(e);
             }
         }
         for &risk in &reached {
-            if self.suspects.contains_key(&risk) {
+            if self.risks.contains_key(&risk) {
                 report.suspect_objects.insert(risk);
             } else {
                 report.suspect_objects.remove(&risk);
@@ -120,13 +126,13 @@ impl FailureOverlay {
         }
 
         let mut seeds: BTreeSet<SwitchEpgPair> = (changed.into_iter())
-            .filter(|e| self.failed.contains_key(e))
+            .filter(|e| self.is_observation(e))
             .collect();
         for key in dropped {
             let component = self.components.remove(&key).expect("keys name components");
             for o in component.observations {
                 self.component_of.remove(&o);
-                if self.failed.contains_key(&o) {
+                if self.is_observation(&o) {
                     seeds.insert(o);
                 }
             }
@@ -141,7 +147,7 @@ impl FailureOverlay {
                 debug_assert!(was_seed && fresh, "{o:?} joined a component not dropped");
             }
             let component = Component {
-                observations: members,
+                observations: members.into_iter().collect(),
                 hypothesis,
             };
             self.components.insert(seed, component);
@@ -157,62 +163,67 @@ impl FailureOverlay {
 
     /// Counts one more missing rule implicating the edge `(element, risk)`.
     fn mark(&mut self, model: &RiskModel<SwitchEpgPair>, element: SwitchEpgPair, risk: ObjectId) {
-        let edges = self.failed.entry(element).or_default();
-        let newly_observed = edges.is_empty();
-        let count = edges.entry(risk).or_insert(0);
+        let newly_observed = !self.is_observation(&element);
+        let count = self.failed.entry((element, risk)).or_insert(0);
         *count += 1;
         if *count > 1 {
             return;
         }
-        self.failed_dependents
-            .entry(risk)
-            .or_default()
-            .insert(element);
+        self.risks.entry(risk).or_default().failed += 1;
         if newly_observed {
             for r in model.iter_risks_of(&element) {
-                *self.suspects.entry(r).or_default() += 1;
+                self.risks.entry(r).or_default().observed += 1;
             }
         }
         if !model.has_edge(&element, risk) {
             self.unmodelled.entry(risk).or_default().insert(element);
-            *self.suspects.entry(risk).or_default() += 1;
+            self.risks.entry(risk).or_default().observed += 1;
         }
     }
 
     /// Counts one missing rule implicating `(element, risk)` less; the edge
     /// heals when no missing rule implicates it any more.
     fn unmark(&mut self, model: &RiskModel<SwitchEpgPair>, element: SwitchEpgPair, risk: ObjectId) {
-        let edges = self
-            .failed
-            .get_mut(&element)
-            .expect("only marked rules are restored");
-        let count = edges
-            .get_mut(&risk)
-            .expect("only marked edges are unmarked");
+        let count =
+            (self.failed.get_mut(&(element, risk))).expect("only marked edges are unmarked");
         *count -= 1;
         if *count > 0 {
             return;
         }
-        edges.remove(&risk);
-        let healed = edges.is_empty();
-        remove_from(&mut self.failed_dependents, risk, &element);
+        self.failed.remove(&(element, risk));
+        self.uncount(risk, |d| &mut d.failed);
         if remove_from(&mut self.unmodelled, risk, &element) {
-            self.uncount_suspect(risk);
+            self.uncount(risk, |d| &mut d.observed);
         }
-        if healed {
-            self.failed.remove(&element);
+        if !self.is_observation(&element) {
             for r in model.iter_risks_of(&element) {
-                self.uncount_suspect(r);
+                self.uncount(r, |d| &mut d.observed);
             }
         }
     }
 
-    fn uncount_suspect(&mut self, risk: ObjectId) {
-        let count = self.suspects.get_mut(&risk).expect("suspects are counted");
-        *count -= 1;
-        if *count == 0 {
-            self.suspects.remove(&risk);
+    /// Counts one dependent of `risk` less in the `field` of its counts,
+    /// dropping the risk when no observation depends on it any more.
+    fn uncount(&mut self, risk: ObjectId, field: impl Fn(&mut Dependents) -> &mut usize) {
+        let dependents = self.risks.get_mut(&risk).expect("risks are counted");
+        *field(dependents) -= 1;
+        if dependents.observed == 0 {
+            self.risks.remove(&risk);
         }
+    }
+
+    /// The failed risks of `element`, ascending.
+    fn failed_risks(&self, element: &SwitchEpgPair) -> impl Iterator<Item = ObjectId> + '_ {
+        let element = *element;
+        let first = (element, ObjectId::Vrf(VrfId::new(0)));
+        (self.failed.range(first..))
+            .take_while(move |((e, _), _)| *e == element)
+            .map(|(&(_, risk), _)| risk)
+    }
+
+    /// Returns `true` if `element` has a failed edge.
+    fn is_observation(&self, element: &SwitchEpgPair) -> bool {
+        self.failed_risks(element).next().is_some()
     }
 
     /// The risks of `element` in the augmented model.
@@ -222,7 +233,7 @@ impl FailureOverlay {
         element: &SwitchEpgPair,
     ) -> BTreeSet<ObjectId> {
         let mut risks: BTreeSet<ObjectId> = model.iter_risks_of(element).collect();
-        risks.extend(self.failed.get(element).into_iter().flat_map(|m| m.keys()));
+        risks.extend(self.failed_risks(element));
         risks
     }
 
@@ -239,9 +250,12 @@ impl FailureOverlay {
     /// Returns `true` if `risk` is in the failure subgraph: it has a failed
     /// edge and every dependent of it is an observation.
     fn in_subgraph(&self, model: &RiskModel<SwitchEpgPair>, risk: ObjectId) -> bool {
+        let Some(counts) = self.risks.get(&risk) else {
+            return false;
+        };
         let dependents =
             model.dependent_count(risk) + self.unmodelled.get(&risk).map_or(0, BTreeSet::len);
-        self.failed_dependents.contains_key(&risk) && self.suspects.get(&risk) == Some(&dependents)
+        counts.failed > 0 && counts.observed == dependents
     }
 
     /// The component of observation `seed`: its observations and the
@@ -284,9 +298,8 @@ impl FailureOverlay {
     ) -> Hypothesis {
         let mut edges = Vec::new();
         for &o in members {
-            let failed = &self.failed[&o];
             for risk in self.risks_of(model, &o).intersection(joining) {
-                let status = if failed.contains_key(risk) {
+                let status = if self.failed.contains_key(&(o, *risk)) {
                     EdgeStatus::Fail
                 } else {
                     EdgeStatus::Success
@@ -303,7 +316,7 @@ impl FailureOverlay {
         localize_failures(
             work,
             members.clone(),
-            |o| self.failed[o].keys().copied().collect(),
+            |o| self.failed_risks(o).collect(),
             change_log,
             config,
         )
