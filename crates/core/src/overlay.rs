@@ -184,13 +184,16 @@ impl FailureOverlay {
     /// Counts one missing rule implicating `(element, risk)` less; the edge
     /// heals when no missing rule implicates it any more.
     fn unmark(&mut self, model: &RiskModel<SwitchEpgPair>, element: SwitchEpgPair, risk: ObjectId) {
-        let count =
-            (self.failed.get_mut(&(element, risk))).expect("only marked edges are unmarked");
+        let edge = (element, risk);
+        let count = self
+            .failed
+            .get_mut(&edge)
+            .expect("only marked edges are unmarked");
         *count -= 1;
         if *count > 0 {
             return;
         }
-        self.failed.remove(&(element, risk));
+        self.failed.remove(&edge);
         self.uncount(risk, |d| &mut d.failed);
         if remove_from(&mut self.unmodelled, risk, &element) {
             self.uncount(risk, |d| &mut d.observed);
