@@ -84,6 +84,20 @@ impl Hypothesis {
         self.objects.entry(object).or_insert(evidence);
     }
 
+    /// The hypothesis as a [`Part`]: the compact form a session caches per
+    /// failure component.
+    pub(crate) fn into_part(self) -> Part {
+        Part {
+            objects: self.objects.into_iter().collect(),
+            counters: [
+                self.observations,
+                self.explained_by_cover,
+                self.explained_by_changelog,
+                self.unexplained,
+            ],
+        }
+    }
+
     /// The hypothesis of a model whose failure components localized to
     /// `parts`: every part's cover evidence, then the rest (change-log
     /// evidence), the first evidence of an object winning as in one global
@@ -93,24 +107,34 @@ impl Hypothesis {
     /// counts only inside its own component, ties across components are
     /// taken in the same round, and stage 2 is per observation, naming an
     /// object by its own latest change-log entry.
-    pub(crate) fn merge<'a>(parts: impl Iterator<Item = &'a Hypothesis> + Clone) -> Hypothesis {
+    pub(crate) fn merge<'a>(parts: impl Iterator<Item = &'a Part> + Clone) -> Hypothesis {
         let mut merged = Hypothesis::default();
         for part in parts.clone() {
-            merged.observations += part.observations;
-            merged.explained_by_cover += part.explained_by_cover;
-            merged.explained_by_changelog += part.explained_by_changelog;
-            merged.unexplained += part.unexplained;
-            for (&object, &evidence) in &part.objects {
+            let [observations, cover, changelog, unexplained] = part.counters;
+            merged.observations += observations;
+            merged.explained_by_cover += cover;
+            merged.explained_by_changelog += changelog;
+            merged.unexplained += unexplained;
+            for &(object, evidence) in &part.objects {
                 if evidence == Evidence::FullCover {
                     merged.insert(object, evidence);
                 }
             }
         }
-        for (&object, &evidence) in parts.flat_map(|part| &part.objects) {
+        for &(object, evidence) in parts.flat_map(|part| &part.objects) {
             merged.insert(object, evidence);
         }
         merged
     }
+}
+
+/// One part of a hypothesis, as [`Hypothesis::merge`] reads it: the objects
+/// with their evidence, ascending, and the counters (observations, explained
+/// by cover, explained through the change log, unexplained).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Part {
+    objects: Box<[(ObjectId, Evidence)]>,
+    counters: [usize; 4],
 }
 
 /// Configuration of the SCOUT algorithm.
@@ -483,6 +507,7 @@ mod tests {
                 [4, 0, 3, 1],
             ),
         ];
+        let parts = parts.map(Hypothesis::into_part);
         let merged = Hypothesis::merge(parts.iter());
         assert_eq!(
             merged,
@@ -497,7 +522,7 @@ mod tests {
         );
         // The merge of one part is the part, and of none the empty
         // hypothesis.
-        assert_eq!(Hypothesis::merge(parts[..1].iter()), parts[0]);
+        assert_eq!(Hypothesis::merge(parts[..1].iter()).into_part(), parts[0]);
         assert_eq!(Hypothesis::merge([].iter()), Hypothesis::default());
     }
 

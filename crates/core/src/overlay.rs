@@ -24,7 +24,7 @@ use scout_fabric::ChangeLog;
 use scout_policy::{LogicalRule, ObjectId, SwitchEpgPair, VrfId};
 
 use crate::engine::ScoutReport;
-use crate::localization::{localize_failures, Hypothesis, ScoutConfig};
+use crate::localization::{localize_failures, Hypothesis, Part, ScoutConfig};
 use crate::risk::{EdgeStatus, RiskModel};
 
 /// The failure evidence of a session's current check on the pristine
@@ -61,7 +61,7 @@ struct Dependents {
 #[derive(Debug)]
 struct Component {
     observations: Vec<SwitchEpgPair>,
-    hypothesis: Hypothesis,
+    hypothesis: Part,
 }
 
 impl FailureOverlay {
@@ -148,7 +148,7 @@ impl FailureOverlay {
             }
             let component = Component {
                 observations: members.into_iter().collect(),
-                hypothesis,
+                hypothesis: hypothesis.into_part(),
             };
             self.components.insert(seed, component);
             localized += 1;
