@@ -13,9 +13,12 @@
 //!   switches), and a session ingesting the batch must re-check exactly
 //!   those plus the added switches and match a from-scratch analysis.
 //! * The same oracles hold for edits the mix does not make: a filter's
-//!   entries, a VRF move of a group of EPGs, a binding added or removed, a
-//!   switch replaced by another in one update, a switch without endpoints,
-//!   and an endpoint moved to another switch.
+//!   entries, a contract's filter list, a VRF move of a group of EPGs, a
+//!   binding added or removed, a switch replaced by another in one update, a
+//!   switch without endpoints, and an endpoint moved to another switch.
+//! * At every step of both, the new universe's dependency queries equal
+//!   those of a copy built afresh from its objects, and the view and the
+//!   session receive the batch over the wire, as a server tenant does.
 //! * `diff_universes`, one walk of the sorted tables, must return the
 //!   change-log entries of the whole-universe `BTreeSet` formulation it
 //!   replaced, in the same order.
@@ -37,14 +40,15 @@ use scout::core::{
     controller_risk_model, controller_risk_model_sharded, patch_controller_risk_model,
     switch_risk_model, AnalysisSession, Parallelism, RiskModel, ScoutEngine,
 };
+use scout::fabric::wire::{from_bytes, to_bytes};
 use scout::fabric::{
     compile, diff_rules, diff_universes, switch_delta, ChangeAction, EventBatch, Fabric,
     FabricEvent, FabricProbe, FabricView,
 };
 use scout::policy::{
     sample, Contract, ContractBinding, Endpoint, EndpointId, Epg, EpgId, EpgPair, Filter,
-    FilterEntry, LogicalRule, ObjectId, PolicyUniverse, PortRange, Protocol, Switch, SwitchEpgPair,
-    SwitchId, Tenant, Vrf, VrfId,
+    FilterEntry, FilterId, LogicalRule, ObjectId, PolicyUniverse, PortRange, Protocol, Switch,
+    SwitchEpgPair, SwitchId, Tenant, Vrf, VrfId,
 };
 use scout::workload::{
     add_filter_to_contract, next_filter_id, random_policy_edit, remove_filter_from_contract,
@@ -232,6 +236,65 @@ fn reference_diff_universes(
     changes
 }
 
+/// Every dependency query of `u` equals the same query on `reference`: per
+/// switch (and one unknown switch), per EPG, per bound pair and per object.
+fn assert_same_queries(label: &str, u: &PolicyUniverse, reference: &PolicyUniverse) {
+    assert_eq!(u.stats(), reference.stats(), "{label}: stats");
+    assert_eq!(u.epg_pairs(), reference.epg_pairs(), "{label}: epg_pairs");
+    assert!(
+        u.pair_closures().eq(reference.pair_closures()),
+        "{label}: pair_closures"
+    );
+    assert!(
+        u.pairs_per_object() == reference.pairs_per_object(),
+        "{label}: pairs_per_object"
+    );
+    let unknown = SwitchId::new(u32::MAX);
+    for s in u.switch_ids().into_iter().chain([unknown]) {
+        assert_eq!(
+            u.pairs_on_switch(s),
+            reference.pairs_on_switch(s),
+            "{label}: pairs_on_switch({s})"
+        );
+        assert_eq!(
+            u.epgs_on_switch(s),
+            reference.epgs_on_switch(s),
+            "{label}: epgs_on_switch({s})"
+        );
+        assert!(
+            u.bindings_on_switch(s).eq(reference.bindings_on_switch(s)),
+            "{label}: bindings_on_switch({s})"
+        );
+    }
+    for epg in u.epgs() {
+        assert_eq!(
+            u.switches_hosting_epg(epg.id),
+            reference.switches_hosting_epg(epg.id),
+            "{label}: switches_hosting_epg({})",
+            epg.id
+        );
+    }
+    for object in u.all_objects() {
+        assert_eq!(
+            u.pairs_for_object(object),
+            reference.pairs_for_object(object),
+            "{label}: pairs_for_object({object})"
+        );
+        assert_eq!(
+            u.object_switches(&object),
+            reference.object_switches(&object),
+            "{label}: object_switches({object})"
+        );
+    }
+}
+
+/// Every dependency query of `new`, the universe an edit of `old` produced,
+/// equals the same query on a copy built afresh from its objects.
+fn assert_indexes_match_a_fresh_build(label: &str, _old: &PolicyUniverse, new: &PolicyUniverse) {
+    let fresh = remodel(new, |_| {});
+    assert_same_queries(label, new, &fresh);
+}
+
 /// The mirrors every edit is also applied to: a deployed fabric stepped
 /// with `update_policy`, a `FabricView` fed each observed `PolicyUpdate`
 /// alone, and a session fed every observed batch.
@@ -272,6 +335,7 @@ fn assert_step(
     old: &PolicyUniverse,
     new: &PolicyUniverse,
 ) {
+    assert_indexes_match_a_fresh_build(label, old, new);
     let patch = patch_controller_risk_model(model, old, new);
     let rebuilt = controller_risk_model(new);
     assert!(*model == rebuilt, "{label}: patched model != rebuilt model");
@@ -307,7 +371,11 @@ fn assert_step(
     assert_eq!((delta.added, delta.removed), (added, removed), "{label}");
 
     mirrors.fabric.update_policy(new.clone());
-    let events = mirrors.probe.observe(&mirrors.fabric);
+    // The view and the session each receive the batch over the wire, as a
+    // server tenant does: each decodes a universe of its own.
+    let observed = to_bytes(&mirrors.probe.observe(&mirrors.fabric));
+    let decode = || from_bytes::<Vec<FabricEvent>>(&observed).expect("the batch decodes");
+    let events = decode();
     let update = events
         .iter()
         .find(|e| matches!(e, FabricEvent::PolicyUpdate { .. }))
@@ -321,7 +389,7 @@ fn assert_step(
     let epoch = mirrors.session.next_epoch();
     let delta = mirrors
         .session
-        .ingest(EventBatch::new(epoch, events))
+        .ingest(EventBatch::new(epoch, decode()))
         .expect("a faithful batch");
     assert_eq!(delta.rechecked, rechecked, "{label}: session re-checked");
     assert!(
@@ -420,16 +488,45 @@ fn remodel(universe: &PolicyUniverse, edit: impl FnOnce(&mut Objects)) -> Policy
 type Edit = fn(&PolicyUniverse, &mut StdRng) -> PolicyUniverse;
 
 /// The edits behind every other way a switch's rules can change: a
-/// filter's entries, the VRF of a group of EPGs, a binding, a switch
-/// replaced by another, a switch without endpoints, and the switch an
-/// endpoint sits on.
-const OBJECT_CHANGES: [(&str, Edit); 6] = [
+/// filter's entries, a contract's filter list, the VRF of a group of EPGs, a
+/// binding, a switch replaced by another, a switch without endpoints, and
+/// the switch an endpoint sits on.
+const OBJECT_CHANGES: [(&str, Edit); 7] = [
     ("filter entries", |u, rng| {
         remodel(u, |o| {
             let n = o.filters.len();
             let port = rng.gen_range(1..60_000);
             o.filters[rng.gen_range(0..n)].entries =
                 vec![FilterEntry::allow(Protocol::Udp, PortRange::single(port))];
+        })
+    }),
+    ("contract filter list", |u, rng| {
+        remodel(u, |o| {
+            // A bound contract gains an existing filter with entries it does
+            // not hold yet, or loses one of its filters: no filter object
+            // changes, so only the contract names the switches whose rules
+            // change.
+            let bound = o.bindings[rng.gen_range(0..o.bindings.len())].contract;
+            let filters = &o.filters;
+            let contract = (o.contracts.iter_mut())
+                .find(|c| c.id == bound)
+                .expect("bound contracts exist");
+            let entries = |id: FilterId| {
+                let i = filters.binary_search_by_key(&id, |f| f.id).expect("known");
+                &filters[i].entries
+            };
+            let held: Vec<&Vec<FilterEntry>> = contract.filters.iter().map(|&f| entries(f)).collect();
+            let fresh: Vec<FilterId> = (filters.iter())
+                .filter(|f| !held.contains(&&f.entries))
+                .map(|f| f.id)
+                .collect();
+            let mut list: Vec<FilterId> = contract.filters.to_vec();
+            if !fresh.is_empty() && (list.len() == 1 || rng.gen_bool(0.5)) {
+                list.push(fresh[rng.gen_range(0..fresh.len())]);
+            } else if list.len() > 1 {
+                list.remove(rng.gen_range(0..list.len()));
+            }
+            contract.filters = list.into();
         })
     }),
     ("epgs move vrf", |u, rng| {
