@@ -32,12 +32,22 @@ git -C "$root" ls-files -z | (cd "$root" && tar --null -T - -cf -) | tar -xf - -
 git -C "$copy" init --quiet
 export CARGO_TARGET_DIR="$work/target"
 
-failed=0
-# A test that fails without its mutant proves nothing about the mutant.
-while read -r args; do
+# Runs the test a Test: line names on the copy as it stands.
+run_test() {
   # shellcheck disable=SC2086 # the Test: line is a word list
-  if ! (cd "$copy" && cargo test --release --quiet $args -- --exact) </dev/null >/dev/null 2>&1; then
-    echo "FAIL $args: fails on the unpatched tree"
+  (cd "$copy" && cargo test --release --quiet $1 -- --exact) </dev/null >/dev/null 2>&1
+}
+
+failed=0
+# A test that fails without its mutant proves nothing about the mutant. A
+# failing one is run once more, and both outcomes are printed with the load
+# average, to tell a flaky test or an overloaded host from a broken one; the
+# job fails either way.
+while read -r args; do
+  if ! run_test "$args"; then
+    if run_test "$args"; then again=passed; else again=failed; fi
+    load=$(cut -d ' ' -f 1-3 /proc/loadavg 2>/dev/null || uptime)
+    echo "FAIL $args: fails on the unpatched tree (first run failed, re-run $again; load average $load)"
     failed=1
   fi
 done < <(sed -n 's/^Test: //p' "${patches[@]}" | sort -u)
@@ -58,7 +68,7 @@ for patch in "${patches[@]}"; do
   if ! (cd "$copy" && cargo test --release --quiet $args --no-run) >/dev/null 2>&1; then
     echo "FAIL $name: the mutant does not build"
     failed=1
-  elif (cd "$copy" && cargo test --release --quiet $args -- --exact) >/dev/null 2>&1; then
+  elif run_test "$args"; then
     echo "FAIL $name: survived ($args passed)"
     failed=1
   else

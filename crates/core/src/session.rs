@@ -518,8 +518,10 @@ impl AnalysisSession {
             match event {
                 // Risk model: a policy change patches the pristine model
                 // while the view still holds the universe it was derived
-                // from.
+                // from. The new universe's indexes are patched from that
+                // universe's first, before anything reads them.
                 FabricEvent::PolicyUpdate { universe, .. } => {
+                    universe.index_from(self.view.universe());
                     patch_controller_risk_model(&mut self.model, self.view.universe(), universe);
                     policy_changed = true;
                 }

@@ -413,8 +413,11 @@ impl FabricView {
         let mut dirty = BTreeSet::new();
         match event {
             FabricEvent::PolicyUpdate { version, universe } => {
-                // A switch needs re-checking iff its expected rule set
-                // changed; switches that left the network drop out instead.
+                // The new universe's indexes derive from the one it
+                // replaces. A switch needs re-checking iff its expected rule
+                // set changed; switches that left the network drop out
+                // instead.
+                universe.index_from(&self.universe);
                 let delta = compiler::switch_delta(&self.universe, universe);
                 if self.tcam.len() == self.universe.switches().len() {
                     // A table per switch: only switches that came or went

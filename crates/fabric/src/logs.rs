@@ -226,13 +226,41 @@ impl FaultLogEntry {
 /// Entries are indexed by switch, so correlating an object reads the entries
 /// of its switches and the controller-level ones, not the log. The index is
 /// derived from the entries: equality and the wire bytes are the entries'
-/// alone.
+/// alone. Its positions are `u32`s, and a copy — a clone, or a log built
+/// whole from its entries, as a decode builds it — holds them without
+/// growth slack.
 #[derive(Debug, Clone, Default)]
 pub struct FaultLog {
     entries: Vec<FaultLogEntry>,
     /// The positions in `entries` of every entry, ascending, by the switch it
     /// names (`None` for controller-level entries).
-    by_switch: BTreeMap<Option<SwitchId>, Vec<usize>>,
+    by_switch: BTreeMap<Option<SwitchId>, Vec<u32>>,
+}
+
+impl From<Vec<FaultLogEntry>> for FaultLog {
+    /// The log of `entries`, in order, as if each were
+    /// [pushed](FaultLog::push): the index is counted first, so each run
+    /// is allocated at its exact size.
+    fn from(entries: Vec<FaultLogEntry>) -> Self {
+        let mut counts: BTreeMap<Option<SwitchId>, usize> = BTreeMap::new();
+        for entry in &entries {
+            *counts.entry(entry.switch).or_default() += 1;
+        }
+        let mut by_switch: BTreeMap<_, _> = (counts.into_iter())
+            .map(|(switch, n)| (switch, Vec::with_capacity(n)))
+            .collect();
+        for (i, entry) in entries.iter().enumerate() {
+            if let Some(positions) = by_switch.get_mut(&entry.switch) {
+                positions.push(position(i));
+            }
+        }
+        Self { entries, by_switch }
+    }
+}
+
+/// An entry's position as stored in the index.
+fn position(index: usize) -> u32 {
+    u32::try_from(index).expect("a fault log holds fewer than 2^32 entries")
 }
 
 impl PartialEq for FaultLog {
@@ -282,7 +310,7 @@ impl FaultLog {
     /// log appends raised entries verbatim, timestamps and all.
     pub fn push(&mut self, entry: FaultLogEntry) -> usize {
         let index = self.entries.len();
-        self.by_switch.entry(entry.switch).or_default().push(index);
+        (self.by_switch.entry(entry.switch).or_default()).push(position(index));
         self.entries.push(entry);
         index
     }
@@ -308,7 +336,7 @@ impl FaultLog {
     /// the smaller of `switches` and the switches the log names.
     pub fn entries_on(&self, switches: &[SwitchId]) -> impl Iterator<Item = &FaultLogEntry> {
         let named = self.by_switch.len();
-        let mut positions: Vec<usize> = if switches.len() < named {
+        let mut positions: Vec<u32> = if switches.len() < named {
             (switches.iter())
                 .filter_map(|&s| self.by_switch.get(&Some(s)))
                 .flatten()
@@ -322,7 +350,7 @@ impl FaultLog {
         };
         positions.extend(self.by_switch.get(&None).into_iter().flatten().copied());
         positions.sort_unstable();
-        positions.into_iter().map(|i| &self.entries[i])
+        positions.into_iter().map(|i| &self.entries[i as usize])
     }
 
     /// Entries that were active at time `t`.
@@ -341,7 +369,7 @@ impl FaultLog {
     pub fn clear_active_for_switch(&mut self, switch: SwitchId, t: Timestamp) -> usize {
         let mut cleared = 0;
         for &i in self.by_switch.get(&Some(switch)).into_iter().flatten() {
-            let entry = &mut self.entries[i];
+            let entry = &mut self.entries[i as usize];
             if entry.cleared_at.is_none() {
                 entry.cleared_at = Some(t);
                 cleared += 1;
@@ -499,6 +527,26 @@ mod tests {
         );
         assert_eq!(log.entries_of_kind(FaultKind::AgentCrash).len(), 1);
         assert_eq!(log.len(), 3);
+    }
+
+    /// A log built whole from its entries indexes them as pushing each does,
+    /// and, like a clone, holds each run of positions without slack.
+    #[test]
+    fn a_log_built_from_its_entries_is_indexed_without_slack() {
+        let mut pushed = FaultLog::new();
+        for i in 0..40u32 {
+            let switch = (i % 3 != 0).then(|| SwitchId::new(i % 5));
+            let t = Timestamp::new(u64::from(i));
+            pushed.raise(t, switch, FaultKind::Unknown, Severity::Info, "e");
+        }
+        let built = FaultLog::from(pushed.entries().to_vec());
+        assert_eq!(built.by_switch, pushed.by_switch);
+        assert_eq!(built, pushed);
+        for log in [&built, &pushed.clone()] {
+            assert!(log.by_switch.values().all(|at| at.capacity() == at.len()));
+        }
+        let switches = [SwitchId::new(1), SwitchId::new(4)];
+        assert!(built.entries_on(&switches).eq(pushed.entries_on(&switches)));
     }
 
     #[test]

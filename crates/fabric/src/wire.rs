@@ -1008,7 +1008,11 @@ impl Wire for PolicyUniverse {
 
     /// Decodes the object lists and re-validates them through
     /// [`PolicyUniverse::builder`], so a decoded universe upholds the same
-    /// referential-integrity invariants as a freshly built one.
+    /// referential-integrity invariants as a freshly built one. Like a built
+    /// one, it holds no dependency index yet: its first query builds them,
+    /// unless [`PolicyUniverse::index_from`] first patches them from the
+    /// universe it replaces, as a session applying a
+    /// [`FabricEvent::PolicyUpdate`] does.
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let tenants = Vec::<Tenant>::decode(r)?;
         let vrfs = Vec::<Vrf>::decode(r)?;
@@ -1091,12 +1095,7 @@ impl Wire for FaultLog {
         encode_seq(self.entries().iter(), w);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let entries = Vec::<FaultLogEntry>::decode(r)?;
-        let mut log = FaultLog::new();
-        for entry in entries {
-            log.push(entry);
-        }
-        Ok(log)
+        Ok(FaultLog::from(Vec::<FaultLogEntry>::decode(r)?))
     }
 }
 

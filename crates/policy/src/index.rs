@@ -113,6 +113,68 @@ impl<K: Ord + Copy, V: Ord + Copy> FlatIndex<K, V> {
             .enumerate()
             .map(|(i, &key)| (key, self.run(i)))
     }
+
+    /// Maps every value through `f`, which must keep each run ascending.
+    pub(crate) fn map_values(&mut self, f: impl Fn(V) -> V) {
+        self.values.iter_mut().for_each(|v| *v = f(*v));
+    }
+
+    /// A copy with the runs of `dirty` (ascending, distinct) re-derived:
+    /// `derive(key, old_run, run)` fills the empty `run` with the key's new
+    /// values, strictly ascending, from its old run (empty if it had none);
+    /// an empty run drops the key. The dirty runs are derived first, so the
+    /// copy is allocated at its exact size and the runs between dirty keys
+    /// are copied in bulk.
+    pub(crate) fn patched(
+        &self,
+        dirty: &[K],
+        mut derive: impl FnMut(K, &[V], &mut Vec<V>),
+    ) -> Self {
+        // Per dirty key: its position among the old keys, whether it held a
+        // run there, and where its new run ends in `runs`.
+        let mut found = Vec::with_capacity(dirty.len());
+        let (mut runs, mut run) = (Vec::new(), Vec::new());
+        let (mut next, mut keys, mut values) = (0, self.keys.len(), self.values.len());
+        for &key in dirty {
+            let at = next + self.keys[next..].partition_point(|k| *k < key);
+            let held = self.keys.get(at) == Some(&key);
+            let old = if held { self.run(at) } else { &[] };
+            derive(key, old, &mut run);
+            debug_assert!(run.is_sorted_by(|a, b| a < b));
+            keys = keys + usize::from(!run.is_empty()) - usize::from(held);
+            values = values + run.len() - old.len();
+            runs.append(&mut run);
+            found.push((at, held, runs.len()));
+            next = at + usize::from(held);
+        }
+        let mut index = Self::with_capacity(keys, values);
+        let (mut next, mut start) = (0, 0);
+        for (&key, &(at, held, end)) in dirty.iter().zip(&found) {
+            index.copy_runs(self, next..at);
+            index.push(key, runs[start..end].iter().copied());
+            (next, start) = (at + usize::from(held), end);
+        }
+        index.copy_runs(self, next..self.keys.len());
+        debug_assert!(index.keys.len() == keys && index.values.len() == values);
+        index
+    }
+
+    /// Appends the runs `range` of `from`, whose keys must be greater than
+    /// every key so far.
+    fn copy_runs(&mut self, from: &Self, range: std::ops::Range<usize>) {
+        let (lo, hi) = (from.starts[range.start], from.starts[range.end]);
+        let shift = self.values.len();
+        self.keys.extend_from_slice(&from.keys[range.clone()]);
+        let ends = &from.starts[range.start + 1..=range.end];
+        self.starts.extend(ends.iter().map(|&end| end - lo + shift));
+        self.values.extend_from_slice(&from.values[lo..hi]);
+    }
+
+    /// The keys whose runs differ between `self` and `other`, one of them
+    /// holding none included, ascending.
+    pub(crate) fn changed_keys(&self, other: &Self) -> Vec<K> {
+        changed(&self.keys, &other.keys, |i, j| self.run(i) == other.run(j))
+    }
 }
 
 /// The objects of one kind, sorted by id, with the ids in a vector of their
@@ -208,6 +270,46 @@ impl<K: Ord + Copy + Into<u32>, T> ObjectTable<K, T> {
     pub(crate) fn len(&self) -> usize {
         self.ids.len()
     }
+
+    /// The ids of the objects `self` and `other` disagree on: those one of
+    /// them lacks, and those whose `field` differs. Ascending; one walk of
+    /// both tables.
+    pub(crate) fn changed_ids<F: PartialEq + ?Sized>(
+        &self,
+        other: &Self,
+        field: impl Fn(&T) -> &F,
+    ) -> Vec<K> {
+        changed(&self.ids, &other.ids, |i, j| {
+            field(&self.items[i]) == field(&other.items[j])
+        })
+    }
+}
+
+/// The keys of two strictly ascending key lists that one list lacks, or
+/// whose entries at positions `i` and `j` are not `same(i, j)`, ascending:
+/// one merge walk of both.
+fn changed<K: Ord + Copy>(a: &[K], b: &[K], same: impl Fn(usize, usize) -> bool) -> Vec<K> {
+    let mut changed = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        match (a.get(i), b.get(j)) {
+            (Some(x), Some(y)) if x == y => {
+                if !same(i, j) {
+                    changed.push(*x);
+                }
+                (i, j) = (i + 1, j + 1);
+            }
+            (Some(x), y) if y.is_none_or(|y| x < y) => {
+                changed.push(*x);
+                i += 1;
+            }
+            (_, y) => {
+                changed.extend(y);
+                j += 1;
+            }
+        }
+    }
+    changed
 }
 
 /// A multimap from the dense keys `0..len` to `u32` values, the scratch form
@@ -333,6 +435,25 @@ mod tests {
             FlatIndex::<u8, u8>::from_entries(Vec::new()),
             FlatIndex::default()
         );
+    }
+
+    #[test]
+    fn patched_rederives_only_the_dirty_runs() {
+        let index = FlatIndex::from_entries(vec![(1, 'a'), (3, 'b'), (3, 'c'), (5, 'd'), (7, 'e')]);
+        let mut seen = Vec::new();
+        let patched = index.patched(&[2, 3, 7], |key, old, run| {
+            seen.push((key, old.to_vec()));
+            match key {
+                2 => run.push('x'),
+                3 => run.extend(['c', 'z']),
+                _ => {}
+            }
+        });
+        assert_eq!(seen, [(2, vec![]), (3, vec!['b', 'c']), (7, vec!['e'])]);
+        let expected = [(1, 'a'), (2, 'x'), (3, 'c'), (3, 'z'), (5, 'd')];
+        assert_eq!(patched, FlatIndex::from_entries(expected.to_vec()));
+        assert_eq!(index.changed_keys(&patched), [2, 3, 7]);
+        assert_eq!(index.patched(&[], |_, _, _| {}), index);
     }
 
     #[test]

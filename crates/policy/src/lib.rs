@@ -55,4 +55,4 @@ pub use object::{
 };
 pub use pair::{EpgPair, SwitchEpgPair};
 pub use rule::{evaluate, FlowKey, LogicalRule, RuleMatch, RuleProvenance, TcamRule};
-pub use universe::{PolicyBuilder, PolicyUniverse, UniverseStats};
+pub use universe::{IndexWork, PolicyBuilder, PolicyUniverse, UniverseStats};

@@ -8,7 +8,10 @@
 //! (`scout-fabric`), risk-model construction (`scout-core`) and the Figure 3
 //! object-sharing analysis (`scout-bench`).
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::sync::OnceLock;
 
 use crate::error::PolicyError;
 use crate::ids::{ContractId, EndpointId, EpgId, FilterId, ObjectId, SwitchId, TenantId, VrfId};
@@ -43,19 +46,27 @@ pub struct UniverseStats {
 ///
 /// The objects of each kind are one sorted table: the objects in id order
 /// beside a vector of their ids, so a lookup is a binary search over ids.
-/// Besides the objects, the universe carries dependency indexes computed
-/// once at [`PolicyBuilder::build`] time (pair → bindings, EPG → hosting
-/// switches, object → dependent pairs, …). Each index is one flat, sorted
-/// multimap — keys, run offsets and values in three vectors — so every
-/// dependency query below is a binary search, not a scan, and the borrowed
-/// accessors return sorted slices straight out of it. This keeps risk-model
-/// construction and fault correlation proportional to the answer size
-/// instead of the universe size on 1000-switch fabrics, and building,
-/// cloning or dropping a universe proportional to its objects and index
-/// entries: a few vectors per table and per index, no tree node per entry.
-/// The indexes are pure functions of the objects, so derived equality and
-/// cloning remain consistent.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Besides the objects, the universe carries dependency indexes (pair →
+/// bindings, EPG → hosting switches, object → dependent pairs, …). Each
+/// index is one flat, sorted multimap — keys, run offsets and values in
+/// three vectors — so every dependency query below is a binary search, not
+/// a scan, and the borrowed accessors return sorted slices straight out of
+/// it. This keeps risk-model construction and fault correlation
+/// proportional to the answer size instead of the universe size on
+/// 1000-switch fabrics, and building, cloning or dropping a universe
+/// proportional to its objects and index entries: a few vectors per table
+/// and per index, no tree node per entry.
+///
+/// The tables are validated when the universe is built or decoded; the
+/// indexes are built on first use, behind one [`OnceLock`]. A universe that
+/// replaces another (a policy update) derives them from the one it replaces
+/// with [`index_from`](Self::index_from), re-deriving only the runs the
+/// difference touches; any other first query builds them from the tables.
+/// Either way they are a pure function of the tables, so equality, cloning
+/// and the wire encoding depend on the tables alone: a universe whose
+/// indexes are not built yet equals, clones and encodes like one whose
+/// indexes are.
+#[derive(Clone)]
 pub struct PolicyUniverse {
     tenants: ObjectTable<TenantId, Tenant>,
     vrfs: ObjectTable<VrfId, Vrf>,
@@ -65,6 +76,13 @@ pub struct PolicyUniverse {
     contracts: ObjectTable<ContractId, Contract>,
     filters: ObjectTable<FilterId, Filter>,
     bindings: Vec<ContractBinding>,
+    /// The dependency indexes, once built.
+    indexes: OnceLock<Indexes>,
+}
+
+/// The dependency indexes of a universe, each a pure function of its tables.
+#[derive(Debug, Clone)]
+struct Indexes {
     /// Binding indices (into `bindings`) per EPG pair; keys are exactly the
     /// distinct bound pairs.
     pair_bindings: FlatIndex<EpgPair, usize>,
@@ -81,6 +99,59 @@ pub struct PolicyUniverse {
     /// Switches each policy object's rules can be deployed on (switch objects
     /// are not stored: each maps to itself).
     object_switches: FlatIndex<ObjectId, SwitchId>,
+    /// How the indexes were derived.
+    work: IndexWork,
+}
+
+/// How a universe's dependency indexes were derived (see
+/// [`PolicyUniverse::index_work`]): the work count of a first query or of
+/// [`PolicyUniverse::index_from`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IndexWork {
+    /// Built from the tables alone.
+    Full,
+    /// Patched from the indexes of the universe it replaced.
+    Patched {
+        /// Pair closures re-derived: the pairs whose bindings, closure or
+        /// member hosts differ between the two universes.
+        closures: usize,
+        /// Objects whose dependent pairs were re-derived: every object such
+        /// a pair names in either universe, switches included.
+        objects: usize,
+        /// Whether the endpoint views (EPG → hosting switches, switch →
+        /// EPGs) were rebuilt, because an endpoint came, went or moved.
+        endpoint_views: bool,
+    },
+}
+
+impl PartialEq for PolicyUniverse {
+    fn eq(&self, other: &Self) -> bool {
+        self.tenants == other.tenants
+            && self.vrfs == other.vrfs
+            && self.epgs == other.epgs
+            && self.endpoints == other.endpoints
+            && self.switches == other.switches
+            && self.contracts == other.contracts
+            && self.filters == other.filters
+            && self.bindings == other.bindings
+    }
+}
+
+impl Eq for PolicyUniverse {}
+
+impl fmt::Debug for PolicyUniverse {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PolicyUniverse")
+            .field("tenants", &self.tenants)
+            .field("vrfs", &self.vrfs)
+            .field("epgs", &self.epgs)
+            .field("endpoints", &self.endpoints)
+            .field("switches", &self.switches)
+            .field("contracts", &self.contracts)
+            .field("filters", &self.filters)
+            .field("bindings", &self.bindings)
+            .finish_non_exhaustive()
+    }
 }
 
 impl PolicyUniverse {
@@ -184,7 +255,7 @@ impl PolicyUniverse {
             contracts: self.contracts.len(),
             filters: self.filters.len(),
             bindings: self.bindings.len(),
-            epg_pairs: self.pair_bindings.keys().len(),
+            epg_pairs: self.indexes().pair_bindings.keys().len(),
         }
     }
 
@@ -234,17 +305,32 @@ impl PolicyUniverse {
 
     /// Switches that host at least one endpoint of `epg`.
     pub fn switches_hosting_epg(&self, epg: EpgId) -> BTreeSet<SwitchId> {
-        self.epg_hosts.slice(&epg).iter().copied().collect()
+        self.indexes()
+            .epg_hosts
+            .slice(&epg)
+            .iter()
+            .copied()
+            .collect()
     }
 
     /// EPGs that have at least one endpoint attached to `switch`.
     pub fn epgs_on_switch(&self, switch: SwitchId) -> BTreeSet<EpgId> {
-        self.switch_epgs.slice(&switch).iter().copied().collect()
+        self.indexes()
+            .switch_epgs
+            .slice(&switch)
+            .iter()
+            .copied()
+            .collect()
     }
 
     /// All distinct EPG pairs allowed to communicate by at least one binding.
     pub fn epg_pairs(&self) -> BTreeSet<EpgPair> {
-        self.pair_bindings.keys().iter().copied().collect()
+        self.indexes()
+            .pair_bindings
+            .keys()
+            .iter()
+            .copied()
+            .collect()
     }
 
     /// The contract bindings whose rules must be deployed on `switch` — every
@@ -263,7 +349,7 @@ impl PolicyUniverse {
         let mut idxs: Vec<usize> = self
             .pairs_on_switch(switch)
             .iter()
-            .filter_map(|pair| self.pair_bindings.get(pair))
+            .filter_map(|pair| self.indexes().pair_bindings.get(pair))
             .flatten()
             .copied()
             .collect();
@@ -275,7 +361,7 @@ impl PolicyUniverse {
     /// hosts an endpoint of either member EPG.
     pub fn switches_for_pair(&self, pair: EpgPair) -> BTreeSet<SwitchId> {
         let mut switches = self.switches_hosting_epg(pair.a);
-        switches.extend(self.epg_hosts.slice(&pair.b));
+        switches.extend(self.indexes().epg_hosts.slice(&pair.b));
         switches
     }
 
@@ -284,21 +370,21 @@ impl PolicyUniverse {
     /// without endpoints or an unknown one), ascending. Borrowed from the
     /// index.
     pub fn pairs_on_switch(&self, switch: SwitchId) -> &[EpgPair] {
-        self.object_pairs.slice(&ObjectId::Switch(switch))
+        self.indexes().object_pairs.slice(&ObjectId::Switch(switch))
     }
 
     /// Every bound pair with its dependency closure (see
     /// [`objects_for_bound_pair`](Self::objects_for_bound_pair)), in pair
     /// order.
     pub fn pair_closures(&self) -> impl Iterator<Item = (EpgPair, &[ObjectId])> {
-        self.pair_objects.iter()
+        self.indexes().pair_objects.iter()
     }
 
     /// The dependency closure of a *bound* pair, ascending and borrowed from
     /// the index: what [`objects_for_pair`](Self::objects_for_pair) returns,
     /// without the copy. `None` for pairs no binding governs.
     pub fn objects_for_bound_pair(&self, pair: EpgPair) -> Option<&[ObjectId]> {
-        self.pair_objects.get(&pair)
+        self.indexes().pair_objects.get(&pair)
     }
 
     /// The policy objects `pair` relies on: the VRF, both EPGs, every contract
@@ -321,8 +407,7 @@ impl PolicyUniverse {
     /// For every object (including switches), the set of EPG pairs that depend
     /// on it. This is the data behind Figure 3 of the paper.
     pub fn pairs_per_object(&self) -> BTreeMap<ObjectId, BTreeSet<EpgPair>> {
-        self.object_pairs
-            .iter()
+        (self.indexes().object_pairs.iter())
             .map(|(object, pairs)| (object, pairs.iter().copied().collect()))
             .collect()
     }
@@ -332,14 +417,13 @@ impl PolicyUniverse {
     /// without materializing the whole map. Returns `None` for objects no
     /// pair depends on.
     pub fn pairs_for_object(&self, object: ObjectId) -> Option<&[EpgPair]> {
-        self.object_pairs.get(&object)
+        self.indexes().object_pairs.get(&object)
     }
 
     /// The switches an object's rules can be deployed on: the union of
     /// [`switches_for_pair`](Self::switches_for_pair) over the object's
-    /// dependent pairs (a switch object maps to itself). Precomputed at build
-    /// time so fault correlation stays proportional to the answer, not the
-    /// universe.
+    /// dependent pairs (a switch object maps to itself). Indexed, so fault
+    /// correlation stays proportional to the answer, not the universe.
     pub fn switches_for_object(&self, object: ObjectId) -> BTreeSet<SwitchId> {
         self.object_switches(&object).iter().copied().collect()
     }
@@ -350,7 +434,7 @@ impl PolicyUniverse {
     pub fn object_switches<'a>(&'a self, object: &'a ObjectId) -> &'a [SwitchId] {
         match object {
             ObjectId::Switch(switch) => std::slice::from_ref(switch),
-            other => self.object_switches.slice(other),
+            other => self.indexes().object_switches.slice(other),
         }
     }
 
@@ -460,20 +544,18 @@ impl PolicyBuilder {
     /// Validates the accumulated objects and produces the immutable universe,
     /// moving the objects into it.
     ///
-    /// The build is a few linear passes. Each kind is validated in turn —
+    /// Validation is a few linear passes. Each kind is validated in turn —
     /// tenants, VRFs, switches, filters, contracts, EPGs, endpoints, then
     /// bindings — into its sorted table ([`PolicyUniverse`] describes the
-    /// layout), and every reference is resolved once to a position in the
-    /// table it points into. Ids that arrive strictly ascending, as every
-    /// encoder and generator emits them, are checked in one pass and moved in
-    /// without a sort; other input is stable-sorted first. Then every VRF,
-    /// EPG, contract, filter and switch is numbered in [`ObjectId`] order,
-    /// each pair closure is computed as sorted object positions, and the
-    /// switch- and object-keyed indexes are grouped by stable counting sorts
-    /// over those positions, O(entries + objects). Object → switches merges
-    /// each object's pairs' member EPGs' hosts through reusable mark vectors,
-    /// so its scratch memory is O(EPGs + switches) however many pairs share
-    /// the same switches.
+    /// layout), and every reference is looked up once in the table it points
+    /// into. Ids that arrive strictly ascending, as every encoder and
+    /// generator emits them, are checked in one pass and moved in without a
+    /// sort; other input is stable-sorted first.
+    ///
+    /// The dependency indexes are not built here but on first use, so a
+    /// universe that replaces another can derive them from it instead
+    /// ([`PolicyUniverse::index_from`]). Once validation has passed, that
+    /// build cannot fail.
     ///
     /// # Errors
     ///
@@ -513,99 +595,82 @@ impl PolicyBuilder {
             },
             |id| duplicate(ObjectId::Filter(id)),
         )?;
-        // A contract resolves to the end of its run of filter positions.
-        let mut filter_slots = Vec::new();
-        let (contracts, filter_ends) = ObjectTable::validate(
+        let (contracts, _) = ObjectTable::validate(
             self.contracts,
             |c| c.id,
             |c| {
                 if c.filters.is_empty() {
                     return Err(PolicyError::EmptyContract { contract: c.id });
                 }
-                for &filter in &c.filters {
-                    let position = filters
-                        .position(&filter)
-                        .ok_or(PolicyError::UnknownFilter {
-                            contract: c.id,
-                            filter,
-                        })?;
-                    filter_slots.push(slot(position));
+                match c.filters.iter().find(|f| !filters.contains(f)) {
+                    Some(&filter) => Err(PolicyError::UnknownFilter {
+                        contract: c.id,
+                        filter,
+                    }),
+                    None => Ok(()),
                 }
-                Ok(filter_slots.len())
             },
             |id| duplicate(ObjectId::Contract(id)),
         )?;
-        let contract_filters =
-            DenseIndex::from_runs([0].into_iter().chain(filter_ends).collect(), filter_slots);
-        let (epgs, epg_vrfs) = ObjectTable::validate(
+        let (epgs, _) = ObjectTable::validate(
             self.epgs,
             |e| e.id,
-            |e| {
-                let vrf = vrfs.position(&e.vrf);
-                vrf.map(slot).ok_or(PolicyError::UnknownVrf {
+            |e| match vrfs.contains(&e.vrf) {
+                true => Ok(()),
+                false => Err(PolicyError::UnknownVrf {
                     epg: e.id,
                     vrf: e.vrf,
-                })
+                }),
             },
             |id| duplicate(ObjectId::Epg(id)),
         )?;
-        let (endpoints, endpoint_slots) = ObjectTable::validate(
+        let (endpoints, _) = ObjectTable::validate(
             self.endpoints,
             |ep| ep.id,
             |ep| {
-                let epg = epgs.position(&ep.epg).ok_or(PolicyError::UnknownEpg {
-                    endpoint: ep.id,
-                    epg: ep.epg,
-                })?;
-                let switch = switches
-                    .position(&ep.switch)
-                    .ok_or(PolicyError::UnknownSwitch {
+                if !epgs.contains(&ep.epg) {
+                    return Err(PolicyError::UnknownEpg {
+                        endpoint: ep.id,
+                        epg: ep.epg,
+                    });
+                }
+                if !switches.contains(&ep.switch) {
+                    return Err(PolicyError::UnknownSwitch {
                         endpoint: ep.id,
                         switch: ep.switch,
-                    })?;
-                Ok((slot(epg), slot(switch)))
+                    });
+                }
+                Ok(())
             },
             |endpoint| PolicyError::DuplicateEndpoint { endpoint },
         )?;
-        // Bindings are checked in input order and resolved to their
-        // consumer, provider and contract positions, which follow them
-        // through the sort.
-        let mut binding_slots = self
-            .bindings
-            .iter()
-            .map(|b| {
-                let contract =
-                    contracts
-                        .position(&b.contract)
-                        .ok_or(PolicyError::UnknownContract {
-                            contract: b.contract,
-                        })?;
-                let epg = |epg| {
-                    epgs.position(&epg).ok_or(PolicyError::UnknownBindingEpg {
-                        contract: b.contract,
-                        epg,
-                    })
-                };
-                let (consumer, provider) = (epg(b.consumer)?, epg(b.provider)?);
-                if epg_vrfs[consumer] != epg_vrfs[provider] {
-                    return Err(PolicyError::CrossVrfBinding {
-                        contract: b.contract,
-                        consumer: b.consumer,
-                        provider: b.provider,
-                    });
-                }
-                Ok([slot(consumer), slot(provider), slot(contract)])
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        // Bindings are checked in input order.
+        for b in &self.bindings {
+            if !contracts.contains(&b.contract) {
+                return Err(PolicyError::UnknownContract {
+                    contract: b.contract,
+                });
+            }
+            let epg = |epg| {
+                epgs.get(&epg).ok_or(PolicyError::UnknownBindingEpg {
+                    contract: b.contract,
+                    epg,
+                })
+            };
+            if epg(b.consumer)?.vrf != epg(b.provider)?.vrf {
+                return Err(PolicyError::CrossVrfBinding {
+                    contract: b.contract,
+                    consumer: b.consumer,
+                    provider: b.provider,
+                });
+            }
+        }
         let mut bindings = self.bindings;
         if !bindings.windows(2).all(|w| w[0] < w[1]) {
-            let mut tagged: Vec<_> = bindings.into_iter().zip(binding_slots).collect();
-            tagged.sort_unstable_by_key(|&(binding, _)| binding);
-            tagged.dedup_by_key(|&mut (binding, _)| binding);
-            (bindings, binding_slots) = tagged.into_iter().unzip();
+            bindings.sort_unstable();
+            bindings.dedup();
         }
-
-        let mut universe = PolicyUniverse {
+        Ok(PolicyUniverse {
             tenants,
             vrfs,
             epgs,
@@ -614,20 +679,8 @@ impl PolicyBuilder {
             contracts,
             filters,
             bindings,
-            pair_bindings: FlatIndex::default(),
-            epg_hosts: FlatIndex::default(),
-            switch_epgs: FlatIndex::default(),
-            pair_objects: FlatIndex::default(),
-            object_pairs: FlatIndex::default(),
-            object_switches: FlatIndex::default(),
-        };
-        universe.index(Slots {
-            epg_vrfs,
-            endpoints: endpoint_slots,
-            contract_filters,
-            bindings: binding_slots,
-        });
-        Ok(universe)
+            indexes: OnceLock::new(),
+        })
     }
 }
 
@@ -660,38 +713,143 @@ extend_builder!(
     ContractBinding => bindings,
 );
 
-/// The table positions a build resolved the universe's references to, each
-/// list in the order of the table or list it describes.
-struct Slots {
-    /// The VRF of each EPG.
-    epg_vrfs: Vec<u32>,
-    /// The EPG and the switch of each endpoint.
-    endpoints: Vec<(u32, u32)>,
-    /// The filters of each contract.
-    contract_filters: DenseIndex,
-    /// The consumer EPG, provider EPG and contract of each binding.
-    bindings: Vec<[u32; 3]>,
-}
-
 /// A table position as a `u32`, the width the build's scratch indexes use.
 fn slot(position: usize) -> u32 {
     u32::try_from(position).expect("a universe holds fewer than 2^32 objects")
 }
 
+/// The position of a reference, which validation found in its table.
+fn resolved(position: Option<usize>) -> u32 {
+    slot(position.expect("a validated universe's references resolve"))
+}
+
+// ----------------------------------------------------------------------
+// Dependency indexes: built in full on first use, or patched from the
+// universe this one replaces.
+// ----------------------------------------------------------------------
+
 impl PolicyUniverse {
-    /// Builds every dependency index from the validated tables and the
-    /// positions their references resolved to.
+    /// The dependency indexes, built from the tables on first use.
+    fn indexes(&self) -> &Indexes {
+        self.indexes.get_or_init(|| self.build_indexes())
+    }
+
+    /// Builds the dependency indexes from the tables now, unless they exist:
+    /// for a universe every index of which is about to be read anyway, such
+    /// as a generated one about to be deployed.
+    pub fn ensure_indexed(&self) {
+        self.indexes();
+    }
+
+    /// How the dependency indexes were derived, or `None` while no query has
+    /// built them yet.
+    pub fn index_work(&self) -> Option<IndexWork> {
+        self.indexes.get().map(|indexes| indexes.work)
+    }
+
+    /// Derives this universe's dependency indexes from `base`'s, the
+    /// universe it replaces, re-deriving only the runs their difference
+    /// touches; `base`'s are built first if they are not yet. Has no effect
+    /// once this universe's indexes exist.
     ///
-    /// Objects are numbered in [`ObjectId`] order — VRFs, EPGs, contracts,
-    /// filters, switches — so a sorted run of positions maps to a sorted run
-    /// of objects. Each scratch index is dropped as soon as it is grouped.
-    fn index(&mut self, slots: Slots) {
-        let Slots {
-            epg_vrfs,
-            endpoints,
-            contract_filters,
-            bindings,
-        } = slots;
+    /// One walk of both universes' sorted tables names what differs: the
+    /// contracts whose filter lists differ, the EPGs whose VRF differs, the
+    /// bindings one side lacks (the others are renumbered), every object
+    /// one side lacks, and, when an endpoint came, went or moved, the EPGs
+    /// whose hosting switches differ. The dirty pairs are those whose
+    /// bindings, closure or member hosts changed: their closures are
+    /// re-derived, and so is object → pairs for every object a dirty pair
+    /// names in either universe, switches included. Object → switches is
+    /// re-derived for those of them whose pairs changed, and for the objects
+    /// of a pair whose member hosts changed. Every other run is copied from
+    /// `base`, and the endpoint views are rebuilt whole only when an
+    /// endpoint came, went or moved. The result is bit-identical to the full
+    /// build for any `base`, related or not; [`index_work`](Self::index_work)
+    /// reports what it re-derived.
+    pub fn index_from(&self, base: &PolicyUniverse) {
+        if self.indexes.get().is_some() {
+            return;
+        }
+        let old = base.indexes();
+        // A racing first query leaves indexes equal to these in the cell.
+        let _ = self.indexes.set(self.patch(base, old));
+    }
+
+    /// Compares this universe's dependency indexes with `other`'s, index by
+    /// index, building either's if needed, and names the first that
+    /// differs — the oracle of [`index_from`](Self::index_from), which must
+    /// match the full build of the same tables bit for bit.
+    pub fn index_difference(&self, other: &PolicyUniverse) -> Option<&'static str> {
+        let (a, b) = (self.indexes(), other.indexes());
+        [
+            ("pair → bindings", a.pair_bindings == b.pair_bindings),
+            ("EPG → hosts", a.epg_hosts == b.epg_hosts),
+            ("switch → EPGs", a.switch_epgs == b.switch_epgs),
+            ("pair → closure", a.pair_objects == b.pair_objects),
+            ("object → pairs", a.object_pairs == b.object_pairs),
+            ("object → switches", a.object_switches == b.object_switches),
+        ]
+        .into_iter()
+        .find_map(|(index, same)| (!same).then_some(index))
+    }
+
+    /// The endpoint views: EPG position → hosting switch positions, and
+    /// switch → EPGs.
+    ///
+    /// Each endpoint resolves to its EPG and switch positions, grouped by
+    /// EPG, regrouped by switch (each run now ascends by EPG), regrouped by
+    /// EPG (each run now ascends by switch).
+    fn endpoint_views(&self) -> (DenseIndex, FlatIndex<SwitchId, EpgId>) {
+        let (epg_ids, switch_ids) = (self.epgs.ids(), self.switches.ids());
+        let endpoints = self.endpoints.items().iter().map(|ep| {
+            let epg = resolved(self.epgs.position(&ep.epg));
+            (epg, resolved(self.switches.position(&ep.switch)))
+        });
+        let by_epg = DenseIndex::group(epg_ids.len(), endpoints);
+        let mut switch_epgs =
+            DenseIndex::group(switch_ids.len(), by_epg.entries().map(|(e, s)| (s, e)));
+        drop(by_epg);
+        switch_epgs.dedup();
+        let epg_hosts =
+            DenseIndex::group(epg_ids.len(), switch_epgs.entries().map(|(s, e)| (e, s)));
+        let switch_epgs = switch_epgs.to_flat(|s| switch_ids[s], |e| epg_ids[e as usize]);
+        (epg_hosts, switch_epgs)
+    }
+
+    /// Builds every dependency index from the validated tables.
+    ///
+    /// Every reference is resolved to a table position, and the VRFs, EPGs,
+    /// contracts, filters and switches are numbered in [`ObjectId`] order,
+    /// so a sorted run of positions maps to a sorted run of objects. Each
+    /// pair closure is computed as sorted object positions, and the switch-
+    /// and object-keyed indexes are grouped by stable counting sorts over
+    /// those positions, O(entries + objects). Object → switches merges each
+    /// object's pairs' member EPGs' hosts through reusable mark vectors, so
+    /// its scratch memory is O(EPGs + switches) however many pairs share the
+    /// same switches. Each scratch index is dropped as soon as it is grouped.
+    fn build_indexes(&self) -> Indexes {
+        // Every reference as the position of its target: each EPG's VRF,
+        // each contract's filters, each binding's consumer, provider and
+        // contract.
+        let epg_vrfs: Vec<u32> = (self.epgs.items().iter())
+            .map(|e| resolved(self.vrfs.position(&e.vrf)))
+            .collect();
+        let mut filter_ends = Vec::with_capacity(self.contracts.len() + 1);
+        filter_ends.push(0);
+        let mut filter_slots = Vec::new();
+        for contract in self.contracts.items() {
+            let filters = contract.filters.iter();
+            filter_slots.extend(filters.map(|f| resolved(self.filters.position(f))));
+            filter_ends.push(filter_slots.len());
+        }
+        let contract_filters = DenseIndex::from_runs(filter_ends, filter_slots);
+        let epg = |id| resolved(self.epgs.position(&id));
+        let bindings: Vec<[u32; 3]> = (self.bindings.iter())
+            .map(|b| {
+                let contract = resolved(self.contracts.position(&b.contract));
+                [epg(b.consumer), epg(b.provider), contract]
+            })
+            .collect();
         let objects = self.all_objects();
         // Positions, and so the bases below, fit in a u32 once the total does.
         slot(objects.len());
@@ -700,38 +858,26 @@ impl PolicyUniverse {
         let filter_base = contract_base + slot(self.contracts.len());
         let switch_base = filter_base + slot(self.filters.len());
         let (epg_ids, switch_ids) = (self.epgs.ids(), self.switches.ids());
-
-        // Endpoint views: grouped by EPG, regrouped by switch (each run now
-        // ascends by EPG), regrouped by EPG (each run now ascends by switch).
-        let by_epg = DenseIndex::group(epg_ids.len(), endpoints.iter().copied());
-        drop(endpoints);
-        let mut switch_epgs =
-            DenseIndex::group(switch_ids.len(), by_epg.entries().map(|(e, s)| (s, e)));
-        drop(by_epg);
-        switch_epgs.dedup();
-        let epg_hosts =
-            DenseIndex::group(epg_ids.len(), switch_epgs.entries().map(|(s, e)| (e, s)));
-        self.switch_epgs = switch_epgs.to_flat(|s| switch_ids[s], |e| epg_ids[e as usize]);
-        drop(switch_epgs);
+        let (epg_hosts, switch_epgs) = self.endpoint_views();
 
         // Pair pass: each bound pair's closure as sorted object positions,
         // and the entries of the object-keyed index — the closure's objects
         // and the switches hosting either member — in pair order.
-        self.pair_bindings = FlatIndex::from_entries(
+        let pair_bindings = FlatIndex::from_entries(
             self.bindings
                 .iter()
                 .enumerate()
                 .map(|(i, b)| (EpgPair::new(b.consumer, b.provider), i))
                 .collect(),
         );
-        let pairs = self.pair_bindings.keys();
+        let pairs = pair_bindings.keys();
         // Sized for a typical closure — a VRF, two EPGs, a contract and a
         // filter — so a large universe's pass does not regrow it.
-        self.pair_objects = FlatIndex::with_capacity(pairs.len(), 5 * pairs.len());
+        let mut pair_objects = FlatIndex::with_capacity(pairs.len(), 5 * pairs.len());
         let mut entries = Vec::new();
         let mut members = Vec::with_capacity(pairs.len());
         let mut closure = Vec::new();
-        for (p, (pair, idxs)) in self.pair_bindings.iter().enumerate() {
+        for (p, (pair, idxs)) in pair_bindings.iter().enumerate() {
             let p = slot(p);
             let [consumer, provider, _] = bindings[idxs[0]];
             let (a, b) = (consumer.min(provider), consumer.max(provider));
@@ -746,27 +892,240 @@ impl PolicyUniverse {
             }
             closure.sort_unstable();
             closure.dedup();
-            self.pair_objects
-                .push(pair, closure.iter().map(|&o| objects[o as usize]));
+            pair_objects.push(pair, closure.iter().map(|&o| objects[o as usize]));
             entries.extend(closure.iter().map(|&o| (o, p)));
             let hosts = [epg_hosts.run(a as usize), epg_hosts.run(b as usize)];
             merge_union(hosts, |s| entries.push((switch_base + s, p)));
             members.push([a, b]);
         }
-        self.pair_objects.shrink();
+        pair_objects.shrink();
         let object_pairs = DenseIndex::group(objects.len(), entries.iter().copied());
         drop(entries);
-        self.object_switches = object_switch_index(
+        let object_switches = object_switch_index(
             &object_pairs,
             &objects[..switch_base as usize],
             &members,
             &epg_hosts,
             switch_ids,
         );
-        self.epg_hosts = epg_hosts.to_flat(|e| epg_ids[e], |s| switch_ids[s as usize]);
-        drop(epg_hosts);
-        self.object_pairs = object_pairs.to_flat(|o| objects[o], |p| pairs[p as usize]);
+        let object_pairs = object_pairs.to_flat(|o| objects[o], |p| pairs[p as usize]);
+        Indexes {
+            epg_hosts: epg_hosts.to_flat(|e| epg_ids[e], |s| switch_ids[s as usize]),
+            switch_epgs,
+            pair_objects,
+            object_pairs,
+            object_switches,
+            pair_bindings,
+            work: IndexWork::Full,
+        }
     }
+
+    /// This universe's indexes, derived from `old`, the indexes of `base`
+    /// (see [`index_from`](Self::index_from)).
+    fn patch(&self, base: &PolicyUniverse, old: &Indexes) -> Indexes {
+        // The endpoint views are a function of each endpoint's EPG and
+        // switch alone.
+        let links = |ep: &Endpoint| (ep.id, ep.epg, ep.switch);
+        let endpoints_kept = self.endpoints.len() == base.endpoints.len()
+            && (self.endpoints.items().iter().map(links)).eq(base
+                .endpoints
+                .items()
+                .iter()
+                .map(links));
+        let (epg_hosts, switch_epgs, moved) = if endpoints_kept {
+            (old.epg_hosts.clone(), old.switch_epgs.clone(), Vec::new())
+        } else {
+            let (epg_hosts, switch_epgs) = self.endpoint_views();
+            let (epg_ids, switch_ids) = (self.epgs.ids(), self.switches.ids());
+            let epg_hosts = epg_hosts.to_flat(|e| epg_ids[e], |s| switch_ids[s as usize]);
+            let moved = old.epg_hosts.changed_keys(&epg_hosts);
+            (epg_hosts, switch_epgs, moved)
+        };
+
+        // Dirty pairs: those of a binding one side lacks, of a contract
+        // whose filter list differs, and of an EPG whose VRF or hosts
+        // differ. A pair only the new side holds has a binding the old side
+        // lacks.
+        let (pair_bindings, mut dirty) = if self.bindings == base.bindings {
+            (old.pair_bindings.clone(), Vec::new())
+        } else {
+            self.patch_pair_bindings(base, &old.pair_bindings)
+        };
+        let contracts = base.contracts.changed_ids(&self.contracts, |c| &c.filters);
+        let vrf_moves = base.epgs.changed_ids(&self.epgs, |e| &e.vrf);
+        let named = (contracts.into_iter().map(ObjectId::Contract))
+            .chain(vrf_moves.into_iter().map(ObjectId::Epg));
+        for object in named {
+            dirty.extend(old.object_pairs.slice(&object));
+        }
+        let mut moved_pairs = Vec::new();
+        for epg in moved {
+            moved_pairs.extend(old.object_pairs.slice(&ObjectId::Epg(epg)));
+        }
+        dirty.extend(&moved_pairs);
+        dirty.sort_unstable();
+        dirty.dedup();
+
+        let mut closures = 0;
+        let pair_objects = old.pair_objects.patched(&dirty, |pair, _, closure| {
+            if let Some(idxs) = pair_bindings.get(&pair) {
+                self.closure(pair, idxs, closure);
+                closures += 1;
+            }
+        });
+
+        // Every object a dirty pair names in either universe, and the
+        // (object, pair) entries of the dirty pairs the new side holds.
+        let mut objects = Vec::new();
+        let mut fresh = Vec::new();
+        for &pair in &dirty {
+            objects.extend(old.pair_objects.slice(&pair));
+            objects.extend(pair_hosts(&old.epg_hosts, pair).map(ObjectId::Switch));
+            if let Some(closure) = pair_objects.get(&pair) {
+                fresh.extend(closure.iter().map(|&object| (object, pair)));
+                let hosts = pair_hosts(&epg_hosts, pair);
+                fresh.extend(hosts.map(|s| (ObjectId::Switch(s), pair)));
+            }
+        }
+        fresh.sort_unstable();
+        fresh.dedup();
+        objects.extend(fresh.iter().map(|&(object, _)| object));
+        objects.sort_unstable();
+        objects.dedup();
+
+        // An object's switches can change only with its pairs, or with the
+        // hosts of a pair it keeps. Switch objects are not stored there.
+        let mut rehosted = Vec::new();
+        for pair in moved_pairs {
+            rehosted.extend(pair_objects.slice(&pair));
+        }
+        let mut next = 0;
+        let object_pairs = old.object_pairs.patched(&objects, |object, was, pairs| {
+            pairs.extend(was.iter().filter(|p| dirty.binary_search(p).is_err()));
+            let start = next;
+            while fresh.get(next).is_some_and(|&(o, _)| o == object) {
+                next += 1;
+            }
+            pairs.extend(fresh[start..next].iter().map(|&(_, pair)| pair));
+            pairs.sort_unstable();
+            if pairs[..] != *was && !object.is_switch() {
+                rehosted.push(object);
+            }
+        });
+        rehosted.sort_unstable();
+        rehosted.dedup();
+        let mut epgs = Vec::new();
+        let object_switches = old
+            .object_switches
+            .patched(&rehosted, |object, _, switches| {
+                epgs.clear();
+                epgs.extend(object_pairs.slice(&object).iter().flat_map(|p| [p.a, p.b]));
+                epgs.sort_unstable();
+                epgs.dedup();
+                switches.extend(epgs.iter().flat_map(|epg| epg_hosts.slice(epg)));
+                switches.sort_unstable();
+                switches.dedup();
+            });
+        Indexes {
+            pair_bindings,
+            epg_hosts,
+            switch_epgs,
+            pair_objects,
+            object_pairs,
+            object_switches,
+            work: IndexWork::Patched {
+                closures,
+                objects: objects.len(),
+                endpoint_views: !endpoints_kept,
+            },
+        }
+    }
+
+    /// Pair → bindings derived from `old`, `base`'s: one walk of both sorted
+    /// binding lists renumbers the bindings both hold. Also returns the
+    /// pairs of the bindings one side lacks, the runs re-derived.
+    fn patch_pair_bindings(
+        &self,
+        base: &PolicyUniverse,
+        old: &FlatIndex<EpgPair, usize>,
+    ) -> (FlatIndex<EpgPair, usize>, Vec<EpgPair>) {
+        const GONE: usize = usize::MAX;
+        let pair = |b: &ContractBinding| EpgPair::new(b.consumer, b.provider);
+        let (was, is) = (&base.bindings, &self.bindings);
+        let mut renumber = vec![GONE; was.len()];
+        let (mut added, mut dirty) = (Vec::new(), Vec::new());
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let order = match (was.get(i), is.get(j)) {
+                (Some(x), Some(y)) => x.cmp(y),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => break,
+            };
+            match order {
+                Ordering::Equal => {
+                    renumber[i] = j;
+                    (i, j) = (i + 1, j + 1);
+                }
+                Ordering::Less => {
+                    dirty.push(pair(&was[i]));
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    dirty.push(pair(&is[j]));
+                    added.push((pair(&is[j]), j));
+                    j += 1;
+                }
+            }
+        }
+        added.sort_unstable();
+        dirty.sort_unstable();
+        dirty.dedup();
+        let mut renumbered = old.clone();
+        renumbered.map_values(|i| renumber[i]);
+        let mut next = 0;
+        let index = renumbered.patched(&dirty, |pair, kept, idxs| {
+            idxs.extend(kept.iter().copied().filter(|&i| i != GONE));
+            let start = next;
+            while added.get(next).is_some_and(|&(p, _)| p == pair) {
+                next += 1;
+            }
+            idxs.extend(added[start..next].iter().map(|&(_, j)| j));
+            idxs.sort_unstable();
+        });
+        (index, dirty)
+    }
+
+    /// Appends the dependency closure of `pair`, bound by the bindings at
+    /// `idxs`, to `closure`, ascending: the VRF, both EPGs, each binding's
+    /// contract and its filters.
+    fn closure(&self, pair: EpgPair, idxs: &[usize], closure: &mut Vec<ObjectId>) {
+        let vrf = self.epgs.get(&pair.a).expect("bound EPGs exist").vrf;
+        closure.extend([
+            ObjectId::Vrf(vrf),
+            ObjectId::Epg(pair.a),
+            ObjectId::Epg(pair.b),
+        ]);
+        for &i in idxs {
+            let contract = self.bindings[i].contract;
+            closure.push(ObjectId::Contract(contract));
+            let filters = &self.contracts.get(&contract).expect("bound").filters;
+            closure.extend(filters.iter().map(|&f| ObjectId::Filter(f)));
+        }
+        closure.sort_unstable();
+        closure.dedup();
+    }
+}
+
+/// The switches hosting either member of `pair`, a switch hosting both
+/// twice.
+fn pair_hosts(
+    epg_hosts: &FlatIndex<EpgId, SwitchId>,
+    pair: EpgPair,
+) -> impl Iterator<Item = SwitchId> + '_ {
+    (epg_hosts.slice(&pair.a).iter())
+        .chain(epg_hosts.slice(&pair.b))
+        .copied()
 }
 
 /// Calls `emit` with every value of the two ascending runs once, in order.

@@ -253,9 +253,11 @@ impl ClusterSpec {
             }
         }
 
-        builder
-            .build()
-            .expect("generated cluster policy must be internally consistent")
+        let universe =
+            (builder.build()).expect("generated cluster policy must be internally consistent");
+        // A generated universe is deployed, which queries all of it.
+        universe.ensure_indexed();
+        universe
     }
 }
 

@@ -145,9 +145,11 @@ impl TestbedSpec {
             }
         }
 
-        builder
-            .build()
-            .expect("generated testbed policy must be internally consistent")
+        let universe =
+            (builder.build()).expect("generated testbed policy must be internally consistent");
+        // A generated universe is deployed, which queries all of it.
+        universe.ensure_indexed();
+        universe
     }
 }
 

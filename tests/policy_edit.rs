@@ -17,8 +17,11 @@
 //!   binding added or removed, a switch replaced by another in one update, a
 //!   switch without endpoints, and an endpoint moved to another switch.
 //! * At every step of both, the new universe's dependency queries equal
-//!   those of a copy built afresh from its objects, and the view and the
-//!   session receive the batch over the wire, as a server tenant does.
+//!   those of a copy built afresh from its objects, a copy whose indexes are
+//!   patched from the previous universe's (`index_from`) equals the full
+//!   build index by index, and the view and the session receive the batch
+//!   over the wire, as a server tenant does. `index_from` also equals the
+//!   full build from unrelated bases.
 //! * `diff_universes`, one walk of the sorted tables, must return the
 //!   change-log entries of the whole-universe `BTreeSet` formulation it
 //!   replaced, in the same order.
@@ -29,7 +32,9 @@
 //! * Host-independent work bound, in the count style of `tests/incremental.rs`:
 //!   a one-filter edit of a single-switch contract on a 200-switch fabric
 //!   compiles rules for that switch alone, dirties exactly that switch and
-//!   touches at most its pairs' elements.
+//!   touches at most its pairs' elements; on a 1000-switch fabric a session
+//!   patches the decoded universe's indexes, re-deriving the closures of the
+//!   edited contract's pairs alone.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -47,8 +52,8 @@ use scout::fabric::{
 };
 use scout::policy::{
     sample, Contract, ContractBinding, Endpoint, EndpointId, Epg, EpgId, EpgPair, Filter,
-    FilterEntry, FilterId, LogicalRule, ObjectId, PolicyUniverse, PortRange, Protocol, Switch,
-    SwitchEpgPair, SwitchId, Tenant, Vrf, VrfId,
+    FilterEntry, FilterId, IndexWork, LogicalRule, ObjectId, PolicyUniverse, PortRange, Protocol,
+    Switch, SwitchEpgPair, SwitchId, Tenant, Vrf, VrfId,
 };
 use scout::workload::{
     add_filter_to_contract, next_filter_id, random_policy_edit, remove_filter_from_contract,
@@ -289,10 +294,56 @@ fn assert_same_queries(label: &str, u: &PolicyUniverse, reference: &PolicyUniver
 }
 
 /// Every dependency query of `new`, the universe an edit of `old` produced,
-/// equals the same query on a copy built afresh from its objects.
-fn assert_indexes_match_a_fresh_build(label: &str, _old: &PolicyUniverse, new: &PolicyUniverse) {
+/// equals the same query on a copy built afresh from its objects; and a copy
+/// whose indexes are patched from `old`'s equals that full build, index by
+/// index.
+fn assert_indexes_match_a_fresh_build(label: &str, old: &PolicyUniverse, new: &PolicyUniverse) {
     let fresh = remodel(new, |_| {});
     assert_same_queries(label, new, &fresh);
+    let patched = remodel(new, |_| {});
+    patched.index_from(old);
+    assert!(
+        matches!(patched.index_work(), Some(IndexWork::Patched { .. })),
+        "{label}: index_from patches"
+    );
+    assert_eq!(
+        patched.index_difference(&fresh),
+        None,
+        "{label}: index_from(previous) != the full build"
+    );
+    assert_eq!(fresh.index_work(), Some(IndexWork::Full), "{label}");
+    assert_same_queries(label, &patched, &fresh);
+}
+
+/// `index_from` equals the full build whatever the base: the universe
+/// itself, an unrelated universe, an empty one, and the other way round.
+#[test]
+fn index_from_an_unrelated_base_equals_the_full_build() {
+    let empty = PolicyUniverse::builder()
+        .build()
+        .expect("an empty universe");
+    let universes = [
+        ("three_tier", sample::three_tier()),
+        ("testbed", TestbedSpec::paper().generate(3)),
+        ("large_fabric_50", ScaleSpec::large_fabric(50).generate(5)),
+        ("cluster", ClusterSpec::small().generate(9)),
+        ("empty", empty),
+    ];
+    for (name, universe) in &universes {
+        for (base_name, base) in &universes {
+            let label = format!("{name} from {base_name}");
+            let patched = remodel(universe, |_| {});
+            patched.index_from(base);
+            assert_eq!(patched.index_difference(universe), None, "{label}");
+            assert_same_queries(&label, &patched, universe);
+            // Built indexes stay as they are.
+            patched.index_from(&sample::three_tier());
+            assert!(
+                matches!(patched.index_work(), Some(IndexWork::Patched { .. })),
+                "{label}"
+            );
+        }
+    }
 }
 
 /// The mirrors every edit is also applied to: a deployed fabric stepped
@@ -515,7 +566,8 @@ const OBJECT_CHANGES: [(&str, Edit); 7] = [
                 let i = filters.binary_search_by_key(&id, |f| f.id).expect("known");
                 &filters[i].entries
             };
-            let held: Vec<&Vec<FilterEntry>> = contract.filters.iter().map(|&f| entries(f)).collect();
+            let held: Vec<&Vec<FilterEntry>> =
+                contract.filters.iter().map(|&f| entries(f)).collect();
             let fresh: Vec<FilterId> = (filters.iter())
                 .filter(|f| !held.contains(&&f.entries))
                 .map(|f| f.id)
@@ -708,6 +760,63 @@ fn one_filter_edit_costs_its_contract_not_the_fabric() {
     assert!(check.is_consistent());
     let pristine = session.with_augmented_model(&fabric, &check, Clone::clone);
     assert!(pristine == controller_risk_model(fabric.universe()));
+}
+
+/// The index work bound. On `ScaleSpec::large_fabric(1000)`, a session that
+/// receives a one-filter edit over the wire, as a server tenant does, builds
+/// no index from scratch: the decoded universe's indexes are patched from
+/// the ones the session holds, re-deriving the closures of the edited
+/// contract's pairs alone and the runs of the objects those pairs name.
+#[test]
+fn a_one_filter_edit_patches_only_its_contracts_pairs() {
+    let base = ScaleSpec::large_fabric(1000).generate(1);
+    let contract = base.contracts().nth(5000).expect("16 000 contracts").id;
+    let pairs = base
+        .pairs_for_object(ObjectId::Contract(contract))
+        .expect("bound contract")
+        .to_vec();
+    let edited = add_filter_to_contract(&base, contract, next_filter_id(&base), 31_337)
+        .expect("edit applies");
+    let mut named = BTreeSet::new();
+    for &pair in &pairs {
+        named.extend(base.objects_for_pair(pair));
+        named.extend(edited.objects_for_pair(pair));
+        named.extend(
+            base.switches_for_pair(pair)
+                .into_iter()
+                .map(ObjectId::Switch),
+        );
+    }
+
+    let mut fabric = Fabric::new(base);
+    fabric.deploy();
+    let engine = ScoutEngine::new();
+    let mut session = engine.open_session(&fabric);
+    let mut probe = FabricProbe::new(&fabric);
+    assert_eq!(
+        session.view().universe().index_work(),
+        Some(IndexWork::Full)
+    );
+    fabric.update_policy(edited);
+    let batch = EventBatch::new(session.next_epoch(), probe.observe(&fabric));
+    let batch: EventBatch = from_bytes(&to_bytes(&batch)).expect("the batch decodes");
+    session.ingest(batch).expect("faithful batch");
+    assert_eq!(
+        session.view().universe().index_work(),
+        Some(IndexWork::Patched {
+            closures: pairs.len(),
+            objects: named.len(),
+            endpoint_views: false,
+        })
+    );
+    assert_eq!(
+        session
+            .view()
+            .universe()
+            .index_difference(fabric.universe()),
+        None
+    );
+    assert_eq!(*session.full_report(), engine.analyze(&fabric));
 }
 
 // ---------------------------------------------------------------------------

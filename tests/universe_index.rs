@@ -1,7 +1,7 @@
 //! The universe's dependency indexes equal a naive scan of its objects.
 //!
 //! Every dependency query of `PolicyUniverse` is answered from indexes built
-//! once at `PolicyBuilder::build`. This suite re-derives each answer from a
+//! on the universe's first query. This suite re-derives each answer from a
 //! direct scan of the endpoints and bindings — no index involved — and
 //! asserts equality for every switch, bound pair and object, over the
 //! testbed, the production-cluster shape, two scale shapes and a "hub"
@@ -20,12 +20,17 @@
 //! reference's `PolicyError`. Shuffled valid input must build the universe
 //! the ascending input builds.
 //!
-//! Three allocation guards, measured as deterministic byte and allocation
+//! A universe whose indexes are not built yet (a decoded one) equals,
+//! clones, encodes and prints like one whose indexes are.
+//!
+//! Four allocation guards, measured as deterministic byte and allocation
 //! counts by the tracking allocator `scout-fuzz` installs: the full-size hub
 //! (one EPG on 300 switches, 1000 spokes, 40 filters) decodes within 16 MiB
 //! and within the fuzz oracle's `accept_budget`; the 1000-switch scale
-//! universe decodes within 5.9 MiB, and a clone of it holds at most 4.5 MiB,
-//! each in at most 1000 allocations — names and filter lists are inline.
+//! universe decodes within 5.9 MiB, decodes and builds its indexes on its
+//! first query within the same 5.9 MiB, and a clone of it holds at most
+//! 4.5 MiB, each in at most 1000 allocations — names and filter lists are
+//! inline.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -35,8 +40,8 @@ use rand::SeedableRng;
 use scout::fabric::wire::{from_bytes, to_bytes};
 use scout::policy::{
     Contract, ContractBinding, ContractId, Endpoint, EndpointId, Epg, EpgId, EpgPair, Filter,
-    FilterId, FilterList, ObjectId, PolicyError, PolicyUniverse, Switch, SwitchId, Tenant,
-    TenantId, Vrf, VrfId,
+    FilterId, FilterList, IndexWork, ObjectId, PolicyError, PolicyUniverse, Switch, SwitchId,
+    Tenant, TenantId, Vrf, VrfId,
 };
 use scout::workload::{ClusterSpec, ScaleSpec, TestbedSpec};
 use scout_fuzz::alloc;
@@ -468,6 +473,69 @@ fn a_large_fabric_universe_decodes_within_10_mib() {
     assert!(decoded.expect("large_1k decodes") == universe);
     assert!(usage.allocations <= 1000, "large_1k decode: {usage:?}");
     assert!(usage.peak <= 59 * MIB / 10, "large_1k decode: {usage:?}");
+}
+
+/// A decode builds no index: the first query does. Decode plus that first
+/// query stays within the decode's own allocation and byte bounds, so the
+/// deferred build is covered by them too.
+#[test]
+fn a_large_fabric_universe_decodes_and_indexes_within_10_mib() {
+    assert!(
+        alloc::is_installed(),
+        "the tracking allocator must be armed"
+    );
+    let universe = ScaleSpec::large_1k().generate(1);
+    let bytes = to_bytes(&universe);
+    let (decoded, usage) = alloc::measure(|| {
+        let decoded = from_bytes::<PolicyUniverse>(&bytes).expect("large_1k decodes");
+        assert_eq!(decoded.index_work(), None, "a decode builds no index");
+        let switch = decoded.switch_ids()[0];
+        assert!(!decoded.pairs_on_switch(switch).is_empty());
+        decoded
+    });
+    assert_eq!(decoded.index_work(), Some(IndexWork::Full));
+    assert_eq!(decoded.index_difference(&universe), None);
+    assert!(
+        usage.allocations <= 1000,
+        "large_1k decode + index: {usage:?}"
+    );
+    assert!(
+        usage.peak <= 59 * MIB / 10,
+        "large_1k decode + index: {usage:?}"
+    );
+}
+
+/// A universe whose indexes are not built yet equals, clones and encodes
+/// exactly like one whose indexes are built, and a clone keeps what its
+/// original had built.
+#[test]
+fn an_unindexed_universe_equals_clones_and_encodes_like_an_indexed_one() {
+    for (name, built) in universes() {
+        built.ensure_indexed();
+        let bytes = to_bytes(&built);
+        let decoded: PolicyUniverse = from_bytes(&bytes).expect("round trip");
+        assert_eq!(decoded.index_work(), None, "{name}: decoded lazily");
+        assert!(decoded == built, "{name}: equality");
+        let copy = decoded.clone();
+        assert_eq!(
+            copy.index_work(),
+            None,
+            "{name}: a clone of an unindexed universe"
+        );
+        assert!(copy == built, "{name}: clone");
+        assert_eq!(to_bytes(&decoded), bytes, "{name}: encoding");
+        assert_eq!(
+            format!("{decoded:?}"),
+            format!("{built:?}"),
+            "{name}: debug"
+        );
+        assert_eq!(decoded.index_work(), None, "{name}: nothing above queried");
+        assert_eq!(decoded.index_difference(&built), None, "{name}: indexes");
+        assert!(decoded == built, "{name}: equality once built");
+        let copy = decoded.clone();
+        assert_eq!(copy.index_work(), Some(IndexWork::Full), "{name}: clone");
+        assert_eq!(to_bytes(&copy), bytes, "{name}: encoding once built");
+    }
 }
 
 /// A `large_1k` clone copies each table and index in one allocation (97
