@@ -189,8 +189,7 @@ pub(crate) struct ObjectTable<K, T> {
 }
 
 impl<K: Ord + Copy + Into<u32>, T> ObjectTable<K, T> {
-    /// Validates `items` and sorts them into a table, returning beside it
-    /// what `check` resolved for each item, in table order.
+    /// Validates `items` and sorts them into a table.
     ///
     /// The error is the one a per-element insert in input order reports:
     /// that of the first item that fails `check` or repeats an earlier id
@@ -199,29 +198,25 @@ impl<K: Ord + Copy + Into<u32>, T> ObjectTable<K, T> {
     /// in one pass and moved in as is. Other input is stable-sorted by id
     /// first, so a repeated id sorts right after the occurrence it repeats,
     /// and the failing item with the lowest input position wins.
-    pub(crate) fn validate<R>(
+    pub(crate) fn validate(
         items: Vec<T>,
         id: impl Fn(&T) -> K,
-        mut check: impl FnMut(&T) -> Result<R, PolicyError>,
+        check: impl Fn(&T) -> Result<(), PolicyError>,
         duplicate: impl Fn(K) -> PolicyError,
-    ) -> Result<(Self, Vec<R>), PolicyError> {
+    ) -> Result<Self, PolicyError> {
         if items.windows(2).all(|w| id(&w[0]) < id(&w[1])) {
-            let resolved = items.iter().map(check).collect::<Result<_, _>>()?;
+            items.iter().try_for_each(check)?;
             let ids = items.iter().map(&id).collect();
-            return Ok((Self { ids, items }, resolved));
+            return Ok(Self { ids, items });
         }
         let mut tagged: Vec<(usize, T)> = items.into_iter().enumerate().collect();
         tagged.sort_by_key(|(_, item)| id(item));
         let mut first: Option<(usize, PolicyError)> = None;
-        let mut resolved = Vec::with_capacity(tagged.len());
         for (k, (i, item)) in tagged.iter().enumerate() {
             let error = match check(item) {
                 Err(error) => error,
-                Ok(_) if k > 0 && id(&tagged[k - 1].1) == id(item) => duplicate(id(item)),
-                Ok(r) => {
-                    resolved.push(r);
-                    continue;
-                }
+                Ok(()) if k > 0 && id(&tagged[k - 1].1) == id(item) => duplicate(id(item)),
+                Ok(()) => continue,
             };
             if first.as_ref().is_none_or(|(j, _)| i < j) {
                 first = Some((*i, error));
@@ -232,7 +227,7 @@ impl<K: Ord + Copy + Into<u32>, T> ObjectTable<K, T> {
         }
         let items: Vec<T> = tagged.into_iter().map(|(_, item)| item).collect();
         let ids = items.iter().map(&id).collect();
-        Ok((Self { ids, items }, resolved))
+        Ok(Self { ids, items })
     }
 
     /// The position of `id` in the table, if present. Ids that run without
@@ -484,19 +479,19 @@ mod tests {
             1 => Err(PolicyError::DuplicateEndpoint {
                 endpoint: crate::ids::EndpointId::new(id),
             }),
-            _ => Ok(id * 10),
+            _ => Ok(()),
         };
         let validate = |items: Vec<(u32, char)>| {
-            ObjectTable::validate(items, |&(id, _)| id, odd, dup).map(|(t, r)| (t.ids, r))
+            ObjectTable::validate(items, |&(id, _)| id, odd, dup).map(|t| t.items)
         };
         // Ascending input moves in; shuffled input is sorted.
         assert_eq!(
             validate(vec![(2, 'a'), (4, 'b')]),
-            Ok((vec![2, 4], vec![20, 40]))
+            Ok(vec![(2, 'a'), (4, 'b')])
         );
         assert_eq!(
             validate(vec![(4, 'b'), (2, 'a')]),
-            Ok((vec![2, 4], vec![20, 40]))
+            Ok(vec![(2, 'a'), (4, 'b')])
         );
         // The repeat of 4 (input position 2) fails before the odd id at 3.
         let err = validate(vec![(4, 'a'), (2, 'b'), (4, 'c'), (3, 'd')]);

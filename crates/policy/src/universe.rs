@@ -566,25 +566,25 @@ impl PolicyBuilder {
     /// element, in input order, of the first kind above that has one.
     pub fn build(self) -> Result<PolicyUniverse, PolicyError> {
         let duplicate = |object| PolicyError::DuplicateObject { object };
-        let (tenants, _) = ObjectTable::validate(
+        let tenants = ObjectTable::validate(
             self.tenants,
             |t| t.id,
             |_| Ok(()),
             |tenant| PolicyError::DuplicateTenant { tenant },
         )?;
-        let (vrfs, _) = ObjectTable::validate(
+        let vrfs = ObjectTable::validate(
             self.vrfs,
             |v| v.id,
             |_| Ok(()),
             |id| duplicate(ObjectId::Vrf(id)),
         )?;
-        let (switches, _) = ObjectTable::validate(
+        let switches = ObjectTable::validate(
             self.switches,
             |s| s.id,
             |_| Ok(()),
             |id| duplicate(ObjectId::Switch(id)),
         )?;
-        let (filters, _) = ObjectTable::validate(
+        let filters = ObjectTable::validate(
             self.filters,
             |f| f.id,
             |f| {
@@ -595,7 +595,7 @@ impl PolicyBuilder {
             },
             |id| duplicate(ObjectId::Filter(id)),
         )?;
-        let (contracts, _) = ObjectTable::validate(
+        let contracts = ObjectTable::validate(
             self.contracts,
             |c| c.id,
             |c| {
@@ -612,7 +612,7 @@ impl PolicyBuilder {
             },
             |id| duplicate(ObjectId::Contract(id)),
         )?;
-        let (epgs, _) = ObjectTable::validate(
+        let epgs = ObjectTable::validate(
             self.epgs,
             |e| e.id,
             |e| match vrfs.contains(&e.vrf) {
@@ -624,7 +624,7 @@ impl PolicyBuilder {
             },
             |id| duplicate(ObjectId::Epg(id)),
         )?;
-        let (endpoints, _) = ObjectTable::validate(
+        let endpoints = ObjectTable::validate(
             self.endpoints,
             |ep| ep.id,
             |ep| {

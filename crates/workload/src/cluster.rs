@@ -253,8 +253,9 @@ impl ClusterSpec {
             }
         }
 
-        let universe =
-            (builder.build()).expect("generated cluster policy must be internally consistent");
+        let universe = builder
+            .build()
+            .expect("generated cluster policy must be internally consistent");
         // A generated universe is deployed, which queries all of it.
         universe.ensure_indexed();
         universe

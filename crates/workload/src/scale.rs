@@ -150,8 +150,9 @@ impl ScaleSpec {
             }
         }
 
-        let universe =
-            (builder.build()).expect("generated scale policy must be internally consistent");
+        let universe = builder
+            .build()
+            .expect("generated scale policy must be internally consistent");
         // A generated universe is deployed, which queries all of it.
         universe.ensure_indexed();
         universe

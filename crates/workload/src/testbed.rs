@@ -145,8 +145,9 @@ impl TestbedSpec {
             }
         }
 
-        let universe =
-            (builder.build()).expect("generated testbed policy must be internally consistent");
+        let universe = builder
+            .build()
+            .expect("generated testbed policy must be internally consistent");
         // A generated universe is deployed, which queries all of it.
         universe.ensure_indexed();
         universe
