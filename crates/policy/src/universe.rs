@@ -925,13 +925,10 @@ impl PolicyUniverse {
     fn patch(&self, base: &PolicyUniverse, old: &Indexes) -> Indexes {
         // The endpoint views are a function of each endpoint's EPG and
         // switch alone.
-        let links = |ep: &Endpoint| (ep.id, ep.epg, ep.switch);
-        let endpoints_kept = self.endpoints.len() == base.endpoints.len()
-            && (self.endpoints.items().iter().map(links)).eq(base
-                .endpoints
-                .items()
-                .iter()
-                .map(links));
+        fn links(u: &PolicyUniverse) -> impl Iterator<Item = (EpgId, SwitchId)> + '_ {
+            u.endpoints.items().iter().map(|ep| (ep.epg, ep.switch))
+        }
+        let endpoints_kept = links(self).eq(links(base));
         let (epg_hosts, switch_epgs, moved) = if endpoints_kept {
             (old.epg_hosts.clone(), old.switch_epgs.clone(), Vec::new())
         } else {
