@@ -45,8 +45,12 @@
 //!   TCAM rules inside the workers, so a caller that compiles rules on demand
 //!   compiles them in parallel. [`EquivalenceChecker::check_network`] feeds
 //!   it from a whole rule vector grouped by switch once (`O(total rules)`).
-//! * **Parallel checking** — per-switch checks are independent; large
-//!   networks are split across worker threads by [`Parallelism::fan_out`].
+//! * **Parallel checking** — per-switch checks are independent, so they
+//!   are split across worker threads by [`Parallelism::fan_out`], whose
+//!   first range runs on the caller. Under [`Parallelism::Auto`] a check
+//!   decides by rule work, not switch count: it folds switches on the
+//!   caller until `AUTO_INLINE_RULES` (8 192) rules are done and fans out
+//!   only what is left, so a front of small switches spawns nothing.
 //!   Results are deterministic regardless of thread count.
 //! * **Incremental re-checking** — [`EquivalenceChecker::recheck_in_place`]
 //!   updates a previous [`NetworkCheckResult`] where it stands: it checks
@@ -57,8 +61,10 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
+use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::resume_unwind;
+use std::sync::OnceLock;
 use std::thread;
 
 use scout_bdd::{CacheStats, NodeTableKind};
@@ -141,9 +147,34 @@ impl NetworkCheckResult {
     }
 }
 
-/// Fewer items than this run on the calling thread even in auto mode;
-/// spawning a thread would cost more than the items save.
+/// Under [`Parallelism::Auto`], [`Parallelism::fan_out`] runs fewer items
+/// than this on the calling thread. It is the item-count floor for drivers
+/// whose items are whole scenarios or tenants; the checker first applies its
+/// rule grain ([`AUTO_INLINE_RULES`]) and hands this floor only what is left.
 const AUTO_PARALLEL_THRESHOLD: usize = 8;
+
+/// Under [`Parallelism::Auto`], [`EquivalenceChecker::check_each`] folds
+/// switches on the calling thread until it has folded this many rules
+/// (logical plus TCAM), and only then fans the remaining switches out.
+///
+/// It is 0.6–0.95 ms of cold folding. Measured in release on a
+/// 2-vCPU host: a rule folds in about 74 ns cold (115 ns with the
+/// session's per-switch compile inside `sides`); two scoped spawns and their
+/// joins cost about 60 µs. A 50-switch `large_1k` front (3 196 rules)
+/// takes about 195 µs inline. Checked back to back, two threads take it in
+/// 132–715 µs (median 159), but paced as `fabric_1k` sends fronts, each to
+/// idle cores, they lose: the traced front ingest (`session.front_p50_ms`)
+/// is 0.60–0.71 ms inline against 0.97–1.01 ms threaded. So such a front
+/// stays inline, while `paper_cluster`'s switches (about 5 600 logical and
+/// 4 300 TCAM rules each) fan out after the first.
+const AUTO_INLINE_RULES: usize = 8192;
+
+/// The host's available parallelism, read once per process: each read
+/// consults cgroup files (about 15 µs).
+fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
 
 /// The exact-match class of a rule: `(VRF, source EPG, destination EPG)` as
 /// full `u32` ids. Rules of different classes match disjoint traffic, so a
@@ -326,7 +357,13 @@ fn compare(switch: SwitchId, logical: &[LogicalRule], tcam: &[TcamRule]) -> Swit
 /// decided in one place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// Decide from the item count and the machine's available parallelism.
+    /// Decide from the work and the machine's available parallelism (read
+    /// once per process). [`EquivalenceChecker::check_each`] checks
+    /// switches on the caller until it has folded `AUTO_INLINE_RULES`
+    /// (8 192) rules. What is left, like the items of any other
+    /// [`Parallelism::fan_out`], runs on the caller below
+    /// `AUTO_PARALLEL_THRESHOLD` (8) items and on one worker per available
+    /// core from there.
     #[default]
     Auto,
     /// Always run on the calling thread.
@@ -339,8 +376,8 @@ impl Parallelism {
     /// The number of contiguous ranges [`Parallelism::fan_out`] splits
     /// `work_items` independent items into — one worker each.
     ///
-    /// `Auto` consults the machine's available parallelism once the work is
-    /// large enough to amortize spawning threads. Ranges are
+    /// `Auto` consults the machine's available parallelism (read once per
+    /// process) from `AUTO_PARALLEL_THRESHOLD` (8) items on. Ranges are
     /// `ceil(items / threads)` long, so the result can be lower than the
     /// thread count asked for (33 items on 8 threads are seven ranges of at
     /// most 5); it is always in `1..=max(work_items, 1)`.
@@ -357,7 +394,7 @@ impl Parallelism {
                 if items < AUTO_PARALLEL_THRESHOLD {
                     1
                 } else {
-                    thread::available_parallelism().map_or(1, |n| n.get())
+                    host_parallelism()
                 }
             }
         };
@@ -370,10 +407,12 @@ impl Parallelism {
     /// (equally long, the last possibly shorter), and returns the outputs in
     /// range order.
     ///
-    /// `work` receives the worker's index and its range. A single range runs
-    /// on the calling thread without spawning; several run on scoped threads,
-    /// so `work` may borrow from the caller. A panicking worker's panic is
-    /// re-raised on the caller once every worker has finished.
+    /// `work` receives the worker's index and its range. Range 0 always runs
+    /// on the calling thread; each further range runs on a scoped thread of
+    /// its own, spawned before range 0 starts, so `work` may borrow from the
+    /// caller and a single range spawns nothing. A panicking worker's panic,
+    /// range 0's included, is re-raised on the caller once every worker has
+    /// finished.
     #[allow(clippy::disallowed_methods)] // the one `thread::scope` clippy.toml exempts
     pub fn fan_out<T, F>(self, items: usize, work: F) -> Vec<T>
     where
@@ -381,21 +420,23 @@ impl Parallelism {
         F: Fn(usize, Range<usize>) -> T + Sync,
     {
         let (workers, range_len) = self.split(items);
-        if workers == 1 {
-            return vec![work(0, 0..items)];
-        }
+        let range = |worker: usize| worker * range_len..((worker + 1) * range_len).min(items);
+        // A panic of range 0 leaves the closure with the spawned workers
+        // unjoined; `thread::scope` waits for them before re-raising it.
         thread::scope(|scope| {
             let work = &work;
-            let handles: Vec<_> = (0..workers)
+            let spawned: Vec<_> = (1..workers)
                 .map(|worker| {
-                    let range = worker * range_len..((worker + 1) * range_len).min(items);
+                    let range = range(worker);
                     scope.spawn(move || work(worker, range))
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().unwrap_or_else(|panic| resume_unwind(panic)))
-                .collect()
+            let mut outputs = Vec::with_capacity(workers);
+            outputs.push(work(0, range(0)));
+            for handle in spawned {
+                outputs.push(handle.join().unwrap_or_else(|panic| resume_unwind(panic)));
+            }
+            outputs
         })
     }
 }
@@ -512,22 +553,41 @@ impl EquivalenceChecker {
     /// `sides(switch)` yields the switch's logical rules and its TCAM rules.
     /// It runs inside the workers, so a caller that compiles a switch's
     /// rules on demand compiles them in parallel too.
+    ///
+    /// Under [`Parallelism::Auto`] the switches are checked on the calling
+    /// thread until `AUTO_INLINE_RULES` (8 192) rules have been folded,
+    /// counted from `sides` after each switch; only the rest is fanned out,
+    /// so a front of small switches never pays for a spawn.
     pub fn check_each<L, T, F>(&self, switches: &[SwitchId], sides: F) -> Vec<SwitchCheckResult>
     where
         L: AsRef<[LogicalRule]>,
         T: AsRef<[TcamRule]>,
         F: Fn(SwitchId) -> (L, T) + Sync,
     {
-        let results = self.parallelism.fan_out(switches.len(), |_, range| {
-            switches[range]
-                .iter()
-                .map(|&switch| {
-                    let (logical, tcam) = sides(switch);
-                    compare(switch, logical.as_ref(), tcam.as_ref())
-                })
-                .collect::<Vec<_>>()
+        // A switch's result and the number of rules it folded.
+        let check = |switch| {
+            let (logical, tcam) = sides(switch);
+            let (logical, tcam) = (logical.as_ref(), tcam.as_ref());
+            (compare(switch, logical, tcam), logical.len() + tcam.len())
+        };
+        let mut results = Vec::with_capacity(switches.len());
+        if self.parallelism == Parallelism::Auto {
+            let mut folded = 0;
+            for &switch in switches {
+                if folded >= AUTO_INLINE_RULES {
+                    break;
+                }
+                let (result, rules) = check(switch);
+                results.push(result);
+                folded += rules;
+            }
+        }
+        let rest = &switches[results.len()..];
+        let ranges = self.parallelism.fan_out(rest.len(), |_, range| {
+            rest[range].iter().map(|&s| check(s).0).collect::<Vec<_>>()
         });
-        results.into_iter().flatten().collect()
+        results.extend(ranges.into_iter().flatten());
+        results
     }
 
     /// The one re-check algorithm: updates `result` in place after a
@@ -803,6 +863,84 @@ mod tests {
         }
     }
 
+    /// `rules` logical rules on `switch`: copies of `template`, one port
+    /// apart over five source EPGs. An odd switch's TCAM lost every fifth.
+    fn synthetic_switch(
+        template: LogicalRule,
+        switch: SwitchId,
+        rules: usize,
+    ) -> (Vec<LogicalRule>, Vec<TcamRule>) {
+        let logical: Vec<LogicalRule> = (0..rules)
+            .map(|i| {
+                let mut rule = template;
+                rule.switch = switch;
+                rule.rule.matcher.src_epg = EpgId::new((i % 5) as u32);
+                rule.rule.matcher.ports = scout_policy::PortRange::single((i / 5) as u16);
+                rule
+            })
+            .collect();
+        let tcam = (logical.iter().enumerate())
+            .filter(|(i, _)| switch.raw().is_multiple_of(2) || !i.is_multiple_of(5))
+            .map(|(_, l)| l.rule)
+            .collect();
+        (logical, tcam)
+    }
+
+    /// The rule grain of `Auto` only moves work between threads: for every
+    /// policy, `check_each` and `recheck_in_place` return the same results
+    /// in the same order, whether the list is empty, one switch outgrows the
+    /// grain, or the grain is crossed mid-way with switches left to fan out;
+    /// vanished switches are dropped alike.
+    #[test]
+    fn the_auto_rule_grain_changes_no_result() {
+        let template = deployed().logical_rules()[0];
+        let per_switch = AUTO_INLINE_RULES / 32;
+        let lists: [Vec<usize>; 4] = [
+            vec![],
+            vec![AUTO_INLINE_RULES + 1],
+            vec![per_switch; 40],
+            vec![AUTO_INLINE_RULES, 3, 1, 0, 7, 2, 9, 4, 5, 6, 8],
+        ];
+        let vanished: Vec<SwitchId> = (1000..1003).map(SwitchId::new).collect();
+        for sizes in lists {
+            let network: BTreeMap<SwitchId, _> = (sizes.iter().enumerate())
+                .map(|(i, &rules)| {
+                    let switch = SwitchId::new(i as u32);
+                    (switch, synthetic_switch(template, switch, rules))
+                })
+                .collect();
+            let switches: Vec<SwitchId> = network.keys().copied().collect();
+            let sides = |s| (network[&s].0.as_slice(), network[&s].1.as_slice());
+            let mut baseline = NetworkCheckResult::new();
+            for &s in switches.iter().step_by(2).chain(&vanished) {
+                baseline
+                    .per_switch
+                    .insert(s, SwitchCheckResult::consistent(s));
+            }
+            let recheck: BTreeSet<SwitchId> = switches.iter().copied().collect();
+
+            let run = |policy| {
+                let checker = EquivalenceChecker::with_parallelism(policy);
+                let each = checker.check_each(&switches, sides);
+                let mut result = baseline.clone();
+                let touched = checker.recheck_in_place(&mut result, &recheck, &vanished, sides);
+                (each, result, touched)
+            };
+            let sequential = run(Parallelism::Sequential);
+            let order: Vec<SwitchId> = sequential.0.iter().map(|r| r.switch).collect();
+            assert_eq!(order, switches);
+            assert_eq!(sequential.1.per_switch.len(), switches.len());
+            assert_eq!(sequential.2.len(), switches.len() + vanished.len());
+            for policy in [
+                Parallelism::Auto,
+                Parallelism::Fixed(2),
+                Parallelism::Fixed(3),
+            ] {
+                assert_eq!(run(policy), sequential, "{policy:?} over {sizes:?}");
+            }
+        }
+    }
+
     #[test]
     fn recheck_dirty_matches_full_check() {
         let mut fabric = deployed();
@@ -946,20 +1084,41 @@ mod tests {
                 }
                 let covered: Vec<usize> = outputs.iter().flat_map(|o| o.1.clone()).collect();
                 assert_eq!(covered, (0..items).collect::<Vec<_>>(), "{policy:?}");
-                // A single range never leaves the calling thread.
-                if workers == 1 {
-                    assert_eq!(outputs[0].2, caller);
-                }
+                // Range 0 always runs on the calling thread, every other
+                // range on a thread of its own.
+                let threads: std::collections::HashSet<_> = outputs.iter().map(|o| o.2).collect();
+                assert_eq!(outputs[0].2, caller, "{policy:?} over {items}");
+                assert_eq!(threads.len(), workers, "{policy:?} over {items}");
             }
         }
     }
 
+    /// A worker's panic reaches the caller with its own payload, and only
+    /// once every spawned worker has finished: whether it is a spawned
+    /// worker's or worker 0's, which runs on the caller. The other workers
+    /// finish only after the failing one has started to panic.
     #[test]
-    #[should_panic(expected = "worker 2 failed")]
     fn fan_out_propagates_a_worker_panic() {
-        Parallelism::Fixed(4).fan_out(8, |worker, _| {
-            assert!(worker != 2, "worker {worker} failed");
-        });
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        for failing in [2, 0] {
+            let failed = AtomicBool::new(false);
+            let finished = AtomicUsize::new(0);
+            let panic = catch_unwind(AssertUnwindSafe(|| {
+                Parallelism::Fixed(4).fan_out(8, |worker, _| {
+                    failed.fetch_or(worker == failing, Ordering::SeqCst);
+                    assert!(worker != failing, "worker {worker} failed");
+                    while !failed.load(Ordering::SeqCst) {
+                        thread::yield_now();
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                })
+            }))
+            .expect_err("the failing worker's panic is re-raised");
+            let message = panic.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(message, Some(format!("worker {failing} failed").as_str()));
+            assert_eq!(finished.into_inner(), 3, "worker {failing} failed");
+        }
     }
 
     #[test]

@@ -5,11 +5,13 @@
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;
+use std::thread::{self, ThreadId};
 
 use scout::core::ScoutEngine;
 use scout::equiv::{EquivalenceChecker, Parallelism};
 use scout::fabric::{EventBatch, Fabric, FabricEvent, FabricProbe};
-use scout::workload::{ScaleSpec, TestbedSpec};
+use scout::policy::{LogicalRule, SwitchId, TcamRule};
+use scout::workload::{ClusterSpec, ScaleSpec, TestbedSpec};
 
 /// Feeds one observation of `fabric` into `session` as the next epoch.
 fn ingest_observation(
@@ -218,6 +220,67 @@ fn parallel_check_agrees_on_scale_workload() {
             .check_network(logical, &tcam);
         assert_eq!(sequential, parallel, "threads={threads}");
     }
+}
+
+/// The thread of every call `check` made to the `sides` closure it is
+/// handed (which reads `fabric`), in call order.
+fn threads_of_a_check<'a>(
+    fabric: &'a Fabric,
+    check: impl FnOnce(&(dyn Fn(SwitchId) -> (&'a [LogicalRule], Vec<TcamRule>) + Sync)),
+) -> Vec<ThreadId> {
+    let threads = Mutex::new(Vec::new());
+    check(&|s| {
+        threads
+            .lock()
+            .expect("no worker panicked")
+            .push(thread::current().id());
+        (fabric.logical_rules_on(s), fabric.tcam_rules(s))
+    });
+    threads.into_inner().expect("no worker panicked")
+}
+
+/// Under `Parallelism::Auto` a check spawns for rule work, not for switch
+/// count: a 50-switch front of a 1000-switch fabric (about 3 200 rules, as
+/// `fabric_1k` re-checks them) is folded entirely on the caller.
+#[test]
+fn auto_folds_a_fifty_switch_front_on_the_caller() {
+    let mut fabric = Fabric::new(ScaleSpec::large_fabric(1000).generate(7));
+    fabric.deploy();
+    let checker = EquivalenceChecker::new();
+    let mut result = checker.check_network(fabric.logical_rules(), &fabric.collect_tcam());
+    let ids = fabric.universe().switch_ids();
+    let front: BTreeSet<SwitchId> = ids.iter().copied().step_by(20).collect();
+    assert_eq!(front.len(), 50);
+    let threads = threads_of_a_check(&fabric, |sides| {
+        checker.recheck_in_place(&mut result, &front, &[], sides);
+    });
+    assert_eq!(threads.len(), 50);
+    let caller = thread::current().id();
+    assert!(threads.iter().all(|&t| t == caller), "{threads:?}");
+}
+
+/// A cold check of the paper's cluster (30 switches of about 10 000 rules,
+/// logical plus TCAM) outgrows the caller's rule grain, so under
+/// `Parallelism::Auto` it reaches another thread on a host with two cores
+/// or more, and stays on the caller on a host with one.
+#[test]
+fn auto_spreads_a_cold_paper_cluster_check_over_threads() {
+    let mut fabric = Fabric::new(ClusterSpec::paper().generate(1));
+    fabric.deploy();
+    let switches = fabric.universe().switch_ids();
+    let checker = EquivalenceChecker::new();
+    let threads = threads_of_a_check(&fabric, |sides| {
+        checker.check_each(&switches, sides);
+    });
+    assert_eq!(threads.len(), switches.len());
+    let caller = thread::current().id();
+    assert_eq!(threads[0], caller);
+    let cores = thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(
+        threads.iter().any(|&t| t != caller),
+        cores >= 2,
+        "{threads:?}"
+    );
 }
 
 #[test]
