@@ -17,8 +17,9 @@ use crate::error::PolicyError;
 pub(crate) struct FlatIndex<K, V> {
     keys: Vec<K>,
     /// One longer than `keys`: `starts[i]` opens run `i`, `starts[len]` is
-    /// `values.len()`.
-    starts: Vec<usize>,
+    /// `values.len()`. Offsets are `u32`, half the width of `usize`: an
+    /// index holds fewer than 2^32 values.
+    starts: Vec<u32>,
     values: Vec<V>,
 }
 
@@ -55,7 +56,7 @@ impl<K: Ord + Copy, V: Ord + Copy> FlatIndex<K, V> {
         for run in entries.chunk_by(|x, y| x.0 == y.0) {
             index.keys.push(run[0].0);
             index.values.extend(run.iter().map(|&(_, value)| value));
-            index.starts.push(index.values.len());
+            index.starts.push(offset(index.values.len()));
         }
         index.shrink();
         index
@@ -70,7 +71,7 @@ impl<K: Ord + Copy, V: Ord + Copy> FlatIndex<K, V> {
         debug_assert!(self.values[start..].is_sorted_by(|a, b| a < b));
         if self.values.len() > start {
             self.keys.push(key);
-            self.starts.push(self.values.len());
+            self.starts.push(offset(self.values.len()));
         }
     }
 
@@ -103,7 +104,7 @@ impl<K: Ord + Copy, V: Ord + Copy> FlatIndex<K, V> {
 
     /// The values of the `i`-th key.
     pub(crate) fn run(&self, i: usize) -> &[V] {
-        &self.values[self.starts[i]..self.starts[i + 1]]
+        &self.values[self.starts[i] as usize..self.starts[i + 1] as usize]
     }
 
     /// Every key with its values, in key order.
@@ -159,15 +160,47 @@ impl<K: Ord + Copy, V: Ord + Copy> FlatIndex<K, V> {
         index
     }
 
+    /// `tally`, one value per key of `self`, carried over to `next`, this
+    /// index patched at `dirty` (ascending, distinct): every other key keeps
+    /// its value, and each dirty key gets `derive(key, its old value or the
+    /// default)`, called in key order for every dirty key, kept only where
+    /// `next` holds the key. The values between dirty keys are copied in
+    /// bulk.
+    pub(crate) fn carry<T: Copy + Default>(
+        &self,
+        tally: &[T],
+        next: &Self,
+        dirty: &[K],
+        mut derive: impl FnMut(K, T) -> T,
+    ) -> Vec<T> {
+        debug_assert_eq!(tally.len(), self.keys.len());
+        let mut carried = Vec::with_capacity(next.keys.len());
+        let mut from = 0;
+        for &key in dirty {
+            let at = from + self.keys[from..].partition_point(|k| *k < key);
+            carried.extend_from_slice(&tally[from..at]);
+            let held = self.keys.get(at) == Some(&key);
+            let value = derive(key, if held { tally[at] } else { T::default() });
+            if next.position(&key).is_some() {
+                carried.push(value);
+            }
+            from = at + usize::from(held);
+        }
+        carried.extend_from_slice(&tally[from..]);
+        debug_assert_eq!(carried.len(), next.keys.len());
+        carried
+    }
+
     /// Appends the runs `range` of `from`, whose keys must be greater than
     /// every key so far.
     fn copy_runs(&mut self, from: &Self, range: std::ops::Range<usize>) {
         let (lo, hi) = (from.starts[range.start], from.starts[range.end]);
-        let shift = self.values.len();
+        let shift = offset(self.values.len());
         self.keys.extend_from_slice(&from.keys[range.clone()]);
         let ends = &from.starts[range.start + 1..=range.end];
         self.starts.extend(ends.iter().map(|&end| end - lo + shift));
-        self.values.extend_from_slice(&from.values[lo..hi]);
+        self.values
+            .extend_from_slice(&from.values[lo as usize..hi as usize]);
     }
 
     /// The keys whose runs differ between `self` and `other`, one of them
@@ -175,6 +208,11 @@ impl<K: Ord + Copy, V: Ord + Copy> FlatIndex<K, V> {
     pub(crate) fn changed_keys(&self, other: &Self) -> Vec<K> {
         changed(&self.keys, &other.keys, |i, j| self.run(i) == other.run(j))
     }
+}
+
+/// `n` as a run offset of a [`FlatIndex`].
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("an index holds fewer than 2^32 values")
 }
 
 /// The objects of one kind, sorted by id, with the ids in a vector of their

@@ -17,7 +17,7 @@ use crate::error::PolicyError;
 use crate::ids::{ContractId, EndpointId, EpgId, FilterId, ObjectId, SwitchId, TenantId, VrfId};
 use crate::index::{DenseIndex, FlatIndex, ObjectTable};
 use crate::object::{Contract, ContractBinding, Endpoint, Epg, Filter, Switch, Tenant, Vrf};
-use crate::pair::EpgPair;
+use crate::pair::{EpgPair, SwitchEpgPair};
 
 /// Aggregate object counts of a universe, handy for experiment reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,6 +96,10 @@ struct Indexes {
     /// Dependent pairs per object, including switch objects: a switch's
     /// pairs are the bound pairs deployed on it.
     object_pairs: FlatIndex<ObjectId, EpgPair>,
+    /// The number of controller-model elements depending on each key of
+    /// `object_pairs`, aligned with its keys: each of the object's pairs
+    /// counts once per switch hosting a member (a switch: once per pair).
+    dependent_counts: Vec<u32>,
     /// Switches each policy object's rules can be deployed on (switch objects
     /// are not stored: each maps to itself).
     object_switches: FlatIndex<ObjectId, SwitchId>,
@@ -360,9 +364,7 @@ impl PolicyUniverse {
     /// Switches on which rules for `pair` must be deployed: every switch that
     /// hosts an endpoint of either member EPG.
     pub fn switches_for_pair(&self, pair: EpgPair) -> BTreeSet<SwitchId> {
-        let mut switches = self.switches_hosting_epg(pair.a);
-        switches.extend(self.indexes().epg_hosts.slice(&pair.b));
-        switches
+        pair_hosts(&self.indexes().epg_hosts, pair).collect()
     }
 
     /// EPG pairs whose rules must be deployed on `switch`: every bound pair
@@ -436,6 +438,64 @@ impl PolicyUniverse {
             ObjectId::Switch(switch) => std::slice::from_ref(switch),
             other => self.indexes().object_switches.slice(other),
         }
+    }
+
+    /// The closure of `element`'s pair, if the pair is deployed on its
+    /// switch (the element exists).
+    fn element_closure(&self, element: SwitchEpgPair) -> Option<&[ObjectId]> {
+        let deployed = self.pairs_on_switch(element.switch);
+        deployed.binary_search(&element.pair).ok()?;
+        self.objects_for_bound_pair(element.pair)
+    }
+
+    /// The objects a controller-model element `(switch, pair)` depends on,
+    /// ascending: its pair's closure, then its switch. Empty unless the
+    /// pair is deployed on the switch.
+    pub fn objects_for_element(
+        &self,
+        element: SwitchEpgPair,
+    ) -> impl Iterator<Item = ObjectId> + '_ {
+        let closure = self.element_closure(element);
+        let switch = closure
+            .is_some()
+            .then_some(ObjectId::Switch(element.switch));
+        closure.into_iter().flatten().copied().chain(switch)
+    }
+
+    /// Returns `true` if `element` depends on `object`: one binary search in
+    /// its pair's closure.
+    pub fn element_depends_on(&self, element: SwitchEpgPair, object: ObjectId) -> bool {
+        self.element_closure(element).is_some_and(|closure| {
+            object == ObjectId::Switch(element.switch) || closure.binary_search(&object).is_ok()
+        })
+    }
+
+    /// The controller-model elements depending on `object`: each of its
+    /// pairs on every switch hosting a member, or, for a switch object, each
+    /// pair deployed on it there. In pair order, nothing allocated.
+    pub fn elements_for_object(
+        &self,
+        object: ObjectId,
+    ) -> impl Iterator<Item = SwitchEpgPair> + '_ {
+        let (on_switch, on_hosts) = match object {
+            ObjectId::Switch(switch) => (Some((switch, self.pairs_on_switch(switch))), None),
+            other => (None, self.pairs_for_object(other)),
+        };
+        let on_switch = (on_switch.into_iter())
+            .flat_map(|(switch, pairs)| pairs.iter().map(move |&p| SwitchEpgPair::new(switch, p)));
+        let hosts = &self.indexes().epg_hosts;
+        let on_hosts = on_hosts.into_iter().flatten().flat_map(move |&pair| {
+            pair_hosts(hosts, pair).map(move |switch| SwitchEpgPair::new(switch, pair))
+        });
+        on_switch.chain(on_hosts)
+    }
+
+    /// The number of [`elements_for_object`](Self::elements_for_object),
+    /// read from an index.
+    pub fn dependent_count(&self, object: ObjectId) -> usize {
+        let indexes = self.indexes();
+        let position = indexes.object_pairs.position(&object);
+        position.map_or(0, |i| indexes.dependent_counts[i] as usize)
     }
 
     /// Union of the dependency closures of a set of pairs — the "suspect set"
@@ -788,6 +848,10 @@ impl PolicyUniverse {
             ("pair → closure", a.pair_objects == b.pair_objects),
             ("object → pairs", a.object_pairs == b.object_pairs),
             ("object → switches", a.object_switches == b.object_switches),
+            (
+                "object → dependent count",
+                a.dependent_counts == b.dependent_counts,
+            ),
         ]
         .into_iter()
         .find_map(|(index, same)| (!same).then_some(index))
@@ -875,6 +939,7 @@ impl PolicyUniverse {
         // filter — so a large universe's pass does not regrow it.
         let mut pair_objects = FlatIndex::with_capacity(pairs.len(), 5 * pairs.len());
         let mut entries = Vec::new();
+        let mut dependent_counts = vec![0u32; objects.len()];
         let mut members = Vec::with_capacity(pairs.len());
         let mut closure = Vec::new();
         for (p, (pair, idxs)) in pair_bindings.iter().enumerate() {
@@ -895,12 +960,22 @@ impl PolicyUniverse {
             pair_objects.push(pair, closure.iter().map(|&o| objects[o as usize]));
             entries.extend(closure.iter().map(|&o| (o, p)));
             let hosts = [epg_hosts.run(a as usize), epg_hosts.run(b as usize)];
-            merge_union(hosts, |s| entries.push((switch_base + s, p)));
+            let mut elements = 0;
+            merge_union(hosts, |s| {
+                entries.push((switch_base + s, p));
+                dependent_counts[(switch_base + s) as usize] += 1;
+                elements += 1;
+            });
+            for &o in &closure {
+                dependent_counts[o as usize] += elements;
+            }
             members.push([a, b]);
         }
         pair_objects.shrink();
         let object_pairs = DenseIndex::group(objects.len(), entries.iter().copied());
         drop(entries);
+        let mut runs = (0..objects.len()).map(|o| object_pairs.run(o));
+        dependent_counts.retain(|_| runs.next().is_some_and(|run| !run.is_empty()));
         let object_switches = object_switch_index(
             &object_pairs,
             &objects[..switch_base as usize],
@@ -914,6 +989,7 @@ impl PolicyUniverse {
             switch_epgs,
             pair_objects,
             object_pairs,
+            dependent_counts,
             object_switches,
             pair_bindings,
             work: IndexWork::Full,
@@ -971,19 +1047,27 @@ impl PolicyUniverse {
             }
         });
 
-        // Every object a dirty pair names in either universe, and the
-        // (object, pair) entries of the dirty pairs the new side holds.
+        // Every object a dirty pair names in either universe, the (object,
+        // pair) entries of the dirty pairs the new side holds, and the change
+        // each dirty pair makes to its objects' dependent counts: its old
+        // elements taken away, its new ones added.
         let mut objects = Vec::new();
         let mut fresh = Vec::new();
+        let mut counted = Vec::new();
         for &pair in &dirty {
             objects.extend(old.pair_objects.slice(&pair));
             objects.extend(pair_hosts(&old.epg_hosts, pair).map(ObjectId::Switch));
+            if let Some(closure) = old.pair_objects.get(&pair) {
+                count_elements(&mut counted, closure, pair_hosts(&old.epg_hosts, pair), -1);
+            }
             if let Some(closure) = pair_objects.get(&pair) {
                 fresh.extend(closure.iter().map(|&object| (object, pair)));
                 let hosts = pair_hosts(&epg_hosts, pair);
                 fresh.extend(hosts.map(|s| (ObjectId::Switch(s), pair)));
+                count_elements(&mut counted, closure, pair_hosts(&epg_hosts, pair), 1);
             }
         }
+        counted.sort_unstable_by_key(|&(object, _)| object);
         fresh.sort_unstable();
         fresh.dedup();
         objects.extend(fresh.iter().map(|&(object, _)| object));
@@ -1009,6 +1093,20 @@ impl PolicyUniverse {
                 rehosted.push(object);
             }
         });
+        let mut next = 0;
+        let dependent_counts = old.object_pairs.carry(
+            &old.dependent_counts,
+            &object_pairs,
+            &objects,
+            |object, count| {
+                let mut count = i64::from(count);
+                while let Some(&(_, delta)) = counted.get(next).filter(|(o, _)| *o == object) {
+                    count += delta;
+                    next += 1;
+                }
+                u32::try_from(count).expect("a count stays within its elements")
+            },
+        );
         rehosted.sort_unstable();
         rehosted.dedup();
         let mut epgs = Vec::new();
@@ -1029,6 +1127,7 @@ impl PolicyUniverse {
             switch_epgs,
             pair_objects,
             object_pairs,
+            dependent_counts,
             object_switches,
             work: IndexWork::Patched {
                 closures,
@@ -1114,15 +1213,37 @@ impl PolicyUniverse {
     }
 }
 
-/// The switches hosting either member of `pair`, a switch hosting both
-/// twice.
+/// The switches hosting either member of `pair`, ascending: one merge walk
+/// of the members' hosts.
 fn pair_hosts(
     epg_hosts: &FlatIndex<EpgId, SwitchId>,
     pair: EpgPair,
 ) -> impl Iterator<Item = SwitchId> + '_ {
-    (epg_hosts.slice(&pair.a).iter())
-        .chain(epg_hosts.slice(&pair.b))
-        .copied()
+    let (mut a, mut b) = (epg_hosts.slice(&pair.a), epg_hosts.slice(&pair.b));
+    std::iter::from_fn(move || {
+        let next = match (a.first(), b.first()) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (x, y) => *x.or(y)?,
+        };
+        a = a.strip_prefix(&[next]).unwrap_or(a);
+        b = b.strip_prefix(&[next]).unwrap_or(b);
+        Some(next)
+    })
+}
+
+/// Adds `sign` times the elements of one pair, with `closure` on `hosts`,
+/// to `counted` as `(object, change)` entries: one per host to each closure
+/// object, and one to each host.
+fn count_elements(
+    counted: &mut Vec<(ObjectId, i64)>,
+    closure: &[ObjectId],
+    hosts: impl Iterator<Item = SwitchId>,
+    sign: i64,
+) {
+    let before = counted.len();
+    counted.extend(hosts.map(|s| (ObjectId::Switch(s), sign)));
+    let elements = (counted.len() - before) as i64;
+    counted.extend(closure.iter().map(|&object| (object, sign * elements)));
 }
 
 /// Calls `emit` with every value of the two ascending runs once, in order.

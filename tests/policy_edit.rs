@@ -290,6 +290,11 @@ fn assert_same_queries(label: &str, u: &PolicyUniverse, reference: &PolicyUniver
             reference.object_switches(&object),
             "{label}: object_switches({object})"
         );
+        assert_eq!(
+            u.dependent_count(object),
+            reference.dependent_count(object),
+            "{label}: dependent_count({object})"
+        );
     }
 }
 

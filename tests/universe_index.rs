@@ -20,6 +20,10 @@
 //! reference's `PolicyError`. Shuffled valid input must build the universe
 //! the ascending input builds.
 //!
+//! The controller risk model read from the indexes (`objects_for_element`,
+//! `element_depends_on`, `elements_for_object`, `dependent_count`) equals
+//! `controller_risk_model`'s on the same universes, non-elements included.
+//!
 //! A universe whose indexes are not built yet (a decoded one) equals,
 //! clones, encodes and prints like one whose indexes are.
 //!
@@ -37,11 +41,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use scout::core::controller_risk_model;
 use scout::fabric::wire::{from_bytes, to_bytes};
 use scout::policy::{
     Contract, ContractBinding, ContractId, Endpoint, EndpointId, Epg, EpgId, EpgPair, Filter,
-    FilterId, FilterList, IndexWork, ObjectId, PolicyError, PolicyUniverse, Switch, SwitchId,
-    Tenant, TenantId, Vrf, VrfId,
+    FilterId, FilterList, IndexWork, ObjectId, PolicyError, PolicyUniverse, Switch, SwitchEpgPair,
+    SwitchId, Tenant, TenantId, Vrf, VrfId,
 };
 use scout::workload::{ClusterSpec, ScaleSpec, TestbedSpec};
 use scout_fuzz::alloc;
@@ -197,6 +202,16 @@ impl Scan {
         switches
     }
 
+    /// The controller-model elements depending on `object`: one per host of
+    /// each of its pairs, or one per pair deployed on a switch object.
+    fn dependent_count(&self, object: ObjectId) -> usize {
+        let pairs = self.object_pairs.get(&object).into_iter().flatten();
+        match object {
+            ObjectId::Switch(_) => pairs.count(),
+            _ => pairs.map(|&p| self.switches_for_pair(p).len()).sum(),
+        }
+    }
+
     fn switches_for_object(&self, object: ObjectId) -> BTreeSet<SwitchId> {
         if let ObjectId::Switch(s) = object {
             return BTreeSet::from([s]);
@@ -297,6 +312,73 @@ fn every_dependency_query_equals_a_scan() {
                 u.switches_for_object(object),
                 scan.switches_for_object(object),
                 "{name}: switches_for_object({object})"
+            );
+            assert_eq!(
+                u.dependent_count(object),
+                scan.dependent_count(object),
+                "{name}: dependent_count({object})"
+            );
+        }
+    }
+}
+
+/// The controller risk model read from the indexes equals the built one:
+/// for every element and for `(switch, pair)` values that are not elements
+/// (a pair on a switch that does not deploy it, an unknown switch, an
+/// unbound pair), the risks in order and the edge test against the
+/// element's own risks, its neighbour's and its switch; for every object
+/// and an unknown switch, the dependents, without repeats, and their count.
+#[test]
+fn the_element_queries_equal_the_controller_model() {
+    for (name, u) in universes() {
+        let model = controller_risk_model(&u);
+        let unknown = SwitchId::new(u32::MAX);
+        let pairs: Vec<EpgPair> = u.epg_pairs().into_iter().collect();
+        let mut probes: Vec<SwitchEpgPair> = model.elements().copied().collect();
+        for s in u.switch_ids().into_iter().chain([unknown]) {
+            let deployed = u.pairs_on_switch(s);
+            let absent = pairs.iter().find(|p| !deployed.contains(p));
+            probes.extend(absent.map(|&p| SwitchEpgPair::new(s, p)));
+        }
+        let unbound = EpgPair::new(EpgId::new(u32::MAX), EpgId::new(u32::MAX));
+        probes.push(SwitchEpgPair::new(u.switch_ids()[0], unbound));
+        let mut neighbour = BTreeSet::new();
+        for &element in &probes {
+            let risks = model.risks_of(&element);
+            assert!(
+                u.objects_for_element(element).eq(risks.iter().copied()),
+                "{name}: objects_for_element({element:?})"
+            );
+            let candidates = (risks.iter().chain(&neighbour)).copied();
+            for object in candidates.chain([ObjectId::Switch(element.switch)]) {
+                assert_eq!(
+                    u.element_depends_on(element, object),
+                    risks.contains(&object),
+                    "{name}: element_depends_on({element:?}, {object})"
+                );
+            }
+            neighbour = risks;
+        }
+        for object in u
+            .all_objects()
+            .into_iter()
+            .chain([ObjectId::Switch(unknown)])
+        {
+            let dependents: Vec<SwitchEpgPair> = u.elements_for_object(object).collect();
+            assert_eq!(
+                set(&dependents),
+                model.dependents_of(object),
+                "{name}: elements_for_object({object})"
+            );
+            assert_eq!(
+                dependents.len(),
+                model.dependent_count(object),
+                "{name}: elements_for_object({object}) repeats"
+            );
+            assert_eq!(
+                u.dependent_count(object),
+                model.dependent_count(object),
+                "{name}: dependent_count({object})"
             );
         }
     }
