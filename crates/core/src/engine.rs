@@ -21,8 +21,8 @@
 //! Every path runs the same stages (equivalence check → risk model →
 //! localization → correlation). [`ScoutEngine::analyze`] runs them from
 //! scratch; a session keeps their state across epochs (its re-checked
-//! switches, a failure overlay and its localization per failure component),
-//! and its reports are bit-identical to from-scratch analyses of the same
+//! switches, a failure overlay over the risk model its universe indexes,
+//! and its localization per failure component), and its reports are bit-identical to from-scratch analyses of the same
 //! fabric state.
 
 use std::collections::BTreeSet;

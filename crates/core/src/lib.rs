@@ -76,8 +76,8 @@ pub use gauges::{ServiceGauges, ServiceStats};
 pub use localization::{score_localize, scout_localize, Evidence, Hypothesis, ScoutConfig};
 pub use risk::{
     augment_controller_model, augment_controller_model_tracked, augment_switch_model,
-    controller_risk_model, controller_risk_model_sharded, patch_controller_risk_model,
-    switch_risk_model, EdgeStatus, FailureMarks, ModelPatch, RiskModel,
+    controller_risk_model, controller_risk_model_sharded, switch_risk_model, EdgeStatus,
+    FailureMarks, RiskModel,
 };
 pub use session::{AnalysisSession, ReportDelta, ResyncRequest, SessionError, SessionStats};
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};

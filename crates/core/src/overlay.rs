@@ -1,13 +1,17 @@
-//! The failure overlay: a session's standing failure evidence, kept beside
-//! the pristine controller risk model, with its localization cached per
-//! failure component.
+//! The failure overlay: a session's standing failure evidence over the
+//! controller risk model its policy universe indexes, with its localization
+//! cached per failure component.
 //!
-//! [`ScoutEngine::analyze`](crate::ScoutEngine::analyze) marks every missing
-//! rule on a pristine model, localizes, correlates and undoes the marks. A
-//! session instead keeps the marks: a [`FailureOverlay`] counts, per
-//! `(element, risk)` edge, the missing rules that implicate it, so an ingest
-//! marks its `newly_missing` rules, unmarks its `restored` ones, and an edge
-//! heals exactly when its last missing rule is restored.
+//! [`ScoutEngine::analyze`](crate::ScoutEngine::analyze) builds the
+//! controller risk model, marks every missing rule on it, localizes and
+//! correlates. A session builds no model: the model's elements, edges and
+//! dependent counts are the universe's dependency queries
+//! ([`PolicyUniverse::objects_for_element`],
+//! [`PolicyUniverse::elements_for_object`],
+//! [`PolicyUniverse::dependent_count`]), and a [`FailureOverlay`] counts,
+//! per `(element, risk)` edge, the missing rules that implicate it. An
+//! ingest marks its `newly_missing` rules, unmarks its `restored` ones, and
+//! an edge heals exactly when its last missing rule is restored.
 //!
 //! Localization is cached per *component*: observations joined by the risks
 //! of the failure subgraph (failed risks whose dependents are all
@@ -21,16 +25,16 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use scout_fabric::ChangeLog;
-use scout_policy::{LogicalRule, ObjectId, SwitchEpgPair, VrfId};
+use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchEpgPair, VrfId};
 
 use crate::engine::ScoutReport;
 use crate::localization::{localize_failures, Hypothesis, Part, ScoutConfig};
 use crate::risk::{EdgeStatus, RiskModel};
 
-/// The failure evidence of a session's current check on the pristine
-/// controller model, and the localization of each of its components.
+/// The failure evidence of a session's current check on the controller
+/// model of its universe, and the localization of each of its components.
 ///
-/// Every query answers what the augmented model (the pristine model with
+/// Every query answers what the augmented model (the controller model with
 /// every missing rule marked) would: a mark whose provenance object lies
 /// outside the element's closure adds an edge there, and counts here too.
 #[derive(Debug, Default)]
@@ -78,7 +82,7 @@ impl FailureOverlay {
     /// component keeps its observations, risks and counts.
     pub(crate) fn apply(
         &mut self,
-        model: &RiskModel<SwitchEpgPair>,
+        universe: &PolicyUniverse,
         missing: &[LogicalRule],
         restored: &[LogicalRule],
         change_log: &ChangeLog,
@@ -91,21 +95,21 @@ impl FailureOverlay {
         let mut reached: BTreeSet<ObjectId> = BTreeSet::new();
         let mut dropped: BTreeSet<SwitchEpgPair> = BTreeSet::new();
         for e in &changed {
-            reached.extend(self.risks_of(model, e));
+            reached.extend(self.risks_of(universe, e));
             dropped.extend(self.component_of.get(e));
         }
         for rule in missing {
             for risk in rule.provenance.objects_with_switch(rule.switch) {
-                self.mark(model, element(rule), risk);
+                self.mark(universe, element(rule), risk);
             }
         }
         for rule in restored {
             for risk in rule.provenance.objects_with_switch(rule.switch) {
-                self.unmark(model, element(rule), risk);
+                self.unmark(universe, element(rule), risk);
             }
         }
         for e in &changed {
-            reached.extend(self.risks_of(model, e));
+            reached.extend(self.risks_of(universe, e));
             if self.is_observation(e) {
                 report.observations.insert(*e);
             } else {
@@ -118,8 +122,8 @@ impl FailureOverlay {
             } else {
                 report.suspect_objects.remove(&risk);
             }
-            if self.in_subgraph(model, risk) {
-                for d in self.dependents_of(model, risk) {
+            if self.in_subgraph(universe, risk) {
+                for d in self.dependents_of(universe, risk) {
                     dropped.extend(self.component_of.get(&d));
                 }
             }
@@ -139,8 +143,8 @@ impl FailureOverlay {
         }
         let mut localized = 0;
         while let Some(&seed) = seeds.first() {
-            let (members, risks) = self.component(model, seed);
-            let hypothesis = self.localize(model, &members, &risks, change_log, config);
+            let (members, risks) = self.component(universe, seed);
+            let hypothesis = self.localize(universe, &members, &risks, change_log, config);
             for o in &members {
                 let was_seed = seeds.remove(o);
                 let fresh = self.component_of.insert(*o, seed).is_none();
@@ -162,7 +166,7 @@ impl FailureOverlay {
     }
 
     /// Counts one more missing rule implicating the edge `(element, risk)`.
-    fn mark(&mut self, model: &RiskModel<SwitchEpgPair>, element: SwitchEpgPair, risk: ObjectId) {
+    fn mark(&mut self, universe: &PolicyUniverse, element: SwitchEpgPair, risk: ObjectId) {
         let newly_observed = !self.is_observation(&element);
         let count = self.failed.entry((element, risk)).or_insert(0);
         *count += 1;
@@ -171,11 +175,11 @@ impl FailureOverlay {
         }
         self.risks.entry(risk).or_default().failed += 1;
         if newly_observed {
-            for r in model.iter_risks_of(&element) {
+            for r in universe.objects_for_element(element) {
                 self.risks.entry(r).or_default().observed += 1;
             }
         }
-        if !model.has_edge(&element, risk) {
+        if !universe.element_depends_on(element, risk) {
             self.unmodelled.entry(risk).or_default().insert(element);
             self.risks.entry(risk).or_default().observed += 1;
         }
@@ -183,7 +187,7 @@ impl FailureOverlay {
 
     /// Counts one missing rule implicating `(element, risk)` less; the edge
     /// heals when no missing rule implicates it any more.
-    fn unmark(&mut self, model: &RiskModel<SwitchEpgPair>, element: SwitchEpgPair, risk: ObjectId) {
+    fn unmark(&mut self, universe: &PolicyUniverse, element: SwitchEpgPair, risk: ObjectId) {
         let edge = (element, risk);
         let count = self
             .failed
@@ -199,7 +203,7 @@ impl FailureOverlay {
             self.uncount(risk, |d| &mut d.observed);
         }
         if !self.is_observation(&element) {
-            for r in model.iter_risks_of(&element) {
+            for r in universe.objects_for_element(element) {
                 self.uncount(r, |d| &mut d.observed);
             }
         }
@@ -230,12 +234,8 @@ impl FailureOverlay {
     }
 
     /// The risks of `element` in the augmented model.
-    fn risks_of(
-        &self,
-        model: &RiskModel<SwitchEpgPair>,
-        element: &SwitchEpgPair,
-    ) -> BTreeSet<ObjectId> {
-        let mut risks: BTreeSet<ObjectId> = model.iter_risks_of(element).collect();
+    fn risks_of(&self, universe: &PolicyUniverse, element: &SwitchEpgPair) -> BTreeSet<ObjectId> {
+        let mut risks: BTreeSet<ObjectId> = universe.objects_for_element(*element).collect();
         risks.extend(self.failed_risks(element));
         risks
     }
@@ -243,21 +243,21 @@ impl FailureOverlay {
     /// The dependents of `risk` in the augmented model.
     fn dependents_of<'a>(
         &'a self,
-        model: &'a RiskModel<SwitchEpgPair>,
+        universe: &'a PolicyUniverse,
         risk: ObjectId,
     ) -> impl Iterator<Item = SwitchEpgPair> + 'a {
         let unmodelled = self.unmodelled.get(&risk).into_iter().flatten().copied();
-        model.iter_dependents_of(risk).chain(unmodelled)
+        universe.elements_for_object(risk).chain(unmodelled)
     }
 
     /// Returns `true` if `risk` is in the failure subgraph: it has a failed
     /// edge and every dependent of it is an observation.
-    fn in_subgraph(&self, model: &RiskModel<SwitchEpgPair>, risk: ObjectId) -> bool {
+    fn in_subgraph(&self, universe: &PolicyUniverse, risk: ObjectId) -> bool {
         let Some(counts) = self.risks.get(&risk) else {
             return false;
         };
         let dependents =
-            model.dependent_count(risk) + self.unmodelled.get(&risk).map_or(0, BTreeSet::len);
+            universe.dependent_count(risk) + self.unmodelled.get(&risk).map_or(0, BTreeSet::len);
         counts.failed > 0 && counts.observed == dependents
     }
 
@@ -267,19 +267,19 @@ impl FailureOverlay {
     /// component's edges.
     fn component(
         &self,
-        model: &RiskModel<SwitchEpgPair>,
+        universe: &PolicyUniverse,
         seed: SwitchEpgPair,
     ) -> (BTreeSet<SwitchEpgPair>, BTreeSet<ObjectId>) {
         let mut members = BTreeSet::from([seed]);
         let (mut seen, mut joining) = (BTreeSet::new(), BTreeSet::new());
         let mut queue = vec![seed];
         while let Some(o) = queue.pop() {
-            for risk in self.risks_of(model, &o) {
-                if !seen.insert(risk) || !self.in_subgraph(model, risk) {
+            for risk in self.risks_of(universe, &o) {
+                if !seen.insert(risk) || !self.in_subgraph(universe, risk) {
                     continue;
                 }
                 joining.insert(risk);
-                for d in self.dependents_of(model, risk) {
+                for d in self.dependents_of(universe, risk) {
                     if members.insert(d) {
                         queue.push(d);
                     }
@@ -293,7 +293,7 @@ impl FailureOverlay {
     /// failure subgraph.
     fn localize(
         &self,
-        model: &RiskModel<SwitchEpgPair>,
+        universe: &PolicyUniverse,
         members: &BTreeSet<SwitchEpgPair>,
         joining: &BTreeSet<ObjectId>,
         change_log: &ChangeLog,
@@ -301,7 +301,7 @@ impl FailureOverlay {
     ) -> Hypothesis {
         let mut edges = Vec::new();
         for &o in members {
-            for risk in self.risks_of(model, &o).intersection(joining) {
+            for risk in self.risks_of(universe, &o).intersection(joining) {
                 let status = if self.failed.contains_key(&(o, *risk)) {
                     EdgeStatus::Fail
                 } else {
@@ -404,7 +404,7 @@ mod tests {
                     }
                 }
                 let changes = (&newly, &restored);
-                overlay.apply(&model, changes.0, changes.1, &log, config, &mut report);
+                overlay.apply(&universe, changes.0, changes.1, &log, config, &mut report);
                 unmodelled_marks += overlay.unmodelled.len();
 
                 let mut augmented = model.clone();

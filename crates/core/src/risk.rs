@@ -337,26 +337,6 @@ impl<E: Ord + Copy> RiskModel<E> {
             .unwrap_or_default()
     }
 
-    /// Returns `true` if the model has an edge between `element` and `risk`.
-    pub(crate) fn has_edge(&self, element: &E, risk: ObjectId) -> bool {
-        self.edges
-            .get(element)
-            .is_some_and(|m| m.contains_key(&risk))
-    }
-
-    /// The risks `element` depends on, ascending, without cloning.
-    pub(crate) fn iter_risks_of(&self, element: &E) -> impl Iterator<Item = ObjectId> + '_ {
-        self.edges
-            .get(element)
-            .into_iter()
-            .flat_map(|m| m.keys().copied())
-    }
-
-    /// The elements depending on `risk`, ascending, without cloning.
-    pub(crate) fn iter_dependents_of(&self, risk: ObjectId) -> impl Iterator<Item = E> + '_ {
-        self.dependents.get(&risk).into_iter().flatten().copied()
-    }
-
     /// The elements depending on `risk` (the set `G_i` of the paper).
     pub fn dependents_of(&self, risk: ObjectId) -> BTreeSet<E> {
         self.dependents.get(&risk).cloned().unwrap_or_default()
@@ -482,26 +462,14 @@ pub fn switch_risk_model(universe: &PolicyUniverse, switch: SwitchId) -> RiskMod
     })
 }
 
-/// The risks of a controller-model element, ascending: its pair's policy
-/// objects, then its switch (the last [`ObjectId`] class).
-fn controller_risks(
-    universe: &PolicyUniverse,
-    element: SwitchEpgPair,
-) -> impl Iterator<Item = ObjectId> + '_ {
-    let closure = universe
-        .objects_for_bound_pair(element.pair)
-        .into_iter()
-        .flatten();
-    closure.copied().chain([ObjectId::Switch(element.switch)])
-}
-
 /// Builds the (un-augmented) controller risk model for the whole network.
 ///
 /// Elements are `(switch, EPG pair)` triplets; each triplet has success edges
-/// to the pair's policy objects plus the switch itself (Figure 4(b)). Session
-/// open, resume and resync build their model here, where no previous model
-/// exists; a policy change on a live session patches the model it has
-/// instead ([`patch_controller_risk_model`]).
+/// to the pair's policy objects plus the switch itself (Figure 4(b)), as
+/// [`PolicyUniverse::objects_for_element`] reads them. A session builds no
+/// model: its failure overlay reads the same edges from the universe. This
+/// build serves [`ScoutEngine::analyze`](crate::ScoutEngine::analyze), the
+/// reference every session report is checked against, and clone analyses.
 pub fn controller_risk_model(universe: &PolicyUniverse) -> RiskModel<SwitchEpgPair> {
     RiskModel::from_sorted(|| {
         let elements = universe.switches().flat_map(|s| {
@@ -509,7 +477,7 @@ pub fn controller_risk_model(universe: &PolicyUniverse) -> RiskModel<SwitchEpgPa
             pairs.map(|&pair| SwitchEpgPair::new(s.id, pair))
         });
         elements.map(|element| {
-            let risks = controller_risks(universe, element);
+            let risks = universe.objects_for_element(element);
             (element, risks.map(|risk| (risk, EdgeStatus::Success)))
         })
     })
@@ -523,95 +491,6 @@ pub fn controller_risk_model_sharded(
     _parallelism: Parallelism,
 ) -> RiskModel<SwitchEpgPair> {
     controller_risk_model(universe)
-}
-
-/// How many elements one [`patch_controller_risk_model`] call touched — the
-/// host-independent measure of its work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ModelPatch {
-    /// Elements removed: their `(switch, pair)` left the policy, or their
-    /// closure changed (those are re-added).
-    pub pruned: usize,
-    /// Elements (re-)derived from the new universe.
-    pub added: usize,
-}
-
-/// Turns the pristine controller risk model of `old` into that of `new` by
-/// touching only what the policy change touched.
-///
-/// An element `(switch, pair)` and its edges are a function of two indexes:
-/// the pair's membership in [`PolicyUniverse::pairs_on_switch`] and the
-/// pair's dependency closure. The patch diffs exactly those — one ordered
-/// walk over both universes' pair closures, one merge walk over each
-/// switch's two sorted pair slices — prunes the elements that left or whose
-/// closure changed, and re-derives the changed and new ones. A one-filter
-/// edit therefore costs the edited contract's pairs, not the fabric.
-///
-/// `model` must be `controller_risk_model(old)` with no failure marks; on
-/// return it equals `controller_risk_model(new)` field for field (the
-/// differential test `tests/policy_edit.rs` asserts it along seeded edit
-/// sequences, switch churn included).
-pub fn patch_controller_risk_model(
-    model: &mut RiskModel<SwitchEpgPair>,
-    old: &PolicyUniverse,
-    new: &PolicyUniverse,
-) -> ModelPatch {
-    // Pairs bound on both sides whose closure differs.
-    let mut changed: BTreeSet<EpgPair> = BTreeSet::new();
-    let mut old_closures = old.pair_closures().peekable();
-    for (pair, closure) in new.pair_closures() {
-        while old_closures.next_if(|&(p, _)| p < pair).is_some() {}
-        if let Some((_, old_closure)) = old_closures.next_if(|&(p, _)| p == pair) {
-            if old_closure != closure {
-                changed.insert(pair);
-            }
-        }
-    }
-
-    // Elements to drop and to derive: membership changes switch by switch,
-    // then the changed pairs wherever they stay deployed.
-    let mut stale: BTreeSet<SwitchEpgPair> = BTreeSet::new();
-    let mut fresh: BTreeSet<SwitchEpgPair> = BTreeSet::new();
-    let switches: BTreeSet<SwitchId> = old.switches().chain(new.switches()).map(|s| s.id).collect();
-    for switch in switches {
-        let (old_pairs, new_pairs) = (old.pairs_on_switch(switch), new.pairs_on_switch(switch));
-        if old_pairs != new_pairs {
-            let element = |&pair: &EpgPair| SwitchEpgPair::new(switch, pair);
-            stale.extend(sorted_difference(old_pairs, new_pairs).map(element));
-            fresh.extend(sorted_difference(new_pairs, old_pairs).map(element));
-        }
-    }
-    for &pair in &changed {
-        for switch in old.switches_for_pair(pair) {
-            if new.pairs_on_switch(switch).binary_search(&pair).is_ok() {
-                stale.insert(SwitchEpgPair::new(switch, pair));
-                fresh.insert(SwitchEpgPair::new(switch, pair));
-            }
-        }
-    }
-
-    model.prune_elements(&stale);
-    for &element in &fresh {
-        for risk in controller_risks(new, element) {
-            model.add_edge(element, risk);
-        }
-    }
-    ModelPatch {
-        pruned: stale.len(),
-        added: fresh.len(),
-    }
-}
-
-/// The elements of `a` missing from `b`, both ascending and distinct, in one
-/// merge walk.
-fn sorted_difference<'a, T: Ord>(a: &'a [T], b: &'a [T]) -> impl Iterator<Item = &'a T> + 'a {
-    let mut rest = b;
-    a.iter().filter(move |&x| {
-        while rest.first().is_some_and(|y| y < x) {
-            rest = &rest[1..];
-        }
-        rest.first() != Some(x)
-    })
 }
 
 // ----------------------------------------------------------------------

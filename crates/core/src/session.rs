@@ -7,10 +7,11 @@
 //! session's [`FabricView`] mirror, re-checks only the switches the batch
 //! dirtied, in place in the report's check
 //! ([`EquivalenceChecker::recheck_in_place`](scout_equiv::EquivalenceChecker::recheck_in_place),
-//! the one re-check algorithm), patches the cached pristine risk model when
-//! the policy changed, marks and unmarks only the changed missing rules on
-//! the session's failure overlay, re-localizes only the failure components
-//! they reach (the `overlay` module), and returns a [`ReportDelta`] — what
+//! the one re-check algorithm), marks and unmarks only the changed missing
+//! rules on the session's failure overlay, re-localizes only the failure
+//! components they reach (the `overlay` module, which reads the controller
+//! risk model from the mirrored universe's indexes), and returns a
+//! [`ReportDelta`] — what
 //! changed since the previous epoch, its missing-rule sets taken from the
 //! touched switches' old and new results alone — while
 //! [`AnalysisSession::full_report`] stays available on demand.
@@ -24,15 +25,16 @@
 //!
 //! Sessions also serve the campaign pattern — many mutated clones of one
 //! snapshot — via [`AnalysisSession::analyze_clone`], which reuses the
-//! session's equivalence check for clean switches and its pristine risk
-//! model for localization. A baseline algorithm (SCORE) reads the same
-//! augmented model through [`AnalysisSession::with_augmented_model`], the
-//! only hook into the failure evidence.
+//! session's equivalence check for clean switches and a controller risk
+//! model built on the first clone analysis and kept while the clones share
+//! its universe. A baseline algorithm (SCORE) reads the same augmented model
+//! through [`AnalysisSession::with_augmented_model`], the only hook into the
+//! failure evidence.
 //!
 //! Open, resume and [`AnalysisSession::resync`] run a full check and build
 //! the overlay from every missing rule, localizing every component, and so
-//! does a batch carrying a policy update or change-log entries (the model
-//! follows the policy, and stage 2 reads the change log). Clone analyses
+//! does a batch carrying a policy update or change-log entries (the edges
+//! follow the policy, and stage 2 reads the change log). Clone analyses
 //! re-check only what changed and share the risk-model stages of
 //! [`ScoutEngine::analyze`](crate::ScoutEngine::analyze), the reference
 //! every session report is checked against.
@@ -52,9 +54,7 @@ use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchEpgPair, SwitchI
 use crate::correlation::PartialDiagnosis;
 use crate::engine::{EngineShared, ScoutReport};
 use crate::overlay::FailureOverlay;
-use crate::risk::{
-    augment_controller_model_tracked, controller_risk_model, patch_controller_risk_model, RiskModel,
-};
+use crate::risk::{augment_controller_model_tracked, controller_risk_model, RiskModel};
 
 /// What an [`AnalysisSession`] needs after it detects an epoch gap: the
 /// range of epochs whose deltas were lost in transit.
@@ -83,7 +83,7 @@ impl ResyncRequest {
 
 /// Why an [`AnalysisSession::ingest`] was rejected. A rejected batch leaves
 /// the session completely untouched: the epoch is not consumed and the
-/// mirror, risk model and report are unchanged.
+/// mirror, failure overlay and report are unchanged.
 ///
 /// # Example
 ///
@@ -319,10 +319,10 @@ pub struct SessionStats {
 /// A long-lived analysis session monitoring one fabric.
 ///
 /// The session keeps its failure evidence across epochs: a failure overlay
-/// beside the pristine controller risk model counts the missing rules
-/// implicating each `(element, risk)` edge and caches the localization of
-/// each failure component, so an ingest's report work is proportional to
-/// what the ingest changed, not to the standing damage.
+/// over the controller risk model of the mirrored universe counts the
+/// missing rules implicating each `(element, risk)` edge and caches the
+/// localization of each failure component, so an ingest's report work is
+/// proportional to what the ingest changed, not to the standing damage.
 ///
 /// # Example
 ///
@@ -366,17 +366,14 @@ pub struct AnalysisSession {
     open_epoch: u64,
     /// The session epoch: number of batches ingested so far.
     epoch: u64,
-    /// The pristine (un-augmented) controller risk model of the mirrored
-    /// universe: built on open/resume/resync, patched in place by every
-    /// ingested policy update. Clone analyses apply and roll back their
-    /// failed edges on it.
-    model: RiskModel<SwitchEpgPair>,
-    /// The current check's failure evidence on `model` and its localization
-    /// per failure component, maintained across epochs.
+    /// The current check's failure evidence over the mirrored universe's
+    /// controller model and its localization per failure component,
+    /// maintained across epochs.
     overlay: FailureOverlay,
-    /// The pristine model rebuilt for the last clone analyzed under another
-    /// policy, keyed by its process-unique [`Fabric::universe_version`].
-    rebuilt: Option<(u64, RiskModel<SwitchEpgPair>)>,
+    /// The pristine controller model of the last clone analyzed, keyed by
+    /// its process-unique [`Fabric::universe_version`]; clone analyses apply
+    /// and roll back their failed edges on it.
+    clone_model: Option<(u64, RiskModel<SwitchEpgPair>)>,
     /// The current full report (owns the current equivalence check).
     report: ScoutReport,
     stats: SessionStats,
@@ -386,7 +383,6 @@ impl AnalysisSession {
     /// Opens a session: snapshots `fabric` and runs the full pipeline once.
     pub(crate) fn open(shared: Arc<EngineShared>, fabric: &Fabric) -> Self {
         let view = FabricView::of(fabric);
-        let model = controller_risk_model(view.universe());
         let check = shared.check_view(&view);
         shared.open_sessions.fetch_add(1, Ordering::Relaxed);
         let mut session = Self {
@@ -395,9 +391,8 @@ impl AnalysisSession {
             fabric_id: fabric.id(),
             open_epoch: fabric.epoch(),
             epoch: 0,
-            model,
             overlay: FailureOverlay::default(),
-            rebuilt: None,
+            clone_model: None,
             report: ScoutReport::default(),
             stats: SessionStats::default(),
         };
@@ -408,24 +403,21 @@ impl AnalysisSession {
     /// Rebuilds a session from a checkpoint (the restore path; see
     /// [`ScoutEngine::restore`](crate::ScoutEngine::restore)).
     ///
-    /// The pristine risk model is recomputed from the restored view — it is a
-    /// pure function of the policy universe — and the checkpointed report
-    /// carries the equivalence check, whose missing rules rebuild the failure
-    /// overlay and its localization, so the session resumes exactly where
+    /// The checkpointed report carries the equivalence check, whose missing
+    /// rules rebuild the failure overlay and its localization over the
+    /// restored universe, so the session resumes exactly where
     /// the checkpointed one stood; the caller replays the snapshot's tail
     /// through the ordinary [`AnalysisSession::ingest`] path.
     pub(crate) fn resume(shared: Arc<EngineShared>, snapshot: &crate::snapshot::Snapshot) -> Self {
         let view = snapshot.view().clone();
-        let model = controller_risk_model(view.universe());
         shared.open_sessions.fetch_add(1, Ordering::Relaxed);
         let mut session = Self {
             shared,
             fabric_id: snapshot.fabric_id(),
             open_epoch: snapshot.open_epoch(),
             epoch: snapshot.epoch(),
-            model,
             overlay: FailureOverlay::default(),
-            rebuilt: None,
+            clone_model: None,
             report: ScoutReport::default(),
             view,
             stats: SessionStats::default(),
@@ -516,13 +508,10 @@ impl AnalysisSession {
         let (mut policy_changed, mut log_changed) = (false, false);
         for event in &batch.events {
             match event {
-                // Risk model: a policy change patches the pristine model
-                // while the view still holds the universe it was derived
-                // from. The new universe's indexes are patched from that
-                // universe's first, before anything reads them.
+                // The new universe's indexes are patched from the ones of
+                // the universe it replaces, before anything reads them.
                 FabricEvent::PolicyUpdate { universe, .. } => {
                     universe.index_from(self.view.universe());
-                    patch_controller_risk_model(&mut self.model, self.view.universe(), universe);
                     policy_changed = true;
                 }
                 FabricEvent::ChangeEvents(_) => log_changed = true,
@@ -566,7 +555,7 @@ impl AnalysisSession {
 
         // Risk model and localization: mark and unmark just the changed
         // missing rules on the overlay, re-localizing the components they
-        // reach. Stage 2 reads the change log and the model follows the
+        // reach. Stage 2 reads the change log and the edges follow the
         // policy, so a batch changing either rebuilds the overlay.
         let newly_missing: Vec<LogicalRule> =
             now_missing.difference(&was_missing).copied().collect();
@@ -616,7 +605,7 @@ impl AnalysisSession {
         let change_log = self.view.change_log();
         let config = self.shared.config.scout;
         let localized = self.overlay.apply(
-            &self.model,
+            self.view.universe(),
             missing,
             restored,
             change_log,
@@ -718,7 +707,6 @@ impl AnalysisSession {
             });
         }
         self.view = sync.into_view();
-        self.model = controller_risk_model(self.view.universe());
         let check = self.shared.check_view(&self.view);
         let was_missing = self.report.check.missing_rule_set();
         let now_missing = check.missing_rule_set();
@@ -777,15 +765,15 @@ impl AnalysisSession {
     }
 
     /// Analyzes a mutated clone of the monitored fabric, reusing the
-    /// session's check for clean switches and its pristine risk model for
-    /// localization — the campaign pattern: one session per worker, one
-    /// `analyze_clone` per scenario.
+    /// session's check for clean switches and, for localization, the
+    /// controller risk model it built for the previous clone — the campaign
+    /// pattern: one session per worker, one `analyze_clone` per scenario.
     ///
     /// The produced report is bit-identical to
     /// [`ScoutEngine::analyze`](crate::ScoutEngine::analyze) on the same
-    /// fabric. The fast paths engage when the session
-    /// [`covers`](AnalysisSession::covers) the fabric and, for the risk
-    /// model, when the policy universe is unchanged; otherwise the method
+    /// fabric. The check is incremental when the session
+    /// [`covers`](AnalysisSession::covers) the fabric, and the model is
+    /// reused while the clones share a policy universe; otherwise the method
     /// transparently falls back to the from-scratch pipeline for the affected
     /// stage.
     pub fn analyze_clone(&mut self, fabric: &Fabric) -> ScoutReport {
@@ -803,7 +791,7 @@ impl AnalysisSession {
         } else {
             checker.check_network(fabric.logical_rules(), &fabric.collect_tcam())
         };
-        let model = Self::pristine_model(&mut self.model, &mut self.rebuilt, &self.view, fabric);
+        let model = pristine(&mut self.clone_model, fabric);
         self.shared.report_on(
             model,
             check,
@@ -823,33 +811,26 @@ impl AnalysisSession {
         check: &NetworkCheckResult,
         f: impl FnOnce(&RiskModel<SwitchEpgPair>) -> T,
     ) -> T {
-        let model = Self::pristine_model(&mut self.model, &mut self.rebuilt, &self.view, fabric);
+        let model = pristine(&mut self.clone_model, fabric);
         let marks = augment_controller_model_tracked(model, check.missing_rules());
         let out = f(model);
         model.undo_failures(marks);
         out
     }
+}
 
-    /// The pristine model serving `fabric`: `model` while the fabric holds
-    /// the mirrored policy, otherwise the `rebuilt` one, built anew only when
-    /// it serves another universe — so `analyze_clone` and
-    /// `with_augmented_model` on one clone build it once.
-    fn pristine_model<'a>(
-        model: &'a mut RiskModel<SwitchEpgPair>,
-        rebuilt: &'a mut Option<(u64, RiskModel<SwitchEpgPair>)>,
-        view: &FabricView,
-        fabric: &Fabric,
-    ) -> &'a mut RiskModel<SwitchEpgPair> {
-        let version = fabric.universe_version();
-        if version == view.universe_version() {
-            return model;
-        }
-        let cached = rebuilt
-            .take()
-            .filter(|(built_for, _)| *built_for == version)
-            .unwrap_or_else(|| (version, controller_risk_model(fabric.universe())));
-        &mut rebuilt.insert(cached).1
-    }
+/// The pristine controller model of `fabric`'s universe, from `cached`
+/// unless that serves another universe — so `analyze_clone` and
+/// `with_augmented_model` on clones of one policy build it once.
+fn pristine<'a>(
+    cached: &'a mut Option<(u64, RiskModel<SwitchEpgPair>)>,
+    fabric: &Fabric,
+) -> &'a mut RiskModel<SwitchEpgPair> {
+    let version = fabric.universe_version();
+    let model = (cached.take())
+        .filter(|(built_for, _)| *built_for == version)
+        .unwrap_or_else(|| (version, controller_risk_model(fabric.universe())));
+    &mut cached.insert(model).1
 }
 
 /// Walks `check`'s switches against `universe`'s: adds every switch of the

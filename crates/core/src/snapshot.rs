@@ -31,9 +31,10 @@
 //! payload, so schema changes and on-disk corruption both fail loudly
 //! ([`SnapshotError::UnsupportedVersion`],
 //! [`SnapshotError::ChecksumMismatch`]) instead of decoding garbage.
-//! Pristine risk models are *not* serialized: they are a pure function of
-//! the view, so [`ScoutEngine::restore`](crate::ScoutEngine::restore)
-//! rebuilds them, keeping snapshots proportional to the monitored state.
+//! No risk model is serialized: a session reads its controller model from
+//! the view's universe, and [`ScoutEngine::restore`](crate::ScoutEngine::restore)
+//! rebuilds the failure overlay from the report's check, keeping snapshots
+//! proportional to the monitored state.
 //!
 //! # Example
 //!

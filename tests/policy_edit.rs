@@ -1,12 +1,10 @@
 //! A policy edit costs the edit: differential and work-bound tests for the
-//! two incremental stages behind every `PolicyUpdate`.
+//! incremental stages behind every `PolicyUpdate`.
 //!
-//! * The patched controller risk model must equal the from-scratch one —
-//!   `edges`, `dependents` and `failed` — after every edit of long seeded
-//!   sequences that include switch churn and edits orphaning an object.
-//! * The per-switch rule diff must return what the whole-network `BTreeSet`
-//!   formulation it replaced returned: the same dirty switches, the same
-//!   removed and added rules in the same order.
+//! * Along long seeded edit sequences that include switch churn and edits
+//!   orphaning an object, the per-switch rule diff must return what the
+//!   whole-network `BTreeSet` formulation it replaced returned: the same
+//!   dirty switches, the same removed and added rules in the same order.
 //! * Every edit is also deployed on a fabric and observed: a `FabricView`
 //!   applying the `PolicyUpdate` must dirty exactly the switches whose rule
 //!   set changed (the view-dirty oracle; `switch_delta` must name the same
@@ -16,8 +14,9 @@
 //!   entries, a contract's filter list, a VRF move of a group of EPGs, a
 //!   binding added or removed, a switch replaced by another in one update, a
 //!   switch without endpoints, and an endpoint moved to another switch.
-//! * At every step of both, the new universe's dependency queries equal
-//!   those of a copy built afresh from its objects, a copy whose indexes are
+//! * At every step of both, the new universe's dependency queries (the
+//!   dependent counts the session's risk model reads included) equal those
+//!   of a copy built afresh from its objects, a copy whose indexes are
 //!   patched from the previous universe's (`index_from`) equals the full
 //!   build index by index, and the view and the session receive the batch
 //!   over the wire, as a server tenant does. `index_from` also equals the
@@ -28,13 +27,13 @@
 //! * Every model builder — the controller model, every switch model and the
 //!   failure subgraph after seeded augmentations — must equal a per-edge
 //!   reference that inserts one element and one edge at a time; a `large_1k`
-//!   controller model holds and peaks within its heap budget.
+//!   controller model holds and peaks within its heap budget, and a
+//!   `large_1k` session opens without building one.
 //! * Host-independent work bound, in the count style of `tests/incremental.rs`:
 //!   a one-filter edit of a single-switch contract on a 200-switch fabric
-//!   compiles rules for that switch alone, dirties exactly that switch and
-//!   touches at most its pairs' elements; on a 1000-switch fabric a session
-//!   patches the decoded universe's indexes, re-deriving the closures of the
-//!   edited contract's pairs alone.
+//!   compiles rules for that switch alone and dirties exactly that switch;
+//!   on a 1000-switch fabric a session patches the decoded universe's
+//!   indexes, re-deriving the closures of the edited contract's pairs alone.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -42,8 +41,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use scout::core::{
-    controller_risk_model, controller_risk_model_sharded, patch_controller_risk_model,
-    switch_risk_model, AnalysisSession, Parallelism, RiskModel, ScoutEngine,
+    controller_risk_model, controller_risk_model_sharded, switch_risk_model, AnalysisSession,
+    EngineConfig, Parallelism, RiskModel, ScoutEngine,
 };
 use scout::fabric::wire::{from_bytes, to_bytes};
 use scout::fabric::{
@@ -140,7 +139,7 @@ fn with_removed_switch(universe: &PolicyUniverse, rng: &mut StdRng) -> Option<Po
 
 /// Adds a filter to a random contract and — next step — removes it again:
 /// the removal leaves the fresh filter object without any dependent pair,
-/// so its risk must vanish from the model.
+/// so it must leave every object-keyed index.
 fn with_fresh_filter(
     universe: &PolicyUniverse,
     rng: &mut StdRng,
@@ -377,28 +376,20 @@ impl Mirrors {
     }
 }
 
-/// Steps `model`/`rules` from `old` to `new` incrementally and checks both
-/// against their from-scratch definitions; then deploys `new` on the
-/// mirrors' fabric and checks the view's dirty set and the session's
-/// re-checked switches against the rule-set oracle: the view dirties the
-/// switches of `new` whose rule set changed, and the session re-checks
-/// those plus every switch `new` added.
+/// Checks `new`'s indexes, patched from `old`'s, and steps `rules` from
+/// `old` to `new` incrementally against its from-scratch definition; then
+/// deploys `new` on the mirrors' fabric and checks the view's dirty set and
+/// the session's re-checked switches against the rule-set oracle: the view
+/// dirties the switches of `new` whose rule set changed, and the session
+/// re-checks those plus every switch `new` added.
 fn assert_step(
     label: &str,
-    model: &mut RiskModel<SwitchEpgPair>,
     rules: &mut Vec<LogicalRule>,
     mirrors: &mut Mirrors,
     old: &PolicyUniverse,
     new: &PolicyUniverse,
 ) {
     assert_indexes_match_a_fresh_build(label, old, new);
-    let patch = patch_controller_risk_model(model, old, new);
-    let rebuilt = controller_risk_model(new);
-    assert!(*model == rebuilt, "{label}: patched model != rebuilt model");
-    assert!(
-        patch.added <= rebuilt.element_count(),
-        "{label}: the patch derives no element twice"
-    );
 
     let new_rules = compile(new);
     let diff = diff_rules(rules, &new_rules);
@@ -459,13 +450,11 @@ fn run_edit_mix(name: &str, base: PolicyUniverse, rounds: usize, seed: u64) -> u
     let mut rng = StdRng::seed_from_u64(seed);
     let mut mirrors = Mirrors::of(&base);
     let mut current = base;
-    let mut model = controller_risk_model(&current);
     let mut rules = compile(&current);
     let mut steps = 0;
     let mut step = |label: &str, current: &mut PolicyUniverse, next: PolicyUniverse| {
         assert_step(
             &format!("{name} step {steps} ({label})"),
-            &mut model,
             &mut rules,
             &mut mirrors,
             current,
@@ -494,7 +483,7 @@ fn run_edit_mix(name: &str, base: PolicyUniverse, rounds: usize, seed: u64) -> u
 }
 
 #[test]
-fn patched_model_and_rule_diff_match_their_oracles_along_seeded_edits() {
+fn indexes_and_rule_diff_match_their_oracles_along_seeded_edits() {
     let steps = run_edit_mix("three_tier", sample::three_tier(), 12, 1)
         + run_edit_mix("testbed", TestbedSpec::paper().generate(3), 10, 2)
         + run_edit_mix("scale", ScaleSpec::large_fabric(48).generate(5), 8, 3)
@@ -645,8 +634,8 @@ const OBJECT_CHANGES: [(&str, Edit); 7] = [
 /// The candidate walk of `switch_delta` must find every switch whose rules
 /// change however the objects change, not only through the filter lists
 /// and switch churn of the edit mix: each edit of `OBJECT_CHANGES` steps
-/// the same oracles as the edit mix — rule diff, view dirty set, session
-/// re-check, change log and patched model.
+/// the same oracles as the edit mix — patched indexes, rule diff, view
+/// dirty set, session re-check and change log.
 #[test]
 fn every_kind_of_object_change_matches_the_rule_diff() {
     let bases = [
@@ -659,21 +648,13 @@ fn every_kind_of_object_change_matches_the_rule_diff() {
     for (seed, (name, base, rounds)) in (0u64..).zip(bases) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut mirrors = Mirrors::of(&base);
-        let mut model = controller_risk_model(&base);
         let mut rules = compile(&base);
         let mut current = base;
         for round in 0..rounds {
             for (label, edit) in OBJECT_CHANGES {
                 let next = edit(&current, &mut rng);
                 let label = format!("{name} round {round} ({label})");
-                assert_step(
-                    &label,
-                    &mut model,
-                    &mut rules,
-                    &mut mirrors,
-                    &current,
-                    &next,
-                );
+                assert_step(&label, &mut rules, &mut mirrors, &current, &next);
                 current = next;
                 steps += 1;
             }
@@ -682,28 +663,10 @@ fn every_kind_of_object_change_matches_the_rule_diff() {
     assert!(steps >= 120, "only {steps} edits exercised");
 }
 
-#[test]
-fn identical_and_disjoint_universes_patch_cleanly() {
-    // Same policy re-installed: nothing to touch.
-    let u = TestbedSpec::paper().generate(3);
-    let mut model = controller_risk_model(&u);
-    let patch = patch_controller_risk_model(&mut model, &u, &u.clone());
-    assert_eq!((patch.pruned, patch.added), (0, 0));
-    assert!(model == controller_risk_model(&u));
-
-    // A wholesale replacement: every element goes, every new one arrives.
-    let other = sample::three_tier();
-    let before = model.element_count();
-    let patch = patch_controller_risk_model(&mut model, &u, &other);
-    assert!(model == controller_risk_model(&other));
-    assert_eq!(patch.pruned, before);
-    assert_eq!(patch.added, model.element_count());
-}
-
 /// The work bound. On `ScaleSpec::large_fabric(200)` every contract lives on
-/// one switch; adding one filter to one of them must dirty that switch alone
-/// and re-derive only the elements of the contract's pairs — counts that are
-/// a function of the inputs, not of the host.
+/// one switch; adding one filter to one of them must compile and dirty that
+/// switch alone — counts that are a function of the inputs, not of the
+/// host.
 #[test]
 fn one_filter_edit_costs_its_contract_not_the_fabric() {
     let base = ScaleSpec::large_fabric(200).generate(11);
@@ -711,11 +674,6 @@ fn one_filter_edit_costs_its_contract_not_the_fabric() {
     let object = ObjectId::Contract(contract);
     let home = base.switches_for_object(object);
     assert_eq!(home.len(), 1, "scale contracts are single-switch");
-    let pairs = base.pairs_for_object(object).expect("bound contract");
-    let pair_elements: usize = pairs
-        .iter()
-        .map(|&pair| base.switches_for_pair(pair).len())
-        .sum();
     let edited = add_filter_to_contract(&base, contract, next_filter_id(&base), 31_337)
         .expect("edit applies");
 
@@ -726,18 +684,6 @@ fn one_filter_edit_costs_its_contract_not_the_fabric() {
         "one switch compiled, under both universes"
     );
     assert_eq!(delta.dirty, home);
-
-    // Risk model: at most the contract's pairs' elements, out of 3000+.
-    let mut model = controller_risk_model(&base);
-    assert!(model.element_count() > 100 * pair_elements);
-    let patch = patch_controller_risk_model(&mut model, &base, &edited);
-    assert!(model == controller_risk_model(&edited));
-    assert_eq!(patch.pruned, patch.added);
-    assert!(
-        (1..=pair_elements).contains(&patch.added),
-        "touched {} elements, the contract's pairs have {pair_elements}",
-        patch.added
-    );
 
     // View: exactly the contract's switch is dirty.
     let mut fabric = Fabric::new(base);
@@ -755,16 +701,13 @@ fn one_filter_edit_costs_its_contract_not_the_fabric() {
     assert_eq!(view.apply(update).expect("applies"), home);
 
     // Session: the same switch is the only one re-checked, and the report
-    // (built on the patched model) matches a from-scratch analysis.
+    // matches a from-scratch analysis.
     let delta = session
         .ingest(EventBatch::new(session.next_epoch(), events))
         .expect("faithful batch");
     assert_eq!(delta.rechecked, home);
     assert_eq!(*session.full_report(), engine.analyze(&fabric));
-    let check = session.full_report().check.clone();
-    assert!(check.is_consistent());
-    let pristine = session.with_augmented_model(&fabric, &check, Clone::clone);
-    assert!(pristine == controller_risk_model(fabric.universe()));
+    assert!(session.is_consistent());
 }
 
 /// The index work bound. On `ScaleSpec::large_fabric(1000)`, a session that
@@ -1052,4 +995,27 @@ fn a_large_fabric_controller_model_builds_and_holds_within_its_budget() {
         peak <= 794 * MIB / 100,
         "a large_1k build peaked at {peak} B"
     );
+}
+
+/// Opening a `large_1k` session builds no risk model: its failure overlay
+/// reads the model from the universe's indexes. Measured on the calling
+/// thread under `Sequential`, the open — mirror copy, full check and
+/// overlay — peaks at most 4 MiB (3.37 measured); it peaked at 10.41 MiB
+/// while the session built and kept a 6.7 MiB model of its own.
+#[test]
+fn a_large_fabric_session_opens_without_a_model_build() {
+    assert!(
+        alloc::is_installed(),
+        "the tracking allocator must be armed"
+    );
+    let mut fabric = Fabric::new(ScaleSpec::large_1k().generate(1));
+    fabric.deploy();
+    let config = EngineConfig {
+        parallelism: Parallelism::Sequential,
+        ..EngineConfig::default()
+    };
+    let engine = ScoutEngine::from_config(config).expect("a valid configuration");
+    let (session, open) = alloc::measure(|| engine.open_session(&fabric));
+    assert!(session.is_consistent());
+    assert!(open.peak <= 4 * MIB, "a large_1k session open: {open:?}");
 }
