@@ -357,7 +357,9 @@ mod tests {
     /// whose rules name a filter outside their pair's closure (a mark that
     /// adds an edge): after every step the overlay's observations, suspects
     /// and merged hypothesis equal the augmented model's failure signature,
-    /// suspect set and `scout_localize`.
+    /// suspect set and `scout_localize`, each suspect's observed and failed
+    /// dependent counts equal the model's, and the edges only a mark adds
+    /// are those the augmented model has beyond the pristine one.
     #[test]
     fn overlay_matches_the_augmented_model_along_random_deltas() {
         let universe = sample::three_tier();
@@ -419,6 +421,27 @@ mod tests {
                 assert_eq!(report.observations, signature, "{context}");
                 let expected = scout_localize(&augmented, &log, config);
                 assert_eq!(overlay.hypothesis(), expected, "{context}");
+                for (&risk, counts) in &overlay.risks {
+                    let observed = augmented
+                        .dependents_of(risk)
+                        .intersection(&signature)
+                        .count();
+                    let failed = augmented.failed_dependent_count(risk);
+                    let context = format!("{context}: {risk}");
+                    assert_eq!(
+                        (counts.observed, counts.failed),
+                        (observed, failed),
+                        "{context}"
+                    );
+                }
+                let mut unmodelled: BTreeMap<ObjectId, BTreeSet<SwitchEpgPair>> = BTreeMap::new();
+                for e in &signature {
+                    let pristine = model.risks_of(e);
+                    for risk in augmented.failed_risks_of(e).difference(&pristine) {
+                        unmodelled.entry(*risk).or_default().insert(*e);
+                    }
+                }
+                assert_eq!(overlay.unmodelled, unmodelled, "{context}");
             }
         }
         assert!(unmodelled_marks > 0, "no mark added an edge");
