@@ -2,16 +2,12 @@
 //! controller risk model its policy universe indexes, with its localization
 //! cached per failure component.
 //!
-//! [`ScoutEngine::analyze`](crate::ScoutEngine::analyze) builds the
-//! controller risk model, marks every missing rule on it, localizes and
-//! correlates. A session builds no model: the model's elements, edges and
-//! dependent counts are the universe's dependency queries
-//! ([`PolicyUniverse::objects_for_element`],
-//! [`PolicyUniverse::elements_for_object`],
-//! [`PolicyUniverse::dependent_count`]), and a [`FailureOverlay`] counts,
-//! per `(element, risk)` edge, the missing rules that implicate it. An
-//! ingest marks its `newly_missing` rules, unmarks its `restored` ones, and
-//! an edge heals exactly when its last missing rule is restored.
+//! [`ScoutEngine::analyze`](crate::ScoutEngine::analyze) builds the model and
+//! marks every missing rule on it. A session builds none: the edges are the
+//! universe's element queries, and a [`FailureOverlay`] counts, per
+//! `(element, risk)` edge, the missing rules that implicate it, so an ingest
+//! marks its `newly_missing` rules, unmarks its `restored` ones, and an edge
+//! heals exactly when its last missing rule is restored.
 //!
 //! Localization is cached per *component*: observations joined by the risks
 //! of the failure subgraph (failed risks whose dependents are all
@@ -357,9 +353,8 @@ mod tests {
     /// whose rules name a filter outside their pair's closure (a mark that
     /// adds an edge): after every step the overlay's observations, suspects
     /// and merged hypothesis equal the augmented model's failure signature,
-    /// suspect set and `scout_localize`, each suspect's observed and failed
-    /// dependent counts equal the model's, and the edges only a mark adds
-    /// are those the augmented model has beyond the pristine one.
+    /// suspect set and `scout_localize`, and each suspect's observed and
+    /// failed dependent counts equal the model's.
     #[test]
     fn overlay_matches_the_augmented_model_along_random_deltas() {
         let universe = sample::three_tier();
@@ -422,26 +417,12 @@ mod tests {
                 let expected = scout_localize(&augmented, &log, config);
                 assert_eq!(overlay.hypothesis(), expected, "{context}");
                 for (&risk, counts) in &overlay.risks {
-                    let observed = augmented
-                        .dependents_of(risk)
-                        .intersection(&signature)
-                        .count();
+                    let dependents = augmented.dependents_of(risk);
+                    let observed = dependents.intersection(&signature).count();
                     let failed = augmented.failed_dependent_count(risk);
-                    let context = format!("{context}: {risk}");
-                    assert_eq!(
-                        (counts.observed, counts.failed),
-                        (observed, failed),
-                        "{context}"
-                    );
+                    let counted = (counts.observed, counts.failed);
+                    assert_eq!(counted, (observed, failed), "{context}: {risk}");
                 }
-                let mut unmodelled: BTreeMap<ObjectId, BTreeSet<SwitchEpgPair>> = BTreeMap::new();
-                for e in &signature {
-                    let pristine = model.risks_of(e);
-                    for risk in augmented.failed_risks_of(e).difference(&pristine) {
-                        unmodelled.entry(*risk).or_default().insert(*e);
-                    }
-                }
-                assert_eq!(overlay.unmodelled, unmodelled, "{context}");
             }
         }
         assert!(unmodelled_marks > 0, "no mark added an edge");

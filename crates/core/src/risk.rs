@@ -535,8 +535,8 @@ where
 
 /// Tracked variant of [`augment_controller_model`]: returns the journal needed
 /// to roll the augmentation back with [`RiskModel::undo_failures`], so one
-/// pristine controller model can serve many analyses (the incremental
-/// risk-model maintenance of `AnalysisSession` and the campaign engine).
+/// pristine controller model can serve many analyses (the reference
+/// pipeline and a session's clone analyses).
 pub fn augment_controller_model_tracked<I>(
     model: &mut RiskModel<SwitchEpgPair>,
     missing_rules: I,

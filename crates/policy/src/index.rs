@@ -161,11 +161,9 @@ impl<K: Ord + Copy, V: Ord + Copy> FlatIndex<K, V> {
     }
 
     /// `tally`, one value per key of `self`, carried over to `next`, this
-    /// index patched at `dirty` (ascending, distinct): every other key keeps
-    /// its value, and each dirty key gets `derive(key, its old value or the
-    /// default)`, called in key order for every dirty key, kept only where
-    /// `next` holds the key. The values between dirty keys are copied in
-    /// bulk.
+    /// index patched at `dirty` (ascending, distinct): other keys keep their
+    /// values, copied in bulk, and `derive(key, old value or default)` is
+    /// called for each dirty key in order, kept where `next` holds the key.
     pub(crate) fn carry<T: Copy + Default>(
         &self,
         tally: &[T],
@@ -173,7 +171,6 @@ impl<K: Ord + Copy, V: Ord + Copy> FlatIndex<K, V> {
         dirty: &[K],
         mut derive: impl FnMut(K, T) -> T,
     ) -> Vec<T> {
-        debug_assert_eq!(tally.len(), self.keys.len());
         let mut carried = Vec::with_capacity(next.keys.len());
         let mut from = 0;
         for &key in dirty {
@@ -199,8 +196,7 @@ impl<K: Ord + Copy, V: Ord + Copy> FlatIndex<K, V> {
         self.keys.extend_from_slice(&from.keys[range.clone()]);
         let ends = &from.starts[range.start + 1..=range.end];
         self.starts.extend(ends.iter().map(|&end| end - lo + shift));
-        self.values
-            .extend_from_slice(&from.values[lo as usize..hi as usize]);
+        self.values.extend(&from.values[lo as usize..hi as usize]);
     }
 
     /// The keys whose runs differ between `self` and `other`, one of them

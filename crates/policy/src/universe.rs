@@ -375,13 +375,6 @@ impl PolicyUniverse {
         self.indexes().object_pairs.slice(&ObjectId::Switch(switch))
     }
 
-    /// Every bound pair with its dependency closure (see
-    /// [`objects_for_bound_pair`](Self::objects_for_bound_pair)), in pair
-    /// order.
-    pub fn pair_closures(&self) -> impl Iterator<Item = (EpgPair, &[ObjectId])> {
-        self.indexes().pair_objects.iter()
-    }
-
     /// The dependency closure of a *bound* pair, ascending and borrowed from
     /// the index: what [`objects_for_pair`](Self::objects_for_pair) returns,
     /// without the copy. `None` for pairs no binding governs.
@@ -456,9 +449,7 @@ impl PolicyUniverse {
         element: SwitchEpgPair,
     ) -> impl Iterator<Item = ObjectId> + '_ {
         let closure = self.element_closure(element);
-        let switch = closure
-            .is_some()
-            .then_some(ObjectId::Switch(element.switch));
+        let switch = closure.map(|_| ObjectId::Switch(element.switch));
         closure.into_iter().flatten().copied().chain(switch)
     }
 
@@ -494,21 +485,7 @@ impl PolicyUniverse {
     /// read from an index.
     pub fn dependent_count(&self, object: ObjectId) -> usize {
         let indexes = self.indexes();
-        let position = indexes.object_pairs.position(&object);
-        position.map_or(0, |i| indexes.dependent_counts[i] as usize)
-    }
-
-    /// Union of the dependency closures of a set of pairs — the "suspect set"
-    /// a network admin would have to examine without fault localization.
-    pub fn suspect_objects(&self, pairs: &BTreeSet<EpgPair>) -> BTreeSet<ObjectId> {
-        let mut objs = BTreeSet::new();
-        for &pair in pairs {
-            objs.extend(self.objects_for_pair(pair));
-            for switch in self.switches_for_pair(pair) {
-                objs.insert(ObjectId::Switch(switch));
-            }
-        }
-        objs
+        (indexes.object_pairs.position(&object)).map_or(0, |i| indexes.dependent_counts[i] as usize)
     }
 }
 
@@ -848,10 +825,7 @@ impl PolicyUniverse {
             ("pair → closure", a.pair_objects == b.pair_objects),
             ("object → pairs", a.object_pairs == b.object_pairs),
             ("object → switches", a.object_switches == b.object_switches),
-            (
-                "object → dependent count",
-                a.dependent_counts == b.dependent_counts,
-            ),
+            ("object → count", a.dependent_counts == b.dependent_counts),
         ]
         .into_iter()
         .find_map(|(index, same)| (!same).then_some(index))
@@ -959,13 +933,12 @@ impl PolicyUniverse {
             closure.dedup();
             pair_objects.push(pair, closure.iter().map(|&o| objects[o as usize]));
             entries.extend(closure.iter().map(|&o| (o, p)));
-            let hosts = [epg_hosts.run(a as usize), epg_hosts.run(b as usize)];
             let mut elements = 0;
-            merge_union(hosts, |s| {
+            for s in merged(epg_hosts.run(a as usize), epg_hosts.run(b as usize)) {
                 entries.push((switch_base + s, p));
                 dependent_counts[(switch_base + s) as usize] += 1;
                 elements += 1;
-            });
+            }
             for &o in &closure {
                 dependent_counts[o as usize] += elements;
             }
@@ -1213,13 +1186,16 @@ impl PolicyUniverse {
     }
 }
 
-/// The switches hosting either member of `pair`, ascending: one merge walk
-/// of the members' hosts.
+/// The switches hosting either member of `pair`, ascending.
 fn pair_hosts(
     epg_hosts: &FlatIndex<EpgId, SwitchId>,
     pair: EpgPair,
 ) -> impl Iterator<Item = SwitchId> + '_ {
-    let (mut a, mut b) = (epg_hosts.slice(&pair.a), epg_hosts.slice(&pair.b));
+    merged(epg_hosts.slice(&pair.a), epg_hosts.slice(&pair.b))
+}
+
+/// Every value of the two ascending runs once, ascending: one merge walk.
+fn merged<'a, T: Ord + Copy>(mut a: &'a [T], mut b: &'a [T]) -> impl Iterator<Item = T> + 'a {
     std::iter::from_fn(move || {
         let next = match (a.first(), b.first()) {
             (Some(&x), Some(&y)) => x.min(y),
@@ -1244,18 +1220,6 @@ fn count_elements(
     counted.extend(hosts.map(|s| (ObjectId::Switch(s), sign)));
     let elements = (counted.len() - before) as i64;
     counted.extend(closure.iter().map(|&object| (object, sign * elements)));
-}
-
-/// Calls `emit` with every value of the two ascending runs once, in order.
-fn merge_union([a, b]: [&[u32]; 2], mut emit: impl FnMut(u32)) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        emit(x.min(y));
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
-    }
-    a[i..].iter().chain(&b[j..]).for_each(|&v| emit(v));
 }
 
 /// Object → switches for every policy object: the hosts of the distinct
@@ -1372,8 +1336,6 @@ mod tests {
         assert!(u
             .objects_for_pair(web_db)
             .contains(&ObjectId::Epg(sample::WEB)));
-        let indexed: BTreeSet<EpgPair> = u.pair_closures().map(|(pair, _)| pair).collect();
-        assert_eq!(indexed, u.epg_pairs());
     }
 
     #[test]
@@ -1415,17 +1377,6 @@ mod tests {
         let u = three_tier();
         let switches = u.switches_for_pair(EpgPair::new(sample::WEB, sample::APP));
         assert_eq!(switches, BTreeSet::from([sample::S1, sample::S2]));
-    }
-
-    #[test]
-    fn suspect_objects_unions_closures_and_switches() {
-        let u = three_tier();
-        let pairs = BTreeSet::from([EpgPair::new(sample::WEB, sample::APP)]);
-        let suspects = u.suspect_objects(&pairs);
-        assert!(suspects.contains(&ObjectId::Switch(sample::S1)));
-        assert!(suspects.contains(&ObjectId::Switch(sample::S2)));
-        assert!(suspects.contains(&ObjectId::Filter(sample::F_HTTP)));
-        assert!(!suspects.contains(&ObjectId::Filter(sample::F_700)));
     }
 
     #[test]
