@@ -1066,20 +1066,6 @@ impl PolicyUniverse {
                 rehosted.push(object);
             }
         });
-        let mut next = 0;
-        let dependent_counts = old.object_pairs.carry(
-            &old.dependent_counts,
-            &object_pairs,
-            &objects,
-            |object, count| {
-                let mut count = i64::from(count);
-                while let Some(&(_, delta)) = counted.get(next).filter(|(o, _)| *o == object) {
-                    count += delta;
-                    next += 1;
-                }
-                u32::try_from(count).expect("a count stays within its elements")
-            },
-        );
         rehosted.sort_unstable();
         rehosted.dedup();
         let mut epgs = Vec::new();
@@ -1094,6 +1080,20 @@ impl PolicyUniverse {
                 switches.sort_unstable();
                 switches.dedup();
             });
+        let mut next = 0;
+        let dependent_counts = old.object_pairs.carry(
+            &old.dependent_counts,
+            &object_pairs,
+            &objects,
+            |object, count| {
+                let mut count = i64::from(count);
+                while let Some(&(_, delta)) = counted.get(next).filter(|(o, _)| *o == object) {
+                    count += delta;
+                    next += 1;
+                }
+                u32::try_from(count).expect("a count stays within its elements")
+            },
+        );
         Indexes {
             pair_bindings,
             epg_hosts,
