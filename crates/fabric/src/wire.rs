@@ -407,6 +407,167 @@ pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
     Ok(value)
 }
 
+/// A cursor over a reader's input that reads a run of object fields
+/// without a `Result` per field: the decoder of the policy objects, of which
+/// a universe holds tens of thousands.
+///
+/// A read returns its value, or a placeholder (zero, empty) once it has
+/// recorded the first error and dropped the rest of the input, so every later
+/// read fails at once and what it returns is discarded. The error a run ends
+/// with is the one a field-by-field [`Wire`] decode returns: the reads run in
+/// the same order, each one needs the same bytes, and nesting is counted at
+/// the same points as [`WireReader::nested`] counts it.
+///
+/// The readers are `#[inline(always)]`: with a plain `#[inline]` the name
+/// and filter-list reads stayed calls, which cost about a third of a
+/// universe decode.
+struct Fields<'a> {
+    /// The unread input.
+    rest: &'a [u8],
+    /// The reader's input length, to turn `rest` back into a position.
+    total: usize,
+    depth: usize,
+    /// The first error, and the position it stopped at.
+    error: Option<(WireError, usize)>,
+}
+
+impl<'a> Fields<'a> {
+    /// Runs `read` from the reader's position and moves the reader past
+    /// what it read, or to where it failed.
+    fn run<T>(
+        r: &mut WireReader<'a>,
+        read: impl FnOnce(&mut Fields<'a>) -> T,
+    ) -> Result<T, WireError> {
+        let mut f = Fields {
+            rest: &r.bytes[r.pos..],
+            total: r.bytes.len(),
+            depth: r.depth,
+            error: None,
+        };
+        let value = read(&mut f);
+        match f.error {
+            None => {
+                r.pos = f.total - f.rest.len();
+                Ok(value)
+            }
+            Some((error, pos)) => {
+                r.pos = pos;
+                Err(error)
+            }
+        }
+    }
+
+    /// Records `error` unless one is recorded already, and drops the input.
+    #[cold]
+    fn fail(&mut self, error: WireError) {
+        if self.error.is_none() {
+            self.error = Some((error, self.total - self.rest.len()));
+        }
+        self.rest = &[];
+    }
+
+    #[cold]
+    fn eof(&mut self, needed: usize) {
+        let remaining = self.rest.len();
+        self.fail(WireError::UnexpectedEof { needed, remaining });
+    }
+
+    /// Counts one nesting level around `read`, as [`WireReader::nested`]
+    /// does, failing with [`WireError::TooDeep`] past the limit.
+    #[inline(always)]
+    fn nested<T>(&mut self, read: impl FnOnce(&mut Self) -> T) -> T {
+        if self.depth >= WireReader::MAX_DEPTH {
+            self.fail(WireError::TooDeep {
+                limit: WireReader::MAX_DEPTH,
+            });
+        }
+        self.depth += 1;
+        let value = read(self);
+        self.depth -= 1;
+        value
+    }
+
+    #[inline(always)]
+    fn array<const N: usize>(&mut self) -> [u8; N] {
+        match self.rest.split_first_chunk::<N>() {
+            Some((taken, rest)) => {
+                self.rest = rest;
+                *taken
+            }
+            None => {
+                self.eof(N);
+                [0; N]
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn u32(&mut self) -> u32 {
+        u32::from_le_bytes(self.array())
+    }
+
+    #[inline(always)]
+    fn usize(&mut self) -> usize {
+        let v = u64::from_le_bytes(self.array());
+        match usize::try_from(v) {
+            Ok(v) => v,
+            Err(_) => {
+                self.fail(WireError::Invalid { what: "usize" });
+                0
+            }
+        }
+    }
+
+    /// Reads a `u64` count, then that many `T`s, one nesting level deeper
+    /// each, as the `Vec<T>` decoder does.
+    fn list<T: Field>(&mut self) -> Vec<T> {
+        let len = self.usize();
+        // Never reserve more elements than bytes remain, as `Vec<T>` does.
+        let mut items = Vec::with_capacity(len.min(self.rest.len()));
+        for _ in 0..len {
+            let item = self.nested(T::read);
+            if self.error.is_some() {
+                break;
+            }
+            items.push(item);
+        }
+        items
+    }
+
+    /// Reads a value with `decode` through a [`WireReader`] at the cursor,
+    /// for a field with no [`Field`] reader of its own.
+    #[inline(always)]
+    fn with_reader<T: Default>(
+        &mut self,
+        decode: impl FnOnce(&mut WireReader<'a>) -> Result<T, WireError>,
+    ) -> T {
+        let mut r = WireReader {
+            bytes: self.rest,
+            pos: 0,
+            depth: self.depth,
+        };
+        let decoded = decode(&mut r);
+        self.rest = &self.rest[r.pos..];
+        decoded.unwrap_or_else(|error| {
+            self.fail(error);
+            T::default()
+        })
+    }
+}
+
+/// A field type the [`Fields`] cursor reads.
+trait Field: Sized {
+    /// Reads one value; after a failed read the value is a placeholder.
+    fn read(f: &mut Fields<'_>) -> Self;
+}
+
+impl Field for usize {
+    #[inline(always)]
+    fn read(f: &mut Fields<'_>) -> Self {
+        f.usize()
+    }
+}
+
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes` — the
 /// one checksum of every durable frame built on this codec (`SCSN`
 /// snapshots, `SCJL` journal segments and records, `SCSA` anchors). The wire
@@ -823,6 +984,12 @@ macro_rules! wire_id {
                     Ok($ty::new(r.get_u32()?))
                 }
             }
+            impl Field for $ty {
+                #[inline(always)]
+                fn read(f: &mut Fields<'_>) -> Self {
+                    $ty::new(f.u32())
+                }
+            }
         )*
     };
 }
@@ -836,7 +1003,24 @@ impl Wire for Name {
         w.put_str(self);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.get_str_ref().map(Name::from)
+        Fields::run(r, Name::read)
+    }
+}
+
+impl Field for Name {
+    #[inline(always)]
+    fn read(f: &mut Fields<'_>) -> Self {
+        let len = f.usize();
+        if len > f.rest.len() {
+            f.eof(len);
+            return Name::from("");
+        }
+        let name = Name::from_utf8_prefix(f.rest, len);
+        f.rest = &f.rest[len..];
+        name.unwrap_or_else(|_| {
+            f.fail(WireError::BadString);
+            Name::from("")
+        })
     }
 }
 
@@ -847,21 +1031,43 @@ impl Wire for FilterList {
         encode_seq(self.iter(), w);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let len = r.get_usize()?;
+        Fields::run(r, FilterList::read)
+    }
+}
+
+impl Field for FilterList {
+    #[inline(always)]
+    fn read(f: &mut Fields<'_>) -> Self {
+        let len = f.usize();
         if len > FilterList::INLINE {
-            // Decoded the way `Vec<FilterId>` is, so the list is exactly
-            // sized whenever its length prefix is honest.
-            let mut ids = Vec::with_capacity(len.min(r.remaining()));
-            for _ in 0..len {
-                ids.push(r.nested(FilterId::decode)?);
-            }
-            return Ok(FilterList::from(ids));
+            // Read the way `Vec<FilterId>` is, so the list is exactly sized
+            // whenever its length prefix is honest.
+            return f.with_reader(|r| long_filter_list(r, len));
         }
         let mut ids = [FilterId::new(0); FilterList::INLINE];
         for id in &mut ids[..len] {
-            *id = r.nested(FilterId::decode)?;
+            *id = f.nested(FilterId::read);
         }
-        Ok(FilterList::from(&ids[..len]))
+        FilterList::from_inline(ids, len)
+    }
+}
+
+/// The ids of a list too long to hold inline, read one nested id at a time
+/// as the `Vec<FilterId>` decoder reads them.
+#[cold]
+#[inline(never)]
+fn long_filter_list(r: &mut WireReader<'_>, len: usize) -> Result<FilterList, WireError> {
+    let mut ids = Vec::with_capacity(len.min(r.remaining()));
+    for _ in 0..len {
+        ids.push(r.nested(FilterId::decode)?);
+    }
+    Ok(FilterList::from(ids))
+}
+
+/// A filter's entries are few; they are read by their `Vec` decoder.
+impl Field for Vec<FilterEntry> {
+    fn read(f: &mut Fields<'_>) -> Self {
+        f.with_reader(Vec::decode)
     }
 }
 
@@ -952,27 +1158,40 @@ wire_struct!(FilterEntry {
     ports,
     action
 });
-wire_struct!(Tenant { id, name });
-wire_struct!(Vrf { id, name, tenant });
-wire_struct!(Epg { id, name, vrf });
-wire_struct!(Endpoint {
-    id,
-    name,
-    epg,
-    switch
-});
-wire_struct!(Switch {
-    id,
-    name,
-    tcam_capacity
-});
-wire_struct!(Filter { id, name, entries });
-wire_struct!(Contract { id, name, filters });
-wire_struct!(ContractBinding {
-    consumer,
-    provider,
-    contract
-});
+/// Declares a policy object's wire layout, as [`wire_struct!`] does, but
+/// decodes it through a [`Fields`] cursor: one `Result` per object instead
+/// of one per field. Every field's type is a [`Field`].
+macro_rules! wire_object {
+    ($($ty:ident { $($field:ident),+ $(,)? })*) => {$(
+        impl Wire for $ty {
+            fn encode(&self, w: &mut WireWriter) {
+                $(Wire::encode(&self.$field, w);)+
+            }
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                Fields::run(r, <$ty as Field>::read)
+            }
+        }
+        impl Field for $ty {
+            #[inline(always)]
+            fn read(f: &mut Fields<'_>) -> Self {
+                f.nested(|f| $ty {
+                    $($field: Field::read(f),)+
+                })
+            }
+        }
+    )*};
+}
+
+wire_object! {
+    Tenant { id, name }
+    Vrf { id, name, tenant }
+    Epg { id, name, vrf }
+    Endpoint { id, name, epg, switch }
+    Switch { id, name, tcam_capacity }
+    Filter { id, name, entries }
+    Contract { id, name, filters }
+    ContractBinding { consumer, provider, contract }
+}
 
 /// Rejects a decoded object list whose `key` projection is not strictly
 /// ascending.
@@ -1014,14 +1233,19 @@ impl Wire for PolicyUniverse {
     /// universe it replaces, as a session applying a
     /// [`FabricEvent::PolicyUpdate`] does.
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let tenants = Vec::<Tenant>::decode(r)?;
-        let vrfs = Vec::<Vrf>::decode(r)?;
-        let epgs = Vec::<Epg>::decode(r)?;
-        let endpoints = Vec::<Endpoint>::decode(r)?;
-        let switches = Vec::<Switch>::decode(r)?;
-        let contracts = Vec::<Contract>::decode(r)?;
-        let filters = Vec::<Filter>::decode(r)?;
-        let bindings = Vec::<ContractBinding>::decode(r)?;
+        let (tenants, vrfs, epgs, endpoints, switches, contracts, filters, bindings) =
+            Fields::run(r, |f| {
+                (
+                    f.list::<Tenant>(),
+                    f.list::<Vrf>(),
+                    f.list::<Epg>(),
+                    f.list::<Endpoint>(),
+                    f.list::<Switch>(),
+                    f.list::<Contract>(),
+                    f.list::<Filter>(),
+                    f.list::<ContractBinding>(),
+                )
+            })?;
 
         require_ascending(&tenants, |t| t.id, "PolicyUniverse.tenants")?;
         require_ascending(&vrfs, |v| v.id, "PolicyUniverse.vrfs")?;

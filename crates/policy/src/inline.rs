@@ -61,6 +61,73 @@ impl Name {
             NameRepr::Heap(name) => name.as_bytes(),
         }
     }
+
+    /// The name held by the first `len` bytes of `input`, or the error
+    /// `str::from_utf8` gives when they are not UTF-8: what
+    /// `Name::from(str::from_utf8(&input[..len])?)` returns, in one step.
+    ///
+    /// A short name is loaded from `input` in fixed-width words, which may
+    /// reach past the name when `input` goes on; the bytes past it are
+    /// masked to zero, and the name is checked for ASCII in those words.
+    /// Only a non-ASCII name, and one too long to hold inline, goes through
+    /// `str::from_utf8`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds `input.len()`.
+    #[inline(always)]
+    pub fn from_utf8_prefix(input: &[u8], len: usize) -> Result<Self, std::str::Utf8Error> {
+        let bytes = &input[..len];
+        if len > Self::INLINE {
+            return std::str::from_utf8(bytes).map(|name| Self(NameRepr::Heap(name.into())));
+        }
+        let (inline, ascii) = match input.first_chunk::<{ Self::INLINE }>() {
+            Some(window) => masked_prefix(window, len),
+            None => {
+                let inline = Self::inline_bytes(bytes);
+                (inline, masked_prefix(&inline, len).1)
+            }
+        };
+        if !ascii {
+            std::str::from_utf8(bytes)?;
+        }
+        Ok(Self(NameRepr::Inline {
+            len: len as u8,
+            bytes: inline,
+        }))
+    }
+
+    /// `bytes`, at most [`Name::INLINE`] of them, then zeros.
+    #[inline]
+    fn inline_bytes(bytes: &[u8]) -> [u8; Self::INLINE] {
+        let mut inline = [0; Self::INLINE];
+        inline[..bytes.len()].copy_from_slice(bytes);
+        inline
+    }
+}
+
+/// The first `len` bytes of `window` then zeros, and whether those bytes are
+/// all ASCII, computed as two words: bytes 0..16 and bytes 14..22.
+#[inline(always)]
+fn masked_prefix(window: &[u8; Name::INLINE], len: usize) -> ([u8; Name::INLINE], bool) {
+    const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+    let low = u128::from_le_bytes(window[..16].try_into().expect("16 bytes"));
+    let high = u64::from_le_bytes(window[14..].try_into().expect("8 bytes"));
+    // Keep byte `i` iff `i < len`: the low word's first `len` bytes and the
+    // high word's first `len - 14`.
+    let low = low
+        & u128::MAX
+            .checked_shr(128 - 8 * len.min(16) as u32)
+            .unwrap_or(0);
+    let high = high
+        & u64::MAX
+            .checked_shr(64 - 8 * len.saturating_sub(14) as u32)
+            .unwrap_or(0);
+    let ascii = (low as u64 | (low >> 64) as u64 | high) & HIGH_BITS == 0;
+    let mut out = [0; Name::INLINE];
+    out[..16].copy_from_slice(&low.to_le_bytes());
+    out[14..].copy_from_slice(&high.to_le_bytes());
+    (out, ascii)
 }
 
 impl From<&str> for Name {
@@ -70,11 +137,9 @@ impl From<&str> for Name {
         if len > Self::INLINE {
             return Self(NameRepr::Heap(name.into()));
         }
-        let mut bytes = [0; Self::INLINE];
-        bytes[..len].copy_from_slice(name.as_bytes());
         Self(NameRepr::Inline {
             len: len as u8,
-            bytes,
+            bytes: Self::inline_bytes(name.as_bytes()),
         })
     }
 }
@@ -193,6 +258,24 @@ impl FilterList {
             ListRepr::Heap(ids) => ids,
         }
     }
+
+    /// The list of the first `len` ids of `ids`, held inline as they are;
+    /// the ids after them are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds [`FilterList::INLINE`].
+    #[inline]
+    pub fn from_inline(ids: [FilterId; Self::INLINE], len: usize) -> Self {
+        assert!(
+            len <= Self::INLINE,
+            "an inline filter list holds at most 5 ids"
+        );
+        Self(ListRepr::Inline {
+            len: len as u8,
+            ids,
+        })
+    }
 }
 
 impl Default for FilterList {
@@ -210,10 +293,7 @@ impl From<&[FilterId]> for FilterList {
         }
         let mut ids = [FilterId::new(0); Self::INLINE];
         ids[..len].copy_from_slice(list);
-        Self(ListRepr::Inline {
-            len: len as u8,
-            ids,
-        })
+        Self::from_inline(ids, len)
     }
 }
 
