@@ -39,7 +39,7 @@
 //! [`ScoutEngine::analyze`](crate::ScoutEngine::analyze), the reference
 //! every session report is checked against.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -51,7 +51,7 @@ use scout_fabric::{
 };
 use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchEpgPair, SwitchId};
 
-use crate::correlation::PartialDiagnosis;
+use crate::correlation::{CorrelationReport, ObjectDiagnosis, PartialDiagnosis};
 use crate::engine::{EngineShared, ScoutReport};
 use crate::overlay::FailureOverlay;
 use crate::risk::{augment_controller_model_tracked, controller_risk_model, RiskModel};
@@ -257,13 +257,6 @@ impl ReportDelta {
     ) -> Self {
         let prev_hypothesis = prev.hypothesis.objects();
         let next_hypothesis = next.hypothesis.objects();
-        let diagnosed: BTreeSet<ObjectId> = prev
-            .diagnosis
-            .diagnoses()
-            .iter()
-            .chain(next.diagnosis.diagnoses())
-            .map(|d| d.object)
-            .collect();
         Self {
             epoch,
             rechecked,
@@ -277,10 +270,7 @@ impl ReportDelta {
                 .difference(&next_hypothesis)
                 .copied()
                 .collect(),
-            diagnosis_changed: diagnosed
-                .into_iter()
-                .filter(|&o| prev.diagnosis.for_object(o) != next.diagnosis.for_object(o))
-                .collect(),
+            diagnosis_changed: changed_diagnoses(&prev.diagnosis, &next.diagnosis),
             consistent: next.is_consistent(),
         }
     }
@@ -294,6 +284,26 @@ impl ReportDelta {
             && self.hypothesis_removed.is_empty()
             && self.diagnosis_changed.is_empty()
     }
+}
+
+/// The objects diagnosed in either report whose diagnosis differs between
+/// them, each compared as [`CorrelationReport::for_object`] finds it (the
+/// first one listed), through one map per report: a linear scan per object
+/// would make the delta quadratic in the diagnoses.
+fn changed_diagnoses(prev: &CorrelationReport, next: &CorrelationReport) -> BTreeSet<ObjectId> {
+    fn by_object(report: &CorrelationReport) -> BTreeMap<ObjectId, &ObjectDiagnosis> {
+        let mut map = BTreeMap::new();
+        for d in report.diagnoses() {
+            map.entry(d.object).or_insert(d);
+        }
+        map
+    }
+    let (prev, next) = (by_object(prev), by_object(next));
+    prev.keys()
+        .chain(next.keys())
+        .filter(|o| prev.get(o) != next.get(o))
+        .copied()
+        .collect()
 }
 
 /// Running counters of one session.
@@ -876,6 +886,77 @@ mod tests {
         session
             .ingest_observation(probe, fabric)
             .expect("faithful observations ingest cleanly")
+    }
+
+    /// `changed_diagnoses` equals the scan that looks each object diagnosed in
+    /// either report up with `for_object`, on random report pairs whose
+    /// diagnoses come in any order, share objects, repeat some and differ in
+    /// their causes.
+    #[test]
+    fn changed_diagnoses_equal_the_per_object_lookup() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        use scout_fabric::{FaultKind, Timestamp};
+        use scout_policy::{ContractId, EpgId};
+
+        use crate::correlation::RootCause;
+
+        let causes = [
+            RootCause::Unknown,
+            RootCause::Physical {
+                kind: FaultKind::TcamOverflow,
+                switch: Some(sample::S1),
+                observed_at: Timestamp::new(3),
+                message: "overflow".into(),
+            },
+            RootCause::Physical {
+                kind: FaultKind::AgentCrash,
+                switch: None,
+                observed_at: Timestamp::new(5),
+                message: "crash".into(),
+            },
+        ];
+        let mut rng = StdRng::seed_from_u64(10);
+        let report = |rng: &mut StdRng| {
+            let mut diagnoses: Vec<ObjectDiagnosis> = (0..rng.gen_range(0..12))
+                .map(|_| {
+                    let raw = rng.gen_range(0u32..8);
+                    let object = match rng.gen_range(0..2) {
+                        0 => ObjectId::Epg(EpgId::new(raw)),
+                        _ => ObjectId::Contract(ContractId::new(raw)),
+                    };
+                    let picked = (0..rng.gen_range(1..3))
+                        .map(|_| causes[rng.gen_range(0..causes.len())].clone())
+                        .collect();
+                    ObjectDiagnosis {
+                        object,
+                        causes: picked,
+                    }
+                })
+                .collect();
+            diagnoses.shuffle(rng);
+            CorrelationReport { diagnoses }
+        };
+        for case in 0..2000 {
+            let prev = report(&mut rng);
+            let mut next = if rng.gen_bool(0.3) {
+                prev.clone()
+            } else {
+                report(&mut rng)
+            };
+            if rng.gen_bool(0.3) {
+                next.diagnoses.shuffle(&mut rng);
+            }
+            let expected: BTreeSet<ObjectId> = prev
+                .diagnoses()
+                .iter()
+                .chain(next.diagnoses())
+                .map(|d| d.object)
+                .filter(|&o| prev.for_object(o) != next.for_object(o))
+                .collect();
+            assert_eq!(changed_diagnoses(&prev, &next), expected, "case {case}");
+        }
     }
 
     #[test]
