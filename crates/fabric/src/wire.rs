@@ -1038,30 +1038,20 @@ impl Wire for FilterList {
 impl Field for FilterList {
     #[inline(always)]
     fn read(f: &mut Fields<'_>) -> Self {
-        let len = f.usize();
-        if len > FilterList::INLINE {
-            // Read the way `Vec<FilterId>` is, so the list is exactly sized
-            // whenever its length prefix is honest.
-            return f.with_reader(|r| long_filter_list(r, len));
+        // A list too long to hold inline is read by the `Vec<FilterId>`
+        // decoder, length prefix included, so it is exactly sized whenever
+        // its length prefix is honest.
+        let long = |len: &[u8; 8]| u64::from_le_bytes(*len) > FilterList::INLINE as u64;
+        if f.rest.first_chunk().is_some_and(long) {
+            return FilterList::from(f.with_reader(Vec::decode));
         }
+        let len = f.usize();
         let mut ids = [FilterId::new(0); FilterList::INLINE];
         for id in &mut ids[..len] {
             *id = f.nested(FilterId::read);
         }
         FilterList::from_inline(ids, len)
     }
-}
-
-/// The ids of a list too long to hold inline, read one nested id at a time
-/// as the `Vec<FilterId>` decoder reads them.
-#[cold]
-#[inline(never)]
-fn long_filter_list(r: &mut WireReader<'_>, len: usize) -> Result<FilterList, WireError> {
-    let mut ids = Vec::with_capacity(len.min(r.remaining()));
-    for _ in 0..len {
-        ids.push(r.nested(FilterId::decode)?);
-    }
-    Ok(FilterList::from(ids))
 }
 
 /// A filter's entries are few; they are read by their `Vec` decoder.
