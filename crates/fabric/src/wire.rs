@@ -418,9 +418,8 @@ pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
 /// the same order, each one needs the same bytes, and nesting is counted at
 /// the same points as [`WireReader::nested`] counts it.
 ///
-/// The readers are `#[inline(always)]`: with a plain `#[inline]` the name
-/// and filter-list reads stayed calls, which cost about a third of a
-/// universe decode.
+/// The readers, and the name constructor they call, are `#[inline(always)]`:
+/// left as calls, they made a `large_1k` decode about a quarter slower.
 struct Fields<'a> {
     /// The unread input.
     rest: &'a [u8],

@@ -83,10 +83,7 @@ impl Name {
         }
         let (inline, ascii) = match input.first_chunk::<{ Self::INLINE }>() {
             Some(window) => masked_prefix(window, len),
-            None => {
-                let inline = Self::inline_bytes(bytes);
-                (inline, masked_prefix(&inline, len).1)
-            }
+            None => (Self::inline_bytes(bytes), bytes.is_ascii()),
         };
         if !ascii {
             std::str::from_utf8(bytes)?;
@@ -404,6 +401,32 @@ mod tests {
                     a.cmp(b),
                     "{a:?} vs {b:?}"
                 );
+            }
+        }
+    }
+
+    /// A name read from the front of a longer input is the name of its
+    /// own bytes, whatever follows it, and invalid UTF-8 in it is the error
+    /// `str::from_utf8` gives.
+    #[test]
+    fn a_name_read_from_the_front_of_an_input_is_its_string() {
+        let mut inputs: Vec<Vec<u8>> = names().into_iter().map(String::into_bytes).collect();
+        for at in 0..24 {
+            let mut bytes = vec![b'q'; 24];
+            bytes[at] = 0x80;
+            inputs.push(bytes);
+        }
+        for bytes in &inputs {
+            for len in 0..=bytes.len() {
+                let name = &bytes[..len];
+                for tail in [&[][..], &[0xFF; 3], &[b'z'; 30]] {
+                    let input = [name, tail].concat();
+                    let read = Name::from_utf8_prefix(&input, len);
+                    match std::str::from_utf8(name) {
+                        Ok(s) => assert_eq!(read, Ok(Name::from(s)), "{name:?} + {tail:?}"),
+                        Err(e) => assert_eq!(read, Err(e), "{name:?} + {tail:?}"),
+                    }
+                }
             }
         }
     }
