@@ -32,7 +32,10 @@
 //! written **once**, with [`wire_struct!`](crate::wire_struct) for structs
 //! and [`wire_enum!`](crate::wire_enum) for enums; both macros emit the
 //! encoder and the decoder from that one declaration, so the two cannot
-//! drift apart. An `impl Wire` is hand-written only where decoding checks
+//! drift apart. The policy objects, of which a universe holds tens of
+//! thousands, are declared with this module's `wire_object!` instead: the
+//! same layout, decoded with one error check per object rather than per
+//! field. An `impl Wire` is hand-written only where decoding checks
 //! more than the fields' own decoders do (a port range's order, a
 //! normalized pair, a universe's referential integrity, …). Enum tag spaces
 //! are append-only: a new variant takes the next free tag, and a retired

@@ -521,27 +521,40 @@ fn at_depth<T>(
     }
 }
 
+/// Near the limit, the decode fails where the reference fails and stops
+/// the reader where it stops. Without contracts and filters only the object
+/// lists nest, so no decoder other than the object cursor can fail.
 #[test]
 fn a_universe_decoded_near_the_nesting_limit_fails_as_the_reference_does() {
-    let mut parts = Parts::of(&testbed());
-    let ids: Vec<FilterId> = parts.filters.iter().map(|f| f.id).cycle().take(7).collect();
-    parts.contracts[1].filters = FilterList::from(ids);
-    let bytes = parts.bytes();
-    let mut seen = Vec::new();
-    for levels in WireReader::MAX_DEPTH - 8..WireReader::MAX_DEPTH {
-        let got = at_depth(
-            &mut WireReader::new(&bytes),
-            levels,
-            &PolicyUniverse::decode,
+    let mut full = Parts::of(&testbed());
+    let ids: Vec<FilterId> = full.filters.iter().map(|f| f.id).cycle().take(7).collect();
+    full.contracts[1].filters = FilterList::from(ids);
+    let mut bare = full.clone();
+    bare.contracts.clear();
+    bare.filters.clear();
+    bare.bindings.clear();
+    for (label, parts) in [("full", full), ("no contracts or filters", bare)] {
+        let bytes = parts.bytes();
+        let mut seen = Vec::new();
+        for levels in WireReader::MAX_DEPTH - 8..WireReader::MAX_DEPTH {
+            let label = format!("{label}, {levels} levels deep");
+            let (mut r, mut reference_r) = (WireReader::new(&bytes), WireReader::new(&bytes));
+            let got = at_depth(&mut r, levels, &PolicyUniverse::decode);
+            let want = at_depth(&mut reference_r, levels, &reference::universe);
+            seen.push(want.as_ref().err().copied());
+            assert_eq!(r.remaining(), reference_r.remaining(), "{label}: position");
+            assert_same(&label, got, want);
+        }
+        assert!(
+            seen.first() == Some(&None),
+            "{label}: the shallowest decodes"
         );
-        let want = at_depth(&mut WireReader::new(&bytes), levels, &reference::universe);
-        seen.push(want.as_ref().err().copied());
-        assert_same(&format!("{levels} levels deep"), got, want);
+        assert!(
+            seen.last()
+                .is_some_and(|e| matches!(e, Some(WireError::TooDeep { .. }))),
+            "{label}: the deepest is too deep"
+        );
     }
-    assert!(seen.first() == Some(&None), "the shallowest depth decodes");
-    assert!(seen
-        .last()
-        .is_some_and(|e| matches!(e, Some(WireError::TooDeep { .. }))));
 }
 
 #[test]
