@@ -229,38 +229,20 @@ impl<K: Ord + Copy + Into<u32>, T> ObjectTable<K, T> {
     /// that of the first item that fails `check` or repeats an earlier id
     /// (`duplicate`), the item's own check first. Input with strictly
     /// ascending ids, which every encoder and generator produces, is checked
-    /// and its ids collected in one pass, and it is moved in as is. Other
-    /// input is stable-sorted by id first, so a repeated id sorts right
-    /// after the occurrence it repeats, and the failing item with the lowest
-    /// input position wins. A check that fails before the first descent is
-    /// that item: every item before it is ascending and passed its check,
-    /// so none of them fails after the sort either.
+    /// in one pass and moved in as is. Other input is stable-sorted by id
+    /// first, so a repeated id sorts right after the occurrence it repeats,
+    /// and the failing item with the lowest input position wins.
     pub(crate) fn validate(
         items: Vec<T>,
         id: impl Fn(&T) -> K,
         check: impl Fn(&T) -> Result<(), PolicyError>,
         duplicate: impl Fn(K) -> PolicyError,
     ) -> Result<Self, PolicyError> {
-        let mut ids: Vec<K> = Vec::with_capacity(items.len());
-        for item in &items {
-            let key = id(item);
-            if ids.last().is_some_and(|last| *last >= key) {
-                return Self::validate_sorted(items, id, check, duplicate);
-            }
-            check(item)?;
-            ids.push(key);
+        if items.windows(2).all(|w| id(&w[0]) < id(&w[1])) {
+            items.iter().try_for_each(check)?;
+            let ids = items.iter().map(&id).collect();
+            return Ok(Self { ids, items });
         }
-        Ok(Self { ids, items })
-    }
-
-    /// [`ObjectTable::validate`] for input whose ids are not strictly
-    /// ascending.
-    fn validate_sorted(
-        items: Vec<T>,
-        id: impl Fn(&T) -> K,
-        check: impl Fn(&T) -> Result<(), PolicyError>,
-        duplicate: impl Fn(K) -> PolicyError,
-    ) -> Result<Self, PolicyError> {
         let mut tagged: Vec<(usize, T)> = items.into_iter().enumerate().collect();
         tagged.sort_by_key(|(_, item)| id(item));
         let mut first: Option<(usize, PolicyError)> = None;
