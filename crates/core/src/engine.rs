@@ -30,7 +30,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use scout_equiv::{
-    EquivalenceChecker, NetworkCheckResult, NodeTableKind, Parallelism, SwitchCheckResult,
+    CheckWork, EquivalenceChecker, NetworkCheckResult, NodeTableKind, Parallelism,
+    SwitchCheckResult,
 };
 use scout_fabric::{compile_for_switch, ChangeLog, Fabric, FabricView, FaultLog};
 use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchEpgPair, SwitchId, TcamRule};
@@ -193,10 +194,10 @@ pub(crate) struct EngineShared {
 }
 
 impl EngineShared {
-    /// The full equivalence check of a view: it covers every switch with a
-    /// TCAM table or with rules, and compiles each switch's rules inside the
-    /// check's fan-out.
-    pub(crate) fn check_view(&self, view: &FabricView) -> NetworkCheckResult {
+    /// The full equivalence check of a view and the work it took: it covers
+    /// every switch with a TCAM table or with rules, and compiles each
+    /// switch's rules inside the check's fan-out.
+    pub(crate) fn check_view(&self, view: &FabricView) -> (NetworkCheckResult, CheckWork) {
         let universe = view.universe();
         // A view holds a table per switch, except a decoded one whose
         // fabric never deployed some: those count only if they have rules.
@@ -207,15 +208,13 @@ impl EngineShared {
                 view.tcam().contains_key(&s) || !compile_for_switch(universe, s).is_empty()
             })
             .collect();
-        NetworkCheckResult {
-            per_switch: (self.config.checker())
-                .check_each(&switches, |s| {
-                    (compile_for_switch(universe, s), view.tcam_rules(s))
-                })
-                .into_iter()
-                .map(|r| (r.switch, r))
-                .collect(),
-        }
+        let (results, work) = self.config.checker().check_each(
+            &switches,
+            |s| compile_for_switch(universe, s),
+            |s| view.tcam_rules(s),
+        );
+        let per_switch = results.into_iter().map(|r| (r.switch, r)).collect();
+        (NetworkCheckResult { per_switch }, work)
     }
 
     /// The stages after the equivalence check of the reference pipeline

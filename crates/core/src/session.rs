@@ -7,7 +7,9 @@
 //! session's [`FabricView`] mirror, re-checks only the switches the batch
 //! dirtied, in place in the report's check
 //! ([`EquivalenceChecker::recheck_in_place`](scout_equiv::EquivalenceChecker::recheck_in_place),
-//! the one re-check algorithm), marks and unmarks only the changed missing
+//! the one re-check algorithm; a switch synced once by a batch without a
+//! policy update only in the classes its sync changed, see [`ClassDiff`]),
+//! marks and unmarks only the changed missing
 //! rules on the session's failure overlay, re-localizes only the failure
 //! components they reach (the `overlay` module, which reads the controller
 //! risk model from the mirrored universe's indexes), and returns a
@@ -44,7 +46,7 @@ use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use scout_equiv::NetworkCheckResult;
+use scout_equiv::{CheckWork, ClassDiff, NetworkCheckResult};
 use scout_fabric::{
     compile_for_switch, ApplyError, EventBatch, Fabric, FabricEvent, FabricProbe, FabricView,
     FullSync,
@@ -317,6 +319,17 @@ pub struct SessionStats {
     pub empty_batches: usize,
     /// Switches re-checked across all ingests.
     pub rechecked_switches: usize,
+    /// Switches whose logical rules an ingest compiled: every switch a
+    /// resync or a policy update re-checks, every switch synced more than
+    /// once in a batch, and a switch synced once only if its sync changed a
+    /// class of its table.
+    pub switches_compiled: usize,
+    /// Exact-match classes folded across all ingests, per switch each class
+    /// with a rule on either side once. A switch re-checked whole folds
+    /// every class; a switch synced once by a batch without a policy update
+    /// folds only the classes its sync changed (see [`ClassDiff`]), none
+    /// when the sync only reordered its table.
+    pub classes_folded: usize,
     /// Gap recoveries via [`AnalysisSession::resync`].
     pub resyncs: usize,
     /// Failure components localized across all ingests. An ingest
@@ -324,6 +337,14 @@ pub struct SessionStats {
     /// resync, or a batch that changes the policy or the change log,
     /// localizes every component.
     pub components_localized: usize,
+}
+
+impl SessionStats {
+    /// Adds a check's work to the counters.
+    fn count(&mut self, work: CheckWork) {
+        self.switches_compiled += work.switches_compiled;
+        self.classes_folded += work.classes_folded;
+    }
 }
 
 /// A long-lived analysis session monitoring one fabric.
@@ -393,7 +414,7 @@ impl AnalysisSession {
     /// Opens a session: snapshots `fabric` and runs the full pipeline once.
     pub(crate) fn open(shared: Arc<EngineShared>, fabric: &Fabric) -> Self {
         let view = FabricView::of(fabric);
-        let check = shared.check_view(&view);
+        let (check, _) = shared.check_view(&view);
         shared.open_sessions.fetch_add(1, Ordering::Relaxed);
         let mut session = Self {
             shared,
@@ -514,17 +535,38 @@ impl AnalysisSession {
             return Ok(ReportDelta::noop(expected, self.report.is_consistent()));
         }
 
+        // A switch synced once by a batch without a policy update changed
+        // only in the classes its sync changed: its table is diffed against
+        // the view's before the view replaces it, and it is re-checked from
+        // its previous result. Every other dirtied switch is re-checked whole.
+        let mut syncs: BTreeMap<SwitchId, usize> = BTreeMap::new();
+        let policy_changed =
+            (batch.events.iter()).any(|e| matches!(e, FabricEvent::PolicyUpdate { .. }));
+        if !policy_changed {
+            for event in &batch.events {
+                if let FabricEvent::TcamSync { switch, .. } = event {
+                    *syncs.entry(*switch).or_default() += 1;
+                }
+            }
+        }
+        let mut classes: BTreeMap<SwitchId, ClassDiff> = BTreeMap::new();
         let mut dirty: BTreeSet<SwitchId> = BTreeSet::new();
-        let (mut policy_changed, mut log_changed) = (false, false);
+        let mut log_changed = false;
         for event in &batch.events {
             match event {
                 // The new universe's indexes are patched from the ones of
                 // the universe it replaces, before anything reads them.
                 FabricEvent::PolicyUpdate { universe, .. } => {
                     universe.index_from(self.view.universe());
-                    policy_changed = true;
                 }
                 FabricEvent::ChangeEvents(_) => log_changed = true,
+                FabricEvent::TcamSync { switch, rules }
+                    if syncs.get(switch) == Some(&1)
+                        && self.report.check.per_switch.contains_key(switch) =>
+                {
+                    let diff = ClassDiff::between(self.view.tcam_rules(*switch), rules);
+                    classes.insert(*switch, diff);
+                }
                 FabricEvent::TcamSync { .. } | FabricEvent::FaultEvents { .. } => {}
             }
             dirty.extend(
@@ -550,9 +592,14 @@ impl AnalysisSession {
             Vec::new()
         };
         let checker = self.shared.config.checker();
-        let touched = checker.recheck_in_place(&mut check, &dirty, &vanished, |s| {
-            (compile_for_switch(universe, s), view.tcam_rules(s))
-        });
+        let (touched, work) = checker.recheck_in_place(
+            &mut check,
+            &dirty,
+            &classes,
+            &vanished,
+            |s| compile_for_switch(universe, s),
+            |s| view.tcam_rules(s),
+        );
         let mut rechecked = BTreeSet::new();
         let (mut was_missing, mut now_missing) = (BTreeSet::new(), BTreeSet::new());
         for (switch, old) in touched {
@@ -589,6 +636,7 @@ impl AnalysisSession {
         self.stats.ingests += 1;
         self.stats.events += batch.len();
         self.stats.rechecked_switches += delta.rechecked.len();
+        self.stats.count(work);
         self.stats.components_localized += localized;
         Ok(delta)
     }
@@ -717,7 +765,7 @@ impl AnalysisSession {
             });
         }
         self.view = sync.into_view();
-        let check = self.shared.check_view(&self.view);
+        let (check, work) = self.shared.check_view(&self.view);
         let was_missing = self.report.check.missing_rule_set();
         let now_missing = check.missing_rule_set();
         let (report, localized) = self.rebuild(check);
@@ -735,6 +783,7 @@ impl AnalysisSession {
         self.stats.ingests += 1;
         self.stats.resyncs += 1;
         self.stats.rechecked_switches += delta.rechecked.len();
+        self.stats.count(work);
         self.stats.components_localized += localized;
         Ok(delta)
     }
@@ -794,9 +843,14 @@ impl AnalysisSession {
             dirty.retain(|&s| universe.switch(s).is_some());
             let mut check = self.report.check.clone();
             let vanished = switch_changes(&check, universe, &mut dirty);
-            checker.recheck_in_place(&mut check, &dirty, &vanished, |s| {
-                (fabric.logical_rules_on(s), fabric.tcam_rules(s))
-            });
+            checker.recheck_in_place(
+                &mut check,
+                &dirty,
+                &BTreeMap::new(),
+                &vanished,
+                |s| fabric.logical_rules_on(s),
+                |s| fabric.tcam_rules(s),
+            );
             check
         } else {
             checker.check_network(fabric.logical_rules(), &fabric.collect_tcam())

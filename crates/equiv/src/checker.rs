@@ -41,7 +41,7 @@
 //! # Pipeline
 //!
 //! * **Per-switch sides** — [`EquivalenceChecker::check_each`] checks a list
-//!   of switches, asking a caller's closure for each switch's logical and
+//!   of switches, asking a caller's closures for each switch's logical and
 //!   TCAM rules inside the workers, so a caller that compiles rules on demand
 //!   compiles them in parallel. [`EquivalenceChecker::check_network`] feeds
 //!   it from a whole rule vector grouped by switch once (`O(total rules)`).
@@ -49,20 +49,27 @@
 //!   are split across worker threads by [`Parallelism::fan_out`], whose
 //!   first range runs on the caller. Under [`Parallelism::Auto`] a check
 //!   decides by rule work, not switch count: it folds switches on the
-//!   caller until `AUTO_INLINE_RULES` (8 192) rules are done and fans out
+//!   caller until `AUTO_INLINE_RULES` (8 192) rules are folded and fans out
 //!   only what is left, so a front of small switches spawns nothing.
 //!   Results are deterministic regardless of thread count.
 //! * **Incremental re-checking** — [`EquivalenceChecker::recheck_in_place`]
 //!   updates a previous [`NetworkCheckResult`] where it stands: it checks
 //!   the switches its caller names as changed or added and drops the ones
-//!   named as vanished, so clean switches cost nothing at all.
-//!   [`EquivalenceChecker::recheck_dirty_with`] is a copying form that works
-//!   the changed switches out from a whole rule vector.
+//!   named as vanished, so clean switches cost nothing at all. A switch
+//!   whose logical rules stayed and whose table changed only in the classes
+//!   a [`ClassDiff`] of its old and new table names is re-checked from its
+//!   previous result: those classes are folded on both sides, every other
+//!   class keeps its entries, and a diff that names no class (a table
+//!   reordered within its tie groups) costs no fold and no logical rules.
+//!   A whole-switch check is the same fold over every class, and
+//!   [`CheckWork`] counts the switches compiled and the classes and rules
+//!   folded. [`EquivalenceChecker::recheck_dirty_with`] is a copying form
+//!   that works the changed switches out from a whole rule vector.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroUsize;
-use std::ops::Range;
+use std::ops::{AddAssign, Range};
 use std::panic::resume_unwind;
 use std::sync::OnceLock;
 use std::thread;
@@ -223,17 +230,32 @@ impl Span {
     }
 }
 
-/// The allowed space of an ordered rule set, folded class by class (see the
-/// module docs).
-fn allowed_space<'a>(rules: impl IntoIterator<Item = &'a TcamRule>) -> Vec<Span> {
-    // Class, then descending priority; the stable sort keeps list order on
-    // ties, which is all the first-match tie-break can see.
-    let mut order: Vec<&TcamRule> = rules.into_iter().collect();
-    order.sort_by_key(|r| (class_of(r), Reverse(r.priority)));
+/// A rule's tie group: rules of one class and one priority take effect in
+/// list order.
+fn tie(rule: &TcamRule) -> (ClassKey, Reverse<u16>) {
+    (class_of(rule), Reverse(rule.priority))
+}
 
+/// `rules` in the order the fold reads them: by class, then descending
+/// priority; the stable sort keeps list order on ties, which is all the
+/// first-match tie-break can see.
+fn fold_order<'a>(rules: impl IntoIterator<Item = &'a TcamRule>) -> Vec<&'a TcamRule> {
+    let mut order: Vec<&TcamRule> = rules.into_iter().collect();
+    order.sort_by_key(|r| tie(r));
+    order
+}
+
+/// The class runs of a list in fold order.
+fn class_runs<'a, 'r>(order: &'a [&'r TcamRule]) -> impl Iterator<Item = &'a [&'r TcamRule]> {
+    order.chunk_by(|a, b| class_of(a) == class_of(b))
+}
+
+/// The allowed space of a rule list in fold order, folded class by class
+/// (see the module docs).
+fn allowed_space(order: &[&TcamRule]) -> Vec<Span> {
     let mut space = Vec::new();
     let mut slots: [Vec<Span>; SLOTS] = Default::default();
-    for class in order.chunk_by(|a, b| class_of(a) == class_of(b)) {
+    for class in class_runs(order) {
         for rule in class.iter().rev() {
             for span in Span::matched_by(rule) {
                 paint(&mut slots[usize::from(span.slot)], span, rule.action);
@@ -313,25 +335,172 @@ fn covers(space: &[Span], span: Span) -> bool {
         .is_some_and(|piece| piece == span)
 }
 
-/// Checks one switch given its (pre-filtered) logical rules.
+/// `items`, sorted, for membership tests by binary search.
+fn sorted<T: Ord>(items: impl Iterator<Item = T>) -> Vec<T> {
+    let mut items: Vec<T> = items.collect();
+    items.sort_unstable();
+    items
+}
+
+/// A table in fold order with each tie group whose rules share one action
+/// sorted by value: such a group allows the same space in any order, while
+/// first match decides between an allow and a deny of one tie group, so a
+/// mixed group keeps its list order. Two tables allow the same space in a
+/// class if their canonical runs of that class are equal.
+fn canonical(rules: &[TcamRule]) -> Vec<&TcamRule> {
+    let mut order = fold_order(rules);
+    for group in order.chunk_by_mut(|a, b| tie(a) == tie(b)) {
+        if group.iter().all(|r| r.action == group[0].action) {
+            group.sort_unstable();
+        }
+    }
+    order
+}
+
+/// The classes whose rules differ between two TCAM tables of one switch.
 ///
-/// Each side is folded once; the switch is equivalent iff both allow the
-/// same space. The missing/unexpected classification runs only for an
-/// inequivalent switch and then visits every rule of the switch against its
-/// own class.
-fn compare(switch: SwitchId, logical: &[LogicalRule], tcam: &[TcamRule]) -> SwitchCheckResult {
-    let l_space = allowed_space(logical.iter().map(|l| &l.rule));
-    let t_space = allowed_space(tcam);
+/// Both tables are put in fold order and compared tie group by tie group
+/// (rules of one class and one priority): a group whose rules share one
+/// action as a multiset, a group with mixed actions in list order. A class
+/// whose groups all match allows the same space in both tables, so a check
+/// of the new table finds the same missing entries in it and the same
+/// unexpected rule values. [`EquivalenceChecker::recheck_in_place`] folds
+/// only the classes a diff names.
+///
+/// # Example
+///
+/// ```
+/// use scout_equiv::ClassDiff;
+/// use scout_fabric::Fabric;
+/// use scout_policy::sample;
+///
+/// let mut fabric = Fabric::new(sample::three_tier());
+/// fabric.deploy();
+/// let table = fabric.tcam_rules(sample::S2);
+/// let mut reordered = table.clone();
+/// reordered.reverse();
+/// assert!(ClassDiff::between(&table, &reordered).is_empty());
+/// assert_eq!(ClassDiff::between(&table, &table[1..]).len(), 1);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClassDiff {
+    /// The changed classes, ascending.
+    changed: Vec<ClassKey>,
+}
+
+impl ClassDiff {
+    /// The classes whose rules differ between `old` and `new`.
+    pub fn between(old: &[TcamRule], new: &[TcamRule]) -> Self {
+        let (old, new) = (canonical(old), canonical(new));
+        let (mut old, mut new) = (class_runs(&old).peekable(), class_runs(&new).peekable());
+        let mut changed = Vec::new();
+        loop {
+            let heads = [old.peek(), new.peek()].map(|run| run.map(|r| class_of(r[0])));
+            let Some(class) = heads.into_iter().flatten().min() else {
+                break;
+            };
+            let same_class = |run: &&[&TcamRule]| class_of(run[0]) == class;
+            if old.next_if(same_class) != new.next_if(same_class) {
+                changed.push(class);
+            }
+        }
+        Self { changed }
+    }
+
+    /// `true` if no class changed.
+    pub fn is_empty(&self) -> bool {
+        self.changed.is_empty()
+    }
+
+    /// The number of changed classes.
+    pub fn len(&self) -> usize {
+        self.changed.len()
+    }
+}
+
+/// The work of a check, for callers that count it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CheckWork {
+    /// Switches whose logical rules the check asked for (a session compiles
+    /// each one it is asked for).
+    pub switches_compiled: usize,
+    /// Classes folded: per switch, the classes with a rule folded on either
+    /// side, each counted once.
+    pub classes_folded: usize,
+    /// Rules folded, logical plus TCAM.
+    pub rules_folded: usize,
+}
+
+impl AddAssign for CheckWork {
+    fn add_assign(&mut self, other: Self) {
+        self.switches_compiled += other.switches_compiled;
+        self.classes_folded += other.classes_folded;
+        self.rules_folded += other.rules_folded;
+    }
+}
+
+/// What a re-check of a switch takes from its previous result: every class
+/// but the ones in `fold`, which is ascending.
+struct Kept<'a> {
+    previous: &'a SwitchCheckResult,
+    fold: &'a [ClassKey],
+}
+
+/// The one fold: checks one switch given its (pre-filtered) logical rules,
+/// folding every class, or with `kept` only the classes it names.
+///
+/// The folded classes of each side are folded once; the switch is
+/// equivalent iff both allow the same space there and no kept class differs.
+/// The missing/unexpected classification runs only for an inequivalent
+/// switch and then visits every rule of the switch: a rule of a folded class
+/// against its class's spaces, a rule of a kept class by whether the
+/// previous result listed it.
+fn compare(
+    switch: SwitchId,
+    logical: &[LogicalRule],
+    tcam: &[TcamRule],
+    kept: Option<Kept<'_>>,
+) -> (SwitchCheckResult, CheckWork) {
+    let folds = |rule: &TcamRule| {
+        (kept.as_ref()).is_none_or(|k| k.fold.binary_search(&class_of(rule)).is_ok())
+    };
+    let l_order = fold_order(logical.iter().map(|l| &l.rule).filter(|r| folds(r)));
+    let t_order = fold_order(tcam.iter().filter(|r| folds(r)));
+    let runs = class_runs(&l_order).chain(class_runs(&t_order));
+    let mut classes = sorted(runs.map(|run| class_of(run[0])));
+    classes.dedup();
+    let work = CheckWork {
+        switches_compiled: 1,
+        classes_folded: classes.len(),
+        rules_folded: l_order.len() + t_order.len(),
+    };
+    let l_space = allowed_space(&l_order);
+    let t_space = allowed_space(&t_order);
+    // A kept class allows the same spaces as when `previous` was checked, so
+    // its rules' verdicts stand; it is equivalent iff none of them was listed.
+    let (kept_missing, kept_unexpected) = match &kept {
+        None => (Vec::new(), Vec::new()),
+        Some(k) => (
+            sorted((k.previous.missing_rules.iter()).filter(|l| !folds(&l.rule))),
+            sorted((k.previous.unexpected_rules.iter()).filter(|t| !folds(t))),
+        ),
+    };
     let mut result = SwitchCheckResult::consistent(switch);
-    if l_space == t_space {
-        return result;
+    if l_space == t_space && kept_missing.is_empty() && kept_unexpected.is_empty() {
+        return (result, work);
     }
     result.equivalent = false;
     // A logical rule is missing if part of its traffic is not allowed by the
     // deployed TCAM.
     result.missing_rules = logical
         .iter()
-        .filter(|l| !Span::matched_by(&l.rule).all(|span| covers(&t_space, span)))
+        .filter(|l| {
+            if folds(&l.rule) {
+                !Span::matched_by(&l.rule).all(|span| covers(&t_space, span))
+            } else {
+                kept_missing.binary_search(l).is_ok()
+            }
+        })
         .copied()
         .collect();
     // A deployed rule is unexpected if it allows traffic the policy does not
@@ -340,12 +509,61 @@ fn compare(switch: SwitchId, logical: &[LogicalRule], tcam: &[TcamRule]) -> Swit
         .iter()
         .filter(|t| t.action == Action::Allow)
         .filter(|t| {
-            !Span::matched_by(t)
-                .all(|span| overlap(&t_space, span).all(|allowed| covers(&l_space, allowed)))
+            if folds(t) {
+                !Span::matched_by(t)
+                    .all(|span| overlap(&t_space, span).all(|allowed| covers(&l_space, allowed)))
+            } else {
+                kept_unexpected.binary_search(t).is_ok()
+            }
         })
         .copied()
         .collect();
-    result
+    (result, work)
+}
+
+/// Re-checks a switch from `previous`, its result before its table changed
+/// in `diff`'s classes alone and its logical rules not at all.
+///
+/// With no class changed, every verdict stands: `equivalent` and the
+/// missing rules are kept, and the unexpected rules are the new table's
+/// rules, in list order, that the previous result listed; the logical rules
+/// are never asked for. Otherwise the changed classes are folded, and so is
+/// every class whose logical rules hold a deny: [`compare`] takes a kept
+/// class to be equivalent iff the previous result lists none of its rules,
+/// which holds only while the class's logical rules all allow (a logical
+/// deny is missing even from an equivalent class). Compiled policies hold
+/// no deny.
+fn recheck_classes<L: AsRef<[LogicalRule]>>(
+    previous: &SwitchCheckResult,
+    diff: &ClassDiff,
+    logical: impl FnOnce() -> L,
+    tcam: &[TcamRule],
+) -> (SwitchCheckResult, CheckWork) {
+    if diff.is_empty() {
+        let unexpected = sorted(previous.unexpected_rules.iter());
+        let result = SwitchCheckResult {
+            switch: previous.switch,
+            equivalent: previous.equivalent,
+            missing_rules: previous.missing_rules.clone(),
+            unexpected_rules: (tcam.iter())
+                .filter(|t| unexpected.binary_search(t).is_ok())
+                .copied()
+                .collect(),
+        };
+        return (result, CheckWork::default());
+    }
+    let logical = logical();
+    let logical = logical.as_ref();
+    let denies = logical.iter().filter(|l| l.rule.action == Action::Deny);
+    let mut fold = diff.changed.clone();
+    fold.extend(denies.map(|l| class_of(&l.rule)));
+    fold.sort_unstable();
+    fold.dedup();
+    let kept = Kept {
+        previous,
+        fold: &fold,
+    };
+    compare(previous.switch, logical, tcam, Some(kept))
 }
 
 /// The workspace's one thread policy: how many workers a stage made of
@@ -522,7 +740,7 @@ impl EquivalenceChecker {
             .filter(|l| l.switch == switch)
             .copied()
             .collect();
-        compare(switch, &for_switch, tcam)
+        compare(switch, &for_switch, tcam, None).0
     }
 
     /// Checks every switch appearing either in the logical rules or in the
@@ -536,98 +754,143 @@ impl EquivalenceChecker {
         let mut switches: BTreeSet<SwitchId> = tcam.keys().copied().collect();
         switches.extend(index.keys().copied());
         let switches: Vec<SwitchId> = switches.into_iter().collect();
-        let results = self.check_each(&switches, |switch| {
-            (
-                index.get(&switch).map_or(&[][..], Vec::as_slice),
-                tcam.get(&switch).map_or(&[][..], Vec::as_slice),
-            )
-        });
+        let (results, _) = self.check_each(
+            &switches,
+            |switch| index.get(&switch).map_or(&[][..], Vec::as_slice),
+            |switch| tcam.get(&switch).map_or(&[][..], Vec::as_slice),
+        );
         NetworkCheckResult {
             per_switch: results.into_iter().map(|r| (r.switch, r)).collect(),
         }
     }
 
     /// Checks each of `switches`, sequentially or in parallel according to
-    /// the configured policy, and returns the results in `switches` order.
+    /// the configured policy, and returns the results in `switches` order
+    /// with the work they took.
     ///
-    /// `sides(switch)` yields the switch's logical rules and its TCAM rules.
-    /// It runs inside the workers, so a caller that compiles a switch's
-    /// rules on demand compiles them in parallel too.
-    ///
-    /// Under [`Parallelism::Auto`] the switches are checked on the calling
-    /// thread until `AUTO_INLINE_RULES` (8 192) rules have been folded,
-    /// counted from `sides` after each switch; only the rest is fanned out,
-    /// so a front of small switches never pays for a spawn.
-    pub fn check_each<L, T, F>(&self, switches: &[SwitchId], sides: F) -> Vec<SwitchCheckResult>
+    /// `logical(switch)` yields the switch's logical rules and `tcam(switch)`
+    /// its TCAM rules, each once per switch. They run inside the workers, so
+    /// a caller that compiles a switch's rules on demand compiles them in
+    /// parallel too.
+    pub fn check_each<L, T, FL, FT>(
+        &self,
+        switches: &[SwitchId],
+        logical: FL,
+        tcam: FT,
+    ) -> (Vec<SwitchCheckResult>, CheckWork)
     where
         L: AsRef<[LogicalRule]>,
         T: AsRef<[TcamRule]>,
-        F: Fn(SwitchId) -> (L, T) + Sync,
+        FL: Fn(SwitchId) -> L + Sync,
+        FT: Fn(SwitchId) -> T + Sync,
     {
-        // A switch's result and the number of rules it folded.
-        let check = |switch| {
-            let (logical, tcam) = sides(switch);
-            let (logical, tcam) = (logical.as_ref(), tcam.as_ref());
-            (compare(switch, logical, tcam), logical.len() + tcam.len())
-        };
+        self.check_all(switches, |s| {
+            compare(s, logical(s).as_ref(), tcam(s).as_ref(), None)
+        })
+    }
+
+    /// Runs `check` on each of `switches` and returns the results in
+    /// `switches` order with the work they took.
+    ///
+    /// Under [`Parallelism::Auto`] the switches are checked on the calling
+    /// thread until `AUTO_INLINE_RULES` (8 192) rules have been folded,
+    /// counted from each check's work; only the rest is fanned out, so a
+    /// front of small switches, or of switches re-checked by class, never
+    /// pays for a spawn.
+    fn check_all<F>(&self, switches: &[SwitchId], check: F) -> (Vec<SwitchCheckResult>, CheckWork)
+    where
+        F: Fn(SwitchId) -> (SwitchCheckResult, CheckWork) + Sync,
+    {
         let mut results = Vec::with_capacity(switches.len());
+        let mut work = CheckWork::default();
         if self.parallelism == Parallelism::Auto {
-            let mut folded = 0;
             for &switch in switches {
-                if folded >= AUTO_INLINE_RULES {
+                if work.rules_folded >= AUTO_INLINE_RULES {
                     break;
                 }
-                let (result, rules) = check(switch);
+                let (result, done) = check(switch);
                 results.push(result);
-                folded += rules;
+                work += done;
             }
         }
         let rest = &switches[results.len()..];
         let ranges = self.parallelism.fan_out(rest.len(), |_, range| {
-            rest[range].iter().map(|&s| check(s).0).collect::<Vec<_>>()
+            let mut work = CheckWork::default();
+            let results: Vec<_> = (rest[range].iter())
+                .map(|&s| {
+                    let (result, done) = check(s);
+                    work += done;
+                    result
+                })
+                .collect();
+            (results, work)
         });
-        results.extend(ranges.into_iter().flatten());
-        results
+        for (checked, done) in ranges {
+            results.extend(checked);
+            work += done;
+        }
+        (results, work)
     }
 
     /// The one re-check algorithm: updates `result` in place after a
     /// change and returns every switch whose entry it replaced, added or
     /// dropped, in switch order, with that entry's old value (`None` for an
-    /// added switch). A switch is dropped iff `result` no longer holds it.
+    /// added switch), and the work the re-check took. A switch is dropped
+    /// iff `result` no longer holds it.
     ///
-    /// Every switch of `recheck` is checked anew through `sides` (see
-    /// [`EquivalenceChecker::check_each`]) and every switch of `vanished` is
+    /// Every switch of `classes` that `result` holds is re-checked from its
+    /// entry there, folding only the classes its diff names (see
+    /// [`ClassDiff`]); every other switch of `recheck` or `classes` is
+    /// checked anew. `logical` and `tcam` yield a switch's rules (see
+    /// [`EquivalenceChecker::check_each`]); a class re-check whose diff
+    /// names no class never asks `logical`. Every switch of `vanished` is
     /// dropped; nothing else is looked at, so clean switches cost nothing.
-    /// Provided `recheck` holds every switch present now whose TCAM contents
-    /// *or* logical rule set changed since `result` was computed (see
-    /// `scout_fabric::Fabric::dirty_switches_since`) plus every switch
-    /// present now that `result` lacks, and `vanished` every switch of
-    /// `result` that is no longer present, the updated `result` equals a
-    /// full [`EquivalenceChecker::check_network`] of the network now. A
-    /// `recheck` that misses a changed switch silently keeps its stale
-    /// entry.
-    pub fn recheck_in_place<L, T, F>(
+    ///
+    /// Provided `recheck` and `classes` together hold every switch present
+    /// now whose TCAM contents *or* logical rule set changed since `result`
+    /// was computed (see `scout_fabric::Fabric::dirty_switches_since`) plus
+    /// every switch present now that `result` lacks, each diff of `classes`
+    /// compares its switch's table when `result` was computed with its table
+    /// now while its logical rules stayed as they were, and `vanished` holds
+    /// every switch of `result` that is no longer present, the updated
+    /// `result` equals a full [`EquivalenceChecker::check_network`] of the
+    /// network now. A `recheck` that misses a changed switch silently keeps
+    /// its stale entry.
+    pub fn recheck_in_place<L, T, FL, FT>(
         &self,
         result: &mut NetworkCheckResult,
         recheck: &BTreeSet<SwitchId>,
+        classes: &BTreeMap<SwitchId, ClassDiff>,
         vanished: &[SwitchId],
-        sides: F,
-    ) -> Vec<(SwitchId, Option<SwitchCheckResult>)>
+        logical: FL,
+        tcam: FT,
+    ) -> (Vec<(SwitchId, Option<SwitchCheckResult>)>, CheckWork)
     where
         L: AsRef<[LogicalRule]>,
         T: AsRef<[TcamRule]>,
-        F: Fn(SwitchId) -> (L, T) + Sync,
+        FL: Fn(SwitchId) -> L + Sync,
+        FT: Fn(SwitchId) -> T + Sync,
     {
-        let to_check: Vec<SwitchId> = recheck.iter().copied().collect();
+        let mut to_check = recheck.clone();
+        to_check.extend(classes.keys());
+        let to_check: Vec<SwitchId> = to_check.into_iter().collect();
+        let previous = &result.per_switch;
+        let (checked, work) = self.check_all(&to_check, |s| {
+            let tcam = tcam(s);
+            match classes.get(&s).zip(previous.get(&s)) {
+                Some((diff, previous)) => {
+                    recheck_classes(previous, diff, || logical(s), tcam.as_ref())
+                }
+                None => compare(s, logical(s).as_ref(), tcam.as_ref(), None),
+            }
+        });
         let per_switch = &mut result.per_switch;
-        let mut touched: Vec<_> = self
-            .check_each(&to_check, sides)
-            .into_iter()
+        let mut touched: Vec<_> = (checked.into_iter())
             .map(|r| (r.switch, per_switch.insert(r.switch, r)))
             .collect();
         touched.extend(vanished.iter().map(|&s| (s, per_switch.remove(&s))));
         touched.sort_by_key(|t| t.0);
-        touched
+        (touched, work)
     }
 
     /// Incrementally re-checks the network after a change, on a copy of
@@ -675,10 +938,17 @@ impl EquivalenceChecker {
         let tcams: BTreeMap<SwitchId, Vec<TcamRule>> =
             recheck.iter().map(|&s| (s, tcam_of(s))).collect();
         let mut result = previous.clone();
-        self.recheck_in_place(&mut result, &recheck, &vanished, |s| {
-            let run = runs.binary_search_by_key(&s, |r| r.0);
-            (run.map_or(&[][..], |i| runs[i].1), &tcams[&s])
-        });
+        self.recheck_in_place(
+            &mut result,
+            &recheck,
+            &BTreeMap::new(),
+            &vanished,
+            |s| {
+                let run = runs.binary_search_by_key(&s, |r| r.0);
+                run.map_or(&[][..], |i| runs[i].1)
+            },
+            |s| &tcams[&s],
+        );
         result
     }
 }
@@ -910,7 +1180,8 @@ mod tests {
                 })
                 .collect();
             let switches: Vec<SwitchId> = network.keys().copied().collect();
-            let sides = |s| (network[&s].0.as_slice(), network[&s].1.as_slice());
+            let logical = |s| network[&s].0.as_slice();
+            let tcam = |s| network[&s].1.as_slice();
             let mut baseline = NetworkCheckResult::new();
             for &s in switches.iter().step_by(2).chain(&vanished) {
                 baseline
@@ -921,16 +1192,24 @@ mod tests {
 
             let run = |policy| {
                 let checker = EquivalenceChecker::with_parallelism(policy);
-                let each = checker.check_each(&switches, sides);
+                let each = checker.check_each(&switches, logical, tcam);
                 let mut result = baseline.clone();
-                let touched = checker.recheck_in_place(&mut result, &recheck, &vanished, sides);
+                let touched = checker.recheck_in_place(
+                    &mut result,
+                    &recheck,
+                    &BTreeMap::new(),
+                    &vanished,
+                    logical,
+                    tcam,
+                );
                 (each, result, touched)
             };
             let sequential = run(Parallelism::Sequential);
-            let order: Vec<SwitchId> = sequential.0.iter().map(|r| r.switch).collect();
+            let ((each, _), result, (touched, _)) = &sequential;
+            let order: Vec<SwitchId> = each.iter().map(|r| r.switch).collect();
             assert_eq!(order, switches);
-            assert_eq!(sequential.1.per_switch.len(), switches.len());
-            assert_eq!(sequential.2.len(), switches.len() + vanished.len());
+            assert_eq!(result.per_switch.len(), switches.len());
+            assert_eq!(touched.len(), switches.len() + vanished.len());
             for policy in [
                 Parallelism::Auto,
                 Parallelism::Fixed(2),
@@ -1008,14 +1287,16 @@ mod tests {
             .collect();
 
         let mut result = baseline.clone();
-        let touched = checker.recheck_in_place(
+        let (touched, _) = checker.recheck_in_place(
             &mut result,
             &BTreeSet::from([sample::S2, stray]),
+            &BTreeMap::new(),
             &[sample::S1],
             |s| {
                 let rules: Vec<_> = logical.iter().filter(|l| l.switch == s).copied().collect();
-                (rules, tcam[&s].as_slice())
+                rules
             },
+            |s| tcam[&s].as_slice(),
         );
         assert_eq!(result, checker.check_network(&logical, &tcam));
         let old = |s| Some(baseline.per_switch[&s].clone());

@@ -48,7 +48,9 @@
 pub mod checker;
 pub mod naive;
 
-pub use checker::{EquivalenceChecker, NetworkCheckResult, Parallelism, SwitchCheckResult};
+pub use checker::{
+    CheckWork, ClassDiff, EquivalenceChecker, NetworkCheckResult, Parallelism, SwitchCheckResult,
+};
 pub use naive::breakpoint_check;
 // Re-exported only for the inert `EngineConfig::node_table`,
 // `EquivalenceChecker::set_node_table` and `EquivalenceChecker::cache_stats`

@@ -6,13 +6,16 @@
 //! `scout_policy::evaluate`, at every port where a verdict can change. The
 //! two must return the same `SwitchCheckResult`, list order included.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use scout_equiv::{breakpoint_check, EquivalenceChecker, SwitchCheckResult};
+use scout_equiv::{
+    breakpoint_check, CheckWork, ClassDiff, EquivalenceChecker, NetworkCheckResult,
+    SwitchCheckResult,
+};
 use scout_fabric::CorruptionKind;
 use scout_policy::{
     evaluate, Action, ContractId, EpgId, FilterId, FlowKey, LogicalRule, PortRange, Protocol,
@@ -183,34 +186,41 @@ fn drifted(rng: &mut StdRng, mut tcam: Vec<TcamRule>) -> Vec<TcamRule> {
     tcam
 }
 
-/// The random sweep. Half the TCAMs start as the policy's own rules, half as
-/// a re-rendering of them, whose many adjacent pieces, protocol-specific
-/// denies over an `Any` floor and priority bands only a correct fold
-/// reduces to the policy's space.
+/// Seeded switch `seed` of the sweep: its logical rules and its TCAM, with
+/// the generator that drew them. Half the TCAMs start as the policy's own
+/// rules, half as a re-rendering of them, whose many adjacent pieces,
+/// protocol-specific denies over an `Any` floor and priority bands only a
+/// correct fold reduces to the policy's space.
+fn seeded_switch(seed: u64) -> (StdRng, Vec<LogicalRule>, Vec<TcamRule>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rules = rng.gen_range(1usize..40);
+    let logical: Vec<LogicalRule> = (0..rules).map(|_| logical(random_rule(&mut rng))).collect();
+    let policy: Vec<TcamRule> = logical.iter().map(|l| l.rule).collect();
+    let deployed = if seed.is_multiple_of(2) {
+        policy
+    } else {
+        rerendered(&policy)
+    };
+    let tcam = drifted(&mut rng, deployed);
+    (rng, logical, tcam)
+}
+
+const SEEDS: u64 = 10_000;
+
+/// The random sweep over the seeded switches.
 #[test]
 fn sliced_checker_matches_the_breakpoint_oracle() {
-    const SEEDS: u64 = 10_000;
     let checker = EquivalenceChecker::new();
     let (mut equivalent, mut with_missing, mut with_unexpected) = (0, 0, 0);
     for seed in 0..SEEDS {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let rules = rng.gen_range(1usize..40);
-        let logical: Vec<LogicalRule> =
-            (0..rules).map(|_| logical(random_rule(&mut rng))).collect();
-        let policy: Vec<TcamRule> = logical.iter().map(|l| l.rule).collect();
-        let deployed = if seed % 2 == 0 {
-            policy
-        } else {
-            rerendered(&policy)
-        };
-        let tcam = drifted(&mut rng, deployed);
+        let (_, logical, tcam) = seeded_switch(seed);
         let classes: BTreeSet<_> = logical
             .iter()
             .map(|l| l.rule.matcher)
             .map(|m| (m.vrf, m.src_epg, m.dst_epg))
             .collect();
         assert!(
-            rules < 6 || classes.len() > 1,
+            logical.len() < 6 || classes.len() > 1,
             "seed {seed}: one class only"
         );
 
@@ -238,6 +248,207 @@ fn sliced_checker_matches_the_breakpoint_oracle() {
     assert!(
         share(with_unexpected) >= 0.5,
         "{with_unexpected} with unexpected rules"
+    );
+}
+
+/// One edit a sync might make to a switch's table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Edit {
+    Drop,
+    Duplicate,
+    Add,
+    /// Shuffles one class's rules among their positions.
+    ShuffleClass,
+    /// Interleaves the classes anew, each keeping its own order.
+    ShuffleClasses,
+    /// Shuffles one tie group whose rules share one action.
+    ShuffleOneActionGroup,
+    /// Shuffles one tie group of mixed actions.
+    ShuffleMixedGroup,
+    Corrupt(CorruptionKind),
+}
+
+impl Edit {
+    /// Every edit, each corruption kind as an edit of its own.
+    fn all() -> Vec<Edit> {
+        let reorders = [
+            Edit::Drop,
+            Edit::Duplicate,
+            Edit::Add,
+            Edit::ShuffleClass,
+            Edit::ShuffleClasses,
+            Edit::ShuffleOneActionGroup,
+            Edit::ShuffleMixedGroup,
+        ];
+        (reorders.into_iter())
+            .chain(CorruptionKind::ALL.map(Edit::Corrupt))
+            .collect()
+    }
+
+    /// `true` if the edit leaves every class's tie groups as they were.
+    fn keeps_every_class(self) -> bool {
+        matches!(self, Edit::ShuffleClasses | Edit::ShuffleOneActionGroup)
+    }
+
+    /// `table` with the edit made.
+    fn apply(self, rng: &mut StdRng, table: &[TcamRule]) -> Vec<TcamRule> {
+        let mut table = table.to_vec();
+        let len = table.len();
+        match self {
+            Edit::Drop if len > 0 => {
+                table.remove(rng.gen_range(0..len));
+            }
+            Edit::Duplicate if len > 0 => {
+                let rule = table[rng.gen_range(0..len)];
+                table.insert(rng.gen_range(0..=len), rule);
+            }
+            Edit::Add => {
+                let rule = random_rule(rng);
+                table.insert(rng.gen_range(0..=len), rule);
+            }
+            Edit::ShuffleClass => shuffle_group(rng, &mut table, class, |_| true),
+            Edit::ShuffleClasses => {
+                let mut order = BTreeMap::new();
+                for rule in &table {
+                    order
+                        .entry(class(rule))
+                        .or_insert_with(|| rng.gen_range(0..u64::MAX));
+                }
+                table.sort_by_key(|r| order[&class(r)]);
+            }
+            Edit::ShuffleOneActionGroup => {
+                shuffle_group(rng, &mut table, tie, |group| !mixed(group))
+            }
+            Edit::ShuffleMixedGroup => shuffle_group(rng, &mut table, tie, mixed),
+            Edit::Corrupt(kind) if len > 0 => {
+                let at = rng.gen_range(0..len);
+                table[at] = kind.apply(&table[at]);
+            }
+            Edit::Drop | Edit::Duplicate | Edit::Corrupt(_) => {}
+        }
+        table
+    }
+}
+
+fn class(rule: &TcamRule) -> (VrfId, EpgId, EpgId) {
+    let m = rule.matcher;
+    (m.vrf, m.src_epg, m.dst_epg)
+}
+
+fn tie(rule: &TcamRule) -> ((VrfId, EpgId, EpgId), u16) {
+    (class(rule), rule.priority)
+}
+
+fn mixed(group: &[TcamRule]) -> bool {
+    group.iter().any(|r| r.action != group[0].action)
+}
+
+/// Shuffles the rules of one group of `key` among their own positions,
+/// picked among the groups of two rules or more that `eligible` accepts;
+/// changes nothing if there is none.
+fn shuffle_group<K: Ord>(
+    rng: &mut StdRng,
+    table: &mut [TcamRule],
+    key: impl Fn(&TcamRule) -> K,
+    eligible: impl Fn(&[TcamRule]) -> bool,
+) {
+    let mut groups: BTreeMap<K, Vec<usize>> = BTreeMap::new();
+    for (at, rule) in table.iter().enumerate() {
+        groups.entry(key(rule)).or_default().push(at);
+    }
+    let rules_at =
+        |positions: &[usize]| -> Vec<TcamRule> { positions.iter().map(|&at| table[at]).collect() };
+    let candidates: Vec<&Vec<usize>> = (groups.values())
+        .filter(|positions| positions.len() > 1 && eligible(&rules_at(positions)))
+        .collect();
+    let Some(positions) = candidates.choose(rng).copied() else {
+        return;
+    };
+    let mut rules = rules_at(positions);
+    rules.shuffle(rng);
+    for (&at, rule) in positions.iter().zip(rules) {
+        table[at] = rule;
+    }
+}
+
+/// The switch re-checked from `previous`, its result when its table was
+/// `old`, now that the table is `new`: what a session does after one sync.
+fn rechecked(
+    previous: &SwitchCheckResult,
+    logical: &[LogicalRule],
+    old: &[TcamRule],
+    new: &[TcamRule],
+) -> (SwitchCheckResult, CheckWork) {
+    let mut result = NetworkCheckResult::new();
+    result.per_switch.insert(SWITCH, previous.clone());
+    let classes = BTreeMap::from([(SWITCH, ClassDiff::between(old, new))]);
+    let (_, work) = EquivalenceChecker::new().recheck_in_place(
+        &mut result,
+        &BTreeSet::new(),
+        &classes,
+        &[],
+        |_| logical,
+        |_| new,
+    );
+    (result.per_switch.remove(&SWITCH).expect("kept"), work)
+}
+
+/// The class re-check against a check from scratch and the oracle. Every
+/// seeded switch of the sweep takes a chain of edits a sync might make:
+/// rules dropped, duplicated or added, reordered in one class, across
+/// classes, inside a one-action tie group and inside a mixed-action one, or
+/// corrupted by every kind. After each, the re-check from the previous
+/// result equals `check_switch` of the new table and `breakpoint_check`,
+/// list order included. An edit that keeps every class folds nothing and
+/// asks for no logical rules.
+#[test]
+fn class_recheck_matches_a_check_from_scratch() {
+    const EDITS: usize = 3;
+    let checker = EquivalenceChecker::new();
+    let edits = Edit::all();
+    let mut applied: BTreeMap<String, usize> = BTreeMap::new();
+    let (mut mixed_reorders, mut reordered_unexpected) = (0, 0);
+    for seed in 0..SEEDS {
+        let (mut rng, logical, mut table) = seeded_switch(seed);
+        let mut previous = checker.check_switch(SWITCH, &logical, &table);
+        for step in 0..EDITS {
+            let edit = *edits.choose(&mut rng).unwrap();
+            let next = edit.apply(&mut rng, &table);
+            let (result, work) = rechecked(&previous, &logical, &table, &next);
+            let scratch = checker.check_switch(SWITCH, &logical, &next);
+            let context = format!("seed {seed}, step {step}: {edit:?}");
+            assert_eq!(result, scratch, "{context}");
+            assert_eq!(
+                result,
+                breakpoint_check(SWITCH, &logical, &next),
+                "{context}"
+            );
+            if edit.keeps_every_class() {
+                assert!(ClassDiff::between(&table, &next).is_empty(), "{context}");
+                assert_eq!(work, CheckWork::default(), "{context}");
+            }
+
+            if next != table {
+                *applied.entry(format!("{edit:?}")).or_default() += 1;
+                mixed_reorders += usize::from(edit == Edit::ShuffleMixedGroup);
+                reordered_unexpected += usize::from(
+                    work == CheckWork::default()
+                        && result.unexpected_rules != previous.unexpected_rules,
+                );
+            }
+            (previous, table) = (result, next);
+        }
+    }
+    // Every edit must change some tables, and some class-keeping reorders
+    // must reorder unexpected rules, not only the easy cases.
+    assert_eq!(applied.len(), edits.len(), "{applied:?}");
+    assert!(
+        mixed_reorders >= 200,
+        "{mixed_reorders} mixed-group reorders"
+    );
+    assert!(
+        reordered_unexpected >= 500,
+        "{reordered_unexpected} reorders of unexpected rules, {mixed_reorders} mixed"
     );
 }
 
@@ -461,4 +672,29 @@ fn list_order_breaks_priority_ties() {
     assert!(!reversed.equivalent);
     assert!(reversed.missing_rules.contains(&logical[0]));
     assert!(reversed.unexpected_rules.is_empty());
+}
+
+/// A class diff reads priorities: between an allow and a deny of one port,
+/// raising the deny's priority decides the port, and reordering the two is
+/// a change only while they tie.
+#[test]
+fn a_class_diff_reads_priorities_and_mixed_tie_order() {
+    let (open, shut) = (
+        allow(Protocol::Tcp, 80, 80),
+        rule(Action::Deny, Protocol::Tcp, 80, 80, 100),
+    );
+    let raised = rule(Action::Deny, Protocol::Tcp, 80, 80, 110);
+    let logical = [logical(open)];
+    let previous = checked(&logical, &[open, shut]);
+    for (old, new, changed) in [
+        (vec![open, shut], vec![open, raised], 1),
+        (vec![open, shut], vec![shut, open], 1),
+        (vec![open, raised], vec![raised, open], 0),
+    ] {
+        assert_eq!(ClassDiff::between(&old, &new).len(), changed, "{new:?}");
+        let previous = checked(&logical, &old);
+        let (result, _) = rechecked(&previous, &logical, &old, &new);
+        assert_eq!(result, checked(&logical, &new), "{new:?}");
+    }
+    assert!(previous.equivalent);
 }

@@ -3,7 +3,7 @@
 //! byte-identical to a full `check_network`, and the end-to-end delta-driven
 //! session must agree with the one-shot engine analysis.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 use std::thread::{self, ThreadId};
 
@@ -135,10 +135,17 @@ fn one_switch_drift_of_a_thousand_touches_only_the_victim() {
         fabric.remove_tcam_rules_where(victim, |r| r.matcher.ports.start % 2 == 0);
         let dirty = fabric.dirty_switches_since(checkpoint);
         let fetched = Mutex::new(Vec::new());
-        let touched = checker.recheck_in_place(&mut result, &dirty, &[], |s| {
-            fetched.lock().expect("no worker panicked").push(s);
-            (fabric.logical_rules_on(s), fabric.tcam_rules(s))
-        });
+        let (touched, _) = checker.recheck_in_place(
+            &mut result,
+            &dirty,
+            &BTreeMap::new(),
+            &[],
+            |s| fabric.logical_rules_on(s),
+            |s| {
+                fetched.lock().expect("no worker panicked").push(s);
+                fabric.tcam_rules(s)
+            },
+        );
         let touched: Vec<_> = touched.into_iter().map(|(s, _)| s).collect();
         assert_eq!(touched, vec![victim], "{damaged} damaged");
         let fetched = fetched.into_inner().expect("no worker panicked");
@@ -147,6 +154,157 @@ fn one_switch_drift_of_a_thousand_touches_only_the_victim() {
         assert_eq!(result, full, "{damaged} damaged");
         fabric.repair_switch(victim);
     }
+}
+
+/// The class re-check's work on a 1000-switch fabric: a 50-switch front
+/// damaged and repaired within one epoch holds each switch's rules in a new
+/// order (a repair reinstalls them at the end of the table), which changes no
+/// class, so its ingest compiles no switch and folds no class, with 0 and
+/// with 300 other switches damaged. Every report equals from-scratch
+/// analysis.
+#[test]
+fn a_front_damaged_and_repaired_in_one_epoch_folds_nothing() {
+    let mut fabric = Fabric::new(ScaleSpec::large_fabric(1000).generate(7));
+    fabric.deploy();
+    let engine = ScoutEngine::new();
+    let mut session = engine.open_session(&fabric);
+    let mut probe = FabricProbe::new(&fabric);
+    let ids = fabric.universe().switch_ids();
+    let front: Vec<_> = ids.iter().skip(2).step_by(3).take(50).copied().collect();
+    let mut standing = 0;
+    for damaged in [0, 300] {
+        // Damage every third switch past index 0 (no switch of the front).
+        for &switch in ids.iter().skip(1).step_by(3).take(damaged).skip(standing) {
+            fabric.evict_tcam(switch, 2, false);
+        }
+        standing = damaged;
+        ingest_observation(&mut session, &mut probe, &fabric);
+        for &switch in &front {
+            fabric.evict_tcam(switch, 2, false);
+        }
+        for &switch in &front {
+            fabric.repair_switch(switch);
+        }
+        let before = *session.stats();
+        let delta = session.ingest_observation(&mut probe, &fabric).unwrap();
+        let after = session.stats();
+        assert_eq!(delta.rechecked.len(), front.len(), "{damaged} damaged");
+        assert_eq!(
+            after.switches_compiled, before.switches_compiled,
+            "{damaged}"
+        );
+        assert_eq!(after.classes_folded, before.classes_folded, "{damaged}");
+        assert_eq!(*session.full_report(), engine.analyze(&fabric), "{damaged}");
+    }
+}
+
+/// On the paper's cluster (about 5 600 logical rules a switch), a one-rule
+/// eviction compiles only its switch and folds exactly the evicted rule's
+/// class, and so does its repair, with 0 and with 4 other switches damaged.
+#[test]
+fn a_one_rule_eviction_on_the_paper_cluster_folds_one_class() {
+    let mut fabric = Fabric::new(ClusterSpec::paper().generate(1));
+    fabric.deploy();
+    let engine = ScoutEngine::new();
+    let mut session = engine.open_session(&fabric);
+    let mut probe = FabricProbe::new(&fabric);
+    let ids = fabric.universe().switch_ids();
+    let victim = ids[15];
+    let mut standing = 0;
+    for damaged in [0, 4] {
+        // Damage every third switch past index 0 (the victim is not one).
+        for &switch in ids.iter().skip(1).step_by(3).take(damaged).skip(standing) {
+            fabric.evict_tcam(switch, 2, false);
+        }
+        standing = damaged;
+        ingest_observation(&mut session, &mut probe, &fabric);
+        for step in ["eviction", "repair"] {
+            if step == "eviction" {
+                fabric.evict_tcam(victim, 1, false);
+            } else {
+                fabric.repair_switch(victim);
+            }
+            let before = *session.stats();
+            let delta = session.ingest_observation(&mut probe, &fabric).unwrap();
+            let after = session.stats();
+            assert_eq!(
+                delta.rechecked,
+                BTreeSet::from([victim]),
+                "{step}, {damaged}"
+            );
+            let compiled = after.switches_compiled - before.switches_compiled;
+            assert_eq!(compiled, 1, "{step}, {damaged} damaged");
+            let folded = after.classes_folded - before.classes_folded;
+            assert_eq!(folded, 1, "{step}, {damaged} damaged");
+            assert_eq!(*session.full_report(), engine.analyze(&fabric), "{step}");
+        }
+    }
+}
+
+/// A batch that carries a policy update re-checks every switch it dirtied
+/// whole, compiling each, the switches the batch also synced included.
+#[test]
+fn a_policy_update_compiles_every_switch_it_dirtied() {
+    use scout::workload::{add_filter_to_contract, next_filter_id};
+    let mut fabric = Fabric::new(TestbedSpec::paper().generate(2));
+    fabric.deploy();
+    let engine = ScoutEngine::new();
+    let mut session = engine.open_session(&fabric);
+    let mut probe = FabricProbe::new(&fabric);
+    let universe = fabric.universe();
+    let contract = universe.contracts().next().expect("a contract").id;
+    let updated = add_filter_to_contract(universe, contract, next_filter_id(universe), 9443)
+        .expect("the contract exists");
+    fabric.update_policy(updated);
+
+    let events = probe.observe(&fabric);
+    let synced: BTreeSet<SwitchId> = (events.iter())
+        .filter_map(|e| match e {
+            FabricEvent::TcamSync { switch, .. } => Some(*switch),
+            _ => None,
+        })
+        .collect();
+    assert!(!synced.is_empty());
+    let before = *session.stats();
+    let delta = session
+        .ingest(EventBatch::new(session.next_epoch(), events))
+        .unwrap();
+    let after = session.stats();
+    assert!(delta.rechecked.is_superset(&synced), "{delta:?}");
+    let compiled = after.switches_compiled - before.switches_compiled;
+    assert_eq!(compiled, delta.rechecked.len());
+    assert!(after.classes_folded > before.classes_folded);
+    assert_eq!(*session.full_report(), engine.analyze(&fabric));
+}
+
+/// Only a switch synced once in a batch is re-checked by class. Synced
+/// twice, by a sync that evicts two rules and one that only reorders what
+/// is left, it is compiled and re-checked whole: a diff against its middle
+/// table would see no change and keep the switch healthy.
+#[test]
+fn a_switch_synced_twice_in_a_batch_is_rechecked_whole() {
+    let mut fabric = deployed_scale_fabric(16);
+    let engine = ScoutEngine::new();
+    let mut session = engine.open_session(&fabric);
+    let victim = fabric.universe().switch_ids()[3];
+    fabric.evict_tcam(victim, 2, false);
+    let damaged = fabric.tcam_rules(victim);
+    let mut reordered = damaged.clone();
+    reordered.reverse();
+    assert_ne!(reordered, damaged);
+    let syncs = [damaged, reordered].map(|rules| FabricEvent::TcamSync {
+        switch: victim,
+        rules,
+    });
+    let before = *session.stats();
+    let delta = session
+        .ingest(EventBatch::new(session.next_epoch(), syncs.to_vec()))
+        .unwrap();
+    assert_eq!(delta.rechecked, BTreeSet::from([victim]));
+    let compiled = session.stats().switches_compiled - before.switches_compiled;
+    assert_eq!(compiled, 1);
+    assert!(!delta.newly_missing.is_empty());
+    assert_eq!(*session.full_report(), engine.analyze(&fabric));
 }
 
 /// The switch set of a recheck is `current_switches` plus every switch a
@@ -222,20 +380,26 @@ fn parallel_check_agrees_on_scale_workload() {
     }
 }
 
-/// The thread of every call `check` made to the `sides` closure it is
-/// handed (which reads `fabric`), in call order.
+/// The thread of every call `check` made to the `logical` closure it is
+/// handed (which reads `fabric`, as does `tcam`), in call order.
 fn threads_of_a_check<'a>(
     fabric: &'a Fabric,
-    check: impl FnOnce(&(dyn Fn(SwitchId) -> (&'a [LogicalRule], Vec<TcamRule>) + Sync)),
+    check: impl FnOnce(
+        &(dyn Fn(SwitchId) -> &'a [LogicalRule] + Sync),
+        &(dyn Fn(SwitchId) -> Vec<TcamRule> + Sync),
+    ),
 ) -> Vec<ThreadId> {
     let threads = Mutex::new(Vec::new());
-    check(&|s| {
-        threads
-            .lock()
-            .expect("no worker panicked")
-            .push(thread::current().id());
-        (fabric.logical_rules_on(s), fabric.tcam_rules(s))
-    });
+    check(
+        &|s| {
+            threads
+                .lock()
+                .expect("no worker panicked")
+                .push(thread::current().id());
+            fabric.logical_rules_on(s)
+        },
+        &|s| fabric.tcam_rules(s),
+    );
     threads.into_inner().expect("no worker panicked")
 }
 
@@ -251,8 +415,8 @@ fn auto_folds_a_fifty_switch_front_on_the_caller() {
     let ids = fabric.universe().switch_ids();
     let front: BTreeSet<SwitchId> = ids.iter().copied().step_by(20).collect();
     assert_eq!(front.len(), 50);
-    let threads = threads_of_a_check(&fabric, |sides| {
-        checker.recheck_in_place(&mut result, &front, &[], sides);
+    let threads = threads_of_a_check(&fabric, |logical, tcam| {
+        checker.recheck_in_place(&mut result, &front, &BTreeMap::new(), &[], logical, tcam);
     });
     assert_eq!(threads.len(), 50);
     let caller = thread::current().id();
@@ -269,8 +433,8 @@ fn auto_spreads_a_cold_paper_cluster_check_over_threads() {
     fabric.deploy();
     let switches = fabric.universe().switch_ids();
     let checker = EquivalenceChecker::new();
-    let threads = threads_of_a_check(&fabric, |sides| {
-        checker.check_each(&switches, sides);
+    let threads = threads_of_a_check(&fabric, |logical, tcam| {
+        checker.check_each(&switches, logical, tcam);
     });
     assert_eq!(threads.len(), switches.len());
     let caller = thread::current().id();
