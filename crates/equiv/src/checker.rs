@@ -250,6 +250,25 @@ fn class_runs<'a, 'r>(order: &'a [&'r TcamRule]) -> impl Iterator<Item = &'a [&'
     order.chunk_by(|a, b| class_of(a) == class_of(b))
 }
 
+/// A class run of one of two lists in fold order, `None` where that list
+/// has no rule of the class.
+type Run<'a, 'r> = Option<&'a [&'r TcamRule]>;
+
+/// The classes of two lists in fold order, ascending, each with its run in
+/// either list.
+fn paired_runs<'a, 'r>(
+    a: &'a [&'r TcamRule],
+    b: &'a [&'r TcamRule],
+) -> impl Iterator<Item = (ClassKey, Run<'a, 'r>, Run<'a, 'r>)> {
+    let (mut a, mut b) = (class_runs(a).peekable(), class_runs(b).peekable());
+    std::iter::from_fn(move || {
+        let heads = [a.peek(), b.peek()].map(|run| run.map(|r| class_of(r[0])));
+        let class = heads.into_iter().flatten().min()?;
+        let of_class = |run: &&[&TcamRule]| class_of(run[0]) == class;
+        Some((class, a.next_if(of_class), b.next_if(of_class)))
+    })
+}
+
 /// The allowed space of a rule list in fold order, folded class by class
 /// (see the module docs).
 fn allowed_space(order: &[&TcamRule]) -> Vec<Span> {
@@ -392,18 +411,10 @@ impl ClassDiff {
     /// The classes whose rules differ between `old` and `new`.
     pub fn between(old: &[TcamRule], new: &[TcamRule]) -> Self {
         let (old, new) = (canonical(old), canonical(new));
-        let (mut old, mut new) = (class_runs(&old).peekable(), class_runs(&new).peekable());
-        let mut changed = Vec::new();
-        loop {
-            let heads = [old.peek(), new.peek()].map(|run| run.map(|r| class_of(r[0])));
-            let Some(class) = heads.into_iter().flatten().min() else {
-                break;
-            };
-            let same_class = |run: &&[&TcamRule]| class_of(run[0]) == class;
-            if old.next_if(same_class) != new.next_if(same_class) {
-                changed.push(class);
-            }
-        }
+        let changed = (paired_runs(&old, &new))
+            .filter(|(_, old, new)| old != new)
+            .map(|(class, ..)| class)
+            .collect();
         Self { changed }
     }
 
@@ -466,12 +477,9 @@ fn compare(
     };
     let l_order = fold_order(logical.iter().map(|l| &l.rule).filter(|r| folds(r)));
     let t_order = fold_order(tcam.iter().filter(|r| folds(r)));
-    let runs = class_runs(&l_order).chain(class_runs(&t_order));
-    let mut classes = sorted(runs.map(|run| class_of(run[0])));
-    classes.dedup();
     let work = CheckWork {
         switches_compiled: 1,
-        classes_folded: classes.len(),
+        classes_folded: paired_runs(&l_order, &t_order).count(),
         rules_folded: l_order.len() + t_order.len(),
     };
     let l_space = allowed_space(&l_order);
