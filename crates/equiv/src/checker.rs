@@ -361,19 +361,19 @@ fn sorted<T: Ord>(items: impl Iterator<Item = T>) -> Vec<T> {
     items
 }
 
-/// A table in fold order with each tie group whose rules share one action
-/// sorted by value: such a group allows the same space in any order, while
-/// first match decides between an allow and a deny of one tie group, so a
-/// mixed group keeps its list order. Two tables allow the same space in a
-/// class if their canonical runs of that class are equal.
-fn canonical(rules: &[TcamRule]) -> Vec<&TcamRule> {
-    let mut order = fold_order(rules);
-    for group in order.chunk_by_mut(|a, b| tie(a) == tie(b)) {
+/// A class run in fold order with each tie group whose rules share one
+/// action sorted by value: such a group allows the same space in any order,
+/// while first match decides between an allow and a deny of one tie group,
+/// so a mixed group keeps its list order. Two runs of a class allow the same
+/// space if their canonical forms are equal.
+fn canonical<'r>(run: &[&'r TcamRule]) -> Vec<&'r TcamRule> {
+    let mut run = run.to_vec();
+    for group in run.chunk_by_mut(|a, b| tie(a) == tie(b)) {
         if group.iter().all(|r| r.action == group[0].action) {
             group.sort_unstable();
         }
     }
-    order
+    run
 }
 
 /// The classes whose rules differ between two TCAM tables of one switch.
@@ -405,17 +405,35 @@ fn canonical(rules: &[TcamRule]) -> Vec<&TcamRule> {
 pub struct ClassDiff {
     /// The changed classes, ascending.
     changed: Vec<ClassKey>,
+    /// The classes of either table.
+    classes: usize,
 }
 
 impl ClassDiff {
     /// The classes whose rules differ between `old` and `new`.
     pub fn between(old: &[TcamRule], new: &[TcamRule]) -> Self {
-        let (old, new) = (canonical(old), canonical(new));
+        let (old, new) = (fold_order(old), fold_order(new));
+        let mut classes = 0;
         let changed = (paired_runs(&old, &new))
-            .filter(|(_, old, new)| old != new)
+            .inspect(|_| classes += 1)
+            .filter(|(_, old, new)| match (old, new) {
+                // Runs of one length that are equal in list order need no
+                // canonical form.
+                (Some(old), Some(new)) if old.len() == new.len() => {
+                    old != new && canonical(old) != canonical(new)
+                }
+                _ => true,
+            })
             .map(|(class, ..)| class)
             .collect();
-        Self { changed }
+        Self { changed, classes }
+    }
+
+    /// `true` if more than half the classes of the two tables changed: a
+    /// re-check then folds the switch whole, which costs less than sorting
+    /// out the few classes it could keep.
+    fn most_changed(&self) -> bool {
+        2 * self.changed.len() > self.classes
     }
 
     /// `true` if no class changed.
@@ -535,8 +553,9 @@ fn compare(
 /// With no class changed, every verdict stands: `equivalent` and the
 /// missing rules are kept, and the unexpected rules are the new table's
 /// rules, in list order, that the previous result listed; the logical rules
-/// are never asked for. Otherwise the changed classes are folded, and so is
-/// every class whose logical rules hold a deny: [`compare`] takes a kept
+/// are never asked for. With most classes changed the switch is checked
+/// whole. Otherwise the changed classes are folded, and so is every class
+/// whose logical rules hold a deny: [`compare`] takes a kept
 /// class to be equivalent iff the previous result lists none of its rules,
 /// which holds only while the class's logical rules all allow (a logical
 /// deny is missing even from an equivalent class). Compiled policies hold
@@ -562,6 +581,9 @@ fn recheck_classes<L: AsRef<[LogicalRule]>>(
     }
     let logical = logical();
     let logical = logical.as_ref();
+    if diff.most_changed() {
+        return compare(previous.switch, logical, tcam, None);
+    }
     let denies = logical.iter().filter(|l| l.rule.action == Action::Deny);
     let mut fold = diff.changed.clone();
     fold.extend(denies.map(|l| class_of(&l.rule)));
