@@ -328,7 +328,8 @@ pub struct SessionStats {
     /// with a rule on either side once. A switch re-checked whole folds
     /// every class; a switch synced once by a batch without a policy update
     /// folds only the classes its sync changed (see [`ClassDiff`]), none
-    /// when the sync only reordered its table.
+    /// when the sync only reordered its table, and every class when the
+    /// sync changed most of them.
     pub classes_folded: usize,
     /// Gap recoveries via [`AnalysisSession::resync`].
     pub resyncs: usize,

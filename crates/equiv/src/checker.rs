@@ -61,6 +61,7 @@
 //!   previous result: those classes are folded on both sides, every other
 //!   class keeps its entries, and a diff that names no class (a table
 //!   reordered within its tie groups) costs no fold and no logical rules.
+//!   A diff that names most classes folds the switch whole.
 //!   A whole-switch check is the same fold over every class, and
 //!   [`CheckWork`] counts the switches compiled and the classes and rules
 //!   folded. [`EquivalenceChecker::recheck_dirty_with`] is a copying form
@@ -384,7 +385,8 @@ fn canonical<'r>(run: &[&'r TcamRule]) -> Vec<&'r TcamRule> {
 /// whose groups all match allows the same space in both tables, so a check
 /// of the new table finds the same missing entries in it and the same
 /// unexpected rule values. [`EquivalenceChecker::recheck_in_place`] folds
-/// only the classes a diff names.
+/// only the classes a diff names, or the whole switch when they are most of
+/// its classes.
 ///
 /// # Example
 ///

@@ -201,6 +201,8 @@ fn a_front_damaged_and_repaired_in_one_epoch_folds_nothing() {
 /// On the paper's cluster (about 5 600 logical rules a switch), a one-rule
 /// eviction compiles only its switch and folds exactly the evicted rule's
 /// class, and so does its repair, with 0 and with 4 other switches damaged.
+/// A sync that drops six sevenths of a switch's rules changes most of its
+/// classes and folds the switch whole.
 #[test]
 fn a_one_rule_eviction_on_the_paper_cluster_folds_one_class() {
     let mut fabric = Fabric::new(ClusterSpec::paper().generate(1));
@@ -239,6 +241,18 @@ fn a_one_rule_eviction_on_the_paper_cluster_folds_one_class() {
             assert_eq!(*session.full_report(), engine.analyze(&fabric), "{step}");
         }
     }
+
+    fabric.remove_tcam_rules_where(victim, |r| r.matcher.ports.start % 7 != 0);
+    let (_, whole) = EquivalenceChecker::new().check_each(
+        &[victim],
+        |s| fabric.logical_rules_on(s),
+        |s| fabric.tcam_rules(s),
+    );
+    let before = *session.stats();
+    ingest_observation(&mut session, &mut probe, &fabric);
+    let folded = session.stats().classes_folded - before.classes_folded;
+    assert_eq!(folded, whole.classes_folded);
+    assert_eq!(*session.full_report(), engine.analyze(&fabric));
 }
 
 /// A batch that carries a policy update re-checks every switch it dirtied
