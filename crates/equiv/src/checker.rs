@@ -557,11 +557,10 @@ fn compare(
 /// rules, in list order, that the previous result listed; the logical rules
 /// are never asked for. With most classes changed the switch is checked
 /// whole. Otherwise the changed classes are folded, and so is every class
-/// whose logical rules hold a deny: [`compare`] takes a kept
-/// class to be equivalent iff the previous result lists none of its rules,
-/// which holds only while the class's logical rules all allow (a logical
-/// deny is missing even from an equivalent class). Compiled policies hold
-/// no deny.
+/// whose logical rules hold a deny: [`compare`] takes a kept class to be
+/// equivalent iff the previous result lists none of its rules, which holds
+/// only while the class's logical rules all allow (a logical deny is
+/// missing even from an equivalent class). Compiled policies hold no deny.
 fn recheck_classes<L: AsRef<[LogicalRule]>>(
     previous: &SwitchCheckResult,
     diff: &ClassDiff,
