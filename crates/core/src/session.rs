@@ -555,11 +555,6 @@ impl AnalysisSession {
         let mut log_changed = false;
         for event in &batch.events {
             match event {
-                // The new universe's indexes are patched from the ones of
-                // the universe it replaces, before anything reads them.
-                FabricEvent::PolicyUpdate { universe, .. } => {
-                    universe.index_from(self.view.universe());
-                }
                 FabricEvent::ChangeEvents(_) => log_changed = true,
                 FabricEvent::TcamSync { switch, rules }
                     if syncs.get(switch) == Some(&1)
@@ -568,7 +563,9 @@ impl AnalysisSession {
                     let diff = ClassDiff::between(self.view.tcam_rules(*switch), rules);
                     classes.insert(*switch, diff);
                 }
-                FabricEvent::TcamSync { .. } | FabricEvent::FaultEvents { .. } => {}
+                FabricEvent::PolicyUpdate { .. }
+                | FabricEvent::TcamSync { .. }
+                | FabricEvent::FaultEvents { .. } => {}
             }
             dirty.extend(
                 self.view

@@ -40,10 +40,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use scout_policy::{LogicalRule, PolicyUniverse, SwitchId, TcamRule};
+use scout_policy::{LogicalRule, PolicyUniverse, SwitchId, TcamRule, UniverseDiff};
 
 use crate::clock::Timestamp;
-use crate::compiler;
+use crate::compiler::{self, SwitchDelta};
 use crate::fabric::Fabric;
 use crate::logs::{ChangeLog, ChangeLogEntry, FaultLog, FaultLogEntry};
 
@@ -215,8 +215,8 @@ impl std::error::Error for ApplyError {}
 /// logical rules a switch must hold are a pure function of the universe:
 /// checks compile them per switch with
 /// [`compile_for_switch`](crate::compile_for_switch), and a policy update
-/// finds the switches it dirties with [`switch_delta`](crate::switch_delta)
-/// instead of compiling the fabric.
+/// finds the switches it dirties from the two universes' [`UniverseDiff`]
+/// ([`SwitchDelta::of`]) instead of compiling the fabric.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricView {
     universe_version: u64,
@@ -417,8 +417,9 @@ impl FabricView {
                 // replaces. A switch needs re-checking iff its expected rule
                 // set changed; switches that left the network drop out
                 // instead.
-                universe.index_from(&self.universe);
-                let delta = compiler::switch_delta(&self.universe, universe);
+                let diff = UniverseDiff::between(&self.universe, universe);
+                diff.index();
+                let delta = SwitchDelta::of(&diff);
                 if self.tcam.len() == self.universe.switches().len() {
                     // A table per switch: only switches that came or went
                     // change the map.

@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchId, TcamRule};
+use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchId, TcamRule, UniverseDiff};
 
 use crate::agent::{ApplyOutcome, SwitchAgent};
 use crate::channel::{ControlChannel, LinkState};
@@ -703,101 +703,33 @@ impl Fabric {
 }
 
 /// Computes the object-level difference between two policy universes, in the
-/// form the controller change log records it.
+/// form the controller change log records it: their [`UniverseDiff`], one
+/// walk of each pair of sorted object tables, formatted as entries.
 ///
 /// The entries come in this order: created objects, then deleted ones (each
 /// in [`ObjectId`] order, switches excluded), then modified filters
 /// (entries), contracts (filter list) and EPGs (VRF), each in id order, then
 /// every contract present on both sides whose bindings changed, ascending.
-/// One walk of each pair of sorted object tables produces them.
 pub fn diff_universes(
     old: &PolicyUniverse,
     new: &PolicyUniverse,
 ) -> Vec<(ObjectId, ChangeAction, String)> {
-    let (mut created, mut deleted) = (Vec::new(), Vec::new());
-    let (c, d) = (&mut created, &mut deleted);
-    walk_kind(
-        old.vrfs(),
-        new.vrfs(),
-        |v| ObjectId::Vrf(v.id),
-        |_, _| false,
-        c,
-        d,
-    );
-    let epgs = walk_kind(
-        old.epgs(),
-        new.epgs(),
-        |e| ObjectId::Epg(e.id),
-        |a, b| a.vrf != b.vrf,
-        c,
-        d,
-    );
-    let contracts = walk_kind(
-        old.contracts(),
-        new.contracts(),
-        |c| ObjectId::Contract(c.id),
-        |a, b| a.filters != b.filters,
-        c,
-        d,
-    );
-    let filters = walk_kind(
-        old.filters(),
-        new.filters(),
-        |f| ObjectId::Filter(f.id),
-        |a, b| a.entries != b.entries,
-        c,
-        d,
-    );
-    // Binding changes are recorded against the contract.
-    let mut rebound: Vec<ObjectId> = compiler::by_key(old.bindings(), new.bindings(), |b| *b)
-        .filter_map(|(was, is)| match (was, is) {
-            (Some(_), Some(_)) => None,
-            _ => was.or(is).map(|b| b.contract),
-        })
-        .filter(|&c| old.contract(c).is_some() && new.contract(c).is_some())
-        .map(ObjectId::Contract)
-        .collect();
-    rebound.sort_unstable();
-    rebound.dedup();
-
+    use ChangeAction::{Create, Delete, Modify};
+    let diff = UniverseDiff::between(old, new);
     let mut changes = Vec::new();
-    let mut record = |objects: Vec<ObjectId>, action: ChangeAction, detail: &str| {
-        changes.extend(objects.into_iter().map(|o| (o, action, detail.to_string())));
+    let mut record = |objects: &[ObjectId], action, detail: &str| {
+        changes.extend(objects.iter().map(|&o| (o, action, detail.to_string())));
     };
-    record(created, ChangeAction::Create, "object created");
-    record(deleted, ChangeAction::Delete, "object deleted");
-    record(filters, ChangeAction::Modify, "filter entries changed");
-    record(
-        contracts,
-        ChangeAction::Modify,
-        "contract filter list changed",
-    );
-    record(epgs, ChangeAction::Modify, "epg moved to a different vrf");
-    record(rebound, ChangeAction::Modify, "contract bindings changed");
+    record(diff.created(), Create, "object created");
+    record(diff.deleted(), Delete, "object deleted");
+    record(diff.filters(), Modify, "filter entries changed");
+    record(diff.contracts(), Modify, "contract filter list changed");
+    record(diff.epgs(), Modify, "epg moved to a different vrf");
+    // Binding changes are recorded against the contracts both sides hold.
+    let mut rebound = diff.rebound().to_vec();
+    rebound.retain(|&c| old.contains_object(c) && new.contains_object(c));
+    record(&rebound, Modify, "contract bindings changed");
     changes
-}
-
-/// Walks one kind's two id-sorted object tables together: pushes the ids
-/// only `new` holds to `created` and those only `old` holds to `deleted`,
-/// and returns the ids of the objects `modified` tells apart.
-fn walk_kind<'a, T: 'a>(
-    old: impl IntoIterator<Item = &'a T>,
-    new: impl IntoIterator<Item = &'a T>,
-    id: impl Fn(&T) -> ObjectId,
-    modified: impl Fn(&T, &T) -> bool,
-    created: &mut Vec<ObjectId>,
-    deleted: &mut Vec<ObjectId>,
-) -> Vec<ObjectId> {
-    let mut changed = Vec::new();
-    for (was, is) in compiler::by_key(old, new, &id) {
-        match (was, is) {
-            (None, Some(object)) => created.push(id(object)),
-            (Some(object), None) => deleted.push(id(object)),
-            (Some(a), Some(b)) if modified(a, b) => changed.push(id(a)),
-            _ => {}
-        }
-    }
-    changed
 }
 
 #[cfg(test)]

@@ -1221,8 +1221,8 @@ impl Wire for PolicyUniverse {
     /// [`PolicyUniverse::builder`], so a decoded universe upholds the same
     /// referential-integrity invariants as a freshly built one. Like a built
     /// one, it holds no dependency index yet: its first query builds them,
-    /// unless [`PolicyUniverse::index_from`] first patches them from the
-    /// universe it replaces, as a session applying a
+    /// unless the [`UniverseDiff`](scout_policy::UniverseDiff) from the
+    /// universe it replaces first patches them, as a view applying a
     /// [`FabricEvent::PolicyUpdate`] does.
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let (tenants, vrfs, epgs, endpoints, switches, contracts, filters, bindings) =

@@ -2,6 +2,8 @@
 //! objects of each kind, [`FlatIndex`] for every dependency index, and
 //! [`DenseIndex`], the counting-sort grouping the indexes are built through.
 
+use std::cmp::Ordering;
+
 use crate::error::PolicyError;
 
 /// A multimap from `K` to sorted, distinct `V`s held in three flat vectors.
@@ -202,7 +204,12 @@ impl<K: Ord + Copy, V: Ord + Copy> FlatIndex<K, V> {
     /// The keys whose runs differ between `self` and `other`, one of them
     /// holding none included, ascending.
     pub(crate) fn changed_keys(&self, other: &Self) -> Vec<K> {
-        changed(&self.keys, &other.keys, |i, j| self.run(i) == other.run(j))
+        (by_key(self.iter(), other.iter(), |&(key, _)| key))
+            .filter_map(|step| match step {
+                (Some((_, a)), Some((_, b))) if a == b => None,
+                (was, is) => was.or(is).map(|(key, _)| key),
+            })
+            .collect()
     }
 }
 
@@ -299,46 +306,30 @@ impl<K: Ord + Copy + Into<u32>, T> ObjectTable<K, T> {
     pub(crate) fn len(&self) -> usize {
         self.ids.len()
     }
-
-    /// The ids of the objects `self` and `other` disagree on: those one of
-    /// them lacks, and those whose `field` differs. Ascending; one walk of
-    /// both tables.
-    pub(crate) fn changed_ids<F: PartialEq + ?Sized>(
-        &self,
-        other: &Self,
-        field: impl Fn(&T) -> &F,
-    ) -> Vec<K> {
-        changed(&self.ids, &other.ids, |i, j| {
-            field(&self.items[i]) == field(&other.items[j])
-        })
-    }
 }
 
-/// The keys of two strictly ascending key lists that one list lacks, or
-/// whose entries at positions `i` and `j` are not `same(i, j)`, ascending:
-/// one merge walk of both.
-fn changed<K: Ord + Copy>(a: &[K], b: &[K], same: impl Fn(usize, usize) -> bool) -> Vec<K> {
-    let mut changed = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() || j < b.len() {
-        match (a.get(i), b.get(j)) {
-            (Some(x), Some(y)) if x == y => {
-                if !same(i, j) {
-                    changed.push(*x);
-                }
-                (i, j) = (i + 1, j + 1);
-            }
-            (Some(x), y) if y.is_none_or(|y| x < y) => {
-                changed.push(*x);
-                i += 1;
-            }
-            (_, y) => {
-                changed.extend(y);
-                j += 1;
-            }
-        }
-    }
-    changed
+/// Walks two sequences sorted by strictly ascending `key` together, yielding
+/// each key once, ascending, with the item each side holds for it: the one
+/// merge walk behind every comparison of two universes' tables and indexes.
+pub(crate) fn by_key<T, K: Ord>(
+    old: impl IntoIterator<Item = T>,
+    new: impl IntoIterator<Item = T>,
+    key: impl Fn(&T) -> K,
+) -> impl Iterator<Item = (Option<T>, Option<T>)> {
+    let (mut old, mut new) = (old.into_iter().peekable(), new.into_iter().peekable());
+    std::iter::from_fn(move || {
+        let order = match (old.peek(), new.peek()) {
+            (Some(a), Some(b)) => key(a).cmp(&key(b)),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return None,
+        };
+        Some(match order {
+            Ordering::Less => (old.next(), None),
+            Ordering::Greater => (None, new.next()),
+            Ordering::Equal => (old.next(), new.next()),
+        })
+    })
 }
 
 /// A multimap from the dense keys `0..len` to `u32` values, the scratch form

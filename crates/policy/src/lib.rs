@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod diff;
 pub mod error;
 pub mod ids;
 mod index;
@@ -44,6 +45,7 @@ pub mod rule;
 pub mod sample;
 pub mod universe;
 
+pub use diff::UniverseDiff;
 pub use error::PolicyError;
 pub use ids::{
     ContractId, EndpointId, EpgId, FilterId, ObjectClass, ObjectId, SwitchId, TenantId, VrfId,

@@ -8,14 +8,14 @@
 //! (`scout-fabric`), risk-model construction (`scout-core`) and the Figure 3
 //! object-sharing analysis (`scout-bench`).
 
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::OnceLock;
 
+use crate::diff::UniverseDiff;
 use crate::error::PolicyError;
 use crate::ids::{ContractId, EndpointId, EpgId, FilterId, ObjectId, SwitchId, TenantId, VrfId};
-use crate::index::{DenseIndex, FlatIndex, ObjectTable};
+use crate::index::{by_key, DenseIndex, FlatIndex, ObjectTable};
 use crate::object::{Contract, ContractBinding, Endpoint, Epg, Filter, Switch, Tenant, Vrf};
 use crate::pair::{EpgPair, SwitchEpgPair};
 
@@ -60,8 +60,8 @@ pub struct UniverseStats {
 /// The tables are validated when the universe is built or decoded; the
 /// indexes are built on first use, behind one [`OnceLock`]. A universe that
 /// replaces another (a policy update) derives them from the one it replaces
-/// with [`index_from`](Self::index_from), re-deriving only the runs the
-/// difference touches; any other first query builds them from the tables.
+/// through their [`UniverseDiff`], re-deriving only the runs the difference
+/// touches; any other first query builds them from the tables.
 /// Either way they are a pure function of the tables, so equality, cloning
 /// and the wire encoding depend on the tables alone: a universe whose
 /// indexes are not built yet equals, clones and encodes like one whose
@@ -785,31 +785,11 @@ impl PolicyUniverse {
     }
 
     /// Derives this universe's dependency indexes from `base`'s, the
-    /// universe it replaces, re-deriving only the runs their difference
-    /// touches; `base`'s are built first if they are not yet. Has no effect
-    /// once this universe's indexes exist.
-    ///
-    /// One walk of both universes' sorted tables names what differs: the
-    /// contracts whose filter lists differ, the EPGs whose VRF differs, the
-    /// bindings one side lacks (the others are renumbered), every object
-    /// one side lacks, and, when an endpoint came, went or moved, the EPGs
-    /// whose hosting switches differ. The dirty pairs are those whose
-    /// bindings, closure or member hosts changed: their closures are
-    /// re-derived, and so is object → pairs for every object a dirty pair
-    /// names in either universe, switches included. Object → switches is
-    /// re-derived for those of them whose pairs changed, and for the objects
-    /// of a pair whose member hosts changed. Every other run is copied from
-    /// `base`, and the endpoint views are rebuilt whole only when an
-    /// endpoint came, went or moved. The result is bit-identical to the full
-    /// build for any `base`, related or not; [`index_work`](Self::index_work)
-    /// reports what it re-derived.
+    /// universe it replaces, through their difference:
+    /// [`UniverseDiff::between`]`(base, self).`[`index`](UniverseDiff::index)`()`.
+    /// Has no effect once this universe's indexes exist.
     pub fn index_from(&self, base: &PolicyUniverse) {
-        if self.indexes.get().is_some() {
-            return;
-        }
-        let old = base.indexes();
-        // A racing first query leaves indexes equal to these in the cell.
-        let _ = self.indexes.set(self.patch(base, old));
+        UniverseDiff::between(base, self).index();
     }
 
     /// Compares this universe's dependency indexes with `other`'s, index by
@@ -969,9 +949,11 @@ impl PolicyUniverse {
         }
     }
 
-    /// This universe's indexes, derived from `old`, the indexes of `base`
-    /// (see [`index_from`](Self::index_from)).
-    fn patch(&self, base: &PolicyUniverse, old: &Indexes) -> Indexes {
+    /// This universe's indexes, derived from those of `diff.before()` (see
+    /// [`UniverseDiff::index`]).
+    fn patch(&self, diff: &UniverseDiff) -> Indexes {
+        let base = diff.before();
+        let old = base.indexes();
         // The endpoint views are a function of each endpoint's EPG and
         // switch alone.
         fn links(u: &PolicyUniverse) -> impl Iterator<Item = (EpgId, SwitchId)> + '_ {
@@ -992,17 +974,9 @@ impl PolicyUniverse {
         // whose filter list differs, and of an EPG whose VRF or hosts
         // differ. A pair only the new side holds has a binding the old side
         // lacks.
-        let (pair_bindings, mut dirty) = if self.bindings == base.bindings {
-            (old.pair_bindings.clone(), Vec::new())
-        } else {
-            self.patch_pair_bindings(base, &old.pair_bindings)
-        };
-        let contracts = base.contracts.changed_ids(&self.contracts, |c| &c.filters);
-        let vrf_moves = base.epgs.changed_ids(&self.epgs, |e| &e.vrf);
-        let named = (contracts.into_iter().map(ObjectId::Contract))
-            .chain(vrf_moves.into_iter().map(ObjectId::Epg));
-        for object in named {
-            dirty.extend(old.object_pairs.slice(&object));
+        let (pair_bindings, mut dirty) = self.patch_pair_bindings(diff, &old.pair_bindings);
+        for object in diff.contracts().iter().chain(diff.epgs()) {
+            dirty.extend(old.object_pairs.slice(object));
         }
         let mut moved_pairs = Vec::new();
         for epg in moved {
@@ -1110,43 +1084,32 @@ impl PolicyUniverse {
         }
     }
 
-    /// Pair → bindings derived from `old`, `base`'s: one walk of both sorted
-    /// binding lists renumbers the bindings both hold. Also returns the
-    /// pairs of the bindings one side lacks, the runs re-derived.
+    /// Pair → bindings derived from `old`, `diff.before()`'s: the bindings
+    /// both sides hold keep their order, so the k-th of them in one list is
+    /// the k-th in the other and is renumbered so. Also returns the pairs of
+    /// the bindings one side lacks, the runs re-derived.
     fn patch_pair_bindings(
         &self,
-        base: &PolicyUniverse,
+        diff: &UniverseDiff,
         old: &FlatIndex<EpgPair, usize>,
     ) -> (FlatIndex<EpgPair, usize>, Vec<EpgPair>) {
         const GONE: usize = usize::MAX;
-        let pair = |b: &ContractBinding| EpgPair::new(b.consumer, b.provider);
-        let (was, is) = (&base.bindings, &self.bindings);
-        let mut renumber = vec![GONE; was.len()];
-        let (mut added, mut dirty) = (Vec::new(), Vec::new());
-        let (mut i, mut j) = (0, 0);
-        loop {
-            let order = match (was.get(i), is.get(j)) {
-                (Some(x), Some(y)) => x.cmp(y),
-                (Some(_), None) => Ordering::Less,
-                (None, Some(_)) => Ordering::Greater,
-                (None, None) => break,
-            };
-            match order {
-                Ordering::Equal => {
-                    renumber[i] = j;
-                    (i, j) = (i + 1, j + 1);
-                }
-                Ordering::Less => {
-                    dirty.push(pair(&was[i]));
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    dirty.push(pair(&is[j]));
-                    added.push((pair(&is[j]), j));
-                    j += 1;
-                }
-            }
+        let (lost, gained) = &diff.unmatched;
+        if lost.is_empty() && gained.is_empty() {
+            return (old.clone(), Vec::new());
         }
+        let was = &diff.before().bindings;
+        let pair = |b: &ContractBinding| EpgPair::new(b.consumer, b.provider);
+        let mut renumber = vec![GONE; was.len()];
+        for (i, j) in kept(was.len(), lost).zip(kept(self.bindings.len(), gained)) {
+            renumber[i] = j;
+        }
+        let mut added: Vec<(EpgPair, usize)> = (gained.iter())
+            .map(|&j| (pair(&self.bindings[j]), j))
+            .collect();
+        let mut dirty: Vec<EpgPair> = (lost.iter().map(|&i| pair(&was[i])))
+            .chain(added.iter().map(|&(p, _)| p))
+            .collect();
         added.sort_unstable();
         dirty.sort_unstable();
         dirty.dedup();
@@ -1186,6 +1149,40 @@ impl PolicyUniverse {
     }
 }
 
+impl UniverseDiff<'_> {
+    /// Derives `after`'s dependency indexes from `before`'s (built first if
+    /// they are not yet), re-deriving only the runs this difference touches.
+    /// Has no effect once `after`'s indexes exist.
+    ///
+    /// The dirty pairs are those of the bindings one side lacks (the others
+    /// are renumbered), of the contracts whose filter lists differ, of the
+    /// EPGs whose VRF changed and, when an endpoint came, went or moved, of
+    /// the EPGs whose hosting switches differ. Their closures are
+    /// re-derived, and so is object → pairs for every object a dirty pair
+    /// names in either universe, switches included. Object → switches is
+    /// re-derived for those of them whose pairs changed, and for the objects
+    /// of a pair whose member hosts changed. Every other run is copied from
+    /// `before`, and the endpoint views are rebuilt whole only when an
+    /// endpoint came, went or moved. The result is bit-identical to the full
+    /// build for any two universes, related or not;
+    /// [`index_work`](PolicyUniverse::index_work) reports what it
+    /// re-derived.
+    pub fn index(&self) {
+        let after = self.after();
+        if after.indexes.get().is_none() {
+            // Not `get_or_init`: `before` may be `after` itself. A racing
+            // first query leaves indexes equal to these in the cell.
+            let _ = after.indexes.set(after.patch(self));
+        }
+    }
+}
+
+/// The positions `0..len` not in `dropped`, which ascends.
+fn kept(len: usize, dropped: &[usize]) -> impl Iterator<Item = usize> + '_ {
+    let mut dropped = dropped.iter().peekable();
+    (0..len).filter(move |i| dropped.next_if_eq(&i).is_none())
+}
+
 /// The switches hosting either member of `pair`, ascending.
 fn pair_hosts(
     epg_hosts: &FlatIndex<EpgId, SwitchId>,
@@ -1194,17 +1191,9 @@ fn pair_hosts(
     merged(epg_hosts.slice(&pair.a), epg_hosts.slice(&pair.b))
 }
 
-/// Every value of the two ascending runs once, ascending: one merge walk.
-fn merged<'a, T: Ord + Copy>(mut a: &'a [T], mut b: &'a [T]) -> impl Iterator<Item = T> + 'a {
-    std::iter::from_fn(move || {
-        let next = match (a.first(), b.first()) {
-            (Some(&x), Some(&y)) => x.min(y),
-            (x, y) => *x.or(y)?,
-        };
-        a = a.strip_prefix(&[next]).unwrap_or(a);
-        b = b.strip_prefix(&[next]).unwrap_or(b);
-        Some(next)
-    })
+/// Every value of the two ascending runs once, ascending.
+fn merged<'a, T: Ord + Copy>(a: &'a [T], b: &'a [T]) -> impl Iterator<Item = T> + 'a {
+    by_key(a, b, |&&x| x).filter_map(|(x, y)| x.or(y).copied())
 }
 
 /// Adds `sign` times the elements of one pair, with `closure` on `hosts`,

@@ -21,9 +21,11 @@
 //!   build index by index, and the view and the session receive the batch
 //!   over the wire, as a server tenant does. `index_from` also equals the
 //!   full build from unrelated bases.
-//! * `diff_universes`, one walk of the sorted tables, must return the
-//!   change-log entries of the whole-universe `BTreeSet` formulation it
-//!   replaced, in the same order.
+//! * `diff_universes`, which formats the `UniverseDiff` of one walk of the
+//!   sorted tables, must return the change-log entries of the
+//!   whole-universe `BTreeSet` formulation it replaced, in the same order;
+//!   the diff itself must name the objects per-kind `BTreeSet` differences
+//!   name (the diff oracle).
 //! * Every model builder — the controller model, every switch model and the
 //!   failure subgraph after seeded augmentations — must equal a per-edge
 //!   reference that inserts one element and one edge at a time; a `large_1k`
@@ -32,8 +34,11 @@
 //! * Host-independent work bound, in the count style of `tests/incremental.rs`:
 //!   a one-filter edit of a single-switch contract on a 200-switch fabric
 //!   compiles rules for that switch alone and dirties exactly that switch;
-//!   on a 1000-switch fabric a session patches the decoded universe's
-//!   indexes, re-deriving the closures of the edited contract's pairs alone.
+//!   a one-filter edit of a production-cluster contract spanning at least 15
+//!   switches compiles that contract's switches alone, and each dirty
+//!   switch's rule diff is the union of its dirty pairs' diffs; on a
+//!   1000-switch fabric a session patches the decoded universe's indexes,
+//!   re-deriving the closures of the edited contract's pairs alone.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -46,13 +51,13 @@ use scout::core::{
 };
 use scout::fabric::wire::{from_bytes, to_bytes};
 use scout::fabric::{
-    compile, diff_rules, diff_universes, switch_delta, ChangeAction, EventBatch, Fabric,
-    FabricEvent, FabricProbe, FabricView,
+    compile, compile_for_switch, diff_rules, diff_universes, switch_delta, ChangeAction,
+    EventBatch, Fabric, FabricEvent, FabricProbe, FabricView,
 };
 use scout::policy::{
     sample, Contract, ContractBinding, Endpoint, EndpointId, Epg, EpgId, EpgPair, Filter,
     FilterEntry, FilterId, IndexWork, LogicalRule, ObjectId, PolicyUniverse, PortRange, Protocol,
-    Switch, SwitchEpgPair, SwitchId, Tenant, Vrf, VrfId,
+    Switch, SwitchEpgPair, SwitchId, Tenant, UniverseDiff, Vrf, VrfId,
 };
 use scout::workload::{
     add_filter_to_contract, next_filter_id, random_policy_edit, remove_filter_from_contract,
@@ -240,6 +245,72 @@ fn reference_diff_universes(
     changes
 }
 
+/// One kind's objects of two universes as `BTreeSet` differences: the ids
+/// only `new` holds, those only `old` holds, and those both hold whose
+/// `entry` field differs.
+fn kind_changes<T, F: PartialEq>(
+    old: impl Iterator<Item = T>,
+    new: impl Iterator<Item = T>,
+    entry: impl Fn(T) -> (ObjectId, F),
+) -> [BTreeSet<ObjectId>; 3] {
+    let old: BTreeMap<ObjectId, F> = old.map(&entry).collect();
+    let new: BTreeMap<ObjectId, F> = new.map(&entry).collect();
+    let ids = |objects: &BTreeMap<ObjectId, F>| objects.keys().copied().collect::<BTreeSet<_>>();
+    let (was, is) = (ids(&old), ids(&new));
+    let modified = was.intersection(&is).filter(|id| old[id] != new[id]);
+    [
+        is.difference(&was).copied().collect(),
+        was.difference(&is).copied().collect(),
+        modified.copied().collect(),
+    ]
+}
+
+/// What a `UniverseDiff` of `old` and `new` must hold, from per-kind
+/// `BTreeSet` differences of their objects: the objects created, deleted
+/// (switches included) and modified (a filter's entries, a contract's filter
+/// list, an EPG's VRF), and the contracts of the bindings one side lacks.
+fn reference_universe_diff(old: &PolicyUniverse, new: &PolicyUniverse) -> [BTreeSet<ObjectId>; 4] {
+    let kinds = [
+        kind_changes(old.vrfs(), new.vrfs(), |v| (ObjectId::Vrf(v.id), ())),
+        kind_changes(old.epgs(), new.epgs(), |e| (ObjectId::Epg(e.id), e.vrf)),
+        kind_changes(old.contracts(), new.contracts(), |c| {
+            (ObjectId::Contract(c.id), c.filters.to_vec())
+        }),
+        kind_changes(old.filters(), new.filters(), |f| {
+            (ObjectId::Filter(f.id), f.entries.clone())
+        }),
+        kind_changes(old.switches(), new.switches(), |s| {
+            (ObjectId::Switch(s.id), ())
+        }),
+    ];
+    let mut sets: [BTreeSet<ObjectId>; 4] = Default::default();
+    for [created, deleted, modified] in kinds {
+        sets[0].extend(created);
+        sets[1].extend(deleted);
+        sets[2].extend(modified);
+    }
+    let bindings = |u: &PolicyUniverse| u.bindings().iter().copied().collect::<BTreeSet<_>>();
+    let (was, is) = (bindings(old), bindings(new));
+    let rebound = was.symmetric_difference(&is);
+    sets[3] = rebound.map(|b| ObjectId::Contract(b.contract)).collect();
+    sets
+}
+
+/// A `UniverseDiff`'s lists as the sets `reference_universe_diff` builds.
+fn universe_diff_sets(diff: &UniverseDiff) -> [BTreeSet<ObjectId>; 4] {
+    let objects = |objects: &[ObjectId], switches: &[SwitchId]| {
+        let switches = switches.iter().map(|&s| ObjectId::Switch(s));
+        objects.iter().copied().chain(switches).collect()
+    };
+    let modified = (diff.filters().iter().chain(diff.contracts())).chain(diff.epgs());
+    [
+        objects(diff.created(), diff.added()),
+        objects(diff.deleted(), diff.removed()),
+        modified.copied().collect(),
+        diff.rebound().iter().copied().collect(),
+    ]
+}
+
 /// Every dependency query of `u` equals the same query on `reference`: per
 /// switch (and one unknown switch), per EPG, per bound pair and per object.
 fn assert_same_queries(label: &str, u: &PolicyUniverse, reference: &PolicyUniverse) {
@@ -406,6 +477,11 @@ fn assert_step(
         diff_universes(old, new),
         reference_diff_universes(old, new),
         "{label}: change-log entries"
+    );
+    assert_eq!(
+        universe_diff_sets(&UniverseDiff::between(old, new)),
+        reference_universe_diff(old, new),
+        "{label}: universe diff"
     );
 
     let old_switches: BTreeSet<SwitchId> = old.switch_ids().into_iter().collect();
@@ -711,6 +787,66 @@ fn one_filter_edit_costs_its_contract_not_the_fabric() {
     assert_eq!(delta.rechecked, home);
     assert_eq!(*session.full_report(), engine.analyze(&fabric));
     assert!(session.is_consistent());
+}
+
+/// The `switch_delta` work count at production-cluster scale. A one-filter
+/// edit of a `ClusterSpec::paper()` contract spanning at least 15 switches
+/// compiles exactly the contract's switches in either universe and dirties
+/// exactly the switches whose rule set changed. On each dirty switch the
+/// whole-switch rule-set difference is the union of its pairs' differences,
+/// taken over the contract's pairs alone: the rules of every other pair are
+/// unchanged, and no rule of one pair equals a rule of another (a rule's
+/// match names both EPGs of its pair). A per-pair comparison of the dirty
+/// pairs would give the whole-switch answer.
+#[test]
+fn a_paper_cluster_filter_edit_compiles_its_contracts_switches() {
+    let base = ClusterSpec::paper().generate(1);
+    let spanning = |u: &PolicyUniverse, c| u.switches_for_object(ObjectId::Contract(c));
+    let contract = (base.contracts().map(|c| c.id))
+        .find(|&c| spanning(&base, c).len() >= 15)
+        .expect("a contract spans at least 15 switches");
+    let edited = add_filter_to_contract(&base, contract, next_filter_id(&base), 31_337)
+        .expect("edit applies");
+    let mut spanned = spanning(&base, contract);
+    spanned.extend(spanning(&edited, contract));
+
+    let delta = switch_delta(&base, &edited);
+    assert_eq!(delta.compiled, spanned.len(), "the contract's switches");
+    let (dirty, _, _) = set_diff(&compile(&base), &compile(&edited));
+    assert!(dirty.len() >= 15, "{} dirty switches", dirty.len());
+    assert_eq!(delta.dirty, dirty);
+
+    let mut pairs: BTreeSet<EpgPair> = BTreeSet::new();
+    for u in [&base, &edited] {
+        pairs.extend(
+            u.pairs_for_object(ObjectId::Contract(contract))
+                .unwrap_or(&[]),
+        );
+    }
+    for &switch in &dirty {
+        let rules = |u: &PolicyUniverse| -> BTreeSet<LogicalRule> {
+            compile_for_switch(u, switch).into_iter().collect()
+        };
+        let (was, is) = (rules(&base), rules(&edited));
+        let (mut removed, mut added) = (BTreeSet::new(), BTreeSet::new());
+        for &pair in &pairs {
+            let of = |rules: &BTreeSet<LogicalRule>| -> BTreeSet<LogicalRule> {
+                rules.iter().filter(|r| r.pair() == pair).copied().collect()
+            };
+            let (was, is) = (of(&was), of(&is));
+            removed.extend(was.difference(&is).copied());
+            added.extend(is.difference(&was).copied());
+        }
+        let whole: (BTreeSet<_>, BTreeSet<_>) = (
+            was.difference(&is).copied().collect(),
+            is.difference(&was).copied().collect(),
+        );
+        assert_eq!(
+            (removed, added),
+            whole,
+            "{switch}: per-pair != whole-switch"
+        );
+    }
 }
 
 /// The index work bound. On `ScaleSpec::large_fabric(1000)`, a session that
