@@ -305,7 +305,7 @@ pub fn testbed_accuracy(
     let mut base_fabric = Fabric::new(universe);
     base_fabric.deploy();
     let engine = ScoutEngine::new();
-    let mut session = engine.open_session(&base_fabric);
+    let session = engine.open_session(&base_fabric);
 
     let mut rows = Vec::new();
     for &faults in fault_counts {
@@ -318,8 +318,8 @@ pub fn testbed_accuracy(
 
             let report = session.analyze_clone(&fabric);
             tally.add("SCOUT", &truth, &report.hypothesis.objects());
-            // SCORE baseline on the same augmented controller risk model.
-            let score = score_baseline(&mut session, &fabric, &report);
+            // SCORE baseline on the failure subgraph of the same check.
+            let score = score_baseline(&fabric, &report);
             tally.add("SCORE-1", &truth, &score);
         }
         rows.push(tally.row(faults));

@@ -20,10 +20,11 @@
 //!
 //! Every path runs the same stages (equivalence check → risk model →
 //! localization → correlation). [`ScoutEngine::analyze`] runs them from
-//! scratch; a session keeps their state across epochs (its re-checked
-//! switches, a failure overlay over the risk model its universe indexes,
-//! and its localization per failure component), and its reports are bit-identical to from-scratch analyses of the same
-//! fabric state.
+//! scratch on the per-edge controller model; a session keeps their state
+//! across epochs (its re-checked switches, a failure overlay over the risk
+//! model its universe indexes, and its localization per failure component),
+//! a clone analysis settles a fresh overlay, and both are bit-identical to
+//! from-scratch analyses of the same fabric state.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,9 +40,10 @@ use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchEpgPair, SwitchI
 use crate::correlation::{CorrelationEngine, CorrelationReport};
 use crate::gauges::ServiceGauges;
 use crate::localization::{scout_localize, Hypothesis, ScoutConfig};
+use crate::overlay::FailureOverlay;
 use crate::risk::{
-    augment_controller_model_tracked, augment_switch_model, controller_risk_model,
-    switch_risk_model, RiskModel,
+    augment_controller_model, augment_switch_model, controller_risk_model, switch_risk_model,
+    RiskModel,
 };
 use crate::session::AnalysisSession;
 
@@ -217,35 +219,56 @@ impl EngineShared {
         (NetworkCheckResult { per_switch }, work)
     }
 
-    /// The stages after the equivalence check of the reference pipeline
-    /// ([`ScoutEngine::analyze`]) and of clone analyses: marks the failures
-    /// of `check` on the pristine `model`, localizes and correlates, and
-    /// rolls the marks back so `model` leaves pristine. A session's ingest
-    /// keeps its marks instead, in a failure overlay whose localization is
-    /// cached per failure component, and is checked against this path.
-    pub(crate) fn report_on(
+    /// The stages after the equivalence check of sessions and clone
+    /// analyses: marks `missing` and unmarks `restored` (rules marked before)
+    /// on `overlay`, keeping `report`'s observations and suspect objects
+    /// equal to the augmented model's, re-localizes the failure components
+    /// they reach, then sets the report's hypothesis (the merge of every
+    /// component's) and its diagnosis. Returns how many components were
+    /// localized.
+    pub(crate) fn settle(
         &self,
-        model: &mut RiskModel<SwitchEpgPair>,
+        overlay: &mut FailureOverlay,
+        report: &mut ScoutReport,
+        (missing, restored): (&[LogicalRule], &[LogicalRule]),
+        universe: &PolicyUniverse,
+        change_log: &ChangeLog,
+        fault_log: &FaultLog,
+    ) -> usize {
+        let config = self.config.scout;
+        let localized = overlay.apply(universe, missing, restored, change_log, config, report);
+        report.hypothesis = overlay.hypothesis();
+        report.diagnosis =
+            (self.correlation).correlate(&report.hypothesis, universe, change_log, fault_log);
+        localized
+    }
+
+    /// [`EngineShared::settle`] on an empty overlay: the report of `check`
+    /// with every missing rule marked and every component localized, with
+    /// the overlay and the number of components.
+    pub(crate) fn settle_all(
+        &self,
         check: NetworkCheckResult,
         universe: &PolicyUniverse,
         change_log: &ChangeLog,
         fault_log: &FaultLog,
-    ) -> ScoutReport {
-        let marks = augment_controller_model_tracked(model, check.missing_rules());
-        let observations = model.failure_signature();
-        let suspect_objects = model.suspect_set(&observations);
-        let hypothesis = scout_localize(model, change_log, self.config.scout);
-        let diagnosis = self
-            .correlation
-            .correlate(&hypothesis, universe, change_log, fault_log);
-        model.undo_failures(marks);
-        ScoutReport {
+    ) -> (FailureOverlay, ScoutReport, usize) {
+        let missing: Vec<LogicalRule> = check.missing_rule_set().into_iter().collect();
+        let mut overlay = FailureOverlay::default();
+        let mut report = ScoutReport {
             check,
-            observations,
-            suspect_objects,
-            hypothesis,
-            diagnosis,
-        }
+            ..ScoutReport::default()
+        };
+        let changes = (&missing[..], &[][..]);
+        let localized = self.settle(
+            &mut overlay,
+            &mut report,
+            changes,
+            universe,
+            change_log,
+            fault_log,
+        );
+        (overlay, report, localized)
     }
 }
 
@@ -404,18 +427,32 @@ impl ScoutEngine {
     }
 
     /// One-shot, from-scratch analysis of a fabric — the reference pipeline
-    /// every incremental session result is differentially checked against.
+    /// every session and clone report is differentially checked against. It
+    /// builds the per-edge controller risk model, marks every missing rule
+    /// on it and localizes the whole model, where the others settle a
+    /// failure overlay over the universe's indexes component by component.
     pub fn analyze(&self, fabric: &Fabric) -> ScoutReport {
         let check = (self.shared.config.checker())
             .check_network(fabric.logical_rules(), &fabric.collect_tcam());
-        let mut model = controller_risk_model(fabric.universe());
-        self.shared.report_on(
-            &mut model,
-            check,
-            fabric.universe(),
-            fabric.change_log(),
+        let (universe, change_log) = (fabric.universe(), fabric.change_log());
+        let mut model = controller_risk_model(universe);
+        augment_controller_model(&mut model, check.missing_rules());
+        let observations = model.failure_signature();
+        let suspect_objects = model.suspect_set(&observations);
+        let hypothesis = scout_localize(&model, change_log, self.shared.config.scout);
+        let diagnosis = (self.shared.correlation).correlate(
+            &hypothesis,
+            universe,
+            change_log,
             fabric.fault_log(),
-        )
+        );
+        ScoutReport {
+            check,
+            observations,
+            suspect_objects,
+            hypothesis,
+            diagnosis,
+        }
     }
 
     /// Runs the equivalence check and localization against the *switch risk

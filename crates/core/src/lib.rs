@@ -74,6 +74,7 @@ pub use correlation::{
 pub use engine::{EngineBuildError, EngineConfig, OracleCadence, ScoutEngine, ScoutReport};
 pub use gauges::{ServiceGauges, ServiceStats};
 pub use localization::{score_localize, scout_localize, Evidence, Hypothesis, ScoutConfig};
+pub use overlay::failure_subgraph;
 pub use risk::{
     augment_controller_model, augment_controller_model_tracked, augment_switch_model,
     controller_risk_model, controller_risk_model_sharded, switch_risk_model, EdgeStatus,

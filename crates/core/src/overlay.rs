@@ -3,8 +3,9 @@
 //! cached per failure component.
 //!
 //! [`ScoutEngine::analyze`](crate::ScoutEngine::analyze) builds the model and
-//! marks every missing rule on it. A session builds none: the edges are the
-//! universe's element queries, and a [`FailureOverlay`] counts, per
+//! marks every missing rule on it. A session, a clone analysis and SCORE's
+//! evidence ([`failure_subgraph`]) build none: the edges are the universe's
+//! element queries, and a [`FailureOverlay`] counts, per
 //! `(element, risk)` edge, the missing rules that implicate it, so an ingest
 //! marks its `newly_missing` rules, unmarks its `restored` ones, and an edge
 //! heals exactly when its last missing rule is restored.
@@ -20,6 +21,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use scout_equiv::NetworkCheckResult;
 use scout_fabric::ChangeLog;
 use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchEpgPair, VrfId};
 
@@ -140,7 +142,11 @@ impl FailureOverlay {
         let mut localized = 0;
         while let Some(&seed) = seeds.first() {
             let (members, risks) = self.component(universe, seed);
-            let hypothesis = self.localize(universe, &members, &risks, change_log, config);
+            // Both SCOUT stages on the component's slice of the subgraph.
+            let work = self.work_graph(universe, &members, &risks);
+            let failed_risks = |o: &SwitchEpgPair| self.failed_risks(o).collect();
+            let hypothesis =
+                localize_failures(work, members.clone(), failed_risks, change_log, config);
             for o in &members {
                 let was_seed = seeds.remove(o);
                 let fresh = self.component_of.insert(*o, seed).is_none();
@@ -285,16 +291,15 @@ impl FailureOverlay {
         (members, joining)
     }
 
-    /// Localizes one component: both SCOUT stages on its slice of the
-    /// failure subgraph.
-    fn localize(
+    /// The edges between the observations `members` and the subgraph risks
+    /// `joining`, statuses kept, as a model; a member with none is not
+    /// listed.
+    fn work_graph(
         &self,
         universe: &PolicyUniverse,
         members: &BTreeSet<SwitchEpgPair>,
         joining: &BTreeSet<ObjectId>,
-        change_log: &ChangeLog,
-        config: ScoutConfig,
-    ) -> Hypothesis {
+    ) -> RiskModel<SwitchEpgPair> {
         let mut edges = Vec::new();
         for &o in members {
             for risk in self.risks_of(universe, &o).intersection(joining) {
@@ -306,20 +311,40 @@ impl FailureOverlay {
                 edges.push((o, *risk, status));
             }
         }
-        let work = RiskModel::from_sorted(|| {
+        RiskModel::from_sorted(|| {
             edges.chunk_by(|a, b| a.0 == b.0).map(|run| {
                 let element_edges = run.iter().map(|&(_, risk, status)| (risk, status));
                 (run[0].0, element_edges)
             })
-        });
-        localize_failures(
-            work,
-            members.clone(),
-            |o| self.failed_risks(o).collect(),
-            change_log,
-            config,
-        )
+        })
     }
+}
+
+/// The failure subgraph of `check` on `universe`'s controller risk model
+/// ([`RiskModel::failure_subgraph`] of the augmented model), from a fresh
+/// overlay that marks the check's missing rules and localizes nothing.
+///
+/// SCORE at threshold 1.0 ([`score_localize`](crate::score_localize))
+/// returns the same objects on it as on the whole augmented model: a
+/// candidate has all of its dependents failed, so it is a subgraph risk that
+/// keeps every dependent, and no other element enters a cover. Its
+/// observation and unexplained counts cover the subgraph alone.
+pub fn failure_subgraph(
+    universe: &PolicyUniverse,
+    check: &NetworkCheckResult,
+) -> RiskModel<SwitchEpgPair> {
+    let mut overlay = FailureOverlay::default();
+    for rule in check.missing_rules() {
+        let element = SwitchEpgPair::new(rule.switch, rule.pair());
+        for risk in rule.provenance.objects_with_switch(rule.switch) {
+            overlay.mark(universe, element, risk);
+        }
+    }
+    let observations: BTreeSet<SwitchEpgPair> = overlay.failed.keys().map(|&(o, _)| o).collect();
+    let subgraph: BTreeSet<ObjectId> = (overlay.risks.keys().copied())
+        .filter(|&risk| overlay.in_subgraph(universe, risk))
+        .collect();
+    overlay.work_graph(universe, &observations, &subgraph)
 }
 
 /// Removes `element` from `map[risk]`, dropping the entry when it empties.
@@ -342,10 +367,11 @@ fn remove_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::localization::scout_localize;
+    use crate::localization::{score_localize, scout_localize};
     use crate::risk::{augment_controller_model, controller_risk_model};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use scout_equiv::SwitchCheckResult;
     use scout_fabric::{compile_for_switch, ChangeAction, Timestamp};
     use scout_policy::{sample, FilterId};
 
@@ -354,7 +380,9 @@ mod tests {
     /// adds an edge): after every step the overlay's observations, suspects
     /// and merged hypothesis equal the augmented model's failure signature,
     /// suspect set and `scout_localize`, and each suspect's observed and
-    /// failed dependent counts equal the model's.
+    /// failed dependent counts equal the model's. `failure_subgraph` of the
+    /// missing rules equals the augmented model's failure subgraph, and
+    /// SCORE-1.0 names the same objects on both.
     #[test]
     fn overlay_matches_the_augmented_model_along_random_deltas() {
         let universe = sample::three_tier();
@@ -416,6 +444,10 @@ mod tests {
                 assert_eq!(report.observations, signature, "{context}");
                 let expected = scout_localize(&augmented, &log, config);
                 assert_eq!(overlay.hypothesis(), expected, "{context}");
+                let subgraph = failure_subgraph(&universe, &check_of(&missing));
+                assert_eq!(subgraph, augmented.failure_subgraph(), "{context}");
+                let score = |m: &RiskModel<SwitchEpgPair>| score_localize(m, 1.0).objects();
+                assert_eq!(score(&subgraph), score(&augmented), "{context}");
                 for (&risk, counts) in &overlay.risks {
                     let dependents = augmented.dependents_of(risk);
                     let observed = dependents.intersection(&signature).count();
@@ -426,5 +458,17 @@ mod tests {
             }
         }
         assert!(unmodelled_marks > 0, "no mark added an edge");
+    }
+
+    /// A check whose only findings are the `missing` rules, per switch.
+    fn check_of(missing: &BTreeSet<LogicalRule>) -> NetworkCheckResult {
+        let mut check = NetworkCheckResult::default();
+        for &rule in missing {
+            let result = (check.per_switch.entry(rule.switch))
+                .or_insert_with(|| SwitchCheckResult::consistent(rule.switch));
+            result.equivalent = false;
+            result.missing_rules.push(rule);
+        }
+        check
     }
 }

@@ -43,9 +43,7 @@ pub struct RiskModel<E> {
     ///
     /// Kept in lockstep with `edges`, so every failure-side query — the
     /// failure signature, hit ratios, the failure subgraph — costs time
-    /// proportional to the failure evidence instead of the whole graph. This
-    /// is what makes an augment → analyze → undo cycle on a cached model
-    /// independent of the policy-universe size.
+    /// proportional to the failure evidence instead of the whole graph.
     failed: BTreeMap<ObjectId, BTreeSet<E>>,
 }
 
@@ -68,11 +66,11 @@ enum MarkOp<E> {
 /// ([`RiskModel::mark_failed_tracked`]), sufficient to restore the model to
 /// its pristine pre-augmentation state via [`RiskModel::undo_failures`].
 ///
-/// This is what makes risk-model reuse cheap: instead of rebuilding (or even
-/// cloning) the bipartite graph for every analysis, a long-lived consumer
-/// keeps one pristine model, applies the failed edges of the current check,
-/// reads the results, and rolls the marks back — total cost proportional to
-/// the failure evidence, not the policy universe.
+/// Used by nothing in the library: it keeps no model to reuse, because a
+/// session and a clone analysis read a failure overlay and
+/// [`ScoutEngine::analyze`](crate::ScoutEngine::analyze) marks a fresh
+/// model. Kept only because the stand-alone `benchmark/` package still
+/// calls the tracked marks; the next benchmark-only change deletes it.
 #[derive(Debug, Default)]
 pub struct FailureMarks<E> {
     ops: Vec<MarkOp<E>>,
@@ -192,6 +190,8 @@ impl<E: Ord + Copy> RiskModel<E> {
 
     /// Like [`RiskModel::mark_failed`], but records the performed mutation in
     /// `marks` so it can be rolled back with [`RiskModel::undo_failures`].
+    /// Kept only for the stand-alone `benchmark/` package (see
+    /// [`FailureMarks`]).
     ///
     /// Marking an edge that is already failed records nothing (the undo must
     /// not downgrade evidence that predates the journal).
@@ -220,7 +220,8 @@ impl<E: Ord + Copy> RiskModel<E> {
     }
 
     /// Rolls back every mutation recorded in `marks`, restoring the model to
-    /// the exact state it had before the corresponding tracked marks.
+    /// the exact state it had before the corresponding tracked marks. Kept
+    /// only for the stand-alone `benchmark/` package (see [`FailureMarks`]).
     ///
     /// Marks must be undone on the same model they were recorded against,
     /// before any other mutation; the journal is consumed so it cannot be
@@ -466,10 +467,11 @@ pub fn switch_risk_model(universe: &PolicyUniverse, switch: SwitchId) -> RiskMod
 ///
 /// Elements are `(switch, EPG pair)` triplets; each triplet has success edges
 /// to the pair's policy objects plus the switch itself (Figure 4(b)), as
-/// [`PolicyUniverse::objects_for_element`] reads them. A session builds no
-/// model: its failure overlay reads the same edges from the universe. This
+/// [`PolicyUniverse::objects_for_element`] reads them. Sessions, clone
+/// analyses and SCORE's [`failure_subgraph`](crate::failure_subgraph) build
+/// no model: a failure overlay reads the same edges from the universe. This
 /// build serves [`ScoutEngine::analyze`](crate::ScoutEngine::analyze), the
-/// reference every session report is checked against, and clone analyses.
+/// reference every other report is checked against.
 pub fn controller_risk_model(universe: &PolicyUniverse) -> RiskModel<SwitchEpgPair> {
     RiskModel::from_sorted(|| {
         let elements = universe.switches().flat_map(|s| {
@@ -534,9 +536,9 @@ where
 }
 
 /// Tracked variant of [`augment_controller_model`]: returns the journal needed
-/// to roll the augmentation back with [`RiskModel::undo_failures`], so one
-/// pristine controller model can serve many analyses (the reference
-/// pipeline and a session's clone analyses).
+/// to roll the augmentation back with [`RiskModel::undo_failures`]. Kept
+/// only because the stand-alone `benchmark/` package still calls it; the
+/// next benchmark-only change deletes it.
 pub fn augment_controller_model_tracked<I>(
     model: &mut RiskModel<SwitchEpgPair>,
     missing_rules: I,

@@ -27,19 +27,18 @@
 //!
 //! Sessions also serve the campaign pattern — many mutated clones of one
 //! snapshot — via [`AnalysisSession::analyze_clone`], which reuses the
-//! session's equivalence check for clean switches and a controller risk
-//! model built on the first clone analysis and kept while the clones share
-//! its universe. A baseline algorithm (SCORE) reads the same augmented model
-//! through [`AnalysisSession::with_augmented_model`], the only hook into the
-//! failure evidence.
+//! session's equivalence check for clean switches and settles the clone's
+//! check on a fresh failure overlay over the clone's universe and logs. A
+//! baseline algorithm (SCORE) reads the same evidence through
+//! [`failure_subgraph`](crate::failure_subgraph).
 //!
 //! Open, resume and [`AnalysisSession::resync`] run a full check and build
 //! the overlay from every missing rule, localizing every component, and so
-//! does a batch carrying a policy update or change-log entries (the edges
-//! follow the policy, and stage 2 reads the change log). Clone analyses
-//! re-check only what changed and share the risk-model stages of
-//! [`ScoutEngine::analyze`](crate::ScoutEngine::analyze), the reference
-//! every session report is checked against.
+//! do a batch carrying a policy update or change-log entries (the edges
+//! follow the policy, and stage 2 reads the change log) and every clone
+//! analysis. Every report is checked against
+//! [`ScoutEngine::analyze`](crate::ScoutEngine::analyze), which marks the
+//! per-edge controller risk model instead.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -51,12 +50,11 @@ use scout_fabric::{
     compile_for_switch, ApplyError, EventBatch, Fabric, FabricEvent, FabricProbe, FabricView,
     FullSync,
 };
-use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchEpgPair, SwitchId};
+use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchId};
 
 use crate::correlation::{CorrelationReport, ObjectDiagnosis, PartialDiagnosis};
 use crate::engine::{EngineShared, ScoutReport};
 use crate::overlay::FailureOverlay;
-use crate::risk::{augment_controller_model_tracked, controller_risk_model, RiskModel};
 
 /// What an [`AnalysisSession`] needs after it detects an epoch gap: the
 /// range of epochs whose deltas were lost in transit.
@@ -402,10 +400,6 @@ pub struct AnalysisSession {
     /// controller model and its localization per failure component,
     /// maintained across epochs.
     overlay: FailureOverlay,
-    /// The pristine controller model of the last clone analyzed, keyed by
-    /// its process-unique [`Fabric::universe_version`]; clone analyses apply
-    /// and roll back their failed edges on it.
-    clone_model: Option<(u64, RiskModel<SwitchEpgPair>)>,
     /// The current full report (owns the current equivalence check).
     report: ScoutReport,
     stats: SessionStats,
@@ -424,7 +418,6 @@ impl AnalysisSession {
             open_epoch: fabric.epoch(),
             epoch: 0,
             overlay: FailureOverlay::default(),
-            clone_model: None,
             report: ScoutReport::default(),
             stats: SessionStats::default(),
         };
@@ -449,7 +442,6 @@ impl AnalysisSession {
             open_epoch: snapshot.open_epoch(),
             epoch: snapshot.epoch(),
             overlay: FailureOverlay::default(),
-            clone_model: None,
             report: ScoutReport::default(),
             view,
             stats: SessionStats::default(),
@@ -610,15 +602,28 @@ impl AnalysisSession {
 
         // Risk model and localization: mark and unmark just the changed
         // missing rules on the overlay, re-localizing the components they
-        // reach. Stage 2 reads the change log and the edges follow the
-        // policy, so a batch changing either rebuilds the overlay.
+        // reach; the overlay patches the current report's observation and
+        // suspect sets, and its hypothesis and diagnosis stay for the delta.
+        // Stage 2 reads the change log and the edges follow the policy, so a
+        // batch changing either rebuilds the overlay.
         let newly_missing: Vec<LogicalRule> =
             now_missing.difference(&was_missing).copied().collect();
         let restored: Vec<LogicalRule> = was_missing.difference(&now_missing).copied().collect();
         let (report, localized) = if policy_changed || log_changed {
             self.rebuild(check)
         } else {
-            self.settle(check, &newly_missing, &restored)
+            let mut report = ScoutReport {
+                check,
+                observations: std::mem::take(&mut self.report.observations),
+                suspect_objects: std::mem::take(&mut self.report.suspect_objects),
+                ..ScoutReport::default()
+            };
+            let changes = (&newly_missing[..], &restored[..]);
+            let (log, faults) = (view.change_log(), view.fault_log());
+            let overlay = &mut self.overlay;
+            let localized =
+                (self.shared).settle(overlay, &mut report, changes, universe, log, faults);
+            (report, localized)
         };
 
         let delta = ReportDelta::between(
@@ -639,55 +644,16 @@ impl AnalysisSession {
         Ok(delta)
     }
 
-    /// The report of `check`, whose missing rules differ from the current
-    /// report's by `missing` and `restored`: marks and unmarks them on the
-    /// overlay, re-localizing the components they reach, then merges every
-    /// component's hypothesis and correlates it. Takes the current report's
-    /// observation and suspect sets, which the overlay patches; its
-    /// hypothesis and diagnosis stay for the delta. Also returns how many
-    /// components were localized.
-    fn settle(
-        &mut self,
-        check: NetworkCheckResult,
-        missing: &[LogicalRule],
-        restored: &[LogicalRule],
-    ) -> (ScoutReport, usize) {
-        let mut report = ScoutReport {
-            check,
-            observations: std::mem::take(&mut self.report.observations),
-            suspect_objects: std::mem::take(&mut self.report.suspect_objects),
-            ..ScoutReport::default()
-        };
-        let change_log = self.view.change_log();
-        let config = self.shared.config.scout;
-        let localized = self.overlay.apply(
-            self.view.universe(),
-            missing,
-            restored,
-            change_log,
-            config,
-            &mut report,
-        );
-        report.hypothesis = self.overlay.hypothesis();
-        report.diagnosis = self.shared.correlation.correlate(
-            &report.hypothesis,
-            self.view.universe(),
-            change_log,
-            self.view.fault_log(),
-        );
-        (report, localized)
-    }
-
-    /// [`AnalysisSession::settle`] from an empty overlay: every missing rule
-    /// of `check` marked and every component localized. Open, resume and
-    /// resync take this path, and so does a batch that changes the policy or
-    /// the change log.
+    /// [`EngineShared::settle_all`] on the mirror, keeping the overlay it
+    /// builds. Open, resume and resync take this path, and so does a batch
+    /// that changes the policy or the change log.
     fn rebuild(&mut self, check: NetworkCheckResult) -> (ScoutReport, usize) {
-        self.overlay = FailureOverlay::default();
-        self.report.observations.clear();
-        self.report.suspect_objects.clear();
-        let missing: Vec<LogicalRule> = check.missing_rule_set().into_iter().collect();
-        self.settle(check, &missing, &[])
+        let view = &self.view;
+        let (log, faults) = (view.change_log(), view.fault_log());
+        let (overlay, report, localized) =
+            self.shared.settle_all(check, view.universe(), log, faults);
+        self.overlay = overlay;
+        (report, localized)
     }
 
     /// Checks whether `batch` would be accepted by [`AnalysisSession::ingest`]
@@ -822,18 +788,16 @@ impl AnalysisSession {
     }
 
     /// Analyzes a mutated clone of the monitored fabric, reusing the
-    /// session's check for clean switches and, for localization, the
-    /// controller risk model it built for the previous clone — the campaign
-    /// pattern: one session per worker, one `analyze_clone` per scenario.
+    /// session's check for clean switches — the campaign pattern: one
+    /// session per worker, one `analyze_clone` per scenario.
     ///
     /// The produced report is bit-identical to
     /// [`ScoutEngine::analyze`](crate::ScoutEngine::analyze) on the same
     /// fabric. The check is incremental when the session
-    /// [`covers`](AnalysisSession::covers) the fabric, and the model is
-    /// reused while the clones share a policy universe; otherwise the method
-    /// transparently falls back to the from-scratch pipeline for the affected
-    /// stage.
-    pub fn analyze_clone(&mut self, fabric: &Fabric) -> ScoutReport {
+    /// [`covers`](AnalysisSession::covers) the fabric and from scratch
+    /// otherwise; the later stages run on a fresh failure overlay over the
+    /// clone's universe and logs, so the session is left as it was.
+    pub fn analyze_clone(&self, fabric: &Fabric) -> ScoutReport {
         let checker = self.shared.config.checker();
         let check = if self.covers(fabric) {
             let universe = fabric.universe();
@@ -853,46 +817,10 @@ impl AnalysisSession {
         } else {
             checker.check_network(fabric.logical_rules(), &fabric.collect_tcam())
         };
-        let model = pristine(&mut self.clone_model, fabric);
-        self.shared.report_on(
-            model,
-            check,
-            fabric.universe(),
-            fabric.change_log(),
-            fabric.fault_log(),
-        )
+        let (universe, log, faults) = (fabric.universe(), fabric.change_log(), fabric.fault_log());
+        let (_, report, _) = self.shared.settle_all(check, universe, log, faults);
+        report
     }
-
-    /// Runs `f` on the pristine model [`AnalysisSession::analyze_clone`]
-    /// uses for `fabric`, augmented with the missing rules of `check` and
-    /// rolled back afterwards — the one hook through which a baseline
-    /// algorithm (SCORE) reads the evidence SCOUT localized on.
-    pub fn with_augmented_model<T>(
-        &mut self,
-        fabric: &Fabric,
-        check: &NetworkCheckResult,
-        f: impl FnOnce(&RiskModel<SwitchEpgPair>) -> T,
-    ) -> T {
-        let model = pristine(&mut self.clone_model, fabric);
-        let marks = augment_controller_model_tracked(model, check.missing_rules());
-        let out = f(model);
-        model.undo_failures(marks);
-        out
-    }
-}
-
-/// The pristine controller model of `fabric`'s universe, from `cached`
-/// unless that serves another universe — so `analyze_clone` and
-/// `with_augmented_model` on clones of one policy build it once.
-fn pristine<'a>(
-    cached: &'a mut Option<(u64, RiskModel<SwitchEpgPair>)>,
-    fabric: &Fabric,
-) -> &'a mut RiskModel<SwitchEpgPair> {
-    let version = fabric.universe_version();
-    let model = (cached.take())
-        .filter(|(built_for, _)| *built_for == version)
-        .unwrap_or_else(|| (version, controller_risk_model(fabric.universe())));
-    &mut cached.insert(model).1
 }
 
 /// Walks `check`'s switches against `universe`'s: adds every switch of the
@@ -921,8 +849,9 @@ impl Drop for AnalysisSession {
 mod tests {
     use super::*;
     use crate::engine::ScoutEngine;
+    use crate::risk::{augment_controller_model, controller_risk_model, RiskModel};
     use scout_fabric::FabricProbe;
-    use scout_policy::sample;
+    use scout_policy::{sample, SwitchEpgPair};
 
     fn deployed() -> Fabric {
         let mut fabric = Fabric::new(sample::three_tier());
@@ -1246,7 +1175,7 @@ mod tests {
     fn clone_analysis_matches_full_analysis() {
         let base = deployed();
         let engine = ScoutEngine::new();
-        let mut session = engine.open_session(&base);
+        let session = engine.open_session(&base);
         assert!(session.covers(&base));
 
         // A mutated clone: only S2/S3 are dirty relative to the session.
@@ -1273,10 +1202,10 @@ mod tests {
         use scout_policy::{Contract, Filter, FilterEntry, FilterId, PortRange, Protocol};
         let base = deployed();
         let engine = ScoutEngine::new();
-        let mut session = engine.open_session(&base);
+        let session = engine.open_session(&base);
 
-        // The clone's policy diverges: the risk-model fast path must yield to
-        // a from-scratch model while the check stays incremental.
+        // The clone's policy diverges: the later stages must read the clone's
+        // universe and logs while the check stays incremental.
         let mut clone = base.clone();
         let universe = clone.universe();
         let mut b = scout_policy::PolicyUniverse::builder();
@@ -1327,16 +1256,14 @@ mod tests {
         assert_eq!(derived, full);
         assert!(!derived.is_consistent());
 
-        // The SCORE hook reads the model rebuilt for the clone's universe …
+        // SCORE on the clone's failure subgraph names the objects it names on
+        // the model freshly built and augmented for the clone's universe …
         let mut fresh = controller_risk_model(clone.universe());
-        augment_controller_model_tracked(&mut fresh, derived.check.missing_rules());
-        let score = |m: &RiskModel<SwitchEpgPair>| crate::score_localize(m, 1.0);
-        assert_eq!(
-            session.with_augmented_model(&clone, &derived.check, score),
-            score(&fresh)
-        );
-        // … and a clone under another universe version gets its own model,
-        // alternating with the first.
+        augment_controller_model(&mut fresh, derived.check.missing_rules());
+        let subgraph = crate::failure_subgraph(clone.universe(), &derived.check);
+        let score = |m: &RiskModel<SwitchEpgPair>| crate::score_localize(m, 1.0).objects();
+        assert_eq!(score(&subgraph), score(&fresh));
+        // … and clones under two universe versions, alternating, agree too.
         assert_eq!(session.analyze_clone(&other), engine.analyze(&other));
         assert_eq!(session.analyze_clone(&clone), full);
     }
@@ -1351,7 +1278,7 @@ mod tests {
         // path…
         let stale = base.clone();
         base.remove_tcam_rules_where(sample::S2, |r| r.matcher.ports.start == 700);
-        let mut session = engine.open_session(&base);
+        let session = engine.open_session(&base);
         assert!(!session.covers(&stale));
         // …and still produce the correct (full-check) report for it.
         let report = session.analyze_clone(&stale);

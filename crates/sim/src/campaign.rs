@@ -90,16 +90,16 @@ impl Campaign {
 /// The one campaign runner: builds an engine from `config`, deploys the
 /// `workload` fabric generated from `seed`, and runs `run` on items
 /// `0..items` fanned out over `concurrency`. Each worker opens one
-/// [`AnalysisSession`] on the base fabric, so its open-time check and the
-/// risk model its first item builds are reused across the worker's items
-/// without cross-thread synchronization. Results come back in item order.
+/// [`AnalysisSession`] on the base fabric, so its open-time check is reused
+/// across the worker's items without cross-thread synchronization. Results
+/// come back in item order.
 pub(crate) fn run_on_base<T: Send>(
     config: EngineConfig,
     workload: WorkloadKind,
     seed: u64,
     items: usize,
     concurrency: Parallelism,
-    run: impl Fn(&ScoutEngine, &mut AnalysisSession, &Fabric, usize) -> T + Sync,
+    run: impl Fn(&ScoutEngine, &AnalysisSession, &Fabric, usize) -> T + Sync,
 ) -> Vec<T> {
     let engine = ScoutEngine::from_config(config)
         .expect("campaign engine config is degenerate (see EngineConfig::validate)");
@@ -107,9 +107,9 @@ pub(crate) fn run_on_base<T: Send>(
     base.deploy();
     concurrency
         .fan_out(items, |_, range| {
-            let mut session = engine.open_session(&base);
+            let session = engine.open_session(&base);
             range
-                .map(|index| run(&engine, &mut session, &base, index))
+                .map(|index| run(&engine, &session, &base, index))
                 .collect::<Vec<_>>()
         })
         .into_iter()

@@ -236,17 +236,17 @@ fn deliver(
 }
 
 /// Scores a streaming session once its timeline has settled: SCOUT from the
-/// session's own report, SCORE on the identical augmented model, and the
+/// session's own report, SCORE on the failure subgraph of its check, and the
 /// ranked partial diagnosis for rank quality.
 fn settle(
-    session: &mut AnalysisSession,
+    session: &AnalysisSession,
     fabric: &Fabric,
     truth: BTreeSet<ObjectId>,
     resyncs: usize,
     disturbed: usize,
 ) -> Trial {
     let report = session.full_report().clone();
-    let score = score_baseline(session, fabric, &report);
+    let score = score_baseline(fabric, &report);
     Trial {
         scored: Scored::of(truth, &report, &score),
         ranked: session.partial_diagnosis(),
@@ -259,12 +259,12 @@ fn settle(
 /// base session.
 fn score_clone(
     engine: &ScoutEngine,
-    base_session: &mut AnalysisSession,
+    base_session: &AnalysisSession,
     fabric: &Fabric,
     truth: BTreeSet<ObjectId>,
 ) -> Trial {
     let report = base_session.analyze_clone(fabric);
-    let score = score_baseline(base_session, fabric, &report);
+    let score = score_baseline(fabric, &report);
     let ranked = engine.correlation().rank_partial(
         &report.hypothesis,
         &report.suspect_objects,
@@ -365,7 +365,7 @@ fn lossy_probe(engine: &ScoutEngine, base: &Fabric, seed: u64, max_faults: usize
     let heartbeat = EventBatch::new(producer_epoch, probe.observe(&fabric));
     deliver(&mut session, &mut probe, &fabric, heartbeat, &mut resyncs);
 
-    settle(&mut session, &fabric, truth, resyncs, disturbed)
+    settle(&session, &fabric, truth, resyncs, disturbed)
 }
 
 /// (b) A stale/torn `TcamSync` read taken mid-update: epoch 1 delivers a
@@ -435,7 +435,7 @@ fn torn_sync(engine: &ScoutEngine, base: &Fabric, seed: u64, max_faults: usize) 
         .ingest(EventBatch::new(2, events))
         .expect("the settling read applies");
 
-    settle(&mut session, &fabric, truth, 0, 1)
+    settle(&session, &fabric, truth, 0, 1)
 }
 
 /// (c) Flapping faults: several evict/repair cycles land inside a single
@@ -461,7 +461,7 @@ fn flapping(engine: &ScoutEngine, base: &Fabric, seed: u64, max_faults: usize) -
         .ingest_observation(&mut probe, &fabric)
         .expect("faithful observations ingest cleanly");
 
-    settle(&mut session, &fabric, truth, 0, 1)
+    settle(&session, &fabric, truth, 0, 1)
 }
 
 /// (d) A correlated gray failure: partial object faults (SCORE-1.0's blind
@@ -469,7 +469,7 @@ fn flapping(engine: &ScoutEngine, base: &Fabric, seed: u64, max_faults: usize) -
 /// the degraded links admitting anything to the fault log.
 fn gray_failure(
     engine: &ScoutEngine,
-    base_session: &mut AnalysisSession,
+    base_session: &AnalysisSession,
     base: &Fabric,
     seed: u64,
     max_faults: usize,
@@ -514,7 +514,7 @@ fn gray_failure(
 /// only physical-level signal left.
 fn missing_logs(
     engine: &ScoutEngine,
-    base_session: &mut AnalysisSession,
+    base_session: &AnalysisSession,
     base: &Fabric,
     seed: u64,
     max_faults: usize,

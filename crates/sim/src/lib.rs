@@ -23,8 +23,8 @@
 //! the campaign's reference fabric and is analyzed against a per-worker
 //! [`AnalysisSession`](scout_core::AnalysisSession), so a campaign step costs
 //! time proportional to the disturbance — the session's equivalence check
-//! covers the clean switches and its pristine risk model is re-augmented (and
-//! rolled back) instead of rebuilt.
+//! covers the clean switches, and the later stages settle a fresh failure
+//! overlay over the clone's universe instead of building a risk model.
 //!
 //! Campaigns are one-shot; the [`soak`] module adds the *continuous* half of
 //! the paper's pitch: a seeded [`Timeline`] keeps one fabric alive for

@@ -293,12 +293,14 @@ fn prepare(base: &Fabric, seed: u64, max_faults: usize, mix: &ScenarioMix) -> Pr
 
 /// Runs one scenario end to end through the worker's [`AnalysisSession`].
 ///
-/// The analysis reuses the session's equivalence check and pristine risk
-/// model ([`AnalysisSession::analyze_clone`]); SCORE reads the same augmented
-/// model ([`score_baseline`]). With an `oracle` engine, the report is also
-/// compared against its from-scratch [`ScoutEngine::analyze`].
+/// The analysis reuses the session's equivalence check and settles the
+/// clone's evidence on a fresh failure overlay
+/// ([`AnalysisSession::analyze_clone`]); SCORE reads the failure subgraph of
+/// the same check ([`score_baseline`]). With an `oracle` engine, the report
+/// is also compared against its from-scratch [`ScoutEngine::analyze`], the
+/// per-edge controller model.
 pub fn run_scenario(
-    session: &mut AnalysisSession,
+    session: &AnalysisSession,
     oracle: Option<&ScoutEngine>,
     base: &Fabric,
     index: usize,
@@ -310,7 +312,7 @@ pub fn run_scenario(
     let fabric = &prepared.fabric;
 
     let report = session.analyze_clone(fabric);
-    let score = score_baseline(session, fabric, &report);
+    let score = score_baseline(fabric, &report);
     ScenarioOutcome {
         index,
         seed,
@@ -375,10 +377,10 @@ mod tests {
     fn incremental_and_from_scratch_scenarios_agree() {
         let base = testbed_base();
         let engine = ScoutEngine::new();
-        let mut session = engine.open_session(&base);
+        let session = engine.open_session(&base);
         let mix = ScenarioMix::default();
         for seed in 0..12u64 {
-            let outcome = run_scenario(&mut session, Some(&engine), &base, 0, seed, 3, &mix);
+            let outcome = run_scenario(&session, Some(&engine), &base, 0, seed, 3, &mix);
             assert_eq!(outcome.oracle_agrees, Some(true), "seed {seed}");
         }
     }
@@ -387,12 +389,12 @@ mod tests {
     fn object_scenarios_localize_their_faults() {
         let base = testbed_base();
         let engine = ScoutEngine::new();
-        let mut session = engine.open_session(&base);
+        let session = engine.open_session(&base);
         let mix = ScenarioMix::object_faults_only();
         let mut attributed = 0usize;
         let mut faulty = 0usize;
         for seed in 0..10u64 {
-            let outcome = run_scenario(&mut session, None, &base, 0, seed, 2, &mix).scored;
+            let outcome = run_scenario(&session, None, &base, 0, seed, 2, &mix).scored;
             assert!(outcome
                 .hypothesis
                 .iter()

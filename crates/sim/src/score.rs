@@ -11,7 +11,7 @@
 
 use std::collections::BTreeSet;
 
-use scout_core::{score_localize, AnalysisSession, ScoutReport};
+use scout_core::{failure_subgraph, score_localize, ScoutReport};
 use scout_fabric::Fabric;
 use scout_metrics::{fmt_mean, Accuracy, Summary};
 use scout_policy::ObjectId;
@@ -26,17 +26,12 @@ pub(crate) fn attributed(truth: &BTreeSet<ObjectId>, hypothesis: &BTreeSet<Objec
     }
 }
 
-/// SCORE-1.0's hypothesis on the evidence behind `report`: the session's
-/// pristine risk model, augmented with the report's missing rules (on a
-/// consistent fabric it sees an empty signature and returns nothing).
-pub fn score_baseline(
-    session: &mut AnalysisSession,
-    fabric: &Fabric,
-    report: &ScoutReport,
-) -> BTreeSet<ObjectId> {
-    session
-        .with_augmented_model(fabric, &report.check, |model| score_localize(model, 1.0))
-        .objects()
+/// SCORE-1.0's hypothesis on the evidence behind `report`: the failure
+/// subgraph of its check on `fabric`'s universe, on which SCORE-1.0 names
+/// the objects it names on the whole augmented model (on a consistent
+/// fabric the subgraph is empty and it returns nothing).
+pub fn score_baseline(fabric: &Fabric, report: &ScoutReport) -> BTreeSet<ObjectId> {
+    score_localize(&failure_subgraph(fabric.universe(), &report.check), 1.0).objects()
 }
 
 /// One run scored against its ground truth.

@@ -572,7 +572,7 @@ fn cached_risk_models_match_from_scratch_across_random_mutations() {
         let engine = ScoutEngine::new();
         let mut monitor = engine.open_session(&fabric);
         let mut probe = FabricProbe::new(&fabric);
-        let mut clone_session = engine.open_session(&fabric);
+        let clone_session = engine.open_session(&fabric);
 
         for step in 0..12 {
             let switch_ids = fabric.universe().switch_ids();

@@ -15,7 +15,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use scout::core::{RiskModel, ScoutEngine};
+use scout::core::{augment_controller_model, controller_risk_model, RiskModel, ScoutEngine};
+use scout::equiv::NetworkCheckResult;
 use scout::fabric::{Fabric, FabricProbe};
 use scout::policy::{ObjectId, SwitchEpgPair};
 use scout::workload::ScaleSpec;
@@ -53,7 +54,7 @@ fn cover_stage_work_is_bounded_by_the_failure_signature() {
             fabric.repair_switch(switch);
         }
         let check = session.full_report().check.clone();
-        let joined_before = session.with_augmented_model(&fabric, &check, subgraph_risks);
+        let joined_before = subgraph_risks(&augmented(&fabric, &check));
         let localized_before = session.stats().components_localized;
         let delta = session
             .ingest_observation(&mut probe, &fabric)
@@ -65,13 +66,12 @@ fn cover_stage_work_is_bounded_by_the_failure_signature() {
             .chain(&delta.restored)
             .map(|r| SwitchEpgPair::new(r.switch, r.pair()))
             .collect();
-        let (projected, signature, reach) = session.with_augmented_model(&fabric, &check, |m| {
-            (
-                m.failure_subgraph().element_count(),
-                m.failure_signature().len(),
-                components_reached(m, &changed, &joined_before),
-            )
-        });
+        let m = augmented(&fabric, &check);
+        let (projected, signature, reach) = (
+            m.failure_subgraph().element_count(),
+            m.failure_signature().len(),
+            components_reached(&m, &changed, &joined_before),
+        );
         assert!(
             projected <= signature,
             "epoch {epoch}: the cover stage holds {projected} elements for {signature} observations"
@@ -96,6 +96,14 @@ fn cover_stage_work_is_bounded_by_the_failure_signature() {
     assert!(peak_damaged >= 5, "peak damage {peak_damaged}");
     assert!(peak_signature > 0);
     assert!(total_localized > 0);
+}
+
+/// The controller model of `fabric`'s universe with the missing rules of
+/// `check` marked.
+fn augmented(fabric: &Fabric, check: &NetworkCheckResult) -> RiskModel<SwitchEpgPair> {
+    let mut model = controller_risk_model(fabric.universe());
+    augment_controller_model(&mut model, check.missing_rules());
+    model
 }
 
 /// The risks of `model`'s failure subgraph: the risks that join

@@ -1156,3 +1156,32 @@ fn a_large_fabric_session_opens_without_a_model_build() {
     assert!(session.is_consistent());
     assert!(open.peak <= 4 * MIB, "a large_1k session open: {open:?}");
 }
+
+/// A clone analysis builds no risk model either: it settles the clone's
+/// check on a fresh failure overlay. Measured on the calling thread under
+/// `Sequential`, the first `analyze_clone` of a `large_1k` clone with 10
+/// damaged switches (re-check, overlay, localization and correlation)
+/// peaks at most 1 MiB; it peaked at 7.58 MB while it built a model.
+#[test]
+fn a_large_fabric_clone_analysis_builds_no_model() {
+    assert!(
+        alloc::is_installed(),
+        "the tracking allocator must be armed"
+    );
+    let mut fabric = Fabric::new(ScaleSpec::large_1k().generate(1));
+    fabric.deploy();
+    let config = EngineConfig {
+        parallelism: Parallelism::Sequential,
+        ..EngineConfig::default()
+    };
+    let engine = ScoutEngine::from_config(config).expect("a valid configuration");
+    let session = engine.open_session(&fabric);
+    let mut clone = fabric.clone();
+    for &switch in fabric.universe().switch_ids().iter().step_by(97).take(10) {
+        clone.remove_tcam_rules_where(switch, |r| r.matcher.ports.start % 3 == 0);
+    }
+    let (report, usage) = alloc::measure(|| session.analyze_clone(&clone));
+    assert!(!report.is_consistent());
+    assert_eq!(report, engine.analyze(&clone));
+    assert!(usage.peak <= MIB, "a large_1k clone analysis: {usage:?}");
+}
